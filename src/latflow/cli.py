@@ -244,7 +244,7 @@ def _run_classify(args, mode, config) -> exp.ExperimentReport:
 def _run_orbit(args, mode, config) -> exp.ExperimentReport:
     line = _line_from(args, mode)
     ts = _parse_grid(args.t_grid)
-    budget = args.budget or exp.SEGMENT_MINIMUM_BUDGET
+    budget = args.budget or exp.ENUMERATION_BUDGET
     samples = []
     for t in ts:
         ft = FlowTime.of(t)
@@ -358,7 +358,8 @@ def _run_dirichlet(args, mode, config) -> exp.ExperimentReport:
                 if abs(t / args.direct_step - round(t / args.direct_step)) < 1e-9
                 and math.exp(t) * scale >= 1.0]
     verdicts = dio.dirichlet_direct(x1, x2, args.delta,
-                                    [math.exp(t) * scale for t in check_ts])
+                                    [math.exp(t) * scale for t in check_ts],
+                                    T_budget=args.budget or dio.DIRICHLET_T_BUDGET)
     in_k = dict(zip(probe.times, probe.in_k()))
     lam = dict(zip(probe.times, probe.lambda1))
     agree = 0

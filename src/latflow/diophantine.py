@@ -29,6 +29,8 @@ import numpy as np
 from .errors import BudgetError, InvalidInputError, PrecisionError
 from .scalars import F64_MAX_DENOM, IntegerVec3, exact_ratio
 
+DIRICHLET_T_BUDGET = 1000  # default cap on floor(T) in dirichlet_direct
+
 
 def _ratio_float(n: int, d: int) -> float:
     """n/d as a float, safe for arbitrarily large integers."""
@@ -525,12 +527,13 @@ class DirichletVerdict:
     bound: float
 
 
-def dirichlet_direct(x1, x2, delta, T_list, T_budget: int = 1000) -> list[DirichletVerdict]:
+def dirichlet_direct(x1, x2, delta, T_list,
+                     T_budget: int = DIRICHLET_T_BUDGET) -> list[DirichletVerdict]:
     """Brute-force solvability of the improved linear-form system at each T:
     |x . q + p| <= delta T^-2 with 0 < ||q||_inf <= T, p the nearest integer.
 
     Exhaustive over the (2 floor(T) + 1)^2 - 1 integer pairs.  Quadratic in
-    T, so T beyond the budget is refused.
+    T, so floor(T) beyond ``T_budget`` is refused.
     """
     delta = float(delta)
     if not 0 < delta < 1:

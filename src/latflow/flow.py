@@ -30,6 +30,7 @@ from .scalars import (
     Matrix3,
     ScalarMode,
     Vec3,
+    exp_f64,
     named_scalar,
 )
 
@@ -101,7 +102,7 @@ class FlowTime:
         if mode.kind == "bigfloat":
             with mode.workprec():
                 return mpmath.exp(mpmath.mpf(self.t) * k)
-        return math.exp(k * self.t)
+        return exp_f64(k * self.t)
 
     def log_entries(self) -> tuple[float, float, float]:
         """Diagonal of g_t in log scale: (2t, -t, -t); sums to 0 exactly."""

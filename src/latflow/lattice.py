@@ -7,8 +7,12 @@ sqrt(3) * (current best sup-norm), and K_delta membership is the inclusive
 comparison lambda_1 >= delta.
 
 The norm of record is the supremum norm; the Euclidean ball is only the
-enumeration vehicle (in dimension 3, ||v||_2 <= sqrt(3) ||v||_inf, so the
+enumeration vehicle (in dimension n, ||v||_2 <= sqrt(n) ||v||_inf, so the
 inflated ball contains every candidate that could beat the incumbent).
+
+``sup_norm_minimum`` is the exact variant for rank-3 integer lattices in
+Z^n: integral LLL (no rounding anywhere), the same enumeration, and every
+candidate compared in integers.
 
 All functions are pure; enumeration keeps only local state, so batches can
 be mapped in parallel.
@@ -19,16 +23,17 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 
 from .errors import BudgetError, InvalidInputError, PrecisionError, ReductionError
-from .scalars import IntegerVec3, Matrix3, ScalarMode, bigfloat, exact_ratio
+from .scalars import IntegerVec3, Matrix3, ScalarMode, bigfloat, exact_ratio, exp_f64
 
 LLL_DELTA = 0.99
 LLL_ITERATION_CAP = 100_000
 GSO_RANGE_CAP = 1e12  # dynamic range of GSO lengths tolerated in f64
-COUNT_BUDGET = 10_000_000
+ENUMERATION_BUDGET = 10_000_000  # Fincke-Pohst leaves per search
 ESCALATED_BITS = 256
 
 
@@ -56,9 +61,9 @@ class LatticeBasis3:
         when ``bits`` is given, converting entries through their exact
         binary/rational values)."""
         if bits is None:
-            row_scale = (math.exp(2 * self.log_scale),
-                         math.exp(-self.log_scale),
-                         math.exp(-self.log_scale))
+            row_scale = (exp_f64(2 * self.log_scale),
+                         exp_f64(-self.log_scale),
+                         exp_f64(-self.log_scale))
             return [
                 [float(self.matrix[i][j]) * row_scale[i] for i in range(3)]
                 for j in range(3)
@@ -192,10 +197,10 @@ def lll_reduce(basis, delta: float = LLL_DELTA, bits: int | None = None):
     return cols, u
 
 
-def _enumerate_half_ball(cols, bound2, budget: int = COUNT_BUDGET):
+def _enumerate_half_ball(mu, norm2, bound2, budget: int = ENUMERATION_BUDGET):
     """Yield integer coefficient triples x != 0 (one per +-pair) with
-    ||cols . x||_2^2 <= bound2, by Fincke-Pohst interval nesting."""
-    bstar, mu, norm2 = gram_schmidt(cols)
+    ||B x||_2^2 <= bound2, by Fincke-Pohst interval nesting over the
+    Gram-Schmidt data (mu, norm2) of the basis B."""
     sqrt = lambda v: v ** 0.5 if v > 0 else v * 0
     count = 0
 
@@ -225,8 +230,8 @@ def _enumerate_half_ball(cols, bound2, budget: int = COUNT_BUDGET):
                 count += 1
                 if count > budget:
                     raise BudgetError(
-                        "lattice enumeration exceeded its budget; "
-                        "reduce the radius")
+                        f"lattice enumeration visited more than {budget} "
+                        "nodes; reduce the radius or raise the budget")
                 yield (x0, x1, x2)
 
 
@@ -247,7 +252,7 @@ def _needs_escalation(cols, cap: float = GSO_RANGE_CAP) -> bool:
     return float((max(norm2) / small) ** 0.5) > cap
 
 
-def shortest_vector(basis: LatticeBasis3, budget: int = COUNT_BUDGET) -> ShortVectorResult:
+def shortest_vector(basis: LatticeBasis3, budget: int = ENUMERATION_BUDGET) -> ShortVectorResult:
     """The exact sup-norm first minimum, by complete enumeration.
 
     LLL preprocessing bounds the search; every lattice vector whose sup-norm
@@ -279,7 +284,8 @@ def shortest_vector(basis: LatticeBasis3, budget: int = COUNT_BUDGET) -> ShortVe
                 best_x = (int(j == 0), int(j == 1), int(j == 2))
                 break
         bound2 = 3 * best * best * (1 + 1e-9)
-        for x in _enumerate_half_ball(red_cols, bound2, budget):
+        _, mu, norm2 = gram_schmidt(red_cols)
+        for x in _enumerate_half_ball(mu, norm2, bound2, budget):
             v = _combine(red_cols, x)
             s = _sup(v)
             if s < best:
@@ -294,7 +300,7 @@ def shortest_vector(basis: LatticeBasis3, budget: int = COUNT_BUDGET) -> ShortVe
     )
 
 
-def count_points(basis: LatticeBasis3, r, budget: int = COUNT_BUDGET) -> int:
+def count_points(basis: LatticeBasis3, r, budget: int = ENUMERATION_BUDGET) -> int:
     """#{v in L \\ 0 : ||v||_inf <= r}, by complete enumeration.
 
     Counts are exact and even (the ball is symmetric); enumeration work
@@ -323,10 +329,128 @@ def count_points(basis: LatticeBasis3, r, budget: int = COUNT_BUDGET) -> int:
             raise BudgetError("count_points: expected point count exceeds the budget")
         n = 0
         bound2 = 3 * r * r * (1 + 1e-12)
-        for x in _enumerate_half_ball(red_cols, bound2, budget):
+        _, mu, norm2 = gram_schmidt(red_cols)
+        for x in _enumerate_half_ball(mu, norm2, bound2, budget):
             if _sup(_combine(red_cols, x)) <= r:
                 n += 2  # v and -v
     return n
+
+
+# -- exact sup-norm minimum of an integer lattice ----------------------------
+
+def lll_reduce_integral(cols, delta: float = LLL_DELTA):
+    """Exact integral LLL (Cohen, Alg. 2.6.7) of linearly independent integer
+    columns; returns (reduced_columns, transform, d, lam).
+
+    reduced = cols . U with U unimodular (same convention as ``lll_reduce``).
+    d[i] is the Gram determinant of the first i reduced columns (d[0] = 1)
+    and lam[i][j] = d[j+1] mu[i][j], so the Gram-Schmidt data are
+    mu[i][j] = lam[i][j] / d[j+1] and |b*_i|^2 = d[i+1] / d[i], all exact.
+    """
+    b = [list(c) for c in cols]
+    n = len(b)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    dn, dd = exact_ratio(delta)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def dot(x, y):
+        return sum(xi * yi for xi, yi in zip(x, y))
+
+    def add_gso_row(k):
+        for j in range(k + 1):
+            acc = dot(b[k], b[j])
+            for i in range(j):
+                acc = (d[i + 1] * acc - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = acc
+            elif acc == 0:
+                raise ReductionError("integral LLL needs independent columns")
+            else:
+                d[k + 1] = acc
+
+    def size_reduce(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            m = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - m * y for x, y in zip(b[k], b[l])]
+            u[k] = [x - m * y for x, y in zip(u[k], u[l])]
+            lam[k][l] -= m * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= m * lam[l][i]
+
+    def swap(k, k_max):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        u[k], u[k - 1] = u[k - 1], u[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lk = lam[k][k - 1]
+        new_d = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, k_max + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (new_d * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = new_d
+
+    add_gso_row(0)
+    k, k_max = 1, 0
+    while k < n:
+        if k > k_max:
+            k_max = k
+            add_gso_row(k)
+        size_reduce(k, k - 1)
+        lk = lam[k][k - 1]
+        if dd * (d[k + 1] * d[k - 1] + lk * lk) < dn * d[k] * d[k]:
+            swap(k, k_max)
+            k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return b, u, d, lam
+
+
+def _clamped_ratio(num: int, den: int) -> float:
+    # a GSO length ratio past the f64 range only shrinks that level's
+    # range to its centre, so clamping keeps the enumeration complete
+    try:
+        return num / den
+    except OverflowError:
+        return 1e300
+
+
+def sup_norm_minimum(cols, limit, budget: int = ENUMERATION_BUDGET):
+    """The first sup-norm minimum of the lattice spanned by three independent
+    integer columns in Z^n, when it is at most ``limit`` (else None).
+
+    Returns (norm, coeffs): the exact integer norm and the coefficient vector
+    with respect to ``cols``.  Among vectors of equal norm it is the
+    sign-normalised one (last nonzero coefficient positive) that is smallest
+    in lexicographic order read from the last coefficient.  Certified: after
+    integral LLL the Euclidean ball of radius sqrt(n) min(incumbent, limit)
+    (inflated by 1e-9 against rounding in the float interval bounds) is
+    enumerated to exhaustion and every candidate is compared in integers.
+    ``budget`` caps the enumeration leaves.
+    """
+    red, u, d, lam = lll_reduce_integral(cols)
+    target = min(min(max(abs(x) for x in c) for c in red), limit)
+    # GSO data relative to |b*_0|^2 = d[1]; every entry is a correctly
+    # rounded float of an exact ratio
+    mu = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(3)]
+    norm2 = [_clamped_ratio(d[i + 1], d[i] * d[1]) for i in range(3)]
+    bound2 = float(len(red[0]) * Fraction(target) ** 2 / d[1]) * (1 + 1e-9) ** 2
+    best = None
+    for x in _enumerate_half_ball(mu, norm2, bound2, budget):
+        norm = max(abs(r0 * x[0] + r1 * x[1] + r2 * x[2]) for r0, r1, r2 in zip(*red))
+        if norm > target:
+            continue
+        key = _transform_apply(u, x)[::-1]
+        if key < (0, 0, 0):
+            key = tuple(-c for c in key)
+        if best is None or (norm, key) < best:
+            best = (norm, key)
+    if best is None:
+        return None
+    return best[0], best[1][::-1]
 
 
 def in_K_delta(basis: LatticeBasis3, delta: float) -> bool:

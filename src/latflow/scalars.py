@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import ParseError
+from .errors import ParseError, PrecisionError
 
 Vec3 = tuple  # 3 scalars
 Matrix3 = tuple  # 3 row tuples of 3 scalars
@@ -185,6 +185,18 @@ def exact_ratio(x) -> tuple[int, int]:
         n, d = mpmath.libmp.to_rational(x._mpf_)
         return int(n), int(d)
     raise ParseError(f"unsupported scalar type {type(x).__name__}")
+
+
+def exp_f64(x: float) -> float:
+    """e^x in f64; PrecisionError where it overflows or underflows to zero
+    (|x| past about 709 and 745; e^{2t} overflows from t ~ 355)."""
+    try:
+        y = math.exp(x)
+    except OverflowError:
+        raise PrecisionError(f"e^({x:g}) overflows f64") from None
+    if y == 0.0:
+        raise PrecisionError(f"e^({x:g}) underflows f64")
+    return y
 
 
 def to_float(x) -> float:

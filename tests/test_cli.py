@@ -116,10 +116,29 @@ def test_dirichlet_rational_candidate_improvable(tmp_path):
 
 
 def test_budget_error_exit_3():
+    # the segment-minimum enumeration visits 10 nodes at t = 0
     code = run_cli(["orbit", "liouville:4", "liouville:4", "--mode", "rational",
-                    "--t-grid", "13.8", "--R-cap", "2", "--N", "1",
-                    "--budget", "100"])
+                    "--t-grid", "0", "--R-cap", "2", "--N", "1",
+                    "--budget", "5"])
     assert code == 3
+
+
+def test_dirichlet_budget_caps_direct_horizon():
+    # T = e^7 0.9^(1/3) ~ 1058.8 is past the default cap of 1000 on floor(T)
+    args = ["dirichlet", "sqrt2", "sqrt3", "--t-max", "7", "--delta", "0.9"]
+    assert run_cli(args) == 3
+    assert run_cli(args + ["--budget", "1100"]) == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["orbit", "sqrt2", "sqrt3", "--t-grid", "400", "--N", "1"],
+    ["equidist", "sqrt2", "sqrt3", "--t-list", "400", "--N", "2"],
+    ["orbit", "sqrt2", "sqrt3", "--t-grid=-400", "--N", "1"],
+    ["equidist", "sqrt2", "sqrt3", "--t-list=-400", "--N", "2"],
+])
+def test_f64_flow_overflow_exit_4(args):
+    # e^{2t} overflows f64 at t = 400 and underflows to zero at t = -400
+    assert run_cli(args) == 4
 
 
 def test_precision_error_exit_4():

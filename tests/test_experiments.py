@@ -2,12 +2,16 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latflow import experiments as exp
 from latflow.errors import BudgetError, InvalidInputError
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
 from latflow.scalars import F64, RATIONAL, IntegerVec3, liouville_partial, named_scalar
+from util import segment_minimum_scan
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
                                 Fraction(0), Fraction(1), RATIONAL)
@@ -164,26 +168,33 @@ def test_segment_minimum_liouville_exact_values():
 
 
 def test_segment_minimum_matches_brute_force_oracle():
-    # small-window brute force over (p1, p2, q) in exact arithmetic
+    # small-window brute force over (p1, p2, q) in exact integer arithmetic:
+    # with a = b = n / D, s in {0, 1} and e^t = u, u D times the segment sup
+    # of (p1, p2, q) is max(u^3 |D p1 + q n|, u^3 |D (p1 + p2) + 2 q n|,
+    # D |p2|, D q)
     line = LIOUVILLE_LINE
-    for u in (Fraction(2), Fraction(5), Fraction(9)):
-        t = FlowTime.from_exp(u)
+    n, D = LAM4.numerator, LAM4.denominator
+    for u in (2, 5, 9):
+        u3 = u ** 3
         best = None
-        for q in range(0, int(6 * u) + 1):
+        for q in range(0, 6 * u + 1):
+            qn = q * n
             for p2 in range(-2 * q - 3, 2 * q + 4):
+                floor = max(D * abs(p2), D * q)
                 for p1 in range(-2 * q - 3, 2 * q + 4):
-                    v = IntegerVec3(p1, p2, q)
-                    if v.is_zero():
+                    if p1 == p2 == q == 0:
                         continue
-                    val = segment_sup(line, t, v)
+                    c = D * p1 + qn
+                    val = max(u3 * max(abs(c), abs(c + D * p2 + qn)), floor)
                     if best is None or val < best:
                         best = val
-        sm = exp.segment_minimum(line, t, 6.0)
-        assert sm is not None and sm.value == best, (u, sm.value, best)
+        sm = exp.segment_minimum(line, FlowTime.from_exp(u), 6.0)
+        assert sm is not None and sm.value == Fraction(best, u * D), (u, sm.value, best)
 
 
 def test_segment_minimum_window_soundness():
-    # any v outside the documented search window has sup above the cap
+    # any v outside the search window of the q-scan oracle
+    # (tests/util.py::segment_minimum_scan) has sup above the cap
     rng = random.Random(31)
     line = GENERIC_LINE
     t = FlowTime.of(2.0)
@@ -215,9 +226,73 @@ def test_segment_minimum_window_soundness():
 
 
 def test_segment_minimum_budget_error():
+    # the budget caps enumeration nodes: 10 at t = 0, 1 at e^t = 10^6
     with pytest.raises(BudgetError):
-        exp.segment_minimum(LIOUVILLE_LINE, FlowTime.from_exp(10 ** 6), 2.0,
-                            budget=1000)
+        exp.segment_minimum(LIOUVILLE_LINE, FlowTime.from_exp(1), 2.0, budget=5)
+    sm = exp.segment_minimum(LIOUVILLE_LINE, FlowTime.from_exp(10 ** 6), 2.0,
+                             budget=1000)
+    assert sm.vector.as_tuple() == (-110001, -110001, 10 ** 6)
+
+
+def _assert_same_minimum(line, t, cap):
+    got = exp.segment_minimum(line, t, cap)
+    want = segment_minimum_scan(line, t, cap)
+    assert (got is None) == (want is None), (got, want)
+    if got is None:
+        return
+    assert got.vector == want.vector
+    if isinstance(want.value, Fraction):
+        assert got.value == want.value
+    else:
+        assert float(got.value) == pytest.approx(float(want.value), rel=1e-12)
+
+
+def test_segment_minimum_equals_scan_oracle():
+    for u in (2, 5, 9, 10, 100, 10 ** 3, 10 ** 4, 10 ** 5):
+        _assert_same_minimum(LIOUVILLE_LINE, FlowTime.from_exp(u), 6.0)
+    _assert_same_minimum(LIOUVILLE_LINE, FlowTime.from_exp(10 ** 6), 2.0)
+    for t in range(9):
+        _assert_same_minimum(RATIONAL_LINE, FlowTime.of(t), 6.0)
+    # t = 0 ties (1, 0, 0) with (0, 1, 0) and others; the engine keeps the
+    # scan's choice, the smallest in (q, p2, p1)
+    assert exp.segment_minimum(RATIONAL_LINE, FlowTime.of(0), 6.0).vector.as_tuple() == (1, 0, 0)
+
+
+def test_segment_minimum_f64_large_t_is_cheap():
+    # the scan visits ~6 e^12 q values here; the engine a handful of nodes
+    assert exp.segment_minimum(GENERIC_LINE, FlowTime.of(12.0), 6.0, budget=10) is None
+    # past t ~ 118 the Gram-Schmidt length ratios overflow f64; the stored
+    # sqrt2 and sqrt3 are k / 2^52, so q = 2^52 zeroes both residuals and
+    # leaves e^{-t} max(|p2|, q)
+    sm = exp.segment_minimum(GENERIC_LINE, FlowTime.of(150.0), 6.0)
+    q = 2 ** 52
+    p2 = -int(GENERIC_LINE.a * q)
+    assert sm.vector.as_tuple() == (-int(GENERIC_LINE.b * q), p2, q)
+    assert sm.value == math.exp(-150.0) * abs(p2)
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_unit, b=_unit, s=st.tuples(_unit, _unit).filter(lambda p: p[0] != p[1]),
+       t=st.floats(0.0, 7.0), cap=st.sampled_from([1.0, 6.0, 50.0]))
+def test_segment_minimum_matches_scan_f64(a, b, s, t, cap):
+    line = LineSegmentSpec(a, b, min(s), max(s), F64)
+    _assert_same_minimum(line, FlowTime.of(t), cap)
+
+
+_small_fraction = st.fractions(min_value=-2, max_value=2, max_denominator=50)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_small_fraction, b=_small_fraction,
+       s=st.tuples(_small_fraction, _small_fraction).filter(lambda p: p[0] != p[1]),
+       u=st.fractions(min_value=1, max_value=1000, max_denominator=20),
+       cap=st.sampled_from([1.0, 6.0, 50.0]))
+def test_segment_minimum_matches_scan_rational(a, b, s, u, cap):
+    line = LineSegmentSpec(a, b, min(s), max(s), RATIONAL)
+    _assert_same_minimum(line, FlowTime.from_exp(u), cap)
 
 
 # -- trajectory probe ----------------------------------------------------------
@@ -261,6 +336,18 @@ def test_ks_identical_zero():
 
 def test_ks_disjoint_one():
     assert exp.ks_distance([0.1, 0.2, 0.3], [5.0, 6.0]) == 1.0
+
+
+def test_ks_matches_scipy_exact_statistic():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        n1, n2 = rng.integers(1, 300, size=2)
+        # rounding to a coarse grid makes ties within and across samples
+        xa = np.round(rng.normal(size=n1), int(rng.integers(0, 3)))
+        xb = np.round(rng.normal(0.2, 1.3, size=n2), int(rng.integers(0, 3)))
+        want = stats.ks_2samp(xa, xb, method="exact").statistic
+        assert exp.ks_distance(xa, xb) == want
 
 
 def test_ks_requires_nonempty():

@@ -12,7 +12,9 @@ from latflow.lattice import (
     gram_schmidt,
     in_K_delta,
     lll_reduce,
+    lll_reduce_integral,
     shortest_vector,
+    sup_norm_minimum,
     translate_basis,
 )
 from latflow.scalars import F64, RATIONAL
@@ -144,6 +146,90 @@ def test_shortest_vector_escalates_at_extreme_skew():
     # first coordinate residual must vanish to reach ~e^-12 scale
     first = Fraction(1, 3) * q + p1 + (Fraction(1, 2) * q + p2) * Fraction(1, 3)
     assert first == 0
+
+
+def _random_integer_basis(rng, n, entry):
+    """Three integer columns in Z^n whose first 3x3 minor is nonsingular."""
+    while True:
+        cols = [[int(x) for x in rng.integers(-entry, entry + 1, size=n)]
+                for _ in range(3)]
+        if round(np.linalg.det(np.array(cols, dtype=float)[:, :3])) != 0:
+            return cols
+
+
+def _gram_det(cols):
+    g = [[Fraction(sum(x * y for x, y in zip(a, b))) for b in cols] for a in cols]
+    if len(g) == 1:
+        return g[0][0]
+    if len(g) == 2:
+        return g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    return (g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
+            - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
+            + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]))
+
+
+def test_lll_reduce_integral_exact_invariants():
+    rng = np.random.default_rng(17)
+    for n in (3, 4, 5):
+        for _ in range(30):
+            cols = _random_integer_basis(rng, n, 10 ** int(rng.integers(1, 12)))
+            red, u, d, lam = lll_reduce_integral(cols)
+            # same lattice: reduced = cols . U with U unimodular
+            for k in range(3):
+                assert red[k] == [sum(u[k][j] * cols[j][i] for j in range(3))
+                                  for i in range(n)]
+            assert round(np.linalg.det(np.array(u, dtype=float))) in (1, -1)
+            # d[i] are the Gram determinants of the reduced prefixes
+            assert d[0] == 1
+            for i in range(1, 4):
+                assert d[i] == _gram_det(red[:i])
+            # size-reduced and Lovasz at delta = 0.99, checked exactly
+            for i in range(3):
+                for j in range(i):
+                    assert 2 * abs(lam[i][j]) <= d[j + 1]
+            for k in range(1, 3):
+                assert 100 * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) >= 99 * d[k] ** 2
+
+
+def _box_minimum(cols, r):
+    """Independent oracle: every v in Z^n with ||v||_inf <= r is tested for
+    lattice membership by exact solving on the first three coordinates;
+    returns the least sup norm and its sign-normalised coefficients,
+    smallest read from the last coefficient."""
+    n = len(cols[0])
+    m = [[cols[j][i] for j in range(3)] for i in range(3)]  # rows of the minor
+    det = round(np.linalg.det(np.array(m, dtype=float)))
+    adj = np.array([[m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+                     - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]
+                     for j in range(3)] for i in range(3)], dtype=np.int64)
+    grid = np.arange(-r, r + 1)
+    vs = np.stack(np.meshgrid(*[grid] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    num = vs[:, :3] @ adj.T  # det * coefficients
+    ok = np.all(num % det == 0, axis=1) & np.any(vs != 0, axis=1)
+    c = num[ok] // det
+    full = c @ np.array(cols, dtype=np.int64)
+    ok2 = np.all(full == vs[ok], axis=1)
+    best = None
+    for coeffs, v in zip(c[ok2], vs[ok][ok2]):
+        key = tuple(int(x) for x in coeffs[::-1])
+        if key < (0, 0, 0):
+            key = tuple(-x for x in key)
+        cand = (int(np.max(np.abs(v))), key)
+        if best is None or cand < best:
+            best = cand
+    return best[0], best[1][::-1]
+
+
+def test_sup_norm_minimum_matches_box_oracle():
+    rng = np.random.default_rng(23)
+    for n in (3, 4):
+        for _ in range(25):
+            cols = _random_integer_basis(rng, n, 5)
+            r = min(max(abs(x) for x in col) for col in cols)
+            want = _box_minimum(cols, r)
+            assert sup_norm_minimum(cols, 10 ** 6) == want
+            assert sup_norm_minimum(cols, want[0]) == want
+            assert sup_norm_minimum(cols, Fraction(2 * want[0] - 1, 2)) is None
 
 
 def test_count_points_z3():

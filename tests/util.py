@@ -1,5 +1,6 @@
-"""Shared test oracles: brute-force lattice searches and random unimodular
-bases with controlled conditioning."""
+"""Shared test oracles: brute-force lattice searches, random unimodular
+bases with controlled conditioning, the q-scan segment minimum and an exact
+I_R measure."""
 
 from __future__ import annotations
 
@@ -7,6 +8,14 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from latflow.diophantine import _ResidualScan, sup_operator_norm_R1
+from latflow.errors import BudgetError, InvalidInputError
+from latflow.experiments import SegmentMinimum
+from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
+from latflow.scalars import IntegerVec3
+
+SEGMENT_MINIMUM_SCAN_BUDGET = 100_000_000
 
 
 def brute_force_lambda1(cols, box: int = 25):
@@ -134,3 +143,107 @@ def exact_ir_measure(a: Fraction, b: Fraction, s1: Fraction, s2: Fraction,
     if cur_hi is not None:
         total += cur_hi - cur_lo
     return total
+
+
+# -- q-scan segment minimum ------------------------------------------------
+
+def segment_minimum_scan(line: LineSegmentSpec, t: FlowTime, R_cap: float,
+                         budget: int = SEGMENT_MINIMUM_SCAN_BUDGET) -> SegmentMinimum | None:
+    """Minimize sup_{s in I} ||g_t phi(s) v||_inf over nonzero integer v,
+    reporting the minimizer when its value is <= R_cap (else None).
+
+    The search window is the one a norm bound forces: q in [0, R_cap e^t],
+    p1 and p2 within ceil(R1 e^{-2t} + 1) of the nearest integers to -q b,
+    -q a (with R1 the sup-operator-norm multiple of R_cap), plus the q = 0
+    sheets.  Two sound prunings keep it fast without giving up exhaustiveness:
+    q's are visited in ascending order and abandoned once e^{-t} q reaches
+    the incumbent (the third coordinate alone is already no better), and a
+    q is skipped when even its nearest residual violates the necessary
+    residual bound for beating the incumbent.
+    """
+    if R_cap < 1:
+        raise InvalidInputError("R_cap must be >= 1")
+    e2t = math.exp(2 * t.t)
+    emt = math.exp(-t.t)
+    s1 = float(line.s1)
+    s2 = float(line.s2)
+    opn = sup_operator_norm_R1(line, 1.0)
+
+    best = None  # (value_float, (p1, p2, q))
+    near = []  # candidates within 1e-9 of the incumbent, for exact re-ranking
+
+    def consider(val: float, vec):
+        nonlocal best, near
+        if best is None or val < best[0]:
+            if best is not None and val > best[0] * (1 - 1e-9):
+                near.append(best)
+            best = (val, vec)
+            near = [c for c in near if c[0] <= best[0] * (1 + 1e-9)]
+        elif val <= best[0] * (1 + 1e-9):
+            near.append((val, vec))
+
+    # q = 0, p2 = 0: value e^{2t} |p1|
+    consider(e2t, (1, 0, 0))
+    # q = 0, p2 != 0: first coordinate is p1 + p2 s
+    p2 = 1
+    while True:
+        lb = max(emt * p2, e2t * p2 * (s2 - s1) / 2)
+        if best is not None and lb >= best[0]:
+            break
+        if emt * p2 > R_cap and e2t * p2 * (s2 - s1) / 2 > R_cap:
+            break
+        mid = -p2 * (s1 + s2) / 2.0
+        for p1 in range(math.floor(mid) - 1, math.floor(mid) + 3):
+            first = e2t * max(abs(p1 + p2 * s1), abs(p1 + p2 * s2))
+            consider(max(first, emt * p2), (p1, p2, 0))
+        p2 += 1
+
+    scan = _ResidualScan(line.a, line.b)
+    q_hi = int(math.floor(R_cap * math.exp(t.t))) if t.t < 700 else None
+    if q_hi is None:
+        raise BudgetError("flow time too large for the q window")
+    w = math.ceil(opn * R_cap * emt * emt + 1)
+    examined = 0
+    for q, rb, ra in scan.iterate(q_hi):
+        if emt * q >= best[0]:
+            break
+        examined += 1
+        if examined > budget:
+            raise BudgetError(
+                f"segment minimum examined more than {budget} candidates; "
+                "reduce R_cap or the flow time")
+        fb, fa = scan.dist_floats(rb, ra)
+        # necessary condition to beat the incumbent: residuals below
+        # opnorm * value * e^{-2t}
+        if max(fb, fa) > opn * best[0] / e2t * (1 + 1e-9):
+            continue
+        p1n, res_b = scan.nearest_b(q, rb)
+        p2n, res_a = scan.nearest_a(q, ra)
+        rbf = float(res_b)
+        raf = float(res_a)
+        for d2 in range(-w, w + 1):
+            ca = raf + d2
+            p2v = p2n + d2
+            second = emt * abs(p2v)
+            for d1 in range(-w, w + 1):
+                cb = rbf + d1
+                first = e2t * max(abs(cb + ca * s1), abs(cb + ca * s2))
+                consider(max(first, second, emt * q), (p1n + d1, p2v, q))
+
+    candidates = [best] + near
+    exactable = line.mode.is_exact and t.exp_t is not None
+    best_vec = None
+    best_val = None
+    for val, vec in candidates:
+        v = IntegerVec3(*vec)
+        value = segment_sup(line, t, v) if exactable else val
+        if best_val is None or value < best_val:
+            best_val = value
+            best_vec = v
+    if not exactable:
+        # report the value recomputed through segment_sup for consistency
+        best_val = segment_sup(line, t, best_vec)
+    cap = Fraction(R_cap) if exactable else float(R_cap)
+    if best_val > cap:
+        return None
+    return SegmentMinimum(vector=best_vec, value=best_val)
