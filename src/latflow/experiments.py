@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import BudgetError, InvalidInputError
+from .errors import BudgetError, InvalidInputError, PrecisionError
 from .flow import FlowTime, LineSegmentSpec, segment_sup
 from .lattice import (ENUMERATION_BUDGET, count_points, shortest_vector,
                       sup_norm_minimum, translate_basis)
@@ -178,6 +178,9 @@ def segment_minimum(line: LineSegmentSpec, t: FlowTime, R_cap: float,
         Fraction(*exact_ratio(x))
         for x in (t.factor(2, line.mode), t.factor(-1, line.mode),
                   line.a, line.b, line.s1, line.s2))
+    if e2 == 0 or em == 0:
+        # an f64 e^{2t} (or e^{-t}) that underflows leaves a singular lattice
+        raise PrecisionError(f"e^(kt) underflows f64 at t = {t.t:g}")
     rows = ((e2, e2 * s1, e2 * (b + a * s1)),
             (e2, e2 * s2, e2 * (b + a * s2)),
             (0, em, 0),

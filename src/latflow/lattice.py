@@ -31,6 +31,7 @@ from .errors import BudgetError, InvalidInputError, PrecisionError, ReductionErr
 from .scalars import IntegerVec3, Matrix3, ScalarMode, bigfloat, exact_ratio, exp_f64
 
 LLL_DELTA = 0.99
+LLL_DELTA_EXACT = Fraction(str(LLL_DELTA))  # 99/100 for the integral LLL
 LLL_ITERATION_CAP = 100_000
 GSO_RANGE_CAP = 1e12  # dynamic range of GSO lengths tolerated in f64
 ENUMERATION_BUDGET = 10_000_000  # Fincke-Pohst leaves per search
@@ -338,9 +339,10 @@ def count_points(basis: LatticeBasis3, r, budget: int = ENUMERATION_BUDGET) -> i
 
 # -- exact sup-norm minimum of an integer lattice ----------------------------
 
-def lll_reduce_integral(cols, delta: float = LLL_DELTA):
-    """Exact integral LLL (Cohen, Alg. 2.6.7) of linearly independent integer
-    columns; returns (reduced_columns, transform, d, lam).
+def lll_reduce_integral(cols):
+    """Exact integral LLL (Cohen, Alg. 2.6.7, delta = ``LLL_DELTA_EXACT``) of
+    linearly independent integer columns; returns (reduced_columns,
+    transform, d, lam).
 
     reduced = cols . U with U unimodular (same convention as ``lll_reduce``).
     d[i] is the Gram determinant of the first i reduced columns (d[0] = 1)
@@ -350,7 +352,7 @@ def lll_reduce_integral(cols, delta: float = LLL_DELTA):
     b = [list(c) for c in cols]
     n = len(b)
     u = [[int(i == j) for j in range(n)] for i in range(n)]
-    dn, dd = exact_ratio(delta)
+    dn, dd = LLL_DELTA_EXACT.numerator, LLL_DELTA_EXACT.denominator
     d = [1] + [0] * n
     lam = [[0] * n for _ in range(n)]
 

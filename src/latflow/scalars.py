@@ -188,15 +188,12 @@ def exact_ratio(x) -> tuple[int, int]:
 
 
 def exp_f64(x: float) -> float:
-    """e^x in f64; PrecisionError where it overflows or underflows to zero
-    (|x| past about 709 and 745; e^{2t} overflows from t ~ 355)."""
+    """e^x in f64; PrecisionError where it overflows (x past about 709, so
+    e^{2t} overflows from t ~ 355)."""
     try:
-        y = math.exp(x)
+        return math.exp(x)
     except OverflowError:
         raise PrecisionError(f"e^({x:g}) overflows f64") from None
-    if y == 0.0:
-        raise PrecisionError(f"e^({x:g}) underflows f64")
-    return y
 
 
 def to_float(x) -> float:

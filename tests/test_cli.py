@@ -137,7 +137,8 @@ def test_dirichlet_budget_caps_direct_horizon():
     ["equidist", "sqrt2", "sqrt3", "--t-list=-400", "--N", "2"],
 ])
 def test_f64_flow_overflow_exit_4(args):
-    # e^{2t} overflows f64 at t = 400 and underflows to zero at t = -400
+    # e^{2t} overflows f64 at t = 400; at t = -400 it underflows to zero, which
+    # segment_minimum refuses and equidist's basis conditioning check catches
     assert run_cli(args) == 4
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latflow import experiments as exp
-from latflow.errors import BudgetError, InvalidInputError
+from latflow.errors import BudgetError, InvalidInputError, PrecisionError
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
 from latflow.scalars import F64, RATIONAL, IntegerVec3, liouville_partial, named_scalar
 from util import segment_minimum_scan
@@ -269,6 +269,12 @@ def test_segment_minimum_f64_large_t_is_cheap():
     p2 = -int(GENERIC_LINE.a * q)
     assert sm.vector.as_tuple() == (-int(GENERIC_LINE.b * q), p2, q)
     assert sm.value == math.exp(-150.0) * abs(p2)
+
+
+def test_segment_minimum_f64_underflow_raises():
+    # e^{2t} underflows f64 to 0 and would leave a singular lattice
+    with pytest.raises(PrecisionError):
+        exp.segment_minimum(GENERIC_LINE, FlowTime.of(-400.0), 6.0)
 
 
 _unit = st.floats(-1.0, 1.0, allow_nan=False)

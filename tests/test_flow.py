@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from latflow.errors import InvalidInputError
+from latflow.errors import InvalidInputError, PrecisionError
 from latflow.flow import (
     FlowTime,
     LineSegmentSpec,
@@ -188,6 +188,18 @@ def test_ext2_e23_example():
     out = flow_ext2(line, Fraction(2), FlowTime.from_exp(Fraction(1)),
                     IntegerVec3(0, 1, 0))
     assert out == (-2, 1, 2)
+
+
+def test_f64_flow_underflow_stays_finite_overflow_raises():
+    # an exponential that underflows to 0 is still the correctly rounded
+    # value; only overflow leaves the f64 range
+    line = LineSegmentSpec(2 ** 0.5, 3 ** 0.5, 0.0, 1.0, F64)
+    v = IntegerVec3(1, 2, 3)
+    assert segment_sup(line, FlowTime.of(-400.0), v) == math.exp(400.0) * 3
+    assert flow_ext2(line, 0.5, FlowTime.of(400.0), IntegerVec3(0, 0, 1)) == (
+        0.0, 0.0, math.exp(400.0))
+    with pytest.raises(PrecisionError):
+        segment_sup(line, FlowTime.of(400.0), v)
 
 
 def test_segment_sup_rational_witness_is_s_independent():
