@@ -6,7 +6,7 @@ self-describing; JSON is the authoritative format (validated against
 REPORT_SCHEMA before writing) and CSV carries flat plot-ready rows.
 
 Exit codes: 0 success, 2 usage/parse errors, 3 budget errors, 4 precision
-failures.  LATFLOW_THREADS caps experiment parallelism.
+failures.
 
 Built-in named constants accepted wherever a number is expected:
 sqrt2, sqrt3, golden, liouville:k (the partial sum of 10^-j! up to j = k).
@@ -347,19 +347,21 @@ def _run_equidist(args, mode, config) -> exp.ExperimentReport:
 def _run_dirichlet(args, mode, config) -> exp.ExperimentReport:
     line = _line_from(args, mode)
     s = named_scalar(args.s, mode)
-    probe = exp.trajectory_probe(line, s, args.delta, args.t_max, args.dt)
     x1 = float(s)
     x2 = float(line.a) * x1 + float(line.b)
 
     # exact correspondence: the solvability box at T = e^t delta^{1/3}
     # rescales onto the sup-ball of radius delta^{1/3} under g_t
     scale = args.delta ** (1.0 / 3.0)
-    check_ts = [t for t in probe.times
+    check_ts = [t for t in exp.probe_times(args.delta, args.t_max, args.dt)
                 if abs(t / args.direct_step - round(t / args.direct_step)) < 1e-9
                 and math.exp(t) * scale >= 1.0]
+    # the direct check refuses a horizon past its budget before any work, so
+    # it runs ahead of the probe
     verdicts = dio.dirichlet_direct(x1, x2, args.delta,
                                     [math.exp(t) * scale for t in check_ts],
                                     T_budget=args.budget or dio.DIRICHLET_T_BUDGET)
+    probe = exp.trajectory_probe(line, s, args.delta, args.t_max, args.dt)
     in_k = dict(zip(probe.times, probe.in_k()))
     lam = dict(zip(probe.times, probe.lambda1))
     agree = 0

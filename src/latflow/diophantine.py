@@ -533,21 +533,23 @@ def dirichlet_direct(x1, x2, delta, T_list,
     |x . q + p| <= delta T^-2 with 0 < ||q||_inf <= T, p the nearest integer.
 
     Exhaustive over the (2 floor(T) + 1)^2 - 1 integer pairs.  Quadratic in
-    T, so floor(T) beyond ``T_budget`` is refused.
+    T, so floor(T) beyond ``T_budget`` is refused, for every T before any
+    grid is built.
     """
     delta = float(delta)
     if not 0 < delta < 1:
         raise InvalidInputError("delta must satisfy 0 < delta < 1")
     x1 = float(x1)
     x2 = float(x2)
+    T_list = [float(T) for T in T_list]
+    for T in T_list:
+        if T < 1:
+            raise InvalidInputError("each T must be >= 1")
+        if math.floor(T) > T_budget:
+            raise BudgetError(f"dirichlet_direct: T = {T} exceeds the budget {T_budget}")
     out = []
     for T in T_list:
-        T = float(T)
         tb = int(math.floor(T))
-        if tb < 1:
-            raise InvalidInputError("each T must be >= 1")
-        if tb > T_budget:
-            raise BudgetError(f"dirichlet_direct: T = {T} exceeds the budget {T_budget}")
         rng = np.arange(-tb, tb + 1)
         q1 = rng[:, None]
         q2 = rng[None, :]

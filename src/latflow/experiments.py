@@ -8,15 +8,13 @@ powers the return-time estimates).
 
 Reproducibility contract: every sample i of an experiment seeded with
 ``seed`` draws from a counter-based Philox stream keyed by (seed, i), so
-serial and parallel runs agree bit for bit and a report can be regenerated
-exactly from its config echo.  LATFLOW_THREADS caps worker threads.
+samples can be drawn in any order and a report can be regenerated exactly
+from its config echo.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,26 +23,11 @@ from numpy.random import Generator, Philox
 
 from .errors import BudgetError, InvalidInputError, PrecisionError
 from .flow import FlowTime, LineSegmentSpec, segment_sup
-from .lattice import (ENUMERATION_BUDGET, count_points, shortest_vector,
-                      sup_norm_minimum, translate_basis)
+from .lattice import (ENUMERATION_BUDGET, count_points, integer_columns,
+                      shortest_vector, sup_norm_minimum, translate_basis)
 from .scalars import IntegerVec3, exact_ratio
 
 TIME_AVERAGE_BUDGET = 200_000
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("LATFLOW_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_indexed(fn, n: int):
-    workers = _threads()
-    if workers <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(n)))
 
 
 def sample_stream(seed: int, index: int) -> Generator:
@@ -78,8 +61,8 @@ def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
     """N i.i.d. uniform draws of s over I; per sample the certified first
     minimum and the nonzero-point counts at the requested radii.
 
-    Precision escalations inside the lattice routines are recorded on the
-    sample, not raised.
+    A result computed off the f64 lattice path is marked ``escalated`` on
+    the sample.
     """
     if N < 1:
         raise InvalidInputError("need N >= 1 samples")
@@ -97,7 +80,7 @@ def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
                                point_counts=counts, certified=res.certified,
                                escalated=res.escalated)
 
-    return _map_indexed(one, N)
+    return [one(i) for i in range(N)]
 
 
 def escape_mass_fraction(line: LineSegmentSpec, t: FlowTime, delta: float,
@@ -185,8 +168,7 @@ def segment_minimum(line: LineSegmentSpec, t: FlowTime, R_cap: float,
             (e2, e2 * s2, e2 * (b + a * s2)),
             (0, em, 0),
             (0, 0, em))
-    den = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
-    cols = [[int(row[j] * den) for row in rows] for j in range(3)]
+    cols, den = integer_columns(rows)
     found = sup_norm_minimum(cols, Fraction(R_cap) * den, budget)
     if found is None:
         return None
@@ -221,23 +203,24 @@ class ProbeResult:
         return tuple(l >= self.threshold for l in self.lambda1)
 
 
+def probe_times(delta: float, t_max: float, dt: float = 0.05) -> list[float]:
+    """The grid t = 0, dt, 2 dt, ... <= t_max that ``trajectory_probe``
+    scans, after checking its arguments."""
+    if not 0 < delta < 1:
+        raise InvalidInputError("delta must satisfy 0 < delta < 1")
+    if not 0 < dt <= 0.05 + 1e-12:
+        raise InvalidInputError("probe grid step must be in (0, 0.05]")
+    return [i * dt for i in range(int(math.floor(t_max / dt + 1e-9)) + 1)]
+
+
 def trajectory_probe(line: LineSegmentSpec, s, delta: float, t_max: float,
                      dt: float = 0.05) -> ProbeResult:
     """Scan t in [0, t_max] on a grid of step dt for membership of
     g_t phi(s) Z^3 in K_{delta^{1/3}}."""
-    if not 0 < delta < 1:
-        raise InvalidInputError("delta must satisfy 0 < delta < 1")
-    if dt > 0.05 + 1e-12:
-        raise InvalidInputError("probe grid step must be <= 0.05")
+    times = probe_times(delta, t_max, dt)
     threshold = delta ** (1.0 / 3.0)
-    times = []
-    lams = []
-    n = int(math.floor(t_max / dt + 1e-9)) + 1
-    for i in range(n):
-        t = i * dt
-        basis = translate_basis(line, s, FlowTime.of(t))
-        lams.append(shortest_vector(basis).lambda1)
-        times.append(t)
+    lams = [shortest_vector(translate_basis(line, s, FlowTime.of(t))).lambda1
+            for t in times]
     inside = [i for i, l in enumerate(lams) if l >= threshold]
     return ProbeResult(
         delta=delta,

@@ -63,9 +63,6 @@ class LineSegmentSpec:
     def endpoints(self):
         return (self.s1, self.s2)
 
-    def length(self):
-        return self.s2 - self.s1
-
 
 @dataclass(frozen=True)
 class FlowTime:

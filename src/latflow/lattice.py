@@ -10,9 +10,10 @@ The norm of record is the supremum norm; the Euclidean ball is only the
 enumeration vehicle (in dimension n, ||v||_2 <= sqrt(n) ||v||_inf, so the
 inflated ball contains every candidate that could beat the incumbent).
 
-``sup_norm_minimum`` is the exact variant for rank-3 integer lattices in
-Z^n: integral LLL (no rounding anywhere), the same enumeration, and every
-candidate compared in integers.
+``sup_norm_minimum`` and ``sup_norm_count`` are the exact variants for
+rank-3 integer lattices in Z^n: integral LLL (no rounding anywhere), the
+same enumeration, and every candidate compared in integers; they also take
+the bases too skewed for f64.
 
 All functions are pure; enumeration keeps only local state, so batches can
 be mapped in parallel.
@@ -21,21 +22,24 @@ be mapped in parallel.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .errors import BudgetError, InvalidInputError, PrecisionError, ReductionError
-from .scalars import IntegerVec3, Matrix3, ScalarMode, bigfloat, exact_ratio, exp_f64
+from .scalars import IntegerVec3, Matrix3, exact_ratio, exp_f64
 
 LLL_DELTA = 0.99
 LLL_DELTA_EXACT = Fraction(str(LLL_DELTA))  # 99/100 for the integral LLL
 LLL_ITERATION_CAP = 100_000
 GSO_RANGE_CAP = 1e12  # dynamic range of GSO lengths tolerated in f64
 ENUMERATION_BUDGET = 10_000_000  # Fincke-Pohst leaves per search
-ESCALATED_BITS = 256
+
+
+def integer_columns(rows):
+    """(cols, den): the three columns of the rational matrix ``rows`` times
+    their least common denominator den, as integers."""
+    den = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return [[int(row[j] * den) for row in rows] for j in range(3)], den
 
 
 @dataclass(frozen=True)
@@ -57,29 +61,29 @@ class LatticeBasis3:
         rows = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
         return cls(rows, log_scale)
 
-    def effective_columns(self, bits: int | None = None):
-        """Basis columns with the flow scaling applied, as floats (or mpf
-        when ``bits`` is given, converting entries through their exact
-        binary/rational values)."""
-        if bits is None:
-            row_scale = (exp_f64(2 * self.log_scale),
-                         exp_f64(-self.log_scale),
-                         exp_f64(-self.log_scale))
-            return [
-                [float(self.matrix[i][j]) * row_scale[i] for i in range(3)]
-                for j in range(3)
-            ]
-        with mpmath.workprec(bits):
-            ell = mpmath.mpf(self.log_scale)
-            row_scale = (mpmath.exp(2 * ell), mpmath.exp(-ell), mpmath.exp(-ell))
-            cols = []
-            for j in range(3):
-                col = []
-                for i in range(3):
-                    n, d = exact_ratio(self.matrix[i][j])
-                    col.append(mpmath.mpf(n) / mpmath.mpf(d) * row_scale[i])
-                cols.append(col)
-            return cols
+    def _row_scales(self):
+        return (exp_f64(2 * self.log_scale),
+                exp_f64(-self.log_scale),
+                exp_f64(-self.log_scale))
+
+    def effective_columns(self):
+        """Basis columns with the flow scaling applied, as floats."""
+        row_scale = self._row_scales()
+        return [
+            [float(self.matrix[i][j]) * row_scale[i] for i in range(3)]
+            for j in range(3)
+        ]
+
+    def exact_columns(self):
+        """``integer_columns`` of the stored entries times the f64 row scales,
+        both at their exact values: ``effective_columns`` before rounding."""
+        row_scale = self._row_scales()
+        if 0.0 in row_scale:  # a zero row spans no lattice
+            raise PrecisionError(
+                f"the flow scaling underflows f64 at log scale {self.log_scale:g}")
+        return integer_columns(
+            [[Fraction(*exact_ratio(x)) * Fraction(scale) for x in row]
+             for row, scale in zip(self.matrix, row_scale)])
 
     def determinant(self) -> float:
         cols = self.effective_columns()
@@ -94,7 +98,8 @@ class LatticeBasis3:
 @dataclass(frozen=True)
 class ShortVectorResult:
     """A certified first minimum: ``vector`` holds the integer coefficients
-    with respect to the basis columns, ``lambda1`` the sup-norm length."""
+    with respect to the basis columns, ``lambda1`` the sup-norm length;
+    ``escalated`` marks a result computed off the f64 path."""
 
     vector: IntegerVec3
     lambda1: float
@@ -102,7 +107,7 @@ class ShortVectorResult:
     escalated: bool = False
 
 
-# -- generic small linear algebra (works for float and mpf entries) ---------
+# -- f64 small linear algebra ------------------------------------------------
 
 def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
@@ -143,26 +148,20 @@ def gram_schmidt(cols):
     return bstar, mu, norm2
 
 
-def _nearest_int(x) -> int:
-    if isinstance(x, float):
-        return round(x)
-    return int(mpmath.nint(x))
-
-
-def lll_reduce(basis, delta: float = LLL_DELTA, bits: int | None = None):
-    """LLL-reduce the basis columns; returns (reduced_columns, transform).
+def lll_reduce(basis, delta: float = LLL_DELTA):
+    """LLL-reduce the basis columns in f64; returns (reduced_columns, transform).
 
     The transform U is an exact integer matrix with det(U) = +-1 and
     reduced = basis . U (column convention), so the lattice is unchanged.
     """
     if isinstance(basis, LatticeBasis3):
-        cols = basis.effective_columns(bits)
+        cols = basis.effective_columns()
     else:
         cols = [list(c) for c in basis]
     u = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]  # columns of U, as int lists
 
     def size_reduce(k, j, bstar, mu, norm2):
-        m = _nearest_int(mu[k][j])
+        m = round(mu[k][j])
         if m != 0:
             for i in range(3):
                 cols[k][i] = cols[k][i] - m * cols[j][i]
@@ -202,19 +201,14 @@ def _enumerate_half_ball(mu, norm2, bound2, budget: int = ENUMERATION_BUDGET):
     """Yield integer coefficient triples x != 0 (one per +-pair) with
     ||B x||_2^2 <= bound2, by Fincke-Pohst interval nesting over the
     Gram-Schmidt data (mu, norm2) of the basis B."""
-    sqrt = lambda v: v ** 0.5 if v > 0 else v * 0
     count = 0
-
-    a2 = sqrt(bound2 / norm2[2])
-    for x2 in range(0, math.floor(float(a2)) + 1):
+    for x2 in range(0, math.floor(math.sqrt(bound2 / norm2[2])) + 1):
         r2 = bound2 - x2 * x2 * norm2[2]
         if r2 < 0:
             continue
         c1 = mu[2][1] * x2
-        half1 = sqrt(r2 / norm2[1])
-        lo1 = math.ceil(float(-half1 - c1))
-        hi1 = math.floor(float(half1 - c1))
-        for x1 in range(lo1, hi1 + 1):
+        half1 = math.sqrt(r2 / norm2[1])
+        for x1 in range(math.ceil(-half1 - c1), math.floor(half1 - c1) + 1):
             if x2 == 0 and x1 < 0:
                 continue
             t1 = x1 + c1
@@ -222,10 +216,8 @@ def _enumerate_half_ball(mu, norm2, bound2, budget: int = ENUMERATION_BUDGET):
             if r1 < 0:
                 continue
             c0 = mu[1][0] * x1 + mu[2][0] * x2
-            half0 = sqrt(r1 / norm2[0])
-            lo0 = math.ceil(float(-half0 - c0))
-            hi0 = math.floor(float(half0 - c0))
-            for x0 in range(lo0, hi0 + 1):
+            half0 = math.sqrt(r1 / norm2[0])
+            for x0 in range(math.ceil(-half0 - c0), math.floor(half0 - c0) + 1):
                 if x2 == 0 and x1 == 0 and x0 <= 0:
                     continue
                 count += 1
@@ -242,7 +234,7 @@ def _transform_apply(u, x):
     )
 
 
-def _needs_escalation(cols, cap: float = GSO_RANGE_CAP) -> bool:
+def _needs_escalation(cols) -> bool:
     try:
         _, _, norm2 = gram_schmidt(cols)
     except ReductionError:
@@ -250,7 +242,8 @@ def _needs_escalation(cols, cap: float = GSO_RANGE_CAP) -> bool:
     small = min(norm2)
     if small <= 0:
         return True
-    return float((max(norm2) / small) ** 0.5) > cap
+    # NaN or inf (entries or lengths past the f64 range) fail this test too
+    return not (max(norm2) / small) ** 0.5 <= GSO_RANGE_CAP
 
 
 def shortest_vector(basis: LatticeBasis3, budget: int = ENUMERATION_BUDGET) -> ShortVectorResult:
@@ -260,44 +253,39 @@ def shortest_vector(basis: LatticeBasis3, budget: int = ENUMERATION_BUDGET) -> S
     could undercut the incumbent lies in the Euclidean ball of radius
     sqrt(3) times the incumbent, and that ball is enumerated to exhaustion,
     so the result is certified.  If the GSO lengths span more than ~1e12 in
-    f64 the computation is rebuilt in 256-bit floats (escalated flag).
+    f64 (or overflow it), the basis is scaled to integers and solved exactly
+    by ``sup_norm_minimum`` instead (escalated flag); lambda1 is then the
+    correctly rounded exact minimum.
     """
     if not isinstance(basis, LatticeBasis3):
         basis = LatticeBasis3(tuple(tuple(row) for row in basis))
-    bits = None
     cols = basis.effective_columns()
     if _needs_escalation(cols):
-        bits = ESCALATED_BITS
-        cols = basis.effective_columns(bits)
-        # 256-bit mantissas tolerate a far wider GSO spread than doubles
-        if _needs_escalation(cols, cap=1e60):
-            raise PrecisionError(
-                "basis conditioning exceeds 256-bit floats; rebuild the basis "
-                "at higher precision")
+        int_cols, den = basis.exact_columns()
+        norm, coeffs = sup_norm_minimum(int_cols, math.inf, budget)
+        return ShortVectorResult(vector=IntegerVec3(*coeffs), lambda1=norm / den,
+                                 certified=True, escalated=True)
 
-    ctx = mpmath.workprec(bits) if bits is not None else nullcontext()
-    with ctx:
-        red_cols, u = lll_reduce(cols)
-        best = min(_sup(c) for c in red_cols)
-        best_x = None
-        for j in range(3):
-            if _sup(red_cols[j]) == best:
-                best_x = (int(j == 0), int(j == 1), int(j == 2))
-                break
-        bound2 = 3 * best * best * (1 + 1e-9)
-        _, mu, norm2 = gram_schmidt(red_cols)
-        for x in _enumerate_half_ball(mu, norm2, bound2, budget):
-            v = _combine(red_cols, x)
-            s = _sup(v)
-            if s < best:
-                best = s
-                best_x = x
-        coeffs = _transform_apply(u, best_x)
+    red_cols, u = lll_reduce(cols)
+    best = min(_sup(c) for c in red_cols)
+    best_x = None
+    for j in range(3):
+        if _sup(red_cols[j]) == best:
+            best_x = (int(j == 0), int(j == 1), int(j == 2))
+            break
+    bound2 = 3 * best * best * (1 + 1e-9)
+    _, mu, norm2 = gram_schmidt(red_cols)
+    for x in _enumerate_half_ball(mu, norm2, bound2, budget):
+        v = _combine(red_cols, x)
+        s = _sup(v)
+        if s < best:
+            best = s
+            best_x = x
+    coeffs = _transform_apply(u, best_x)
     return ShortVectorResult(
         vector=IntegerVec3(*coeffs),
         lambda1=float(best),
         certified=True,
-        escalated=bits is not None,
     )
 
 
@@ -305,39 +293,39 @@ def count_points(basis: LatticeBasis3, r, budget: int = ENUMERATION_BUDGET) -> i
     """#{v in L \\ 0 : ||v||_inf <= r}, by complete enumeration.
 
     Counts are exact and even (the ball is symmetric); enumeration work
-    beyond the budget raises BudgetError.
+    beyond the budget raises BudgetError.  A basis too ill-conditioned for
+    f64 is counted exactly by ``sup_norm_count``, as in ``shortest_vector``.
     """
     r = float(r)
-    if r <= 0:
+    if not r > 0:
         raise InvalidInputError("count radius must be positive")
+    if r == math.inf:
+        raise BudgetError("count_points: expected point count exceeds the budget")
     if not isinstance(basis, LatticeBasis3):
         basis = LatticeBasis3(tuple(tuple(row) for row in basis))
-    bits = None
     cols = basis.effective_columns()
     if _needs_escalation(cols):
-        bits = ESCALATED_BITS
-        cols = basis.effective_columns(bits)
+        int_cols, den = basis.exact_columns()
+        return sup_norm_count(int_cols, math.floor(Fraction(r) * den), budget)
 
-    ctx = mpmath.workprec(bits) if bits is not None else nullcontext()
-    with ctx:
-        red_cols, _ = lll_reduce(cols)
-        # crude volume-based budget guard before enumerating
-        det = abs(_dot(red_cols[0],
-                       [red_cols[1][1] * red_cols[2][2] - red_cols[1][2] * red_cols[2][1],
-                        red_cols[1][2] * red_cols[2][0] - red_cols[1][0] * red_cols[2][2],
-                        red_cols[1][0] * red_cols[2][1] - red_cols[1][1] * red_cols[2][0]]))
-        if det > 0 and float((2 * r) ** 3 / det) > budget:
-            raise BudgetError("count_points: expected point count exceeds the budget")
-        n = 0
-        bound2 = 3 * r * r * (1 + 1e-12)
-        _, mu, norm2 = gram_schmidt(red_cols)
-        for x in _enumerate_half_ball(mu, norm2, bound2, budget):
-            if _sup(_combine(red_cols, x)) <= r:
-                n += 2  # v and -v
+    red_cols, _ = lll_reduce(cols)
+    # crude volume-based budget guard before enumerating
+    det = abs(_dot(red_cols[0],
+                   [red_cols[1][1] * red_cols[2][2] - red_cols[1][2] * red_cols[2][1],
+                    red_cols[1][2] * red_cols[2][0] - red_cols[1][0] * red_cols[2][2],
+                    red_cols[1][0] * red_cols[2][1] - red_cols[1][1] * red_cols[2][0]]))
+    if det > 0 and float((2 * r) ** 3 / det) > budget:
+        raise BudgetError("count_points: expected point count exceeds the budget")
+    n = 0
+    bound2 = 3 * r * r * (1 + 1e-12)
+    _, mu, norm2 = gram_schmidt(red_cols)
+    for x in _enumerate_half_ball(mu, norm2, bound2, budget):
+        if _sup(_combine(red_cols, x)) <= r:
+            n += 2  # v and -v
     return n
 
 
-# -- exact sup-norm minimum of an integer lattice ----------------------------
+# -- exact sup-norm search in an integer lattice -----------------------------
 
 def lll_reduce_integral(cols):
     """Exact integral LLL (Cohen, Alg. 2.6.7, delta = ``LLL_DELTA_EXACT``) of
@@ -420,6 +408,30 @@ def _clamped_ratio(num: int, den: int) -> float:
         return 1e300
 
 
+def _sup_ball(cols, budget: int):
+    """Integral LLL of three independent integer columns in Z^n; returns
+    (shortest sup norm of a reduced column, Gram determinant, within), where
+    within(radius) yields (norm, coeffs w.r.t. ``cols``) for every lattice
+    vector, one per +-pair, of sup norm <= radius: the Euclidean ball of
+    radius sqrt(n) radius (inflated by 1e-9 against rounding in the float
+    interval bounds) is enumerated to exhaustion, ``budget`` leaves at most.
+    """
+    red, u, d, lam = lll_reduce_integral(cols)
+    # GSO data relative to |b*_0|^2 = d[1]; every entry is a correctly
+    # rounded float of an exact ratio
+    mu = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(3)]
+    norm2 = [_clamped_ratio(d[i + 1], d[i] * d[1]) for i in range(3)]
+
+    def within(radius):
+        bound2 = float(len(red[0]) * Fraction(radius) ** 2 / d[1]) * (1 + 1e-9) ** 2
+        for x in _enumerate_half_ball(mu, norm2, bound2, budget):
+            norm = max(abs(r0 * x[0] + r1 * x[1] + r2 * x[2]) for r0, r1, r2 in zip(*red))
+            if norm <= radius:
+                yield norm, _transform_apply(u, x)
+
+    return min(max(abs(x) for x in c) for c in red), d[3], within
+
+
 def sup_norm_minimum(cols, limit, budget: int = ENUMERATION_BUDGET):
     """The first sup-norm minimum of the lattice spanned by three independent
     integer columns in Z^n, when it is at most ``limit`` (else None).
@@ -427,25 +439,15 @@ def sup_norm_minimum(cols, limit, budget: int = ENUMERATION_BUDGET):
     Returns (norm, coeffs): the exact integer norm and the coefficient vector
     with respect to ``cols``.  Among vectors of equal norm it is the
     sign-normalised one (last nonzero coefficient positive) that is smallest
-    in lexicographic order read from the last coefficient.  Certified: after
-    integral LLL the Euclidean ball of radius sqrt(n) min(incumbent, limit)
-    (inflated by 1e-9 against rounding in the float interval bounds) is
-    enumerated to exhaustion and every candidate is compared in integers.
-    ``budget`` caps the enumeration leaves.
+    in lexicographic order read from the last coefficient.  Certified: every
+    vector within min(incumbent, limit) of the origin, the incumbent being
+    the shortest reduced column, is compared in integers.  ``budget`` caps
+    the enumeration leaves.
     """
-    red, u, d, lam = lll_reduce_integral(cols)
-    target = min(min(max(abs(x) for x in c) for c in red), limit)
-    # GSO data relative to |b*_0|^2 = d[1]; every entry is a correctly
-    # rounded float of an exact ratio
-    mu = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(3)]
-    norm2 = [_clamped_ratio(d[i + 1], d[i] * d[1]) for i in range(3)]
-    bound2 = float(len(red[0]) * Fraction(target) ** 2 / d[1]) * (1 + 1e-9) ** 2
+    shortest, _, within = _sup_ball(cols, budget)
     best = None
-    for x in _enumerate_half_ball(mu, norm2, bound2, budget):
-        norm = max(abs(r0 * x[0] + r1 * x[1] + r2 * x[2]) for r0, r1, r2 in zip(*red))
-        if norm > target:
-            continue
-        key = _transform_apply(u, x)[::-1]
+    for norm, coeffs in within(min(shortest, limit)):
+        key = coeffs[::-1]
         if key < (0, 0, 0):
             key = tuple(-c for c in key)
         if best is None or (norm, key) < best:
@@ -453,6 +455,16 @@ def sup_norm_minimum(cols, limit, budget: int = ENUMERATION_BUDGET):
     if best is None:
         return None
     return best[0], best[1][::-1]
+
+
+def sup_norm_count(cols, radius: int, budget: int = ENUMERATION_BUDGET) -> int:
+    """#{v in L \\ 0 : ||v||_inf <= radius} for the lattice L spanned by three
+    independent integer columns in Z^3; like ``count_points`` it refuses an
+    expected count (2 radius)^3 / |det L| above ``budget``."""
+    _, gram_det, within = _sup_ball(cols, budget)
+    if (2 * radius) ** 6 > budget ** 2 * gram_det:  # gram_det = det(L)^2
+        raise BudgetError("count_points: expected point count exceeds the budget")
+    return 2 * sum(1 for _ in within(radius))
 
 
 def in_K_delta(basis: LatticeBasis3, delta: float) -> bool:

@@ -156,8 +156,8 @@ def named_scalar(text: str, mode: ScalarMode):
     if name == "golden":
         if mode.kind == "rational":
             raise ParseError("golden ratio is irrational; not representable in rational mode")
-        one = mode.from_int(1)
-        return (one + mode.sqrt(5)) / mode.from_int(2)
+        with mode.workprec():
+            return (1 + mode.sqrt(5)) / 2
     if name.startswith("liouville:"):
         try:
             k = int(name.split(":", 1)[1])
@@ -196,10 +196,6 @@ def exp_f64(x: float) -> float:
         raise PrecisionError(f"e^({x:g}) overflows f64") from None
 
 
-def to_float(x) -> float:
-    return float(x)
-
-
 # -- 3x3 / 3-vector helpers ------------------------------------------------
 
 def mat_identity(mode: ScalarMode = F64) -> Matrix3:
@@ -224,14 +220,6 @@ def mat_det(A: Matrix3):
         - A[0][1] * (A[1][0] * A[2][2] - A[1][2] * A[2][0])
         + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0])
     )
-
-
-def mat_transpose(A: Matrix3) -> Matrix3:
-    return tuple(tuple(A[j][i] for j in range(3)) for i in range(3))
-
-
-def vec_sup_norm(v: Vec3):
-    return max(abs(x) for x in v)
 
 
 @dataclass(frozen=True)

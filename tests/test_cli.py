@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 
 from latflow import cli
+from latflow import experiments as exp
 
 
 def run_cli(args):
@@ -130,6 +131,20 @@ def test_dirichlet_budget_caps_direct_horizon():
     assert run_cli(args + ["--budget", "1100"]) == 0
 
 
+def test_dirichlet_budget_refused_before_probe(monkeypatch):
+    def probe(*args, **kwargs):
+        raise AssertionError("the probe ran before the horizon was refused")
+
+    monkeypatch.setattr(exp, "trajectory_probe", probe)
+    assert run_cli(["dirichlet", "sqrt2", "sqrt3", "--t-max", "7", "--delta", "0.9"]) == 3
+
+
+def test_orbit_past_f64_gram_schmidt_range():
+    # at t = 200 the f64 Gram-Schmidt lengths of a translate overflow to NaN;
+    # the exact lattice fallback takes those bases
+    assert run_cli(["orbit", "sqrt2", "sqrt3", "--t-grid", "200", "--N", "5"]) == 0
+
+
 @pytest.mark.parametrize("args", [
     ["orbit", "sqrt2", "sqrt3", "--t-grid", "400", "--N", "1"],
     ["equidist", "sqrt2", "sqrt3", "--t-list", "400", "--N", "2"],
@@ -138,7 +153,7 @@ def test_dirichlet_budget_caps_direct_horizon():
 ])
 def test_f64_flow_overflow_exit_4(args):
     # e^{2t} overflows f64 at t = 400; at t = -400 it underflows to zero, which
-    # segment_minimum refuses and equidist's basis conditioning check catches
+    # segment_minimum and the exact lattice fallback of equidist refuse
     assert run_cli(args) == 4
 
 

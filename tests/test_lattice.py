@@ -14,15 +14,19 @@ from latflow.lattice import (
     lll_reduce,
     lll_reduce_integral,
     shortest_vector,
+    sup_norm_count,
     sup_norm_minimum,
     translate_basis,
 )
-from latflow.scalars import F64, RATIONAL
+from latflow.scalars import F64, RATIONAL, named_scalar
 
-from util import brute_force_count, brute_force_lambda1, random_unimodular_columns
+from util import (brute_force_count, brute_force_lambda1, count_points_mp,
+                  random_unimodular_columns, shortest_vector_mp)
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
                                 Fraction(0), Fraction(1), RATIONAL)
+GENERIC_LINE = LineSegmentSpec(named_scalar("sqrt2", F64), named_scalar("sqrt3", F64),
+                               0.0, 1.0, F64)
 
 
 def test_gram_schmidt_identity():
@@ -148,6 +152,35 @@ def test_shortest_vector_escalates_at_extreme_skew():
     assert first == 0
 
 
+@pytest.mark.parametrize("t", [9.5, 10.0, 11.5, 12.0, 20.0])
+def test_exact_fallback_matches_256bit_oracle(t):
+    for line, points in ((RATIONAL_LINE, (Fraction(2, 7), Fraction(1, 3))),
+                         (GENERIC_LINE, (0.71, 0.5772156649))):
+        for s in points:
+            basis = translate_basis(line, s, FlowTime.of(t))
+            res = shortest_vector(basis)
+            lam, x = shortest_vector_mp(basis)
+            assert res.escalated
+            assert res.lambda1 == pytest.approx(lam, rel=1e-12)
+            assert res.vector.as_tuple() in (x, tuple(-c for c in x))
+            # radii off the norms e^-t k of the vectors on the rational line
+            for r in (1.37 * lam, 2.71 * lam):
+                assert count_points(basis, r) == count_points_mp(basis, r)
+
+
+def test_exact_fallback_past_f64_gram_schmidt_range():
+    # at t = 200 the f64 Gram-Schmidt lengths overflow (inf / inf = NaN)
+    basis = translate_basis(GENERIC_LINE, 0.71, FlowTime.of(200.0))
+    res = shortest_vector(basis)
+    assert res.escalated
+    cols, den = basis.exact_columns()
+    x = res.vector.as_tuple()
+    norm = max(abs(sum(cols[j][i] * x[j] for j in range(3))) for i in range(3))
+    assert res.lambda1 == norm / den
+    assert count_points(basis, res.lambda1 * 0.999) == 0
+    assert count_points(basis, res.lambda1 * 1.001) >= 2
+
+
 def _random_integer_basis(rng, n, entry):
     """Three integer columns in Z^n whose first 3x3 minor is nonsingular."""
     while True:
@@ -191,11 +224,10 @@ def test_lll_reduce_integral_exact_invariants():
                 assert 100 * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) >= 99 * d[k] ** 2
 
 
-def _box_minimum(cols, r):
+def _box_members(cols, r):
     """Independent oracle: every v in Z^n with ||v||_inf <= r is tested for
     lattice membership by exact solving on the first three coordinates;
-    returns the least sup norm and its sign-normalised coefficients,
-    smallest read from the last coefficient."""
+    returns (sup norm, coefficients) of each nonzero member."""
     n = len(cols[0])
     m = [[cols[j][i] for j in range(3)] for i in range(3)]  # rows of the minor
     det = round(np.linalg.det(np.array(m, dtype=float)))
@@ -209,14 +241,20 @@ def _box_minimum(cols, r):
     c = num[ok] // det
     full = c @ np.array(cols, dtype=np.int64)
     ok2 = np.all(full == vs[ok], axis=1)
+    return [(int(np.max(np.abs(v))), tuple(int(x) for x in coeffs))
+            for coeffs, v in zip(c[ok2], vs[ok][ok2])]
+
+
+def _box_minimum(cols, r):
+    """The least sup norm of ``_box_members`` and its sign-normalised
+    coefficients, smallest read from the last coefficient."""
     best = None
-    for coeffs, v in zip(c[ok2], vs[ok][ok2]):
-        key = tuple(int(x) for x in coeffs[::-1])
+    for norm, coeffs in _box_members(cols, r):
+        key = coeffs[::-1]
         if key < (0, 0, 0):
             key = tuple(-x for x in key)
-        cand = (int(np.max(np.abs(v))), key)
-        if best is None or cand < best:
-            best = cand
+        if best is None or (norm, key) < best:
+            best = (norm, key)
     return best[0], best[1][::-1]
 
 
@@ -230,6 +268,21 @@ def test_sup_norm_minimum_matches_box_oracle():
             assert sup_norm_minimum(cols, 10 ** 6) == want
             assert sup_norm_minimum(cols, want[0]) == want
             assert sup_norm_minimum(cols, Fraction(2 * want[0] - 1, 2)) is None
+
+
+def test_sup_norm_count_matches_box_oracle():
+    rng = np.random.default_rng(29)
+    for _ in range(25):
+        cols = _random_integer_basis(rng, 3, 5)
+        for r in (1, 3, 6):
+            assert sup_norm_count(cols, r) == len(_box_members(cols, r))
+
+
+def test_sup_norm_count_budget_guard():
+    # (2 r)^3 / det = 10^6 / 1 expected points
+    with pytest.raises(BudgetError):
+        sup_norm_count([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 500, budget=10_000)
+    assert sup_norm_count([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2, budget=200) == 124
 
 
 def test_count_points_z3():
@@ -277,9 +330,19 @@ def test_count_points_budget_error():
         count_points(LatticeBasis3.identity(), 500.0, budget=10_000)
 
 
+@pytest.mark.parametrize("t", [0.0, 9.5])
+def test_count_points_infinite_radius_exceeds_budget(t):
+    # t = 9.5 takes the exact fallback, t = 0 the f64 path
+    basis = translate_basis(GENERIC_LINE, 0.71, FlowTime.of(t))
+    with pytest.raises(BudgetError):
+        count_points(basis, math.inf)
+
+
 def test_count_points_rejects_nonpositive_radius():
     with pytest.raises(InvalidInputError):
         count_points(LatticeBasis3.identity(), 0.0)
+    with pytest.raises(InvalidInputError):
+        count_points(LatticeBasis3.identity(), math.nan)
 
 
 def test_in_k_delta():

@@ -69,6 +69,13 @@ def test_named_constants():
         named_scalar("sqrt2", RATIONAL)
 
 
+def test_golden_bigfloat_full_precision():
+    import mpmath
+    g = named_scalar("golden", bigfloat(256))
+    with mpmath.workprec(400):
+        assert abs(g - (1 + mpmath.sqrt(5)) / 2) < mpmath.mpf(2) ** -250
+
+
 def test_mode_from_spec():
     assert mode_from_spec("f64") is F64
     assert mode_from_spec("bigfloat:128").bits == 128

@@ -1,19 +1,20 @@
 """Shared test oracles: brute-force lattice searches, random unimodular
-bases with controlled conditioning, the q-scan segment minimum and an exact
-I_R measure."""
+bases with controlled conditioning, a 256-bit float lattice path, the q-scan
+segment minimum and an exact I_R measure."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from latflow.diophantine import _ResidualScan, sup_operator_norm_R1
 from latflow.errors import BudgetError, InvalidInputError
 from latflow.experiments import SegmentMinimum
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
-from latflow.scalars import IntegerVec3
+from latflow.scalars import IntegerVec3, exact_ratio
 
 SEGMENT_MINIMUM_SCAN_BUDGET = 100_000_000
 
@@ -59,6 +60,108 @@ def random_unimodular_columns(rng: np.random.Generator, log_cond_cap: float):
     d = np.diag(np.exp([u1, u2, -u1 - u2]))
     m = rotation() @ d @ rotation()
     return [list(m[:, j]) for j in range(3)]
+
+
+# -- 256-bit float lattice path --------------------------------------------
+
+MP_BITS = 256
+
+
+def _mp_columns(basis):
+    """Columns of a ``LatticeBasis3`` with the flow scaling applied: the
+    exact stored entries times e^{2l}, e^{-l}, e^{-l} at working precision."""
+    ell = mpmath.mpf(basis.log_scale)
+    scale = (mpmath.exp(2 * ell), mpmath.exp(-ell), mpmath.exp(-ell))
+    cols = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            n, d = exact_ratio(basis.matrix[i][j])
+            cols[j][i] = mpmath.mpf(n) / mpmath.mpf(d) * scale[i]
+    return cols
+
+
+def _mp_combine(cols, x):
+    return [sum(cols[j][i] * x[j] for j in range(3)) for i in range(3)]
+
+
+def _mp_sup(v):
+    return max(abs(c) for c in v)
+
+
+def _mp_gso(cols):
+    """(mu, norm2) of the Euclidean Gram-Schmidt process on three columns."""
+    bstar, norm2 = [], []
+    mu = [[0] * 3 for _ in range(3)]
+    for i in range(3):
+        v = list(cols[i])
+        for j in range(i):
+            mu[i][j] = sum(a * b for a, b in zip(cols[i], bstar[j])) / norm2[j]
+            v = [v[k] - mu[i][j] * bstar[j][k] for k in range(3)]
+        bstar.append(v)
+        norm2.append(sum(c * c for c in v))
+    return mu, norm2
+
+
+def _mp_lll(cols):
+    """LLL (delta = 0.99) of three columns; (reduced, U) with reduced = cols . U."""
+    cols = [list(c) for c in cols]
+    u = [[int(i == j) for j in range(3)] for i in range(3)]
+    k = 1
+    while k < 3:
+        for j in range(k - 1, -1, -1):
+            m = int(mpmath.nint(_mp_gso(cols)[0][k][j]))
+            cols[k] = [a - m * b for a, b in zip(cols[k], cols[j])]
+            u[k] = [a - m * b for a, b in zip(u[k], u[j])]
+        mu, norm2 = _mp_gso(cols)
+        if norm2[k] >= (0.99 - mu[k][k - 1] ** 2) * norm2[k - 1]:
+            k += 1
+        else:
+            cols[k], cols[k - 1] = cols[k - 1], cols[k]
+            u[k], u[k - 1] = u[k - 1], u[k]
+            k = max(k - 1, 1)
+    return cols, u
+
+
+def _mp_half_ball(cols, bound2):
+    """Coefficients x != 0, one per +-pair, with ||cols . x||_2^2 <= bound2
+    (Fincke-Pohst)."""
+    mu, norm2 = _mp_gso(cols)
+    for x2 in range(int(mpmath.floor(mpmath.sqrt(bound2 / norm2[2]))) + 1):
+        r2 = bound2 - x2 * x2 * norm2[2]
+        c1 = mu[2][1] * x2
+        h1 = mpmath.sqrt(max(r2, 0) / norm2[1])
+        for x1 in range(int(mpmath.ceil(-h1 - c1)), int(mpmath.floor(h1 - c1)) + 1):
+            r1 = r2 - (x1 + c1) ** 2 * norm2[1]
+            if (x2 == 0 and x1 < 0) or r1 < 0:
+                continue
+            c0 = mu[1][0] * x1 + mu[2][0] * x2
+            h0 = mpmath.sqrt(r1 / norm2[0])
+            for x0 in range(int(mpmath.ceil(-h0 - c0)), int(mpmath.floor(h0 - c0)) + 1):
+                if x2 != 0 or x1 != 0 or x0 > 0:
+                    yield (x0, x1, x2)
+
+
+def shortest_vector_mp(basis):
+    """Independent oracle for ``shortest_vector`` on any basis: LLL and
+    Fincke-Pohst enumeration in ``MP_BITS``-bit floats.  Returns (lambda1,
+    coefficients with respect to the basis columns)."""
+    with mpmath.workprec(MP_BITS):
+        red, u = _mp_lll(_mp_columns(basis))
+        best_x = min(((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                     key=lambda x: _mp_sup(_mp_combine(red, x)))
+        best = _mp_sup(_mp_combine(red, best_x))
+        for x in _mp_half_ball(red, 3 * best * best * (1 + 1e-9)):
+            if _mp_sup(_mp_combine(red, x)) < best:
+                best, best_x = _mp_sup(_mp_combine(red, x)), x
+        return float(best), tuple(int(c) for c in _mp_combine(u, best_x))
+
+
+def count_points_mp(basis, r: float) -> int:
+    """Independent oracle for ``count_points``, as ``shortest_vector_mp``."""
+    with mpmath.workprec(MP_BITS):
+        red, _ = _mp_lll(_mp_columns(basis))
+        return 2 * sum(1 for x in _mp_half_ball(red, 3 * r * r * (1 + 1e-12))
+                       if _mp_sup(_mp_combine(red, x)) <= r)
 
 
 def log_fraction(x: Fraction) -> float:
@@ -163,6 +266,11 @@ def segment_minimum_scan(line: LineSegmentSpec, t: FlowTime, R_cap: float,
     """
     if R_cap < 1:
         raise InvalidInputError("R_cap must be >= 1")
+    # the R_cap bounds are widened by SLACK so that float rounding never cuts
+    # off a vector whose exact value is R_cap (at e^t = 44,
+    # math.exp(math.log(44)) < 44 would drop q = 44); a vector tying the
+    # incumbent later in the scan loses the tie to it anyway
+    SLACK = 1 + 1e-9
     e2t = math.exp(2 * t.t)
     emt = math.exp(-t.t)
     s1 = float(line.s1)
@@ -190,7 +298,7 @@ def segment_minimum_scan(line: LineSegmentSpec, t: FlowTime, R_cap: float,
         lb = max(emt * p2, e2t * p2 * (s2 - s1) / 2)
         if best is not None and lb >= best[0]:
             break
-        if emt * p2 > R_cap and e2t * p2 * (s2 - s1) / 2 > R_cap:
+        if emt * p2 > R_cap * SLACK and e2t * p2 * (s2 - s1) / 2 > R_cap * SLACK:
             break
         mid = -p2 * (s1 + s2) / 2.0
         for p1 in range(math.floor(mid) - 1, math.floor(mid) + 3):
@@ -199,14 +307,18 @@ def segment_minimum_scan(line: LineSegmentSpec, t: FlowTime, R_cap: float,
         p2 += 1
 
     scan = _ResidualScan(line.a, line.b)
-    q_hi = int(math.floor(R_cap * math.exp(t.t))) if t.t < 700 else None
+    q_hi = int(math.floor(R_cap * math.exp(t.t) * SLACK)) if t.t < 700 else None
     if q_hi is None:
         raise BudgetError("flow time too large for the q window")
-    w = math.ceil(opn * R_cap * emt * emt + 1)
+    w = None
     examined = 0
     for q, rb, ra in scan.iterate(q_hi):
         if emt * q >= best[0]:
             break
+        if w is None:
+            # set on first use: a subnormal s2 - s1 makes opn infinite, but
+            # then a q = 0 vector already ends the scan at q = 1
+            w = math.ceil(opn * R_cap * emt * emt + 1)
         examined += 1
         if examined > budget:
             raise BudgetError(
@@ -230,19 +342,22 @@ def segment_minimum_scan(line: LineSegmentSpec, t: FlowTime, R_cap: float,
                 first = e2t * max(abs(cb + ca * s1), abs(cb + ca * s2))
                 consider(max(first, second, emt * q), (p1n + d1, p2v, q))
 
-    candidates = [best] + near
+    # rank the near ties exactly, on the stored values of e^{2t}, e^{-t}, a,
+    # b, s1 and s2 (float rounding can tie or swap them); equal values go to
+    # the smallest (q, p2, p1)
+    fe2, fem, fa, fb, fs1, fs2 = (Fraction(*exact_ratio(x)) for x in (
+        t.factor(2, line.mode), t.factor(-1, line.mode),
+        line.a, line.b, line.s1, line.s2))
+
+    def exact_key(vec):
+        p1, p2, q = vec
+        c0, c1 = q * fb + p1, q * fa + p2
+        return (max(fe2 * abs(c0 + c1 * fs1), fe2 * abs(c0 + c1 * fs2),
+                    fem * abs(p2), fem * abs(q)), vec[::-1])
+
+    best_vec = IntegerVec3(*min((vec for _, vec in [best] + near), key=exact_key))
+    best_val = segment_sup(line, t, best_vec)
     exactable = line.mode.is_exact and t.exp_t is not None
-    best_vec = None
-    best_val = None
-    for val, vec in candidates:
-        v = IntegerVec3(*vec)
-        value = segment_sup(line, t, v) if exactable else val
-        if best_val is None or value < best_val:
-            best_val = value
-            best_vec = v
-    if not exactable:
-        # report the value recomputed through segment_sup for consistency
-        best_val = segment_sup(line, t, best_vec)
     cap = Fraction(R_cap) if exactable else float(R_cap)
     if best_val > cap:
         return None
