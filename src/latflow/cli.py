@@ -347,8 +347,6 @@ def _run_equidist(args, mode, config) -> exp.ExperimentReport:
 def _run_dirichlet(args, mode, config) -> exp.ExperimentReport:
     line = _line_from(args, mode)
     s = named_scalar(args.s, mode)
-    x1 = float(s)
-    x2 = float(line.a) * x1 + float(line.b)
 
     # exact correspondence: the solvability box at T = e^t delta^{1/3}
     # rescales onto the sup-ball of radius delta^{1/3} under g_t
@@ -356,11 +354,11 @@ def _run_dirichlet(args, mode, config) -> exp.ExperimentReport:
     check_ts = [t for t in exp.probe_times(args.delta, args.t_max, args.dt)
                 if abs(t / args.direct_step - round(t / args.direct_step)) < 1e-9
                 and math.exp(t) * scale >= 1.0]
-    # the direct check refuses a horizon past its budget before any work, so
-    # it runs ahead of the probe
-    verdicts = dio.dirichlet_direct(x1, x2, args.delta,
+    # the direct check runs ahead of the probe, so that a budget error ends
+    # the run before the probe's work
+    verdicts = dio.dirichlet_direct(s, line.a * s + line.b, args.delta,
                                     [math.exp(t) * scale for t in check_ts],
-                                    T_budget=args.budget or dio.DIRICHLET_T_BUDGET)
+                                    budget=args.budget or exp.ENUMERATION_BUDGET)
     probe = exp.trajectory_probe(line, s, args.delta, args.t_max, args.dt)
     in_k = dict(zip(probe.times, probe.in_k()))
     lam = dict(zip(probe.times, probe.lambda1))

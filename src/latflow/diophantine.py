@@ -12,9 +12,16 @@ The classes, for solutions (p1, p2; q) in Z^2 x Z_+:
 
 All searches run over exact integers: every supported scalar (Fraction,
 float, mpf) is a rational number, so residuals are computed with modular
-arithmetic and no rounding.  Searches are bounded by q_max and report
-witnesses / non-witnesses up to that bound only; membership language for
-irrational inputs must keep that caveat.
+arithmetic and no rounding.  Candidates come from Dani's correspondence:
+the q of a dyadic block [Q, 2Q) whose residuals are both at most B are
+the short vectors of the lattice [[1, 0, b], [0, 1, a], [0, 0, 1]] Z^3 in
+an axis box, which the exact sup-norm engine of ``lattice`` enumerates.
+A search therefore costs O(log q_max) lattice reductions plus work in
+proportion to its candidates, not one step per q; each candidate then
+passes the exact per-q test of its class.  ``dirichlet_direct`` is the
+same correspondence for the improved Dirichlet system.  Searches are
+bounded by q_max and report witnesses / non-witnesses up to that bound
+only; membership language for irrational inputs must keep that caveat.
 """
 
 from __future__ import annotations
@@ -24,79 +31,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 
-from .errors import BudgetError, InvalidInputError, PrecisionError
+from .errors import InvalidInputError, PrecisionError
+from .lattice import (ENUMERATION_BUDGET, integer_columns, sup_norm_minimum,
+                      sup_norm_points)
 from .scalars import F64_MAX_DENOM, IntegerVec3, exact_ratio
-
-DIRICHLET_T_BUDGET = 1000  # default cap on floor(T) in dirichlet_direct
-
-
-def _ratio_float(n: int, d: int) -> float:
-    """n/d as a float, safe for arbitrarily large integers."""
-    try:
-        return n / d
-    except OverflowError:
-        shift = max(n.bit_length(), d.bit_length()) - 900
-        return (n >> shift) / (d >> shift)
-
-
-class _ResidualScan:
-    """Incremental exact residues of q*a and q*b modulo 1 for q = 1, 2, ...
-
-    Maintains rb = (q * num_b) mod den_b and ra likewise with two integer
-    additions per step; the nearest-integer distances are min(r, den - r).
-    """
-
-    def __init__(self, a, b):
-        self.na, self.da = exact_ratio(a)
-        self.nb, self.db = exact_ratio(b)
-        self._step_a = self.na % self.da
-        self._step_b = self.nb % self.db
-        self.da_f = float(self.da) if self.da.bit_length() < 1020 else None
-        self.db_f = float(self.db) if self.db.bit_length() < 1020 else None
-
-    def iterate(self, q_max: int):
-        ra = 0
-        rb = 0
-        da, db = self.da, self.db
-        sa, sb = self._step_a, self._step_b
-        for q in range(1, q_max + 1):
-            ra += sa
-            if ra >= da:
-                ra -= da
-            rb += sb
-            if rb >= db:
-                rb -= db
-            yield q, rb, ra
-
-    def dist_floats(self, rb: int, ra: int) -> tuple[float, float]:
-        db_f = self.db_f if self.db_f is not None else None
-        fb = (min(rb, self.db - rb) / db_f) if db_f else _ratio_float(min(rb, self.db - rb), self.db)
-        da_f = self.da_f if self.da_f is not None else None
-        fa = (min(ra, self.da - ra) / da_f) if da_f else _ratio_float(min(ra, self.da - ra), self.da)
-        return fb, fa
-
-    def nearest_b(self, q: int, rb: int) -> tuple[int, Fraction]:
-        """Nearest integer p1 to -q*b and the signed residual q*b + p1."""
-        return _nearest_from_residue(q, self.nb, self.db, rb)
-
-    def nearest_a(self, q: int, ra: int) -> tuple[int, Fraction]:
-        return _nearest_from_residue(q, self.na, self.da, ra)
 
 
 def _nearest_from_residue(q: int, num: int, den: int, r: int) -> tuple[int, Fraction]:
     """Given r = (q*num) mod den, the round-half-even nearest integer p to
-    -q*num/den and the signed residual q*num/den + p."""
+    -q*num/den and the residual |q*num/den + p|."""
     floor_val = (q * num - r) // den
-    if 2 * r < den:
-        return -floor_val, Fraction(r, den)
-    if 2 * r > den:
-        return -(floor_val + 1), Fraction(r - den, den)
-    # exact tie: round -q num/den = -(floor + 1/2) to the even neighbour
-    if floor_val % 2 == 0:
-        return -floor_val, Fraction(r, den)
-    return -(floor_val + 1), Fraction(r - den, den)
+    # at an exact tie, -q num/den = -(floor + 1/2) rounds to the even neighbour
+    down = 2 * r > den or (2 * r == den and floor_val % 2 == 1)
+    return -(floor_val + down), Fraction(min(r, den - r), den)
 
 
 @dataclass(frozen=True)
@@ -111,12 +59,54 @@ def nearest_residuals(a, b, q: int) -> NearestResiduals:
     """Best single-q approximation: p_i nearest to -q b, -q a (ties to even)."""
     if q < 1:
         raise InvalidInputError("q must be a positive integer")
-    scan = _ResidualScan(a, b)
-    rb = (q * scan.nb) % scan.db
-    ra = (q * scan.na) % scan.da
-    p1, res_b = scan.nearest_b(q, rb)
-    p2, res_a = scan.nearest_a(q, ra)
-    return NearestResiduals(p1=p1, p2=p2, residual1=abs(res_b), residual2=abs(res_a))
+    return _nearest(q, *exact_ratio(b), *exact_ratio(a))
+
+
+def _nearest(q: int, nb: int, db: int, na: int, da: int) -> NearestResiduals:
+    """``nearest_residuals`` for b = nb/db and a = na/da."""
+    p1, res_b = _nearest_from_residue(q, nb, db, (q * nb) % db)
+    p2, res_a = _nearest_from_residue(q, na, da, (q * na) % da)
+    return NearestResiduals(p1=p1, p2=p2, residual1=res_b, residual2=res_a)
+
+
+def _approximations(a, b, bound, q_max: int):
+    """Yield (q, nearest_residuals(a, b, q)), q ascending, for every q in
+    [1, q_max] whose two nearest residuals are both at most
+    B = min(bound(Q), 1/2), [Q, 2Q) being the dyadic block of q.  ``bound``
+    is called once per block, in order, and must be at least the caller's
+    bound at every q of the block; None ends the search.
+
+    Dani's correspondence: those q are the last coordinates of the points
+    (q b + p1, q a + p2, q) of [[1, 0, b], [0, 1, a], [0, 0, 1]] Z^3 in the
+    box |q b + p1|, |q a + p2| <= B, |q| <= E, E the end of the block.  Its
+    rows scaled to integers, the box is a sup-norm cube, which
+    ``sup_norm_points`` enumerates exactly.  B <= 1/2 leaves no q = 0 point
+    in it; a q found twice (a residual of exactly 1/2) is reported once.
+    """
+    nb, db = exact_ratio(b)
+    na, da = exact_ratio(a)
+    Q = 1
+    while Q <= q_max:
+        B = bound(Q)
+        if B is None:
+            return
+        B = min(B, Fraction(1, 2))
+        end = min(2 * Q - 1, q_max)
+        # each row scaled by K / (its half-width), K = B db da end B.denominator,
+        # so that the box is the cube of radius K
+        sb = B.denominator * da * end
+        sa = B.denominator * db * end
+        sq = B.numerator * db * da
+        cols = [[db * sb, 0, 0], [0, da * sa, 0], [nb * sb, na * sa, sq]]
+        # the enumerated Euclidean ball has |q| <= sqrt(3) end and residuals
+        # <= sqrt(3) B < 1, so at most 2 p1 and 2 p2 per q: fewer than
+        # 2 (2 sqrt(3) end + 1) < 8 end + 2 leaves, one per +-pair: no line
+        # runs out of this budget, and a search visits O(q_max) leaves at worst
+        points = sup_norm_points(cols, sq * end, 8 * end + 2)
+        qs = {abs(coeffs[2]) for _, coeffs in points if abs(coeffs[2]) >= Q}
+        for q in sorted(qs):
+            yield q, _nearest(q, nb, db, na, da)
+        Q *= 2
 
 
 @dataclass(frozen=True)
@@ -135,6 +125,13 @@ class DiophantineWitness:
         return IntegerVec3(self.p1, self.p2, self.q)
 
 
+def _witness(q: int, nr: NearestResiduals, bound_used: Fraction,
+             class_tag: str) -> DiophantineWitness:
+    return DiophantineWitness(p1=nr.p1, p2=nr.p2, q=q,
+                              residual1=nr.residual1, residual2=nr.residual2,
+                              bound_used=bound_used, class_tag=class_tag)
+
+
 def _guard_f64_qmax(a, b, q_max: int):
     # binary doubles stop resolving q*x residuals reliably past |q| ~ 2^20
     if q_max > F64_MAX_DENOM and (isinstance(a, float) or isinstance(b, float)):
@@ -147,48 +144,38 @@ def w2_witness_search(a, b, C, q_max: int) -> list[DiophantineWitness]:
     """All q in [1, q_max] whose nearest residuals satisfy both inequalities
     with the fixed bound C q^-2.  Exhaustive in q; an empty list is a valid
     outcome (bounded search, not a proof of non-membership)."""
-    cn, cd = exact_ratio(C)
-    if cn <= 0:
+    c = Fraction(*exact_ratio(C))
+    if c <= 0:
         raise InvalidInputError("C must be positive")
     if q_max < 1:
         raise InvalidInputError("q_max must be >= 1")
     _guard_f64_qmax(a, b, q_max)
-    scan = _ResidualScan(a, b)
-    c_f = _ratio_float(cn, cd)
+    tag = f"W2(C={float(C)!r})"
     hits = []
-    for q, rb, ra in scan.iterate(q_max):
-        thresh = c_f / (q * q)
-        fb, fa = scan.dist_floats(rb, ra)
-        if fb > thresh * (1 + 1e-9) or fa > thresh * (1 + 1e-9):
-            continue
-        # exact confirmation: min(r, den - r) * cd * q^2 <= cn * den
-        qq = q * q
-        if (min(rb, scan.db - rb) * cd * qq <= cn * scan.db
-                and min(ra, scan.da - ra) * cd * qq <= cn * scan.da):
-            p1, res_b = scan.nearest_b(q, rb)
-            p2, res_a = scan.nearest_a(q, ra)
-            hits.append(DiophantineWitness(
-                p1=p1, p2=p2, q=q,
-                residual1=abs(res_b), residual2=abs(res_a),
-                bound_used=Fraction(cn, cd) / qq,
-                class_tag=f"W2(C={float(C)!r})"))
+    for q, nr in _approximations(a, b, lambda Q: c / (Q * Q), q_max):
+        bound = c / (q * q)
+        if max(nr.residual1, nr.residual2) <= bound:
+            hits.append(_witness(q, nr, bound, tag))
     return hits
 
 
-def _pow_bound_check(r: int, den: int, q: int, two_plus_eps: Fraction) -> bool:
-    """Exact-ish test of min-residue r/den <= q^-(2+eps)."""
+def _pow_bound_check(r: Fraction, q: int, two_plus_eps: Fraction) -> bool:
+    """r <= q^-(2+eps) for a residual r >= 0.  An integer 2 + eps is
+    compared exactly.  Otherwise the natural logs of both sides are compared
+    in floats and, where they lie within 1e-9 (relative to |rhs| + 1) of
+    each other, again in 300-bit mpmath: the exact test r^d q^n <= 1 with
+    2 + eps = n/d is out of reach for an f64 eps such as 0.1, whose d is
+    2^55."""
     if r == 0:
         return True
     if two_plus_eps.denominator == 1:
-        k = two_plus_eps.numerator
-        return r * q ** k <= den
-    # irrational-exponent comparison: logs with a高 precision fallback
-    lhs = math.log(r) - math.log(den)
+        return r * q ** two_plus_eps.numerator <= 1
+    lhs = math.log(r.numerator) - math.log(r.denominator)
     rhs = -float(two_plus_eps) * math.log(q)
     if abs(lhs - rhs) > 1e-9 * (abs(rhs) + 1):
         return lhs <= rhs
     with mpmath.workprec(300):
-        lhs_m = mpmath.log(r) - mpmath.log(den)
+        lhs_m = mpmath.log(r.numerator) - mpmath.log(r.denominator)
         rhs_m = -mpmath.mpf(two_plus_eps.numerator) / two_plus_eps.denominator * mpmath.log(q)
         return lhs_m <= rhs_m
 
@@ -203,23 +190,10 @@ def w2eps_witness_search(a, b, eps, q_max: int) -> list[DiophantineWitness]:
     _guard_f64_qmax(a, b, q_max)
     two_plus_eps = 2 + Fraction(en, ed)
     exponent = float(two_plus_eps)
-    scan = _ResidualScan(a, b)
-    hits = []
-    for q, rb, ra in scan.iterate(q_max):
-        thresh = q ** -exponent
-        fb, fa = scan.dist_floats(rb, ra)
-        if fb > thresh * (1 + 1e-9) or fa > thresh * (1 + 1e-9):
-            continue
-        if (_pow_bound_check(min(rb, scan.db - rb), scan.db, q, two_plus_eps)
-                and _pow_bound_check(min(ra, scan.da - ra), scan.da, q, two_plus_eps)):
-            p1, res_b = scan.nearest_b(q, rb)
-            p2, res_a = scan.nearest_a(q, ra)
-            hits.append(DiophantineWitness(
-                p1=p1, p2=p2, q=q,
-                residual1=abs(res_b), residual2=abs(res_a),
-                bound_used=Fraction(thresh),
-                class_tag=f"W2o(eps={float(eps)!r})"))
-    return hits
+    # q^-(2+eps) <= Q^-2 on the block of Q
+    return [_witness(q, nr, Fraction(q ** -exponent), f"W2o(eps={float(eps)!r})")
+            for q, nr in _approximations(a, b, lambda Q: Fraction(1, Q * Q), q_max)
+            if _pow_bound_check(max(nr.residual1, nr.residual2), q, two_plus_eps)]
 
 
 @dataclass(frozen=True)
@@ -241,35 +215,20 @@ def w2inf_profile(a, b, C_list, q_max: int) -> list[W2InfEntry]:
     if any(cs[i] <= cs[i + 1] for i in range(len(cs) - 1)):
         raise InvalidInputError("C_list must be strictly descending")
     _guard_f64_qmax(a, b, q_max)
-    scan = _ResidualScan(a, b)
-    found: dict[int, DiophantineWitness] = {}
-    c_floats = [_ratio_float(c.numerator, c.denominator) for c in cs]
-    pending = list(range(len(cs)))
-    for q, rb, ra in scan.iterate(q_max):
-        if not pending:
-            break
-        fb, fa = scan.dist_floats(rb, ra)
-        worst = max(fb, fa)
-        qq = q * q
-        still = []
-        for idx in pending:
-            if worst > c_floats[idx] / qq * (1 + 1e-9):
-                still.append(idx)
-                continue
-            c = cs[idx]
-            if (min(rb, scan.db - rb) * c.denominator * qq <= c.numerator * scan.db
-                    and min(ra, scan.da - ra) * c.denominator * qq <= c.numerator * scan.da):
-                p1, res_b = scan.nearest_b(q, rb)
-                p2, res_a = scan.nearest_a(q, ra)
-                found[idx] = DiophantineWitness(
-                    p1=p1, p2=p2, q=q,
-                    residual1=abs(res_b), residual2=abs(res_a),
-                    bound_used=c / qq,
-                    class_tag=f"W2inf(C={float(c)!r})")
-            else:
-                still.append(idx)
-        pending = still
-    return [W2InfEntry(C=cs[i], witness=found.get(i)) for i in range(len(cs))]
+    # a witness for C is one for every larger C, so the constants found so
+    # far are always cs[:len(found)], and cs[len(found)] bounds the search
+    found: list[DiophantineWitness] = []
+
+    def bound(Q):
+        return cs[len(found)] / (Q * Q) if len(found) < len(cs) else None
+
+    for q, nr in _approximations(a, b, bound, q_max):
+        worst = max(nr.residual1, nr.residual2)
+        while len(found) < len(cs) and worst <= cs[len(found)] / (q * q):
+            c = cs[len(found)]
+            found.append(_witness(q, nr, c / (q * q), f"W2inf(C={float(c)!r})"))
+    return [W2InfEntry(C=c, witness=found[i] if i < len(found) else None)
+            for i, c in enumerate(cs)]
 
 
 def rational_certificate(a, b) -> IntegerVec3 | None:
@@ -322,6 +281,19 @@ def sup_operator_norm_R1(line, R: float) -> float:
     return max(abs(s1) + abs(s2), 2.0) / (s2 - s1) * R
 
 
+def _eq_at(q: int, dist: Fraction, r_fr: Fraction, r1_fr: Fraction) -> EqInterval | None:
+    """E_q from the exact sup-norm distance dist = <q(b,a)>, or None when empty."""
+    lo = max(math.log(q) - math.log(float(r_fr)), 0.0)
+    if dist == 0:
+        return EqInterval(q=q, lo=lo, hi=None, rational_hit=True)
+    if dist * q * q >= r1_fr * r_fr * r_fr:
+        return None
+    hi = 0.5 * math.log(float(r1_fr)) - 0.5 * (math.log(dist.numerator) - math.log(dist.denominator))
+    if hi <= 0.0:
+        return None
+    return EqInterval(q=q, lo=lo, hi=hi)
+
+
 def eq_interval(q: int, a, b, R, R1) -> EqInterval | None:
     """The interval E_q, or None when empty.
 
@@ -335,20 +307,8 @@ def eq_interval(q: int, a, b, R, R1) -> EqInterval | None:
     r1_fr = Fraction(*exact_ratio(R1))
     if r_fr < 1 or r1_fr < r_fr:
         raise InvalidInputError("need R >= 1 and R1 >= R")
-    scan = _ResidualScan(a, b)
-    rb = (q * scan.nb) % scan.db
-    ra = (q * scan.na) % scan.da
-    dist = max(Fraction(min(rb, scan.db - rb), scan.db),
-               Fraction(min(ra, scan.da - ra), scan.da))
-    lo = math.log(q) - math.log(float(r_fr))
-    if dist == 0:
-        return EqInterval(q=q, lo=max(lo, 0.0), hi=None, rational_hit=True)
-    if dist * q * q >= r1_fr * r_fr * r_fr:
-        return None
-    hi = 0.5 * math.log(float(r1_fr)) - 0.5 * (math.log(dist.numerator) - math.log(dist.denominator))
-    if hi <= 0.0:
-        return None
-    return EqInterval(q=q, lo=max(lo, 0.0), hi=hi)
+    nr = nearest_residuals(a, b, q)
+    return _eq_at(q, max(nr.residual1, nr.residual2), r_fr, r1_fr)
 
 
 @dataclass(frozen=True)
@@ -416,32 +376,17 @@ def ir_density(line, R, T, q_max: int, dt: float = 0.01) -> DensityProfile:
     if r_fr <= 0:
         raise InvalidInputError("R must be positive")
 
-    scan = _ResidualScan(line.a, line.b)
+    a = Fraction(*exact_ratio(line.a))
+    b = Fraction(*exact_ratio(line.b))
+    r1_r2 = r1_fr * r_fr * r_fr  # E_q is empty unless <q(b,a)> < R1 R^2 q^-2
     intervals = []
     candidates = []  # (q, log q, p1, p2, signed res_b float, signed res_a float)
-    rational_hit = False
-    for q, rb, ra in scan.iterate(q_max):
-        bound_f = R1_f * R_f * R_f / (q * q)
-        fb, fa = scan.dist_floats(rb, ra)
-        if max(fb, fa) > bound_f * (1 + 1e-9):
-            continue
-        dist = max(Fraction(min(rb, scan.db - rb), scan.db),
-                   Fraction(min(ra, scan.da - ra), scan.da))
-        p1, res_b = scan.nearest_b(q, rb)
-        p2, res_a = scan.nearest_a(q, ra)
-        if dist == 0:
-            iv = EqInterval(q=q, lo=max(math.log(q) - math.log(R_f), 0.0),
-                            hi=None, rational_hit=True)
-            rational_hit = True
-        else:
-            if dist * q * q >= r1_fr * r_fr * r_fr:
-                continue
-            hi = 0.5 * math.log(R1_f) - 0.5 * (math.log(dist.numerator) - math.log(dist.denominator))
-            if hi <= 0.0:
-                continue
-            iv = EqInterval(q=q, lo=max(math.log(q) - math.log(R_f), 0.0), hi=hi)
-        intervals.append(iv)
-        candidates.append((q, math.log(q), p1, p2, float(res_b), float(res_a)))
+    for q, nr in _approximations(a, b, lambda Q: r1_r2 / (Q * Q), q_max):
+        iv = _eq_at(q, max(nr.residual1, nr.residual2), r_fr, r1_fr)
+        if iv is not None:
+            intervals.append(iv)
+            candidates.append((q, math.log(q), nr.p1, nr.p2,
+                               float(q * b + nr.p1), float(q * a + nr.p2)))
 
     union_measure = _merged_measure(intervals, T)
 
@@ -465,7 +410,7 @@ def ir_density(line, R, T, q_max: int, dt: float = 0.01) -> DensityProfile:
         direct_measure=direct_measure,
         direct_density=direct_measure / T,
         coverage_warning=not coverage,
-        rational_hit=rational_hit,
+        rational_hit=any(iv.rational_hit for iv in intervals),
     )
 
 
@@ -521,48 +466,33 @@ def _p1_window(p2: int, s1: float, s2: float):
 class DirichletVerdict:
     T: float
     solvable: bool
-    best_q: tuple[int, int]
-    best_p: int
-    best_residual: float
     bound: float
 
 
 def dirichlet_direct(x1, x2, delta, T_list,
-                     T_budget: int = DIRICHLET_T_BUDGET) -> list[DirichletVerdict]:
-    """Brute-force solvability of the improved linear-form system at each T:
-    |x . q + p| <= delta T^-2 with 0 < ||q||_inf <= T, p the nearest integer.
+                     budget: int = ENUMERATION_BUDGET) -> list[DirichletVerdict]:
+    """Solvability of the improved linear-form system at each T:
+    |x . q + p| <= delta T^-2 for some p in Z and q in Z^2 with
+    0 < ||q||_inf <= T, decided exactly from the stored values of x1, x2,
+    delta and T.
 
-    Exhaustive over the (2 floor(T) + 1)^2 - 1 integer pairs.  Quadratic in
-    T, so floor(T) beyond ``T_budget`` is refused, for every T before any
-    grid is built.
+    Dani's correspondence: the system is solvable iff the lattice of vectors
+    ((T^3 / delta)(x1 q1 + x2 q2 + p), q1, q2) has a nonzero vector of sup
+    norm <= T (q = 0 would need |p| T^3 / delta <= T, so p = 0 as well).
+    Scaled to integers, that is one ``sup_norm_minimum`` call per T;
+    ``budget`` caps its enumeration nodes.
     """
-    delta = float(delta)
-    if not 0 < delta < 1:
+    x1, x2, d = (Fraction(*exact_ratio(x)) for x in (x1, x2, delta))
+    if not 0 < d < 1:
         raise InvalidInputError("delta must satisfy 0 < delta < 1")
-    x1 = float(x1)
-    x2 = float(x2)
     T_list = [float(T) for T in T_list]
-    for T in T_list:
-        if T < 1:
-            raise InvalidInputError("each T must be >= 1")
-        if math.floor(T) > T_budget:
-            raise BudgetError(f"dirichlet_direct: T = {T} exceeds the budget {T_budget}")
+    if any(T < 1 for T in T_list):
+        raise InvalidInputError("each T must be >= 1")
     out = []
     for T in T_list:
-        tb = int(math.floor(T))
-        rng = np.arange(-tb, tb + 1)
-        q1 = rng[:, None]
-        q2 = rng[None, :]
-        vals = x1 * q1 + x2 * q2
-        dist = np.abs(vals - np.rint(vals))
-        dist[tb, tb] = np.inf  # exclude q = 0
-        bound = delta * T ** -2
-        flat = int(np.argmin(dist))
-        i, j = divmod(flat, 2 * tb + 1)
-        best = float(dist[i, j])
-        bq = (int(rng[i]), int(rng[j]))
-        best_p = -int(np.rint(x1 * bq[0] + x2 * bq[1]))
+        k = Fraction(T) ** 3 / d
+        cols, den = integer_columns(((k * x1, k * x2, k), (1, 0, 0), (0, 1, 0)))
         out.append(DirichletVerdict(
-            T=T, solvable=bool(best <= bound),
-            best_q=bq, best_p=best_p, best_residual=best, bound=bound))
+            T=T, solvable=sup_norm_minimum(cols, Fraction(T) * den, budget) is not None,
+            bound=float(delta) * T ** -2))
     return out

@@ -10,10 +10,11 @@ The norm of record is the supremum norm; the Euclidean ball is only the
 enumeration vehicle (in dimension n, ||v||_2 <= sqrt(n) ||v||_inf, so the
 inflated ball contains every candidate that could beat the incumbent).
 
-``sup_norm_minimum`` and ``sup_norm_count`` are the exact variants for
-rank-3 integer lattices in Z^n: integral LLL (no rounding anywhere), the
-same enumeration, and every candidate compared in integers; they also take
-the bases too skewed for f64.
+``sup_norm_minimum``, ``sup_norm_count`` and ``sup_norm_points`` are the
+exact variants for rank-3 integer lattices in Z^n: integral LLL (no
+rounding anywhere), the same enumeration, and every candidate compared in
+integers; they also take the bases too skewed for f64, and they are the
+engine of the segment minima and the Diophantine searches.
 
 All functions are pure; enumeration keeps only local state, so batches can
 be mapped in parallel.
@@ -229,9 +230,11 @@ def _enumerate_half_ball(mu, norm2, bound2, budget: int = ENUMERATION_BUDGET):
 
 
 def _transform_apply(u, x):
-    return tuple(
-        u[0][i] * x[0] + u[1][i] * x[1] + u[2][i] * x[2] for i in range(3)
-    )
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = u
+    x0, x1, x2 = x
+    return (a0 * x0 + b0 * x1 + c0 * x2,
+            a1 * x0 + b1 * x1 + c1 * x2,
+            a2 * x0 + b2 * x1 + c2 * x2)
 
 
 def _needs_escalation(cols) -> bool:
@@ -422,11 +425,20 @@ def _sup_ball(cols, budget: int):
     mu = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(3)]
     norm2 = [_clamped_ratio(d[i + 1], d[i] * d[1]) for i in range(3)]
 
+    rows = list(zip(*red))
+
     def within(radius):
-        bound2 = float(len(red[0]) * Fraction(radius) ** 2 / d[1]) * (1 + 1e-9) ** 2
+        bound2 = float(len(rows) * Fraction(radius) ** 2 / d[1]) * (1 + 1e-9) ** 2
         for x in _enumerate_half_ball(mu, norm2, bound2, budget):
-            norm = max(abs(r0 * x[0] + r1 * x[1] + r2 * x[2]) for r0, r1, r2 in zip(*red))
-            if norm <= radius:
+            x0, x1, x2 = x
+            norm = 0
+            for r0, r1, r2 in rows:
+                c = abs(r0 * x0 + r1 * x1 + r2 * x2)
+                if c > radius:
+                    break
+                if c > norm:
+                    norm = c
+            else:
                 yield norm, _transform_apply(u, x)
 
     return min(max(abs(x) for x in c) for c in red), d[3], within
@@ -455,6 +467,13 @@ def sup_norm_minimum(cols, limit, budget: int = ENUMERATION_BUDGET):
     if best is None:
         return None
     return best[0], best[1][::-1]
+
+
+def sup_norm_points(cols, radius, budget: int):
+    """Every vector of the lattice spanned by three independent integer
+    columns in Z^n with sup norm <= ``radius``, one per +-pair, as (norm,
+    coeffs w.r.t. ``cols``); ``budget`` caps the enumeration leaves."""
+    return _sup_ball(cols, budget)[2](radius)
 
 
 def sup_norm_count(cols, radius: int, budget: int = ENUMERATION_BUDGET) -> int:

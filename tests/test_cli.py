@@ -124,19 +124,18 @@ def test_budget_error_exit_3():
     assert code == 3
 
 
-def test_dirichlet_budget_caps_direct_horizon():
-    # T = e^7 0.9^(1/3) ~ 1058.8 is past the default cap of 1000 on floor(T)
-    args = ["dirichlet", "sqrt2", "sqrt3", "--t-max", "7", "--delta", "0.9"]
-    assert run_cli(args) == 3
-    assert run_cli(args + ["--budget", "1100"]) == 0
+def test_dirichlet_no_horizon_cap():
+    # the direct check at t = 12 reaches T = e^12 0.9^(1/3) ~ 1.6e5
+    assert run_cli(["dirichlet", "sqrt2", "sqrt3", "--t-max", "12"]) == 0
 
 
 def test_dirichlet_budget_refused_before_probe(monkeypatch):
     def probe(*args, **kwargs):
-        raise AssertionError("the probe ran before the horizon was refused")
+        raise AssertionError("the probe ran before the budget was exceeded")
 
     monkeypatch.setattr(exp, "trajectory_probe", probe)
-    assert run_cli(["dirichlet", "sqrt2", "sqrt3", "--t-max", "7", "--delta", "0.9"]) == 3
+    assert run_cli(["dirichlet", "sqrt2", "sqrt3", "--t-max", "7", "--delta", "0.9",
+                    "--budget", "1"]) == 3
 
 
 def test_orbit_past_f64_gram_schmidt_range():

@@ -1,7 +1,10 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latflow import diophantine as dio
 from latflow import experiments as exp
@@ -9,7 +12,9 @@ from latflow.errors import BudgetError, InvalidInputError, PrecisionError
 from latflow.flow import FlowTime, LineSegmentSpec, flow_standard
 from latflow.scalars import F64, RATIONAL, IntegerVec3, bigfloat, liouville_partial, named_scalar
 
-from util import exact_ir_measure, log_fraction
+from util import (dirichlet_grid, exact_ir_measure, ir_density_scan, log_fraction,
+                  w2_witness_search_scan, w2eps_witness_search_scan,
+                  w2inf_profile_scan)
 
 LAM4 = liouville_partial(4)
 HALF_THIRD = (Fraction(1, 2), Fraction(1, 3))
@@ -297,12 +302,9 @@ def test_ir_density_direct_agrees_with_segment_minimum_on_subgrid():
 
 
 def _nearest_pair(line, q):
-    scan = dio._ResidualScan(line.a, line.b)
-    rb = (q * scan.nb) % scan.db
-    ra = (q * scan.na) % scan.da
-    p1, res_b = scan.nearest_b(q, rb)
-    p2, res_a = scan.nearest_a(q, ra)
-    return p1, p2, float(res_b), float(res_a)
+    nr = dio.nearest_residuals(line.a, line.b, q)
+    return (nr.p1, nr.p2, float(q * Fraction(line.b) + nr.p1),
+            float(q * Fraction(line.a) + nr.p2))
 
 
 def test_exact_ir_measure_liouville_components():
@@ -358,8 +360,22 @@ def test_dirichlet_large_bound_always_solvable():
 
 
 def test_dirichlet_budget():
+    # the budget caps the enumeration nodes of each horizon's lattice search:
+    # at x = 0 every q with ||q||_inf <= 1 is a solution, four nodes
     with pytest.raises(BudgetError):
-        dio.dirichlet_direct(0.1, 0.2, 0.5, [2000.0])
+        dio.dirichlet_direct(0.0, 0.0, 0.5, [2000.0], budget=3)
+    assert dio.dirichlet_direct(0.0, 0.0, 0.5, [2000.0], budget=4)[0].solvable
+
+
+def test_dirichlet_large_horizon():
+    # T = 10^5 costs one lattice reduction, where the (2T + 1)^2 grid is out
+    # of reach.  With x = (2^-20, 2^-40) and |q1| <= T < 2^20 the smallest
+    # residual is 2^-40, at q = (0, 1), so the system is solvable exactly
+    # when delta >= 10^10 / 2^40
+    edge = Fraction(10 ** 10, 2 ** 40)
+    for delta in (Fraction(9, 1000), edge - Fraction(1, 10 ** 12), edge, Fraction(1, 100)):
+        (v,) = dio.dirichlet_direct(2.0 ** -20, 2.0 ** -40, delta, [1e5])
+        assert v.solvable == (delta >= edge), delta
 
 
 def test_dirichlet_validates_delta():
@@ -368,13 +384,102 @@ def test_dirichlet_validates_delta():
 
 
 def test_dirichlet_exhaustive_against_oracle():
-    # tiny T: compare against a direct python double loop
-    import itertools
-    x1, x2, delta, T = 0.321, 1.777, 0.4, 7.0
-    verdict = dio.dirichlet_direct(x1, x2, delta, [T])[0]
+    # small T: compare against a direct double loop in exact Fractions, at
+    # several delta and at the two floats around the exact threshold 49 best
+    x1, x2, T = 0.321, 1.777, 7.0
+    fx1, fx2 = Fraction(x1), Fraction(x2)
     best = min(
-        abs((x1 * q1 + x2 * q2) - round(x1 * q1 + x2 * q2))
+        abs(fx1 * q1 + fx2 * q2 - round(fx1 * q1 + fx2 * q2))
         for q1, q2 in itertools.product(range(-7, 8), repeat=2)
         if (q1, q2) != (0, 0))
-    assert verdict.best_residual == pytest.approx(best, abs=1e-15)
-    assert verdict.solvable == (best <= delta * T ** -2)
+    edge = float(49 * best)
+    if Fraction(edge) < 49 * best:
+        edge = math.nextafter(edge, 1.0)
+    for delta in (0.05, 0.4, 0.9, edge, math.nextafter(edge, 0.0)):
+        verdict = dio.dirichlet_direct(x1, x2, delta, [T])[0]
+        assert verdict.solvable == (best <= Fraction(delta) / 49), delta
+
+
+_dyadic = st.integers(-2 ** 20, 2 ** 20).map(lambda k: k / 2 ** 18)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x1=_dyadic, x2=_dyadic,
+       delta=st.floats(1e-3, 0.999),
+       T=st.floats(1.0, 200.0))
+def test_dirichlet_matches_grid_oracle(x1, x2, delta, T):
+    (v,) = dio.dirichlet_direct(x1, x2, delta, [T])
+    assert v.solvable == dirichlet_grid(x1, x2, delta, T)
+
+
+# -- the block searches against the one-step-per-q scans -----------------------
+
+def _pair_strategy():
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=10 ** 6)
+    big = st.integers(10 ** 29, 10 ** 30).flatmap(
+        lambda d: st.integers(-3 * d, 3 * d).map(lambda n: Fraction(n, d)))
+    f64 = st.floats(-3.0, 3.0, allow_nan=False)
+    return st.one_of(st.tuples(small, small), st.tuples(big, big),
+                     st.tuples(f64, f64), st.tuples(small, big))
+
+
+_Q_MAX = st.integers(1, 3000)
+_POSITIVE = st.fractions(min_value=Fraction(1, 10 ** 4), max_value=20,
+                         max_denominator=10 ** 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_pair_strategy(), C=_POSITIVE, q_max=_Q_MAX)
+@example(pair=HALF_THIRD, C=Fraction(1), q_max=3000)  # witness-dense
+@example(pair=(Fraction(0), Fraction(1, 2)), C=Fraction(20), q_max=50)  # ties at 1/2
+# every q a witness: each block's ball is as full as a line makes it, and
+# must fit the block's leaf budget
+@example(pair=(Fraction(0), Fraction(0)), C=Fraction(10 ** 8), q_max=4096)
+@example(pair=(Fraction(1, 2), Fraction(1, 2)), C=Fraction(10 ** 8), q_max=4096)
+@example(pair=HALF_THIRD, C=Fraction(10 ** 8), q_max=4096)
+def test_w2_matches_scan_oracle(pair, C, q_max):
+    a, b = pair
+    assert dio.w2_witness_search(a, b, C, q_max) == w2_witness_search_scan(a, b, C, q_max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_pair_strategy(),
+       eps=st.sampled_from([Fraction(1, 4), Fraction(1, 2), 0.5, Fraction(1), 2,
+                            Fraction(3, 2), Fraction(1, 3)]),
+       q_max=_Q_MAX)
+def test_w2eps_matches_scan_oracle(pair, eps, q_max):
+    a, b = pair
+    assert (dio.w2eps_witness_search(a, b, eps, q_max)
+            == w2eps_witness_search_scan(a, b, eps, q_max))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_pair_strategy(), cs=st.lists(_POSITIVE, min_size=1, max_size=4, unique=True),
+       q_max=_Q_MAX)
+def test_w2inf_matches_scan_oracle(pair, cs, q_max):
+    a, b = pair
+    cs = sorted(cs, reverse=True)
+    assert dio.w2inf_profile(a, b, cs, q_max) == w2inf_profile_scan(a, b, cs, q_max)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=_pair_strategy(), R=st.sampled_from([Fraction(1, 2), 1, Fraction(3, 2), 2, 3]),
+       T=st.floats(0.1, 6.0), q_max=_Q_MAX)
+@example(pair=HALF_THIRD, R=2, T=6.0, q_max=3000)  # rational hits
+def test_ir_density_matches_scan_oracle(pair, R, T, q_max):
+    a, b = pair
+    mode = F64 if isinstance(a, float) else RATIONAL
+    zero, one = (0.0, 1.0) if mode is F64 else (Fraction(0), Fraction(1))
+    line = LineSegmentSpec(a, b, zero, one, mode)
+    prof = dio.ir_density(line, R, T, q_max)
+    assert (prof.intervals, prof.union_measure, prof.direct_measure) \
+        == ir_density_scan(line, R, T, q_max)
+
+
+def test_w2inf_reaches_far_past_any_scan():
+    # the last term of liouville:5 is 10^-120, so q = 10^24 leaves the
+    # residual 10^-96, far below 10^-6 q^-2; one step per q never gets there
+    lam5 = liouville_partial(5)
+    (entry,) = dio.w2inf_profile(lam5, lam5, [Fraction(1, 10 ** 6)], 10 ** 25)
+    assert entry.witness.q == 10 ** 24
+    assert entry.witness.residual1 == Fraction(1, 10 ** 96)

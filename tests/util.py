@@ -1,6 +1,7 @@
 """Shared test oracles: brute-force lattice searches, random unimodular
 bases with controlled conditioning, a 256-bit float lattice path, the q-scan
-segment minimum and an exact I_R measure."""
+segment minimum, the q-scan witness and E_q searches, the numpy Dirichlet
+grid and an exact I_R measure."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from latflow.diophantine import _ResidualScan, sup_operator_norm_R1
+from latflow import diophantine as dio
 from latflow.errors import BudgetError, InvalidInputError
 from latflow.experiments import SegmentMinimum
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
@@ -248,6 +249,177 @@ def exact_ir_measure(a: Fraction, b: Fraction, s1: Fraction, s2: Fraction,
     return total
 
 
+# -- q-scan witness and E_q searches ---------------------------------------
+
+def _ratio_float(n: int, d: int) -> float:
+    """n/d as a float, safe for arbitrarily large integers."""
+    try:
+        return n / d
+    except OverflowError:
+        shift = max(n.bit_length(), d.bit_length()) - 900
+        return (n >> shift) / (d >> shift)
+
+
+def _nearest_signed(q: int, num: int, den: int, r: int) -> tuple[int, Fraction]:
+    """Given r = (q*num) mod den, the round-half-even nearest integer p to
+    -q*num/den and the signed residual q*num/den + p."""
+    floor_val = (q * num - r) // den
+    if 2 * r < den or (2 * r == den and floor_val % 2 == 0):
+        return -floor_val, Fraction(r, den)
+    return -(floor_val + 1), Fraction(r - den, den)
+
+
+class ResidualScan:
+    """Incremental exact residues of q*a and q*b modulo 1 for q = 1, 2, ...
+
+    Maintains rb = (q * num_b) mod den_b and ra likewise with two integer
+    additions per step; the nearest-integer distances are min(r, den - r).
+    """
+
+    def __init__(self, a, b):
+        self.na, self.da = exact_ratio(a)
+        self.nb, self.db = exact_ratio(b)
+
+    def iterate(self, q_max: int):
+        ra = rb = 0
+        da, db = self.da, self.db
+        sa, sb = self.na % da, self.nb % db
+        for q in range(1, q_max + 1):
+            ra += sa
+            if ra >= da:
+                ra -= da
+            rb += sb
+            if rb >= db:
+                rb -= db
+            yield q, rb, ra
+
+    def dist_floats(self, rb: int, ra: int) -> tuple[float, float]:
+        return (_ratio_float(min(rb, self.db - rb), self.db),
+                _ratio_float(min(ra, self.da - ra), self.da))
+
+    def nearest_b(self, q: int, rb: int) -> tuple[int, Fraction]:
+        """Nearest integer p1 to -q*b and the signed residual q*b + p1."""
+        return _nearest_signed(q, self.nb, self.db, rb)
+
+    def nearest_a(self, q: int, ra: int) -> tuple[int, Fraction]:
+        return _nearest_signed(q, self.na, self.da, ra)
+
+    def witness(self, q: int, rb: int, ra: int, bound_used, class_tag: str):
+        p1, res_b = self.nearest_b(q, rb)
+        p2, res_a = self.nearest_a(q, ra)
+        return dio.DiophantineWitness(
+            p1=p1, p2=p2, q=q, residual1=abs(res_b), residual2=abs(res_a),
+            bound_used=bound_used, class_tag=class_tag)
+
+    def both_within(self, rb: int, ra: int, bound: Fraction) -> bool:
+        """Both nearest residuals at most ``bound``, compared in integers."""
+        n, d = bound.numerator, bound.denominator
+        return (min(rb, self.db - rb) * d <= n * self.db
+                and min(ra, self.da - ra) * d <= n * self.da)
+
+
+def w2_witness_search_scan(a, b, C, q_max: int):
+    """Oracle for ``w2_witness_search``: one step per q, a float filter and
+    the exact integer test."""
+    cn, cd = exact_ratio(C)
+    scan = ResidualScan(a, b)
+    c_f = _ratio_float(cn, cd)
+    hits = []
+    for q, rb, ra in scan.iterate(q_max):
+        fb, fa = scan.dist_floats(rb, ra)
+        if max(fb, fa) > c_f / (q * q) * (1 + 1e-9):
+            continue
+        bound = Fraction(cn, cd) / (q * q)
+        if scan.both_within(rb, ra, bound):
+            hits.append(scan.witness(q, rb, ra, bound, f"W2(C={float(C)!r})"))
+    return hits
+
+
+def w2eps_witness_search_scan(a, b, eps, q_max: int):
+    """Oracle for ``w2eps_witness_search``: one step per q and the exact test
+    r^d q^n <= 1 of each residual r, with 2 + eps = n/d; only for eps of
+    small denominator d."""
+    two_plus_eps = 2 + Fraction(*exact_ratio(eps))
+    n, d = two_plus_eps.numerator, two_plus_eps.denominator
+    exponent = float(two_plus_eps)
+    scan = ResidualScan(a, b)
+    hits = []
+    for q, rb, ra in scan.iterate(q_max):
+        if all(min(r, den - r) ** d * q ** n <= den ** d
+               for r, den in ((rb, scan.db), (ra, scan.da))):
+            hits.append(scan.witness(q, rb, ra, Fraction(q ** -exponent),
+                                     f"W2o(eps={float(eps)!r})"))
+    return hits
+
+
+def w2inf_profile_scan(a, b, C_list, q_max: int):
+    """Oracle for ``w2inf_profile``: the first q of the scan that meets each C."""
+    cs = [Fraction(*exact_ratio(C)) for C in C_list]
+    scan = ResidualScan(a, b)
+    found = {}
+    for q, rb, ra in scan.iterate(q_max):
+        if len(found) == len(cs):
+            break
+        for i, c in enumerate(cs):
+            if i not in found and scan.both_within(rb, ra, c / (q * q)):
+                found[i] = scan.witness(q, rb, ra, c / (q * q),
+                                        f"W2inf(C={float(c)!r})")
+    return [dio.W2InfEntry(C=c, witness=found.get(i)) for i, c in enumerate(cs)]
+
+
+def ir_density_scan(line, R, T, q_max: int, dt: float = 0.01):
+    """Oracle for ``ir_density``: the nonempty E_q found one step per q, and
+    the same union and direct-sampling estimators."""
+    T = float(T)
+    R_f = float(R)
+    R1_f = dio.sup_operator_norm_R1(line, R_f)
+    r_fr = Fraction(*exact_ratio(R))
+    r1_fr = Fraction(R1_f)
+    scan = ResidualScan(line.a, line.b)
+    intervals = []
+    candidates = []
+    for q, rb, ra in scan.iterate(q_max):
+        fb, fa = scan.dist_floats(rb, ra)
+        if max(fb, fa) > R1_f * R_f * R_f / (q * q) * (1 + 1e-9):
+            continue
+        dist = max(Fraction(min(rb, scan.db - rb), scan.db),
+                   Fraction(min(ra, scan.da - ra), scan.da))
+        lo = max(math.log(q) - math.log(R_f), 0.0)
+        if dist == 0:
+            iv = dio.EqInterval(q=q, lo=lo, hi=None, rational_hit=True)
+        elif dist * q * q >= r1_fr * r_fr * r_fr:
+            continue
+        else:
+            hi = 0.5 * math.log(R1_f) - 0.5 * log_fraction(dist)
+            if hi <= 0.0:
+                continue
+            iv = dio.EqInterval(q=q, lo=lo, hi=hi)
+        p1, res_b = scan.nearest_b(q, rb)
+        p2, res_a = scan.nearest_a(q, ra)
+        intervals.append(iv)
+        candidates.append((q, math.log(q), p1, p2, float(res_b), float(res_a)))
+    s1, s2 = float(line.s1), float(line.s2)
+    n_grid = int(math.floor(T / dt + 1e-9)) + 1
+    inside = sum(dio._in_ir_at(i * dt, R_f, R1_f, candidates, s1, s2, math.log(R_f))
+                 for i in range(n_grid))
+    return tuple(intervals), dio._merged_measure(intervals, T), inside * dt
+
+
+# -- numpy Dirichlet grid ----------------------------------------------------
+
+def dirichlet_grid(x1: float, x2: float, delta: float, T: float) -> bool:
+    """Oracle for ``dirichlet_direct``: the smallest |x . q + p| over the
+    (2 floor(T) + 1)^2 - 1 pairs 0 < ||q||_inf <= T on a numpy grid, compared
+    exactly with delta T^-2.  The grid is exact when x1, x2 are floats whose
+    products with |q| <= T and sums are exact (dyadics with few bits)."""
+    tb = int(math.floor(T))
+    rng = np.arange(-tb, tb + 1)
+    vals = x1 * rng[:, None] + x2 * rng[None, :]
+    dist = np.abs(vals - np.rint(vals))
+    dist[tb, tb] = np.inf  # exclude q = 0
+    return Fraction(float(dist.min())) <= Fraction(delta) / Fraction(T) ** 2
+
+
 # -- q-scan segment minimum ------------------------------------------------
 
 def segment_minimum_scan(line: LineSegmentSpec, t: FlowTime, R_cap: float,
@@ -275,7 +447,7 @@ def segment_minimum_scan(line: LineSegmentSpec, t: FlowTime, R_cap: float,
     emt = math.exp(-t.t)
     s1 = float(line.s1)
     s2 = float(line.s2)
-    opn = sup_operator_norm_R1(line, 1.0)
+    opn = dio.sup_operator_norm_R1(line, 1.0)
 
     best = None  # (value_float, (p1, p2, q))
     near = []  # candidates within 1e-9 of the incumbent, for exact re-ranking
@@ -306,7 +478,7 @@ def segment_minimum_scan(line: LineSegmentSpec, t: FlowTime, R_cap: float,
             consider(max(first, emt * p2), (p1, p2, 0))
         p2 += 1
 
-    scan = _ResidualScan(line.a, line.b)
+    scan = ResidualScan(line.a, line.b)
     q_hi = int(math.floor(R_cap * math.exp(t.t) * SLACK)) if t.t < 700 else None
     if q_hi is None:
         raise BudgetError("flow time too large for the q window")
