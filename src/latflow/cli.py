@@ -47,6 +47,8 @@ REPORT_SCHEMA = {
     },
     "additionalProperties": False,
 }
+# built once: jsonschema.validate checks the schema itself on every call
+_REPORT_VALIDATOR = jsonschema.Draft202012Validator(REPORT_SCHEMA)
 
 
 def report_schema() -> dict:
@@ -420,7 +422,7 @@ _CSV_COLUMNS = {
 
 def _write_outputs(report: exp.ExperimentReport, args):
     doc = _jsonable(report.as_dict())
-    jsonschema.validate(doc, REPORT_SCHEMA)
+    _REPORT_VALIDATOR.validate(doc)
     if args.out is None:
         return
     fmt = args.format

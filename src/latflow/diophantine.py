@@ -13,9 +13,12 @@ The classes, for solutions (p1, p2; q) in Z^2 x Z_+:
 All searches run over exact integers: every supported scalar (Fraction,
 float, mpf) is a rational number, so residuals are computed with modular
 arithmetic and no rounding.  Candidates come from Dani's correspondence:
-the q of a dyadic block [Q, 2Q) whose residuals are both at most B are
-the short vectors of the lattice [[1, 0, b], [0, 1, a], [0, 0, 1]] Z^3 in
-an axis box, which the exact sup-norm engine of ``lattice`` enumerates.
+the integer vectors (p1, p2, q) with q in a dyadic block [Q, 2Q) on which
+two rational linear forms are at most B are the short vectors of a rank-3
+lattice in an axis box, which the exact sup-norm engine of ``lattice``
+enumerates (``_box_points``).  The witness searches and E_q take the
+residuals q b + p1 and q a + p2; the return windows of ``ir_density``
+take the segment coordinates c0 + c1 s_i, whose q = 0 points are the sheets.
 A search therefore costs O(log q_max) lattice reductions plus work in
 proportion to its candidates, not one step per q; each candidate then
 passes the exact per-q test of its class.  ``dirichlet_direct`` is the
@@ -69,6 +72,47 @@ def _nearest(q: int, nb: int, db: int, na: int, da: int) -> NearestResiduals:
     return NearestResiduals(p1=p1, p2=p2, residual1=res_b, residual2=res_a)
 
 
+def _box_points(forms, bound, q_max: int, block_p2: bool = False):
+    """Yield, for each dyadic block [Q, 2Q) of n(v) in turn (n(v) = q, or
+    max(|p2|, q) with ``block_p2``), the list of integer vectors
+    v = (p1, p2, q), one per +-pair and with q >= 0, such that n(v) is in
+    the block (or 0, in the first block), q <= q_max and |f1(v)|, |f2(v)|
+    <= B = bound(Q).  ``forms`` holds the rational coefficients of f1 and f2
+    on (p1, p2, q), independent in (p1, p2), f1 involving p1.  ``bound`` is
+    called once per block, in order; None ends the search.  Scaled to
+    integers, the box is the unit sup-norm cube of a lattice (Dani's
+    correspondence), which ``sup_norm_points`` enumerates exactly.
+    """
+    (a1, b1, _), (a2, b2, _) = forms
+    det = abs(a1 * b2 - a2 * b1)
+    Q = 1
+    while (B := bound(Q)) is not None:
+        end = 2 * Q - 1
+        rows = [[x / B for x in f] for f in forms] + [[0, 0, Fraction(1, min(end, q_max))]]
+        if block_p2:
+            rows.append([0, Fraction(1, end), 0])
+        cols, den = integer_columns(rows)
+        # the enumerated ball (radius sqrt(k) (1 + 1e-9) in cube units, k rows)
+        # has |f_i| <= S B, |q| <= S min(end, q_max) and |p2| <= S end with
+        # block_p2; given q, p2 then lies in an interval of length
+        # 2 S B (|a1| + |a2|) / det and, given both, p1 in one of 2 S B / |a1|,
+        # each holding at most floor(length) + 1 integers: no line runs out
+        S = math.sqrt(len(rows)) * (1 + 1e-6)
+        n_q, n_p2, n_p1, n_end = (
+            math.floor(2 * S * x) + 1
+            for x in (min(end, q_max), B * (abs(a1) + abs(a2)) / det, B / abs(a1), end))
+        budget = n_q * (min(n_p2, n_end) if block_p2 else n_p2) * n_p1 // 2 + 1
+        block = []
+        for _, (p1, p2, q) in sup_norm_points(cols, den, budget):
+            if q < 0:
+                p1, p2, q = -p1, -p2, -q
+            n = max(abs(p2), q) if block_p2 else q
+            if n >= Q or (n == 0 and Q == 1):
+                block.append((p1, p2, q))
+        yield block
+        Q *= 2
+
+
 def _approximations(a, b, bound, q_max: int):
     """Yield (q, nearest_residuals(a, b, q)), q ascending, for every q in
     [1, q_max] whose two nearest residuals are both at most
@@ -76,37 +120,18 @@ def _approximations(a, b, bound, q_max: int):
     is called once per block, in order, and must be at least the caller's
     bound at every q of the block; None ends the search.
 
-    Dani's correspondence: those q are the last coordinates of the points
-    (q b + p1, q a + p2, q) of [[1, 0, b], [0, 1, a], [0, 0, 1]] Z^3 in the
-    box |q b + p1|, |q a + p2| <= B, |q| <= E, E the end of the block.  Its
-    rows scaled to integers, the box is a sup-norm cube, which
-    ``sup_norm_points`` enumerates exactly.  B <= 1/2 leaves no q = 0 point
-    in it; a q found twice (a residual of exactly 1/2) is reported once.
+    Those q are the ``_box_points`` of the forms q b + p1 and q a + p2.
+    B <= 1/2 leaves no q = 0 point in the box; a q found twice (a residual
+    of exactly 1/2) is reported once.
     """
     nb, db = exact_ratio(b)
     na, da = exact_ratio(a)
-    Q = 1
-    while Q <= q_max:
-        B = bound(Q)
-        if B is None:
-            return
-        B = min(B, Fraction(1, 2))
-        end = min(2 * Q - 1, q_max)
-        # each row scaled by K / (its half-width), K = B db da end B.denominator,
-        # so that the box is the cube of radius K
-        sb = B.denominator * da * end
-        sa = B.denominator * db * end
-        sq = B.numerator * db * da
-        cols = [[db * sb, 0, 0], [0, da * sa, 0], [nb * sb, na * sa, sq]]
-        # the enumerated Euclidean ball has |q| <= sqrt(3) end and residuals
-        # <= sqrt(3) B < 1, so at most 2 p1 and 2 p2 per q: fewer than
-        # 2 (2 sqrt(3) end + 1) < 8 end + 2 leaves, one per +-pair: no line
-        # runs out of this budget, and a search visits O(q_max) leaves at worst
-        points = sup_norm_points(cols, sq * end, 8 * end + 2)
-        qs = {abs(coeffs[2]) for _, coeffs in points if abs(coeffs[2]) >= Q}
-        for q in sorted(qs):
+    forms = ((1, 0, Fraction(nb, db)), (0, 1, Fraction(na, da)))
+    for block in _box_points(
+            forms, lambda Q: None if Q > q_max or (B := bound(Q)) is None
+            else min(B, Fraction(1, 2)), q_max):
+        for q in sorted({q for _, _, q in block}):
             yield q, _nearest(q, nb, db, na, da)
-        Q *= 2
 
 
 @dataclass(frozen=True)
@@ -268,17 +293,13 @@ class EqInterval:
     hi: float | None
     rational_hit: bool = False
 
-    def measure_upto(self, T: float) -> float:
-        hi = T if self.hi is None else min(self.hi, T)
-        return max(0.0, hi - min(self.lo, T))
 
-
-def sup_operator_norm_R1(line, R: float) -> float:
+def sup_operator_norm_R1(line, R) -> Fraction:
     """R1 = ||inv([[1, s1], [1, s2]])||_sup * R, the residual threshold that a
-    norm bound R over the segment forces on both coordinates."""
-    s1 = float(line.s1)
-    s2 = float(line.s2)
-    return max(abs(s1) + abs(s2), 2.0) / (s2 - s1) * R
+    norm bound R over the segment forces on both coordinates; exact, from
+    the stored values of s1, s2 and R."""
+    s1, s2, r = (Fraction(*exact_ratio(x)) for x in (line.s1, line.s2, R))
+    return max(abs(s1) + abs(s2), 2) / (s2 - s1) * r
 
 
 def _eq_at(q: int, dist: Fraction, r_fr: Fraction, r1_fr: Fraction) -> EqInterval | None:
@@ -314,7 +335,9 @@ def eq_interval(q: int, a, b, R, R1) -> EqInterval | None:
 @dataclass(frozen=True)
 class DensityProfile:
     """Both estimates of |I_R intersect [0, T]| / T: the union of stored E_q
-    (an upper estimate) and direct grid sampling of the segment minimum."""
+    (an upper estimate) and the fraction of the grid t = i dt, i dt <= T,
+    that lies in I_R, decided from the return windows of the vectors with
+    q <= q_max."""
 
     R: float
     R1: float
@@ -330,27 +353,57 @@ class DensityProfile:
     rational_hit: bool
 
 
-def _merged_measure(intervals, T: float) -> float:
-    spans = []
-    for iv in intervals:
-        hi = T if iv.hi is None else min(iv.hi, T)
-        lo = min(iv.lo, T)
-        if hi > lo:
-            spans.append((lo, hi))
-    spans.sort()
-    total = 0.0
-    cur = None
-    for lo, hi in spans:
-        if cur is None:
-            cur = [lo, hi]
-        elif lo <= cur[1]:
-            cur[1] = max(cur[1], hi)
-        else:
-            total += cur[1] - cur[0]
-            cur = [lo, hi]
-    if cur is not None:
-        total += cur[1] - cur[0]
+def _union_length(spans):
+    """Total length of the union of the intervals (lo, hi) with lo < hi,
+    summed over its components from left to right; exact for integer
+    spans."""
+    total = 0
+    cur_lo = cur_hi = None
+    for lo, hi in sorted(span for span in spans if span[0] < span[1]):
+        if cur_hi is not None and lo <= cur_hi:
+            cur_hi = max(cur_hi, hi)
+            continue
+        if cur_hi is not None:
+            total += cur_hi - cur_lo
+        cur_lo, cur_hi = lo, hi
+    if cur_hi is not None:
+        total += cur_hi - cur_lo
     return total
+
+
+def _return_windows(line, R: Fraction, t_max: float, q_max: int):
+    """The open windows (lo, hi), as floats, of the nonzero integer vectors
+    v = (p1, p2, q), q <= q_max, whose window meets [0, t_max]; their union
+    is I_R restricted to q <= q_max (lo = -inf for q = p2 = 0, hi = inf for
+    a rational hit).  v stays below R along the whole translated segment
+    exactly on (ln(n / R), 1/2 ln(R / m)), n = max(|p2|, q) and
+    m = max_i |x_i|, x_i = (q b + p1) + (q a + p2) s_i.  That window meets
+    [0, t_max] only if n < R e^{t_max} and m < R min(1, R^2 / n^2): the
+    ``_box_points`` of the forms x_1, x_2 in blocks of n, the q = 0 sheets
+    included.  Whether it is nonempty and ends after 0 (m < R and
+    n^2 m < R^3) is decided in integers.
+    """
+    a, b, s1, s2 = (Fraction(*exact_ratio(x)) for x in (line.a, line.b, line.s1, line.s2))
+    forms = ((1, s1, b + a * s1), (1, s2, b + a * s2))
+    den = math.lcm(*(Fraction(x).denominator for f in forms for x in f))
+    (u1, v1, w1), (u2, v2, w2) = ([int(x * den) for x in f] for f in forms)
+    rn, rd = R.numerator, R.denominator
+    log_r = math.log(rn) - math.log(rd)
+    log_rden = log_r + math.log(den)
+
+    def half_width(Q):
+        if math.log(Q) - log_r > t_max + 1e-9:
+            return None  # every window of the block opens after t_max
+        return R * min(1, R * R / (Q * Q))
+
+    for block in _box_points(forms, half_width, q_max, block_p2=True):
+        for p1, p2, q in block:
+            md = max(abs(u1 * p1 + v1 * p2 + w1 * q), abs(u2 * p1 + v2 * p2 + w2 * q))
+            n = max(abs(p2), q)
+            if md * rd >= rn * den or n * n * md * rd ** 3 >= rn ** 3 * den:
+                continue
+            yield (math.log(n) - log_r if n else -math.inf,
+                   0.5 * (log_rden - math.log(md)) if md else math.inf)
 
 
 def ir_density(line, R, T, q_max: int, dt: float = 0.01) -> DensityProfile:
@@ -359,51 +412,43 @@ def ir_density(line, R, T, q_max: int, dt: float = 0.01) -> DensityProfile:
 
     Two estimators are recorded: the measure of the union of nonempty E_q
     for q <= q_max (upper estimate, by the containment of I_R in that
-    union), and direct sampling of t on a grid of step dt, deciding
-    membership through the segment-minimum search restricted to the same
-    residual candidates (the necessary conditions that define E_q; see the
-    experiments module for the unrestricted search).
+    union), and the share of the grid t = i dt, 0 <= i <= T / dt, that lies
+    in I_R restricted to q <= q_max: grid point i lies in the window
+    (lo, hi) of ``_return_windows`` iff floor(lo / dt) < i < ceil(hi / dt),
+    and the count is that of the union of these index ranges.
     """
     T = float(T)
-    if T <= 0:
-        raise InvalidInputError("T must be positive")
-    if dt > 0.01 + 1e-12:
-        raise InvalidInputError("direct sampling requires a grid step <= 0.01")
-    R_f = float(R)
-    R1_f = sup_operator_norm_R1(line, R_f)
-    r_fr = Fraction(*exact_ratio(R))
-    r1_fr = Fraction(R1_f)
-    if r_fr <= 0:
+    if not 0 < T < math.inf:
+        raise InvalidInputError("T must be positive and finite")
+    if not 0 < dt <= 0.01 + 1e-12:
+        raise InvalidInputError("direct sampling requires a grid step in (0, 0.01]")
+    if q_max < 1:
+        raise InvalidInputError("q_max must be >= 1")
+    r = Fraction(*exact_ratio(R))
+    if r <= 0:
         raise InvalidInputError("R must be positive")
+    R1 = sup_operator_norm_R1(line, r)
 
-    a = Fraction(*exact_ratio(line.a))
-    b = Fraction(*exact_ratio(line.b))
-    r1_r2 = r1_fr * r_fr * r_fr  # E_q is empty unless <q(b,a)> < R1 R^2 q^-2
     intervals = []
-    candidates = []  # (q, log q, p1, p2, signed res_b float, signed res_a float)
-    for q, nr in _approximations(a, b, lambda Q: r1_r2 / (Q * Q), q_max):
-        iv = _eq_at(q, max(nr.residual1, nr.residual2), r_fr, r1_fr)
+    # E_q is empty unless <q(b,a)> < R1 R^2 q^-2
+    for q, nr in _approximations(line.a, line.b, lambda Q: R1 * r * r / (Q * Q), q_max):
+        iv = _eq_at(q, max(nr.residual1, nr.residual2), r, R1)
         if iv is not None:
             intervals.append(iv)
-            candidates.append((q, math.log(q), nr.p1, nr.p2,
-                               float(q * b + nr.p1), float(q * a + nr.p2)))
+    union_measure = float(_union_length(
+        (iv.lo, T if iv.hi is None else min(iv.hi, T)) for iv in intervals))
 
-    union_measure = _merged_measure(intervals, T)
-
-    s1 = float(line.s1)
-    s2 = float(line.s2)
-    log_r = math.log(R_f)
     n_grid = int(math.floor(T / dt + 1e-9)) + 1
-    inside = 0
-    for i in range(n_grid):
-        t = i * dt
-        if _in_ir_at(t, R_f, R1_f, candidates, s1, s2, log_r):
-            inside += 1
+    inside = _union_length(
+        (math.floor(lo / dt) + 1 if lo >= 0 else 0,
+         min(math.ceil(hi / dt), n_grid) if hi < math.inf else n_grid)
+        for lo, hi in _return_windows(line, r, (n_grid - 1) * dt, q_max))
     direct_measure = inside * dt
 
-    coverage = math.log(q_max) - log_r >= T
+    R_f = float(R)
+    coverage = math.log(q_max) - math.log(R_f) >= T
     return DensityProfile(
-        R=R_f, R1=R1_f, T=T, q_max=q_max, grid_dt=dt,
+        R=R_f, R1=float(R1), T=T, q_max=q_max, grid_dt=dt,
         intervals=tuple(intervals),
         union_measure=union_measure,
         union_density=union_measure / T,
@@ -412,54 +457,6 @@ def ir_density(line, R, T, q_max: int, dt: float = 0.01) -> DensityProfile:
         coverage_warning=not coverage,
         rational_hit=any(iv.rational_hit for iv in intervals),
     )
-
-
-def _in_ir_at(t, R, R1, candidates, s1, s2, log_r) -> bool:
-    """Membership of t in I_R, decided over the residual candidates.
-
-    Sound and complete: a vector with segment sup-norm < R forces
-    |q| < R e^t, |q b + p1| <= R1 e^{-2t} and |q a + p2| <= R1 e^{-2t},
-    so its q has a nonempty E_q and its p's lie within the scanned window
-    around the nearest integers; the q = 0 sheets are checked separately.
-    """
-    e2t = math.exp(2 * t)
-    emt = math.exp(-t)
-    # q = 0, p2 = 0 sheet: vector (p1, 0, 0) with |p1| >= 1
-    if e2t < R:
-        return True
-    # q = 0, p2 != 0 sheet
-    p2_cap = int(2 * R / (e2t * (s2 - s1))) + 1
-    for p2 in range(1, p2_cap + 1):
-        if emt * p2 >= R:
-            break
-        for p1 in _p1_window(p2, s1, s2):
-            first = e2t * max(abs(p1 + p2 * s1), abs(p1 + p2 * s2))
-            if first < R:
-                return True
-    # q >= 1 candidates
-    w = int(R1 / e2t + 0.5)
-    for q, logq, p1n, p2n, res_b, res_a in candidates:
-        if logq - log_r >= t:
-            continue
-        if emt * q >= R:
-            continue
-        for d2 in range(-w, w + 1):
-            p2v = p2n + d2
-            if emt * abs(p2v) >= R:
-                continue
-            ca = res_a + d2
-            for d1 in range(-w, w + 1):
-                cb = res_b + d1
-                first = e2t * max(abs(cb + ca * s1), abs(cb + ca * s2))
-                if first < R:
-                    return True
-    return False
-
-
-def _p1_window(p2: int, s1: float, s2: float):
-    mid = -p2 * (s1 + s2) / 2.0
-    base = math.floor(mid)
-    return range(base - 1, base + 3)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .errors import ParseError, PrecisionError
 Vec3 = tuple  # 3 scalars
 Matrix3 = tuple  # 3 row tuples of 3 scalars
 
-F64_MAX_TIME = 12.0  # |t| beyond this is unsafe in f64 (e^{3t} skew ~ 4e15)
 F64_MAX_DENOM = 1 << 20  # |q| beyond this loses residual bits in f64
 
 

@@ -105,6 +105,12 @@ def test_density_rational_flags(tmp_path):
     assert doc["summary"]["direct_density"] > 0.9
 
 
+@pytest.mark.parametrize("flag", ["--dt=0", "--dt=-0.5", "--q-max=0"])
+def test_density_invalid_grid_or_q_max_exit_2(flag, capsys):
+    assert run_cli(["density", "sqrt2", "sqrt3", "--q-max", "100", flag]) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_dirichlet_rational_candidate_improvable(tmp_path):
     out = tmp_path / "dir"
     code = run_cli(["dirichlet", "1/2", "1/3", "--mode", "rational",
@@ -191,3 +197,7 @@ def test_schema_export_is_json_roundtrippable():
     schema = cli.report_schema()
     assert schema == cli.REPORT_SCHEMA
     assert schema is not cli.REPORT_SCHEMA
+
+
+def test_report_schema_is_a_valid_draft_2020_12_schema():
+    jsonschema.Draft202012Validator.check_schema(cli.REPORT_SCHEMA)

@@ -233,6 +233,14 @@ def test_eq_interval_rational_hit_unbounded():
     assert iv.lo == pytest.approx(math.log(3), rel=1e-12)
 
 
+def test_sup_operator_norm_r1_is_exact_from_stored_values():
+    line = LineSegmentSpec(0.0, 0.0, 0.1, 0.3, F64)
+    want = 2 / (Fraction(0.3) - Fraction(0.1)) * Fraction(1, 10)
+    assert dio.sup_operator_norm_R1(line, Fraction(1, 10)) == want
+    line = LineSegmentSpec(0, 0, Fraction(-1, 2), Fraction(1, 10), RATIONAL)
+    assert dio.sup_operator_norm_R1(line, Fraction(3, 2)) == 5
+
+
 def test_eq_interval_validates():
     with pytest.raises(InvalidInputError):
         dio.eq_interval(1, Fraction(0), Fraction(0), Fraction(1, 2), 1)
@@ -283,28 +291,6 @@ def test_ir_density_direct_subset_of_union():
         sm = exp.segment_minimum(line, FlowTime.of(t), 2.0)
         if sm is not None and float(sm.value) < 2.0:
             assert any(lo <= t < hi for lo, hi in spans), t
-
-
-def test_ir_density_direct_agrees_with_segment_minimum_on_subgrid():
-    # the candidate-restricted indicator must match the exhaustive search
-    line = LineSegmentSpec(LAM4, LAM4, Fraction(0), Fraction(1), RATIONAL)
-    T = 6.0
-    prof = dio.ir_density(line, 2, T, 10 ** 3)
-    spans = [(iv.lo, iv.hi if iv.hi is not None else T) for iv in prof.intervals]
-    for t in [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0]:
-        sm = exp.segment_minimum(line, FlowTime.of(t), 2.0)
-        exhaustive = sm is not None and float(sm.value) < 2.0
-        candidate = dio._in_ir_at(
-            t, 2.0, prof.R1,
-            [(iv.q, math.log(iv.q), *_nearest_pair(line, iv.q)) for iv in prof.intervals],
-            0.0, 1.0, math.log(2.0))
-        assert exhaustive == candidate, f"disagreement at t={t}"
-
-
-def _nearest_pair(line, q):
-    nr = dio.nearest_residuals(line.a, line.b, q)
-    return (nr.p1, nr.p2, float(q * Fraction(line.b) + nr.p1),
-            float(q * Fraction(line.a) + nr.p2))
 
 
 def test_exact_ir_measure_liouville_components():
@@ -462,18 +448,50 @@ def test_w2inf_matches_scan_oracle(pair, cs, q_max):
     assert dio.w2inf_profile(a, b, cs, q_max) == w2inf_profile_scan(a, b, cs, q_max)
 
 
-@settings(max_examples=40, deadline=None)
-@given(pair=_pair_strategy(), R=st.sampled_from([Fraction(1, 2), 1, Fraction(3, 2), 2, 3]),
-       T=st.floats(0.1, 6.0), q_max=_Q_MAX)
-@example(pair=HALF_THIRD, R=2, T=6.0, q_max=3000)  # rational hits
-def test_ir_density_matches_scan_oracle(pair, R, T, q_max):
+_S1 = st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(3, 10), max_denominator=100)
+_LENGTH = st.fractions(min_value=Fraction(1, 10), max_value=1, max_denominator=100)
+
+
+def _density_line(pair, s1, length):
     a, b = pair
-    mode = F64 if isinstance(a, float) else RATIONAL
-    zero, one = (0.0, 1.0) if mode is F64 else (Fraction(0), Fraction(1))
-    line = LineSegmentSpec(a, b, zero, one, mode)
+    if isinstance(a, float):
+        return LineSegmentSpec(a, b, float(s1), float(s1 + length), F64)
+    return LineSegmentSpec(a, b, s1, s1 + length, RATIONAL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=_pair_strategy(),
+       R=st.sampled_from([Fraction(1, 10), Fraction(1, 2), 1, Fraction(3, 2), 2, 3]),
+       s1=_S1, length=_LENGTH, T=st.floats(0.1, 6.0), q_max=_Q_MAX)
+@example(pair=HALF_THIRD, R=2, s1=Fraction(0), length=Fraction(1), T=6.0,
+         q_max=3000)  # rational hits
+# every q a rational hit on a short interval: each block's ball is as full as
+# a line makes it, and must fit the block's leaf budget
+@example(pair=(Fraction(0), Fraction(0)), R=3, s1=Fraction(-1, 2),
+         length=Fraction(1, 10), T=6.0, q_max=3000)
+# a short interval: the q = 0 sheet alone holds about 2 R / (s2 - s1) values of
+# p2 with both segment coordinates below R, most of them far past R e^T
+@example(pair=(math.sqrt(2), math.sqrt(3)), R=2, s1=Fraction(0),
+         length=Fraction(1, 10 ** 4), T=6.0, q_max=3000)
+def test_ir_density_matches_scan_oracle(pair, R, s1, length, T, q_max):
+    line = _density_line(pair, s1, length)
     prof = dio.ir_density(line, R, T, q_max)
     assert (prof.intervals, prof.union_measure, prof.direct_measure) \
         == ir_density_scan(line, R, T, q_max)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=_pair_strategy(), R=st.sampled_from([1, Fraction(3, 2), 2, 3]),
+       s1=_S1, length=_LENGTH, i=st.integers(0, 400))
+@example(pair=(LAM4, LAM4), R=2, s1=Fraction(0), length=Fraction(1), i=250)
+def test_ir_density_direct_agrees_with_segment_minimum_on_subgrid(pair, R, s1, length, i):
+    # a grid time lies in the union of the return windows iff the exhaustive
+    # segment minimum there is below R; q < R e^t for every vector below R
+    line = _density_line(pair, s1, length)
+    t = i * 0.01
+    windows = dio._return_windows(line, Fraction(R), t, math.ceil(R * math.exp(t)))
+    sm = exp.segment_minimum(line, FlowTime.of(t), float(R))
+    assert any(lo < t < hi for lo, hi in windows) == (sm is not None and float(sm.value) < R)
 
 
 def test_w2inf_reaches_far_past_any_scan():

@@ -1,7 +1,8 @@
 """Shared test oracles: brute-force lattice searches, random unimodular
 bases with controlled conditioning, a 256-bit float lattice path, the q-scan
-segment minimum, the q-scan witness and E_q searches, the numpy Dirichlet
-grid and an exact I_R measure."""
+segment minimum, the q-scan witness and E_q searches, the float p-window
+decision of I_R on a grid, the numpy Dirichlet grid and an exact I_R
+measure."""
 
 from __future__ import annotations
 
@@ -368,13 +369,14 @@ def w2inf_profile_scan(a, b, C_list, q_max: int):
 
 
 def ir_density_scan(line, R, T, q_max: int, dt: float = 0.01):
-    """Oracle for ``ir_density``: the nonempty E_q found one step per q, and
-    the same union and direct-sampling estimators."""
+    """Oracle for ``ir_density``: the nonempty E_q found one step per q, their
+    union, and the grid count decided per grid time by ``in_ir_at`` over
+    the same E_q candidates."""
     T = float(T)
     R_f = float(R)
-    R1_f = dio.sup_operator_norm_R1(line, R_f)
     r_fr = Fraction(*exact_ratio(R))
-    r1_fr = Fraction(R1_f)
+    r1_fr = dio.sup_operator_norm_R1(line, R)
+    R1_f = float(r1_fr)
     scan = ResidualScan(line.a, line.b)
     intervals = []
     candidates = []
@@ -400,9 +402,56 @@ def ir_density_scan(line, R, T, q_max: int, dt: float = 0.01):
         candidates.append((q, math.log(q), p1, p2, float(res_b), float(res_a)))
     s1, s2 = float(line.s1), float(line.s2)
     n_grid = int(math.floor(T / dt + 1e-9)) + 1
-    inside = sum(dio._in_ir_at(i * dt, R_f, R1_f, candidates, s1, s2, math.log(R_f))
+    inside = sum(in_ir_at(i * dt, R_f, R1_f, candidates, s1, s2, math.log(R_f))
                  for i in range(n_grid))
-    return tuple(intervals), dio._merged_measure(intervals, T), inside * dt
+    union = dio._union_length((iv.lo, T if iv.hi is None else min(iv.hi, T))
+                              for iv in intervals)
+    return tuple(intervals), float(union), inside * dt
+
+
+def in_ir_at(t, R, R1, candidates, s1, s2, log_r) -> bool:
+    """Membership of t in I_R, decided in floats over the residual
+    candidates (q, ln q, p1, p2, q b + p1, q a + p2) of the nearest p's.
+
+    Sound and complete: a vector with segment sup-norm < R forces
+    |q| < R e^t, |q b + p1| <= R1 e^{-2t} and |q a + p2| <= R1 e^{-2t},
+    so its q has a nonempty E_q and its p's lie within the scanned window
+    around the nearest integers; the q = 0 sheets are checked separately.
+    """
+    e2t = math.exp(2 * t)
+    emt = math.exp(-t)
+    # q = 0, p2 = 0 sheet: vector (p1, 0, 0) with |p1| >= 1
+    if e2t < R:
+        return True
+    # q = 0, p2 != 0 sheet: m < R e^{-2t} <= 1 puts p1 within 1 of
+    # -p2 (s1 + s2) / 2
+    p2_cap = int(2 * R / (e2t * (s2 - s1))) + 1
+    for p2 in range(1, p2_cap + 1):
+        if emt * p2 >= R:
+            break
+        base = math.floor(-p2 * (s1 + s2) / 2.0)
+        for p1 in range(base - 1, base + 3):
+            first = e2t * max(abs(p1 + p2 * s1), abs(p1 + p2 * s2))
+            if first < R:
+                return True
+    # q >= 1 candidates
+    w = int(R1 / e2t + 0.5)
+    for q, logq, p1n, p2n, res_b, res_a in candidates:
+        if logq - log_r >= t:
+            continue
+        if emt * q >= R:
+            continue
+        for d2 in range(-w, w + 1):
+            p2v = p2n + d2
+            if emt * abs(p2v) >= R:
+                continue
+            ca = res_a + d2
+            for d1 in range(-w, w + 1):
+                cb = res_b + d1
+                first = e2t * max(abs(cb + ca * s1), abs(cb + ca * s2))
+                if first < R:
+                    return True
+    return False
 
 
 # -- numpy Dirichlet grid ----------------------------------------------------
@@ -447,7 +496,7 @@ def segment_minimum_scan(line: LineSegmentSpec, t: FlowTime, R_cap: float,
     emt = math.exp(-t.t)
     s1 = float(line.s1)
     s2 = float(line.s2)
-    opn = dio.sup_operator_norm_R1(line, 1.0)
+    opn = max(abs(s1) + abs(s2), 2.0) / (s2 - s1)  # ||inv([[1, s1], [1, s2]])||_sup
 
     best = None  # (value_float, (p1, p2, q))
     near = []  # candidates within 1e-9 of the incumbent, for exact re-ranking
