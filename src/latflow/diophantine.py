@@ -428,6 +428,12 @@ def ir_density(line, R, T, q_max: int, dt: float = 0.01) -> DensityProfile:
     if r <= 0:
         raise InvalidInputError("R must be positive")
     R1 = sup_operator_norm_R1(line, r)
+    try:
+        R1_f = float(R1)
+    except OverflowError:
+        raise PrecisionError(
+            "R1 = R max(|s1| + |s2|, 2) / (s2 - s1) is past the f64 range; "
+            "the interval is too short") from None
 
     intervals = []
     # E_q is empty unless <q(b,a)> < R1 R^2 q^-2
@@ -448,7 +454,7 @@ def ir_density(line, R, T, q_max: int, dt: float = 0.01) -> DensityProfile:
     R_f = float(R)
     coverage = math.log(q_max) - math.log(R_f) >= T
     return DensityProfile(
-        R=R_f, R1=float(R1), T=T, q_max=q_max, grid_dt=dt,
+        R=R_f, R1=R1_f, T=T, q_max=q_max, grid_dt=dt,
         intervals=tuple(intervals),
         union_measure=union_measure,
         union_density=union_measure / T,

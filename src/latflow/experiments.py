@@ -23,8 +23,9 @@ from numpy.random import Generator, Philox
 
 from .errors import BudgetError, InvalidInputError, PrecisionError
 from .flow import FlowTime, LineSegmentSpec, segment_sup
-from .lattice import (ENUMERATION_BUDGET, count_points, integer_columns,
-                      shortest_vector, sup_norm_minimum, translate_basis)
+from .lattice import (ENUMERATION_BUDGET, ReducedLattice, count_points,
+                      integer_columns, shortest_vector, sup_norm_minimum,
+                      translate_basis)
 from .scalars import IntegerVec3, exact_ratio
 
 TIME_AVERAGE_BUDGET = 200_000
@@ -59,7 +60,8 @@ class TranslateSample:
 def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
                      radii=()) -> list[TranslateSample]:
     """N i.i.d. uniform draws of s over I; per sample the certified first
-    minimum and the nonzero-point counts at the requested radii.
+    minimum and the nonzero-point counts at the requested radii, all from
+    one ``ReducedLattice`` of the sample's basis.
 
     A result computed off the f64 lattice path is marked ``escalated`` on
     the sample.
@@ -73,9 +75,10 @@ def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
     def one(i: int) -> TranslateSample:
         u = sample_stream(seed, i).random()
         s = s1 + u * (s2 - s1)
-        basis = translate_basis(line, line.mode.from_fraction(Fraction(s)), t)
-        res = shortest_vector(basis)
-        counts = {r: count_points(basis, r) for r in radii}
+        lat = ReducedLattice.of(
+            translate_basis(line, line.mode.from_fraction(Fraction(s)), t))
+        res = shortest_vector(lat)
+        counts = {r: count_points(lat, r) for r in radii}
         return TranslateSample(s=s, t=float(t.t), lambda1=res.lambda1,
                                point_counts=counts, certified=res.certified,
                                escalated=res.escalated)

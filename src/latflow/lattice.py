@@ -10,6 +10,12 @@ The norm of record is the supremum norm; the Euclidean ball is only the
 enumeration vehicle (in dimension n, ||v||_2 <= sqrt(n) ||v||_inf, so the
 inflated ball contains every candidate that could beat the incumbent).
 
+``ReducedLattice.of(basis)`` reduces a basis once: one f64 ``lll_reduce``
+(its Gram-Schmidt data updated row by row and handed to the enumeration),
+or one exact integral reduction for a basis too skewed for f64.
+``shortest_vector`` and ``count_points`` take either the basis or that
+value, so the minimum and the counts at every radius share one reduction.
+
 ``sup_norm_minimum``, ``sup_norm_count`` and ``sup_norm_points`` are the
 exact variants for rank-3 integer lattices in Z^n: integral LLL (no
 rounding anywhere), the same enumeration, and every candidate compared in
@@ -125,35 +131,49 @@ def _combine(cols, x):
     ]
 
 
+def _gso_rows(cols, bstar, mu, norm2, start):
+    """Recompute Gram-Schmidt rows start..2 of ``cols`` in place; row i
+    depends only on cols[i] and the rows below it."""
+    for i in range(start, 3):
+        c = cols[i]
+        v0, v1, v2 = c
+        mu_i = mu[i]
+        for j in range(i):
+            if norm2[j] <= 0:
+                raise ReductionError("numerically singular basis in Gram-Schmidt")
+            b = bstar[j]
+            m = mu_i[j] = (c[0] * b[0] + c[1] * b[1] + c[2] * b[2]) / norm2[j]
+            v0 = v0 - m * b[0]
+            v1 = v1 - m * b[1]
+            v2 = v2 - m * b[2]
+        bstar[i] = [v0, v1, v2]
+        norm2[i] = v0 * v0 + v1 * v1 + v2 * v2
+    if norm2[2] <= 0:
+        raise ReductionError("numerically singular basis in Gram-Schmidt")
+
+
 def gram_schmidt(cols):
     """Euclidean Gram-Schmidt data of three column vectors.
 
     Returns (bstar, mu, norm2) with mu[i][j] = <b_i, b*_j>/<b*_j, b*_j> for
     j < i.  Raises on numerically singular input.
     """
-    bstar = []
+    bstar = [None] * 3
     mu = [[0.0] * 3 for _ in range(3)]
-    norm2 = []
-    for i in range(3):
-        v = list(cols[i])
-        for j in range(i):
-            if norm2[j] <= 0:
-                raise ReductionError("numerically singular basis in Gram-Schmidt")
-            mu[i][j] = _dot(cols[i], bstar[j]) / norm2[j]
-            for k in range(3):
-                v[k] = v[k] - mu[i][j] * bstar[j][k]
-        bstar.append(v)
-        norm2.append(_dot(v, v))
-    if norm2[2] <= 0:
-        raise ReductionError("numerically singular basis in Gram-Schmidt")
+    norm2 = [0.0] * 3
+    _gso_rows(cols, bstar, mu, norm2, 0)
     return bstar, mu, norm2
 
 
-def lll_reduce(basis, delta: float = LLL_DELTA):
+def lll_reduce(basis, delta: float = LLL_DELTA, gso=None):
     """LLL-reduce the basis columns in f64; returns (reduced_columns, transform).
 
     The transform U is an exact integer matrix with det(U) = +-1 and
     reduced = basis . U (column convention), so the lattice is unchanged.
+    ``gso``, when given, is ``gram_schmidt`` of the basis columns; it is
+    updated in place and is ``gram_schmidt`` of the reduced columns on
+    return.  A size-reduction pass rounds the mu from before the pass, and
+    only the Gram-Schmidt rows a step changes are recomputed.
     """
     if isinstance(basis, LatticeBasis3):
         cols = basis.effective_columns()
@@ -161,14 +181,7 @@ def lll_reduce(basis, delta: float = LLL_DELTA):
         cols = [list(c) for c in basis]
     u = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]  # columns of U, as int lists
 
-    def size_reduce(k, j, bstar, mu, norm2):
-        m = round(mu[k][j])
-        if m != 0:
-            for i in range(3):
-                cols[k][i] = cols[k][i] - m * cols[j][i]
-                u[k][i] = u[k][i] - m * u[j][i]
-
-    bstar, mu, norm2 = gram_schmidt(cols)
+    bstar, mu, norm2 = gram_schmidt(cols) if gso is None else gso
     k = 1
     steps = 0
     while k < 3:
@@ -177,15 +190,23 @@ def lll_reduce(basis, delta: float = LLL_DELTA):
             raise ReductionError(
                 "LLL did not converge within the iteration cap; "
                 "the basis is pathologically conditioned")
+        changed = False
         for j in range(k - 1, -1, -1):
-            size_reduce(k, j, bstar, mu, norm2)
-        bstar, mu, norm2 = gram_schmidt(cols)
+            m = round(mu[k][j])
+            if m != 0:
+                ck, cj, uk, uj = cols[k], cols[j], u[k], u[j]
+                for i in range(3):
+                    ck[i] = ck[i] - m * cj[i]
+                    uk[i] = uk[i] - m * uj[i]
+                changed = True
+        if changed:
+            _gso_rows(cols, bstar, mu, norm2, k)
         if norm2[k] >= (delta - mu[k][k - 1] ** 2) * norm2[k - 1]:
             k += 1
         else:
             cols[k], cols[k - 1] = cols[k - 1], cols[k]
             u[k], u[k - 1] = u[k - 1], u[k]
-            bstar, mu, norm2 = gram_schmidt(cols)
+            _gso_rows(cols, bstar, mu, norm2, k - 1)
             k = max(k - 1, 1)
 
     det_u = (
@@ -237,39 +258,78 @@ def _transform_apply(u, x):
             a2 * x0 + b2 * x1 + c2 * x2)
 
 
-def _needs_escalation(cols) -> bool:
+def _f64_gram_schmidt(cols):
+    """``gram_schmidt`` of the columns when f64 can reduce them, else None:
+    the GSO lengths must be positive and span at most ``GSO_RANGE_CAP``."""
     try:
-        _, _, norm2 = gram_schmidt(cols)
+        gso = gram_schmidt(cols)
     except ReductionError:
-        return True
+        return None
+    norm2 = gso[2]
     small = min(norm2)
     if small <= 0:
-        return True
+        return None
     # NaN or inf (entries or lengths past the f64 range) fail this test too
-    return not (max(norm2) / small) ** 0.5 <= GSO_RANGE_CAP
+    if not (max(norm2) / small) ** 0.5 <= GSO_RANGE_CAP:
+        return None
+    return gso
 
 
-def shortest_vector(basis: LatticeBasis3, budget: int = ENUMERATION_BUDGET) -> ShortVectorResult:
+@dataclass(frozen=True)
+class ReducedLattice:
+    """A ``LatticeBasis3`` reduced once; ``shortest_vector`` and
+    ``count_points`` at any radius accept it in place of the basis and
+    enumerate without reducing again.
+
+    On the f64 path ``cols`` are the ``lll_reduce``d effective columns,
+    ``transform`` the unimodular U with cols = basis . U, and (mu, norm2)
+    their Gram-Schmidt data.  A basis whose f64 Gram-Schmidt lengths span
+    more than ``GSO_RANGE_CAP`` (or overflow) holds instead ``ball``, the
+    ``_sup_ball`` of its ``exact_columns`` scaled by ``den``.
+    """
+
+    cols: list | None = None
+    transform: list | None = None
+    mu: list | None = None
+    norm2: list | None = None
+    ball: tuple | None = None
+    den: int = 1
+
+    @classmethod
+    def of(cls, basis) -> "ReducedLattice":
+        if isinstance(basis, ReducedLattice):
+            return basis
+        if not isinstance(basis, LatticeBasis3):
+            basis = LatticeBasis3(tuple(tuple(row) for row in basis))
+        cols = basis.effective_columns()
+        gso = _f64_gram_schmidt(cols)
+        if gso is None:
+            int_cols, den = basis.exact_columns()
+            return cls(ball=_sup_ball(int_cols), den=den)
+        red_cols, u = lll_reduce(cols, gso=gso)
+        _, mu, norm2 = gso
+        return cls(red_cols, u, mu, norm2)
+
+
+def shortest_vector(basis, budget: int = ENUMERATION_BUDGET) -> ShortVectorResult:
     """The exact sup-norm first minimum, by complete enumeration.
 
+    ``basis`` is a ``LatticeBasis3`` (or its rows) or a ``ReducedLattice``.
     LLL preprocessing bounds the search; every lattice vector whose sup-norm
     could undercut the incumbent lies in the Euclidean ball of radius
     sqrt(3) times the incumbent, and that ball is enumerated to exhaustion,
     so the result is certified.  If the GSO lengths span more than ~1e12 in
     f64 (or overflow it), the basis is scaled to integers and solved exactly
-    by ``sup_norm_minimum`` instead (escalated flag); lambda1 is then the
+    as by ``sup_norm_minimum`` instead (escalated flag); lambda1 is then the
     correctly rounded exact minimum.
     """
-    if not isinstance(basis, LatticeBasis3):
-        basis = LatticeBasis3(tuple(tuple(row) for row in basis))
-    cols = basis.effective_columns()
-    if _needs_escalation(cols):
-        int_cols, den = basis.exact_columns()
-        norm, coeffs = sup_norm_minimum(int_cols, math.inf, budget)
-        return ShortVectorResult(vector=IntegerVec3(*coeffs), lambda1=norm / den,
+    lat = ReducedLattice.of(basis)
+    if lat.ball is not None:
+        norm, coeffs = _ball_minimum(lat.ball, math.inf, budget)
+        return ShortVectorResult(vector=IntegerVec3(*coeffs), lambda1=norm / lat.den,
                                  certified=True, escalated=True)
 
-    red_cols, u = lll_reduce(cols)
+    red_cols, u = lat.cols, lat.transform
     best = min(_sup(c) for c in red_cols)
     best_x = None
     for j in range(3):
@@ -277,8 +337,7 @@ def shortest_vector(basis: LatticeBasis3, budget: int = ENUMERATION_BUDGET) -> S
             best_x = (int(j == 0), int(j == 1), int(j == 2))
             break
     bound2 = 3 * best * best * (1 + 1e-9)
-    _, mu, norm2 = gram_schmidt(red_cols)
-    for x in _enumerate_half_ball(mu, norm2, bound2, budget):
+    for x in _enumerate_half_ball(lat.mu, lat.norm2, bound2, budget):
         v = _combine(red_cols, x)
         s = _sup(v)
         if s < best:
@@ -292,26 +351,25 @@ def shortest_vector(basis: LatticeBasis3, budget: int = ENUMERATION_BUDGET) -> S
     )
 
 
-def count_points(basis: LatticeBasis3, r, budget: int = ENUMERATION_BUDGET) -> int:
+def count_points(basis, r, budget: int = ENUMERATION_BUDGET) -> int:
     """#{v in L \\ 0 : ||v||_inf <= r}, by complete enumeration.
 
-    Counts are exact and even (the ball is symmetric); enumeration work
-    beyond the budget raises BudgetError.  A basis too ill-conditioned for
-    f64 is counted exactly by ``sup_norm_count``, as in ``shortest_vector``.
+    ``basis`` is a ``LatticeBasis3`` (or its rows) or a ``ReducedLattice``,
+    which serves every radius from one reduction.  Counts are exact and
+    even (the ball is symmetric); enumeration work beyond the budget raises
+    BudgetError.  A basis too ill-conditioned for f64 is counted exactly, as
+    by ``sup_norm_count``, as in ``shortest_vector``.
     """
     r = float(r)
     if not r > 0:
         raise InvalidInputError("count radius must be positive")
     if r == math.inf:
         raise BudgetError("count_points: expected point count exceeds the budget")
-    if not isinstance(basis, LatticeBasis3):
-        basis = LatticeBasis3(tuple(tuple(row) for row in basis))
-    cols = basis.effective_columns()
-    if _needs_escalation(cols):
-        int_cols, den = basis.exact_columns()
-        return sup_norm_count(int_cols, math.floor(Fraction(r) * den), budget)
+    lat = ReducedLattice.of(basis)
+    if lat.ball is not None:
+        return _ball_count(lat.ball, math.floor(Fraction(r) * lat.den), budget)
 
-    red_cols, _ = lll_reduce(cols)
+    red_cols = lat.cols
     # crude volume-based budget guard before enumerating
     det = abs(_dot(red_cols[0],
                    [red_cols[1][1] * red_cols[2][2] - red_cols[1][2] * red_cols[2][1],
@@ -321,8 +379,7 @@ def count_points(basis: LatticeBasis3, r, budget: int = ENUMERATION_BUDGET) -> i
         raise BudgetError("count_points: expected point count exceeds the budget")
     n = 0
     bound2 = 3 * r * r * (1 + 1e-12)
-    _, mu, norm2 = gram_schmidt(red_cols)
-    for x in _enumerate_half_ball(mu, norm2, bound2, budget):
+    for x in _enumerate_half_ball(lat.mu, lat.norm2, bound2, budget):
         if _sup(_combine(red_cols, x)) <= r:
             n += 2  # v and -v
     return n
@@ -411,13 +468,14 @@ def _clamped_ratio(num: int, den: int) -> float:
         return 1e300
 
 
-def _sup_ball(cols, budget: int):
+def _sup_ball(cols):
     """Integral LLL of three independent integer columns in Z^n; returns
     (shortest sup norm of a reduced column, Gram determinant, within), where
-    within(radius) yields (norm, coeffs w.r.t. ``cols``) for every lattice
-    vector, one per +-pair, of sup norm <= radius: the Euclidean ball of
-    radius sqrt(n) radius (inflated by 1e-9 against rounding in the float
-    interval bounds) is enumerated to exhaustion, ``budget`` leaves at most.
+    within(radius, budget) yields (norm, coeffs w.r.t. ``cols``) for every
+    lattice vector, one per +-pair, of sup norm <= radius: the Euclidean
+    ball of radius sqrt(n) radius (inflated by 1e-9 against rounding in the
+    float interval bounds) is enumerated to exhaustion, ``budget`` leaves at
+    most.
     """
     red, u, d, lam = lll_reduce_integral(cols)
     # GSO data relative to |b*_0|^2 = d[1]; every entry is a correctly
@@ -427,7 +485,7 @@ def _sup_ball(cols, budget: int):
 
     rows = list(zip(*red))
 
-    def within(radius):
+    def within(radius, budget):
         bound2 = float(len(rows) * Fraction(radius) ** 2 / d[1]) * (1 + 1e-9) ** 2
         for x in _enumerate_half_ball(mu, norm2, bound2, budget):
             x0, x1, x2 = x
@@ -444,6 +502,27 @@ def _sup_ball(cols, budget: int):
     return min(max(abs(x) for x in c) for c in red), d[3], within
 
 
+def _ball_minimum(ball, limit, budget):
+    shortest, _, within = ball
+    best = None
+    for norm, coeffs in within(min(shortest, limit), budget):
+        key = coeffs[::-1]
+        if key < (0, 0, 0):
+            key = tuple(-c for c in key)
+        if best is None or (norm, key) < best:
+            best = (norm, key)
+    if best is None:
+        return None
+    return best[0], best[1][::-1]
+
+
+def _ball_count(ball, radius: int, budget: int) -> int:
+    _, gram_det, within = ball
+    if (2 * radius) ** 6 > budget ** 2 * gram_det:  # gram_det = det(L)^2
+        raise BudgetError("count_points: expected point count exceeds the budget")
+    return 2 * sum(1 for _ in within(radius, budget))
+
+
 def sup_norm_minimum(cols, limit, budget: int = ENUMERATION_BUDGET):
     """The first sup-norm minimum of the lattice spanned by three independent
     integer columns in Z^n, when it is at most ``limit`` (else None).
@@ -456,34 +535,21 @@ def sup_norm_minimum(cols, limit, budget: int = ENUMERATION_BUDGET):
     the shortest reduced column, is compared in integers.  ``budget`` caps
     the enumeration leaves.
     """
-    shortest, _, within = _sup_ball(cols, budget)
-    best = None
-    for norm, coeffs in within(min(shortest, limit)):
-        key = coeffs[::-1]
-        if key < (0, 0, 0):
-            key = tuple(-c for c in key)
-        if best is None or (norm, key) < best:
-            best = (norm, key)
-    if best is None:
-        return None
-    return best[0], best[1][::-1]
+    return _ball_minimum(_sup_ball(cols), limit, budget)
 
 
 def sup_norm_points(cols, radius, budget: int):
     """Every vector of the lattice spanned by three independent integer
     columns in Z^n with sup norm <= ``radius``, one per +-pair, as (norm,
     coeffs w.r.t. ``cols``); ``budget`` caps the enumeration leaves."""
-    return _sup_ball(cols, budget)[2](radius)
+    return _sup_ball(cols)[2](radius, budget)
 
 
 def sup_norm_count(cols, radius: int, budget: int = ENUMERATION_BUDGET) -> int:
     """#{v in L \\ 0 : ||v||_inf <= radius} for the lattice L spanned by three
     independent integer columns in Z^3; like ``count_points`` it refuses an
     expected count (2 radius)^3 / |det L| above ``budget``."""
-    _, gram_det, within = _sup_ball(cols, budget)
-    if (2 * radius) ** 6 > budget ** 2 * gram_det:  # gram_det = det(L)^2
-        raise BudgetError("count_points: expected point count exceeds the budget")
-    return 2 * sum(1 for _ in within(radius))
+    return _ball_count(_sup_ball(cols), radius, budget)
 
 
 def in_K_delta(basis: LatticeBasis3, delta: float) -> bool:

@@ -168,6 +168,14 @@ def test_precision_error_exit_4():
     assert code == 4
 
 
+def test_density_interval_past_f64_range_exit_4(capsys):
+    # R1 = 2R / (s2 - s1) is about 2e320, past the largest f64
+    code = run_cli(["density", "sqrt2", "sqrt3", "--q-max", "100",
+                    "--interval", "0,1e-320"])
+    assert code == 4
+    assert "R1" in capsys.readouterr().err
+
+
 def test_equidist_report_round_trip(tmp_path):
     out1 = tmp_path / "eq1"
     out2 = tmp_path / "eq2"

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latflow import experiments as exp
+from latflow import lattice
 from latflow.errors import BudgetError, InvalidInputError, PrecisionError
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
 from latflow.scalars import F64, RATIONAL, IntegerVec3, liouville_partial, named_scalar
@@ -55,6 +56,36 @@ def test_sample_counts_monotone_and_even():
         counts = [s.point_counts[r] for r in (0.5, 1.0, 1.5)]
         assert all(c % 2 == 0 for c in counts)
         assert counts == sorted(counts)
+
+
+@pytest.mark.parametrize("t", [3.0, 8.0, 9.5])
+def test_sample_translate_reduces_once_per_sample(monkeypatch, t):
+    # the f64 path below t ~ 9.2, the exact (integral LLL) path above it
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("lll_reduce", "lll_reduce_integral"):
+        monkeypatch.setattr(lattice, name, counting(getattr(lattice, name)))
+    radii = (1.0, 1.5, 2.0)
+    samples = exp.sample_translate(GENERIC_LINE, FlowTime.of(t), 8, seed=4, radii=radii)
+    escalated = t > 9
+    assert [s.escalated for s in samples] == [escalated] * 8
+    want = "lll_reduce_integral" if escalated else "lll_reduce"
+    assert calls == [want] * 8
+
+    for smp in samples:
+        basis = lattice.translate_basis(
+            GENERIC_LINE, GENERIC_LINE.mode.from_fraction(Fraction(smp.s)), FlowTime.of(t))
+        res = lattice.shortest_vector(basis)
+        counts = {r: lattice.count_points(basis, r) for r in radii}
+        alone = exp.TranslateSample(s=smp.s, t=t, lambda1=res.lambda1, point_counts=counts,
+                                    certified=res.certified, escalated=res.escalated)
+        assert smp.as_row() == alone.as_row()
 
 
 def test_escape_fraction_rational_line_saturates():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latflow.errors import BudgetError, InvalidInputError
 from latflow.flow import FlowTime, LineSegmentSpec
@@ -21,7 +23,8 @@ from latflow.lattice import (
 from latflow.scalars import F64, RATIONAL, named_scalar
 
 from util import (brute_force_count, brute_force_lambda1, count_points_mp,
-                  random_unimodular_columns, shortest_vector_mp)
+                  gram_schmidt_full, lll_reduce_full, random_unimodular_columns,
+                  shortest_vector_mp)
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
                                 Fraction(0), Fraction(1), RATIONAL)
@@ -89,6 +92,35 @@ def test_lll_lambda1_invariance():
         red, _ = lll_reduce(LatticeBasis3.from_columns(cols))
         lam_after = shortest_vector(LatticeBasis3.from_columns(red)).lambda1
         assert lam_after == pytest.approx(lam_before, rel=1e-10)
+
+
+def _assert_same_reduction(basis):
+    # bit for bit: the row-wise Gram-Schmidt updates evaluate the same
+    # expressions as a full recompute
+    cols = basis.effective_columns()
+    gso = gram_schmidt(cols)
+    assert gso == gram_schmidt_full(cols)
+    red, u = lll_reduce(cols, gso=gso)
+    assert (red, u) == lll_reduce_full(basis)
+    assert lll_reduce(basis) == (red, u)
+    assert gso == gram_schmidt_full(red)  # handed back for the enumeration
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_unit, b=_unit, s=_unit, t=st.floats(0.0, 9.0, exclude_max=True))
+def test_lll_reduce_matches_full_recompute_on_translates(a, b, s, t):
+    line = LineSegmentSpec(a, b, -1.0, 1.0, F64)
+    _assert_same_reduction(translate_basis(line, s, FlowTime.of(t)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), log_cond=st.floats(0.0, math.log(1e8)))
+def test_lll_reduce_matches_full_recompute_on_random_bases(seed, log_cond):
+    cols = random_unimodular_columns(np.random.default_rng(seed), log_cond)
+    _assert_same_reduction(LatticeBasis3.from_columns(cols))
 
 
 def test_shortest_vector_identity():

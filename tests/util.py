@@ -1,5 +1,6 @@
 """Shared test oracles: brute-force lattice searches, random unimodular
-bases with controlled conditioning, a 256-bit float lattice path, the q-scan
+bases with controlled conditioning, the full-recompute f64 LLL, a 256-bit
+float lattice path, the q-scan
 segment minimum, the q-scan witness and E_q searches, the float p-window
 decision of I_R on a grid, the numpy Dirichlet grid and an exact I_R
 measure."""
@@ -13,9 +14,10 @@ import mpmath
 import numpy as np
 
 from latflow import diophantine as dio
-from latflow.errors import BudgetError, InvalidInputError
+from latflow.errors import BudgetError, InvalidInputError, ReductionError
 from latflow.experiments import SegmentMinimum
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
+from latflow.lattice import LatticeBasis3
 from latflow.scalars import IntegerVec3, exact_ratio
 
 SEGMENT_MINIMUM_SCAN_BUDGET = 100_000_000
@@ -62,6 +64,58 @@ def random_unimodular_columns(rng: np.random.Generator, log_cond_cap: float):
     d = np.diag(np.exp([u1, u2, -u1 - u2]))
     m = rotation() @ d @ rotation()
     return [list(m[:, j]) for j in range(3)]
+
+
+# -- full-recompute f64 LLL ------------------------------------------------
+
+def gram_schmidt_full(cols):
+    """(bstar, mu, norm2) of three columns, every row computed afresh."""
+    bstar = []
+    mu = [[0.0] * 3 for _ in range(3)]
+    norm2 = []
+    for i in range(3):
+        v = list(cols[i])
+        for j in range(i):
+            if norm2[j] <= 0:
+                raise ReductionError("numerically singular basis in Gram-Schmidt")
+            mu[i][j] = (cols[i][0] * bstar[j][0] + cols[i][1] * bstar[j][1]
+                        + cols[i][2] * bstar[j][2]) / norm2[j]
+            for k in range(3):
+                v[k] = v[k] - mu[i][j] * bstar[j][k]
+        bstar.append(v)
+        norm2.append(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    if norm2[2] <= 0:
+        raise ReductionError("numerically singular basis in Gram-Schmidt")
+    return bstar, mu, norm2
+
+
+def lll_reduce_full(basis, delta: float = 0.99):
+    """f64 LLL that recomputes all Gram-Schmidt rows after every
+    size-reduction pass and every swap; returns (reduced_columns,
+    transform) like ``latflow.lattice.lll_reduce``."""
+    if isinstance(basis, LatticeBasis3):
+        cols = basis.effective_columns()
+    else:
+        cols = [list(c) for c in basis]
+    u = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    _, mu, norm2 = gram_schmidt_full(cols)
+    k = 1
+    while k < 3:
+        for j in range(k - 1, -1, -1):
+            m = round(mu[k][j])  # the mu from before this pass
+            if m != 0:
+                for i in range(3):
+                    cols[k][i] = cols[k][i] - m * cols[j][i]
+                    u[k][i] = u[k][i] - m * u[j][i]
+        _, mu, norm2 = gram_schmidt_full(cols)
+        if norm2[k] >= (delta - mu[k][k - 1] ** 2) * norm2[k - 1]:
+            k += 1
+        else:
+            cols[k], cols[k - 1] = cols[k - 1], cols[k]
+            u[k], u[k - 1] = u[k - 1], u[k]
+            _, mu, norm2 = gram_schmidt_full(cols)
+            k = max(k - 1, 1)
+    return cols, u
 
 
 # -- 256-bit float lattice path --------------------------------------------
