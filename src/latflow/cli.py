@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 
@@ -96,7 +97,7 @@ def _parse_grid(text: str) -> list[float]:
             if not out:
                 raise ValueError
             return out
-        return [float(v) for v in text.split(",") if v.strip()]
+        return _parse_list(text)
     except ValueError as e:
         raise ParseError(f"cannot parse grid {text!r}") from e
 
@@ -111,6 +112,13 @@ def _parse_list(text: str) -> list[float]:
     return vals
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="latflow", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="subcommand", required=True)
@@ -123,8 +131,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=1)
         sp.add_argument("--out", default=None, help="output path stem")
         sp.add_argument("--format", default="both", choices=["json", "csv", "both"])
-        sp.add_argument("--budget", type=int, default=None,
-                        help="work cap for searches and enumerations")
+        sp.add_argument("--budget", type=_positive_int, default=None,
+                        help="work cap for searches and enumerations "
+                             "(a positive integer)")
         if interval:
             sp.add_argument("--interval", default="0,1",
                             help="segment interval 's1,s2'")
@@ -246,7 +255,7 @@ def _run_classify(args, mode, config) -> exp.ExperimentReport:
 def _run_orbit(args, mode, config) -> exp.ExperimentReport:
     line = _line_from(args, mode)
     ts = _parse_grid(args.t_grid)
-    budget = args.budget or exp.ENUMERATION_BUDGET
+    budget = exp.ENUMERATION_BUDGET if args.budget is None else args.budget
     samples = []
     for t in ts:
         ft = FlowTime.of(t)
@@ -360,7 +369,8 @@ def _run_dirichlet(args, mode, config) -> exp.ExperimentReport:
     # the run before the probe's work
     verdicts = dio.dirichlet_direct(s, line.a * s + line.b, args.delta,
                                     [math.exp(t) * scale for t in check_ts],
-                                    budget=args.budget or exp.ENUMERATION_BUDGET)
+                                    budget=(exp.ENUMERATION_BUDGET if args.budget is None
+                                            else args.budget))
     probe = exp.trajectory_probe(line, s, args.delta, args.t_max, args.dt)
     in_k = dict(zip(probe.times, probe.in_k()))
     lam = dict(zip(probe.times, probe.lambda1))
@@ -447,6 +457,12 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     mode = mode_from_spec(args.mode)
     config = {k.replace("_", "-"): v for k, v in sorted(vars(args).items())}
+    if args.out is not None:
+        # before the run, so that a bad --out costs no computation
+        try:
+            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise InvalidInputError(f"cannot create the directory of --out: {e}") from e
     report = _RUNNERS[args.subcommand](args, mode, config)
     _write_outputs(report, args)
     return 0

@@ -36,8 +36,8 @@ from fractions import Fraction
 import mpmath
 
 from .errors import InvalidInputError, PrecisionError
-from .lattice import (ENUMERATION_BUDGET, integer_columns, sup_norm_minimum,
-                      sup_norm_points)
+from .lattice import (ENUMERATION_BUDGET, ReducedLattice, integer_columns,
+                      sup_norm_minimum)
 from .scalars import F64_MAX_DENOM, IntegerVec3, exact_ratio
 
 
@@ -81,7 +81,7 @@ def _box_points(forms, bound, q_max: int, block_p2: bool = False):
     on (p1, p2, q), independent in (p1, p2), f1 involving p1.  ``bound`` is
     called once per block, in order; None ends the search.  Scaled to
     integers, the box is the unit sup-norm cube of a lattice (Dani's
-    correspondence), which ``sup_norm_points`` enumerates exactly.
+    correspondence), which ``ReducedLattice.points`` enumerates exactly.
     """
     (a1, b1, _), (a2, b2, _) = forms
     det = abs(a1 * b2 - a2 * b1)
@@ -103,7 +103,7 @@ def _box_points(forms, bound, q_max: int, block_p2: bool = False):
             for x in (min(end, q_max), B * (abs(a1) + abs(a2)) / det, B / abs(a1), end))
         budget = n_q * (min(n_p2, n_end) if block_p2 else n_p2) * n_p1 // 2 + 1
         block = []
-        for _, (p1, p2, q) in sup_norm_points(cols, den, budget):
+        for _, (p1, p2, q) in ReducedLattice.exact(cols).points(den, budget):
             if q < 0:
                 p1, p2, q = -p1, -p2, -q
             n = max(abs(p2), q) if block_p2 else q

@@ -3,24 +3,25 @@
 This is the artifact's computational proxy for Mahler compactness: a basis
 is held together with a flow log-scale, lambda_1 (sup-norm) is certified by
 complete Fincke-Pohst enumeration inside a Euclidean ball of radius
-sqrt(3) * (current best sup-norm), and K_delta membership is the inclusive
-comparison lambda_1 >= delta.
+sqrt(3) * (sup-norm of the shortest reduced column), and K_delta
+membership is the inclusive comparison lambda_1 >= delta.
 
 The norm of record is the supremum norm; the Euclidean ball is only the
 enumeration vehicle (in dimension n, ||v||_2 <= sqrt(n) ||v||_inf, so the
 inflated ball contains every candidate that could beat the incumbent).
 
-``ReducedLattice.of(basis)`` reduces a basis once: one f64 ``lll_reduce``
-(its Gram-Schmidt data updated row by row and handed to the enumeration),
-or one exact integral reduction for a basis too skewed for f64.
-``shortest_vector`` and ``count_points`` take either the basis or that
-value, so the minimum and the counts at every radius share one reduction.
-
-``sup_norm_minimum``, ``sup_norm_count`` and ``sup_norm_points`` are the
-exact variants for rank-3 integer lattices in Z^n: integral LLL (no
-rounding anywhere), the same enumeration, and every candidate compared in
-integers; they also take the bases too skewed for f64, and they are the
-engine of the segment minima and the Diophantine searches.
+Both reductions produce a ``ReducedLattice``: ``ReducedLattice.of(basis)``
+runs one f64 ``lll_reduce`` (its Gram-Schmidt data updated row by row and
+handed to the enumeration), or one exact integral reduction for a basis
+too skewed for f64; ``ReducedLattice.exact(cols)`` runs the integral LLL
+(no rounding anywhere) of a rank-3 integer lattice in Z^n.  Its
+``points``, ``minimum`` and ``count`` are one Fincke-Pohst enumeration,
+written once; candidates are compared in the rows' own arithmetic (f64,
+or integers).  ``shortest_vector`` and ``count_points`` take either the
+basis or that value, so the minimum and the counts at every radius share
+one reduction; ``sup_norm_minimum`` is the exact minimum behind the
+segment minima and the Dirichlet check, and ``ReducedLattice.points``
+enumerates the Diophantine search boxes.
 
 All functions are pure; enumeration keeps only local state, so batches can
 be mapped in parallel.
@@ -114,22 +115,7 @@ class ShortVectorResult:
     escalated: bool = False
 
 
-# -- f64 small linear algebra ------------------------------------------------
-
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _sup(u):
-    return max(abs(u[0]), abs(u[1]), abs(u[2]))
-
-
-def _combine(cols, x):
-    return [
-        cols[0][i] * x[0] + cols[1][i] * x[1] + cols[2][i] * x[2]
-        for i in range(3)
-    ]
-
+# -- f64 reduction and the Fincke-Pohst enumeration ------------------------
 
 def _gso_rows(cols, bstar, mu, norm2, start):
     """Recompute Gram-Schmidt rows start..2 of ``cols`` in place; row i
@@ -165,8 +151,9 @@ def gram_schmidt(cols):
     return bstar, mu, norm2
 
 
-def lll_reduce(basis, delta: float = LLL_DELTA, gso=None):
-    """LLL-reduce the basis columns in f64; returns (reduced_columns, transform).
+def lll_reduce(basis, gso=None):
+    """LLL-reduce the basis columns in f64 (delta = ``LLL_DELTA``); returns
+    (reduced_columns, transform).
 
     The transform U is an exact integer matrix with det(U) = +-1 and
     reduced = basis . U (column convention), so the lattice is unchanged.
@@ -201,7 +188,7 @@ def lll_reduce(basis, delta: float = LLL_DELTA, gso=None):
                 changed = True
         if changed:
             _gso_rows(cols, bstar, mu, norm2, k)
-        if norm2[k] >= (delta - mu[k][k - 1] ** 2) * norm2[k - 1]:
+        if norm2[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * norm2[k - 1]:
             k += 1
         else:
             cols[k], cols[k - 1] = cols[k - 1], cols[k]
@@ -275,117 +262,7 @@ def _f64_gram_schmidt(cols):
     return gso
 
 
-@dataclass(frozen=True)
-class ReducedLattice:
-    """A ``LatticeBasis3`` reduced once; ``shortest_vector`` and
-    ``count_points`` at any radius accept it in place of the basis and
-    enumerate without reducing again.
-
-    On the f64 path ``cols`` are the ``lll_reduce``d effective columns,
-    ``transform`` the unimodular U with cols = basis . U, and (mu, norm2)
-    their Gram-Schmidt data.  A basis whose f64 Gram-Schmidt lengths span
-    more than ``GSO_RANGE_CAP`` (or overflow) holds instead ``ball``, the
-    ``_sup_ball`` of its ``exact_columns`` scaled by ``den``.
-    """
-
-    cols: list | None = None
-    transform: list | None = None
-    mu: list | None = None
-    norm2: list | None = None
-    ball: tuple | None = None
-    den: int = 1
-
-    @classmethod
-    def of(cls, basis) -> "ReducedLattice":
-        if isinstance(basis, ReducedLattice):
-            return basis
-        if not isinstance(basis, LatticeBasis3):
-            basis = LatticeBasis3(tuple(tuple(row) for row in basis))
-        cols = basis.effective_columns()
-        gso = _f64_gram_schmidt(cols)
-        if gso is None:
-            int_cols, den = basis.exact_columns()
-            return cls(ball=_sup_ball(int_cols), den=den)
-        red_cols, u = lll_reduce(cols, gso=gso)
-        _, mu, norm2 = gso
-        return cls(red_cols, u, mu, norm2)
-
-
-def shortest_vector(basis, budget: int = ENUMERATION_BUDGET) -> ShortVectorResult:
-    """The exact sup-norm first minimum, by complete enumeration.
-
-    ``basis`` is a ``LatticeBasis3`` (or its rows) or a ``ReducedLattice``.
-    LLL preprocessing bounds the search; every lattice vector whose sup-norm
-    could undercut the incumbent lies in the Euclidean ball of radius
-    sqrt(3) times the incumbent, and that ball is enumerated to exhaustion,
-    so the result is certified.  If the GSO lengths span more than ~1e12 in
-    f64 (or overflow it), the basis is scaled to integers and solved exactly
-    as by ``sup_norm_minimum`` instead (escalated flag); lambda1 is then the
-    correctly rounded exact minimum.
-    """
-    lat = ReducedLattice.of(basis)
-    if lat.ball is not None:
-        norm, coeffs = _ball_minimum(lat.ball, math.inf, budget)
-        return ShortVectorResult(vector=IntegerVec3(*coeffs), lambda1=norm / lat.den,
-                                 certified=True, escalated=True)
-
-    red_cols, u = lat.cols, lat.transform
-    best = min(_sup(c) for c in red_cols)
-    best_x = None
-    for j in range(3):
-        if _sup(red_cols[j]) == best:
-            best_x = (int(j == 0), int(j == 1), int(j == 2))
-            break
-    bound2 = 3 * best * best * (1 + 1e-9)
-    for x in _enumerate_half_ball(lat.mu, lat.norm2, bound2, budget):
-        v = _combine(red_cols, x)
-        s = _sup(v)
-        if s < best:
-            best = s
-            best_x = x
-    coeffs = _transform_apply(u, best_x)
-    return ShortVectorResult(
-        vector=IntegerVec3(*coeffs),
-        lambda1=float(best),
-        certified=True,
-    )
-
-
-def count_points(basis, r, budget: int = ENUMERATION_BUDGET) -> int:
-    """#{v in L \\ 0 : ||v||_inf <= r}, by complete enumeration.
-
-    ``basis`` is a ``LatticeBasis3`` (or its rows) or a ``ReducedLattice``,
-    which serves every radius from one reduction.  Counts are exact and
-    even (the ball is symmetric); enumeration work beyond the budget raises
-    BudgetError.  A basis too ill-conditioned for f64 is counted exactly, as
-    by ``sup_norm_count``, as in ``shortest_vector``.
-    """
-    r = float(r)
-    if not r > 0:
-        raise InvalidInputError("count radius must be positive")
-    if r == math.inf:
-        raise BudgetError("count_points: expected point count exceeds the budget")
-    lat = ReducedLattice.of(basis)
-    if lat.ball is not None:
-        return _ball_count(lat.ball, math.floor(Fraction(r) * lat.den), budget)
-
-    red_cols = lat.cols
-    # crude volume-based budget guard before enumerating
-    det = abs(_dot(red_cols[0],
-                   [red_cols[1][1] * red_cols[2][2] - red_cols[1][2] * red_cols[2][1],
-                    red_cols[1][2] * red_cols[2][0] - red_cols[1][0] * red_cols[2][2],
-                    red_cols[1][0] * red_cols[2][1] - red_cols[1][1] * red_cols[2][0]]))
-    if det > 0 and float((2 * r) ** 3 / det) > budget:
-        raise BudgetError("count_points: expected point count exceeds the budget")
-    n = 0
-    bound2 = 3 * r * r * (1 + 1e-12)
-    for x in _enumerate_half_ball(lat.mu, lat.norm2, bound2, budget):
-        if _sup(_combine(red_cols, x)) <= r:
-            n += 2  # v and -v
-    return n
-
-
-# -- exact sup-norm search in an integer lattice -----------------------------
+# -- exact reduction -------------------------------------------------------
 
 def lll_reduce_integral(cols):
     """Exact integral LLL (Cohen, Alg. 2.6.7, delta = ``LLL_DELTA_EXACT``) of
@@ -468,26 +345,75 @@ def _clamped_ratio(num: int, den: int) -> float:
         return 1e300
 
 
-def _sup_ball(cols):
-    """Integral LLL of three independent integer columns in Z^n; returns
-    (shortest sup norm of a reduced column, Gram determinant, within), where
-    within(radius, budget) yields (norm, coeffs w.r.t. ``cols``) for every
-    lattice vector, one per +-pair, of sup norm <= radius: the Euclidean
-    ball of radius sqrt(n) radius (inflated by 1e-9 against rounding in the
-    float interval bounds) is enumerated to exhaustion, ``budget`` leaves at
-    most.
+# -- one reduced lattice for both reductions -------------------------------
+
+@dataclass(frozen=True)
+class ReducedLattice:
+    """A reduced basis of a rank-3 lattice, and the one Fincke-Pohst
+    enumeration that answers its sup-norm questions: ``points`` within a
+    radius, the first ``minimum`` and the ``count`` of nonzero points.
+
+    ``rows`` are the coordinate rows of the reduced basis columns, f64
+    (``of``) or integers (``exact``); ``transform`` is the unimodular U with
+    reduced = basis . U; (mu, norm2) are their Gram-Schmidt data, norm2
+    relative to ``scale2``; ``gram_det`` is the Gram determinant det(L)^2.
+    An ``escalated`` lattice holds integer columns, the basis scaled by
+    ``den``; sup norms are then compared in integers.
     """
-    red, u, d, lam = lll_reduce_integral(cols)
-    # GSO data relative to |b*_0|^2 = d[1]; every entry is a correctly
-    # rounded float of an exact ratio
-    mu = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(3)]
-    norm2 = [_clamped_ratio(d[i + 1], d[i] * d[1]) for i in range(3)]
 
-    rows = list(zip(*red))
+    rows: tuple
+    transform: list
+    mu: list
+    norm2: list
+    scale2: int
+    gram_det: float | int
+    den: int = 1
+    escalated: bool = False
 
-    def within(radius, budget):
-        bound2 = float(len(rows) * Fraction(radius) ** 2 / d[1]) * (1 + 1e-9) ** 2
-        for x in _enumerate_half_ball(mu, norm2, bound2, budget):
+    @classmethod
+    def of(cls, basis) -> "ReducedLattice":
+        """One reduction of a ``LatticeBasis3`` (or its rows): ``lll_reduce``
+        in f64, whose Gram-Schmidt data are handed on, while the f64
+        Gram-Schmidt lengths span at most ``GSO_RANGE_CAP``; past that (or
+        where they overflow) ``exact`` of its ``exact_columns``."""
+        if isinstance(basis, ReducedLattice):
+            return basis
+        if not isinstance(basis, LatticeBasis3):
+            basis = LatticeBasis3(tuple(tuple(row) for row in basis))
+        cols = basis.effective_columns()
+        gso = _f64_gram_schmidt(cols)
+        if gso is None:
+            return cls.exact(*basis.exact_columns())
+        red, u = lll_reduce(cols, gso=gso)
+        _, mu, norm2 = gso
+        return cls(tuple(zip(*red)), u, mu, norm2, 1, norm2[0] * norm2[1] * norm2[2])
+
+    @classmethod
+    def exact(cls, cols, den: int = 1) -> "ReducedLattice":
+        """Integral LLL of three independent integer columns in Z^n, which
+        are a basis scaled by ``den``."""
+        red, u, d, lam = lll_reduce_integral(cols)
+        # GSO data relative to |b*_0|^2 = d[1]; every entry is a correctly
+        # rounded float of an exact ratio
+        mu = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(3)]
+        norm2 = [_clamped_ratio(d[i + 1], d[i] * d[1]) for i in range(3)]
+        return cls(tuple(zip(*red)), u, mu, norm2, d[1], d[3], den, escalated=True)
+
+    @property
+    def shortest(self):
+        """The least sup norm of a reduced column."""
+        return min(max(map(abs, col)) for col in zip(*self.rows))
+
+    def points(self, radius, budget: int = ENUMERATION_BUDGET):
+        """Yield (norm, coeffs w.r.t. the basis) for every lattice vector, one
+        per +-pair, of sup norm <= ``radius``: the Euclidean ball of radius
+        sqrt(n) radius (inflated by 1e-9 against rounding in the float
+        interval bounds) is enumerated to exhaustion, ``budget`` leaves at
+        most.  Norms are exact for integer rows and the f64 evaluation of
+        the reduced columns for f64 rows."""
+        rows = self.rows
+        bound2 = float(len(rows) * radius * radius / self.scale2) * (1 + 1e-9) ** 2
+        for x in _enumerate_half_ball(self.mu, self.norm2, bound2, budget):
             x0, x1, x2 = x
             norm = 0
             for r0, r1, r2 in rows:
@@ -497,59 +423,79 @@ def _sup_ball(cols):
                 if c > norm:
                     norm = c
             else:
-                yield norm, _transform_apply(u, x)
+                yield norm, _transform_apply(self.transform, x)
 
-    return min(max(abs(x) for x in c) for c in red), d[3], within
+    def minimum(self, limit, budget: int = ENUMERATION_BUDGET):
+        """The first sup-norm minimum when it is at most ``limit`` (else
+        None), as (norm, coeffs w.r.t. the basis).  Among vectors of equal
+        norm it is the sign-normalised one (last nonzero coefficient
+        positive) that is smallest in lexicographic order read from the last
+        coefficient.  Certified: every vector within min(``shortest``,
+        ``limit``) of the origin is compared."""
+        best = None
+        for norm, coeffs in self.points(min(self.shortest, limit), budget):
+            key = coeffs[::-1]
+            if key < (0, 0, 0):
+                key = tuple(-c for c in key)
+            if best is None or (norm, key) < best:
+                best = (norm, key)
+        if best is None:
+            return None
+        return best[0], best[1][::-1]
+
+    def count(self, radius, budget: int = ENUMERATION_BUDGET) -> int:
+        """#{v in L \\ 0 : ||v||_inf <= radius}; for a lattice in R^3 it
+        refuses an expected count (2 radius)^3 / det(L) above ``budget``."""
+        if (2 * Fraction(radius)) ** 6 > budget ** 2 * self.gram_det:
+            raise BudgetError("count_points: expected point count exceeds the budget")
+        return 2 * sum(1 for _ in self.points(radius, budget))
 
 
-def _ball_minimum(ball, limit, budget):
-    shortest, _, within = ball
-    best = None
-    for norm, coeffs in within(min(shortest, limit), budget):
-        key = coeffs[::-1]
-        if key < (0, 0, 0):
-            key = tuple(-c for c in key)
-        if best is None or (norm, key) < best:
-            best = (norm, key)
-    if best is None:
-        return None
-    return best[0], best[1][::-1]
+def shortest_vector(basis, budget: int = ENUMERATION_BUDGET) -> ShortVectorResult:
+    """The exact sup-norm first minimum, by complete enumeration.
+
+    ``basis`` is a ``LatticeBasis3`` (or its rows) or a ``ReducedLattice``.
+    LLL preprocessing bounds the search; every lattice vector whose sup-norm
+    could undercut the shortest reduced column lies in the Euclidean ball of
+    radius sqrt(3) times that column's sup norm, and that ball is enumerated
+    to exhaustion, so the result is certified.  If the GSO lengths span more
+    than ~1e12 in f64 (or overflow it), the basis is scaled to integers and
+    solved exactly instead (escalated flag); lambda1 is then the correctly
+    rounded exact minimum.
+    """
+    lat = ReducedLattice.of(basis)
+    norm, coeffs = lat.minimum(math.inf, budget)
+    return ShortVectorResult(vector=IntegerVec3(*coeffs), lambda1=norm / lat.den,
+                             certified=True, escalated=lat.escalated)
 
 
-def _ball_count(ball, radius: int, budget: int) -> int:
-    _, gram_det, within = ball
-    if (2 * radius) ** 6 > budget ** 2 * gram_det:  # gram_det = det(L)^2
+def count_points(basis, r, budget: int = ENUMERATION_BUDGET) -> int:
+    """#{v in L \\ 0 : ||v||_inf <= r}, by complete enumeration.
+
+    ``basis`` is a ``LatticeBasis3`` (or its rows) or a ``ReducedLattice``,
+    which serves every radius from one reduction.  Counts are exact and
+    even (the ball is symmetric); an expected count (2r)^3 / det(L) or
+    enumeration work beyond the budget raises BudgetError.  A basis too
+    ill-conditioned for f64 is counted exactly, as in ``shortest_vector``.
+    """
+    r = float(r)
+    if not r > 0:
+        raise InvalidInputError("count radius must be positive")
+    if r == math.inf:
         raise BudgetError("count_points: expected point count exceeds the budget")
-    return 2 * sum(1 for _ in within(radius, budget))
+    lat = ReducedLattice.of(basis)
+    if lat.escalated:
+        r = math.floor(Fraction(r) * lat.den)
+    return lat.count(r, budget)
 
 
 def sup_norm_minimum(cols, limit, budget: int = ENUMERATION_BUDGET):
     """The first sup-norm minimum of the lattice spanned by three independent
-    integer columns in Z^n, when it is at most ``limit`` (else None).
-
-    Returns (norm, coeffs): the exact integer norm and the coefficient vector
-    with respect to ``cols``.  Among vectors of equal norm it is the
-    sign-normalised one (last nonzero coefficient positive) that is smallest
-    in lexicographic order read from the last coefficient.  Certified: every
-    vector within min(incumbent, limit) of the origin, the incumbent being
-    the shortest reduced column, is compared in integers.  ``budget`` caps
-    the enumeration leaves.
+    integer columns in Z^n, when it is at most ``limit`` (else None), as
+    (exact integer norm, coeffs w.r.t. ``cols``): ``ReducedLattice.minimum``
+    of their exact reduction.  ``budget`` caps the enumeration leaves.
     """
-    return _ball_minimum(_sup_ball(cols), limit, budget)
-
-
-def sup_norm_points(cols, radius, budget: int):
-    """Every vector of the lattice spanned by three independent integer
-    columns in Z^n with sup norm <= ``radius``, one per +-pair, as (norm,
-    coeffs w.r.t. ``cols``); ``budget`` caps the enumeration leaves."""
-    return _sup_ball(cols)[2](radius, budget)
-
-
-def sup_norm_count(cols, radius: int, budget: int = ENUMERATION_BUDGET) -> int:
-    """#{v in L \\ 0 : ||v||_inf <= radius} for the lattice L spanned by three
-    independent integer columns in Z^3; like ``count_points`` it refuses an
-    expected count (2 radius)^3 / |det L| above ``budget``."""
-    return _ball_count(_sup_ball(cols), radius, budget)
+    return ReducedLattice.exact(cols).minimum(limit, budget)
 
 
 def in_K_delta(basis: LatticeBasis3, delta: float) -> bool:

@@ -130,6 +130,41 @@ def test_budget_error_exit_3():
     assert code == 3
 
 
+@pytest.mark.parametrize("budget", ["0", "-5", "1.5"])
+@pytest.mark.parametrize("subcommand", [
+    ["orbit", "sqrt2", "sqrt3", "--t-grid", "0", "--N", "1"],
+    ["dirichlet", "sqrt2", "sqrt3", "--t-max", "1"],
+])
+def test_budget_below_one_is_a_usage_error(subcommand, budget, capsys):
+    assert run_cli(subcommand + ["--budget", budget]) == 2
+    assert "--budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["", ",", " , "])
+def test_orbit_empty_t_grid_exit_2(grid, capsys):
+    assert run_cli(["orbit", "sqrt2", "sqrt3", "--t-grid", grid, "--N", "1"]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_out_into_missing_directory(tmp_path):
+    out = tmp_path / "missing" / "x"
+    assert run_cli(["orbit", "1/2", "1/3", "--mode", "rational", "--t-grid", "0",
+                    "--N", "1", "--out", str(out)]) == 0
+    assert read_json(str(out) + ".json")["samples"][0]["min_value"] == 1.0
+
+
+def test_out_directory_not_creatable_exit_2(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+
+    def runner(*args):
+        raise AssertionError("the run started before --out was checked")
+
+    monkeypatch.setitem(cli._RUNNERS, "orbit", runner)
+    assert run_cli(["orbit", "1/2", "1/3", "--out", str(blocker / "x")]) == 2
+    assert "--out" in capsys.readouterr().err
+
+
 def test_dirichlet_no_horizon_cap():
     # the direct check at t = 12 reaches T = e^12 0.9^(1/3) ~ 1.6e5
     assert run_cli(["dirichlet", "sqrt2", "sqrt3", "--t-max", "12"]) == 0

@@ -7,24 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latflow.errors import BudgetError, InvalidInputError
+from latflow.experiments import sample_stream
 from latflow.flow import FlowTime, LineSegmentSpec
 from latflow.lattice import (
     LatticeBasis3,
+    ReducedLattice,
     count_points,
     gram_schmidt,
     in_K_delta,
     lll_reduce,
     lll_reduce_integral,
     shortest_vector,
-    sup_norm_count,
     sup_norm_minimum,
     translate_basis,
 )
 from latflow.scalars import F64, RATIONAL, named_scalar
 
-from util import (brute_force_count, brute_force_lambda1, count_points_mp,
-                  gram_schmidt_full, lll_reduce_full, random_unimodular_columns,
-                  shortest_vector_mp)
+from util import (brute_force_count, brute_force_lambda1, count_points_f64,
+                  count_points_mp, gram_schmidt_full, lll_reduce_full,
+                  random_unimodular_columns, shortest_vector_f64, shortest_vector_mp)
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
                                 Fraction(0), Fraction(1), RATIONAL)
@@ -213,6 +214,42 @@ def test_exact_fallback_past_f64_gram_schmidt_range():
     assert count_points(basis, res.lambda1 * 1.001) >= 2
 
 
+def _sampled_translate(pair, seed, t):
+    # s is drawn as equidist draws it, uniform on [0, 1]
+    a, b = (named_scalar(x, F64) for x in pair)
+    s = sample_stream(seed, 0).random()
+    return translate_basis(LineSegmentSpec(a, b, 0.0, 1.0, F64), s, FlowTime.of(t))
+
+
+_pairs = st.sampled_from([("sqrt2", "sqrt3"), ("golden", "sqrt2"), ("liouville:3", "golden")])
+_radii = st.lists(st.floats(0.5, 2.0), min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_pairs, seed=st.integers(0, 2 ** 32 - 1), t=st.floats(0.0, 9.0), radii=_radii)
+def test_f64_translates_match_f64_oracle(pair, seed, t, radii):
+    # below a GSO range of 1e12 (e^{3t}, t < 9.2) the reduction is f64, and the
+    # shared enumeration evaluates candidates exactly as the oracle does
+    basis = _sampled_translate(pair, seed, t)
+    lat = ReducedLattice.of(basis)
+    assert not lat.escalated
+    assert shortest_vector(lat).lambda1 == shortest_vector_f64(basis)[0]
+    for r in radii:
+        assert count_points(lat, r) == count_points_f64(basis, r)
+
+
+@settings(max_examples=25, deadline=None)
+@given(pair=_pairs, seed=st.integers(0, 2 ** 32 - 1), t=st.floats(9.5, 12.0), radii=_radii)
+def test_escalated_translates_match_256bit_oracle(pair, seed, t, radii):
+    basis = _sampled_translate(pair, seed, t)
+    lat = ReducedLattice.of(basis)
+    assert lat.escalated
+    assert shortest_vector(lat).lambda1 == pytest.approx(shortest_vector_mp(basis)[0],
+                                                         rel=1e-12)
+    for r in radii:
+        assert count_points(lat, r) == count_points_mp(basis, r)
+
+
 def _random_integer_basis(rng, n, entry):
     """Three integer columns in Z^n whose first 3x3 minor is nonsingular."""
     while True:
@@ -307,14 +344,15 @@ def test_sup_norm_count_matches_box_oracle():
     for _ in range(25):
         cols = _random_integer_basis(rng, 3, 5)
         for r in (1, 3, 6):
-            assert sup_norm_count(cols, r) == len(_box_members(cols, r))
+            assert ReducedLattice.exact(cols).count(r) == len(_box_members(cols, r))
 
 
 def test_sup_norm_count_budget_guard():
     # (2 r)^3 / det = 10^6 / 1 expected points
+    lat = ReducedLattice.exact([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(BudgetError):
-        sup_norm_count([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 500, budget=10_000)
-    assert sup_norm_count([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2, budget=200) == 124
+        lat.count(500, budget=10_000)
+    assert lat.count(2, budget=200) == 124
 
 
 def test_count_points_z3():

@@ -1,9 +1,9 @@
 """Shared test oracles: brute-force lattice searches, random unimodular
 bases with controlled conditioning, the full-recompute f64 LLL, a 256-bit
-float lattice path, the q-scan
-segment minimum, the q-scan witness and E_q searches, the float p-window
-decision of I_R on a grid, the numpy Dirichlet grid and an exact I_R
-measure."""
+float lattice path and the f64 shortest vector and point count on it, the
+q-scan segment minimum, the q-scan witness and E_q searches, the float
+p-window decision of I_R on a grid, the numpy Dirichlet grid and an exact
+I_R measure."""
 
 from __future__ import annotations
 
@@ -136,11 +136,13 @@ def _mp_columns(basis):
     return cols
 
 
-def _mp_combine(cols, x):
+def _combine(cols, x):
+    # in the arithmetic of the entries; on f64 columns it rounds as
+    # cols[0][i] * x[0] + cols[1][i] * x[1] + cols[2][i] * x[2] does
     return [sum(cols[j][i] * x[j] for j in range(3)) for i in range(3)]
 
 
-def _mp_sup(v):
+def _sup(v):
     return max(abs(c) for c in v)
 
 
@@ -204,12 +206,12 @@ def shortest_vector_mp(basis):
     with mpmath.workprec(MP_BITS):
         red, u = _mp_lll(_mp_columns(basis))
         best_x = min(((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-                     key=lambda x: _mp_sup(_mp_combine(red, x)))
-        best = _mp_sup(_mp_combine(red, best_x))
+                     key=lambda x: _sup(_combine(red, x)))
+        best = _sup(_combine(red, best_x))
         for x in _mp_half_ball(red, 3 * best * best * (1 + 1e-9)):
-            if _mp_sup(_mp_combine(red, x)) < best:
-                best, best_x = _mp_sup(_mp_combine(red, x)), x
-        return float(best), tuple(int(c) for c in _mp_combine(u, best_x))
+            if _sup(_combine(red, x)) < best:
+                best, best_x = _sup(_combine(red, x)), x
+        return float(best), tuple(int(c) for c in _combine(u, best_x))
 
 
 def count_points_mp(basis, r: float) -> int:
@@ -217,7 +219,38 @@ def count_points_mp(basis, r: float) -> int:
     with mpmath.workprec(MP_BITS):
         red, _ = _mp_lll(_mp_columns(basis))
         return 2 * sum(1 for x in _mp_half_ball(red, 3 * r * r * (1 + 1e-12))
-                       if _mp_sup(_mp_combine(red, x)) <= r)
+                       if _sup(_combine(red, x)) <= r)
+
+
+def _f64_half_ball(cols, bound2):
+    """``_mp_half_ball`` of f64 columns, their Gram-Schmidt data taken at
+    ``MP_BITS`` bits from the exact column entries."""
+    with mpmath.workprec(MP_BITS):
+        return list(_mp_half_ball([[mpmath.mpf(x) for x in c] for c in cols],
+                                  mpmath.mpf(bound2)))
+
+
+def shortest_vector_f64(basis):
+    """Independent oracle for ``shortest_vector`` on the f64 path: the
+    full-recompute LLL, the shortest reduced column as the incumbent, and
+    every vector of the Euclidean ball of radius sqrt(3) incumbent compared
+    by its f64 sup norm.  Returns (lambda1, coefficients with respect to the
+    basis columns)."""
+    red, u = lll_reduce_full(basis)
+    best_x = min(((1, 0, 0), (0, 1, 0), (0, 0, 1)), key=lambda x: _sup(_combine(red, x)))
+    best = _sup(_combine(red, best_x))
+    for x in _f64_half_ball(red, 3 * best * best * (1 + 1e-9)):
+        if _sup(_combine(red, x)) < best:
+            best, best_x = _sup(_combine(red, x)), x
+    return best, tuple(_combine(u, best_x))
+
+
+def count_points_f64(basis, r: float) -> int:
+    """Independent oracle for ``count_points`` on the f64 path, as
+    ``shortest_vector_f64``."""
+    red, _ = lll_reduce_full(basis)
+    return 2 * sum(1 for x in _f64_half_ball(red, 3 * r * r * (1 + 1e-12))
+                   if _sup(_combine(red, x)) <= r)
 
 
 def log_fraction(x: Fraction) -> float:
