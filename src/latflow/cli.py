@@ -87,7 +87,7 @@ def _parse_grid(text: str) -> list[float]:
         if ":" in text:
             start_s, stop_s, step_s = text.split(":")
             start, stop, step = float(start_s), float(stop_s), float(step_s)
-            if step <= 0:
+            if not (math.isfinite(start) and math.isfinite(stop) and step > 0):
                 raise ValueError
             out = []
             k = 0
@@ -312,8 +312,6 @@ def _run_density(args, mode, config) -> exp.ExperimentReport:
 
 
 def _run_equidist(args, mode, config) -> exp.ExperimentReport:
-    if args.N < 1:
-        raise InvalidInputError("need N >= 1")
     line = _line_from(args, mode)
     ts = _parse_list(args.t_list)
     radii = tuple(_parse_list(args.radii))
@@ -356,6 +354,8 @@ def _run_equidist(args, mode, config) -> exp.ExperimentReport:
 
 
 def _run_dirichlet(args, mode, config) -> exp.ExperimentReport:
+    if not 0 < args.direct_step < math.inf:
+        raise InvalidInputError("--direct-step must be finite and positive")
     line = _line_from(args, mode)
     s = named_scalar(args.s, mode)
 

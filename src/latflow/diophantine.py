@@ -33,12 +33,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .errors import InvalidInputError, PrecisionError
 from .lattice import (ENUMERATION_BUDGET, ReducedLattice, integer_columns,
                       sup_norm_minimum)
-from .scalars import F64_MAX_DENOM, IntegerVec3, exact_ratio
+from .scalars import F64_MAX_DENOM, IntegerVec3, exact_ratio, mp_context
 
 
 def _nearest_from_residue(q: int, num: int, den: int, r: int) -> tuple[int, Fraction]:
@@ -199,10 +197,10 @@ def _pow_bound_check(r: Fraction, q: int, two_plus_eps: Fraction) -> bool:
     rhs = -float(two_plus_eps) * math.log(q)
     if abs(lhs - rhs) > 1e-9 * (abs(rhs) + 1):
         return lhs <= rhs
-    with mpmath.workprec(300):
-        lhs_m = mpmath.log(r.numerator) - mpmath.log(r.denominator)
-        rhs_m = -mpmath.mpf(two_plus_eps.numerator) / two_plus_eps.denominator * mpmath.log(q)
-        return lhs_m <= rhs_m
+    ctx = mp_context(300)
+    lhs_m = ctx.log(r.numerator) - ctx.log(r.denominator)
+    rhs_m = -ctx.mpf(two_plus_eps.numerator) / two_plus_eps.denominator * ctx.log(q)
+    return lhs_m <= rhs_m
 
 
 def w2eps_witness_search(a, b, eps, q_max: int) -> list[DiophantineWitness]:

@@ -158,8 +158,8 @@ def segment_minimum(line: LineSegmentSpec, t: FlowTime, R_cap: float,
     enumeration nodes.  The value is ``segment_sup`` of the minimizer: exact
     in rational mode with an exact e^t, in the line's scalars otherwise.
     """
-    if R_cap < 1:
-        raise InvalidInputError("R_cap must be >= 1")
+    if not 1 <= R_cap < math.inf:
+        raise InvalidInputError("R_cap must be finite and >= 1")
     e2, em, a, b, s1, s2 = (
         Fraction(*exact_ratio(x))
         for x in (t.factor(2, line.mode), t.factor(-1, line.mode),
@@ -213,6 +213,8 @@ def probe_times(delta: float, t_max: float, dt: float = 0.05) -> list[float]:
         raise InvalidInputError("delta must satisfy 0 < delta < 1")
     if not 0 < dt <= 0.05 + 1e-12:
         raise InvalidInputError("probe grid step must be in (0, 0.05]")
+    if not 0 <= t_max < math.inf:
+        raise InvalidInputError("probe horizon must be finite and >= 0")
     return [i * dt for i in range(int(math.floor(t_max / dt + 1e-9)) + 1)]
 
 

@@ -12,7 +12,8 @@ Applying g_t . phi(s) to an integer vector (p1, p2, q) gives coordinates
 
 so every coordinate is affine in s and suprema over the segment are exact
 maxima over the two endpoints.  Flow times can carry an exact value of e^t
-(a Fraction) so that rational-mode runs stay error-free out to t ~ ln 10^24.
+(a Fraction), which keeps the rational-mode segment actions and minima exact
+out to t ~ ln 10^24; translate bases keep only the float t.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 from .errors import InvalidInputError
 from .scalars import (
@@ -69,8 +68,8 @@ class FlowTime:
     """A flow time t, optionally with the exact value of e^t attached.
 
     ``exp_t`` set to a Fraction u means t = ln(u) exactly; the powers
-    e^{kt} = u^k are then exact rationals and rational-mode runs stay
-    error-free.  Without it, exponentials are evaluated in floats.
+    e^{kt} = u^k are then exact rationals (``translate_basis`` reads only
+    the float t).  Without it, exponentials are evaluated in floats.
     """
 
     t: float
@@ -97,8 +96,7 @@ class FlowTime:
         if self.exp_t is not None:
             return mode.from_fraction(self.exp_t ** k)
         if mode.kind == "bigfloat":
-            with mode.workprec():
-                return mpmath.exp(mpmath.mpf(self.t) * k)
+            return mode.ctx.exp(mode.ctx.mpf(self.t) * k)
         return exp_f64(k * self.t)
 
     def log_entries(self) -> tuple[float, float, float]:
@@ -110,9 +108,7 @@ def phi(line: LineSegmentSpec, s) -> Matrix3:
     """The unipotent segment element phi(s); upper triangular, det = 1."""
     one = line.mode.from_int(1)
     zero = line.mode.from_int(0)
-    with line.mode.workprec():
-        top = (one, s, line.a * s + line.b)
-    return (top, (zero, one, zero), (zero, zero, one))
+    return ((one, s, line.a * s + line.b), (zero, one, zero), (zero, zero, one))
 
 
 def g(t: FlowTime, mode: ScalarMode = F64) -> Matrix3:
@@ -154,14 +150,12 @@ class SegmentOrbitPoint:
 
     def first_coord(self, s=None):
         s = self.s if s is None else s
-        with self.mode.workprec():
-            return self.t.factor(2, self.mode) * (self.c0 + self.c1 * s)
+        return self.t.factor(2, self.mode) * (self.c0 + self.c1 * s)
 
     def coords(self, s=None) -> Vec3:
         s = self.s if s is None else s
-        with self.mode.workprec():
-            em = self.t.factor(-1, self.mode)
-            return (self.first_coord(s), em * self.p2, em * self.q)
+        em = self.t.factor(-1, self.mode)
+        return (self.first_coord(s), em * self.p2, em * self.q)
 
     def sup_norm_over(self, s1, s2):
         """sup-norm supremum over s in [s1, s2]; exact endpoint maximum."""
@@ -177,10 +171,8 @@ def _require_nonzero(v: IntegerVec3):
 def flow_standard(line: LineSegmentSpec, s, t: FlowTime, v: IntegerVec3) -> SegmentOrbitPoint:
     """g_t phi(s) applied to (p1, p2, q) in the standard representation."""
     _require_nonzero(v)
-    with line.mode.workprec():
-        c0 = line.b * v.q + v.p1
-        c1 = line.a * v.q + v.p2
-    return SegmentOrbitPoint(c0=c0, c1=c1, p2=v.p2, q=v.q, t=t, mode=line.mode, s=s)
+    return SegmentOrbitPoint(c0=line.b * v.q + v.p1, c1=line.a * v.q + v.p2,
+                             p2=v.p2, q=v.q, t=t, mode=line.mode, s=s)
 
 
 def flow_ext2(line: LineSegmentSpec, s, t: FlowTime, w: IntegerVec3) -> Vec3:
@@ -192,12 +184,11 @@ def flow_ext2(line: LineSegmentSpec, s, t: FlowTime, w: IntegerVec3) -> Vec3:
     """
     _require_nonzero(w)
     p, q, r = w.p1, w.p2, w.q
-    with line.mode.workprec():
-        et = t.factor(1, line.mode)
-        em2 = t.factor(-2, line.mode)
-        first = et * (-(line.a * s + line.b) * q + p)
-        third = et * (s * q + r)
-        return (first, em2 * q, third)
+    et = t.factor(1, line.mode)
+    em2 = t.factor(-2, line.mode)
+    first = et * (-(line.a * s + line.b) * q + p)
+    third = et * (s * q + r)
+    return (first, em2 * q, third)
 
 
 def segment_sup(line: LineSegmentSpec, t: FlowTime, v: IntegerVec3,
@@ -227,15 +218,12 @@ def ext2_constant(line: LineSegmentSpec):
     square is bounded below by C_I * e^t.
     """
     s1, s2 = line.endpoints()
-    with line.mode.workprec():
-        length = s2 - s1
-        one = line.mode.from_int(1)
-        two = line.mode.from_int(2)
-        terms = [length / two, one]
-        denom = abs(s1) + abs(s2)
-        if denom > 0:
-            terms.append(length / denom)
-        return min(terms)
+    length = s2 - s1
+    terms = [length / line.mode.from_int(2), line.mode.from_int(1)]
+    denom = abs(s1) + abs(s2)
+    if denom > 0:
+        terms.append(length / denom)
+    return min(terms)
 
 
 @dataclass(frozen=True)
@@ -266,22 +254,20 @@ def vandermonde_check(w, t: FlowTime, line: LineSegmentSpec) -> VandermondeCheck
     if all(c == 0 for c in coeffs):
         raise InvalidInputError("all-zero coefficient vector")
     s1, s2 = line.endpoints()
-    with line.mode.workprec():
-        emt = t.factor(m, line.mode)
-        grid_max = None
-        for j in range(m + 1):
-            frac = Fraction(j, m)
-            tau = s1 + line.mode.from_fraction(frac) * (s2 - s1)
-            acc = coeffs[0]
-            power = line.mode.from_int(1)
-            for k in range(1, m + 1):
-                power = power * tau
-                acc = acc + coeffs[k] * power
-            val = abs(acc)
-            if grid_max is None or val > grid_max:
-                grid_max = val
-        lhs = grid_max * emt
-        c_i = (line.mode.from_int(1) + max(abs(s1), abs(s2))) / (s2 - s1)
-        w_norm = max(abs(c) for c in coeffs)
-        rhs = emt * w_norm / ((c_i * m) ** m)
-        return VandermondeCheck(lhs=lhs, rhs=rhs, passed=lhs >= rhs)
+    emt = t.factor(m, line.mode)
+    grid_max = None
+    for j in range(m + 1):
+        tau = s1 + line.mode.from_fraction(Fraction(j, m)) * (s2 - s1)
+        acc = coeffs[0]
+        power = line.mode.from_int(1)
+        for k in range(1, m + 1):
+            power = power * tau
+            acc = acc + coeffs[k] * power
+        val = abs(acc)
+        if grid_max is None or val > grid_max:
+            grid_max = val
+    lhs = grid_max * emt
+    c_i = (line.mode.from_int(1) + max(abs(s1), abs(s2))) / (s2 - s1)
+    w_norm = max(abs(c) for c in coeffs)
+    rhs = emt * w_norm / ((c_i * m) ** m)
+    return VandermondeCheck(lhs=lhs, rhs=rhs, passed=lhs >= rhs)

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError, InvalidInputError, PrecisionError, ReductionError
+from .flow import phi
 from .scalars import IntegerVec3, Matrix3, exact_ratio, exp_f64
 
 LLL_DELTA = 0.99
@@ -508,11 +509,4 @@ def in_K_delta(basis: LatticeBasis3, delta: float) -> bool:
 def translate_basis(line, s, t) -> LatticeBasis3:
     """Basis of g_t phi(s) Z^3: the unipotent part is stored verbatim and the
     diagonal flow goes into the log-scale slot."""
-    one = line.mode.from_int(1)
-    zero = line.mode.from_int(0)
-    rows = (
-        (one, s, line.a * s + line.b),
-        (zero, one, zero),
-        (zero, zero, one),
-    )
-    return LatticeBasis3(rows, float(t.t))
+    return LatticeBasis3(phi(line, s), float(t.t))

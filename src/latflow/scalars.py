@@ -9,6 +9,11 @@ Three scalar modes are supported and threaded through the whole package:
                     rational and truncated-Liouville inputs where residuals
                     reach 10**-24 and below.
 
+A bigfloat scalar carries its precision: the mode makes it in a B-bit
+``mpmath.MPContext`` (``mp_context``), and mpmath rounds each operation on
+it at that context's precision, whatever ``mpmath.mp.prec`` is, so code
+written once for all modes needs no precision block.
+
 Vectors and matrices are plain tuples of whatever numbers the mode
 produces; the arithmetic helpers are mode-agnostic.  Everything here is an
 immutable value, safe to share between threads.
@@ -17,9 +22,9 @@ immutable value, safe to share between threads.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import mpmath
 
@@ -29,6 +34,14 @@ Vec3 = tuple  # 3 scalars
 Matrix3 = tuple  # 3 row tuples of 3 scalars
 
 F64_MAX_DENOM = 1 << 20  # |q| beyond this loses residual bits in f64
+
+
+@cache
+def mp_context(bits: int) -> mpmath.MPContext:
+    """The mpmath context that rounds at ``bits`` bits, made once per size."""
+    ctx = mpmath.MPContext()
+    ctx.prec = bits
+    return ctx
 
 
 @dataclass(frozen=True)
@@ -48,26 +61,18 @@ class ScalarMode:
     def is_exact(self) -> bool:
         return self.kind == "rational"
 
-    def workprec(self):
-        """Context manager pinning mpmath precision; no-op outside bigfloat.
-
-        Every arithmetic block on bigfloat scalars must run inside this
-        context: mpmath applies the *global* precision at operation time,
-        and letting it fall back to the 53-bit default would silently
-        downgrade the mode.
-        """
-        if self.kind == "bigfloat":
-            return mpmath.workprec(self.bits)
-        return nullcontext()
+    @property
+    def ctx(self) -> mpmath.MPContext:
+        """The B-bit mpmath context of a bigfloat mode's scalars."""
+        return mp_context(self.bits)
 
     def from_fraction(self, fr: Fraction):
         if self.kind == "rational":
             return fr
         if self.kind == "f64":
             return float(fr)
-        with self.workprec():
-            # division is correctly rounded at the working precision
-            return mpmath.mpf(fr.numerator) / mpmath.mpf(fr.denominator)
+        # division is correctly rounded at the mode's precision
+        return self.ctx.mpf(fr.numerator) / self.ctx.mpf(fr.denominator)
 
     def from_int(self, n: int):
         return self.from_fraction(Fraction(n))
@@ -81,8 +86,7 @@ class ScalarMode:
             raise ParseError(f"sqrt({n}) is irrational; not representable in rational mode")
         if self.kind == "f64":
             return math.sqrt(n)
-        with self.workprec():
-            return mpmath.sqrt(n)
+        return self.ctx.sqrt(n)
 
     def spec(self) -> str:
         """The --mode string that reproduces this mode."""
@@ -155,8 +159,7 @@ def named_scalar(text: str, mode: ScalarMode):
     if name == "golden":
         if mode.kind == "rational":
             raise ParseError("golden ratio is irrational; not representable in rational mode")
-        with mode.workprec():
-            return (1 + mode.sqrt(5)) / 2
+        return (1 + mode.sqrt(5)) / 2
     if name.startswith("liouville:"):
         try:
             k = int(name.split(":", 1)[1])
@@ -169,9 +172,9 @@ def named_scalar(text: str, mode: ScalarMode):
 def exact_ratio(x) -> tuple[int, int]:
     """(numerator, denominator) of the *stored* value of x, exactly.
 
-    Works for int, Fraction, float and mpmath.mpf: binary floats are
-    themselves rationals, so witness searches can always run over exact
-    integers regardless of mode.
+    Works for int, Fraction, float and an mpmath mpf of any context: binary
+    floats are themselves rationals, so witness searches can always run over
+    exact integers regardless of mode.
     """
     if isinstance(x, int):
         return x, 1
@@ -180,8 +183,9 @@ def exact_ratio(x) -> tuple[int, int]:
     if isinstance(x, float):
         n, d = x.as_integer_ratio()
         return n, d
-    if isinstance(x, mpmath.mpf):
-        n, d = mpmath.libmp.to_rational(x._mpf_)
+    mpf = getattr(x, "_mpf_", None)  # a context's mpf is no mpmath.mpf
+    if mpf is not None:
+        n, d = mpmath.libmp.to_rational(mpf)
         return int(n), int(d)
     raise ParseError(f"unsupported scalar type {type(x).__name__}")
 

@@ -1,12 +1,15 @@
 import csv
 import json
 import math
+from fractions import Fraction
 
 import jsonschema
 import pytest
 
 from latflow import cli
+from latflow import diophantine as dio
 from latflow import experiments as exp
+from latflow.scalars import bigfloat, exact_ratio, named_scalar
 
 
 def run_cli(args):
@@ -146,6 +149,21 @@ def test_orbit_empty_t_grid_exit_2(grid, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["orbit", "sqrt2", "sqrt3", "--t-grid", "0", "--N", "1", "--R-cap", "inf"],
+    ["orbit", "sqrt2", "sqrt3", "--t-grid", "0", "--N", "1", "--R-cap", "nan"],
+    ["orbit", "sqrt2", "sqrt3", "--t-grid", "0:inf:1", "--N", "1"],
+    ["orbit", "sqrt2", "sqrt3", "--t-grid=-inf:0:1", "--N", "1"],
+    ["dirichlet", "sqrt2", "sqrt3", "--t-max=-1"],
+    ["dirichlet", "sqrt2", "sqrt3", "--t-max", "inf"],
+    ["dirichlet", "sqrt2", "sqrt3", "--t-max", "nan"],
+    ["dirichlet", "sqrt2", "sqrt3", "--direct-step", "0"],
+    ["dirichlet", "sqrt2", "sqrt3", "--direct-step", "nan"],
+])
+def test_non_finite_or_negative_horizon_exit_2(args):
+    assert run_cli(args) == 2
+
+
 def test_out_into_missing_directory(tmp_path):
     out = tmp_path / "missing" / "x"
     assert run_cli(["orbit", "1/2", "1/3", "--mode", "rational", "--t-grid", "0",
@@ -168,6 +186,21 @@ def test_out_directory_not_creatable_exit_2(tmp_path, monkeypatch, capsys):
 def test_dirichlet_no_horizon_cap():
     # the direct check at t = 12 reaches T = e^12 0.9^(1/3) ~ 1.6e5
     assert run_cli(["dirichlet", "sqrt2", "sqrt3", "--t-max", "12"]) == 0
+
+
+def test_dirichlet_bigfloat_direct_check_at_full_precision(tmp_path):
+    # at s = 0.555259 a 53-bit x2 = a s + b flips the t = 12 verdict
+    out = tmp_path / "dir"
+    assert run_cli(["dirichlet", "sqrt2", "sqrt3", "--mode", "bigfloat:256",
+                    "--s", "0.555259", "--delta", "0.6", "--t-max", "12",
+                    "--out", str(out), "--format", "json"]) == 0
+    mode = bigfloat(256)
+    a, b, s = (named_scalar(x, mode) for x in ("sqrt2", "sqrt3", "0.555259"))
+    a, b, s = (Fraction(*exact_ratio(x)) for x in (a, b, s))
+    x2 = mode.from_fraction(a * s + b)
+    samples = read_json(str(out) + ".json")["samples"]
+    want = dio.dirichlet_direct(mode.from_fraction(s), x2, 0.6, [r["T"] for r in samples])
+    assert [r["direct_solvable"] for r in samples] == [v.solvable for v in want]
 
 
 def test_dirichlet_budget_refused_before_probe(monkeypatch):

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from latflow.errors import InvalidInputError, PrecisionError
@@ -17,7 +18,9 @@ from latflow.flow import (
     unipotent_factor,
     vandermonde_check,
 )
-from latflow.scalars import F64, RATIONAL, IntegerVec3, mat_det, mat_mul, mat_vec
+from latflow.lattice import translate_basis
+from latflow.scalars import (F64, RATIONAL, IntegerVec3, bigfloat, mat_det, mat_mul,
+                             mat_vec, named_scalar)
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
                                 Fraction(0), Fraction(1), RATIONAL)
@@ -116,10 +119,9 @@ def test_flow_standard_matches_matrix_path_bigfloat():
         s = mode.from_fraction(Fraction(rng.randint(0, 100), 100))
         v = IntegerVec3(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9))
         pt = flow_standard(line, s, t, v)
-        with mode.workprec():
-            direct = mat_vec(mat_mul(g(t, mode), phi(line, s)), tuple(v))
-            errs = [abs(float(got - want)) <= 1e-30 * max(1.0, abs(float(want)))
-                    for got, want in zip(pt.coords(), direct)]
+        direct = mat_vec(mat_mul(g(t, mode), phi(line, s)), tuple(v))
+        errs = [abs(float(got - want)) <= 1e-30 * max(1.0, abs(float(want)))
+                for got, want in zip(pt.coords(), direct)]
         assert all(errs)
 
 
@@ -294,3 +296,26 @@ def test_vandermonde_rejects_bad_input():
         vandermonde_check([0, 0, 0], FlowTime.of(0.0), line)
     with pytest.raises(InvalidInputError):
         vandermonde_check([5], FlowTime.of(0.0), line)
+
+
+def _bigfloat_results():
+    mode = bigfloat(256)
+    line = LineSegmentSpec.from_strings("sqrt2", "sqrt3", "-5", "5", mode)
+    s = mode.from_fraction(Fraction(7, 3))
+    t = FlowTime.of(9.5)
+    named = [named_scalar(x, mode) for x in ("sqrt2", "sqrt3", "golden", "liouville:4", "0.3")]
+    matrix = [x for row in translate_basis(line, s, t).matrix for x in row]
+    sups = [segment_sup(line, t, IntegerVec3(3, -2, 5), rep) for rep in ("standard", "ext2")]
+    return [x._mpf_ for x in named + matrix + sups]
+
+
+@pytest.mark.parametrize("global_bits", [20, 400])
+def test_bigfloat_results_ignore_global_mpmath_precision(global_bits):
+    # a bigfloat scalar rounds at its mode's precision, whatever mpmath.mp.prec is
+    before = mpmath.mp.prec
+    with mpmath.workprec(53):
+        want = _bigfloat_results()
+    with mpmath.workprec(global_bits):
+        got = _bigfloat_results()
+    assert mpmath.mp.prec == before
+    assert got == want

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from latflow.errors import BudgetError, InvalidInputError
 from latflow.experiments import sample_stream
-from latflow.flow import FlowTime, LineSegmentSpec
+from latflow.flow import FlowTime, LineSegmentSpec, phi
 from latflow.lattice import (
     LatticeBasis3,
     ReducedLattice,
@@ -21,7 +21,7 @@ from latflow.lattice import (
     sup_norm_minimum,
     translate_basis,
 )
-from latflow.scalars import F64, RATIONAL, named_scalar
+from latflow.scalars import F64, RATIONAL, bigfloat, named_scalar
 
 from util import (brute_force_count, brute_force_lambda1, count_points_f64,
                   count_points_mp, gram_schmidt_full, lll_reduce_full,
@@ -248,6 +248,19 @@ def test_escalated_translates_match_256bit_oracle(pair, seed, t, radii):
                                                          rel=1e-12)
     for r in radii:
         assert count_points(lat, r) == count_points_mp(basis, r)
+
+
+@settings(max_examples=25, deadline=None)
+@given(pair=_pairs, seed=st.integers(0, 2 ** 32 - 1), t=st.floats(9.5, 12.0))
+def test_bigfloat_translates_match_256bit_phi_oracle(pair, seed, t):
+    # every entry of a bigfloat translate is taken at the mode's 256 bits;
+    # e^{3t} amplifies a 53-bit a s + b past rel 1e-4 at t = 9.5
+    mode = bigfloat(256)
+    line = LineSegmentSpec.from_strings(*pair, "-5", "5", mode)
+    s = mode.from_fraction(Fraction(-5 + 10 * sample_stream(seed, 0).random()))
+    oracle = shortest_vector_mp(LatticeBasis3(phi(line, s), t))[0]
+    assert shortest_vector(translate_basis(line, s, FlowTime.of(t))).lambda1 == \
+        pytest.approx(oracle, rel=1e-12)
 
 
 def _random_integer_basis(rng, n, entry):
