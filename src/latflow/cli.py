@@ -1,12 +1,13 @@
 """Command-line front end: classification, orbit, density, equidistribution
 and Dirichlet-improvability runs with reproducible configs and report files.
 
-Every run embeds its fully-resolved config in the report, so outputs are
-self-describing; JSON is the authoritative format (validated against
-REPORT_SCHEMA before writing) and CSV carries flat plot-ready rows.
+Each subcommand's runner returns its samples, summary and flags; ``run``
+adds the fully-resolved config, so every report is self-describing.  JSON is
+the authoritative format, shaped as REPORT_SCHEMA publishes, and CSV carries
+flat plot-ready rows.
 
-Exit codes: 0 success, 2 usage/parse errors, 3 budget errors, 4 precision
-failures.
+Exit codes: 0 success, 2 usage, parse or invalid-input errors, 3 budget
+errors, 4 precision failures.
 
 Built-in named constants accepted wherever a number is expected:
 sqrt2, sqrt3, golden, liouville:k (the partial sum of 10^-j! up to j = k).
@@ -21,8 +22,6 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-import jsonschema
 
 from . import diophantine as dio
 from . import experiments as exp
@@ -48,12 +47,10 @@ REPORT_SCHEMA = {
     },
     "additionalProperties": False,
 }
-# built once: jsonschema.validate checks the schema itself on every call
-_REPORT_VALIDATOR = jsonschema.Draft202012Validator(REPORT_SCHEMA)
 
 
 def report_schema() -> dict:
-    """The published JSON schema that every report validates against."""
+    """The published JSON schema that every report conforms to."""
     return json.loads(json.dumps(REPORT_SCHEMA))
 
 
@@ -199,7 +196,7 @@ def _witness_row(w: dio.DiophantineWitness) -> dict:
     }
 
 
-def _run_classify(args, mode, config) -> exp.ExperimentReport:
+def _run_classify(args, mode) -> tuple[list, dict, list]:
     a = named_scalar(args.a, mode)
     b = named_scalar(args.b, mode)
     q_max = args.q_max
@@ -235,9 +232,6 @@ def _run_classify(args, mode, config) -> exp.ExperimentReport:
     flags = []
     if cert is not None:
         flags.append("rational-certificate")
-    report = exp.ExperimentReport(config=config, samples=samples,
-                                  summary=summary, flags=flags)
-
     print(f"classify a={args.a} b={args.b} mode={mode.spec()} q_max={q_max}")
     if cert:
         print(f"  Q^2 certificate (p1, p2, q) = {cert.as_tuple()}")
@@ -249,10 +243,10 @@ def _run_classify(args, mode, config) -> exp.ExperimentReport:
         status = f"minimal q = {row['min_witness_q']}" if row["found"] else "none found"
         print(f"  W2inf C={row['C']:g}: {status}")
     print(f"  [{caveat}]")
-    return report
+    return samples, summary, flags
 
 
-def _run_orbit(args, mode, config) -> exp.ExperimentReport:
+def _run_orbit(args, mode) -> tuple[list, dict, list]:
     line = _line_from(args, mode)
     ts = _parse_grid(args.t_grid)
     budget = exp.ENUMERATION_BUDGET if args.budget is None else args.budget
@@ -276,11 +270,10 @@ def _run_orbit(args, mode, config) -> exp.ExperimentReport:
         "min_values": [s["min_value"] for s in samples],
         "escape_fractions": [s["escape_fraction"] for s in samples],
     }
-    return exp.ExperimentReport(config=config, samples=samples, summary=summary,
-                                flags=[])
+    return samples, summary, []
 
 
-def _run_density(args, mode, config) -> exp.ExperimentReport:
+def _run_density(args, mode) -> tuple[list, dict, list]:
     line = _line_from(args, mode)
     R = named_scalar(args.R, mode)
     T = float(named_scalar(args.T, mode))
@@ -307,14 +300,19 @@ def _run_density(args, mode, config) -> exp.ExperimentReport:
     print(f"density R={profile.R:g} T={profile.T:.4f} q_max={profile.q_max}: "
           f"union={profile.union_density:.4f} direct={profile.direct_density:.4f} "
           f"flags={flags}")
-    return exp.ExperimentReport(config=config, samples=samples, summary=summary,
-                                flags=flags)
+    return samples, summary, flags
 
 
-def _run_equidist(args, mode, config) -> exp.ExperimentReport:
+def _run_equidist(args, mode) -> tuple[list, dict, list]:
     line = _line_from(args, mode)
     ts = _parse_list(args.t_list)
     radii = tuple(_parse_list(args.radii))
+    # report keys and CSV columns name each value by its :g label
+    for option, values in (("--t-list", ts), ("--radii", radii)):
+        labels = [f"{v:g}" for v in values]
+        if len(set(labels)) < len(labels):
+            raise InvalidInputError(f"{option} values must differ in 6 significant "
+                                    f"digits: {', '.join(labels)}")
     per_t = {}
     samples = []
     for t in ts:
@@ -325,10 +323,15 @@ def _run_equidist(args, mode, config) -> exp.ExperimentReport:
     for t1, t2 in zip(ts, ts[1:]):
         ks[f"{t1:g}->{t2:g}"] = exp.ks_distance(
             [s.lambda1 for s in per_t[t1]], [s.lambda1 for s in per_t[t2]])
-    mean_counts = {
-        f"t={t:g},r={r:g}": float(sum(s.point_counts[r] for s in per_t[t]) / args.N)
-        for t in ts for r in radii
-    }
+    mean_counts = {}
+    flags = []
+    for t in ts:
+        for r in radii:
+            key = f"t={t:g},r={r:g}"
+            mean_counts[key] = float(sum(s.point_counts[r] for s in per_t[t]) / args.N)
+            target = (2 * r) ** 3
+            if abs(mean_counts[key] - target) > 0.15 * target:
+                flags.append(f"siegel-band-miss:{key}")
     escape = {f"t={t:g}": sum(1 for s in per_t[t] if s.lambda1 < args.delta) / args.N
               for t in ts}
     summary = {
@@ -341,19 +344,13 @@ def _run_equidist(args, mode, config) -> exp.ExperimentReport:
         "escape_fractions": escape,
         "low_escape_candidate_times": [t for t in ts if escape[f"t={t:g}"] <= 0.02],
     }
-    flags = []
-    for key, r in [(k, float(k.split("r=")[1])) for k in mean_counts]:
-        target = (2 * r) ** 3
-        if abs(mean_counts[key] - target) > 0.15 * target:
-            flags.append(f"siegel-band-miss:{key}")
     print(f"equidist: ks={ks} escape={escape}")
     for k, v in mean_counts.items():
         print(f"  mean count {k}: {v:.3f}")
-    return exp.ExperimentReport(config=config, samples=samples, summary=summary,
-                                flags=flags)
+    return samples, summary, flags
 
 
-def _run_dirichlet(args, mode, config) -> exp.ExperimentReport:
+def _run_dirichlet(args, mode) -> tuple[list, dict, list]:
     if not 0 < args.direct_step < math.inf:
         raise InvalidInputError("--direct-step must be finite and positive")
     line = _line_from(args, mode)
@@ -407,8 +404,7 @@ def _run_dirichlet(args, mode, config) -> exp.ExperimentReport:
     }
     print(f"dirichlet s={args.s} delta={args.delta:g}: {verdict_text}; "
           f"agreement={summary['agreement']}")
-    return exp.ExperimentReport(config=config, samples=samples, summary=summary,
-                                flags=[])
+    return samples, summary, []
 
 
 _RUNNERS = {
@@ -430,11 +426,10 @@ _CSV_COLUMNS = {
 }
 
 
-def _write_outputs(report: exp.ExperimentReport, args):
-    doc = _jsonable(report.as_dict())
-    _REPORT_VALIDATOR.validate(doc)
+def _write_outputs(report: dict, args):
     if args.out is None:
         return
+    doc = _jsonable(report)
     fmt = args.format
     if fmt in ("json", "both"):
         with open(args.out + ".json", "w", encoding="utf-8", newline="\n") as f:
@@ -463,8 +458,9 @@ def run(argv=None) -> int:
             Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         except OSError as e:
             raise InvalidInputError(f"cannot create the directory of --out: {e}") from e
-    report = _RUNNERS[args.subcommand](args, mode, config)
-    _write_outputs(report, args)
+    samples, summary, flags = _RUNNERS[args.subcommand](args, mode)
+    _write_outputs({"schema_version": 1, "config": config, "samples": samples,
+                    "summary": summary, "flags": flags}, args)
     return 0
 
 

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: ParseError -> 2, BudgetError -> 3,
-PrecisionError -> 4.
+Exit-code mapping used by the CLI: ParseError -> 2, InvalidInputError -> 2,
+BudgetError -> 3, PrecisionError -> 4.
 """
 
 

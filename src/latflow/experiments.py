@@ -15,7 +15,7 @@ from its config echo.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -40,9 +40,10 @@ def sample_stream(seed: int, index: int) -> Generator:
 
 @dataclass(frozen=True)
 class TranslateSample:
-    """One draw of the translated measure: the point g_t phi(s) Z^3."""
+    """One draw of the translated measure: the point g_t phi(s) Z^3, with s
+    a scalar in the line's mode."""
 
-    s: float
+    s: object
     t: float
     lambda1: float
     point_counts: dict
@@ -50,7 +51,7 @@ class TranslateSample:
     escalated: bool = False
 
     def as_row(self) -> dict:
-        row = {"s": self.s, "t": self.t, "lambda1": self.lambda1,
+        row = {"s": float(self.s), "t": self.t, "lambda1": self.lambda1,
                "certified": self.certified, "escalated": self.escalated}
         for r, c in sorted(self.point_counts.items()):
             row[f"count_r{r:g}"] = c
@@ -63,20 +64,21 @@ def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
     minimum and the nonzero-point counts at the requested radii, all from
     one ``ReducedLattice`` of the sample's basis.
 
+    s = s1 + u (s2 - s1) is taken in the line's arithmetic, with u the
+    sample's f64 uniform (an exact dyadic), so s lies in I in every mode.
+
     A result computed off the f64 lattice path is marked ``escalated`` on
     the sample.
     """
     if N < 1:
         raise InvalidInputError("need N >= 1 samples")
-    s1 = float(line.s1)
-    s2 = float(line.s2)
+    s1, width = line.s1, line.s2 - line.s1
     radii = tuple(float(r) for r in radii)
 
     def one(i: int) -> TranslateSample:
-        u = sample_stream(seed, i).random()
-        s = s1 + u * (s2 - s1)
-        lat = ReducedLattice.of(
-            translate_basis(line, line.mode.from_fraction(Fraction(s)), t))
+        u = line.mode.from_fraction(Fraction(sample_stream(seed, i).random()))
+        s = s1 + u * width
+        lat = ReducedLattice.of(translate_basis(line, s, t))
         res = shortest_vector(lat)
         counts = {r: count_points(lat, r) for r in radii}
         return TranslateSample(s=s, t=float(t.t), lambda1=res.lambda1,
@@ -252,25 +254,3 @@ def ks_distance(sample_a, sample_b) -> float:
     ca = np.searchsorted(a, pooled, side="right") * (lcm // a.size)
     cb = np.searchsorted(b, pooled, side="right") * (lcm // b.size)
     return int(np.max(np.abs(ca - cb))) / lcm
-
-
-# -- report container --------------------------------------------------------
-
-@dataclass
-class ExperimentReport:
-    """Self-describing result bundle: the config that produced it is embedded
-    verbatim, so rerunning the echo reproduces the report bit for bit."""
-
-    config: dict
-    samples: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-    flags: list = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "config": self.config,
-            "samples": self.samples,
-            "summary": self.summary,
-            "flags": self.flags,
-        }

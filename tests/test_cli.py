@@ -1,7 +1,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -27,7 +31,6 @@ def test_classify_rational_certificate(tmp_path):
                     "--q-max", "100", "--out", str(out)])
     assert code == 0
     doc = read_json(str(out) + ".json")
-    jsonschema.validate(doc, cli.REPORT_SCHEMA)
     assert doc["summary"]["rational_certificate"] == [2, 3, 6]
     assert "rational-certificate" in doc["flags"]
     # config echo is embedded verbatim
@@ -122,7 +125,6 @@ def test_dirichlet_rational_candidate_improvable(tmp_path):
     assert code == 0
     doc = read_json(str(out) + ".json")
     assert doc["summary"]["verdict"].startswith("candidate improvable")
-    jsonschema.validate(doc, cli.REPORT_SCHEMA)
 
 
 def test_budget_error_exit_3():
@@ -244,6 +246,13 @@ def test_density_interval_past_f64_range_exit_4(capsys):
     assert "R1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--radii=1.0000001,1.0000002", "--t-list=5,5.0000001"])
+def test_equidist_colliding_labels_exit_2(flag, capsys):
+    # both values would write one count_r1 column and one mean_counts key
+    assert run_cli(["equidist", "sqrt2", "sqrt3", "--N", "2", flag]) == 2
+    assert "6 significant digits" in capsys.readouterr().err
+
+
 def test_equidist_report_round_trip(tmp_path):
     out1 = tmp_path / "eq1"
     out2 = tmp_path / "eq2"
@@ -277,3 +286,27 @@ def test_schema_export_is_json_roundtrippable():
 
 def test_report_schema_is_a_valid_draft_2020_12_schema():
     jsonschema.Draft202012Validator.check_schema(cli.REPORT_SCHEMA)
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "1/2", "1/3", "--mode", "rational", "--q-max", "100"],
+    ["orbit", "sqrt2", "sqrt3", "--t-grid", "0:2:1", "--N", "5"],
+    ["density", "1/2", "1/3", "--mode", "rational", "--T", "5", "--q-max", "100"],
+    ["equidist", "sqrt2", "sqrt3", "--t-list", "2,3", "--N", "10", "--radii", "1,1.5"],
+    ["dirichlet", "sqrt2", "sqrt3", "--t-max", "2"],
+])
+def test_every_report_matches_report_schema(args, tmp_path):
+    out = tmp_path / "r"
+    assert run_cli(args + ["--out", str(out), "--format", "json"]) == 0
+    doc = read_json(str(out) + ".json")
+    jsonschema.Draft202012Validator(cli.REPORT_SCHEMA).validate(doc)
+    assert doc["config"]["subcommand"] == args[0]
+
+
+def test_cli_import_leaves_jsonschema_out():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, latflow.cli; sys.exit(int('jsonschema' in sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr

@@ -11,7 +11,8 @@ from latflow import experiments as exp
 from latflow import lattice
 from latflow.errors import BudgetError, InvalidInputError, PrecisionError
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
-from latflow.scalars import F64, RATIONAL, IntegerVec3, liouville_partial, named_scalar
+from latflow.scalars import (F64, RATIONAL, IntegerVec3, bigfloat, liouville_partial,
+                             named_scalar)
 from util import segment_minimum_scan
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
@@ -47,6 +48,24 @@ def test_sample_translate_rational_line_bound():
     samples = exp.sample_translate(RATIONAL_LINE, FlowTime.of(5.0), 25, seed=1)
     bound = 6 * math.exp(-5)
     assert all(s.lambda1 <= bound + 1e-12 for s in samples)
+
+
+def test_sample_translate_f64_draw():
+    line = LineSegmentSpec.from_strings("sqrt2", "sqrt3", "-0.3", "0.4", F64)
+    samples = exp.sample_translate(line, FlowTime.of(2.0), 5, seed=7)
+    for i, smp in enumerate(samples):
+        u = exp.sample_stream(7, i).random()
+        assert smp.s == -0.3 + u * (0.4 - -0.3)
+
+
+@pytest.mark.parametrize("mode, a, b", [(bigfloat(256), "sqrt2", "sqrt3"),
+                                        (RATIONAL, "1/2", "1/3")])
+def test_sample_translate_s_inside_sub_ulp_interval(mode, a, b):
+    # I is narrower than an f64 ulp at 0.1, and the f64 0.1 lies above s2
+    line = LineSegmentSpec.from_strings(a, b, "0.1", "0.10000000000000000001", mode)
+    samples = exp.sample_translate(line, FlowTime.of(1.0), 3, seed=1)
+    assert all(line.s1 <= smp.s <= line.s2 for smp in samples)
+    assert len({smp.s for smp in samples}) == 3
 
 
 def test_sample_counts_monotone_and_even():
