@@ -249,12 +249,12 @@ def _run_classify(args, mode) -> tuple[list, dict, list]:
 def _run_orbit(args, mode) -> tuple[list, dict, list]:
     line = _line_from(args, mode)
     ts = _parse_grid(args.t_grid)
-    budget = exp.ENUMERATION_BUDGET if args.budget is None else args.budget
     samples = []
     for t in ts:
         ft = FlowTime.of(t)
-        sm = exp.segment_minimum(line, ft, args.R_cap, budget=budget)
-        frac = exp.escape_mass_fraction(line, ft, args.delta, args.N, args.seed)
+        sm = exp.segment_minimum(line, ft, args.R_cap, budget=args.budget)
+        frac = exp.escape_mass_fraction(line, ft, args.delta, args.N, args.seed,
+                                        budget=args.budget)
         samples.append({
             "t": t,
             "min_value": float(sm.value) if sm else None,
@@ -316,7 +316,8 @@ def _run_equidist(args, mode) -> tuple[list, dict, list]:
     per_t = {}
     samples = []
     for t in ts:
-        batch = exp.sample_translate(line, FlowTime.of(t), args.N, args.seed, radii)
+        batch = exp.sample_translate(line, FlowTime.of(t), args.N, args.seed, radii,
+                                     budget=args.budget)
         per_t[t] = batch
         samples.extend(s.as_row() for s in batch)
     ks = {}
@@ -366,9 +367,9 @@ def _run_dirichlet(args, mode) -> tuple[list, dict, list]:
     # the run before the probe's work
     verdicts = dio.dirichlet_direct(s, line.a * s + line.b, args.delta,
                                     [math.exp(t) * scale for t in check_ts],
-                                    budget=(exp.ENUMERATION_BUDGET if args.budget is None
-                                            else args.budget))
-    probe = exp.trajectory_probe(line, s, args.delta, args.t_max, args.dt)
+                                    budget=args.budget)
+    probe = exp.trajectory_probe(line, s, args.delta, args.t_max, args.dt,
+                                 budget=args.budget)
     in_k = dict(zip(probe.times, probe.in_k()))
     lam = dict(zip(probe.times, probe.lambda1))
     agree = 0
@@ -452,6 +453,9 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     mode = mode_from_spec(args.mode)
     config = {k.replace("_", "-"): v for k, v in sorted(vars(args).items())}
+    # the config echoes --budget as given; the runners read the resolved cap
+    if args.budget is None:
+        args.budget = exp.ENUMERATION_BUDGET
     if args.out is not None:
         # before the run, so that a bad --out costs no computation
         try:

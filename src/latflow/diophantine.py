@@ -34,8 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError, PrecisionError
-from .lattice import (ENUMERATION_BUDGET, ReducedLattice, integer_columns,
-                      sup_norm_minimum)
+from .lattice import ENUMERATION_BUDGET, ReducedLattice
 from .scalars import F64_MAX_DENOM, IntegerVec3, exact_ratio, mp_context
 
 
@@ -77,9 +76,9 @@ def _box_points(forms, bound, q_max: int, block_p2: bool = False):
     the block (or 0, in the first block), q <= q_max and |f1(v)|, |f2(v)|
     <= B = bound(Q).  ``forms`` holds the rational coefficients of f1 and f2
     on (p1, p2, q), independent in (p1, p2), f1 involving p1.  ``bound`` is
-    called once per block, in order; None ends the search.  Scaled to
-    integers, the box is the unit sup-norm cube of a lattice (Dani's
-    correspondence), which ``ReducedLattice.points`` enumerates exactly.
+    called once per block, in order; None ends the search.  The box is the
+    unit sup-norm cube of a lattice (Dani's correspondence), which
+    ``ReducedLattice.points`` enumerates exactly.
     """
     (a1, b1, _), (a2, b2, _) = forms
     det = abs(a1 * b2 - a2 * b1)
@@ -89,7 +88,6 @@ def _box_points(forms, bound, q_max: int, block_p2: bool = False):
         rows = [[x / B for x in f] for f in forms] + [[0, 0, Fraction(1, min(end, q_max))]]
         if block_p2:
             rows.append([0, Fraction(1, end), 0])
-        cols, den = integer_columns(rows)
         # the enumerated ball (radius sqrt(k) (1 + 1e-9) in cube units, k rows)
         # has |f_i| <= S B, |q| <= S min(end, q_max) and |p2| <= S end with
         # block_p2; given q, p2 then lies in an interval of length
@@ -101,7 +99,7 @@ def _box_points(forms, bound, q_max: int, block_p2: bool = False):
             for x in (min(end, q_max), B * (abs(a1) + abs(a2)) / det, B / abs(a1), end))
         budget = n_q * (min(n_p2, n_end) if block_p2 else n_p2) * n_p1 // 2 + 1
         block = []
-        for _, (p1, p2, q) in ReducedLattice.exact(cols).points(den, budget):
+        for p1, p2, q in ReducedLattice.exact(rows).points(1, budget):
             if q < 0:
                 p1, p2, q = -p1, -p2, -q
             n = max(abs(p2), q) if block_p2 else q
@@ -480,8 +478,9 @@ def dirichlet_direct(x1, x2, delta, T_list,
     Dani's correspondence: the system is solvable iff the lattice of vectors
     ((T^3 / delta)(x1 q1 + x2 q2 + p), q1, q2) has a nonzero vector of sup
     norm <= T (q = 0 would need |p| T^3 / delta <= T, so p = 0 as well).
-    Scaled to integers, that is one ``sup_norm_minimum`` call per T;
-    ``budget`` caps its enumeration nodes.
+    That is one ``ReducedLattice.exact(...).minimum`` per T, which scales
+    the lattice to integers and solves it exactly; ``budget`` caps its
+    enumeration nodes.
     """
     x1, x2, d = (Fraction(*exact_ratio(x)) for x in (x1, x2, delta))
     if not 0 < d < 1:
@@ -492,8 +491,7 @@ def dirichlet_direct(x1, x2, delta, T_list,
     out = []
     for T in T_list:
         k = Fraction(T) ** 3 / d
-        cols, den = integer_columns(((k * x1, k * x2, k), (1, 0, 0), (0, 1, 0)))
-        out.append(DirichletVerdict(
-            T=T, solvable=sup_norm_minimum(cols, Fraction(T) * den, budget) is not None,
-            bound=float(delta) * T ** -2))
+        lat = ReducedLattice.exact(((k * x1, k * x2, k), (1, 0, 0), (0, 1, 0)))
+        out.append(DirichletVerdict(T=T, solvable=lat.minimum(T, budget) is not None,
+                                    bound=float(delta) * T ** -2))
     return out

@@ -1,10 +1,11 @@
 """Monte-Carlo and grid experiments on the translated segment measures.
 
 The empirical object throughout is the image of N uniform draws s ~ I under
-s -> g_t phi(s) Z^3: certified first minima, point counts, escape fractions
-and their time averages, plus the two trajectory-level probes (first entry
-into a Mahler compact set, and the exhaustive segment-minimum search that
-powers the return-time estimates).
+s -> g_t phi(s) Z^3: certified first minima, point counts and escape
+fractions, plus the two trajectory-level probes (first entry into a Mahler
+compact set, and the exhaustive segment-minimum search that powers the
+return-time estimates).  ``budget`` caps the enumeration leaves of each
+lattice search.
 
 Reproducibility contract: every sample i of an experiment seeded with
 ``seed`` draws from a counter-based Philox stream keyed by (seed, i), so
@@ -21,14 +22,11 @@ from fractions import Fraction
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import BudgetError, InvalidInputError, PrecisionError
+from .errors import InvalidInputError, PrecisionError
 from .flow import FlowTime, LineSegmentSpec, segment_sup
 from .lattice import (ENUMERATION_BUDGET, ReducedLattice, count_points,
-                      integer_columns, shortest_vector, sup_norm_minimum,
-                      translate_basis)
+                      shortest_vector, translate_basis)
 from .scalars import IntegerVec3, exact_ratio
-
-TIME_AVERAGE_BUDGET = 200_000
 
 
 def sample_stream(seed: int, index: int) -> Generator:
@@ -59,7 +57,7 @@ class TranslateSample:
 
 
 def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
-                     radii=()) -> list[TranslateSample]:
+                     radii=(), budget: int = ENUMERATION_BUDGET) -> list[TranslateSample]:
     """N i.i.d. uniform draws of s over I; per sample the certified first
     minimum and the nonzero-point counts at the requested radii, all from
     one ``ReducedLattice`` of the sample's basis.
@@ -67,8 +65,8 @@ def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
     s = s1 + u (s2 - s1) is taken in the line's arithmetic, with u the
     sample's f64 uniform (an exact dyadic), so s lies in I in every mode.
 
-    A result computed off the f64 lattice path is marked ``escalated`` on
-    the sample.
+    A result computed off the f64 lattice path (every bigfloat sample, and
+    bases too skewed for f64) is marked ``escalated`` on the sample.
     """
     if N < 1:
         raise InvalidInputError("need N >= 1 samples")
@@ -79,8 +77,8 @@ def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
         u = line.mode.from_fraction(Fraction(sample_stream(seed, i).random()))
         s = s1 + u * width
         lat = ReducedLattice.of(translate_basis(line, s, t))
-        res = shortest_vector(lat)
-        counts = {r: count_points(lat, r) for r in radii}
+        res = shortest_vector(lat, budget)
+        counts = {r: count_points(lat, r, budget) for r in radii}
         return TranslateSample(s=s, t=float(t.t), lambda1=res.lambda1,
                                point_counts=counts, certified=res.certified,
                                escalated=res.escalated)
@@ -89,50 +87,13 @@ def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
 
 
 def escape_mass_fraction(line: LineSegmentSpec, t: FlowTime, delta: float,
-                         N: int, seed: int) -> float:
+                         N: int, seed: int, budget: int = ENUMERATION_BUDGET) -> float:
     """Fraction of sampled translates outside the compact set K_delta,
     i.e. with lambda_1 < delta."""
     if not 0 < delta < 1:
         raise InvalidInputError("delta must satisfy 0 < delta < 1")
-    samples = sample_translate(line, t, N, seed)
+    samples = sample_translate(line, t, N, seed, budget=budget)
     return sum(1 for smp in samples if smp.lambda1 < delta) / N
-
-
-def time_average_observable(line: LineSegmentSpec, T: float, dt: float,
-                            observable, N: int, seed: int,
-                            budget: int = TIME_AVERAGE_BUDGET) -> float:
-    """Trapezoidal average over t in [0, T] of a per-t Monte-Carlo estimate.
-
-    ``observable`` is ("escape", delta), ("count", r), or ("lambda1", f)
-    with f a bounded function applied to each lambda_1.
-    """
-    if dt <= 0:
-        raise InvalidInputError("need dt > 0")
-    if T < 0:
-        raise InvalidInputError("need T >= 0")
-    grid = [i * dt for i in range(int(math.floor(T / dt + 1e-9)) + 1)]
-    if len(grid) * N > budget:
-        raise BudgetError(
-            f"time average would evaluate {len(grid) * N} samples; "
-            f"budget is {budget}")
-    kind, param = observable
-
-    values = []
-    for t in grid:
-        ft = FlowTime.of(t)
-        if kind == "escape":
-            values.append(escape_mass_fraction(line, ft, param, N, seed))
-        elif kind == "count":
-            samples = sample_translate(line, ft, N, seed, radii=(param,))
-            values.append(float(np.mean([s.point_counts[float(param)] for s in samples])))
-        elif kind == "lambda1":
-            samples = sample_translate(line, ft, N, seed)
-            values.append(float(np.mean([param(s.lambda1) for s in samples])))
-        else:
-            raise InvalidInputError(f"unknown observable kind {kind!r}")
-    if len(grid) == 1:
-        return values[0]
-    return float(np.trapezoid(values, grid) / (grid[-1] - grid[0]))
 
 
 # -- exhaustive segment-minimum search --------------------------------------
@@ -154,8 +115,8 @@ def segment_minimum(line: LineSegmentSpec, t: FlowTime, R_cap: float,
          Em p2, Em q)  in R^4,   E2 = e^{2t}, Em = e^{-t},
 
     so the minimum is that lattice's first sup-norm minimum.  E2, Em, a, b,
-    s1 and s2 are taken at their exact stored values and scaled to a common
-    integer basis, and ``sup_norm_minimum`` solves it exactly; ties go to the
+    s1 and s2 are taken at their exact stored values, and
+    ``ReducedLattice.exact`` solves it exactly; ties go to the
     sign-normalised vector smallest in (q, p2, p1).  ``budget`` caps the
     enumeration nodes.  The value is ``segment_sup`` of the minimizer: exact
     in rational mode with an exact e^t, in the line's scalars otherwise.
@@ -173,8 +134,7 @@ def segment_minimum(line: LineSegmentSpec, t: FlowTime, R_cap: float,
             (e2, e2 * s2, e2 * (b + a * s2)),
             (0, em, 0),
             (0, 0, em))
-    cols, den = integer_columns(rows)
-    found = sup_norm_minimum(cols, Fraction(R_cap) * den, budget)
+    found = ReducedLattice.exact(rows).minimum(R_cap, budget)
     if found is None:
         return None
     vector = IntegerVec3(*found[1])
@@ -221,12 +181,12 @@ def probe_times(delta: float, t_max: float, dt: float = 0.05) -> list[float]:
 
 
 def trajectory_probe(line: LineSegmentSpec, s, delta: float, t_max: float,
-                     dt: float = 0.05) -> ProbeResult:
+                     dt: float = 0.05, budget: int = ENUMERATION_BUDGET) -> ProbeResult:
     """Scan t in [0, t_max] on a grid of step dt for membership of
     g_t phi(s) Z^3 in K_{delta^{1/3}}."""
     times = probe_times(delta, t_max, dt)
     threshold = delta ** (1.0 / 3.0)
-    lams = [shortest_vector(translate_basis(line, s, FlowTime.of(t))).lambda1
+    lams = [shortest_vector(translate_basis(line, s, FlowTime.of(t)), budget).lambda1
             for t in times]
     inside = [i for i, l in enumerate(lams) if l >= threshold]
     return ProbeResult(

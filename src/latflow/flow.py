@@ -11,7 +11,8 @@ Applying g_t . phi(s) to an integer vector (p1, p2, q) gives coordinates
     ( e^{2t} [ (b q + p1) + (a q + p2) s ],  e^{-t} p2,  e^{-t} q ),
 
 so every coordinate is affine in s and suprema over the segment are exact
-maxima over the two endpoints.  Flow times can carry an exact value of e^t
+maxima over the two endpoints.  The actions return plain coordinate tuples
+in the line's scalars.  Flow times can carry an exact value of e^t
 (a Fraction), which keeps the rational-mode segment actions and minima exact
 out to t ~ ln 10^24; translate bases keep only the float t.
 """
@@ -99,10 +100,6 @@ class FlowTime:
             return mode.ctx.exp(mode.ctx.mpf(self.t) * k)
         return exp_f64(k * self.t)
 
-    def log_entries(self) -> tuple[float, float, float]:
-        """Diagonal of g_t in log scale: (2t, -t, -t); sums to 0 exactly."""
-        return (2.0 * self.t, -self.t, -self.t)
-
 
 def phi(line: LineSegmentSpec, s) -> Matrix3:
     """The unipotent segment element phi(s); upper triangular, det = 1."""
@@ -111,68 +108,18 @@ def phi(line: LineSegmentSpec, s) -> Matrix3:
     return ((one, s, line.a * s + line.b), (zero, one, zero), (zero, zero, one))
 
 
-def g(t: FlowTime, mode: ScalarMode = F64) -> Matrix3:
-    """The diagonal flow element as a dense matrix (use log_entries for big t)."""
-    zero = mode.from_int(0)
-    e2 = t.factor(2, mode)
-    em = t.factor(-1, mode)
-    return ((e2, zero, zero), (zero, em, zero), (zero, zero, em))
-
-
-def unipotent_factor(r, a, mode: ScalarMode = F64) -> Matrix3:
-    """The one-parameter unipotent w(r) = [[1, r, a r], [0,1,0], [0,0,1]].
-
-    Reparametrizes the translated segment: g_t phi(s) = w(r) g_t phi(s1)
-    with r = e^{3t} (s - s1).
-    """
-    one = mode.from_int(1)
-    zero = mode.from_int(0)
-    return ((one, r, a * r), (zero, one, zero), (zero, zero, one))
-
-
-@dataclass(frozen=True)
-class SegmentOrbitPoint:
-    """g_t phi(s) v in coefficient form.
-
-    The first coordinate is affine in s with residual coefficients
-    c0 = b q + p1 and c1 = a q + p2 kept in the line's scalar mode *before*
-    any exponential scaling; the second and third coordinates are the
-    s-independent integers p2 and q.
-    """
-
-    c0: object
-    c1: object
-    p2: int
-    q: int
-    t: FlowTime
-    mode: ScalarMode
-    s: object
-
-    def first_coord(self, s=None):
-        s = self.s if s is None else s
-        return self.t.factor(2, self.mode) * (self.c0 + self.c1 * s)
-
-    def coords(self, s=None) -> Vec3:
-        s = self.s if s is None else s
-        em = self.t.factor(-1, self.mode)
-        return (self.first_coord(s), em * self.p2, em * self.q)
-
-    def sup_norm_over(self, s1, s2):
-        """sup-norm supremum over s in [s1, s2]; exact endpoint maximum."""
-        vals = [abs(x) for x in self.coords(s1)] + [abs(self.first_coord(s2))]
-        return max(vals)
-
-
 def _require_nonzero(v: IntegerVec3):
     if v.is_zero():
         raise InvalidInputError("the zero vector is not a valid witness or orbit seed")
 
 
-def flow_standard(line: LineSegmentSpec, s, t: FlowTime, v: IntegerVec3) -> SegmentOrbitPoint:
-    """g_t phi(s) applied to (p1, p2, q) in the standard representation."""
+def flow_standard(line: LineSegmentSpec, s, t: FlowTime, v: IntegerVec3) -> Vec3:
+    """g_t phi(s) applied to (p1, p2, q) in the standard representation:
+    (e^{2t} ((b q + p1) + (a q + p2) s), e^{-t} p2, e^{-t} q)."""
     _require_nonzero(v)
-    return SegmentOrbitPoint(c0=line.b * v.q + v.p1, c1=line.a * v.q + v.p2,
-                             p2=v.p2, q=v.q, t=t, mode=line.mode, s=s)
+    em = t.factor(-1, line.mode)
+    first = t.factor(2, line.mode) * (line.b * v.q + v.p1 + (line.a * v.q + v.p2) * s)
+    return (first, em * v.p2, em * v.q)
 
 
 def flow_ext2(line: LineSegmentSpec, s, t: FlowTime, w: IntegerVec3) -> Vec3:
@@ -199,16 +146,10 @@ def segment_sup(line: LineSegmentSpec, t: FlowTime, v: IntegerVec3,
     convex and the supremum is attained at an endpoint; the value is the
     exact maximum over s in {s1, s2}.
     """
-    _require_nonzero(v)
-    s1, s2 = line.endpoints()
-    if rep == "standard":
-        pt = flow_standard(line, s1, t, v)
-        return pt.sup_norm_over(s1, s2)
-    if rep == "ext2":
-        a_coords = flow_ext2(line, s1, t, v)
-        b_coords = flow_ext2(line, s2, t, v)
-        return max(max(abs(x) for x in a_coords), max(abs(x) for x in b_coords))
-    raise InvalidInputError(f"unknown representation {rep!r}")
+    flow = {"standard": flow_standard, "ext2": flow_ext2}.get(rep)
+    if flow is None:
+        raise InvalidInputError(f"unknown representation {rep!r}")
+    return max(abs(x) for s in line.endpoints() for x in flow(line, s, t, v))
 
 
 def ext2_constant(line: LineSegmentSpec):

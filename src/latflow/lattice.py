@@ -1,10 +1,9 @@
 """Shortest vectors and point counts on 3-dimensional unimodular lattices.
 
 This is the artifact's computational proxy for Mahler compactness: a basis
-is held together with a flow log-scale, lambda_1 (sup-norm) is certified by
-complete Fincke-Pohst enumeration inside a Euclidean ball of radius
-sqrt(3) * (sup-norm of the shortest reduced column), and K_delta
-membership is the inclusive comparison lambda_1 >= delta.
+is held together with a flow log-scale, and lambda_1 (sup-norm) is
+certified by complete Fincke-Pohst enumeration inside a Euclidean ball of
+radius sqrt(3) * (sup-norm of the shortest reduced column).
 
 The norm of record is the supremum norm; the Euclidean ball is only the
 enumeration vehicle (in dimension n, ||v||_2 <= sqrt(n) ||v||_inf, so the
@@ -12,19 +11,18 @@ inflated ball contains every candidate that could beat the incumbent).
 
 Both reductions produce a ``ReducedLattice``: ``ReducedLattice.of(basis)``
 runs one f64 ``lll_reduce`` (its Gram-Schmidt data updated row by row and
-handed to the enumeration), or one exact integral reduction for a basis
-too skewed for f64; ``ReducedLattice.exact(cols)`` runs the integral LLL
-(no rounding anywhere) of a rank-3 integer lattice in Z^n.  Its
-``points``, ``minimum`` and ``count`` are one Fincke-Pohst enumeration,
-written once; candidates are compared in the rows' own arithmetic (f64,
-or integers).  ``shortest_vector`` and ``count_points`` take either the
-basis or that value, so the minimum and the counts at every radius share
-one reduction; ``sup_norm_minimum`` is the exact minimum behind the
-segment minima and the Dirichlet check, and ``ReducedLattice.points``
-enumerates the Diophantine search boxes.
+handed to the enumeration), or, for a bigfloat basis or one too skewed for
+f64, the exact reduction of its ``exact_rows``; ``ReducedLattice.exact(rows)``
+scales the rational rows of a rank-3 lattice in Q^n to integers and runs
+the integral LLL (no rounding anywhere).  Its ``points``, ``minimum`` and
+``count`` are one Fincke-Pohst enumeration, written once; they take radii
+in the rows' own units and compare candidates in the rows' own arithmetic
+(f64, or integers).  ``shortest_vector`` and ``count_points`` take either
+the basis or that value, so the minimum and the counts at every radius
+share one reduction; ``ReducedLattice.exact`` also gives the segment
+minima, the Dirichlet check and the Diophantine search boxes.
 
-All functions are pure; enumeration keeps only local state, so batches can
-be mapped in parallel.
+All functions are pure; enumeration keeps only local state.
 """
 
 from __future__ import annotations
@@ -42,13 +40,6 @@ LLL_DELTA_EXACT = Fraction(str(LLL_DELTA))  # 99/100 for the integral LLL
 LLL_ITERATION_CAP = 100_000
 GSO_RANGE_CAP = 1e12  # dynamic range of GSO lengths tolerated in f64
 ENUMERATION_BUDGET = 10_000_000  # Fincke-Pohst leaves per search
-
-
-def integer_columns(rows):
-    """(cols, den): the three columns of the rational matrix ``rows`` times
-    their least common denominator den, as integers."""
-    den = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
-    return [[int(row[j] * den) for row in rows] for j in range(3)], den
 
 
 @dataclass(frozen=True)
@@ -83,16 +74,16 @@ class LatticeBasis3:
             for j in range(3)
         ]
 
-    def exact_columns(self):
-        """``integer_columns`` of the stored entries times the f64 row scales,
-        both at their exact values: ``effective_columns`` before rounding."""
+    def exact_rows(self):
+        """The stored entries times the f64 row scales, both at their exact
+        values, as Fractions: the rows of ``effective_columns`` before
+        rounding."""
         row_scale = self._row_scales()
         if 0.0 in row_scale:  # a zero row spans no lattice
             raise PrecisionError(
                 f"the flow scaling underflows f64 at log scale {self.log_scale:g}")
-        return integer_columns(
-            [[Fraction(*exact_ratio(x)) * Fraction(scale) for x in row]
-             for row, scale in zip(self.matrix, row_scale)])
+        return [[Fraction(*exact_ratio(x)) * Fraction(scale) for x in row]
+                for row, scale in zip(self.matrix, row_scale)]
 
     def determinant(self) -> float:
         cols = self.effective_columns()
@@ -348,6 +339,10 @@ def _clamped_ratio(num: int, den: int) -> float:
 
 # -- one reduced lattice for both reductions -------------------------------
 
+def _holds_bigfloats(matrix) -> bool:
+    return any(getattr(x, "_mpf_", None) is not None for row in matrix for x in row)
+
+
 @dataclass(frozen=True)
 class ReducedLattice:
     """A reduced basis of a rank-3 lattice, and the one Fincke-Pohst
@@ -358,7 +353,7 @@ class ReducedLattice:
     (``of``) or integers (``exact``); ``transform`` is the unimodular U with
     reduced = basis . U; (mu, norm2) are their Gram-Schmidt data, norm2
     relative to ``scale2``; ``gram_det`` is the Gram determinant det(L)^2.
-    An ``escalated`` lattice holds integer columns, the basis scaled by
+    An ``escalated`` lattice holds integer rows, the basis rows scaled by
     ``den``; sup norms are then compared in integers.
     """
 
@@ -373,27 +368,29 @@ class ReducedLattice:
 
     @classmethod
     def of(cls, basis) -> "ReducedLattice":
-        """One reduction of a ``LatticeBasis3`` (or its rows): ``lll_reduce``
-        in f64, whose Gram-Schmidt data are handed on, while the f64
-        Gram-Schmidt lengths span at most ``GSO_RANGE_CAP``; past that (or
-        where they overflow) ``exact`` of its ``exact_columns``."""
+        """One reduction of a ``LatticeBasis3``: ``lll_reduce`` in f64, whose
+        Gram-Schmidt data are handed on, while the f64 Gram-Schmidt lengths
+        span at most ``GSO_RANGE_CAP``; past that (or where they overflow),
+        and for a basis of bigfloat entries, ``exact`` of its
+        ``exact_rows``."""
         if isinstance(basis, ReducedLattice):
             return basis
-        if not isinstance(basis, LatticeBasis3):
-            basis = LatticeBasis3(tuple(tuple(row) for row in basis))
         cols = basis.effective_columns()
-        gso = _f64_gram_schmidt(cols)
+        gso = None if _holds_bigfloats(basis.matrix) else _f64_gram_schmidt(cols)
         if gso is None:
-            return cls.exact(*basis.exact_columns())
+            return cls.exact(basis.exact_rows())
         red, u = lll_reduce(cols, gso=gso)
         _, mu, norm2 = gso
         return cls(tuple(zip(*red)), u, mu, norm2, 1, norm2[0] * norm2[1] * norm2[2])
 
     @classmethod
-    def exact(cls, cols, den: int = 1) -> "ReducedLattice":
-        """Integral LLL of three independent integer columns in Z^n, which
-        are a basis scaled by ``den``."""
-        red, u, d, lam = lll_reduce_integral(cols)
+    def exact(cls, rows) -> "ReducedLattice":
+        """Integral LLL of the lattice spanned by the three independent
+        columns of the rational n x 3 matrix ``rows``, scaled to integers by
+        the least common denominator ``den`` of its entries."""
+        den = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+        red, u, d, lam = lll_reduce_integral(
+            [[int(row[j] * den) for row in rows] for j in range(3)])
         # GSO data relative to |b*_0|^2 = d[1]; every entry is a correctly
         # rounded float of an exact ratio
         mu = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(3)]
@@ -402,39 +399,56 @@ class ReducedLattice:
 
     @property
     def shortest(self):
-        """The least sup norm of a reduced column."""
+        """The least sup norm of a reduced column, in the units of ``rows``."""
         return min(max(map(abs, col)) for col in zip(*self.rows))
 
-    def points(self, radius, budget: int = ENUMERATION_BUDGET):
-        """Yield (norm, coeffs w.r.t. the basis) for every lattice vector, one
-        per +-pair, of sup norm <= ``radius``: the Euclidean ball of radius
-        sqrt(n) radius (inflated by 1e-9 against rounding in the float
+    def _limit(self, radius):
+        # ``radius`` in the units of the scaled ``rows``: an integer norm is
+        # at most radius den exactly when it is at most floor(radius den)
+        if not self.escalated or radius == math.inf:
+            return radius
+        n, d = exact_ratio(radius)
+        return n * self.den // d
+
+    def _points(self, limit, budget):
+        """(norm, coeffs) of every vector, one per +-pair, of sup norm <=
+        ``limit``, both in the units of ``rows``: the Euclidean ball of
+        radius sqrt(n) limit (inflated by 1e-9 against rounding in the float
         interval bounds) is enumerated to exhaustion, ``budget`` leaves at
         most.  Norms are exact for integer rows and the f64 evaluation of
         the reduced columns for f64 rows."""
         rows = self.rows
-        bound2 = float(len(rows) * radius * radius / self.scale2) * (1 + 1e-9) ** 2
+        bound2 = float(len(rows) * limit * limit / self.scale2) * (1 + 1e-9) ** 2
         for x in _enumerate_half_ball(self.mu, self.norm2, bound2, budget):
             x0, x1, x2 = x
             norm = 0
             for r0, r1, r2 in rows:
                 c = abs(r0 * x0 + r1 * x1 + r2 * x2)
-                if c > radius:
+                if c > limit:
                     break
                 if c > norm:
                     norm = c
             else:
                 yield norm, _transform_apply(self.transform, x)
 
+    def points(self, radius, budget: int = ENUMERATION_BUDGET):
+        """Yield the coefficients w.r.t. the basis of every lattice vector,
+        one per +-pair, of sup norm <= ``radius``.  Here and in ``minimum``
+        and ``count``, radii and norms are in the units of the basis rows
+        the lattice was made from."""
+        for _, coeffs in self._points(self._limit(radius), budget):
+            yield coeffs
+
     def minimum(self, limit, budget: int = ENUMERATION_BUDGET):
         """The first sup-norm minimum when it is at most ``limit`` (else
-        None), as (norm, coeffs w.r.t. the basis).  Among vectors of equal
-        norm it is the sign-normalised one (last nonzero coefficient
-        positive) that is smallest in lexicographic order read from the last
-        coefficient.  Certified: every vector within min(``shortest``,
-        ``limit``) of the origin is compared."""
+        None), as (norm, coeffs w.r.t. the basis); the norm is a Fraction
+        for integer rows.  Among vectors of equal norm it is the
+        sign-normalised one (last nonzero coefficient positive) that is
+        smallest in lexicographic order read from the last coefficient.
+        Certified: every vector within min(``shortest``, ``limit``) of the
+        origin is compared."""
         best = None
-        for norm, coeffs in self.points(min(self.shortest, limit), budget):
+        for norm, coeffs in self._points(min(self.shortest, self._limit(limit)), budget):
             key = coeffs[::-1]
             if key < (0, 0, 0):
                 key = tuple(-c for c in key)
@@ -442,68 +456,49 @@ class ReducedLattice:
                 best = (norm, key)
         if best is None:
             return None
-        return best[0], best[1][::-1]
+        norm = Fraction(best[0], self.den) if self.escalated else best[0]
+        return norm, best[1][::-1]
 
     def count(self, radius, budget: int = ENUMERATION_BUDGET) -> int:
         """#{v in L \\ 0 : ||v||_inf <= radius}; for a lattice in R^3 it
         refuses an expected count (2 radius)^3 / det(L) above ``budget``."""
-        if (2 * Fraction(radius)) ** 6 > budget ** 2 * self.gram_det:
+        limit = self._limit(radius)
+        if limit == math.inf or (2 * Fraction(limit)) ** 6 > budget ** 2 * self.gram_det:
             raise BudgetError("count_points: expected point count exceeds the budget")
-        return 2 * sum(1 for _ in self.points(radius, budget))
+        return 2 * sum(1 for _ in self._points(limit, budget))
 
 
 def shortest_vector(basis, budget: int = ENUMERATION_BUDGET) -> ShortVectorResult:
     """The exact sup-norm first minimum, by complete enumeration.
 
-    ``basis`` is a ``LatticeBasis3`` (or its rows) or a ``ReducedLattice``.
-    LLL preprocessing bounds the search; every lattice vector whose sup-norm
+    ``basis`` is a ``LatticeBasis3`` or a ``ReducedLattice``.  LLL
+    preprocessing bounds the search; every lattice vector whose sup-norm
     could undercut the shortest reduced column lies in the Euclidean ball of
     radius sqrt(3) times that column's sup norm, and that ball is enumerated
-    to exhaustion, so the result is certified.  If the GSO lengths span more
-    than ~1e12 in f64 (or overflow it), the basis is scaled to integers and
+    to exhaustion, so the result is certified.  A bigfloat basis, or one
+    whose GSO lengths span more than ~1e12 in f64 (or overflow it), is
     solved exactly instead (escalated flag); lambda1 is then the correctly
     rounded exact minimum.
     """
     lat = ReducedLattice.of(basis)
     norm, coeffs = lat.minimum(math.inf, budget)
-    return ShortVectorResult(vector=IntegerVec3(*coeffs), lambda1=norm / lat.den,
+    return ShortVectorResult(vector=IntegerVec3(*coeffs), lambda1=float(norm),
                              certified=True, escalated=lat.escalated)
 
 
 def count_points(basis, r, budget: int = ENUMERATION_BUDGET) -> int:
     """#{v in L \\ 0 : ||v||_inf <= r}, by complete enumeration.
 
-    ``basis`` is a ``LatticeBasis3`` (or its rows) or a ``ReducedLattice``,
-    which serves every radius from one reduction.  Counts are exact and
-    even (the ball is symmetric); an expected count (2r)^3 / det(L) or
-    enumeration work beyond the budget raises BudgetError.  A basis too
-    ill-conditioned for f64 is counted exactly, as in ``shortest_vector``.
+    ``basis`` is a ``LatticeBasis3`` or a ``ReducedLattice``, which serves
+    every radius from one reduction.  Counts are exact and even (the ball
+    is symmetric); an expected count (2r)^3 / det(L) or enumeration work
+    beyond the budget raises BudgetError.  A basis that ``shortest_vector``
+    solves exactly is counted exactly.
     """
     r = float(r)
     if not r > 0:
         raise InvalidInputError("count radius must be positive")
-    if r == math.inf:
-        raise BudgetError("count_points: expected point count exceeds the budget")
-    lat = ReducedLattice.of(basis)
-    if lat.escalated:
-        r = math.floor(Fraction(r) * lat.den)
-    return lat.count(r, budget)
-
-
-def sup_norm_minimum(cols, limit, budget: int = ENUMERATION_BUDGET):
-    """The first sup-norm minimum of the lattice spanned by three independent
-    integer columns in Z^n, when it is at most ``limit`` (else None), as
-    (exact integer norm, coeffs w.r.t. ``cols``): ``ReducedLattice.minimum``
-    of their exact reduction.  ``budget`` caps the enumeration leaves.
-    """
-    return ReducedLattice.exact(cols).minimum(limit, budget)
-
-
-def in_K_delta(basis: LatticeBasis3, delta: float) -> bool:
-    """Membership in the Mahler compact set: lambda_1 >= delta (inclusive)."""
-    if not 0 < delta < 1:
-        raise InvalidInputError("K_delta needs 0 < delta < 1")
-    return shortest_vector(basis).lambda1 >= delta
+    return ReducedLattice.of(basis).count(r, budget)
 
 
 def translate_basis(line, s, t) -> LatticeBasis3:

@@ -1,4 +1,4 @@
-"""Scalar arithmetic policy and small fixed-dimension linear algebra.
+"""Scalar arithmetic policy, number parsing and the integer vector type.
 
 Three scalar modes are supported and threaded through the whole package:
 
@@ -15,8 +15,8 @@ it at that context's precision, whatever ``mpmath.mp.prec`` is, so code
 written once for all modes needs no precision block.
 
 Vectors and matrices are plain tuples of whatever numbers the mode
-produces; the arithmetic helpers are mode-agnostic.  Everything here is an
-immutable value, safe to share between threads.
+produces.  Everything here is an immutable value, safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -197,32 +197,6 @@ def exp_f64(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         raise PrecisionError(f"e^({x:g}) overflows f64") from None
-
-
-# -- 3x3 / 3-vector helpers ------------------------------------------------
-
-def mat_identity(mode: ScalarMode = F64) -> Matrix3:
-    one, zero = mode.from_int(1), mode.from_int(0)
-    return ((one, zero, zero), (zero, one, zero), (zero, zero, one))
-
-
-def mat_mul(A: Matrix3, B: Matrix3) -> Matrix3:
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )
-
-
-def mat_vec(A: Matrix3, v: Vec3) -> Vec3:
-    return tuple(sum(A[i][k] * v[k] for k in range(3)) for i in range(3))
-
-
-def mat_det(A: Matrix3):
-    return (
-        A[0][0] * (A[1][1] * A[2][2] - A[1][2] * A[2][1])
-        - A[0][1] * (A[1][0] * A[2][2] - A[1][2] * A[2][0])
-        + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0])
-    )
 
 
 @dataclass(frozen=True)

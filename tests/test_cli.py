@@ -135,6 +135,16 @@ def test_budget_error_exit_3():
     assert code == 3
 
 
+@pytest.mark.parametrize("args", [
+    ["equidist", "sqrt2", "sqrt3", "--t-list", "5", "--N", "3"],
+    ["orbit", "sqrt2", "sqrt3", "--t-grid", "3", "--N", "5"],
+])
+def test_budget_reaches_translate_enumerations(args, capsys):
+    # each translate's shortest-vector search visits more than one node
+    assert run_cli(args + ["--budget", "1"]) == 3
+    assert "budget exceeded" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("budget", ["0", "-5", "1.5"])
 @pytest.mark.parametrize("subcommand", [
     ["orbit", "sqrt2", "sqrt3", "--t-grid", "0", "--N", "1"],

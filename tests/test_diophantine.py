@@ -199,7 +199,7 @@ def test_rational_certificate_soundness():
     t = FlowTime.from_exp(Fraction(5))
     for _ in range(10):
         s = Fraction(rng.randint(0, 1000), 1000)
-        assert flow_standard(line, s, t, v).first_coord() == 0
+        assert flow_standard(line, s, t, v)[0] == 0
 
 
 # -- E_q intervals and I_R density ---------------------------------------------

@@ -131,34 +131,6 @@ def test_escape_fraction_validates_delta():
         exp.escape_mass_fraction(GENERIC_LINE, FlowTime.of(1.0), 1.2, 5, seed=1)
 
 
-def test_time_average_constant_observable():
-    avg = exp.time_average_observable(GENERIC_LINE, 1.0, 0.5,
-                                      ("lambda1", lambda l: 1.0), 5, seed=1)
-    assert avg == 1.0
-
-
-def test_time_average_single_point_equals_pointwise():
-    est = exp.time_average_observable(GENERIC_LINE, 0.0, 0.5,
-                                      ("escape", 0.5), 30, seed=7)
-    direct = exp.escape_mass_fraction(GENERIC_LINE, FlowTime.of(0.0), 0.5, 30, seed=7)
-    assert est == direct
-
-
-def test_time_average_rational_escape_lower_bound():
-    # escape at delta = 0.5 holds for t > ln 12; quadrature + MC noise <= 0.02
-    avg = exp.time_average_observable(RATIONAL_LINE, 10.0, 0.25,
-                                      ("escape", 0.5), 40, seed=3)
-    t0 = math.log(12)
-    assert avg >= 1 - t0 / 10.0 - 0.02
-    assert avg <= 1.0
-
-
-def test_time_average_budget():
-    with pytest.raises(BudgetError):
-        exp.time_average_observable(GENERIC_LINE, 10.0, 0.01,
-                                    ("escape", 0.5), 1000, seed=1)
-
-
 # -- segment minimum -----------------------------------------------------------
 
 def test_segment_minimum_rational_witness():

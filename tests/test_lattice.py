@@ -14,11 +14,9 @@ from latflow.lattice import (
     ReducedLattice,
     count_points,
     gram_schmidt,
-    in_K_delta,
     lll_reduce,
     lll_reduce_integral,
     shortest_vector,
-    sup_norm_minimum,
     translate_basis,
 )
 from latflow.scalars import F64, RATIONAL, bigfloat, named_scalar
@@ -206,10 +204,9 @@ def test_exact_fallback_past_f64_gram_schmidt_range():
     basis = translate_basis(GENERIC_LINE, 0.71, FlowTime.of(200.0))
     res = shortest_vector(basis)
     assert res.escalated
-    cols, den = basis.exact_columns()
     x = res.vector.as_tuple()
-    norm = max(abs(sum(cols[j][i] * x[j] for j in range(3))) for i in range(3))
-    assert res.lambda1 == norm / den
+    norm = max(abs(sum(row[j] * x[j] for j in range(3))) for row in basis.exact_rows())
+    assert res.lambda1 == float(norm)
     assert count_points(basis, res.lambda1 * 0.999) == 0
     assert count_points(basis, res.lambda1 * 1.001) >= 2
 
@@ -251,10 +248,11 @@ def test_escalated_translates_match_256bit_oracle(pair, seed, t, radii):
 
 
 @settings(max_examples=25, deadline=None)
-@given(pair=_pairs, seed=st.integers(0, 2 ** 32 - 1), t=st.floats(9.5, 12.0))
+@given(pair=_pairs, seed=st.integers(0, 2 ** 32 - 1), t=st.floats(3.0, 12.0))
 def test_bigfloat_translates_match_256bit_phi_oracle(pair, seed, t):
-    # every entry of a bigfloat translate is taken at the mode's 256 bits;
-    # e^{3t} amplifies a 53-bit a s + b past rel 1e-4 at t = 9.5
+    # every entry of a bigfloat translate is taken at the mode's 256 bits and
+    # the basis is reduced exactly: e^{3t} amplifies a 53-bit a s + b past
+    # rel 1e-4 at t = 9.5, and an f64 reduction errs by 1e-6 at t = 7
     mode = bigfloat(256)
     line = LineSegmentSpec.from_strings(*pair, "-5", "5", mode)
     s = mode.from_fraction(Fraction(-5 + 10 * sample_stream(seed, 0).random()))
@@ -340,16 +338,27 @@ def _box_minimum(cols, r):
     return best[0], best[1][::-1]
 
 
+def _rows(cols, den=1):
+    """The n x 3 rows of the columns, divided by den."""
+    return [[Fraction(x, den) for x in row] for row in zip(*cols)]
+
+
 def test_sup_norm_minimum_matches_box_oracle():
+    # on integer rows and on the same rows over a common denominator 12,
+    # radii and the minimum in the rows' own units
     rng = np.random.default_rng(23)
     for n in (3, 4):
         for _ in range(25):
             cols = _random_integer_basis(rng, n, 5)
             r = min(max(abs(x) for x in col) for col in cols)
-            want = _box_minimum(cols, r)
-            assert sup_norm_minimum(cols, 10 ** 6) == want
-            assert sup_norm_minimum(cols, want[0]) == want
-            assert sup_norm_minimum(cols, Fraction(2 * want[0] - 1, 2)) is None
+            norm, coeffs = _box_minimum(cols, r)
+            for den in (1, 12):
+                lat = ReducedLattice.exact(_rows(cols, den))
+                want = (Fraction(norm, den), coeffs)
+                assert lat.minimum(10 ** 6) == want
+                assert lat.minimum(math.inf) == want
+                assert lat.minimum(Fraction(norm, den)) == want
+                assert lat.minimum(Fraction(2 * norm - 1, 2 * den)) is None
 
 
 def test_sup_norm_count_matches_box_oracle():
@@ -357,7 +366,9 @@ def test_sup_norm_count_matches_box_oracle():
     for _ in range(25):
         cols = _random_integer_basis(rng, 3, 5)
         for r in (1, 3, 6):
-            assert ReducedLattice.exact(cols).count(r) == len(_box_members(cols, r))
+            want = len(_box_members(cols, r))
+            assert ReducedLattice.exact(_rows(cols)).count(r) == want
+            assert ReducedLattice.exact(_rows(cols, 12)).count(Fraction(r, 12)) == want
 
 
 def test_sup_norm_count_budget_guard():
@@ -429,19 +440,17 @@ def test_count_points_rejects_nonpositive_radius():
 
 
 def test_in_k_delta():
-    ident = LatticeBasis3.identity()
-    assert in_K_delta(ident, 0.9)
+    # K_delta membership is lambda1 >= delta
+    assert shortest_vector(LatticeBasis3.identity()).lambda1 >= 0.9
     # rational-line lattice at t = 3: lambda1 <= 6 e^-3 ~ 0.2987 < 0.5
     basis = translate_basis(RATIONAL_LINE, Fraction(1, 2), FlowTime.of(3.0))
-    assert not in_K_delta(basis, 0.5)
-    with pytest.raises(InvalidInputError):
-        in_K_delta(ident, 1.5)
+    assert shortest_vector(basis).lambda1 < 0.5
 
 
 def test_in_k_delta_boundary_inclusive():
     # diag(M^-2, M, M) with M = 10 has lambda1 exactly 1e-2
     basis = LatticeBasis3(((10.0 ** -2, 0.0, 0.0), (0.0, 10.0, 0.0), (0.0, 0.0, 10.0)))
-    assert in_K_delta(basis, 10.0 ** -2)
+    assert shortest_vector(basis).lambda1 == 10.0 ** -2
 
 
 def test_mahler_proxy_rational_line():
@@ -450,7 +459,7 @@ def test_mahler_proxy_rational_line():
     t = math.log(6 / delta) + 0.05
     for s in (Fraction(0), Fraction(1, 3), Fraction(9, 10)):
         basis = translate_basis(RATIONAL_LINE, s, FlowTime.of(t))
-        assert not in_K_delta(basis, delta)
+        assert shortest_vector(basis).lambda1 < delta
 
 
 def test_unimodular_determinant_of_translates():

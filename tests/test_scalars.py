@@ -10,15 +10,13 @@ from latflow.scalars import (
     IntegerVec3,
     bigfloat,
     liouville_partial,
-    mat_det,
-    mat_identity,
-    mat_mul,
-    mat_vec,
     mode_from_spec,
     named_scalar,
     scalar_from_decimal,
     exact_ratio,
 )
+
+from util import mat_det, mat_identity, mat_mul, mat_vec
 
 
 def test_parse_rational_exact():

@@ -1,9 +1,10 @@
-"""Shared test oracles: brute-force lattice searches, random unimodular
-bases with controlled conditioning, the full-recompute f64 LLL, a 256-bit
-float lattice path and the f64 shortest vector and point count on it, the
-q-scan segment minimum, the q-scan witness and E_q searches, the float
-p-window decision of I_R on a grid, the numpy Dirichlet grid and an exact
-I_R measure."""
+"""Shared test oracles: the dense matrix path of the flow (g_t and the 3x3
+helpers), brute-force lattice searches, random unimodular bases with
+controlled conditioning, the full-recompute f64 LLL, a 256-bit float
+lattice path and the f64 shortest vector and point count on it, the q-scan
+segment minimum, the q-scan witness and E_q searches, the float p-window
+decision of I_R on a grid, the numpy Dirichlet grid and an exact I_R
+measure."""
 
 from __future__ import annotations
 
@@ -18,9 +19,43 @@ from latflow.errors import BudgetError, InvalidInputError, ReductionError
 from latflow.experiments import SegmentMinimum
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
 from latflow.lattice import LatticeBasis3
-from latflow.scalars import IntegerVec3, exact_ratio
+from latflow.scalars import F64, IntegerVec3, ScalarMode, exact_ratio
 
 SEGMENT_MINIMUM_SCAN_BUDGET = 100_000_000
+
+
+# -- the dense matrix path of the flow ---------------------------------------
+
+def g(t: FlowTime, mode: ScalarMode = F64):
+    """The diagonal flow element diag(e^{2t}, e^{-t}, e^{-t}) as a dense matrix."""
+    zero = mode.from_int(0)
+    e2 = t.factor(2, mode)
+    em = t.factor(-1, mode)
+    return ((e2, zero, zero), (zero, em, zero), (zero, zero, em))
+
+
+def mat_identity(mode: ScalarMode = F64):
+    one, zero = mode.from_int(1), mode.from_int(0)
+    return ((one, zero, zero), (zero, one, zero), (zero, zero, one))
+
+
+def mat_mul(A, B):
+    return tuple(
+        tuple(sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3))
+        for i in range(3)
+    )
+
+
+def mat_vec(A, v):
+    return tuple(sum(A[i][k] * v[k] for k in range(3)) for i in range(3))
+
+
+def mat_det(A):
+    return (
+        A[0][0] * (A[1][1] * A[2][2] - A[1][2] * A[2][1])
+        - A[0][1] * (A[1][0] * A[2][2] - A[1][2] * A[2][0])
+        + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0])
+    )
 
 
 def brute_force_lambda1(cols, box: int = 25):
