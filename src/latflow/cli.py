@@ -59,8 +59,6 @@ def _jsonable(x):
         return str(x)
     if isinstance(x, IntegerVec3):
         return list(x.as_tuple())
-    if isinstance(x, float):
-        return float(format(x, ".17g"))
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -205,9 +203,9 @@ def _run_classify(args, mode) -> tuple[list, dict, list]:
     c_list = [named_scalar(c, mode) for c in args.C_list.split(",")]
 
     cert = dio.rational_certificate(a, b)
-    w2 = dio.w2_witness_search(a, b, C, q_max)
-    w2e = dio.w2eps_witness_search(a, b, eps, q_max)
-    profile = dio.w2inf_profile(a, b, c_list, q_max)
+    w2 = dio.w2_witness_search(a, b, C, q_max, args.budget)
+    w2e = dio.w2eps_witness_search(a, b, eps, q_max, args.budget)
+    profile = dio.w2inf_profile(a, b, c_list, q_max, args.budget)
 
     samples = [_witness_row(w) for w in w2 + w2e]
     profile_rows = []
@@ -277,7 +275,7 @@ def _run_density(args, mode) -> tuple[list, dict, list]:
     line = _line_from(args, mode)
     R = named_scalar(args.R, mode)
     T = float(named_scalar(args.T, mode))
-    profile = dio.ir_density(line, R, T, args.q_max, dt=args.dt)
+    profile = dio.ir_density(line, R, T, args.q_max, dt=args.dt, budget=args.budget)
     samples = [{
         "q": iv.q,
         "lo": iv.lo,
@@ -304,6 +302,7 @@ def _run_density(args, mode) -> tuple[list, dict, list]:
 
 
 def _run_equidist(args, mode) -> tuple[list, dict, list]:
+    exp.check_delta(args.delta)
     line = _line_from(args, mode)
     ts = _parse_list(args.t_list)
     radii = tuple(_parse_list(args.radii))

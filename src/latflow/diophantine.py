@@ -22,9 +22,10 @@ take the segment coordinates c0 + c1 s_i, whose q = 0 points are the sheets.
 A search therefore costs O(log q_max) lattice reductions plus work in
 proportion to its candidates, not one step per q; each candidate then
 passes the exact per-q test of its class.  ``dirichlet_direct`` is the
-same correspondence for the improved Dirichlet system.  Searches are
-bounded by q_max and report witnesses / non-witnesses up to that bound
-only; membership language for irrational inputs must keep that caveat.
+same correspondence for the improved Dirichlet system.  ``budget`` caps
+the enumeration leaves of each block.  Searches are bounded by q_max and
+report witnesses / non-witnesses up to that bound only; membership
+language for irrational inputs must keep that caveat.
 """
 
 from __future__ import annotations
@@ -69,35 +70,24 @@ def _nearest(q: int, nb: int, db: int, na: int, da: int) -> NearestResiduals:
     return NearestResiduals(p1=p1, p2=p2, residual1=res_b, residual2=res_a)
 
 
-def _box_points(forms, bound, q_max: int, block_p2: bool = False):
+def _box_points(forms, bound, q_max: int, block_p2: bool = False,
+                budget: int = ENUMERATION_BUDGET):
     """Yield, for each dyadic block [Q, 2Q) of n(v) in turn (n(v) = q, or
     max(|p2|, q) with ``block_p2``), the list of integer vectors
     v = (p1, p2, q), one per +-pair and with q >= 0, such that n(v) is in
     the block (or 0, in the first block), q <= q_max and |f1(v)|, |f2(v)|
     <= B = bound(Q).  ``forms`` holds the rational coefficients of f1 and f2
-    on (p1, p2, q), independent in (p1, p2), f1 involving p1.  ``bound`` is
-    called once per block, in order; None ends the search.  The box is the
-    unit sup-norm cube of a lattice (Dani's correspondence), which
-    ``ReducedLattice.points`` enumerates exactly.
+    on (p1, p2, q), independent in (p1, p2).  ``bound`` is called once per
+    block, in order; None ends the search.  The box is the unit sup-norm
+    cube of a lattice (Dani's correspondence), which
+    ``ReducedLattice.points`` enumerates exactly, within ``budget`` leaves.
     """
-    (a1, b1, _), (a2, b2, _) = forms
-    det = abs(a1 * b2 - a2 * b1)
     Q = 1
     while (B := bound(Q)) is not None:
         end = 2 * Q - 1
         rows = [[x / B for x in f] for f in forms] + [[0, 0, Fraction(1, min(end, q_max))]]
         if block_p2:
             rows.append([0, Fraction(1, end), 0])
-        # the enumerated ball (radius sqrt(k) (1 + 1e-9) in cube units, k rows)
-        # has |f_i| <= S B, |q| <= S min(end, q_max) and |p2| <= S end with
-        # block_p2; given q, p2 then lies in an interval of length
-        # 2 S B (|a1| + |a2|) / det and, given both, p1 in one of 2 S B / |a1|,
-        # each holding at most floor(length) + 1 integers: no line runs out
-        S = math.sqrt(len(rows)) * (1 + 1e-6)
-        n_q, n_p2, n_p1, n_end = (
-            math.floor(2 * S * x) + 1
-            for x in (min(end, q_max), B * (abs(a1) + abs(a2)) / det, B / abs(a1), end))
-        budget = n_q * (min(n_p2, n_end) if block_p2 else n_p2) * n_p1 // 2 + 1
         block = []
         for p1, p2, q in ReducedLattice.exact(rows).points(1, budget):
             if q < 0:
@@ -109,7 +99,7 @@ def _box_points(forms, bound, q_max: int, block_p2: bool = False):
         Q *= 2
 
 
-def _approximations(a, b, bound, q_max: int):
+def _approximations(a, b, bound, q_max: int, budget: int = ENUMERATION_BUDGET):
     """Yield (q, nearest_residuals(a, b, q)), q ascending, for every q in
     [1, q_max] whose two nearest residuals are both at most
     B = min(bound(Q), 1/2), [Q, 2Q) being the dyadic block of q.  ``bound``
@@ -125,7 +115,7 @@ def _approximations(a, b, bound, q_max: int):
     forms = ((1, 0, Fraction(nb, db)), (0, 1, Fraction(na, da)))
     for block in _box_points(
             forms, lambda Q: None if Q > q_max or (B := bound(Q)) is None
-            else min(B, Fraction(1, 2)), q_max):
+            else min(B, Fraction(1, 2)), q_max, budget=budget):
         for q in sorted({q for _, _, q in block}):
             yield q, _nearest(q, nb, db, na, da)
 
@@ -153,7 +143,9 @@ def _witness(q: int, nr: NearestResiduals, bound_used: Fraction,
                               bound_used=bound_used, class_tag=class_tag)
 
 
-def _guard_f64_qmax(a, b, q_max: int):
+def _check_q_max(a, b, q_max: int):
+    if q_max < 1:
+        raise InvalidInputError("q_max must be >= 1")
     # binary doubles stop resolving q*x residuals reliably past |q| ~ 2^20
     if q_max > F64_MAX_DENOM and (isinstance(a, float) or isinstance(b, float)):
         raise PrecisionError(
@@ -161,19 +153,18 @@ def _guard_f64_qmax(a, b, q_max: int):
             f"rerun in bigfloat or rational mode for q_max = {q_max}")
 
 
-def w2_witness_search(a, b, C, q_max: int) -> list[DiophantineWitness]:
+def w2_witness_search(a, b, C, q_max: int,
+                      budget: int = ENUMERATION_BUDGET) -> list[DiophantineWitness]:
     """All q in [1, q_max] whose nearest residuals satisfy both inequalities
     with the fixed bound C q^-2.  Exhaustive in q; an empty list is a valid
     outcome (bounded search, not a proof of non-membership)."""
     c = Fraction(*exact_ratio(C))
     if c <= 0:
         raise InvalidInputError("C must be positive")
-    if q_max < 1:
-        raise InvalidInputError("q_max must be >= 1")
-    _guard_f64_qmax(a, b, q_max)
+    _check_q_max(a, b, q_max)
     tag = f"W2(C={float(C)!r})"
     hits = []
-    for q, nr in _approximations(a, b, lambda Q: c / (Q * Q), q_max):
+    for q, nr in _approximations(a, b, lambda Q: c / (Q * Q), q_max, budget):
         bound = c / (q * q)
         if max(nr.residual1, nr.residual2) <= bound:
             hits.append(_witness(q, nr, bound, tag))
@@ -201,19 +192,18 @@ def _pow_bound_check(r: Fraction, q: int, two_plus_eps: Fraction) -> bool:
     return lhs_m <= rhs_m
 
 
-def w2eps_witness_search(a, b, eps, q_max: int) -> list[DiophantineWitness]:
+def w2eps_witness_search(a, b, eps, q_max: int,
+                         budget: int = ENUMERATION_BUDGET) -> list[DiophantineWitness]:
     """Witnesses at quality q^-(2+eps) for q in [1, q_max]."""
     en, ed = exact_ratio(eps)
     if en <= 0:
         raise InvalidInputError("eps must be positive")
-    if q_max < 1:
-        raise InvalidInputError("q_max must be >= 1")
-    _guard_f64_qmax(a, b, q_max)
+    _check_q_max(a, b, q_max)
     two_plus_eps = 2 + Fraction(en, ed)
     exponent = float(two_plus_eps)
     # q^-(2+eps) <= Q^-2 on the block of Q
     return [_witness(q, nr, Fraction(q ** -exponent), f"W2o(eps={float(eps)!r})")
-            for q, nr in _approximations(a, b, lambda Q: Fraction(1, Q * Q), q_max)
+            for q, nr in _approximations(a, b, lambda Q: Fraction(1, Q * Q), q_max, budget)
             if _pow_bound_check(max(nr.residual1, nr.residual2), q, two_plus_eps)]
 
 
@@ -223,7 +213,8 @@ class W2InfEntry:
     witness: DiophantineWitness | None
 
 
-def w2inf_profile(a, b, C_list, q_max: int) -> list[W2InfEntry]:
+def w2inf_profile(a, b, C_list, q_max: int,
+                  budget: int = ENUMERATION_BUDGET) -> list[W2InfEntry]:
     """Minimal witness per C for a descending list of constants.
 
     The profile is the artifact's semi-decision for membership in the
@@ -235,7 +226,7 @@ def w2inf_profile(a, b, C_list, q_max: int) -> list[W2InfEntry]:
         raise InvalidInputError("C values must be positive")
     if any(cs[i] <= cs[i + 1] for i in range(len(cs) - 1)):
         raise InvalidInputError("C_list must be strictly descending")
-    _guard_f64_qmax(a, b, q_max)
+    _check_q_max(a, b, q_max)
     # a witness for C is one for every larger C, so the constants found so
     # far are always cs[:len(found)], and cs[len(found)] bounds the search
     found: list[DiophantineWitness] = []
@@ -243,7 +234,7 @@ def w2inf_profile(a, b, C_list, q_max: int) -> list[W2InfEntry]:
     def bound(Q):
         return cs[len(found)] / (Q * Q) if len(found) < len(cs) else None
 
-    for q, nr in _approximations(a, b, bound, q_max):
+    for q, nr in _approximations(a, b, bound, q_max, budget):
         worst = max(nr.residual1, nr.residual2)
         while len(found) < len(cs) and worst <= cs[len(found)] / (q * q):
             c = cs[len(found)]
@@ -367,7 +358,8 @@ def _union_length(spans):
     return total
 
 
-def _return_windows(line, R: Fraction, t_max: float, q_max: int):
+def _return_windows(line, R: Fraction, t_max: float, q_max: int,
+                    budget: int = ENUMERATION_BUDGET):
     """The open windows (lo, hi), as floats, of the nonzero integer vectors
     v = (p1, p2, q), q <= q_max, whose window meets [0, t_max]; their union
     is I_R restricted to q <= q_max (lo = -inf for q = p2 = 0, hi = inf for
@@ -392,7 +384,7 @@ def _return_windows(line, R: Fraction, t_max: float, q_max: int):
             return None  # every window of the block opens after t_max
         return R * min(1, R * R / (Q * Q))
 
-    for block in _box_points(forms, half_width, q_max, block_p2=True):
+    for block in _box_points(forms, half_width, q_max, block_p2=True, budget=budget):
         for p1, p2, q in block:
             md = max(abs(u1 * p1 + v1 * p2 + w1 * q), abs(u2 * p1 + v2 * p2 + w2 * q))
             n = max(abs(p2), q)
@@ -402,7 +394,8 @@ def _return_windows(line, R: Fraction, t_max: float, q_max: int):
                    0.5 * (log_rden - math.log(md)) if md else math.inf)
 
 
-def ir_density(line, R, T, q_max: int, dt: float = 0.01) -> DensityProfile:
+def ir_density(line, R, T, q_max: int, dt: float = 0.01,
+               budget: int = ENUMERATION_BUDGET) -> DensityProfile:
     """Estimate the density of return times I_R = {t : some nonzero integer
     vector stays below R along the whole translated segment}.
 
@@ -433,7 +426,8 @@ def ir_density(line, R, T, q_max: int, dt: float = 0.01) -> DensityProfile:
 
     intervals = []
     # E_q is empty unless <q(b,a)> < R1 R^2 q^-2
-    for q, nr in _approximations(line.a, line.b, lambda Q: R1 * r * r / (Q * Q), q_max):
+    for q, nr in _approximations(line.a, line.b, lambda Q: R1 * r * r / (Q * Q),
+                                 q_max, budget):
         iv = _eq_at(q, max(nr.residual1, nr.residual2), r, R1)
         if iv is not None:
             intervals.append(iv)
@@ -444,7 +438,7 @@ def ir_density(line, R, T, q_max: int, dt: float = 0.01) -> DensityProfile:
     inside = _union_length(
         (math.floor(lo / dt) + 1 if lo >= 0 else 0,
          min(math.ceil(hi / dt), n_grid) if hi < math.inf else n_grid)
-        for lo, hi in _return_windows(line, r, (n_grid - 1) * dt, q_max))
+        for lo, hi in _return_windows(line, r, (n_grid - 1) * dt, q_max, budget))
     direct_measure = inside * dt
 
     R_f = float(R)

@@ -86,12 +86,17 @@ def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
     return [one(i) for i in range(N)]
 
 
+def check_delta(delta: float) -> None:
+    """Refuse a threshold delta of K_delta outside (0, 1)."""
+    if not 0 < delta < 1:
+        raise InvalidInputError("delta must satisfy 0 < delta < 1")
+
+
 def escape_mass_fraction(line: LineSegmentSpec, t: FlowTime, delta: float,
                          N: int, seed: int, budget: int = ENUMERATION_BUDGET) -> float:
     """Fraction of sampled translates outside the compact set K_delta,
     i.e. with lambda_1 < delta."""
-    if not 0 < delta < 1:
-        raise InvalidInputError("delta must satisfy 0 < delta < 1")
+    check_delta(delta)
     samples = sample_translate(line, t, N, seed, budget=budget)
     return sum(1 for smp in samples if smp.lambda1 < delta) / N
 
@@ -171,8 +176,7 @@ class ProbeResult:
 def probe_times(delta: float, t_max: float, dt: float = 0.05) -> list[float]:
     """The grid t = 0, dt, 2 dt, ... <= t_max that ``trajectory_probe``
     scans, after checking its arguments."""
-    if not 0 < delta < 1:
-        raise InvalidInputError("delta must satisfy 0 < delta < 1")
+    check_delta(delta)
     if not 0 < dt <= 0.05 + 1e-12:
         raise InvalidInputError("probe grid step must be in (0, 0.05]")
     if not 0 <= t_max < math.inf:

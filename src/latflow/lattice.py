@@ -224,8 +224,8 @@ def _enumerate_half_ball(mu, norm2, bound2, budget: int = ENUMERATION_BUDGET):
                 count += 1
                 if count > budget:
                     raise BudgetError(
-                        f"lattice enumeration visited more than {budget} "
-                        "nodes; reduce the radius or raise the budget")
+                        "lattice enumeration visited more than its budget "
+                        f"of {budget} nodes")
                 yield (x0, x1, x2)
 
 

@@ -138,9 +138,14 @@ def test_budget_error_exit_3():
 @pytest.mark.parametrize("args", [
     ["equidist", "sqrt2", "sqrt3", "--t-list", "5", "--N", "3"],
     ["orbit", "sqrt2", "sqrt3", "--t-grid", "3", "--N", "5"],
+    ["classify", "sqrt2", "sqrt3", "--q-max", "100000"],
+    ["density", "sqrt2", "sqrt3", "--q-max", "10000"],
+    ["dirichlet", "sqrt2", "sqrt3", "--t-max", "1"],
 ])
-def test_budget_reaches_translate_enumerations(args, capsys):
-    # each translate's shortest-vector search visits more than one node
+def test_budget_reaches_every_subcommand(args, capsys):
+    # each translate's shortest-vector search, each dyadic block of a witness
+    # or return-window search and each direct Dirichlet horizon visits more
+    # than one node
     assert run_cli(args + ["--budget", "1"]) == 3
     assert "budget exceeded" in capsys.readouterr().err
 
@@ -261,6 +266,16 @@ def test_equidist_colliding_labels_exit_2(flag, capsys):
     # both values would write one count_r1 column and one mean_counts key
     assert run_cli(["equidist", "sqrt2", "sqrt3", "--N", "2", flag]) == 2
     assert "6 significant digits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", ["0", "1", "2"])
+def test_equidist_delta_outside_unit_interval_exit_2(delta, monkeypatch, capsys):
+    def sample(*args, **kwargs):
+        raise AssertionError("sampling started before --delta was checked")
+
+    monkeypatch.setattr(exp, "sample_translate", sample)
+    assert run_cli(["equidist", "sqrt2", "sqrt3", "--N", "2", "--delta", delta]) == 2
+    assert "delta" in capsys.readouterr().err
 
 
 def test_equidist_report_round_trip(tmp_path):

@@ -165,6 +165,11 @@ def test_w2inf_requires_descending():
         dio.w2inf_profile(LAM4, LAM4, [Fraction(1), Fraction(2)], 100)
 
 
+def test_w2inf_requires_positive_q_max():
+    with pytest.raises(InvalidInputError, match="q_max"):
+        dio.w2inf_profile(Fraction(1, 2), Fraction(1, 3), [1], 0)
+
+
 def test_f64_q_guard():
     with pytest.raises(PrecisionError):
         dio.w2_witness_search(0.3, 0.7, 1.0, 2 ** 21)
@@ -353,6 +358,16 @@ def test_dirichlet_budget():
     assert dio.dirichlet_direct(0.0, 0.0, 0.5, [2000.0], budget=4)[0].solvable
 
 
+def test_block_searches_budget():
+    # at the origin every q is a W2 witness and E_q a rational hit, so the
+    # block [8, 16) of q yields eight points, each one an enumeration leaf
+    origin = LineSegmentSpec(Fraction(0), Fraction(0), Fraction(0), Fraction(1), RATIONAL)
+    with pytest.raises(BudgetError):
+        dio.w2_witness_search(Fraction(0), Fraction(0), 1, 15, budget=7)
+    with pytest.raises(BudgetError):
+        dio.ir_density(origin, 2, 5, 15, budget=7)
+
+
 def test_dirichlet_large_horizon():
     # T = 10^5 costs one lattice reduction, where the (2T + 1)^2 grid is out
     # of reach.  With x = (2^-20, 2^-40) and |q1| <= T < 2^20 the smallest
@@ -418,8 +433,8 @@ _POSITIVE = st.fractions(min_value=Fraction(1, 10 ** 4), max_value=20,
 @given(pair=_pair_strategy(), C=_POSITIVE, q_max=_Q_MAX)
 @example(pair=HALF_THIRD, C=Fraction(1), q_max=3000)  # witness-dense
 @example(pair=(Fraction(0), Fraction(1, 2)), C=Fraction(20), q_max=50)  # ties at 1/2
-# every q a witness: each block's ball is as full as a line makes it, and
-# must fit the block's leaf budget
+# every q a witness: each block's ball is as full as a line makes it, well
+# within the default enumeration budget
 @example(pair=(Fraction(0), Fraction(0)), C=Fraction(10 ** 8), q_max=4096)
 @example(pair=(Fraction(1, 2), Fraction(1, 2)), C=Fraction(10 ** 8), q_max=4096)
 @example(pair=HALF_THIRD, C=Fraction(10 ** 8), q_max=4096)
@@ -466,7 +481,7 @@ def _density_line(pair, s1, length):
 @example(pair=HALF_THIRD, R=2, s1=Fraction(0), length=Fraction(1), T=6.0,
          q_max=3000)  # rational hits
 # every q a rational hit on a short interval: each block's ball is as full as
-# a line makes it, and must fit the block's leaf budget
+# a line makes it, all within the default enumeration budget
 @example(pair=(Fraction(0), Fraction(0)), R=3, s1=Fraction(-1, 2),
          length=Fraction(1, 10), T=6.0, q_max=3000)
 # a short interval: the q = 0 sheet alone holds about 2 R / (s2 - s1) values of
