@@ -27,6 +27,7 @@ from . import diophantine as dio
 from . import experiments as exp
 from .errors import BudgetError, InvalidInputError, ParseError, PrecisionError
 from .flow import FlowTime, LineSegmentSpec
+from .lattice import ENUMERATION_BUDGET, enumeration_budget
 from .scalars import IntegerVec3, mode_from_spec, named_scalar
 
 REPORT_SCHEMA = {
@@ -118,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="latflow", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, interval=True):
+    def common(sp):
         sp.add_argument("a", help="slope parameter (number or named constant)")
         sp.add_argument("b", help="offset parameter (number or named constant)")
         sp.add_argument("--mode", default="f64",
@@ -129,9 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--budget", type=_positive_int, default=None,
                         help="work cap for searches and enumerations "
                              "(a positive integer)")
-        if interval:
-            sp.add_argument("--interval", default="0,1",
-                            help="segment interval 's1,s2'")
+        sp.add_argument("--interval", default="0,1", help="segment interval 's1,s2'")
 
     sp = sub.add_parser("classify", help="Diophantine class searches for (a, b)")
     common(sp)
@@ -203,20 +202,18 @@ def _run_classify(args, mode) -> tuple[list, dict, list]:
     c_list = [named_scalar(c, mode) for c in args.C_list.split(",")]
 
     cert = dio.rational_certificate(a, b)
-    w2 = dio.w2_witness_search(a, b, C, q_max, args.budget)
-    w2e = dio.w2eps_witness_search(a, b, eps, q_max, args.budget)
-    profile = dio.w2inf_profile(a, b, c_list, q_max, args.budget)
+    w2 = dio.w2_witness_search(a, b, C, q_max)
+    w2e = dio.w2eps_witness_search(a, b, eps, q_max)
+    profile = dio.w2inf_profile(a, b, c_list, q_max)
 
-    samples = [_witness_row(w) for w in w2 + w2e]
-    profile_rows = []
-    for entry in profile:
-        profile_rows.append({
-            "C": float(entry.C),
-            "min_witness_q": entry.witness.q if entry.witness else None,
-            "found": entry.witness is not None,
-        })
-        if entry.witness:
-            samples.append(_witness_row(entry.witness))
+    # the rows are only written, so a run without --out builds none
+    samples = [] if args.out is None else [
+        _witness_row(w) for w in w2 + w2e + [e.witness for e in profile if e.witness]]
+    profile_rows = [{
+        "C": float(entry.C),
+        "min_witness_q": entry.witness.q if entry.witness else None,
+        "found": entry.witness is not None,
+    } for entry in profile]
 
     caveat = (f"bounded search up to q_max = {q_max}; witness presence is "
               "evidence, absence is not an asymptotic non-membership claim")
@@ -250,9 +247,8 @@ def _run_orbit(args, mode) -> tuple[list, dict, list]:
     samples = []
     for t in ts:
         ft = FlowTime.of(t)
-        sm = exp.segment_minimum(line, ft, args.R_cap, budget=args.budget)
-        frac = exp.escape_mass_fraction(line, ft, args.delta, args.N, args.seed,
-                                        budget=args.budget)
+        sm = exp.segment_minimum(line, ft, args.R_cap)
+        frac = exp.escape_mass_fraction(line, ft, args.delta, args.N, args.seed)
         samples.append({
             "t": t,
             "min_value": float(sm.value) if sm else None,
@@ -275,7 +271,7 @@ def _run_density(args, mode) -> tuple[list, dict, list]:
     line = _line_from(args, mode)
     R = named_scalar(args.R, mode)
     T = float(named_scalar(args.T, mode))
-    profile = dio.ir_density(line, R, T, args.q_max, dt=args.dt, budget=args.budget)
+    profile = dio.ir_density(line, R, T, args.q_max, dt=args.dt)
     samples = [{
         "q": iv.q,
         "lo": iv.lo,
@@ -315,8 +311,7 @@ def _run_equidist(args, mode) -> tuple[list, dict, list]:
     per_t = {}
     samples = []
     for t in ts:
-        batch = exp.sample_translate(line, FlowTime.of(t), args.N, args.seed, radii,
-                                     budget=args.budget)
+        batch = exp.sample_translate(line, FlowTime.of(t), args.N, args.seed, radii)
         per_t[t] = batch
         samples.extend(s.as_row() for s in batch)
     ks = {}
@@ -365,10 +360,8 @@ def _run_dirichlet(args, mode) -> tuple[list, dict, list]:
     # the direct check runs ahead of the probe, so that a budget error ends
     # the run before the probe's work
     verdicts = dio.dirichlet_direct(s, line.a * s + line.b, args.delta,
-                                    [math.exp(t) * scale for t in check_ts],
-                                    budget=args.budget)
-    probe = exp.trajectory_probe(line, s, args.delta, args.t_max, args.dt,
-                                 budget=args.budget)
+                                    [math.exp(t) * scale for t in check_ts])
+    probe = exp.trajectory_probe(line, s, args.delta, args.t_max, args.dt)
     in_k = dict(zip(probe.times, probe.in_k()))
     lam = dict(zip(probe.times, probe.lambda1))
     agree = 0
@@ -452,16 +445,14 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     mode = mode_from_spec(args.mode)
     config = {k.replace("_", "-"): v for k, v in sorted(vars(args).items())}
-    # the config echoes --budget as given; the runners read the resolved cap
-    if args.budget is None:
-        args.budget = exp.ENUMERATION_BUDGET
     if args.out is not None:
         # before the run, so that a bad --out costs no computation
         try:
             Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         except OSError as e:
             raise InvalidInputError(f"cannot create the directory of --out: {e}") from e
-    samples, summary, flags = _RUNNERS[args.subcommand](args, mode)
+    with enumeration_budget(args.budget or ENUMERATION_BUDGET):
+        samples, summary, flags = _RUNNERS[args.subcommand](args, mode)
     _write_outputs({"schema_version": 1, "config": config, "samples": samples,
                     "summary": summary, "flags": flags}, args)
     return 0

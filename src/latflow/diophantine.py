@@ -22,8 +22,9 @@ take the segment coordinates c0 + c1 s_i, whose q = 0 points are the sheets.
 A search therefore costs O(log q_max) lattice reductions plus work in
 proportion to its candidates, not one step per q; each candidate then
 passes the exact per-q test of its class.  ``dirichlet_direct`` is the
-same correspondence for the improved Dirichlet system.  ``budget`` caps
-the enumeration leaves of each block.  Searches are bounded by q_max and
+same correspondence for the improved Dirichlet system.  Each block, and
+each Dirichlet horizon, is one enumeration under the leaf cap of
+``lattice.enumeration_budget``.  Searches are bounded by q_max and
 report witnesses / non-witnesses up to that bound only; membership
 language for irrational inputs must keep that caveat.
 """
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError, PrecisionError
-from .lattice import ENUMERATION_BUDGET, ReducedLattice
+from .lattice import ReducedLattice
 from .scalars import F64_MAX_DENOM, IntegerVec3, exact_ratio, mp_context
 
 
@@ -70,8 +71,7 @@ def _nearest(q: int, nb: int, db: int, na: int, da: int) -> NearestResiduals:
     return NearestResiduals(p1=p1, p2=p2, residual1=res_b, residual2=res_a)
 
 
-def _box_points(forms, bound, q_max: int, block_p2: bool = False,
-                budget: int = ENUMERATION_BUDGET):
+def _box_points(forms, bound, q_max: int, block_p2: bool = False):
     """Yield, for each dyadic block [Q, 2Q) of n(v) in turn (n(v) = q, or
     max(|p2|, q) with ``block_p2``), the list of integer vectors
     v = (p1, p2, q), one per +-pair and with q >= 0, such that n(v) is in
@@ -80,7 +80,7 @@ def _box_points(forms, bound, q_max: int, block_p2: bool = False,
     on (p1, p2, q), independent in (p1, p2).  ``bound`` is called once per
     block, in order; None ends the search.  The box is the unit sup-norm
     cube of a lattice (Dani's correspondence), which
-    ``ReducedLattice.points`` enumerates exactly, within ``budget`` leaves.
+    ``ReducedLattice.points`` enumerates exactly, within the leaf cap.
     """
     Q = 1
     while (B := bound(Q)) is not None:
@@ -89,7 +89,7 @@ def _box_points(forms, bound, q_max: int, block_p2: bool = False,
         if block_p2:
             rows.append([0, Fraction(1, end), 0])
         block = []
-        for p1, p2, q in ReducedLattice.exact(rows).points(1, budget):
+        for p1, p2, q in ReducedLattice.exact(rows).points(1):
             if q < 0:
                 p1, p2, q = -p1, -p2, -q
             n = max(abs(p2), q) if block_p2 else q
@@ -99,7 +99,7 @@ def _box_points(forms, bound, q_max: int, block_p2: bool = False,
         Q *= 2
 
 
-def _approximations(a, b, bound, q_max: int, budget: int = ENUMERATION_BUDGET):
+def _approximations(a, b, bound, q_max: int):
     """Yield (q, nearest_residuals(a, b, q)), q ascending, for every q in
     [1, q_max] whose two nearest residuals are both at most
     B = min(bound(Q), 1/2), [Q, 2Q) being the dyadic block of q.  ``bound``
@@ -115,7 +115,7 @@ def _approximations(a, b, bound, q_max: int, budget: int = ENUMERATION_BUDGET):
     forms = ((1, 0, Fraction(nb, db)), (0, 1, Fraction(na, da)))
     for block in _box_points(
             forms, lambda Q: None if Q > q_max or (B := bound(Q)) is None
-            else min(B, Fraction(1, 2)), q_max, budget=budget):
+            else min(B, Fraction(1, 2)), q_max):
         for q in sorted({q for _, _, q in block}):
             yield q, _nearest(q, nb, db, na, da)
 
@@ -153,8 +153,7 @@ def _check_q_max(a, b, q_max: int):
             f"rerun in bigfloat or rational mode for q_max = {q_max}")
 
 
-def w2_witness_search(a, b, C, q_max: int,
-                      budget: int = ENUMERATION_BUDGET) -> list[DiophantineWitness]:
+def w2_witness_search(a, b, C, q_max: int) -> list[DiophantineWitness]:
     """All q in [1, q_max] whose nearest residuals satisfy both inequalities
     with the fixed bound C q^-2.  Exhaustive in q; an empty list is a valid
     outcome (bounded search, not a proof of non-membership)."""
@@ -164,7 +163,7 @@ def w2_witness_search(a, b, C, q_max: int,
     _check_q_max(a, b, q_max)
     tag = f"W2(C={float(C)!r})"
     hits = []
-    for q, nr in _approximations(a, b, lambda Q: c / (Q * Q), q_max, budget):
+    for q, nr in _approximations(a, b, lambda Q: c / (Q * Q), q_max):
         bound = c / (q * q)
         if max(nr.residual1, nr.residual2) <= bound:
             hits.append(_witness(q, nr, bound, tag))
@@ -192,8 +191,7 @@ def _pow_bound_check(r: Fraction, q: int, two_plus_eps: Fraction) -> bool:
     return lhs_m <= rhs_m
 
 
-def w2eps_witness_search(a, b, eps, q_max: int,
-                         budget: int = ENUMERATION_BUDGET) -> list[DiophantineWitness]:
+def w2eps_witness_search(a, b, eps, q_max: int) -> list[DiophantineWitness]:
     """Witnesses at quality q^-(2+eps) for q in [1, q_max]."""
     en, ed = exact_ratio(eps)
     if en <= 0:
@@ -203,7 +201,7 @@ def w2eps_witness_search(a, b, eps, q_max: int,
     exponent = float(two_plus_eps)
     # q^-(2+eps) <= Q^-2 on the block of Q
     return [_witness(q, nr, Fraction(q ** -exponent), f"W2o(eps={float(eps)!r})")
-            for q, nr in _approximations(a, b, lambda Q: Fraction(1, Q * Q), q_max, budget)
+            for q, nr in _approximations(a, b, lambda Q: Fraction(1, Q * Q), q_max)
             if _pow_bound_check(max(nr.residual1, nr.residual2), q, two_plus_eps)]
 
 
@@ -213,8 +211,7 @@ class W2InfEntry:
     witness: DiophantineWitness | None
 
 
-def w2inf_profile(a, b, C_list, q_max: int,
-                  budget: int = ENUMERATION_BUDGET) -> list[W2InfEntry]:
+def w2inf_profile(a, b, C_list, q_max: int) -> list[W2InfEntry]:
     """Minimal witness per C for a descending list of constants.
 
     The profile is the artifact's semi-decision for membership in the
@@ -234,7 +231,7 @@ def w2inf_profile(a, b, C_list, q_max: int,
     def bound(Q):
         return cs[len(found)] / (Q * Q) if len(found) < len(cs) else None
 
-    for q, nr in _approximations(a, b, bound, q_max, budget):
+    for q, nr in _approximations(a, b, bound, q_max):
         worst = max(nr.residual1, nr.residual2)
         while len(found) < len(cs) and worst <= cs[len(found)] / (q * q):
             c = cs[len(found)]
@@ -358,8 +355,7 @@ def _union_length(spans):
     return total
 
 
-def _return_windows(line, R: Fraction, t_max: float, q_max: int,
-                    budget: int = ENUMERATION_BUDGET):
+def _return_windows(line, R: Fraction, t_max: float, q_max: int):
     """The open windows (lo, hi), as floats, of the nonzero integer vectors
     v = (p1, p2, q), q <= q_max, whose window meets [0, t_max]; their union
     is I_R restricted to q <= q_max (lo = -inf for q = p2 = 0, hi = inf for
@@ -384,7 +380,7 @@ def _return_windows(line, R: Fraction, t_max: float, q_max: int,
             return None  # every window of the block opens after t_max
         return R * min(1, R * R / (Q * Q))
 
-    for block in _box_points(forms, half_width, q_max, block_p2=True, budget=budget):
+    for block in _box_points(forms, half_width, q_max, block_p2=True):
         for p1, p2, q in block:
             md = max(abs(u1 * p1 + v1 * p2 + w1 * q), abs(u2 * p1 + v2 * p2 + w2 * q))
             n = max(abs(p2), q)
@@ -394,8 +390,7 @@ def _return_windows(line, R: Fraction, t_max: float, q_max: int,
                    0.5 * (log_rden - math.log(md)) if md else math.inf)
 
 
-def ir_density(line, R, T, q_max: int, dt: float = 0.01,
-               budget: int = ENUMERATION_BUDGET) -> DensityProfile:
+def ir_density(line, R, T, q_max: int, dt: float = 0.01) -> DensityProfile:
     """Estimate the density of return times I_R = {t : some nonzero integer
     vector stays below R along the whole translated segment}.
 
@@ -426,8 +421,7 @@ def ir_density(line, R, T, q_max: int, dt: float = 0.01,
 
     intervals = []
     # E_q is empty unless <q(b,a)> < R1 R^2 q^-2
-    for q, nr in _approximations(line.a, line.b, lambda Q: R1 * r * r / (Q * Q),
-                                 q_max, budget):
+    for q, nr in _approximations(line.a, line.b, lambda Q: R1 * r * r / (Q * Q), q_max):
         iv = _eq_at(q, max(nr.residual1, nr.residual2), r, R1)
         if iv is not None:
             intervals.append(iv)
@@ -438,7 +432,7 @@ def ir_density(line, R, T, q_max: int, dt: float = 0.01,
     inside = _union_length(
         (math.floor(lo / dt) + 1 if lo >= 0 else 0,
          min(math.ceil(hi / dt), n_grid) if hi < math.inf else n_grid)
-        for lo, hi in _return_windows(line, r, (n_grid - 1) * dt, q_max, budget))
+        for lo, hi in _return_windows(line, r, (n_grid - 1) * dt, q_max))
     direct_measure = inside * dt
 
     R_f = float(R)
@@ -459,11 +453,9 @@ def ir_density(line, R, T, q_max: int, dt: float = 0.01,
 class DirichletVerdict:
     T: float
     solvable: bool
-    bound: float
 
 
-def dirichlet_direct(x1, x2, delta, T_list,
-                     budget: int = ENUMERATION_BUDGET) -> list[DirichletVerdict]:
+def dirichlet_direct(x1, x2, delta, T_list) -> list[DirichletVerdict]:
     """Solvability of the improved linear-form system at each T:
     |x . q + p| <= delta T^-2 for some p in Z and q in Z^2 with
     0 < ||q||_inf <= T, decided exactly from the stored values of x1, x2,
@@ -473,8 +465,7 @@ def dirichlet_direct(x1, x2, delta, T_list,
     ((T^3 / delta)(x1 q1 + x2 q2 + p), q1, q2) has a nonzero vector of sup
     norm <= T (q = 0 would need |p| T^3 / delta <= T, so p = 0 as well).
     That is one ``ReducedLattice.exact(...).minimum`` per T, which scales
-    the lattice to integers and solves it exactly; ``budget`` caps its
-    enumeration nodes.
+    the lattice to integers and solves it exactly.
     """
     x1, x2, d = (Fraction(*exact_ratio(x)) for x in (x1, x2, delta))
     if not 0 < d < 1:
@@ -486,6 +477,5 @@ def dirichlet_direct(x1, x2, delta, T_list,
     for T in T_list:
         k = Fraction(T) ** 3 / d
         lat = ReducedLattice.exact(((k * x1, k * x2, k), (1, 0, 0), (0, 1, 0)))
-        out.append(DirichletVerdict(T=T, solvable=lat.minimum(T, budget) is not None,
-                                    bound=float(delta) * T ** -2))
+        out.append(DirichletVerdict(T=T, solvable=lat.minimum(T) is not None))
     return out

@@ -4,8 +4,8 @@ The empirical object throughout is the image of N uniform draws s ~ I under
 s -> g_t phi(s) Z^3: certified first minima, point counts and escape
 fractions, plus the two trajectory-level probes (first entry into a Mahler
 compact set, and the exhaustive segment-minimum search that powers the
-return-time estimates).  ``budget`` caps the enumeration leaves of each
-lattice search.
+return-time estimates).  Each lattice search is one enumeration under the
+leaf cap of ``lattice.enumeration_budget``.
 
 Reproducibility contract: every sample i of an experiment seeded with
 ``seed`` draws from a counter-based Philox stream keyed by (seed, i), so
@@ -24,8 +24,7 @@ from numpy.random import Generator, Philox
 
 from .errors import InvalidInputError, PrecisionError
 from .flow import FlowTime, LineSegmentSpec, segment_sup
-from .lattice import (ENUMERATION_BUDGET, ReducedLattice, count_points,
-                      shortest_vector, translate_basis)
+from .lattice import ReducedLattice, count_points, shortest_vector, translate_basis
 from .scalars import IntegerVec3, exact_ratio
 
 
@@ -57,7 +56,7 @@ class TranslateSample:
 
 
 def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
-                     radii=(), budget: int = ENUMERATION_BUDGET) -> list[TranslateSample]:
+                     radii=()) -> list[TranslateSample]:
     """N i.i.d. uniform draws of s over I; per sample the certified first
     minimum and the nonzero-point counts at the requested radii, all from
     one ``ReducedLattice`` of the sample's basis.
@@ -77,8 +76,8 @@ def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
         u = line.mode.from_fraction(Fraction(sample_stream(seed, i).random()))
         s = s1 + u * width
         lat = ReducedLattice.of(translate_basis(line, s, t))
-        res = shortest_vector(lat, budget)
-        counts = {r: count_points(lat, r, budget) for r in radii}
+        res = shortest_vector(lat)
+        counts = {r: count_points(lat, r) for r in radii}
         return TranslateSample(s=s, t=float(t.t), lambda1=res.lambda1,
                                point_counts=counts, certified=res.certified,
                                escalated=res.escalated)
@@ -93,11 +92,11 @@ def check_delta(delta: float) -> None:
 
 
 def escape_mass_fraction(line: LineSegmentSpec, t: FlowTime, delta: float,
-                         N: int, seed: int, budget: int = ENUMERATION_BUDGET) -> float:
+                         N: int, seed: int) -> float:
     """Fraction of sampled translates outside the compact set K_delta,
     i.e. with lambda_1 < delta."""
     check_delta(delta)
-    samples = sample_translate(line, t, N, seed, budget=budget)
+    samples = sample_translate(line, t, N, seed)
     return sum(1 for smp in samples if smp.lambda1 < delta) / N
 
 
@@ -109,8 +108,8 @@ class SegmentMinimum:
     value: object  # scalar in the line's mode (exact when possible)
 
 
-def segment_minimum(line: LineSegmentSpec, t: FlowTime, R_cap: float,
-                    budget: int = ENUMERATION_BUDGET) -> SegmentMinimum | None:
+def segment_minimum(line: LineSegmentSpec, t: FlowTime,
+                    R_cap: float) -> SegmentMinimum | None:
     """Minimize sup_{s in I} ||g_t phi(s) v||_inf over nonzero integer v,
     reporting the minimizer when its value is <= R_cap (else None).
 
@@ -122,9 +121,9 @@ def segment_minimum(line: LineSegmentSpec, t: FlowTime, R_cap: float,
     so the minimum is that lattice's first sup-norm minimum.  E2, Em, a, b,
     s1 and s2 are taken at their exact stored values, and
     ``ReducedLattice.exact`` solves it exactly; ties go to the
-    sign-normalised vector smallest in (q, p2, p1).  ``budget`` caps the
-    enumeration nodes.  The value is ``segment_sup`` of the minimizer: exact
-    in rational mode with an exact e^t, in the line's scalars otherwise.
+    sign-normalised vector smallest in (q, p2, p1).  The value is
+    ``segment_sup`` of the minimizer: exact in rational mode with an exact
+    e^t, in the line's scalars otherwise.
     """
     if not 1 <= R_cap < math.inf:
         raise InvalidInputError("R_cap must be finite and >= 1")
@@ -139,7 +138,7 @@ def segment_minimum(line: LineSegmentSpec, t: FlowTime, R_cap: float,
             (e2, e2 * s2, e2 * (b + a * s2)),
             (0, em, 0),
             (0, 0, em))
-    found = ReducedLattice.exact(rows).minimum(R_cap, budget)
+    found = ReducedLattice.exact(rows).minimum(R_cap)
     if found is None:
         return None
     vector = IntegerVec3(*found[1])
@@ -162,7 +161,6 @@ class ProbeResult:
     signal for a delta-improvable candidate.
     """
 
-    delta: float
     threshold: float
     first_entry: float | None
     last_exit: float | None
@@ -185,16 +183,15 @@ def probe_times(delta: float, t_max: float, dt: float = 0.05) -> list[float]:
 
 
 def trajectory_probe(line: LineSegmentSpec, s, delta: float, t_max: float,
-                     dt: float = 0.05, budget: int = ENUMERATION_BUDGET) -> ProbeResult:
+                     dt: float = 0.05) -> ProbeResult:
     """Scan t in [0, t_max] on a grid of step dt for membership of
     g_t phi(s) Z^3 in K_{delta^{1/3}}."""
     times = probe_times(delta, t_max, dt)
     threshold = delta ** (1.0 / 3.0)
-    lams = [shortest_vector(translate_basis(line, s, FlowTime.of(t)), budget).lambda1
+    lams = [shortest_vector(translate_basis(line, s, FlowTime.of(t))).lambda1
             for t in times]
     inside = [i for i, l in enumerate(lams) if l >= threshold]
     return ProbeResult(
-        delta=delta,
         threshold=threshold,
         first_entry=times[inside[0]] if inside else None,
         last_exit=times[inside[-1]] if inside else None,

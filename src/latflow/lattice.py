@@ -22,12 +22,17 @@ the basis or that value, so the minimum and the counts at every radius
 share one reduction; ``ReducedLattice.exact`` also gives the segment
 minima, the Dirichlet check and the Diophantine search boxes.
 
-All functions are pure; enumeration keeps only local state.
+All functions are pure but for one input: the enumeration leaf cap,
+``ENUMERATION_BUDGET`` unless a ``with enumeration_budget(n):`` block sets
+it.  ``_enumerate_half_ball`` reads it when an enumeration starts, and
+``ReducedLattice.count`` reads it for its expected-count refusal.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,6 +45,19 @@ LLL_DELTA_EXACT = Fraction(str(LLL_DELTA))  # 99/100 for the integral LLL
 LLL_ITERATION_CAP = 100_000
 GSO_RANGE_CAP = 1e12  # dynamic range of GSO lengths tolerated in f64
 ENUMERATION_BUDGET = 10_000_000  # Fincke-Pohst leaves per search
+
+_budget = ContextVar("enumeration_budget", default=ENUMERATION_BUDGET)
+
+
+@contextmanager
+def enumeration_budget(n: int):
+    """Cap each enumeration started inside the block at ``n`` leaves; the
+    enclosing cap returns on exit."""
+    token = _budget.set(n)
+    try:
+        yield
+    finally:
+        _budget.reset(token)
 
 
 @dataclass(frozen=True)
@@ -198,10 +216,12 @@ def lll_reduce(basis, gso=None):
     return cols, u
 
 
-def _enumerate_half_ball(mu, norm2, bound2, budget: int = ENUMERATION_BUDGET):
+def _enumerate_half_ball(mu, norm2, bound2):
     """Yield integer coefficient triples x != 0 (one per +-pair) with
     ||B x||_2^2 <= bound2, by Fincke-Pohst interval nesting over the
-    Gram-Schmidt data (mu, norm2) of the basis B."""
+    Gram-Schmidt data (mu, norm2) of the basis B, within the leaf cap in
+    force when the enumeration starts."""
+    budget = _budget.get()
     count = 0
     for x2 in range(0, math.floor(math.sqrt(bound2 / norm2[2])) + 1):
         r2 = bound2 - x2 * x2 * norm2[2]
@@ -410,16 +430,16 @@ class ReducedLattice:
         n, d = exact_ratio(radius)
         return n * self.den // d
 
-    def _points(self, limit, budget):
+    def _points(self, limit):
         """(norm, coeffs) of every vector, one per +-pair, of sup norm <=
         ``limit``, both in the units of ``rows``: the Euclidean ball of
         radius sqrt(n) limit (inflated by 1e-9 against rounding in the float
-        interval bounds) is enumerated to exhaustion, ``budget`` leaves at
-        most.  Norms are exact for integer rows and the f64 evaluation of
+        interval bounds) is enumerated to exhaustion, within the leaf
+        cap.  Norms are exact for integer rows and the f64 evaluation of
         the reduced columns for f64 rows."""
         rows = self.rows
         bound2 = float(len(rows) * limit * limit / self.scale2) * (1 + 1e-9) ** 2
-        for x in _enumerate_half_ball(self.mu, self.norm2, bound2, budget):
+        for x in _enumerate_half_ball(self.mu, self.norm2, bound2):
             x0, x1, x2 = x
             norm = 0
             for r0, r1, r2 in rows:
@@ -431,15 +451,15 @@ class ReducedLattice:
             else:
                 yield norm, _transform_apply(self.transform, x)
 
-    def points(self, radius, budget: int = ENUMERATION_BUDGET):
+    def points(self, radius):
         """Yield the coefficients w.r.t. the basis of every lattice vector,
         one per +-pair, of sup norm <= ``radius``.  Here and in ``minimum``
         and ``count``, radii and norms are in the units of the basis rows
         the lattice was made from."""
-        for _, coeffs in self._points(self._limit(radius), budget):
+        for _, coeffs in self._points(self._limit(radius)):
             yield coeffs
 
-    def minimum(self, limit, budget: int = ENUMERATION_BUDGET):
+    def minimum(self, limit):
         """The first sup-norm minimum when it is at most ``limit`` (else
         None), as (norm, coeffs w.r.t. the basis); the norm is a Fraction
         for integer rows.  Among vectors of equal norm it is the
@@ -448,7 +468,7 @@ class ReducedLattice:
         Certified: every vector within min(``shortest``, ``limit``) of the
         origin is compared."""
         best = None
-        for norm, coeffs in self._points(min(self.shortest, self._limit(limit)), budget):
+        for norm, coeffs in self._points(min(self.shortest, self._limit(limit))):
             key = coeffs[::-1]
             if key < (0, 0, 0):
                 key = tuple(-c for c in key)
@@ -459,16 +479,17 @@ class ReducedLattice:
         norm = Fraction(best[0], self.den) if self.escalated else best[0]
         return norm, best[1][::-1]
 
-    def count(self, radius, budget: int = ENUMERATION_BUDGET) -> int:
+    def count(self, radius) -> int:
         """#{v in L \\ 0 : ||v||_inf <= radius}; for a lattice in R^3 it
-        refuses an expected count (2 radius)^3 / det(L) above ``budget``."""
+        refuses an expected count (2 radius)^3 / det(L) above the leaf cap."""
         limit = self._limit(radius)
+        budget = _budget.get()
         if limit == math.inf or (2 * Fraction(limit)) ** 6 > budget ** 2 * self.gram_det:
             raise BudgetError("count_points: expected point count exceeds the budget")
-        return 2 * sum(1 for _ in self._points(limit, budget))
+        return 2 * sum(1 for _ in self._points(limit))
 
 
-def shortest_vector(basis, budget: int = ENUMERATION_BUDGET) -> ShortVectorResult:
+def shortest_vector(basis) -> ShortVectorResult:
     """The exact sup-norm first minimum, by complete enumeration.
 
     ``basis`` is a ``LatticeBasis3`` or a ``ReducedLattice``.  LLL
@@ -481,24 +502,24 @@ def shortest_vector(basis, budget: int = ENUMERATION_BUDGET) -> ShortVectorResul
     rounded exact minimum.
     """
     lat = ReducedLattice.of(basis)
-    norm, coeffs = lat.minimum(math.inf, budget)
+    norm, coeffs = lat.minimum(math.inf)
     return ShortVectorResult(vector=IntegerVec3(*coeffs), lambda1=float(norm),
                              certified=True, escalated=lat.escalated)
 
 
-def count_points(basis, r, budget: int = ENUMERATION_BUDGET) -> int:
+def count_points(basis, r) -> int:
     """#{v in L \\ 0 : ||v||_inf <= r}, by complete enumeration.
 
     ``basis`` is a ``LatticeBasis3`` or a ``ReducedLattice``, which serves
     every radius from one reduction.  Counts are exact and even (the ball
     is symmetric); an expected count (2r)^3 / det(L) or enumeration work
-    beyond the budget raises BudgetError.  A basis that ``shortest_vector``
+    beyond the leaf cap raises BudgetError.  A basis that ``shortest_vector``
     solves exactly is counted exactly.
     """
     r = float(r)
     if not r > 0:
         raise InvalidInputError("count radius must be positive")
-    return ReducedLattice.of(basis).count(r, budget)
+    return ReducedLattice.of(basis).count(r)
 
 
 def translate_basis(line, s, t) -> LatticeBasis3:

@@ -150,6 +150,13 @@ def test_budget_reaches_every_subcommand(args, capsys):
     assert "budget exceeded" in capsys.readouterr().err
 
 
+def test_budget_does_not_leak_between_runs(capsys):
+    # runs in one interpreter, as the benchmark's child process makes them
+    args = ["orbit", "sqrt2", "sqrt3", "--t-grid", "3", "--N", "5"]
+    assert run_cli(args + ["--budget", "1"]) == 3
+    assert run_cli(args) == 0
+
+
 @pytest.mark.parametrize("budget", ["0", "-5", "1.5"])
 @pytest.mark.parametrize("subcommand", [
     ["orbit", "sqrt2", "sqrt3", "--t-grid", "0", "--N", "1"],

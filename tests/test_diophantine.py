@@ -10,6 +10,7 @@ from latflow import diophantine as dio
 from latflow import experiments as exp
 from latflow.errors import BudgetError, InvalidInputError, PrecisionError
 from latflow.flow import FlowTime, LineSegmentSpec, flow_standard
+from latflow.lattice import enumeration_budget
 from latflow.scalars import F64, RATIONAL, IntegerVec3, bigfloat, liouville_partial, named_scalar
 
 from util import (dirichlet_grid, exact_ir_measure, ir_density_scan, log_fraction,
@@ -353,19 +354,21 @@ def test_dirichlet_large_bound_always_solvable():
 def test_dirichlet_budget():
     # the budget caps the enumeration nodes of each horizon's lattice search:
     # at x = 0 every q with ||q||_inf <= 1 is a solution, four nodes
-    with pytest.raises(BudgetError):
-        dio.dirichlet_direct(0.0, 0.0, 0.5, [2000.0], budget=3)
-    assert dio.dirichlet_direct(0.0, 0.0, 0.5, [2000.0], budget=4)[0].solvable
+    with enumeration_budget(3), pytest.raises(BudgetError):
+        dio.dirichlet_direct(0.0, 0.0, 0.5, [2000.0])
+    with enumeration_budget(4):
+        assert dio.dirichlet_direct(0.0, 0.0, 0.5, [2000.0])[0].solvable
 
 
 def test_block_searches_budget():
     # at the origin every q is a W2 witness and E_q a rational hit, so the
     # block [8, 16) of q yields eight points, each one an enumeration leaf
     origin = LineSegmentSpec(Fraction(0), Fraction(0), Fraction(0), Fraction(1), RATIONAL)
-    with pytest.raises(BudgetError):
-        dio.w2_witness_search(Fraction(0), Fraction(0), 1, 15, budget=7)
-    with pytest.raises(BudgetError):
-        dio.ir_density(origin, 2, 5, 15, budget=7)
+    with enumeration_budget(7):
+        with pytest.raises(BudgetError):
+            dio.w2_witness_search(Fraction(0), Fraction(0), 1, 15)
+        with pytest.raises(BudgetError):
+            dio.ir_density(origin, 2, 5, 15)
 
 
 def test_dirichlet_large_horizon():

@@ -249,10 +249,10 @@ def test_segment_minimum_window_soundness():
 
 def test_segment_minimum_budget_error():
     # the budget caps enumeration nodes: 10 at t = 0, 1 at e^t = 10^6
-    with pytest.raises(BudgetError):
-        exp.segment_minimum(LIOUVILLE_LINE, FlowTime.from_exp(1), 2.0, budget=5)
-    sm = exp.segment_minimum(LIOUVILLE_LINE, FlowTime.from_exp(10 ** 6), 2.0,
-                             budget=1000)
+    with lattice.enumeration_budget(5), pytest.raises(BudgetError):
+        exp.segment_minimum(LIOUVILLE_LINE, FlowTime.from_exp(1), 2.0)
+    with lattice.enumeration_budget(1000):
+        sm = exp.segment_minimum(LIOUVILLE_LINE, FlowTime.from_exp(10 ** 6), 2.0)
     assert sm.vector.as_tuple() == (-110001, -110001, 10 ** 6)
 
 
@@ -282,7 +282,8 @@ def test_segment_minimum_equals_scan_oracle():
 
 def test_segment_minimum_f64_large_t_is_cheap():
     # the scan visits ~6 e^12 q values here; the engine a handful of nodes
-    assert exp.segment_minimum(GENERIC_LINE, FlowTime.of(12.0), 6.0, budget=10) is None
+    with lattice.enumeration_budget(10):
+        assert exp.segment_minimum(GENERIC_LINE, FlowTime.of(12.0), 6.0) is None
     # past t ~ 118 the Gram-Schmidt length ratios overflow f64; the stored
     # sqrt2 and sqrt3 are k / 2^52, so q = 2^52 zeroes both residuals and
     # leaves e^{-t} max(|p2|, q)

@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -6,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latflow import diophantine, experiments, lattice
 from latflow.errors import BudgetError, InvalidInputError
 from latflow.experiments import sample_stream
 from latflow.flow import FlowTime, LineSegmentSpec, phi
 from latflow.lattice import (
+    ENUMERATION_BUDGET,
     LatticeBasis3,
     ReducedLattice,
     count_points,
+    enumeration_budget,
     gram_schmidt,
     lll_reduce,
     lll_reduce_integral,
@@ -374,9 +378,10 @@ def test_sup_norm_count_matches_box_oracle():
 def test_sup_norm_count_budget_guard():
     # (2 r)^3 / det = 10^6 / 1 expected points
     lat = ReducedLattice.exact([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    with pytest.raises(BudgetError):
-        lat.count(500, budget=10_000)
-    assert lat.count(2, budget=200) == 124
+    with enumeration_budget(10_000), pytest.raises(BudgetError):
+        lat.count(500)
+    with enumeration_budget(200):
+        assert lat.count(2) == 124
 
 
 def test_count_points_z3():
@@ -420,8 +425,49 @@ def test_count_points_matches_brute_force():
 
 
 def test_count_points_budget_error():
-    with pytest.raises(BudgetError):
-        count_points(LatticeBasis3.identity(), 500.0, budget=10_000)
+    with enumeration_budget(10_000), pytest.raises(BudgetError):
+        count_points(LatticeBasis3.identity(), 500.0)
+
+
+def test_enumeration_budget_nests_and_restores():
+    # the half ball of radius 2 sqrt(3) around 0 in Z^3 holds 89 leaves
+    lat = ReducedLattice.exact([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert lattice._budget.get() == ENUMERATION_BUDGET
+    with enumeration_budget(200):
+        with enumeration_budget(10):
+            with pytest.raises(BudgetError, match="budget of 10 nodes"):
+                list(lat.points(2))
+        assert len(list(lat.points(2))) == 62
+        with pytest.raises(BudgetError), enumeration_budget(10):
+            list(lat.points(2))
+        assert len(list(lat.points(2))) == 62
+        points = lat.points(2)
+    # a generator reads the cap in force when its enumeration starts
+    with enumeration_budget(10), pytest.raises(BudgetError):
+        list(points)
+    assert lattice._budget.get() == ENUMERATION_BUDGET
+
+
+def _functions(module):
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            for member in vars(obj).values():
+                fn = getattr(member, "__func__", getattr(member, "fget", member))
+                if inspect.isfunction(fn):
+                    yield fn
+
+
+@pytest.mark.parametrize("module", [lattice, diophantine, experiments])
+def test_no_function_takes_a_budget(module):
+    # the cap is set once, by enumeration_budget, and never passed down
+    functions = list(_functions(module))
+    assert functions
+    for fn in functions:
+        assert "budget" not in inspect.signature(fn).parameters, fn.__qualname__
 
 
 @pytest.mark.parametrize("t", [0.0, 9.5])

@@ -44,3 +44,33 @@ def test_traced_translates_reduce_once_per_sample():
     assert summary["experiments.sample_translate.samples"] == 6
     assert summary["lattice.lll_reduce.calls"] == 6
     assert summary["lattice.count_points.calls"] == 12
+
+
+def test_traced_cli_runs_count_every_search(capsys):
+    # the counters bind q_max, T_list and results by signature, as
+    # ``perfbench --trace 1`` does around the child's cli.main calls
+    tracing = _tracing()
+    modules = {name: importlib.import_module(name)
+               for name in {mod_name for mod_name, _, _ in tracing.WRAP_POINTS}}
+    tracer = tracing.Tracer()
+    tracer.install(modules)
+    try:
+        for argv in (["classify", "sqrt2", "sqrt3", "--q-max", "1000"],
+                     ["density", "sqrt2", "sqrt3", "--q-max", "1000", "--T", "5"],
+                     ["orbit", "sqrt2", "sqrt3", "--t-grid", "0,2", "--N", "3"],
+                     ["dirichlet", "sqrt2", "sqrt3", "--t-max", "1"],
+                     ["equidist", "sqrt2", "sqrt3", "--t-list", "3,4", "--N", "3"]):
+            assert modules["latflow.cli"].main(argv) == 0, argv
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    for mod_name, _, span in tracing.WRAP_POINTS:
+        if mod_name in ("latflow.diophantine", "latflow.experiments"):
+            assert summary[f"{span}.calls"] > 0, span
+    assert summary["cli.main.calls"] == 5
+    assert summary["diophantine.q_scanned"] == 4 * 1000
+    assert summary["diophantine.witnesses"] > 0
+    assert summary["diophantine.ir_density.intervals"] > 0
+    assert summary["diophantine.dirichlet_direct.pairs"] > 0
+    assert summary["experiments.segment_minimum.found"] > 0
+    assert summary["experiments.sample_translate.samples"] == 2 * 3 + 2 * 3
