@@ -11,22 +11,22 @@ The classes, for solutions (p1, p2; q) in Z^2 x Z_+:
 * Q^2:      an exact rational certificate (p1, p2, q) with b = p1/q, a = p2/q.
 
 All searches run over exact integers: every supported scalar (Fraction,
-float, mpf) is a rational number, so residuals are computed with modular
-arithmetic and no rounding.  Candidates come from Dani's correspondence:
-the integer vectors (p1, p2, q) with q in a dyadic block [Q, 2Q) on which
-two rational linear forms are at most B are the short vectors of a rank-3
-lattice in an axis box, which the exact sup-norm engine of ``lattice``
-enumerates (``_box_points``).  The witness searches and E_q take the
-residuals q b + p1 and q a + p2; the return windows of ``ir_density``
-take the segment coordinates c0 + c1 s_i, whose q = 0 points are the sheets.
-A search therefore costs O(log q_max) lattice reductions plus work in
-proportion to its candidates, not one step per q; each candidate then
-passes the exact per-q test of its class.  ``dirichlet_direct`` is the
-same correspondence for the improved Dirichlet system.  Each block, and
-each Dirichlet horizon, is one enumeration under the leaf cap of
-``lattice.enumeration_budget``.  Searches are bounded by q_max and
-report witnesses / non-witnesses up to that bound only; membership
-language for irrational inputs must keep that caveat.
+float, mpf) is a rational number, so residuals are exact Fractions with no
+rounding.  Candidates come from Dani's correspondence: the integer vectors
+(p1, p2, q) with q in a dyadic block [Q, 2Q) on which two rational linear
+forms are at most B are the short vectors of a rank-3 lattice in an axis
+box, which the exact sup-norm engine of ``lattice`` enumerates
+(``_box_points``).  The witness searches and E_q take each candidate and its
+residuals q b + p1 and q a + p2 straight from the box; the return windows
+of ``ir_density`` take the segment coordinates c0 + c1 s_i, whose q = 0
+points are the sheets.  A search therefore costs O(log q_max) lattice
+reductions plus work in proportion to its candidates, not one step per q;
+each candidate then passes the exact per-q test of its class.
+``dirichlet_direct`` is the same correspondence for the improved Dirichlet
+system.  Each block, and each Dirichlet horizon, is one enumeration under
+the leaf cap of ``lattice.enumeration_budget``.  Searches are bounded by
+q_max and report witnesses / non-witnesses up to that bound only;
+membership language for irrational inputs must keep that caveat.
 """
 
 from __future__ import annotations
@@ -38,37 +38,6 @@ from fractions import Fraction
 from .errors import InvalidInputError, PrecisionError
 from .lattice import ReducedLattice
 from .scalars import F64_MAX_DENOM, IntegerVec3, exact_ratio, mp_context
-
-
-def _nearest_from_residue(q: int, num: int, den: int, r: int) -> tuple[int, Fraction]:
-    """Given r = (q*num) mod den, the round-half-even nearest integer p to
-    -q*num/den and the residual |q*num/den + p|."""
-    floor_val = (q * num - r) // den
-    # at an exact tie, -q num/den = -(floor + 1/2) rounds to the even neighbour
-    down = 2 * r > den or (2 * r == den and floor_val % 2 == 1)
-    return -(floor_val + down), Fraction(min(r, den - r), den)
-
-
-@dataclass(frozen=True)
-class NearestResiduals:
-    p1: int
-    p2: int
-    residual1: Fraction  # |q b + p1|, in [0, 1/2]
-    residual2: Fraction  # |q a + p2|
-
-
-def nearest_residuals(a, b, q: int) -> NearestResiduals:
-    """Best single-q approximation: p_i nearest to -q b, -q a (ties to even)."""
-    if q < 1:
-        raise InvalidInputError("q must be a positive integer")
-    return _nearest(q, *exact_ratio(b), *exact_ratio(a))
-
-
-def _nearest(q: int, nb: int, db: int, na: int, da: int) -> NearestResiduals:
-    """``nearest_residuals`` for b = nb/db and a = na/da."""
-    p1, res_b = _nearest_from_residue(q, nb, db, (q * nb) % db)
-    p2, res_a = _nearest_from_residue(q, na, da, (q * na) % da)
-    return NearestResiduals(p1=p1, p2=p2, residual1=res_b, residual2=res_a)
 
 
 def _box_points(forms, bound, q_max: int, block_p2: bool = False):
@@ -100,15 +69,17 @@ def _box_points(forms, bound, q_max: int, block_p2: bool = False):
 
 
 def _approximations(a, b, bound, q_max: int):
-    """Yield (q, nearest_residuals(a, b, q)), q ascending, for every q in
-    [1, q_max] whose two nearest residuals are both at most
+    """Yield (p1, p2, q, |q b + p1|, |q a + p2|), q ascending, for every q in
+    [1, q_max] with integers p1, p2 that put both residuals at most
     B = min(bound(Q), 1/2), [Q, 2Q) being the dyadic block of q.  ``bound``
     is called once per block, in order, and must be at least the caller's
     bound at every q of the block; None ends the search.
 
-    Those q are the ``_box_points`` of the forms q b + p1 and q a + p2.
-    B <= 1/2 leaves no q = 0 point in the box; a q found twice (a residual
-    of exactly 1/2) is reported once.
+    These are the ``_box_points`` of the forms q b + p1 and q a + p2, and
+    the residuals are exact Fractions of each point.  B <= 1/2 leaves no
+    q = 0 point in the box and one point per q, except where a residual is
+    exactly 1/2 and both neighbours are in the box; the even one is kept
+    (round half to even).
     """
     nb, db = exact_ratio(b)
     na, da = exact_ratio(a)
@@ -116,8 +87,12 @@ def _approximations(a, b, bound, q_max: int):
     for block in _box_points(
             forms, lambda Q: None if Q > q_max or (B := bound(Q)) is None
             else min(B, Fraction(1, 2)), q_max):
-        for q in sorted({q for _, _, q in block}):
-            yield q, _nearest(q, nb, db, na, da)
+        last = None
+        for p1, p2, q in sorted(block, key=lambda v: (v[2], v[0] & 1, v[1] & 1)):
+            if q != last:
+                last = q
+                yield (p1, p2, q, Fraction(abs(q * nb + p1 * db), db),
+                       Fraction(abs(q * na + p2 * da), da))
 
 
 @dataclass(frozen=True)
@@ -131,16 +106,6 @@ class DiophantineWitness:
     residual2: Fraction
     bound_used: Fraction
     class_tag: str
-
-    def vector(self) -> IntegerVec3:
-        return IntegerVec3(self.p1, self.p2, self.q)
-
-
-def _witness(q: int, nr: NearestResiduals, bound_used: Fraction,
-             class_tag: str) -> DiophantineWitness:
-    return DiophantineWitness(p1=nr.p1, p2=nr.p2, q=q,
-                              residual1=nr.residual1, residual2=nr.residual2,
-                              bound_used=bound_used, class_tag=class_tag)
 
 
 def _check_q_max(a, b, q_max: int):
@@ -163,10 +128,10 @@ def w2_witness_search(a, b, C, q_max: int) -> list[DiophantineWitness]:
     _check_q_max(a, b, q_max)
     tag = f"W2(C={float(C)!r})"
     hits = []
-    for q, nr in _approximations(a, b, lambda Q: c / (Q * Q), q_max):
+    for p1, p2, q, r1, r2 in _approximations(a, b, lambda Q: c / (Q * Q), q_max):
         bound = c / (q * q)
-        if max(nr.residual1, nr.residual2) <= bound:
-            hits.append(_witness(q, nr, bound, tag))
+        if max(r1, r2) <= bound:
+            hits.append(DiophantineWitness(p1, p2, q, r1, r2, bound, tag))
     return hits
 
 
@@ -199,10 +164,13 @@ def w2eps_witness_search(a, b, eps, q_max: int) -> list[DiophantineWitness]:
     _check_q_max(a, b, q_max)
     two_plus_eps = 2 + Fraction(en, ed)
     exponent = float(two_plus_eps)
+    tag = f"W2o(eps={float(eps)!r})"
+    hits = []
     # q^-(2+eps) <= Q^-2 on the block of Q
-    return [_witness(q, nr, Fraction(q ** -exponent), f"W2o(eps={float(eps)!r})")
-            for q, nr in _approximations(a, b, lambda Q: Fraction(1, Q * Q), q_max)
-            if _pow_bound_check(max(nr.residual1, nr.residual2), q, two_plus_eps)]
+    for p1, p2, q, r1, r2 in _approximations(a, b, lambda Q: Fraction(1, Q * Q), q_max):
+        if _pow_bound_check(max(r1, r2), q, two_plus_eps):
+            hits.append(DiophantineWitness(p1, p2, q, r1, r2, Fraction(q ** -exponent), tag))
+    return hits
 
 
 @dataclass(frozen=True)
@@ -231,11 +199,11 @@ def w2inf_profile(a, b, C_list, q_max: int) -> list[W2InfEntry]:
     def bound(Q):
         return cs[len(found)] / (Q * Q) if len(found) < len(cs) else None
 
-    for q, nr in _approximations(a, b, bound, q_max):
-        worst = max(nr.residual1, nr.residual2)
-        while len(found) < len(cs) and worst <= cs[len(found)] / (q * q):
+    for p1, p2, q, r1, r2 in _approximations(a, b, bound, q_max):
+        while len(found) < len(cs) and max(r1, r2) <= cs[len(found)] / (q * q):
             c = cs[len(found)]
-            found.append(_witness(q, nr, c / (q * q), f"W2inf(C={float(c)!r})"))
+            found.append(DiophantineWitness(p1, p2, q, r1, r2, c / (q * q),
+                                            f"W2inf(C={float(c)!r})"))
     return [W2InfEntry(C=c, witness=found[i] if i < len(found) else None)
             for i, c in enumerate(cs)]
 
@@ -297,23 +265,6 @@ def _eq_at(q: int, dist: Fraction, r_fr: Fraction, r1_fr: Fraction) -> EqInterva
     if hi <= 0.0:
         return None
     return EqInterval(q=q, lo=lo, hi=hi)
-
-
-def eq_interval(q: int, a, b, R, R1) -> EqInterval | None:
-    """The interval E_q, or None when empty.
-
-    Emptiness is decided exactly: E_q is nonempty iff <q(b,a)> < R1 R^2 q^-2,
-    where <.> is the sup-norm distance to Z^2 (max of the two coordinate
-    distances).
-    """
-    if q < 1:
-        raise InvalidInputError("q must be >= 1")
-    r_fr = Fraction(*exact_ratio(R))
-    r1_fr = Fraction(*exact_ratio(R1))
-    if r_fr < 1 or r1_fr < r_fr:
-        raise InvalidInputError("need R >= 1 and R1 >= R")
-    nr = nearest_residuals(a, b, q)
-    return _eq_at(q, max(nr.residual1, nr.residual2), r_fr, r1_fr)
 
 
 @dataclass(frozen=True)
@@ -421,8 +372,9 @@ def ir_density(line, R, T, q_max: int, dt: float = 0.01) -> DensityProfile:
 
     intervals = []
     # E_q is empty unless <q(b,a)> < R1 R^2 q^-2
-    for q, nr in _approximations(line.a, line.b, lambda Q: R1 * r * r / (Q * Q), q_max):
-        iv = _eq_at(q, max(nr.residual1, nr.residual2), r, R1)
+    reach = R1 * r * r
+    for _, _, q, r1, r2 in _approximations(line.a, line.b, lambda Q: reach / (Q * Q), q_max):
+        iv = _eq_at(q, max(r1, r2), r, R1)
         if iv is not None:
             intervals.append(iv)
     union_measure = float(_union_length(

@@ -143,9 +143,8 @@ def segment_minimum(line: LineSegmentSpec, t: FlowTime,
         return None
     vector = IntegerVec3(*found[1])
     value = segment_sup(line, t, vector)
-    exactable = line.mode.is_exact and t.exp_t is not None
-    cap = Fraction(R_cap) if exactable else float(R_cap)
-    if value > cap:
+    # a Fraction, mpf or float value compares exactly with the float R_cap
+    if value > R_cap:
         return None
     return SegmentMinimum(vector=vector, value=value)
 

@@ -13,8 +13,8 @@ from latflow.flow import FlowTime, LineSegmentSpec, flow_standard
 from latflow.lattice import enumeration_budget
 from latflow.scalars import F64, RATIONAL, IntegerVec3, bigfloat, liouville_partial, named_scalar
 
-from util import (dirichlet_grid, exact_ir_measure, ir_density_scan, log_fraction,
-                  w2_witness_search_scan, w2eps_witness_search_scan,
+from util import (ResidualScan, dirichlet_grid, exact_ir_measure, ir_density_scan,
+                  log_fraction, w2_witness_search_scan, w2eps_witness_search_scan,
                   w2inf_profile_scan)
 
 LAM4 = liouville_partial(4)
@@ -34,24 +34,30 @@ def oracle_witnesses(a: Fraction, b: Fraction, bound_fn, q_max: int):
     return out
 
 
-# -- nearest residuals -------------------------------------------------------
+# -- the nearest p1, p2 and residuals of a witness ------------------------------
+
+def _witness_at(a, b, C, q):
+    """The W2(C) witness at q of a search up to q."""
+    (w,) = [w for w in dio.w2_witness_search(a, b, C, q) if w.q == q]
+    return w
+
 
 def test_nearest_residuals_zero_pair():
-    nr = dio.nearest_residuals(Fraction(0), Fraction(0), 7)
-    assert (nr.residual1, nr.residual2) == (0, 0)
-    assert (nr.p1, nr.p2) == (0, 0)
+    w = _witness_at(Fraction(0), Fraction(0), 1, 7)
+    assert (w.residual1, w.residual2) == (0, 0)
+    assert (w.p1, w.p2) == (0, 0)
 
 
 def test_nearest_residuals_exact_rational():
-    nr = dio.nearest_residuals(Fraction(1, 2), Fraction(1, 3), 3)
-    assert nr.residual1 == 0 and nr.p1 == -1  # 3 * (1/3) = 1
-    assert nr.residual2 == Fraction(1, 2)
+    w = _witness_at(*HALF_THIRD, 5, 3)
+    assert w.residual1 == 0 and w.p1 == -1  # 3 * (1/3) = 1
+    assert w.residual2 == Fraction(1, 2) and w.p2 == -2  # -3/2 rounds to -2 (even)
 
 
 def test_nearest_residuals_liouville_q_1e6():
-    nr = dio.nearest_residuals(LAM4, LAM4, 10 ** 6)
-    assert nr.residual1 == Fraction(1, 10 ** 18)
-    assert nr.p1 == -110001
+    w = _witness_at(LAM4, LAM4, 1, 10 ** 6)
+    assert w.residual1 == Fraction(1, 10 ** 18)
+    assert w.p1 == -110001
 
 
 def test_nearest_residuals_bounds_and_recompute():
@@ -60,26 +66,21 @@ def test_nearest_residuals_bounds_and_recompute():
     for _ in range(50):
         a = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
         b = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
-        q = rng.randint(1, 10 ** 6)
-        nr = dio.nearest_residuals(a, b, q)
-        assert 0 <= nr.residual1 <= Fraction(1, 2)
-        assert 0 <= nr.residual2 <= Fraction(1, 2)
-        # stored residuals match a from-scratch exact recomputation
-        assert nr.residual1 == abs(q * b + nr.p1)
-        assert nr.residual2 == abs(q * a + nr.p2)
+        C = Fraction(rng.randint(1, 10 ** 4), rng.randint(1, 100))
+        for w in dio.w2_witness_search(a, b, C, rng.randint(1, 10 ** 4)):
+            assert 0 <= w.residual1 <= Fraction(1, 2)
+            assert 0 <= w.residual2 <= Fraction(1, 2)
+            # stored residuals match a from-scratch exact recomputation
+            assert w.residual1 == abs(w.q * b + w.p1)
+            assert w.residual2 == abs(w.q * a + w.p2)
 
 
 def test_nearest_residuals_ties_round_to_even():
-    # q*b = 5/2: candidates -2 (even) and -3; round-half-even picks -2
-    nr = dio.nearest_residuals(Fraction(0), Fraction(5, 2), 1)
-    assert nr.p1 == -2
-    nr = dio.nearest_residuals(Fraction(0), Fraction(7, 2), 1)
-    assert nr.p2 == 0 and nr.p1 == -4  # -7/2 rounds to -4 (even)
-
-
-def test_nearest_residuals_requires_positive_q():
-    with pytest.raises(InvalidInputError):
-        dio.nearest_residuals(Fraction(0), Fraction(0), 0)
+    # q*b = 5/2: candidates -2 (even) and -3 are both in the box; the even wins
+    w = _witness_at(Fraction(0), Fraction(5, 2), 1, 1)
+    assert w.p1 == -2
+    w = _witness_at(Fraction(0), Fraction(7, 2), 1, 1)
+    assert w.p2 == 0 and w.p1 == -4  # -7/2 rounds to -4 (even)
 
 
 # -- W2 / W2eps / W2inf searches ----------------------------------------------
@@ -210,14 +211,22 @@ def test_rational_certificate_soundness():
 
 # -- E_q intervals and I_R density ---------------------------------------------
 
+def _eq_intervals(a, b, s1, R, q_max):
+    """The E_q, q <= q_max, of ``ir_density`` on [s1, 1], by q: s1 = 0 gives
+    R1 = 2 R and s1 = -1 gives R1 = R."""
+    line = LineSegmentSpec(a, b, Fraction(s1), Fraction(1), RATIONAL)
+    return {iv.q: iv for iv in dio.ir_density(line, R, 1.0, q_max).intervals}
+
+
 def test_eq_interval_boundary_exactly_empty():
-    # <q (b,a)> = R1 R^2 q^-2 exactly: q = 2, b = 1/4, a = 0, R = 1, R1 = 2
-    assert dio.eq_interval(2, Fraction(0), Fraction(1, 4), 1, 2) is None
+    # <q (b,a)> = R1 R^2 q^-2 exactly: q = 2, b = 1/4, a = 0, R = 1, R1 = 2;
+    # q = 2 is in the box of its block, and only E_1 is nonempty
+    assert list(_eq_intervals(Fraction(0), Fraction(1, 4), 0, 1, 2)) == [1]
 
 
 def test_eq_interval_liouville_contains_log_q():
-    iv = dio.eq_interval(100, LAM4, LAM4, 2, 2)
-    assert iv is not None and not iv.rational_hit
+    iv = _eq_intervals(LAM4, LAM4, -1, 2, 100)[100]
+    assert not iv.rational_hit
     assert iv.lo == pytest.approx(math.log(50), rel=1e-12)
     dist = Fraction(1, 10 ** 4) + Fraction(1, 10 ** 22)
     want_hi = -0.5 * (math.log(dist.numerator) - math.log(dist.denominator)) \
@@ -228,13 +237,13 @@ def test_eq_interval_liouville_contains_log_q():
 
 
 def test_eq_interval_clips_left_endpoint_at_zero():
-    iv = dio.eq_interval(1, Fraction(1, 7), Fraction(2, 7), 2, 2)
+    iv = _eq_intervals(Fraction(1, 7), Fraction(2, 7), -1, 2, 1)[1]
     assert iv.lo == 0.0
     assert iv.hi > 0
 
 
 def test_eq_interval_rational_hit_unbounded():
-    iv = dio.eq_interval(6, *HALF_THIRD, 2, 4)
+    iv = _eq_intervals(*HALF_THIRD, 0, 2, 6)[6]
     assert iv.rational_hit and iv.hi is None
     assert iv.lo == pytest.approx(math.log(3), rel=1e-12)
 
@@ -245,13 +254,6 @@ def test_sup_operator_norm_r1_is_exact_from_stored_values():
     assert dio.sup_operator_norm_R1(line, Fraction(1, 10)) == want
     line = LineSegmentSpec(0, 0, Fraction(-1, 2), Fraction(1, 10), RATIONAL)
     assert dio.sup_operator_norm_R1(line, Fraction(3, 2)) == 5
-
-
-def test_eq_interval_validates():
-    with pytest.raises(InvalidInputError):
-        dio.eq_interval(1, Fraction(0), Fraction(0), Fraction(1, 2), 1)
-    with pytest.raises(InvalidInputError):
-        dio.eq_interval(0, Fraction(0), Fraction(0), 1, 1)
 
 
 def test_ir_density_rational_point_tends_to_one():
@@ -323,11 +325,13 @@ def test_eq_gap_claim_on_liouville():
     R1 = dio.sup_operator_norm_R1(line, R)
     prof = dio.ir_density(line, 2, math.log(10 ** 6), 10 ** 6)
     qs = [iv.q for iv in prof.intervals]
+    scan = ResidualScan(LAM4, LAM4)
     approximants = {}
     for q in qs:
-        nr = dio.nearest_residuals(LAM4, LAM4, q)
-        g = math.gcd(math.gcd(abs(nr.p1), abs(nr.p2)), q)
-        approximants[q] = (nr.p1 // g, nr.p2 // g, q // g)
+        p1, _ = scan.nearest_b(q, q * scan.nb % scan.db)
+        p2, _ = scan.nearest_a(q, q * scan.na % scan.da)
+        g = math.gcd(math.gcd(abs(p1), abs(p2)), q)
+        approximants[q] = (p1 // g, p2 // g, q // g)
     bound = 2 * R1 * R * R
     for i, q in enumerate(qs):
         for qp in qs[i + 1:]:
@@ -451,6 +455,9 @@ def test_w2_matches_scan_oracle(pair, C, q_max):
        eps=st.sampled_from([Fraction(1, 4), Fraction(1, 2), 0.5, Fraction(1), 2,
                             Fraction(3, 2), Fraction(1, 3)]),
        q_max=_Q_MAX)
+# ties at 1/2: both neighbours of q b (and q a) are in the box at q = 1
+@example(pair=(Fraction(7, 2), Fraction(5, 2)), eps=Fraction(1, 4), q_max=50)
+@example(pair=(Fraction(0), Fraction(1, 2)), eps=Fraction(1, 4), q_max=50)
 def test_w2eps_matches_scan_oracle(pair, eps, q_max):
     a, b = pair
     assert (dio.w2eps_witness_search(a, b, eps, q_max)
@@ -460,6 +467,9 @@ def test_w2eps_matches_scan_oracle(pair, eps, q_max):
 @settings(max_examples=60, deadline=None)
 @given(pair=_pair_strategy(), cs=st.lists(_POSITIVE, min_size=1, max_size=4, unique=True),
        q_max=_Q_MAX)
+# ties at 1/2: a constant >= 1/2 puts both neighbours in the box at q = 1
+@example(pair=(Fraction(7, 2), Fraction(5, 2)), cs=[Fraction(1, 2)], q_max=50)
+@example(pair=(Fraction(0), Fraction(1, 2)), cs=[Fraction(20), Fraction(1, 2)], q_max=50)
 def test_w2inf_matches_scan_oracle(pair, cs, q_max):
     a, b = pair
     cs = sorted(cs, reverse=True)
@@ -491,6 +501,11 @@ def _density_line(pair, s1, length):
 # p2 with both segment coordinates below R, most of them far past R e^T
 @example(pair=(math.sqrt(2), math.sqrt(3)), R=2, s1=Fraction(0),
          length=Fraction(1, 10 ** 4), T=6.0, q_max=3000)
+# ties at 1/2: R1 R^2 >= 1/2 puts both neighbours in the box at q = 1
+@example(pair=(Fraction(7, 2), Fraction(5, 2)), R=2, s1=Fraction(0), length=Fraction(1),
+         T=6.0, q_max=50)
+@example(pair=(Fraction(0), Fraction(1, 2)), R=1, s1=Fraction(0), length=Fraction(1),
+         T=6.0, q_max=50)
 def test_ir_density_matches_scan_oracle(pair, R, s1, length, T, q_max):
     line = _density_line(pair, s1, length)
     prof = dio.ir_density(line, R, T, q_max)

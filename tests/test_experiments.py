@@ -147,6 +147,12 @@ def test_segment_minimum_t_zero_value_one():
     sm = exp.segment_minimum(GENERIC_LINE, FlowTime.of(0.0), 1.0)
     assert sm is not None
     assert float(sm.value) == pytest.approx(1.0, abs=1e-12)
+    # at t = 0, (1, 0, 0) has value exactly R_cap = 1, and is kept in bigfloat
+    mode = bigfloat(256)
+    line = LineSegmentSpec(named_scalar("sqrt2", mode), named_scalar("sqrt3", mode),
+                           mode.from_int(0), mode.from_int(1), mode)
+    sm = exp.segment_minimum(line, FlowTime.of(0.0), 1.0)
+    assert sm.vector.as_tuple() == (1, 0, 0) and sm.value == 1
 
 
 def test_segment_minimum_value_matches_segment_sup():
