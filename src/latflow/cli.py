@@ -7,7 +7,7 @@ the authoritative format, shaped as REPORT_SCHEMA publishes, and CSV carries
 flat plot-ready rows.
 
 Exit codes: 0 success, 2 usage, parse or invalid-input errors, 3 budget
-errors, 4 precision failures.
+errors, 4 precision or lattice-reduction failures.
 
 Built-in named constants accepted wherever a number is expected:
 sqrt2, sqrt3, golden, liouville:k (the partial sum of 10^-j! up to j = k).
@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import diophantine as dio
 from . import experiments as exp
-from .errors import BudgetError, InvalidInputError, ParseError, PrecisionError
+from .errors import InvalidInputError, LatflowError, ParseError
 from .flow import FlowTime, LineSegmentSpec
 from .lattice import ENUMERATION_BUDGET, enumeration_budget
 from .scalars import IntegerVec3, mode_from_spec, named_scalar
@@ -463,18 +463,9 @@ def main(argv=None) -> int:
         return run(argv)
     except SystemExit as e:
         return int(e.code or 0) if not isinstance(e.code, str) else 2
-    except ParseError as e:
-        print(f"latflow: parse error: {e}", file=sys.stderr)
-        return 2
-    except InvalidInputError as e:
-        print(f"latflow: invalid input: {e}", file=sys.stderr)
-        return 2
-    except BudgetError as e:
-        print(f"latflow: budget exceeded: {e}", file=sys.stderr)
-        return 3
-    except PrecisionError as e:
-        print(f"latflow: precision failure: {e}", file=sys.stderr)
-        return 4
+    except LatflowError as e:
+        print(f"latflow: {e.label}: {e}", file=sys.stderr)
+        return e.exit_code
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,12 @@ def sample_stream(seed: int, index: int) -> Generator:
     so any subset of samples can be drawn independently and in any order."""
     key = np.array([seed % (1 << 64), index % (1 << 64)], dtype=np.uint64)
     return Generator(Philox(key=key))
+
+
+@lru_cache(maxsize=1)
+def _uniforms(seed: int, N: int) -> tuple:
+    """The f64 uniforms of samples 0..N-1, drawn once for all flow times."""
+    return tuple(sample_stream(seed, i).random() for i in range(N))
 
 
 @dataclass(frozen=True)
@@ -63,6 +70,8 @@ def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
 
     s = s1 + u (s2 - s1) is taken in the line's arithmetic, with u the
     sample's f64 uniform (an exact dyadic), so s lies in I in every mode.
+    Sample i takes its u from ``sample_stream(seed, i)`` at every t and N;
+    the last (seed, N) keeps its draws, which a grid of flow times shares.
 
     A result computed off the f64 lattice path (every bigfloat sample, and
     bases too skewed for f64) is marked ``escalated`` on the sample.
@@ -72,9 +81,8 @@ def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
     s1, width = line.s1, line.s2 - line.s1
     radii = tuple(float(r) for r in radii)
 
-    def one(i: int) -> TranslateSample:
-        u = line.mode.from_fraction(Fraction(sample_stream(seed, i).random()))
-        s = s1 + u * width
+    def one(u: float) -> TranslateSample:
+        s = s1 + line.mode.from_fraction(Fraction(u)) * width
         lat = ReducedLattice.of(translate_basis(line, s, t))
         res = shortest_vector(lat)
         counts = {r: count_points(lat, r) for r in radii}
@@ -82,7 +90,7 @@ def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
                                point_counts=counts, certified=res.certified,
                                escalated=res.escalated)
 
-    return [one(i) for i in range(N)]
+    return [one(u) for u in _uniforms(seed, N)]
 
 
 def check_delta(delta: float) -> None:

@@ -10,17 +10,19 @@ enumeration vehicle (in dimension n, ||v||_2 <= sqrt(n) ||v||_inf, so the
 inflated ball contains every candidate that could beat the incumbent).
 
 Both reductions produce a ``ReducedLattice``: ``ReducedLattice.of(basis)``
-runs one f64 ``lll_reduce`` (its Gram-Schmidt data updated row by row and
-handed to the enumeration), or, for a bigfloat basis or one too skewed for
-f64, the exact reduction of its ``exact_rows``; ``ReducedLattice.exact(rows)``
-scales the rational rows of a rank-3 lattice in Q^n to integers and runs
-the integral LLL (no rounding anywhere).  Its ``points``, ``minimum`` and
-``count`` are one Fincke-Pohst enumeration, written once; they take radii
-in the rows' own units and compare candidates in the rows' own arithmetic
-(f64, or integers).  ``shortest_vector`` and ``count_points`` take either
-the basis or that value, so the minimum and the counts at every radius
-share one reduction; ``ReducedLattice.exact`` also gives the segment
-minima, the Dirichlet check and the Diophantine search boxes.
+runs one f64 ``lll_reduce`` (a Gram-Schmidt row is recomputed when a step
+needs it, and the data are handed to the enumeration), or, for a bigfloat
+basis or one too skewed for f64, the exact reduction of its ``exact_rows``;
+``ReducedLattice.exact(rows)`` scales the rational rows of a rank-3 lattice
+in Q^n to integers and runs the integral LLL (no rounding anywhere).  Its
+``points``, ``minimum`` and ``count`` are one Fincke-Pohst enumeration,
+written once, over coefficients in the reduced basis that only ``points``
+and ``minimum`` map back through U; they take radii in the rows' own units
+and compare candidates in the rows' own arithmetic (f64, or integers).
+``shortest_vector`` and ``count_points`` take either the basis or that
+value, so the minimum and the counts at every radius share one reduction;
+``ReducedLattice.exact`` also gives the segment minima, the Dirichlet
+check and the Diophantine search boxes.
 
 All functions are pure but for one input: the enumeration leaf cap,
 ``ENUMERATION_BUDGET`` unless a ``with enumeration_budget(n):`` block sets
@@ -103,15 +105,6 @@ class LatticeBasis3:
         return [[Fraction(*exact_ratio(x)) * Fraction(scale) for x in row]
                 for row, scale in zip(self.matrix, row_scale)]
 
-    def determinant(self) -> float:
-        cols = self.effective_columns()
-        a, b, c = cols
-        return (
-            a[0] * (b[1] * c[2] - b[2] * c[1])
-            - b[0] * (a[1] * c[2] - a[2] * c[1])
-            + c[0] * (a[1] * b[2] - a[2] * b[1])
-        )
-
 
 @dataclass(frozen=True)
 class ShortVectorResult:
@@ -127,24 +120,20 @@ class ShortVectorResult:
 
 # -- f64 reduction and the Fincke-Pohst enumeration ------------------------
 
-def _gso_rows(cols, bstar, mu, norm2, start):
-    """Recompute Gram-Schmidt rows start..2 of ``cols`` in place; row i
-    depends only on cols[i] and the rows below it."""
-    for i in range(start, 3):
-        c = cols[i]
-        v0, v1, v2 = c
-        mu_i = mu[i]
-        for j in range(i):
-            if norm2[j] <= 0:
-                raise ReductionError("numerically singular basis in Gram-Schmidt")
-            b = bstar[j]
-            m = mu_i[j] = (c[0] * b[0] + c[1] * b[1] + c[2] * b[2]) / norm2[j]
-            v0 = v0 - m * b[0]
-            v1 = v1 - m * b[1]
-            v2 = v2 - m * b[2]
-        bstar[i] = [v0, v1, v2]
-        norm2[i] = v0 * v0 + v1 * v1 + v2 * v2
-    if norm2[2] <= 0:
+def _gso_row(cols, bstar, mu, norm2, i):
+    """Recompute Gram-Schmidt row i of ``cols`` in place; it depends only on
+    cols[i] and the rows below it."""
+    v0, v1, v2 = c0, c1, c2 = cols[i]
+    mu_i = mu[i]
+    for j in range(i):
+        b0, b1, b2 = bstar[j]
+        m = mu_i[j] = (c0 * b0 + c1 * b1 + c2 * b2) / norm2[j]
+        v0 = v0 - m * b0
+        v1 = v1 - m * b1
+        v2 = v2 - m * b2
+    bstar[i] = [v0, v1, v2]
+    norm2[i] = v0 * v0 + v1 * v1 + v2 * v2
+    if norm2[i] <= 0:
         raise ReductionError("numerically singular basis in Gram-Schmidt")
 
 
@@ -157,7 +146,8 @@ def gram_schmidt(cols):
     bstar = [None] * 3
     mu = [[0.0] * 3 for _ in range(3)]
     norm2 = [0.0] * 3
-    _gso_rows(cols, bstar, mu, norm2, 0)
+    for i in range(3):
+        _gso_row(cols, bstar, mu, norm2, i)
     return bstar, mu, norm2
 
 
@@ -169,8 +159,9 @@ def lll_reduce(basis, gso=None):
     reduced = basis . U (column convention), so the lattice is unchanged.
     ``gso``, when given, is ``gram_schmidt`` of the basis columns; it is
     updated in place and is ``gram_schmidt`` of the reduced columns on
-    return.  A size-reduction pass rounds the mu from before the pass, and
-    only the Gram-Schmidt rows a step changes are recomputed.
+    return.  A size-reduction pass rounds the mu from before the pass.  Only
+    the Gram-Schmidt rows a step changes are recomputed, row 2 (read only at
+    k = 2) once k reaches 2, each exactly as a full recompute would.
     """
     if isinstance(basis, LatticeBasis3):
         cols = basis.effective_columns()
@@ -197,13 +188,16 @@ def lll_reduce(basis, gso=None):
                     uk[i] = uk[i] - m * uj[i]
                 changed = True
         if changed:
-            _gso_rows(cols, bstar, mu, norm2, k)
+            _gso_row(cols, bstar, mu, norm2, k)
         if norm2[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * norm2[k - 1]:
             k += 1
+            if k == 2:  # row 2, which the steps at k = 1 left stale
+                _gso_row(cols, bstar, mu, norm2, 2)
         else:
             cols[k], cols[k - 1] = cols[k - 1], cols[k]
             u[k], u[k - 1] = u[k - 1], u[k]
-            _gso_rows(cols, bstar, mu, norm2, k - 1)
+            for i in range(k - 1, 2):  # row 2 waits until k reaches 2
+                _gso_row(cols, bstar, mu, norm2, i)
             k = max(k - 1, 1)
 
     det_u = (
@@ -264,12 +258,9 @@ def _f64_gram_schmidt(cols):
         gso = gram_schmidt(cols)
     except ReductionError:
         return None
-    norm2 = gso[2]
-    small = min(norm2)
-    if small <= 0:
-        return None
+    norm2 = gso[2]  # positive, or NaN
     # NaN or inf (entries or lengths past the f64 range) fail this test too
-    if not (max(norm2) / small) ** 0.5 <= GSO_RANGE_CAP:
+    if not (max(norm2) / min(norm2)) ** 0.5 <= GSO_RANGE_CAP:
         return None
     return gso
 
@@ -431,12 +422,12 @@ class ReducedLattice:
         return n * self.den // d
 
     def _points(self, limit):
-        """(norm, coeffs) of every vector, one per +-pair, of sup norm <=
-        ``limit``, both in the units of ``rows``: the Euclidean ball of
-        radius sqrt(n) limit (inflated by 1e-9 against rounding in the float
-        interval bounds) is enumerated to exhaustion, within the leaf
-        cap.  Norms are exact for integer rows and the f64 evaluation of
-        the reduced columns for f64 rows."""
+        """(norm, x) of every vector, one per +-pair, of sup norm <=
+        ``limit`` in the units of ``rows``, x its coefficients w.r.t. the
+        reduced basis: the Euclidean ball of radius sqrt(n) limit (inflated
+        by 1e-9 against rounding in the float interval bounds) is enumerated
+        to exhaustion, within the leaf cap.  Norms are exact for integer rows
+        and the f64 evaluation of the reduced columns for f64 rows."""
         rows = self.rows
         bound2 = float(len(rows) * limit * limit / self.scale2) * (1 + 1e-9) ** 2
         for x in _enumerate_half_ball(self.mu, self.norm2, bound2):
@@ -449,15 +440,15 @@ class ReducedLattice:
                 if c > norm:
                     norm = c
             else:
-                yield norm, _transform_apply(self.transform, x)
+                yield norm, x
 
     def points(self, radius):
         """Yield the coefficients w.r.t. the basis of every lattice vector,
         one per +-pair, of sup norm <= ``radius``.  Here and in ``minimum``
         and ``count``, radii and norms are in the units of the basis rows
         the lattice was made from."""
-        for _, coeffs in self._points(self._limit(radius)):
-            yield coeffs
+        for _, x in self._points(self._limit(radius)):
+            yield _transform_apply(self.transform, x)
 
     def minimum(self, limit):
         """The first sup-norm minimum when it is at most ``limit`` (else
@@ -468,8 +459,8 @@ class ReducedLattice:
         Certified: every vector within min(``shortest``, ``limit``) of the
         origin is compared."""
         best = None
-        for norm, coeffs in self._points(min(self.shortest, self._limit(limit))):
-            key = coeffs[::-1]
+        for norm, x in self._points(min(self.shortest, self._limit(limit))):
+            key = _transform_apply(self.transform, x)[::-1]
             if key < (0, 0, 0):
                 key = tuple(-c for c in key)
             if best is None or (norm, key) < best:
@@ -483,10 +474,13 @@ class ReducedLattice:
         """#{v in L \\ 0 : ||v||_inf <= radius}; for a lattice in R^3 it
         refuses an expected count (2 radius)^3 / det(L) above the leaf cap."""
         limit = self._limit(radius)
-        budget = _budget.get()
-        if limit == math.inf or (2 * Fraction(limit)) ** 6 > budget ** 2 * self.gram_det:
-            raise BudgetError("count_points: expected point count exceeds the budget")
-        return 2 * sum(1 for _ in self._points(limit))
+        if limit < math.inf:
+            ln, ld = exact_ratio(limit)
+            # an f64 Gram determinant past the f64 range refuses nothing
+            gn, gd = (1, 0) if self.gram_det == math.inf else exact_ratio(self.gram_det)
+            if (2 * ln) ** 6 * gd <= _budget.get() ** 2 * gn * ld ** 6:
+                return 2 * sum(1 for _ in self._points(limit))
+        raise BudgetError("count_points: expected point count exceeds the budget")
 
 
 def shortest_vector(basis) -> ShortVectorResult:

@@ -13,6 +13,8 @@ import pytest
 from latflow import cli
 from latflow import diophantine as dio
 from latflow import experiments as exp
+from latflow import lattice
+from latflow.errors import ReductionError
 from latflow.scalars import bigfloat, exact_ratio, named_scalar
 
 
@@ -252,6 +254,17 @@ def test_f64_flow_overflow_exit_4(args):
     # e^{2t} overflows f64 at t = 400; at t = -400 it underflows to zero, which
     # segment_minimum and the exact lattice fallback of equidist refuse
     assert run_cli(args) == 4
+
+
+def test_reduction_error_exit_4(monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise ReductionError("LLL did not converge within the iteration cap")
+
+    monkeypatch.setattr(lattice, "lll_reduce", failing)
+    code = run_cli(["equidist", "sqrt2", "sqrt3", "--t-list", "5", "--N", "3"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == "latflow: reduction failure: LLL did not converge within the iteration cap\n"
 
 
 def test_precision_error_exit_4():

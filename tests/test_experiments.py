@@ -50,6 +50,21 @@ def test_sample_translate_rational_line_bound():
     assert all(s.lambda1 <= bound + 1e-12 for s in samples)
 
 
+def test_sample_translate_draws_each_index_once():
+    # sample i takes its s from sample_stream(seed, i) at every t and N
+    def draws(seed, N, t=1.0):
+        return [smp.s for smp in exp.sample_translate(GENERIC_LINE, FlowTime.of(t), N, seed)]
+
+    first = draws(1, 5)
+    assert first == [exp.sample_stream(1, i).random() for i in range(5)]
+    assert draws(1, 5, t=4.0) == first
+    assert draws(2, 5) == [exp.sample_stream(2, i).random() for i in range(5)]
+    assert draws(1, 5) == first
+    longer = draws(1, 6)
+    assert longer[:5] == first
+    assert longer[5] == exp.sample_stream(1, 5).random()
+
+
 def test_sample_translate_f64_draw():
     line = LineSegmentSpec.from_strings("sqrt2", "sqrt3", "-0.3", "0.4", F64)
     samples = exp.sample_translate(line, FlowTime.of(2.0), 5, seed=7)

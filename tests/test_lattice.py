@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latflow import diophantine, experiments, lattice
@@ -110,10 +110,18 @@ def _assert_same_reduction(basis):
 
 
 _unit = st.floats(-1.0, 1.0, allow_nan=False)
+_SQRT2, _SQRT3 = math.sqrt(2), math.sqrt(3)
 
 
 @settings(max_examples=150, deadline=None)
 @given(a=_unit, b=_unit, s=_unit, t=st.floats(0.0, 9.0, exclude_max=True))
+# the flow times the equidist benchmark samples, and t = 9.1, where the f64
+# Gram-Schmidt lengths of the README pair still span less than GSO_RANGE_CAP
+@example(a=_SQRT2, b=_SQRT3, s=0.3, t=3.0)
+@example(a=_SQRT2, b=_SQRT3, s=0.3, t=5.0)
+@example(a=_SQRT2, b=_SQRT3, s=0.3, t=6.5)
+@example(a=_SQRT2, b=_SQRT3, s=0.3, t=8.0)
+@example(a=_SQRT2, b=_SQRT3, s=0.3, t=9.1)
 def test_lll_reduce_matches_full_recompute_on_translates(a, b, s, t):
     line = LineSegmentSpec(a, b, -1.0, 1.0, F64)
     _assert_same_reduction(translate_basis(line, s, FlowTime.of(t)))
@@ -124,6 +132,13 @@ def test_lll_reduce_matches_full_recompute_on_translates(a, b, s, t):
 def test_lll_reduce_matches_full_recompute_on_random_bases(seed, log_cond):
     cols = random_unimodular_columns(np.random.default_rng(seed), log_cond)
     _assert_same_reduction(LatticeBasis3.from_columns(cols))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_gram_schmidt_matches_full_recompute_on_random_bases(seed):
+    cols = np.random.default_rng(seed).normal(size=(3, 3)).tolist()
+    assert gram_schmidt(cols) == gram_schmidt_full(cols)
 
 
 def test_shortest_vector_identity():
@@ -424,6 +439,32 @@ def test_count_points_matches_brute_force():
         assert count_points(basis, 1.3) == brute_force_count(red, 1.3, box=12)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ReducedLattice.exact([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    lambda: ReducedLattice.of(LatticeBasis3.identity()),
+], ids=["exact", "f64"])
+def test_count_refusal_at_its_exact_boundary(make):
+    # at r = 5, (2r)^6 = 10^6 = budget^2 det(L)^2 for budget 1000: the count
+    # is not refused, but the half ball of radius 5 sqrt(3) holds more than
+    # 1000 leaves
+    lat = make()
+    with enumeration_budget(1000):
+        with pytest.raises(BudgetError, match="visited more than its budget"):
+            lat.count(5)
+    with enumeration_budget(999):
+        with pytest.raises(BudgetError, match="expected point count exceeds the budget"):
+            lat.count(5)
+    with enumeration_budget(2000):
+        assert lat.count(5) == 1330  # 11^3 - 1
+
+
+def test_count_points_past_f64_gram_determinant():
+    # det(L)^2 = 1e660 overflows f64; the expected count refuses nothing
+    basis = LatticeBasis3(((1e110, 0.0, 0.0), (0.0, 1e110, 0.0), (0.0, 0.0, 1e110)))
+    assert count_points(basis, 1.0) == 0
+    assert count_points(basis, 1e110) == 26
+
+
 def test_count_points_budget_error():
     with enumeration_budget(10_000), pytest.raises(BudgetError):
         count_points(LatticeBasis3.identity(), 500.0)
@@ -511,4 +552,4 @@ def test_mahler_proxy_rational_line():
 def test_unimodular_determinant_of_translates():
     for t in (0.0, 1.0, 4.0):
         basis = translate_basis(RATIONAL_LINE, Fraction(1, 5), FlowTime.of(t))
-        assert abs(basis.determinant() - 1) <= 1e-9
+        assert abs(np.linalg.det(basis.effective_columns()) - 1) <= 1e-9
