@@ -20,7 +20,6 @@ import csv
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import diophantine as dio
@@ -28,7 +27,7 @@ from . import experiments as exp
 from .errors import InvalidInputError, LatflowError, ParseError
 from .flow import FlowTime, LineSegmentSpec
 from .lattice import ENUMERATION_BUDGET, enumeration_budget
-from .scalars import IntegerVec3, mode_from_spec, named_scalar
+from .scalars import mode_from_spec, named_scalar
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -53,20 +52,6 @@ REPORT_SCHEMA = {
 def report_schema() -> dict:
     """The published JSON schema that every report conforms to."""
     return json.loads(json.dumps(REPORT_SCHEMA))
-
-
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, IntegerVec3):
-        return list(x.as_tuple())
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if hasattr(x, "__float__") and not isinstance(x, (int, bool)):
-        return float(x)
-    return x
 
 
 def _fmt(x) -> str:
@@ -422,15 +407,14 @@ _CSV_COLUMNS = {
 def _write_outputs(report: dict, args):
     if args.out is None:
         return
-    doc = _jsonable(report)
     fmt = args.format
     if fmt in ("json", "both"):
         with open(args.out + ".json", "w", encoding="utf-8", newline="\n") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
+            json.dump(report, f, indent=2, sort_keys=True)
             f.write("\n")
     if fmt in ("csv", "both"):
         columns = _CSV_COLUMNS.get(args.subcommand)
-        rows = doc["samples"]
+        rows = report["samples"]
         if columns is None:
             columns = sorted({k for row in rows for k in row}) if rows else []
         with open(args.out + ".csv", "w", encoding="utf-8", newline="") as f:

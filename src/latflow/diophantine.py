@@ -136,24 +136,29 @@ def w2_witness_search(a, b, C, q_max: int) -> list[DiophantineWitness]:
 
 
 def _pow_bound_check(r: Fraction, q: int, two_plus_eps: Fraction) -> bool:
-    """r <= q^-(2+eps) for a residual r >= 0.  An integer 2 + eps is
-    compared exactly.  Otherwise the natural logs of both sides are compared
-    in floats and, where they lie within 1e-9 (relative to |rhs| + 1) of
-    each other, again in 300-bit mpmath: the exact test r^d q^n <= 1 with
-    2 + eps = n/d is out of reach for an f64 eps such as 0.1, whose d is
-    2^55."""
+    """r <= q^-(2+eps) for a residual 0 <= r <= 1/2, decided exactly.  With
+    r = u/v and 2 + eps = n/d in lowest terms, the test u^d q^n <= v^d is
+    out of reach for an f64 eps (0.1 has d = 2^55).  Equality needs u = 1,
+    q = w^d and v = w^n, so d < q.bit_length(); otherwise the sign of
+    d ln(v/u) - n ln q != 0 is taken at doubling precision."""
     if r == 0:
         return True
-    if two_plus_eps.denominator == 1:
-        return r * q ** two_plus_eps.numerator <= 1
-    lhs = math.log(r.numerator) - math.log(r.denominator)
-    rhs = -float(two_plus_eps) * math.log(q)
-    if abs(lhs - rhs) > 1e-9 * (abs(rhs) + 1):
-        return lhs <= rhs
-    ctx = mp_context(300)
-    lhs_m = ctx.log(r.numerator) - ctx.log(r.denominator)
-    rhs_m = -ctx.mpf(two_plus_eps.numerator) / two_plus_eps.denominator * ctx.log(q)
-    return lhs_m <= rhs_m
+    u, v = r.numerator, r.denominator
+    n, d = two_plus_eps.numerator, two_plus_eps.denominator
+    bq, bv = q.bit_length(), v.bit_length()
+    # the bit lengths of q^n and v^d must agree before either is formed
+    if (u == 1 and d < bq and n * (bq - 1) < d * bv and d * (bv - 1) < n * bq
+            and q ** n == v ** d):
+        return True
+    bits = 64
+    while True:
+        ctx = mp_context(bits)
+        terms = (d * ctx.log(v), -d * ctx.log(u), -n * ctx.log(q))
+        diff = ctx.fsum(terms)
+        # each term is within a few units in its last place; 2^8 covers them
+        if abs(diff) > ctx.fsum(map(abs, terms)) * ctx.ldexp(1, 8 - bits):
+            return diff > 0
+        bits *= 2
 
 
 def w2eps_witness_search(a, b, eps, q_max: int) -> list[DiophantineWitness]:
@@ -255,15 +260,15 @@ def sup_operator_norm_R1(line, R) -> Fraction:
 
 
 def _eq_at(q: int, dist: Fraction, r_fr: Fraction, r1_fr: Fraction) -> EqInterval | None:
-    """E_q from the exact sup-norm distance dist = <q(b,a)>, or None when empty."""
+    """E_q from the exact sup-norm distance dist = <q(b,a)>, or None when
+    empty.  With q >= 1, R1 >= R and dist <= 1/2 (``_approximations``),
+    R1 / dist > 1 / R1^2 and >= 2 R1, so a nonempty E_q ends past ln(2)/3."""
     lo = max(math.log(q) - math.log(float(r_fr)), 0.0)
     if dist == 0:
         return EqInterval(q=q, lo=lo, hi=None, rational_hit=True)
     if dist * q * q >= r1_fr * r_fr * r_fr:
         return None
     hi = 0.5 * math.log(float(r1_fr)) - 0.5 * (math.log(dist.numerator) - math.log(dist.denominator))
-    if hi <= 0.0:
-        return None
     return EqInterval(q=q, lo=lo, hi=hi)
 
 

@@ -138,25 +138,21 @@ def flow_ext2(line: LineSegmentSpec, s, t: FlowTime, w: IntegerVec3) -> Vec3:
     return (first, em2 * q, third)
 
 
-def segment_sup(line: LineSegmentSpec, t: FlowTime, v: IntegerVec3,
-                rep: str = "standard"):
-    """sup_{s in I} of the sup-norm of g_t phi(s) v.
+def segment_sup(line: LineSegmentSpec, t: FlowTime, v: IntegerVec3):
+    """sup_{s in I} of the sup-norm of g_t phi(s) v (standard action).
 
-    Every coordinate is affine in s in both representations, so |coord| is
-    convex and the supremum is attained at an endpoint; the value is the
-    exact maximum over s in {s1, s2}.
+    Every coordinate is affine in s, so |coord| is convex and the supremum
+    is attained at an endpoint; the value is the exact maximum over
+    s in {s1, s2}.
     """
-    flow = {"standard": flow_standard, "ext2": flow_ext2}.get(rep)
-    if flow is None:
-        raise InvalidInputError(f"unknown representation {rep!r}")
-    return max(abs(x) for s in line.endpoints() for x in flow(line, s, t, v))
+    return max(abs(x) for s in line.endpoints() for x in flow_standard(line, s, t, v))
 
 
 def ext2_constant(line: LineSegmentSpec):
     """The interval constant C_I = min{(s2-s1)/2, (s2-s1)/(|s1|+|s2|), 1}.
 
-    For any nonzero integer w and t >= 0, segment_sup in the exterior
-    square is bounded below by C_I * e^t.
+    For any nonzero integer w and t >= 0, the sup over s in I of the
+    sup-norm of ``flow_ext2`` is bounded below by C_I * e^t.
     """
     s1, s2 = line.endpoints()
     length = s2 - s1

@@ -10,9 +10,9 @@ enumeration vehicle (in dimension n, ||v||_2 <= sqrt(n) ||v||_inf, so the
 inflated ball contains every candidate that could beat the incumbent).
 
 Both reductions produce a ``ReducedLattice``: ``ReducedLattice.of(basis)``
-runs one f64 ``lll_reduce`` (a Gram-Schmidt row is recomputed when a step
-needs it, and the data are handed to the enumeration), or, for a bigfloat
-basis or one too skewed for f64, the exact reduction of its ``exact_rows``;
+runs one f64 ``lll_reduce`` in place on its columns and their Gram-Schmidt
+data, which go on to the enumeration, or, for a bigfloat basis or one too
+skewed for f64, the exact reduction of its ``exact_rows``;
 ``ReducedLattice.exact(rows)`` scales the rational rows of a rank-3 lattice
 in Q^n to integers and runs the integral LLL (no rounding anywhere).  Its
 ``points``, ``minimum`` and ``count`` are one Fincke-Pohst enumeration,
@@ -114,7 +114,6 @@ class ShortVectorResult:
 
     vector: IntegerVec3
     lambda1: float
-    certified: bool
     escalated: bool = False
 
 
@@ -151,25 +150,20 @@ def gram_schmidt(cols):
     return bstar, mu, norm2
 
 
-def lll_reduce(basis, gso=None):
-    """LLL-reduce the basis columns in f64 (delta = ``LLL_DELTA``); returns
-    (reduced_columns, transform).
+def lll_reduce(cols, gso):
+    """LLL-reduce three f64 columns in place (delta = ``LLL_DELTA``), with
+    ``gso`` = ``gram_schmidt(cols)``; returns (cols, U).
 
-    The transform U is an exact integer matrix with det(U) = +-1 and
-    reduced = basis . U (column convention), so the lattice is unchanged.
-    ``gso``, when given, is ``gram_schmidt`` of the basis columns; it is
-    updated in place and is ``gram_schmidt`` of the reduced columns on
-    return.  A size-reduction pass rounds the mu from before the pass.  Only
-    the Gram-Schmidt rows a step changes are recomputed, row 2 (read only at
-    k = 2) once k reaches 2, each exactly as a full recompute would.
+    On return ``cols`` and ``gso`` hold the reduced columns and their
+    Gram-Schmidt data.  U is the integer matrix with reduced = basis . U
+    (column convention); only swaps and integer column steps change it from
+    I, so det(U) = +-1.  A size-reduction pass rounds the mu from before the
+    pass.  Only the Gram-Schmidt rows a step changes are recomputed, row 2
+    (read only at k = 2) once k reaches 2, each as a full recompute would.
     """
-    if isinstance(basis, LatticeBasis3):
-        cols = basis.effective_columns()
-    else:
-        cols = [list(c) for c in basis]
     u = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]  # columns of U, as int lists
 
-    bstar, mu, norm2 = gram_schmidt(cols) if gso is None else gso
+    bstar, mu, norm2 = gso
     k = 1
     steps = 0
     while k < 3:
@@ -200,13 +194,6 @@ def lll_reduce(basis, gso=None):
                 _gso_row(cols, bstar, mu, norm2, i)
             k = max(k - 1, 1)
 
-    det_u = (
-        u[0][0] * (u[1][1] * u[2][2] - u[1][2] * u[2][1])
-        - u[1][0] * (u[0][1] * u[2][2] - u[0][2] * u[2][1])
-        + u[2][0] * (u[0][1] * u[1][2] - u[0][2] * u[1][1])
-    )
-    if det_u not in (1, -1):
-        raise ReductionError("LLL transform lost unimodularity")
     return cols, u
 
 
@@ -390,7 +377,7 @@ class ReducedLattice:
         gso = None if _holds_bigfloats(basis.matrix) else _f64_gram_schmidt(cols)
         if gso is None:
             return cls.exact(basis.exact_rows())
-        red, u = lll_reduce(cols, gso=gso)
+        red, u = lll_reduce(cols, gso)
         _, mu, norm2 = gso
         return cls(tuple(zip(*red)), u, mu, norm2, 1, norm2[0] * norm2[1] * norm2[2])
 
@@ -498,7 +485,7 @@ def shortest_vector(basis) -> ShortVectorResult:
     lat = ReducedLattice.of(basis)
     norm, coeffs = lat.minimum(math.inf)
     return ShortVectorResult(vector=IntegerVec3(*coeffs), lambda1=float(norm),
-                             certified=True, escalated=lat.escalated)
+                             escalated=lat.escalated)
 
 
 def count_points(basis, r) -> int:

@@ -58,10 +58,6 @@ class ScalarMode:
             raise ParseError("bigfloat mode needs a mantissa size of >= 53 bits")
 
     @property
-    def is_exact(self) -> bool:
-        return self.kind == "rational"
-
-    @property
     def ctx(self) -> mpmath.MPContext:
         """The B-bit mpmath context of a bigfloat mode's scalars."""
         return mp_context(self.bits)

@@ -333,19 +333,38 @@ def test_report_schema_is_a_valid_draft_2020_12_schema():
     jsonschema.Draft202012Validator.check_schema(cli.REPORT_SCHEMA)
 
 
-@pytest.mark.parametrize("args", [
+REPORT_RUNS = [
     ["classify", "1/2", "1/3", "--mode", "rational", "--q-max", "100"],
     ["orbit", "sqrt2", "sqrt3", "--t-grid", "0:2:1", "--N", "5"],
     ["density", "1/2", "1/3", "--mode", "rational", "--T", "5", "--q-max", "100"],
     ["equidist", "sqrt2", "sqrt3", "--t-list", "2,3", "--N", "10", "--radii", "1,1.5"],
     ["dirichlet", "sqrt2", "sqrt3", "--t-max", "2"],
-])
+]
+
+
+@pytest.mark.parametrize("args", REPORT_RUNS)
 def test_every_report_matches_report_schema(args, tmp_path):
     out = tmp_path / "r"
     assert run_cli(args + ["--out", str(out), "--format", "json"]) == 0
     doc = read_json(str(out) + ".json")
     jsonschema.Draft202012Validator(cli.REPORT_SCHEMA).validate(doc)
     assert doc["config"]["subcommand"] == args[0]
+
+
+@pytest.mark.parametrize("mode", ["bigfloat:256", "rational"])
+@pytest.mark.parametrize("args", REPORT_RUNS)
+def test_every_report_is_plain_json_in_every_mode(args, mode, tmp_path):
+    # reports are dumped as the runners build them: a bigfloat or Fraction
+    # left in one would fail json.dump here
+    if mode == "rational":  # sqrt2 and sqrt3 have no rational value
+        args = [{"sqrt2": "7/5", "sqrt3": "17/10"}.get(x, x) for x in args]
+    out = tmp_path / "r"
+    assert run_cli(args + ["--mode", mode, "--out", str(out)]) == 0
+    doc = read_json(str(out) + ".json")
+    jsonschema.Draft202012Validator(cli.REPORT_SCHEMA).validate(doc)
+    assert doc["config"]["mode"] == mode
+    with open(str(out) + ".csv", encoding="utf-8") as f:
+        assert len(list(csv.reader(f))) == len(doc["samples"]) + 1
 
 
 def test_cli_import_leaves_jsonschema_out():

@@ -137,6 +137,32 @@ def test_w2eps_non_integer_eps():
     assert got == want
 
 
+@pytest.mark.parametrize("q, two_plus_eps, v", [
+    (4, Fraction(5, 2), 2 ** 5), (16, Fraction(11, 4), 2 ** 11), (49, Fraction(7, 2), 7 ** 7)])
+def test_pow_bound_check_at_exact_equality(q, two_plus_eps, v):
+    # q^-(2+eps) = 1/v exactly; equality counts
+    check = dio._pow_bound_check
+    assert check(Fraction(1, v), q, two_plus_eps)
+    assert check(Fraction(1, v + 1), q, two_plus_eps)
+    assert not check(Fraction(1, v - 1), q, two_plus_eps)
+    assert check(Fraction(1, v), q - 1, two_plus_eps)
+    assert not check(Fraction(1, v), q + 1, two_plus_eps)
+
+
+def test_pow_bound_check_f64_eps():
+    # 2 + 0.1 has denominator 2^55; 1000^-2.1 = 1 / 1995262.3...
+    two_plus_eps = 2 + Fraction(0.1)
+    assert two_plus_eps.denominator == 2 ** 55
+    assert dio._pow_bound_check(Fraction(1, 1995263), 1000, two_plus_eps)
+    assert not dio._pow_bound_check(Fraction(1, 1995262), 1000, two_plus_eps)
+
+
+def test_w2eps_counts_a_residual_at_the_bound():
+    # q = 4 has residual 4/128 = 4^-(5/2)
+    hits = dio.w2eps_witness_search(Fraction(1, 128), Fraction(1, 128), Fraction(1, 2), 10)
+    assert [w.q for w in hits] == [1, 2, 3, 4]
+
+
 def test_w2_superset_of_w2eps():
     # with C = 1 and eps = 1, q^-3 <= q^-2 on q >= 1
     w2 = {w.q for w in dio.w2_witness_search(LAM4, LAM4, Fraction(1), 3000)}
@@ -246,6 +272,19 @@ def test_eq_interval_rational_hit_unbounded():
     iv = _eq_intervals(*HALF_THIRD, 0, 2, 6)[6]
     assert iv.rational_hit and iv.hi is None
     assert iv.lo == pytest.approx(math.log(3), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=10 ** 6)] * 2),
+       R=st.fractions(min_value=Fraction(1, 20), max_value=10, max_denominator=100),
+       s1=st.fractions(min_value=-2, max_value=2, max_denominator=100),
+       length=st.fractions(min_value=Fraction(1, 100), max_value=2, max_denominator=100),
+       q_max=st.integers(1, 3000))
+def test_every_eq_interval_ends_after_ln2_over_3(pair, R, s1, length, q_max):
+    # R1 >= R and residuals <= 1/2 put every nonempty E_q's end past ln(2)/3
+    line = LineSegmentSpec(*pair, s1, s1 + length, RATIONAL)
+    for iv in dio.ir_density(line, R, 1.0, q_max).intervals:
+        assert iv.hi is None or iv.hi > math.log(2) / 3
 
 
 def test_sup_operator_norm_r1_is_exact_from_stored_values():
@@ -458,6 +497,8 @@ def test_w2_matches_scan_oracle(pair, C, q_max):
 # ties at 1/2: both neighbours of q b (and q a) are in the box at q = 1
 @example(pair=(Fraction(7, 2), Fraction(5, 2)), eps=Fraction(1, 4), q_max=50)
 @example(pair=(Fraction(0), Fraction(1, 2)), eps=Fraction(1, 4), q_max=50)
+# q = 4: the residual 4 * 2^-7 is exactly 4^-(5/2)
+@example(pair=(0.0, 0.0078125), eps=Fraction(1, 2), q_max=4)
 def test_w2eps_matches_scan_oracle(pair, eps, q_max):
     a, b = pair
     assert (dio.w2eps_witness_search(a, b, eps, q_max)

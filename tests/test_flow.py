@@ -244,7 +244,8 @@ def test_ext2_lower_bound_random_integer_vectors():
             for k in (0, 1, 4, 8):
                 u = Fraction(3) ** k  # e^t = 3^k, t = k ln 3 >= 0
                 t = FlowTime.from_exp(u)
-                assert segment_sup(line, t, w, rep="ext2") >= c_i * u
+                sup = max(abs(x) for s in (s1, s2) for x in flow_ext2(line, s, t, w))
+                assert sup >= c_i * u
 
 
 def test_vandermonde_examples():
@@ -284,7 +285,9 @@ def _bigfloat_results():
     t = FlowTime.of(9.5)
     named = [named_scalar(x, mode) for x in ("sqrt2", "sqrt3", "golden", "liouville:4", "0.3")]
     matrix = [x for row in translate_basis(line, s, t).matrix for x in row]
-    sups = [segment_sup(line, t, IntegerVec3(3, -2, 5), rep) for rep in ("standard", "ext2")]
+    v = IntegerVec3(3, -2, 5)
+    sups = [segment_sup(line, t, v),
+            max(abs(x) for s in line.endpoints() for x in flow_ext2(line, s, t, v))]
     return [x._mpf_ for x in named + matrix + sups]
 
 

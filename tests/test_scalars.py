@@ -77,7 +77,7 @@ def test_golden_bigfloat_full_precision():
 def test_mode_from_spec():
     assert mode_from_spec("f64") is F64
     assert mode_from_spec("bigfloat:128").bits == 128
-    assert mode_from_spec("rational").is_exact
+    assert mode_from_spec("rational") is RATIONAL
     with pytest.raises(ParseError):
         mode_from_spec("quad")
 

@@ -700,7 +700,7 @@ def segment_minimum_scan(line: LineSegmentSpec, t: FlowTime, R_cap: float,
 
     best_vec = IntegerVec3(*min((vec for _, vec in [best] + near), key=exact_key))
     best_val = segment_sup(line, t, best_vec)
-    exactable = line.mode.is_exact and t.exp_t is not None
+    exactable = line.mode.kind == "rational" and t.exp_t is not None
     cap = Fraction(R_cap) if exactable else float(R_cap)
     if best_val > cap:
         return None

@@ -1,0 +1,111 @@
+"""Compare the reports of two latflow source trees on the benchmark workloads.
+
+    python3 tools/report_diff.py OLD_SRC NEW_SRC [--seeds 1,2,3]
+
+OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts.  For each
+tree, one fresh interpreter imports ``latflow.cli`` from it and runs every
+operation of ``perfbench/workloads.operations(w, seed)`` (the three
+workloads, README commands included) through ``latflow.cli.main``, in
+order, as the benchmark child does.  Each operation writes its report with
+the same relative ``--out`` under that tree's own temporary directory.
+
+The JSON and CSV files, stdout, stderr and exit code of every operation are
+then compared byte for byte.  The first differing operations are named, and
+the exit status is 1 on any difference, else 0.  Only the standard library
+is used; ``perfbench/`` is imported, never written to.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+SHOWN = 10  # differing operations named in full
+
+# Runs in the child, with cwd the tree's temporary directory:
+# argv = [perfbench dir, seeds].  The result goes to ops.json there.
+CHILD = """
+import contextlib, io, json, sys, traceback
+sys.path.insert(0, sys.argv[1])
+import workloads
+import latflow.cli as cli
+
+results = []
+for seed in map(int, sys.argv[2].split(",")):
+    for workload in workloads.WORKLOADS:
+        for i, op in enumerate(workloads.operations(workload, seed)):
+            stem = f"{workload}-s{seed}-op{i}"
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    rc = cli.main(op + ["--out", stem])
+                except Exception:
+                    rc = "uncaught: " + traceback.format_exc()
+            results.append({"stem": stem, "argv": op, "rc": rc,
+                            "stdout": out.getvalue(), "stderr": err.getvalue()})
+with open("ops.json", "w", encoding="utf-8") as f:
+    json.dump(results, f)
+"""
+
+
+def run_tree(src: str, work: str, seeds: str) -> list[dict]:
+    """Run every operation of ``src`` in one interpreter under ``work``."""
+    os.makedirs(work)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    # -B: no bytecode caches, so nothing is written under perfbench/
+    subprocess.run([sys.executable, "-B", "-c", CHILD, PERFBENCH, seeds],
+                   cwd=work, env=env, check=True)
+    with open(os.path.join(work, "ops.json"), encoding="utf-8") as f:
+        return json.load(f)
+
+
+def _read(path: str) -> bytes | None:
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except FileNotFoundError:
+        return None
+
+
+def differences(old: dict, new: dict, old_dir: str, new_dir: str) -> list[str]:
+    """What differs between the two runs of one operation."""
+    found = [key for key in ("rc", "stdout", "stderr") if old[key] != new[key]]
+    for ext in (".json", ".csv"):
+        name = old["stem"] + ext
+        if _read(os.path.join(old_dir, name)) != _read(os.path.join(new_dir, name)):
+            found.append(name)
+    return found
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("old_src")
+    p.add_argument("new_src")
+    p.add_argument("--seeds", default="1", help="comma list of workload seeds")
+    args = p.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="report_diff-") as tmp:
+        old_dir, new_dir = os.path.join(tmp, "old"), os.path.join(tmp, "new")
+        old_ops = run_tree(args.old_src, old_dir, args.seeds)
+        new_ops = run_tree(args.new_src, new_dir, args.seeds)
+        differing = []
+        for old, new in zip(old_ops, new_ops, strict=True):
+            found = differences(old, new, old_dir, new_dir)
+            if found:
+                differing.append((old, found))
+        files = sum(os.path.exists(os.path.join(old_dir, op["stem"] + ext))
+                    for op in old_ops for ext in (".json", ".csv"))
+    print(f"{len(old_ops)} operations at seeds {args.seeds}, {files} report files: "
+          f"{len(differing)} operations differ")
+    for op, found in differing[:SHOWN]:
+        print(f"  {op['stem']}: {', '.join(found)} differ; argv {' '.join(op['argv'])}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
