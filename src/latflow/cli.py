@@ -19,7 +19,9 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import diophantine as dio
@@ -100,8 +102,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that starts with '-' and a digit or '.' as a value, so
+    that ``-1/2`` and ``--interval -1/2,1/3`` need no '='; subparsers inherit
+    the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
+
+
+@cache
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="latflow", description=__doc__.splitlines()[0])
+    p = _Parser(prog="latflow", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     def common(sp):

@@ -7,21 +7,22 @@ compact set, and the exhaustive segment-minimum search that powers the
 return-time estimates).  Each lattice search is one enumeration under the
 leaf cap of ``lattice.enumeration_budget``.
 
-Reproducibility contract: every sample i of an experiment seeded with
-``seed`` draws from a counter-based Philox stream keyed by (seed, i), so
-samples can be drawn in any order and a report can be regenerated exactly
-from its config echo.
+Reproducibility contract: sample i of an experiment seeded with ``seed``
+takes its uniform u from Philox4x64-10 (Salmon et al., SC 2011) keyed by
+(seed mod 2^64, i mod 2^64): the first 64-bit word x0 of the block at counter
+(1, 0, 0, 0), mapped to u = (x0 >> 11) 2^-53.  That is numpy's
+``Generator(Philox(key=[seed, i])).random()`` bit for bit, so samples can be
+drawn in any order and a report can be regenerated exactly from its config
+echo.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-
-import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import InvalidInputError, PrecisionError
 from .flow import FlowTime, LineSegmentSpec, segment_sup
@@ -29,17 +30,27 @@ from .lattice import ReducedLattice, count_points, shortest_vector, translate_ba
 from .scalars import IntegerVec3, exact_ratio
 
 
-def sample_stream(seed: int, index: int) -> Generator:
-    """The Philox stream for sample ``index`` of an experiment; counter-based,
-    so any subset of samples can be drawn independently and in any order."""
-    key = np.array([seed % (1 << 64), index % (1 << 64)], dtype=np.uint64)
-    return Generator(Philox(key=key))
+_MASK64 = (1 << 64) - 1
+
+
+def sample_uniform(seed: int, index: int) -> float:
+    """The f64 uniform of sample ``index``: Philox4x64-10 with key (k0, k1) =
+    (seed, index) mod 2^64 on counter (c0, c1, c2, c3) = (1, 0, 0, 0).  Each
+    round multiplies c0 and c2 by the constants below into 128-bit products
+    (hi0, lo0), (hi1, lo1), sets c = (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0),
+    then adds the Weyl constants to the key; u = (c0 >> 11) 2^-53."""
+    k0, k1, c0, c1, c2, c3 = seed & _MASK64, index & _MASK64, 1, 0, 0, 0
+    for _ in range(10):
+        p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK64, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64
+        k0, k1 = (k0 + 0x9E3779B97F4A7C15) & _MASK64, (k1 + 0xBB67AE8584CAA73B) & _MASK64
+    return (c0 >> 11) * 2.0 ** -53
 
 
 @lru_cache(maxsize=1)
 def _uniforms(seed: int, N: int) -> tuple:
     """The f64 uniforms of samples 0..N-1, drawn once for all flow times."""
-    return tuple(sample_stream(seed, i).random() for i in range(N))
+    return tuple(sample_uniform(seed, i) for i in range(N))
 
 
 @dataclass(frozen=True)
@@ -70,7 +81,7 @@ def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
 
     s = s1 + u (s2 - s1) is taken in the line's arithmetic, with u the
     sample's f64 uniform (an exact dyadic), so s lies in I in every mode.
-    Sample i takes its u from ``sample_stream(seed, i)`` at every t and N;
+    Sample i takes its u from ``sample_uniform(seed, i)`` at every t and N;
     the last (seed, N) keeps its draws, which a grid of flow times shares.
 
     A result computed off the f64 lattice path (every bigfloat sample, and
@@ -209,15 +220,12 @@ def trajectory_probe(line: LineSegmentSpec, s, delta: float, t_max: float,
 def ks_distance(sample_a, sample_b) -> float:
     """Two-sample Kolmogorov-Smirnov statistic of empirical lambda_1 laws.
 
-    The ECDF gap at each pooled point is an integer h over lcm(n1, n2); the
-    result is max h / lcm, the exact statistic.
+    The ECDF gap at each pooled point is an integer h = |i n2 - j n1| over
+    n1 n2; the result is max h / (n1 n2), correctly rounded, the exact
+    statistic.
     """
-    a = np.sort(np.asarray(list(sample_a), dtype=float))
-    b = np.sort(np.asarray(list(sample_b), dtype=float))
-    if a.size == 0 or b.size == 0:
+    a, b = sorted(map(float, sample_a)), sorted(map(float, sample_b))
+    if not a or not b:
         raise InvalidInputError("KS distance needs nonempty samples")
-    lcm = math.lcm(a.size, b.size)
-    pooled = np.concatenate([a, b])
-    ca = np.searchsorted(a, pooled, side="right") * (lcm // a.size)
-    cb = np.searchsorted(b, pooled, side="right") * (lcm // b.size)
-    return int(np.max(np.abs(ca - cb))) / lcm
+    h = max(abs(bisect_right(a, x) * len(b) - bisect_right(b, x) * len(a)) for x in a + b)
+    return h / (len(a) * len(b))

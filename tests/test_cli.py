@@ -129,6 +129,38 @@ def test_dirichlet_rational_candidate_improvable(tmp_path):
     assert doc["summary"]["verdict"].startswith("candidate improvable")
 
 
+@pytest.mark.parametrize("args, key, value", [
+    (["classify", "-1/2", "1/3", "--mode", "rational", "--q-max", "10"], "a", "-1/2"),
+    (["orbit", "1/2", "1/3", "--mode", "rational", "--t-grid", "3", "--N", "5",
+      "--interval", "-1/2,1/3"], "interval", "-1/2,1/3"),
+    (["dirichlet", "1/2", "1/3", "--mode", "rational", "--t-max", "1",
+      "--s", "-1/3"], "s", "-1/3"),
+])
+def test_negative_values_need_no_equals_sign(args, key, value, tmp_path):
+    out = tmp_path / "neg"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    doc = read_json(str(out) + ".json")
+    assert doc["config"][key] == value
+    if args[0] == "classify":
+        assert doc["summary"]["rational_certificate"] == [2, -3, 6]
+
+
+def test_unknown_short_option_still_exit_2(capsys):
+    assert run_cli(["classify", "1/2", "1/3", "-x"]) == 2
+    assert "unrecognized arguments: -x" in capsys.readouterr().err
+
+
+def test_parser_built_once_keeps_no_values_between_runs(tmp_path):
+    # in-process callers (the benchmark's child, report_diff) share one parser
+    args = ["orbit", "1/2", "1/3", "--mode", "rational", "--t-grid", "1"]
+    assert run_cli(args + ["--N", "3", "--seed", "5", "--out", str(tmp_path / "a")]) == 0
+    assert run_cli(args + ["--out", str(tmp_path / "b")]) == 0
+    first, second = (read_json(str(tmp_path / x) + ".json")["config"] for x in "ab")
+    assert (first["N"], first["seed"]) == (3, 5)
+    assert (second["N"], second["seed"]) == (50, 1)
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_budget_error_exit_3():
     # the segment-minimum enumeration visits 10 nodes at t = 0
     code = run_cli(["orbit", "liouville:4", "liouville:4", "--mode", "rational",
@@ -374,3 +406,25 @@ def test_cli_import_leaves_jsonschema_out():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
+
+
+def test_no_subcommand_in_any_mode_loads_numpy():
+    runs = []
+    for mode in ("f64", "bigfloat:256", "rational"):
+        for args in REPORT_RUNS:
+            if mode == "rational":  # sqrt2 and sqrt3 have no rational value
+                args = [{"sqrt2": "7/5", "sqrt3": "17/10"}.get(x, x) for x in args]
+            runs.append(args + ["--mode", mode])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import json, sys, latflow.cli\n"
+            "codes = [latflow.cli.main(args) for args in json.loads(sys.argv[1])]\n"
+            "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy')\n"
+            "print(json.dumps([codes, loaded]), file=sys.stderr)\n")
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    codes, loaded = json.loads(done.stderr.splitlines()[-1])
+    assert codes == [0] * len(runs)
+    assert loaded == []

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+from numpy.random import Generator, Philox
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -50,25 +51,36 @@ def test_sample_translate_rational_line_bound():
 
 
 def test_sample_translate_draws_each_index_once():
-    # sample i takes its s from sample_stream(seed, i) at every t and N
+    # sample i takes its s from sample_uniform(seed, i) at every t and N
     def draws(seed, N, t=1.0):
         return [smp.s for smp in exp.sample_translate(GENERIC_LINE, FlowTime.of(t), N, seed)]
 
     first = draws(1, 5)
-    assert first == [exp.sample_stream(1, i).random() for i in range(5)]
+    assert first == [exp.sample_uniform(1, i) for i in range(5)]
     assert draws(1, 5, t=4.0) == first
-    assert draws(2, 5) == [exp.sample_stream(2, i).random() for i in range(5)]
+    assert draws(2, 5) == [exp.sample_uniform(2, i) for i in range(5)]
     assert draws(1, 5) == first
     longer = draws(1, 6)
     assert longer[:5] == first
-    assert longer[5] == exp.sample_stream(1, 5).random()
+    assert longer[5] == exp.sample_uniform(1, 5)
+
+
+def test_sample_uniform_is_numpy_philox():
+    # numpy's Philox generator, which first drew these streams, is the oracle
+    rng = random.Random(17)
+    keys = [(-1, 0), (0, 0), (2 ** 64 - 1, 0), (1, 2 ** 64 + 5), (-1, 2 ** 64 - 1)]
+    keys += [(seed, i) for seed in (1, 2, 7) for i in range(100)]
+    keys += [(rng.randrange(-2 ** 64, 2 ** 65), rng.randrange(2 ** 66)) for _ in range(10_000)]
+    for seed, i in keys:
+        key = np.array([seed % 2 ** 64, i % 2 ** 64], dtype=np.uint64)
+        assert exp.sample_uniform(seed, i) == Generator(Philox(key=key)).random(), (seed, i)
 
 
 def test_sample_translate_f64_draw():
     line = LineSegmentSpec.from_strings("sqrt2", "sqrt3", "-0.3", "0.4", F64)
     samples = exp.sample_translate(line, FlowTime.of(2.0), 5, seed=7)
     for i, smp in enumerate(samples):
-        u = exp.sample_stream(7, i).random()
+        u = exp.sample_uniform(7, i)
         assert smp.s == -0.3 + u * (0.4 - -0.3)
 
 
@@ -404,6 +416,27 @@ def test_ks_matches_scipy_exact_statistic():
         xb = np.round(rng.normal(0.2, 1.3, size=n2), int(rng.integers(0, 3)))
         want = stats.ks_2samp(xa, xb, method="exact").statistic
         assert exp.ks_distance(xa, xb) == want
+
+
+def _ks_numpy(sample_a, sample_b):
+    """The statistic as numpy computes it: ECDF gaps over lcm(n1, n2)."""
+    a = np.sort(np.asarray(sample_a, dtype=float))
+    b = np.sort(np.asarray(sample_b, dtype=float))
+    lcm = math.lcm(a.size, b.size)
+    pooled = np.concatenate([a, b])
+    ca = np.searchsorted(a, pooled, side="right") * (lcm // a.size)
+    cb = np.searchsorted(b, pooled, side="right") * (lcm // b.size)
+    return int(np.max(np.abs(ca - cb))) / lcm
+
+
+def test_ks_matches_numpy_formula():
+    rng = np.random.default_rng(12)
+    for _ in range(3000):
+        n1, n2 = rng.integers(1, 61, size=2)
+        # rounding to 0-2 digits makes ties within and across samples
+        xa = np.round(rng.normal(size=n1), int(rng.integers(0, 3))).tolist()
+        xb = np.round(rng.normal(0.2, 1.3, size=n2), int(rng.integers(0, 3))).tolist()
+        assert exp.ks_distance(xa, xb) == _ks_numpy(xa, xb), (xa, xb)
 
 
 def test_ks_requires_nonempty():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from latflow import diophantine, experiments, lattice
 from latflow.errors import BudgetError, InvalidInputError
-from latflow.experiments import sample_stream
+from latflow.experiments import sample_uniform
 from latflow.flow import FlowTime, LineSegmentSpec, phi
 from latflow.lattice import (
     ENUMERATION_BUDGET,
@@ -239,7 +239,7 @@ def test_exact_fallback_past_f64_gram_schmidt_range():
 def _sampled_translate(pair, seed, t):
     # s is drawn as equidist draws it, uniform on [0, 1]
     a, b = (named_scalar(x, F64) for x in pair)
-    s = sample_stream(seed, 0).random()
+    s = sample_uniform(seed, 0)
     return translate_basis(LineSegmentSpec(a, b, 0.0, 1.0, F64), s, FlowTime.of(t))
 
 
@@ -280,7 +280,7 @@ def test_bigfloat_translates_match_256bit_phi_oracle(pair, seed, t):
     # rel 1e-4 at t = 9.5, and an f64 reduction errs by 1e-6 at t = 7
     mode = bigfloat(256)
     line = LineSegmentSpec.from_strings(*pair, "-5", "5", mode)
-    s = mode.from_fraction(Fraction(-5 + 10 * sample_stream(seed, 0).random()))
+    s = mode.from_fraction(Fraction(-5 + 10 * sample_uniform(seed, 0)))
     oracle = shortest_vector_mp(LatticeBasis3(phi(line, s), t))[0]
     assert shortest_vector(translate_basis(line, s, FlowTime.of(t))).lambda1 == \
         pytest.approx(oracle, rel=1e-12)
