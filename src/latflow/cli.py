@@ -171,10 +171,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _line_from(args, mode) -> LineSegmentSpec:
-    s1_s, s2_s = (args.interval.split(",") + ["", ""])[:2]
-    if not s1_s.strip() or not s2_s.strip():
+    ends = args.interval.split(",")
+    if len(ends) != 2 or not all(e.strip() for e in ends):
         raise ParseError(f"cannot parse interval {args.interval!r}")
-    return LineSegmentSpec.from_strings(args.a, args.b, s1_s, s2_s, mode)
+    return LineSegmentSpec.from_strings(args.a, args.b, *ends, mode)
 
 
 def _witness_row(w: dio.DiophantineWitness) -> dict:

@@ -94,7 +94,7 @@ def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
 
     def one(u: float) -> TranslateSample:
         s = s1 + line.mode.from_fraction(Fraction(u)) * width
-        lat = ReducedLattice.of(translate_basis(line, s, t))
+        lat = translate_basis(line, s, t)
         res = shortest_vector(lat)
         counts = {r: count_points(lat, r) for r in radii}
         return TranslateSample(s=s, t=float(t.t), lambda1=res.lambda1,
@@ -140,8 +140,8 @@ def segment_minimum(line: LineSegmentSpec, t: FlowTime,
     s1 and s2 are taken at their exact stored values, and
     ``ReducedLattice.exact`` solves it exactly; ties go to the
     sign-normalised vector smallest in (q, p2, p1).  The value is
-    ``segment_sup`` of the minimizer: exact in rational mode with an exact
-    e^t, in the line's scalars otherwise.
+    ``segment_sup`` of the minimizer, the exact minimum rounded once into
+    the line's scalars.
     """
     if not 1 <= R_cap < math.inf:
         raise InvalidInputError("R_cap must be finite and >= 1")
@@ -160,11 +160,9 @@ def segment_minimum(line: LineSegmentSpec, t: FlowTime,
     if found is None:
         return None
     vector = IntegerVec3(*found[1])
-    value = segment_sup(line, t, vector)
-    # a Fraction, mpf or float value compares exactly with the float R_cap
-    if value > R_cap:
-        return None
-    return SegmentMinimum(vector=vector, value=value)
+    # segment_sup rounds the lattice norm, at most R_cap, from the same exact
+    # values; rounding is monotone, so the value is at most R_cap too
+    return SegmentMinimum(vector=vector, value=segment_sup(line, t, vector))
 
 
 # -- trajectory probes -------------------------------------------------------

@@ -14,7 +14,7 @@ so every coordinate is affine in s and suprema over the segment are exact
 maxima over the two endpoints.  The actions return plain coordinate tuples
 in the line's scalars.  Flow times can carry an exact value of e^t
 (a Fraction), which keeps the rational-mode segment actions and minima exact
-out to t ~ ln 10^24; translate bases keep only the float t.
+out to t ~ ln 10^24; a ``translate_basis`` lattice keeps only the float t.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .scalars import (
     Matrix3,
     ScalarMode,
     Vec3,
+    exact_ratio,
     exp_f64,
     named_scalar,
 )
@@ -142,10 +143,17 @@ def segment_sup(line: LineSegmentSpec, t: FlowTime, v: IntegerVec3):
     """sup_{s in I} of the sup-norm of g_t phi(s) v (standard action).
 
     Every coordinate is affine in s, so |coord| is convex and the supremum
-    is attained at an endpoint; the value is the exact maximum over
-    s in {s1, s2}.
+    is attained at an endpoint: max(e^{2t} max_i |(q b + p1) + (q a + p2) s_i|,
+    e^{-t} |p2|, e^{-t} |q|), evaluated in Fractions from the stored values
+    of ``t.factor``, a, b, s1 and s2 and rounded once into the line's mode.
     """
-    return max(abs(x) for s in line.endpoints() for x in flow_standard(line, s, t, v))
+    _require_nonzero(v)
+    e2, em, a, b = (Fraction(*exact_ratio(x)) for x in (
+        t.factor(2, line.mode), t.factor(-1, line.mode), line.a, line.b))
+    p1, p2, q = v.as_tuple()
+    x = max(abs((q * b + p1) + (q * a + p2) * Fraction(*exact_ratio(s)))
+            for s in line.endpoints())
+    return line.mode.from_fraction(max(e2 * x, em * abs(p2), em * abs(q)))
 
 
 def ext2_constant(line: LineSegmentSpec):

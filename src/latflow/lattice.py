@@ -1,28 +1,30 @@
 """Shortest vectors and point counts on 3-dimensional unimodular lattices.
 
-This is the artifact's computational proxy for Mahler compactness: a basis
-is held together with a flow log-scale, and lambda_1 (sup-norm) is
-certified by complete Fincke-Pohst enumeration inside a Euclidean ball of
-radius sqrt(3) * (sup-norm of the shortest reduced column).
+This is the artifact's computational proxy for Mahler compactness: lambda_1
+(sup-norm) is certified by complete Fincke-Pohst enumeration inside a
+Euclidean ball of radius sqrt(3) * (sup-norm of the shortest reduced column).
 
 The norm of record is the supremum norm; the Euclidean ball is only the
 enumeration vehicle (in dimension n, ||v||_2 <= sqrt(n) ||v||_inf, so the
 inflated ball contains every candidate that could beat the incumbent).
 
-Both reductions produce a ``ReducedLattice``: ``ReducedLattice.of(basis)``
-runs one f64 ``lll_reduce`` in place on its columns and their Gram-Schmidt
-data, which go on to the enumeration, or, for a bigfloat basis or one too
-skewed for f64, the exact reduction of its ``exact_rows``;
-``ReducedLattice.exact(rows)`` scales the rational rows of a rank-3 lattice
-in Q^n to integers and runs the integral LLL (no rounding anywhere).  Its
-``points``, ``minimum`` and ``count`` are one Fincke-Pohst enumeration,
-written once, over coefficients in the reduced basis that only ``points``
-and ``minimum`` map back through U; they take radii in the rows' own units
-and compare candidates in the rows' own arithmetic (f64, or integers).
-``shortest_vector`` and ``count_points`` take either the basis or that
-value, so the minimum and the counts at every radius share one reduction;
-``ReducedLattice.exact`` also gives the segment minima, the Dirichlet
-check and the Diophantine search boxes.
+A lattice is one value, ``ReducedLattice``, made by either reduction.
+``ReducedLattice.of(matrix, log_scale)`` takes a 3x3 matrix with a flow
+log-scale that defers the exponentials of its rows (so translates are
+stored without overflow) and runs one f64 ``lll_reduce`` in place on the
+scaled columns and their Gram-Schmidt data, which go on to the enumeration,
+or, for bigfloat entries or columns too skewed for f64, the exact reduction
+of the unrounded products; ``translate_basis`` gives it the translate
+g_t phi(s) Z^3.  ``ReducedLattice.exact(rows)`` scales the rational rows of
+a rank-3 lattice in Q^n to integers and runs the integral LLL (no rounding
+anywhere).  Its ``points``, ``minimum`` and ``count`` are one Fincke-Pohst
+enumeration, written once, over coefficients in the reduced basis that only
+``points`` and ``minimum`` map back through U; they take radii in the rows'
+own units and compare candidates in the rows' own arithmetic (f64, or
+integers).  ``shortest_vector`` and ``count_points`` read that value, so the
+minimum and the counts at every radius share one reduction;
+``ReducedLattice.exact`` also gives the segment minima, the Dirichlet check
+and the Diophantine search boxes.
 
 All functions are pure but for one input: the enumeration leaf cap,
 ``ENUMERATION_BUDGET`` unless a ``with enumeration_budget(n):`` block sets
@@ -60,50 +62,6 @@ def enumeration_budget(n: int):
         yield
     finally:
         _budget.reset(token)
-
-
-@dataclass(frozen=True)
-class LatticeBasis3:
-    """Columns of ``matrix`` span the lattice; ``log_scale`` defers the flow
-    exponentials (row 1 carries e^{2 log_scale}, rows 2-3 carry e^{-log_scale})
-    so that translate bases can be stored without overflow.
-    """
-
-    matrix: Matrix3
-    log_scale: float = 0.0
-
-    @classmethod
-    def identity(cls) -> "LatticeBasis3":
-        return cls(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
-
-    @classmethod
-    def from_columns(cls, cols, log_scale: float = 0.0) -> "LatticeBasis3":
-        rows = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
-        return cls(rows, log_scale)
-
-    def _row_scales(self):
-        return (exp_f64(2 * self.log_scale),
-                exp_f64(-self.log_scale),
-                exp_f64(-self.log_scale))
-
-    def effective_columns(self):
-        """Basis columns with the flow scaling applied, as floats."""
-        row_scale = self._row_scales()
-        return [
-            [float(self.matrix[i][j]) * row_scale[i] for i in range(3)]
-            for j in range(3)
-        ]
-
-    def exact_rows(self):
-        """The stored entries times the f64 row scales, both at their exact
-        values, as Fractions: the rows of ``effective_columns`` before
-        rounding."""
-        row_scale = self._row_scales()
-        if 0.0 in row_scale:  # a zero row spans no lattice
-            raise PrecisionError(
-                f"the flow scaling underflows f64 at log scale {self.log_scale:g}")
-        return [[Fraction(*exact_ratio(x)) * Fraction(scale) for x in row]
-                for row, scale in zip(self.matrix, row_scale)]
 
 
 @dataclass(frozen=True)
@@ -365,21 +323,29 @@ class ReducedLattice:
     escalated: bool = False
 
     @classmethod
-    def of(cls, basis) -> "ReducedLattice":
-        """One reduction of a ``LatticeBasis3``: ``lll_reduce`` in f64, whose
-        Gram-Schmidt data are handed on, while the f64 Gram-Schmidt lengths
-        span at most ``GSO_RANGE_CAP``; past that (or where they overflow),
-        and for a basis of bigfloat entries, ``exact`` of its
-        ``exact_rows``."""
-        if isinstance(basis, ReducedLattice):
-            return basis
-        cols = basis.effective_columns()
-        gso = None if _holds_bigfloats(basis.matrix) else _f64_gram_schmidt(cols)
-        if gso is None:
-            return cls.exact(basis.exact_rows())
-        red, u = lll_reduce(cols, gso)
-        _, mu, norm2 = gso
-        return cls(tuple(zip(*red)), u, mu, norm2, 1, norm2[0] * norm2[1] * norm2[2])
+    def of(cls, matrix: Matrix3, log_scale: float = 0.0) -> "ReducedLattice":
+        """One reduction of the lattice spanned by the columns of ``matrix``
+        (rows of mode scalars), its rows times the f64 values of e^{2l},
+        e^{-l}, e^{-l} for l = ``log_scale``: ``lll_reduce`` of the rounded
+        products, whose Gram-Schmidt data are handed on, while their f64
+        Gram-Schmidt lengths span at most ``GSO_RANGE_CAP``; past that (or
+        where they overflow), and for bigfloat entries, ``exact`` of the
+        unrounded products."""
+        scales = (exp_f64(2 * log_scale), exp_f64(-log_scale), exp_f64(-log_scale))
+        if not _holds_bigfloats(matrix):
+            cols = [[float(row[j]) * scale for row, scale in zip(matrix, scales)]
+                    for j in range(3)]
+            gso = _f64_gram_schmidt(cols)
+            if gso is not None:
+                red, u = lll_reduce(cols, gso)
+                _, mu, norm2 = gso
+                return cls(tuple(zip(*red)), u, mu, norm2, 1,
+                           norm2[0] * norm2[1] * norm2[2])
+        if 0.0 in scales:  # a zero row spans no lattice
+            raise PrecisionError(
+                f"the flow scaling underflows f64 at log scale {log_scale:g}")
+        return cls.exact([[Fraction(*exact_ratio(x)) * Fraction(scale) for x in row]
+                          for row, scale in zip(matrix, scales)])
 
     @classmethod
     def exact(cls, rows) -> "ReducedLattice":
@@ -470,40 +436,36 @@ class ReducedLattice:
         raise BudgetError("count_points: expected point count exceeds the budget")
 
 
-def shortest_vector(basis) -> ShortVectorResult:
-    """The exact sup-norm first minimum, by complete enumeration.
+def shortest_vector(lat: ReducedLattice) -> ShortVectorResult:
+    """The exact sup-norm first minimum of ``lat``, by complete enumeration.
 
-    ``basis`` is a ``LatticeBasis3`` or a ``ReducedLattice``.  LLL
-    preprocessing bounds the search; every lattice vector whose sup-norm
+    LLL preprocessing bounds the search; every lattice vector whose sup-norm
     could undercut the shortest reduced column lies in the Euclidean ball of
     radius sqrt(3) times that column's sup norm, and that ball is enumerated
-    to exhaustion, so the result is certified.  A bigfloat basis, or one
-    whose GSO lengths span more than ~1e12 in f64 (or overflow it), is
-    solved exactly instead (escalated flag); lambda1 is then the correctly
-    rounded exact minimum.
+    to exhaustion, so the result is certified.  On an ``escalated`` lattice
+    (bigfloat entries, or f64 GSO lengths spanning more than ~1e12 or past
+    the f64 range) lambda1 is the correctly rounded exact minimum.
     """
-    lat = ReducedLattice.of(basis)
     norm, coeffs = lat.minimum(math.inf)
     return ShortVectorResult(vector=IntegerVec3(*coeffs), lambda1=float(norm),
                              escalated=lat.escalated)
 
 
-def count_points(basis, r) -> int:
-    """#{v in L \\ 0 : ||v||_inf <= r}, by complete enumeration.
+def count_points(lat: ReducedLattice, r) -> int:
+    """#{v in L \\ 0 : ||v||_inf <= r}, by complete enumeration of ``lat``,
+    which serves every radius from one reduction.
 
-    ``basis`` is a ``LatticeBasis3`` or a ``ReducedLattice``, which serves
-    every radius from one reduction.  Counts are exact and even (the ball
-    is symmetric); an expected count (2r)^3 / det(L) or enumeration work
-    beyond the leaf cap raises BudgetError.  A basis that ``shortest_vector``
-    solves exactly is counted exactly.
+    Counts are exact and even (the ball is symmetric); an expected count
+    (2r)^3 / det(L) or enumeration work beyond the leaf cap raises
+    BudgetError.  An escalated lattice is counted exactly.
     """
     r = float(r)
     if not r > 0:
         raise InvalidInputError("count radius must be positive")
-    return ReducedLattice.of(basis).count(r)
+    return lat.count(r)
 
 
-def translate_basis(line, s, t) -> LatticeBasis3:
-    """Basis of g_t phi(s) Z^3: the unipotent part is stored verbatim and the
-    diagonal flow goes into the log-scale slot."""
-    return LatticeBasis3(phi(line, s), float(t.t))
+def translate_basis(line, s, t) -> ReducedLattice:
+    """The reduced lattice g_t phi(s) Z^3: phi(s) in the line's scalars, the
+    diagonal flow as the log-scale float t."""
+    return ReducedLattice.of(phi(line, s), float(t.t))

@@ -21,11 +21,12 @@ from latflow import diophantine as dio
 from latflow import experiments as exp
 from latflow.flow import (FlowTime, LineSegmentSpec, ext2_constant, flow_ext2, segment_sup,
                           vandermonde_check)
-from latflow.lattice import (LatticeBasis3, gram_schmidt, lll_reduce, shortest_vector,
+from latflow.lattice import (ReducedLattice, gram_schmidt, lll_reduce, shortest_vector,
                              translate_basis)
 from latflow.scalars import F64, RATIONAL, IntegerVec3, liouville_partial, named_scalar
 
-from util import brute_force_lambda1, exact_ir_measure, random_unimodular_columns
+from util import (brute_force_lambda1, exact_ir_measure, random_unimodular_columns,
+                  scaled_columns)
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
                                 Fraction(0), Fraction(1), RATIONAL)
@@ -283,8 +284,9 @@ def test_criterion_9_enumeration_correctness():
     worst = 0.0
     for _ in range(200):
         cols = random_unimodular_columns(rng, math.log(1e6))
-        res = shortest_vector(LatticeBasis3.from_columns(cols))
-        eff = LatticeBasis3.from_columns(cols).effective_columns()
+        matrix = tuple(zip(*cols))
+        res = shortest_vector(ReducedLattice.of(matrix))
+        eff = scaled_columns(matrix)
         red, _ = lll_reduce(eff, gram_schmidt(eff))
         lam_bf, _ = brute_force_lambda1(red, box=25)
         rel = abs(res.lambda1 - lam_bf) / lam_bf

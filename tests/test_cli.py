@@ -145,6 +145,16 @@ def test_negative_values_need_no_equals_sign(args, key, value, tmp_path):
         assert doc["summary"]["rational_certificate"] == [2, -3, 6]
 
 
+@pytest.mark.parametrize("args", [
+    ["orbit", "sqrt2", "sqrt3", "--t-grid", "1", "--interval", "0,1,2"],
+    ["density", "sqrt2", "sqrt3", "--q-max", "100", "--interval", "0,1,junk"],
+    ["orbit", "sqrt2", "sqrt3", "--t-grid", "1", "--interval", "0"],
+])
+def test_interval_needs_exactly_two_values_exit_2(args, capsys):
+    assert run_cli(args) == 2
+    assert "cannot parse interval" in capsys.readouterr().err
+
+
 def test_unknown_short_option_still_exit_2(capsys):
     assert run_cli(["classify", "1/2", "1/3", "-x"]) == 2
     assert "unrecognized arguments: -x" in capsys.readouterr().err

@@ -191,6 +191,28 @@ def test_segment_minimum_value_matches_segment_sup():
         assert float(sm.value) == pytest.approx(float(direct), rel=1e-12)
 
 
+def _exact_segment_sup(line, t, v):
+    # max(e^{2t} max_i |(q b + p1) + (q a + p2) s_i|, e^{-t} |p2|, e^{-t} |q|)
+    # at the exact values of the f64 inputs
+    e2, em = Fraction(math.exp(2 * t)), Fraction(math.exp(-t))
+    a, b, s1, s2 = map(Fraction, (line.a, line.b, line.s1, line.s2))
+    p1, p2, q = v.as_tuple()
+    x = max(abs((q * b + p1) + (q * a + p2) * s) for s in (s1, s2))
+    return max(e2 * x, em * abs(p2), em * abs(q))
+
+
+@pytest.mark.parametrize("a, b, t, value", [
+    ("0.123456789012345", "0.987654321098765", 8.0, 0.7197757153769722),
+    ("sqrt2", "sqrt3", 3.0, 5.68153220662225),
+])
+def test_f64_segment_minimum_value_is_rounded_once(a, b, t, value):
+    # the min_value of `orbit A B --t-grid T`: an f64 evaluation of the
+    # endpoint maximum cancels (0.7197756588966153 and 5.681532206622787)
+    line = LineSegmentSpec.from_strings(a, b, "0", "1", F64)
+    sm = exp.segment_minimum(line, FlowTime.of(t), 6.0)
+    assert sm.value == float(_exact_segment_sup(line, t, sm.vector)) == value
+
+
 def test_segment_minimum_generic_line_grows():
     # frozen from the exhaustive search: the uniform-over-segment minimum
     # increases along t for (sqrt2, sqrt3), unlike the rational line

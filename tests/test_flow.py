@@ -16,7 +16,6 @@ from latflow.flow import (
     segment_sup,
     vandermonde_check,
 )
-from latflow.lattice import translate_basis
 from latflow.scalars import F64, RATIONAL, IntegerVec3, bigfloat, named_scalar
 
 from util import g, mat_det, mat_mul, mat_vec
@@ -284,7 +283,7 @@ def _bigfloat_results():
     s = mode.from_fraction(Fraction(7, 3))
     t = FlowTime.of(9.5)
     named = [named_scalar(x, mode) for x in ("sqrt2", "sqrt3", "golden", "liouville:4", "0.3")]
-    matrix = [x for row in translate_basis(line, s, t).matrix for x in row]
+    matrix = [x for row in phi(line, s) for x in row]
     v = IntegerVec3(3, -2, 5)
     sups = [segment_sup(line, t, v),
             max(abs(x) for s in line.endpoints() for x in flow_ext2(line, s, t, v))]

@@ -13,7 +13,6 @@ from latflow.experiments import sample_uniform
 from latflow.flow import FlowTime, LineSegmentSpec, phi
 from latflow.lattice import (
     ENUMERATION_BUDGET,
-    LatticeBasis3,
     ReducedLattice,
     count_points,
     enumeration_budget,
@@ -23,16 +22,23 @@ from latflow.lattice import (
     shortest_vector,
     translate_basis,
 )
-from latflow.scalars import F64, RATIONAL, bigfloat, named_scalar
+from latflow.scalars import F64, RATIONAL, bigfloat, exact_ratio, named_scalar
 
 from util import (brute_force_count, brute_force_lambda1, count_points_f64,
                   count_points_mp, gram_schmidt_full, lll_reduce_full,
-                  random_unimodular_columns, shortest_vector_f64, shortest_vector_mp)
+                  random_unimodular_columns, scaled_columns, shortest_vector_f64,
+                  shortest_vector_mp)
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
                                 Fraction(0), Fraction(1), RATIONAL)
 GENERIC_LINE = LineSegmentSpec(named_scalar("sqrt2", F64), named_scalar("sqrt3", F64),
                                0.0, 1.0, F64)
+IDENTITY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def _rows_of(cols):
+    """The row matrix whose columns are ``cols``."""
+    return tuple(zip(*cols))
 
 
 def test_gram_schmidt_identity():
@@ -62,21 +68,21 @@ def _det(u):
             + u[2][0] * (u[0][1] * u[1][2] - u[0][2] * u[1][1]))
 
 
-def _lll(basis):
-    cols = basis.effective_columns()
+def _lll(matrix, log_scale=0.0):
+    cols = scaled_columns(matrix, log_scale)
     return lll_reduce(cols, gram_schmidt(cols))
 
 
 def test_lll_identity_unchanged():
-    cols, u = _lll(LatticeBasis3.identity())
+    cols, u = _lll(IDENTITY)
     assert cols == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     assert u == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_lll_shrinks_translate_basis():
-    basis = translate_basis(RATIONAL_LINE, Fraction(1, 3), FlowTime.of(6.0))
-    raw_cols = basis.effective_columns()
-    red_cols, u = _lll(basis)
+    basis = phi(RATIONAL_LINE, Fraction(1, 3)), 6.0
+    raw_cols = scaled_columns(*basis)
+    red_cols, u = _lll(*basis)
     max_before = max(max(abs(x) for x in c) for c in raw_cols)
     max_after = max(max(abs(x) for x in c) for c in red_cols)
     assert max_after < max_before
@@ -86,7 +92,7 @@ def test_lll_transform_unimodular_on_random_bases():
     rng = np.random.default_rng(42)
     for _ in range(100):
         cols = random_unimodular_columns(rng, math.log(1e6))
-        red, u = _lll(LatticeBasis3.from_columns(cols))
+        red, u = _lll(_rows_of(cols))
         assert _det(u) in (1, -1)
         # reduced columns really are basis . u
         base = np.array(cols, dtype=float).T
@@ -99,20 +105,20 @@ def test_lll_lambda1_invariance():
     rng = np.random.default_rng(7)
     for _ in range(25):
         cols = random_unimodular_columns(rng, math.log(1e4))
-        lam_before = shortest_vector(LatticeBasis3.from_columns(cols)).lambda1
-        red, _ = _lll(LatticeBasis3.from_columns(cols))
-        lam_after = shortest_vector(LatticeBasis3.from_columns(red)).lambda1
+        lam_before = shortest_vector(ReducedLattice.of(_rows_of(cols))).lambda1
+        red, _ = _lll(_rows_of(cols))
+        lam_after = shortest_vector(ReducedLattice.of(_rows_of(red))).lambda1
         assert lam_after == pytest.approx(lam_before, rel=1e-10)
 
 
-def _assert_same_reduction(basis):
+def _assert_same_reduction(matrix, log_scale=0.0):
     # bit for bit: the row-wise Gram-Schmidt updates evaluate the same
     # expressions as a full recompute
-    cols = basis.effective_columns()
+    cols = scaled_columns(matrix, log_scale)
     gso = gram_schmidt(cols)
     assert gso == gram_schmidt_full(cols)
     red, u = lll_reduce(cols, gso=gso)
-    assert (red, u) == lll_reduce_full(basis)
+    assert (red, u) == lll_reduce_full(matrix, log_scale)
     assert _det(u) in (1, -1)
     assert gso == gram_schmidt_full(red)  # handed back for the enumeration
 
@@ -132,14 +138,14 @@ _SQRT2, _SQRT3 = math.sqrt(2), math.sqrt(3)
 @example(a=_SQRT2, b=_SQRT3, s=0.3, t=9.1)
 def test_lll_reduce_matches_full_recompute_on_translates(a, b, s, t):
     line = LineSegmentSpec(a, b, -1.0, 1.0, F64)
-    _assert_same_reduction(translate_basis(line, s, FlowTime.of(t)))
+    _assert_same_reduction(phi(line, s), t)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), log_cond=st.floats(0.0, math.log(1e8)))
 def test_lll_reduce_matches_full_recompute_on_random_bases(seed, log_cond):
     cols = random_unimodular_columns(np.random.default_rng(seed), log_cond)
-    _assert_same_reduction(LatticeBasis3.from_columns(cols))
+    _assert_same_reduction(_rows_of(cols))
 
 
 @settings(max_examples=100, deadline=None)
@@ -150,7 +156,7 @@ def test_gram_schmidt_matches_full_recompute_on_random_bases(seed):
 
 
 def test_shortest_vector_identity():
-    res = shortest_vector(LatticeBasis3.identity())
+    res = shortest_vector(ReducedLattice.of(IDENTITY))
     assert res.lambda1 == 1.0
     assert sorted(abs(c) for c in res.vector.as_tuple()) == [0, 0, 1]
 
@@ -158,10 +164,10 @@ def test_shortest_vector_identity():
 def test_shortest_vector_skewed_diagonal():
     # diag(M^-2, M, M), M = 10: lambda1 = 1e-2 via e1 (brute force confirms)
     m = 10.0
-    basis = LatticeBasis3(((m ** -2, 0.0, 0.0), (0.0, m, 0.0), (0.0, 0.0, m)))
-    res = shortest_vector(basis)
+    matrix = ((m ** -2, 0.0, 0.0), (0.0, m, 0.0), (0.0, 0.0, m))
+    res = shortest_vector(ReducedLattice.of(matrix))
     assert res.lambda1 == pytest.approx(1e-2, rel=1e-12)
-    lam_bf, vec_bf = brute_force_lambda1(basis.effective_columns(), box=2)
+    lam_bf, vec_bf = brute_force_lambda1(scaled_columns(matrix), box=2)
     assert res.lambda1 == pytest.approx(lam_bf, rel=1e-12)
     assert sorted(abs(c) for c in res.vector.as_tuple()) == [0, 0, 1]
 
@@ -170,8 +176,7 @@ def test_shortest_vector_rational_translate_bound():
     # lattice g_t phi(s) Z^3 with witness (-2,-3,6): lambda1 <= 6 e^-t
     for t in (0.0, 2.0, 5.0, 8.0):
         for s in (Fraction(0), Fraction(2, 7), Fraction(1)):
-            basis = translate_basis(RATIONAL_LINE, s, FlowTime.of(t))
-            res = shortest_vector(basis)
+            res = shortest_vector(translate_basis(RATIONAL_LINE, s, FlowTime.of(t)))
             assert res.lambda1 <= 6 * math.exp(-t) + 1e-12
 
 
@@ -179,8 +184,8 @@ def test_shortest_vector_agrees_with_brute_force():
     rng = np.random.default_rng(2024)
     for _ in range(60):
         cols = random_unimodular_columns(rng, math.log(1e6))
-        res = shortest_vector(LatticeBasis3.from_columns(cols))
-        red, _ = _lll(LatticeBasis3.from_columns(cols))
+        res = shortest_vector(ReducedLattice.of(_rows_of(cols)))
+        red, _ = _lll(_rows_of(cols))
         lam_bf, _ = brute_force_lambda1(red, box=25)
         assert res.lambda1 == pytest.approx(lam_bf, rel=1e-10)
 
@@ -189,15 +194,14 @@ def test_shortest_vector_coefficients_reproduce_lambda1():
     rng = np.random.default_rng(11)
     for _ in range(25):
         cols = random_unimodular_columns(rng, math.log(1e5))
-        res = shortest_vector(LatticeBasis3.from_columns(cols))
+        res = shortest_vector(ReducedLattice.of(_rows_of(cols)))
         b = np.array(cols, dtype=float)  # row i is basis vector i
         v = np.array(res.vector.as_tuple(), dtype=float) @ b
         assert np.max(np.abs(v)) == pytest.approx(res.lambda1, rel=1e-12)
 
 
 def test_shortest_vector_escalates_at_extreme_skew():
-    basis = translate_basis(RATIONAL_LINE, Fraction(1, 3), FlowTime.of(12.0))
-    res = shortest_vector(basis)
+    res = shortest_vector(translate_basis(RATIONAL_LINE, Fraction(1, 3), FlowTime.of(12.0)))
     assert res.escalated
     assert res.lambda1 <= 6 * math.exp(-12) * (1 + 1e-9)
     # the expanding coordinate of the minimizer must vanish exactly at s = 1/3
@@ -213,34 +217,40 @@ def test_exact_fallback_matches_256bit_oracle(t):
     for line, points in ((RATIONAL_LINE, (Fraction(2, 7), Fraction(1, 3))),
                          (GENERIC_LINE, (0.71, 0.5772156649))):
         for s in points:
-            basis = translate_basis(line, s, FlowTime.of(t))
-            res = shortest_vector(basis)
-            lam, x = shortest_vector_mp(basis)
+            lat = translate_basis(line, s, FlowTime.of(t))
+            res = shortest_vector(lat)
+            lam, x = shortest_vector_mp(phi(line, s), t)
             assert res.escalated
             assert res.lambda1 == pytest.approx(lam, rel=1e-12)
             assert res.vector.as_tuple() in (x, tuple(-c for c in x))
             # radii off the norms e^-t k of the vectors on the rational line
             for r in (1.37 * lam, 2.71 * lam):
-                assert count_points(basis, r) == count_points_mp(basis, r)
+                assert count_points(lat, r) == count_points_mp(phi(line, s), t, r)
 
 
 def test_exact_fallback_past_f64_gram_schmidt_range():
     # at t = 200 the f64 Gram-Schmidt lengths overflow (inf / inf = NaN)
-    basis = translate_basis(GENERIC_LINE, 0.71, FlowTime.of(200.0))
-    res = shortest_vector(basis)
+    lat = translate_basis(GENERIC_LINE, 0.71, FlowTime.of(200.0))
+    res = shortest_vector(lat)
     assert res.escalated
     x = res.vector.as_tuple()
-    norm = max(abs(sum(row[j] * x[j] for j in range(3))) for row in basis.exact_rows())
+    # the entries of phi(0.71) times the f64 row scales, both exact
+    scales = (math.exp(400.0), math.exp(-200.0), math.exp(-200.0))
+    rows = [[Fraction(*exact_ratio(e)) * Fraction(scale) for e in row]
+            for row, scale in zip(phi(GENERIC_LINE, 0.71), scales)]
+    norm = max(abs(sum(row[j] * x[j] for j in range(3))) for row in rows)
     assert res.lambda1 == float(norm)
-    assert count_points(basis, res.lambda1 * 0.999) == 0
-    assert count_points(basis, res.lambda1 * 1.001) >= 2
+    assert count_points(lat, res.lambda1 * 0.999) == 0
+    assert count_points(lat, res.lambda1 * 1.001) >= 2
 
 
 def _sampled_translate(pair, seed, t):
-    # s is drawn as equidist draws it, uniform on [0, 1]
+    # s is drawn as equidist draws it, uniform on [0, 1]; the lattice, and
+    # the (matrix, log-scale) the oracles take
     a, b = (named_scalar(x, F64) for x in pair)
     s = sample_uniform(seed, 0)
-    return translate_basis(LineSegmentSpec(a, b, 0.0, 1.0, F64), s, FlowTime.of(t))
+    line = LineSegmentSpec(a, b, 0.0, 1.0, F64)
+    return translate_basis(line, s, FlowTime.of(t)), (phi(line, s), t)
 
 
 _pairs = st.sampled_from([("sqrt2", "sqrt3"), ("golden", "sqrt2"), ("liouville:3", "golden")])
@@ -252,24 +262,22 @@ _radii = st.lists(st.floats(0.5, 2.0), min_size=1, max_size=3)
 def test_f64_translates_match_f64_oracle(pair, seed, t, radii):
     # below a GSO range of 1e12 (e^{3t}, t < 9.2) the reduction is f64, and the
     # shared enumeration evaluates candidates exactly as the oracle does
-    basis = _sampled_translate(pair, seed, t)
-    lat = ReducedLattice.of(basis)
+    lat, basis = _sampled_translate(pair, seed, t)
     assert not lat.escalated
-    assert shortest_vector(lat).lambda1 == shortest_vector_f64(basis)[0]
+    assert shortest_vector(lat).lambda1 == shortest_vector_f64(*basis)[0]
     for r in radii:
-        assert count_points(lat, r) == count_points_f64(basis, r)
+        assert count_points(lat, r) == count_points_f64(*basis, r)
 
 
 @settings(max_examples=25, deadline=None)
 @given(pair=_pairs, seed=st.integers(0, 2 ** 32 - 1), t=st.floats(9.5, 12.0), radii=_radii)
 def test_escalated_translates_match_256bit_oracle(pair, seed, t, radii):
-    basis = _sampled_translate(pair, seed, t)
-    lat = ReducedLattice.of(basis)
+    lat, basis = _sampled_translate(pair, seed, t)
     assert lat.escalated
-    assert shortest_vector(lat).lambda1 == pytest.approx(shortest_vector_mp(basis)[0],
+    assert shortest_vector(lat).lambda1 == pytest.approx(shortest_vector_mp(*basis)[0],
                                                          rel=1e-12)
     for r in radii:
-        assert count_points(lat, r) == count_points_mp(basis, r)
+        assert count_points(lat, r) == count_points_mp(*basis, r)
 
 
 @settings(max_examples=25, deadline=None)
@@ -281,7 +289,7 @@ def test_bigfloat_translates_match_256bit_phi_oracle(pair, seed, t):
     mode = bigfloat(256)
     line = LineSegmentSpec.from_strings(*pair, "-5", "5", mode)
     s = mode.from_fraction(Fraction(-5 + 10 * sample_uniform(seed, 0)))
-    oracle = shortest_vector_mp(LatticeBasis3(phi(line, s), t))[0]
+    oracle = shortest_vector_mp(phi(line, s), t)[0]
     assert shortest_vector(translate_basis(line, s, FlowTime.of(t))).lambda1 == \
         pytest.approx(oracle, rel=1e-12)
 
@@ -406,7 +414,7 @@ def test_sup_norm_count_budget_guard():
 
 
 def test_count_points_z3():
-    ident = LatticeBasis3.identity()
+    ident = ReducedLattice.of(IDENTITY)
     assert count_points(ident, 1.0) == 26  # 3^3 - 1, brute force below agrees
     assert brute_force_count([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1.0, box=2) == 26
     assert count_points(ident, 0.5) == 0
@@ -418,19 +426,19 @@ def test_count_points_below_lambda1_is_zero():
     rng = np.random.default_rng(3)
     for _ in range(10):
         cols = random_unimodular_columns(rng, math.log(100))
-        basis = LatticeBasis3.from_columns(cols)
-        lam = shortest_vector(basis).lambda1
-        assert count_points(basis, lam * 0.999) == 0
+        lat = ReducedLattice.of(_rows_of(cols))
+        lam = shortest_vector(lat).lambda1
+        assert count_points(lat, lam * 0.999) == 0
 
 
 def test_count_points_even_and_monotone():
     rng = np.random.default_rng(5)
     for _ in range(10):
         cols = random_unimodular_columns(rng, math.log(100))
-        basis = LatticeBasis3.from_columns(cols)
+        lat = ReducedLattice.of(_rows_of(cols))
         prev = 0
         for r in (0.5, 1.0, 1.5, 2.0):
-            n = count_points(basis, r)
+            n = count_points(lat, r)
             assert n % 2 == 0
             assert n >= prev
             prev = n
@@ -440,14 +448,14 @@ def test_count_points_matches_brute_force():
     rng = np.random.default_rng(17)
     for _ in range(20):
         cols = random_unimodular_columns(rng, math.log(50))
-        basis = LatticeBasis3.from_columns(cols)
-        red, _ = _lll(basis)
-        assert count_points(basis, 1.3) == brute_force_count(red, 1.3, box=12)
+        red, _ = _lll(_rows_of(cols))
+        assert count_points(ReducedLattice.of(_rows_of(cols)), 1.3) == \
+            brute_force_count(red, 1.3, box=12)
 
 
 @pytest.mark.parametrize("make", [
     lambda: ReducedLattice.exact([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
-    lambda: ReducedLattice.of(LatticeBasis3.identity()),
+    lambda: ReducedLattice.of(IDENTITY),
 ], ids=["exact", "f64"])
 def test_count_refusal_at_its_exact_boundary(make):
     # at r = 5, (2r)^6 = 10^6 = budget^2 det(L)^2 for budget 1000: the count
@@ -466,14 +474,14 @@ def test_count_refusal_at_its_exact_boundary(make):
 
 def test_count_points_past_f64_gram_determinant():
     # det(L)^2 = 1e660 overflows f64; the expected count refuses nothing
-    basis = LatticeBasis3(((1e110, 0.0, 0.0), (0.0, 1e110, 0.0), (0.0, 0.0, 1e110)))
-    assert count_points(basis, 1.0) == 0
-    assert count_points(basis, 1e110) == 26
+    lat = ReducedLattice.of(((1e110, 0.0, 0.0), (0.0, 1e110, 0.0), (0.0, 0.0, 1e110)))
+    assert count_points(lat, 1.0) == 0
+    assert count_points(lat, 1e110) == 26
 
 
 def test_count_points_budget_error():
     with enumeration_budget(10_000), pytest.raises(BudgetError):
-        count_points(LatticeBasis3.identity(), 500.0)
+        count_points(ReducedLattice.of(IDENTITY), 500.0)
 
 
 def test_enumeration_budget_nests_and_restores():
@@ -520,30 +528,30 @@ def test_no_function_takes_a_budget(module):
 @pytest.mark.parametrize("t", [0.0, 9.5])
 def test_count_points_infinite_radius_exceeds_budget(t):
     # t = 9.5 takes the exact fallback, t = 0 the f64 path
-    basis = translate_basis(GENERIC_LINE, 0.71, FlowTime.of(t))
+    lat = translate_basis(GENERIC_LINE, 0.71, FlowTime.of(t))
     with pytest.raises(BudgetError):
-        count_points(basis, math.inf)
+        count_points(lat, math.inf)
 
 
 def test_count_points_rejects_nonpositive_radius():
     with pytest.raises(InvalidInputError):
-        count_points(LatticeBasis3.identity(), 0.0)
+        count_points(ReducedLattice.of(IDENTITY), 0.0)
     with pytest.raises(InvalidInputError):
-        count_points(LatticeBasis3.identity(), math.nan)
+        count_points(ReducedLattice.of(IDENTITY), math.nan)
 
 
 def test_in_k_delta():
     # K_delta membership is lambda1 >= delta
-    assert shortest_vector(LatticeBasis3.identity()).lambda1 >= 0.9
+    assert shortest_vector(ReducedLattice.of(IDENTITY)).lambda1 >= 0.9
     # rational-line lattice at t = 3: lambda1 <= 6 e^-3 ~ 0.2987 < 0.5
-    basis = translate_basis(RATIONAL_LINE, Fraction(1, 2), FlowTime.of(3.0))
-    assert shortest_vector(basis).lambda1 < 0.5
+    lat = translate_basis(RATIONAL_LINE, Fraction(1, 2), FlowTime.of(3.0))
+    assert shortest_vector(lat).lambda1 < 0.5
 
 
 def test_in_k_delta_boundary_inclusive():
     # diag(M^-2, M, M) with M = 10 has lambda1 exactly 1e-2
-    basis = LatticeBasis3(((10.0 ** -2, 0.0, 0.0), (0.0, 10.0, 0.0), (0.0, 0.0, 10.0)))
-    assert shortest_vector(basis).lambda1 == 10.0 ** -2
+    lat = ReducedLattice.of(((10.0 ** -2, 0.0, 0.0), (0.0, 10.0, 0.0), (0.0, 0.0, 10.0)))
+    assert shortest_vector(lat).lambda1 == 10.0 ** -2
 
 
 def test_mahler_proxy_rational_line():
@@ -551,11 +559,11 @@ def test_mahler_proxy_rational_line():
     delta = 0.5
     t = math.log(6 / delta) + 0.05
     for s in (Fraction(0), Fraction(1, 3), Fraction(9, 10)):
-        basis = translate_basis(RATIONAL_LINE, s, FlowTime.of(t))
-        assert shortest_vector(basis).lambda1 < delta
+        lat = translate_basis(RATIONAL_LINE, s, FlowTime.of(t))
+        assert shortest_vector(lat).lambda1 < delta
 
 
 def test_unimodular_determinant_of_translates():
     for t in (0.0, 1.0, 4.0):
-        basis = translate_basis(RATIONAL_LINE, Fraction(1, 5), FlowTime.of(t))
-        assert abs(np.linalg.det(basis.effective_columns()) - 1) <= 1e-9
+        cols = scaled_columns(phi(RATIONAL_LINE, Fraction(1, 5)), t)
+        assert abs(np.linalg.det(cols) - 1) <= 1e-9

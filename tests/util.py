@@ -18,7 +18,6 @@ from latflow import diophantine as dio
 from latflow.errors import BudgetError, InvalidInputError, ReductionError
 from latflow.experiments import SegmentMinimum
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
-from latflow.lattice import LatticeBasis3
 from latflow.scalars import F64, IntegerVec3, ScalarMode, exact_ratio
 
 SEGMENT_MINIMUM_SCAN_BUDGET = 100_000_000
@@ -124,14 +123,19 @@ def gram_schmidt_full(cols):
     return bstar, mu, norm2
 
 
-def lll_reduce_full(basis, delta: float = 0.99):
-    """f64 LLL that recomputes all Gram-Schmidt rows after every
-    size-reduction pass and every swap; returns (reduced_columns,
-    transform) like ``latflow.lattice.lll_reduce``."""
-    if isinstance(basis, LatticeBasis3):
-        cols = basis.effective_columns()
-    else:
-        cols = [list(c) for c in basis]
+def scaled_columns(matrix, log_scale: float = 0.0):
+    """Columns of the 3x3 row ``matrix``, row i times the f64 flow scale
+    e^{2l}, e^{-l}, e^{-l} (l = ``log_scale``), each product rounded to f64:
+    the columns ``ReducedLattice.of(matrix, log_scale)`` reduces in f64."""
+    scale = (math.exp(2 * log_scale), math.exp(-log_scale), math.exp(-log_scale))
+    return [[float(matrix[i][j]) * scale[i] for i in range(3)] for j in range(3)]
+
+
+def lll_reduce_full(matrix, log_scale: float = 0.0, delta: float = 0.99):
+    """f64 LLL of ``scaled_columns(matrix, log_scale)`` that recomputes all
+    Gram-Schmidt rows after every size-reduction pass and every swap;
+    returns (reduced_columns, transform) like ``latflow.lattice.lll_reduce``."""
+    cols = scaled_columns(matrix, log_scale)
     u = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     _, mu, norm2 = gram_schmidt_full(cols)
     k = 1
@@ -158,15 +162,15 @@ def lll_reduce_full(basis, delta: float = 0.99):
 MP_BITS = 256
 
 
-def _mp_columns(basis):
-    """Columns of a ``LatticeBasis3`` with the flow scaling applied: the
+def _mp_columns(matrix, log_scale):
+    """Columns of the 3x3 row ``matrix`` with the flow scaling applied: the
     exact stored entries times e^{2l}, e^{-l}, e^{-l} at working precision."""
-    ell = mpmath.mpf(basis.log_scale)
+    ell = mpmath.mpf(log_scale)
     scale = (mpmath.exp(2 * ell), mpmath.exp(-ell), mpmath.exp(-ell))
     cols = [[None] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(3):
-            n, d = exact_ratio(basis.matrix[i][j])
+            n, d = exact_ratio(matrix[i][j])
             cols[j][i] = mpmath.mpf(n) / mpmath.mpf(d) * scale[i]
     return cols
 
@@ -234,12 +238,13 @@ def _mp_half_ball(cols, bound2):
                     yield (x0, x1, x2)
 
 
-def shortest_vector_mp(basis):
-    """Independent oracle for ``shortest_vector`` on any basis: LLL and
-    Fincke-Pohst enumeration in ``MP_BITS``-bit floats.  Returns (lambda1,
+def shortest_vector_mp(matrix, log_scale: float = 0.0):
+    """Independent oracle for ``shortest_vector`` of
+    ``ReducedLattice.of(matrix, log_scale)``: LLL and Fincke-Pohst
+    enumeration in ``MP_BITS``-bit floats.  Returns (lambda1,
     coefficients with respect to the basis columns)."""
     with mpmath.workprec(MP_BITS):
-        red, u = _mp_lll(_mp_columns(basis))
+        red, u = _mp_lll(_mp_columns(matrix, log_scale))
         best_x = min(((1, 0, 0), (0, 1, 0), (0, 0, 1)),
                      key=lambda x: _sup(_combine(red, x)))
         best = _sup(_combine(red, best_x))
@@ -249,10 +254,10 @@ def shortest_vector_mp(basis):
         return float(best), tuple(int(c) for c in _combine(u, best_x))
 
 
-def count_points_mp(basis, r: float) -> int:
+def count_points_mp(matrix, log_scale: float, r: float) -> int:
     """Independent oracle for ``count_points``, as ``shortest_vector_mp``."""
     with mpmath.workprec(MP_BITS):
-        red, _ = _mp_lll(_mp_columns(basis))
+        red, _ = _mp_lll(_mp_columns(matrix, log_scale))
         return 2 * sum(1 for x in _mp_half_ball(red, 3 * r * r * (1 + 1e-12))
                        if _sup(_combine(red, x)) <= r)
 
@@ -265,13 +270,13 @@ def _f64_half_ball(cols, bound2):
                                   mpmath.mpf(bound2)))
 
 
-def shortest_vector_f64(basis):
+def shortest_vector_f64(matrix, log_scale: float = 0.0):
     """Independent oracle for ``shortest_vector`` on the f64 path: the
     full-recompute LLL, the shortest reduced column as the incumbent, and
     every vector of the Euclidean ball of radius sqrt(3) incumbent compared
     by its f64 sup norm.  Returns (lambda1, coefficients with respect to the
     basis columns)."""
-    red, u = lll_reduce_full(basis)
+    red, u = lll_reduce_full(matrix, log_scale)
     best_x = min(((1, 0, 0), (0, 1, 0), (0, 0, 1)), key=lambda x: _sup(_combine(red, x)))
     best = _sup(_combine(red, best_x))
     for x in _f64_half_ball(red, 3 * best * best * (1 + 1e-9)):
@@ -280,10 +285,10 @@ def shortest_vector_f64(basis):
     return best, tuple(_combine(u, best_x))
 
 
-def count_points_f64(basis, r: float) -> int:
+def count_points_f64(matrix, log_scale: float, r: float) -> int:
     """Independent oracle for ``count_points`` on the f64 path, as
     ``shortest_vector_f64``."""
-    red, _ = lll_reduce_full(basis)
+    red, _ = lll_reduce_full(matrix, log_scale)
     return 2 * sum(1 for x in _f64_half_ball(red, 3 * r * r * (1 + 1e-12))
                    if _sup(_combine(red, x)) <= r)
 

@@ -6,7 +6,8 @@ OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts.  For each
 tree, one fresh interpreter imports ``latflow.cli`` from it and runs every
 operation of ``perfbench/workloads.operations(w, seed)`` (the three
 workloads, README commands included) through ``latflow.cli.main``, in
-order, as the benchmark child does.  Each operation writes its report with
+order, as the benchmark child does, and then the fixed ``EXTRA_OPS``, which
+reach the paths no workload runs.  Each operation writes its report with
 the same relative ``--out`` under that tree's own temporary directory.
 
 The JSON and CSV files, stdout, stderr and exit code of every operation are
@@ -28,27 +29,50 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 SHOWN = 10  # differing operations named in full
 
+# Run once, after the workload operations: bigfloat, escalated f64 (t > 9.2)
+# and rational translates, the bigfloat and rational orbit and dirichlet
+# paths, f64 dirichlet past t = 7, and f64 orbit minima where an f64
+# evaluation of the segment supremum would cancel.
+EXTRA_OPS = [
+    ["equidist", "sqrt2", "sqrt3", "--mode", "bigfloat:256", "--t-list", "5,9.5,11",
+     "--N", "20", "--radii", "1.5"],
+    ["equidist", "sqrt2", "sqrt3", "--t-list", "9.5,11,12", "--N", "50", "--radii", "1.5"],
+    ["equidist", "1/2", "1/3", "--mode", "rational", "--t-list", "3,6", "--N", "50",
+     "--radii", "1.5"],
+    ["orbit", "sqrt2", "sqrt3", "--mode", "bigfloat:256", "--t-grid", "0:12:3", "--N", "5"],
+    ["orbit", "1/2", "1/3", "--mode", "rational", "--t-grid", "0:12:3", "--N", "5"],
+    ["dirichlet", "sqrt2", "sqrt3", "--mode", "bigfloat:256", "--t-max", "10"],
+    ["dirichlet", "1/2", "1/3", "--mode", "rational", "--t-max", "11"],
+    ["dirichlet", "sqrt2", "sqrt3", "--t-max", "10"],
+    ["dirichlet", "0.3", "0.7", "--t-max", "11"],
+    ["orbit", "0.123456789012345", "0.987654321098765", "--t-grid", "8", "--N", "5"],
+    ["orbit", "sqrt2", "sqrt3", "--t-grid", "0:12:1", "--N", "10"],
+]
+
 # Runs in the child, with cwd the tree's temporary directory:
-# argv = [perfbench dir, seeds].  The result goes to ops.json there.
+# argv = [perfbench dir, seeds, EXTRA_OPS as JSON].  The result goes to
+# ops.json there.
 CHILD = """
 import contextlib, io, json, sys, traceback
 sys.path.insert(0, sys.argv[1])
 import workloads
 import latflow.cli as cli
 
+ops = [(f"{workload}-s{seed}-op{i}", op)
+       for seed in map(int, sys.argv[2].split(","))
+       for workload in workloads.WORKLOADS
+       for i, op in enumerate(workloads.operations(workload, seed))]
+ops += [(f"extra-op{i}", op) for i, op in enumerate(json.loads(sys.argv[3]))]
 results = []
-for seed in map(int, sys.argv[2].split(",")):
-    for workload in workloads.WORKLOADS:
-        for i, op in enumerate(workloads.operations(workload, seed)):
-            stem = f"{workload}-s{seed}-op{i}"
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    rc = cli.main(op + ["--out", stem])
-                except Exception:
-                    rc = "uncaught: " + traceback.format_exc()
-            results.append({"stem": stem, "argv": op, "rc": rc,
-                            "stdout": out.getvalue(), "stderr": err.getvalue()})
+for stem, op in ops:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(op + ["--out", stem])
+        except Exception:
+            rc = "uncaught: " + traceback.format_exc()
+    results.append({"stem": stem, "argv": op, "rc": rc,
+                    "stdout": out.getvalue(), "stderr": err.getvalue()})
 with open("ops.json", "w", encoding="utf-8") as f:
     json.dump(results, f)
 """
@@ -59,7 +83,8 @@ def run_tree(src: str, work: str, seeds: str) -> list[dict]:
     os.makedirs(work)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     # -B: no bytecode caches, so nothing is written under perfbench/
-    subprocess.run([sys.executable, "-B", "-c", CHILD, PERFBENCH, seeds],
+    subprocess.run([sys.executable, "-B", "-c", CHILD, PERFBENCH, seeds,
+                    json.dumps(EXTRA_OPS)],
                    cwd=work, env=env, check=True)
     with open(os.path.join(work, "ops.json"), encoding="utf-8") as f:
         return json.load(f)
@@ -100,7 +125,8 @@ def main(argv=None) -> int:
                 differing.append((old, found))
         files = sum(os.path.exists(os.path.join(old_dir, op["stem"] + ext))
                     for op in old_ops for ext in (".json", ".csv"))
-    print(f"{len(old_ops)} operations at seeds {args.seeds}, {files} report files: "
+    print(f"{len(old_ops)} operations ({len(old_ops) - len(EXTRA_OPS)} at seeds "
+          f"{args.seeds} and {len(EXTRA_OPS)} extra), {files} report files: "
           f"{len(differing)} operations differ")
     for op, found in differing[:SHOWN]:
         print(f"  {op['stem']}: {', '.join(found)} differ; argv {' '.join(op['argv'])}")
