@@ -38,6 +38,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import BudgetError, InvalidInputError, PrecisionError, ReductionError
@@ -49,6 +50,7 @@ LLL_DELTA_EXACT = Fraction(str(LLL_DELTA))  # 99/100 for the integral LLL
 LLL_ITERATION_CAP = 100_000
 GSO_RANGE_CAP = 1e12  # dynamic range of GSO lengths tolerated in f64
 ENUMERATION_BUDGET = 10_000_000  # Fincke-Pohst leaves per search
+_SINGULAR = "numerically singular basis in Gram-Schmidt"
 
 _budget = ContextVar("enumeration_budget", default=ENUMERATION_BUDGET)
 
@@ -77,35 +79,32 @@ class ShortVectorResult:
 
 # -- f64 reduction and the Fincke-Pohst enumeration ------------------------
 
-def _gso_row(cols, bstar, mu, norm2, i):
-    """Recompute Gram-Schmidt row i of ``cols`` in place; it depends only on
-    cols[i] and the rows below it."""
-    v0, v1, v2 = c0, c1, c2 = cols[i]
-    mu_i = mu[i]
-    for j in range(i):
-        b0, b1, b2 = bstar[j]
-        m = mu_i[j] = (c0 * b0 + c1 * b1 + c2 * b2) / norm2[j]
-        v0 = v0 - m * b0
-        v1 = v1 - m * b1
-        v2 = v2 - m * b2
-    bstar[i] = [v0, v1, v2]
-    norm2[i] = v0 * v0 + v1 * v1 + v2 * v2
-    if norm2[i] <= 0:
-        raise ReductionError("numerically singular basis in Gram-Schmidt")
-
-
 def gram_schmidt(cols):
     """Euclidean Gram-Schmidt data of three column vectors.
 
     Returns (bstar, mu, norm2) with mu[i][j] = <b_i, b*_j>/<b*_j, b*_j> for
-    j < i.  Raises on numerically singular input.
+    j < i.  Raises on numerically singular input.  ``lll_reduce`` recomputes
+    its rows with the same expressions, in the same order.
     """
-    bstar = [None] * 3
-    mu = [[0.0] * 3 for _ in range(3)]
-    norm2 = [0.0] * 3
-    for i in range(3):
-        _gso_row(cols, bstar, mu, norm2, i)
-    return bstar, mu, norm2
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = cols
+    n0 = a0 * a0 + a1 * a1 + a2 * a2
+    if n0 <= 0:
+        raise ReductionError(_SINGULAR)
+    m10 = (b0 * a0 + b1 * a1 + b2 * a2) / n0
+    v0, v1, v2 = b0 - m10 * a0, b1 - m10 * a1, b2 - m10 * a2
+    n1 = v0 * v0 + v1 * v1 + v2 * v2
+    if n1 <= 0:
+        raise ReductionError(_SINGULAR)
+    m20 = (c0 * a0 + c1 * a1 + c2 * a2) / n0
+    m21 = (c0 * v0 + c1 * v1 + c2 * v2) / n1
+    w0 = c0 - m20 * a0 - m21 * v0
+    w1 = c1 - m20 * a1 - m21 * v1
+    w2 = c2 - m20 * a2 - m21 * v2
+    n2 = w0 * w0 + w1 * w1 + w2 * w2
+    if n2 <= 0:
+        raise ReductionError(_SINGULAR)
+    return ([[a0, a1, a2], [v0, v1, v2], [w0, w1, w2]],
+            [[0.0, 0.0, 0.0], [m10, 0.0, 0.0], [m20, m21, 0.0]], [n0, n1, n2])
 
 
 def lll_reduce(cols, gso):
@@ -117,42 +116,94 @@ def lll_reduce(cols, gso):
     (column convention); only swaps and integer column steps change it from
     I, so det(U) = +-1.  A size-reduction pass rounds the mu from before the
     pass.  Only the Gram-Schmidt rows a step changes are recomputed, row 2
-    (read only at k = 2) once k reaches 2, each as a full recompute would.
-    """
-    u = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]  # columns of U, as int lists
+    (read only at k = 2) once k reaches 2, each as ``gram_schmidt`` computes
+    it, so the result is bit for bit that of a full recompute.
 
+    The rank-3 loop is straight-line code: the columns a, b, c, the columns
+    of U, b*_1 = v, b*_2 = w (b*_0 is a), mu and the norms live in local
+    scalars, a swap rebinds names, and each row recompute is written out,
+    because a Python call per row would cost more than its arithmetic.
+    """
+    delta, cap = LLL_DELTA, LLL_ITERATION_CAP
     bstar, mu, norm2 = gso
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = cols
+    v0, v1, v2 = bstar[1]
+    m10 = mu[1][0]
+    n0, n1, _ = norm2
+    ua0, ua1, ua2, ub0, ub1, ub2, uc0, uc1, uc2 = 1, 0, 0, 0, 1, 0, 0, 0, 1
     k = 1
     steps = 0
     while k < 3:
         steps += 1
-        if steps > LLL_ITERATION_CAP:
+        if steps > cap:
             raise ReductionError(
                 "LLL did not converge within the iteration cap; "
                 "the basis is pathologically conditioned")
-        changed = False
-        for j in range(k - 1, -1, -1):
-            m = round(mu[k][j])
+        if k == 1:
+            m = round(m10)
             if m != 0:
-                ck, cj, uk, uj = cols[k], cols[j], u[k], u[j]
-                for i in range(3):
-                    ck[i] = ck[i] - m * cj[i]
-                    uk[i] = uk[i] - m * uj[i]
-                changed = True
-        if changed:
-            _gso_row(cols, bstar, mu, norm2, k)
-        if norm2[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * norm2[k - 1]:
-            k += 1
-            if k == 2:  # row 2, which the steps at k = 1 left stale
-                _gso_row(cols, bstar, mu, norm2, 2)
+                b0, b1, b2 = b0 - m * a0, b1 - m * a1, b2 - m * a2
+                ub0, ub1, ub2 = ub0 - m * ua0, ub1 - m * ua1, ub2 - m * ua2
+                m10 = (b0 * a0 + b1 * a1 + b2 * a2) / n0
+                v0, v1, v2 = b0 - m10 * a0, b1 - m10 * a1, b2 - m10 * a2
+                n1 = v0 * v0 + v1 * v1 + v2 * v2
+                if n1 <= 0:
+                    raise ReductionError(_SINGULAR)
+            if n1 >= (delta - m10 ** 2) * n0:
+                k = 2  # row 2, which the steps at k = 1 left stale
+                m20 = (c0 * a0 + c1 * a1 + c2 * a2) / n0
+                m21 = (c0 * v0 + c1 * v1 + c2 * v2) / n1
+                w0 = c0 - m20 * a0 - m21 * v0
+                w1 = c1 - m20 * a1 - m21 * v1
+                w2 = c2 - m20 * a2 - m21 * v2
+                n2 = w0 * w0 + w1 * w1 + w2 * w2
+                if n2 <= 0:
+                    raise ReductionError(_SINGULAR)
+            else:  # swap a and b; rows 0 and 1 change, row 2 waits
+                a0, a1, a2, b0, b1, b2 = b0, b1, b2, a0, a1, a2
+                ua0, ua1, ua2, ub0, ub1, ub2 = ub0, ub1, ub2, ua0, ua1, ua2
+                n0 = a0 * a0 + a1 * a1 + a2 * a2
+                if n0 <= 0:
+                    raise ReductionError(_SINGULAR)
+                m10 = (b0 * a0 + b1 * a1 + b2 * a2) / n0
+                v0, v1, v2 = b0 - m10 * a0, b1 - m10 * a1, b2 - m10 * a2
+                n1 = v0 * v0 + v1 * v1 + v2 * v2
+                if n1 <= 0:
+                    raise ReductionError(_SINGULAR)
         else:
-            cols[k], cols[k - 1] = cols[k - 1], cols[k]
-            u[k], u[k - 1] = u[k - 1], u[k]
-            for i in range(k - 1, 2):  # row 2 waits until k reaches 2
-                _gso_row(cols, bstar, mu, norm2, i)
-            k = max(k - 1, 1)
+            m1, m0 = round(m21), round(m20)  # both from the unreduced c
+            if m1 != 0:
+                c0, c1, c2 = c0 - m1 * b0, c1 - m1 * b1, c2 - m1 * b2
+                uc0, uc1, uc2 = uc0 - m1 * ub0, uc1 - m1 * ub1, uc2 - m1 * ub2
+            if m0 != 0:
+                c0, c1, c2 = c0 - m0 * a0, c1 - m0 * a1, c2 - m0 * a2
+                uc0, uc1, uc2 = uc0 - m0 * ua0, uc1 - m0 * ua1, uc2 - m0 * ua2
+            if m1 != 0 or m0 != 0:
+                m20 = (c0 * a0 + c1 * a1 + c2 * a2) / n0
+                m21 = (c0 * v0 + c1 * v1 + c2 * v2) / n1
+                w0 = c0 - m20 * a0 - m21 * v0
+                w1 = c1 - m20 * a1 - m21 * v1
+                w2 = c2 - m20 * a2 - m21 * v2
+                n2 = w0 * w0 + w1 * w1 + w2 * w2
+                if n2 <= 0:
+                    raise ReductionError(_SINGULAR)
+            if n2 >= (delta - m21 ** 2) * n1:
+                k = 3
+            else:  # swap b and c; row 1 changes, row 2 waits
+                b0, b1, b2, c0, c1, c2 = c0, c1, c2, b0, b1, b2
+                ub0, ub1, ub2, uc0, uc1, uc2 = uc0, uc1, uc2, ub0, ub1, ub2
+                m10 = (b0 * a0 + b1 * a1 + b2 * a2) / n0
+                v0, v1, v2 = b0 - m10 * a0, b1 - m10 * a1, b2 - m10 * a2
+                n1 = v0 * v0 + v1 * v1 + v2 * v2
+                if n1 <= 0:
+                    raise ReductionError(_SINGULAR)
+                k = 1
 
-    return cols, u
+    cols[0], cols[1], cols[2] = [a0, a1, a2], [b0, b1, b2], [c0, c1, c2]
+    bstar[0], bstar[1], bstar[2] = [a0, a1, a2], [v0, v1, v2], [w0, w1, w2]
+    mu[1][0], mu[2][0], mu[2][1] = m10, m20, m21
+    norm2[0], norm2[1], norm2[2] = n0, n1, n2
+    return cols, [[ua0, ua1, ua2], [ub0, ub1, ub2], [uc0, uc1, uc2]]
 
 
 def _enumerate_half_ball(mu, norm2, bound2):
@@ -168,18 +219,18 @@ def _enumerate_half_ball(mu, norm2, bound2):
             continue
         c1 = mu[2][1] * x2
         half1 = math.sqrt(r2 / norm2[1])
-        for x1 in range(math.ceil(-half1 - c1), math.floor(half1 - c1) + 1):
-            if x2 == 0 and x1 < 0:
-                continue
+        lo1 = math.ceil(-half1 - c1)
+        # one of each +-pair: the last nonzero coefficient is positive, so
+        # x2 = 0 starts x1 at 0 and x1 = x2 = 0 starts x0 at 1
+        for x1 in range(lo1 if x2 else max(lo1, 0), math.floor(half1 - c1) + 1):
             t1 = x1 + c1
             r1 = r2 - t1 * t1 * norm2[1]
             if r1 < 0:
                 continue
             c0 = mu[1][0] * x1 + mu[2][0] * x2
             half0 = math.sqrt(r1 / norm2[0])
-            for x0 in range(math.ceil(-half0 - c0), math.floor(half0 - c0) + 1):
-                if x2 == 0 and x1 == 0 and x0 <= 0:
-                    continue
+            lo0 = math.ceil(-half0 - c0)
+            for x0 in range(lo0 if x1 or x2 else max(lo0, 1), math.floor(half0 - c0) + 1):
                 count += 1
                 if count > budget:
                     raise BudgetError(
@@ -424,16 +475,22 @@ class ReducedLattice:
         return norm, best[1][::-1]
 
     def count(self, radius) -> int:
-        """#{v in L \\ 0 : ||v||_inf <= radius}; for a lattice in R^3 it
-        refuses an expected count (2 radius)^3 / det(L) above the leaf cap."""
+        """#{v in L \\ 0 : ||v||_inf <= radius} for a finite radius; for a
+        lattice in R^3 it refuses an expected count (2 radius)^3 / det(L)
+        above the leaf cap, and names both."""
         limit = self._limit(radius)
-        if limit < math.inf:
-            ln, ld = exact_ratio(limit)
-            # an f64 Gram determinant past the f64 range refuses nothing
-            gn, gd = (1, 0) if self.gram_det == math.inf else exact_ratio(self.gram_det)
-            if (2 * ln) ** 6 * gd <= _budget.get() ** 2 * gn * ld ** 6:
-                return 2 * sum(1 for _ in self._points(limit))
-        raise BudgetError("count_points: expected point count exceeds the budget")
+        budget = _budget.get()
+        ln, ld = exact_ratio(limit)
+        # an f64 Gram determinant past the f64 range refuses nothing
+        gn, gd = (1, 0) if self.gram_det == math.inf else exact_ratio(self.gram_det)
+        # the squared expected count (2 limit)^6 / det(L)^2 is over / under
+        over, under = (2 * ln) ** 6 * gd, gn * ld ** 6
+        if over <= budget ** 2 * under:
+            return 2 * sum(1 for _ in self._points(limit))
+        expected = (Decimal(over) / under).sqrt() if under else Decimal("Infinity")
+        raise BudgetError(
+            "count_points: expected point count exceeds the budget: "
+            f"(2r)^3/det(L) = {expected:.4g} against a cap of {budget} points")
 
 
 def shortest_vector(lat: ReducedLattice) -> ShortVectorResult:
@@ -457,11 +514,12 @@ def count_points(lat: ReducedLattice, r) -> int:
 
     Counts are exact and even (the ball is symmetric); an expected count
     (2r)^3 / det(L) or enumeration work beyond the leaf cap raises
-    BudgetError.  An escalated lattice is counted exactly.
+    BudgetError.  An escalated lattice is counted exactly.  A radius that is
+    not positive and finite is invalid input.
     """
     r = float(r)
-    if not r > 0:
-        raise InvalidInputError("count radius must be positive")
+    if not 0 < r < math.inf:
+        raise InvalidInputError("count radius must be positive and finite")
     return lat.count(r)
 
 

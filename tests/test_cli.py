@@ -14,7 +14,6 @@ from latflow import cli
 from latflow import diophantine as dio
 from latflow import experiments as exp
 from latflow import lattice
-from latflow.errors import ReductionError
 from latflow.scalars import bigfloat, exact_ratio, named_scalar
 
 
@@ -299,14 +298,19 @@ def test_f64_flow_overflow_exit_4(args):
 
 
 def test_reduction_error_exit_4(monkeypatch, capsys):
-    def failing(*args, **kwargs):
-        raise ReductionError("LLL did not converge within the iteration cap")
-
-    monkeypatch.setattr(lattice, "lll_reduce", failing)
+    # every translate needs more than one LLL step
+    monkeypatch.setattr(lattice, "LLL_ITERATION_CAP", 1)
     code = run_cli(["equidist", "sqrt2", "sqrt3", "--t-list", "5", "--N", "3"])
     assert code == 4
     err = capsys.readouterr().err
-    assert err == "latflow: reduction failure: LLL did not converge within the iteration cap\n"
+    assert err == ("latflow: reduction failure: LLL did not converge within the "
+                   "iteration cap; the basis is pathologically conditioned\n")
+
+
+@pytest.mark.parametrize("radii", ["inf", "1.5,inf", "-inf", "nan"])
+def test_equidist_nonfinite_radius_exit_2(radii, capsys):
+    assert run_cli(["equidist", "sqrt2", "sqrt3", "--N", "2", f"--radii={radii}"]) == 2
+    assert "count radius must be positive and finite" in capsys.readouterr().err
 
 
 def test_precision_error_exit_4():

@@ -1,5 +1,6 @@
 import inspect
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latflow import diophantine, experiments, lattice
-from latflow.errors import BudgetError, InvalidInputError
+from latflow.errors import BudgetError, InvalidInputError, ReductionError
 from latflow.experiments import sample_uniform
 from latflow.flow import FlowTime, LineSegmentSpec, phi
 from latflow.lattice import (
@@ -123,12 +124,14 @@ def _assert_same_reduction(matrix, log_scale=0.0):
     assert gso == gram_schmidt_full(red)  # handed back for the enumeration
 
 
-_unit = st.floats(-1.0, 1.0, allow_nan=False)
+# |a|, |b|, |s| up to 10^3 and t up to 9.1 make both size-reduction
+# multipliers at k = 2 nonzero in most examples
+_wide = st.floats(-1e3, 1e3, allow_nan=False)
 _SQRT2, _SQRT3 = math.sqrt(2), math.sqrt(3)
 
 
 @settings(max_examples=150, deadline=None)
-@given(a=_unit, b=_unit, s=_unit, t=st.floats(0.0, 9.0, exclude_max=True))
+@given(a=_wide, b=_wide, s=_wide, t=st.floats(0.0, 9.1))
 # the flow times the equidist benchmark samples, and t = 9.1, where the f64
 # Gram-Schmidt lengths of the README pair still span less than GSO_RANGE_CAP
 @example(a=_SQRT2, b=_SQRT3, s=0.3, t=3.0)
@@ -472,6 +475,43 @@ def test_count_refusal_at_its_exact_boundary(make):
         assert lat.count(5) == 1330  # 11^3 - 1
 
 
+@pytest.mark.parametrize("lat, r, want", [
+    # (2 r)^3 / det(L) = 11^3 at r = 5.5; an integer norm within 5.5 is
+    # within 5, so the exact lattice expects 10^3
+    (ReducedLattice.of(IDENTITY), 5.5, "1331"),
+    (ReducedLattice.exact([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 5.5, "1000"),
+    # det(L) = 1/8: 10648 in either unit
+    (ReducedLattice.exact([[Fraction(1, 2), 0, 0], [0, Fraction(1, 2), 0],
+                           [0, 0, Fraction(1, 2)]]), 5.5, "1.065e+4"),
+    (ReducedLattice.of(IDENTITY), 1e200, "8.000e+600"),
+], ids=["f64", "exact", "exact-scaled", "past-f64"])
+def test_count_refusal_names_expected_count_and_cap(lat, r, want):
+    with enumeration_budget(999), pytest.raises(BudgetError) as err:
+        lat.count(r)
+    assert str(err.value).endswith(f"(2r)^3/det(L) = {want} against a cap of 999 points")
+
+
+def test_enumeration_walks_only_the_half_ball_it_yields():
+    # at t = -10 the first minimum of the translate is about 2e-9, so a
+    # radius-1.5 search reaches x0 up to about 10^9 with x1 = x2 = 0; the
+    # negative x0 of that line, which the half ball leaves out, must not be
+    # walked (that walk takes about a minute) but skipped, so that the leaf
+    # cap ends the count at once
+    lat = translate_basis(GENERIC_LINE, 0.71, FlowTime.of(-10.0))
+    start = time.perf_counter()
+    with enumeration_budget(1000), pytest.raises(BudgetError, match="budget of 1000 nodes"):
+        count_points(lat, 1.5)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_lll_iteration_cap_raises(monkeypatch):
+    # the cap is read when lll_reduce is called; a translate needs more than
+    # one step (it swaps at t = 5)
+    monkeypatch.setattr(lattice, "LLL_ITERATION_CAP", 1)
+    with pytest.raises(ReductionError, match="iteration cap"):
+        translate_basis(GENERIC_LINE, 0.71, FlowTime.of(5.0))
+
+
 def test_count_points_past_f64_gram_determinant():
     # det(L)^2 = 1e660 overflows f64; the expected count refuses nothing
     lat = ReducedLattice.of(((1e110, 0.0, 0.0), (0.0, 1e110, 0.0), (0.0, 0.0, 1e110)))
@@ -526,10 +566,10 @@ def test_no_function_takes_a_budget(module):
 
 
 @pytest.mark.parametrize("t", [0.0, 9.5])
-def test_count_points_infinite_radius_exceeds_budget(t):
+def test_count_points_rejects_infinite_radius(t):
     # t = 9.5 takes the exact fallback, t = 0 the f64 path
     lat = translate_basis(GENERIC_LINE, 0.71, FlowTime.of(t))
-    with pytest.raises(BudgetError):
+    with pytest.raises(InvalidInputError, match="positive and finite"):
         count_points(lat, math.inf)
 
 

@@ -30,13 +30,16 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 SHOWN = 10  # differing operations named in full
 
 # Run once, after the workload operations: bigfloat, escalated f64 (t > 9.2)
-# and rational translates, the bigfloat and rational orbit and dirichlet
-# paths, f64 dirichlet past t = 7, and f64 orbit minima where an f64
-# evaluation of the segment supremum would cancel.
+# and rational translates, f64 translates at t = 9.1 (just under
+# GSO_RANGE_CAP, where the f64 LLL swap chains are longest), the bigfloat
+# and rational orbit and dirichlet paths, f64 dirichlet past t = 7, and f64
+# orbit minima where an f64 evaluation of the segment supremum would cancel.
 EXTRA_OPS = [
     ["equidist", "sqrt2", "sqrt3", "--mode", "bigfloat:256", "--t-list", "5,9.5,11",
      "--N", "20", "--radii", "1.5"],
     ["equidist", "sqrt2", "sqrt3", "--t-list", "9.5,11,12", "--N", "50", "--radii", "1.5"],
+    ["equidist", "sqrt2", "sqrt3", "--interval=-50,50", "--t-list", "0,9,9.1", "--N", "50",
+     "--radii", "1.5"],
     ["equidist", "1/2", "1/3", "--mode", "rational", "--t-list", "3,6", "--N", "50",
      "--radii", "1.5"],
     ["orbit", "sqrt2", "sqrt3", "--mode", "bigfloat:256", "--t-grid", "0:12:3", "--N", "5"],
