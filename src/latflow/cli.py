@@ -21,6 +21,7 @@ import json
 import math
 import re
 import sys
+from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
 
@@ -54,6 +55,20 @@ REPORT_SCHEMA = {
 def report_schema() -> dict:
     """The published JSON schema that every report conforms to."""
     return json.loads(json.dumps(REPORT_SCHEMA))
+
+
+@contextmanager
+def _unlimited_int_text():
+    """Lift the interpreter's limit on int -> str digits inside the block,
+    where results become text (a Q^2 certificate of a Liouville pair has
+    thousands of digits); the caller's limit returns on exit.  Inputs are
+    parsed outside such blocks, under the caller's limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _fmt(x) -> str:
@@ -204,39 +219,41 @@ def _run_classify(args, mode) -> tuple[list, dict, list]:
     w2e = dio.w2eps_witness_search(a, b, eps, q_max)
     profile = dio.w2inf_profile(a, b, c_list, q_max)
 
-    # the rows are only written, so a run without --out builds none
-    samples = [] if args.out is None else [
-        _witness_row(w) for w in w2 + w2e + [e.witness for e in profile if e.witness]]
-    profile_rows = [{
-        "C": float(entry.C),
-        "min_witness_q": entry.witness.q if entry.witness else None,
-        "found": entry.witness is not None,
-    } for entry in profile]
+    # results become text from here on
+    with _unlimited_int_text():
+        # the rows are only written, so a run without --out builds none
+        samples = [] if args.out is None else [
+            _witness_row(w) for w in w2 + w2e + [e.witness for e in profile if e.witness]]
+        profile_rows = [{
+            "C": float(entry.C),
+            "min_witness_q": entry.witness.q if entry.witness else None,
+            "found": entry.witness is not None,
+        } for entry in profile]
 
-    caveat = (f"bounded search up to q_max = {q_max}; witness presence is "
-              "evidence, absence is not an asymptotic non-membership claim")
-    summary = {
-        "rational_certificate": list(cert.as_tuple()) if cert else None,
-        "w2_witnesses": len(w2),
-        "w2eps_witnesses": len(w2e),
-        "w2inf_profile": profile_rows,
-        "search_caveat": caveat,
-    }
-    flags = []
-    if cert is not None:
-        flags.append("rational-certificate")
-    print(f"classify a={args.a} b={args.b} mode={mode.spec()} q_max={q_max}")
-    if cert:
-        print(f"  Q^2 certificate (p1, p2, q) = {cert.as_tuple()}")
-    else:
-        print("  no exact rational certificate (inputs not exact rationals)")
-    print(f"  W2(C={args.C}): {len(w2)} witnesses")
-    print(f"  W2eps(eps={args.eps}): {len(w2e)} witnesses")
-    for row in profile_rows:
-        status = f"minimal q = {row['min_witness_q']}" if row["found"] else "none found"
-        print(f"  W2inf C={row['C']:g}: {status}")
-    print(f"  [{caveat}]")
-    return samples, summary, flags
+        caveat = (f"bounded search up to q_max = {q_max}; witness presence is "
+                  "evidence, absence is not an asymptotic non-membership claim")
+        summary = {
+            "rational_certificate": list(cert.as_tuple()) if cert else None,
+            "w2_witnesses": len(w2),
+            "w2eps_witnesses": len(w2e),
+            "w2inf_profile": profile_rows,
+            "search_caveat": caveat,
+        }
+        flags = []
+        if cert is not None:
+            flags.append("rational-certificate")
+        print(f"classify a={args.a} b={args.b} mode={mode.spec()} q_max={q_max}")
+        if cert:
+            print(f"  Q^2 certificate (p1, p2, q) = {cert.as_tuple()}")
+        else:
+            print("  no exact rational certificate (inputs not exact rationals)")
+        print(f"  W2(C={args.C}): {len(w2)} witnesses")
+        print(f"  W2eps(eps={args.eps}): {len(w2e)} witnesses")
+        for row in profile_rows:
+            status = f"minimal q = {row['min_witness_q']}" if row["found"] else "none found"
+            print(f"  W2inf C={row['C']:g}: {status}")
+        print(f"  [{caveat}]")
+        return samples, summary, flags
 
 
 def _run_orbit(args, mode) -> tuple[list, dict, list]:
@@ -450,8 +467,9 @@ def run(argv=None) -> int:
             raise InvalidInputError(f"cannot create the directory of --out: {e}") from e
     with enumeration_budget(args.budget or ENUMERATION_BUDGET):
         samples, summary, flags = _RUNNERS[args.subcommand](args, mode)
-    _write_outputs({"schema_version": 1, "config": config, "samples": samples,
-                    "summary": summary, "flags": flags}, args)
+    with _unlimited_int_text():
+        _write_outputs({"schema_version": 1, "config": config, "samples": samples,
+                        "summary": summary, "flags": flags}, args)
     return 0
 
 

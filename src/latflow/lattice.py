@@ -40,6 +40,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from operator import mul
 
 from .errors import BudgetError, InvalidInputError, PrecisionError, ReductionError
 from .flow import phi
@@ -51,6 +52,7 @@ LLL_ITERATION_CAP = 100_000
 GSO_RANGE_CAP = 1e12  # dynamic range of GSO lengths tolerated in f64
 ENUMERATION_BUDGET = 10_000_000  # Fincke-Pohst leaves per search
 _SINGULAR = "numerically singular basis in Gram-Schmidt"
+_DEPENDENT = "integral LLL needs independent columns"
 
 _budget = ContextVar("enumeration_budget", default=ENUMERATION_BUDGET)
 
@@ -265,74 +267,83 @@ def _f64_gram_schmidt(cols):
 
 def lll_reduce_integral(cols):
     """Exact integral LLL (Cohen, Alg. 2.6.7, delta = ``LLL_DELTA_EXACT``) of
-    linearly independent integer columns; returns (reduced_columns,
-    transform, d, lam).
+    three linearly independent integer columns of n coordinates each;
+    returns (reduced_columns, transform, d, lam).
 
     reduced = cols . U with U unimodular (same convention as ``lll_reduce``).
     d[i] is the Gram determinant of the first i reduced columns (d[0] = 1)
     and lam[i][j] = d[j+1] mu[i][j], so the Gram-Schmidt data are
     mu[i][j] = lam[i][j] / d[j+1] and |b*_i|^2 = d[i+1] / d[i], all exact.
+
+    Like ``lll_reduce`` it is straight-line code for rank 3: the columns a,
+    b, c, the columns of U, lam_10, lam_20, lam_21 and d_1, d_2, d_3 are
+    locals and a swap rebinds names.  Row 1 is computed at entry, row 2 the
+    first time k reaches 2; at k = 2, c is size-reduced against b before the
+    Lovasz test and against a once it passes.  A zero d_i means dependent
+    columns and raises ``ReductionError`` when that row is computed.
     """
-    b = [list(c) for c in cols]
-    n = len(b)
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
     dn, dd = LLL_DELTA_EXACT.numerator, LLL_DELTA_EXACT.denominator
-    d = [1] + [0] * n
-    lam = [[0] * n for _ in range(n)]
-
-    def dot(x, y):
-        return sum(xi * yi for xi, yi in zip(x, y))
-
-    def add_gso_row(k):
-        for j in range(k + 1):
-            acc = dot(b[k], b[j])
-            for i in range(j):
-                acc = (d[i + 1] * acc - lam[k][i] * lam[j][i]) // d[i]
-            if j < k:
-                lam[k][j] = acc
-            elif acc == 0:
-                raise ReductionError("integral LLL needs independent columns")
+    a, b, c = cols
+    ua0, ua1, ua2, ub0, ub1, ub2, uc0, uc1, uc2 = 1, 0, 0, 0, 1, 0, 0, 0, 1
+    d1 = sum(map(mul, a, a))
+    if d1 == 0:
+        raise ReductionError(_DEPENDENT)
+    l10 = sum(map(mul, b, a))
+    d2 = d1 * sum(map(mul, b, b)) - l10 * l10
+    if d2 == 0:
+        raise ReductionError(_DEPENDENT)
+    row2 = False
+    k = 1
+    while k < 3:
+        if k == 1:
+            if 2 * abs(l10) > d1:
+                m = (2 * l10 + d1) // (2 * d1)
+                b = [x - m * y for x, y in zip(b, a)]
+                ub0, ub1, ub2 = ub0 - m * ua0, ub1 - m * ua1, ub2 - m * ua2
+                l10 -= m * d1
+            if dd * (d2 + l10 * l10) < dn * d1 * d1:
+                # swap a and b: lam_10 stays, row 2 changes once it exists
+                a, b = b, a
+                ua0, ua1, ua2, ub0, ub1, ub2 = ub0, ub1, ub2, ua0, ua1, ua2
+                new_d = (d2 + l10 * l10) // d1
+                if row2:
+                    t = l21
+                    l21 = (d2 * l20 - l10 * t) // d1
+                    l20 = (new_d * t + l10 * l21) // d2
+                d1 = new_d
             else:
-                d[k + 1] = acc
-
-    def size_reduce(k, l):
-        if 2 * abs(lam[k][l]) > d[l + 1]:
-            m = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
-            b[k] = [x - m * y for x, y in zip(b[k], b[l])]
-            u[k] = [x - m * y for x, y in zip(u[k], u[l])]
-            lam[k][l] -= m * d[l + 1]
-            for i in range(l):
-                lam[k][i] -= m * lam[l][i]
-
-    def swap(k, k_max):
-        b[k], b[k - 1] = b[k - 1], b[k]
-        u[k], u[k - 1] = u[k - 1], u[k]
-        for j in range(k - 1):
-            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-        lk = lam[k][k - 1]
-        new_d = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
-        for i in range(k + 1, k_max + 1):
-            t = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
-            lam[i][k - 1] = (new_d * t + lk * lam[i][k]) // d[k + 1]
-        d[k] = new_d
-
-    add_gso_row(0)
-    k, k_max = 1, 0
-    while k < n:
-        if k > k_max:
-            k_max = k
-            add_gso_row(k)
-        size_reduce(k, k - 1)
-        lk = lam[k][k - 1]
-        if dd * (d[k + 1] * d[k - 1] + lk * lk) < dn * d[k] * d[k]:
-            swap(k, k_max)
-            k = max(k - 1, 1)
+                k = 2
         else:
-            for l in range(k - 2, -1, -1):
-                size_reduce(k, l)
-            k += 1
-    return b, u, d, lam
+            if not row2:
+                row2 = True
+                l20 = sum(map(mul, c, a))
+                l21 = d1 * sum(map(mul, c, b)) - l20 * l10
+                d3 = (d2 * (d1 * sum(map(mul, c, c)) - l20 * l20) - l21 * l21) // d1
+                if d3 == 0:
+                    raise ReductionError(_DEPENDENT)
+            if 2 * abs(l21) > d2:
+                m = (2 * l21 + d2) // (2 * d2)
+                c = [x - m * y for x, y in zip(c, b)]
+                uc0, uc1, uc2 = uc0 - m * ub0, uc1 - m * ub1, uc2 - m * ub2
+                l21 -= m * d2
+                l20 -= m * l10
+            if dd * (d3 * d1 + l21 * l21) < dn * d2 * d2:
+                # swap b and c: lam_10 and lam_20 trade places, lam_21 stays
+                b, c = c, b
+                ub0, ub1, ub2, uc0, uc1, uc2 = uc0, uc1, uc2, ub0, ub1, ub2
+                l10, l20 = l20, l10
+                d2 = (d1 * d3 + l21 * l21) // d2
+                k = 1
+            else:
+                if 2 * abs(l20) > d1:
+                    m = (2 * l20 + d1) // (2 * d1)
+                    c = [x - m * y for x, y in zip(c, a)]
+                    uc0, uc1, uc2 = uc0 - m * ua0, uc1 - m * ua1, uc2 - m * ua2
+                    l20 -= m * d1
+                k = 3
+    return ([list(a), list(b), list(c)],
+            [[ua0, ua1, ua2], [ub0, ub1, ub2], [uc0, uc1, uc2]],
+            [1, d1, d2, d3], [[0, 0, 0], [l10, 0, 0], [l20, l21, 0]])
 
 
 def _clamped_ratio(num: int, den: int) -> float:
@@ -401,11 +412,13 @@ class ReducedLattice:
     @classmethod
     def exact(cls, rows) -> "ReducedLattice":
         """Integral LLL of the lattice spanned by the three independent
-        columns of the rational n x 3 matrix ``rows``, scaled to integers by
-        the least common denominator ``den`` of its entries."""
-        den = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
-        red, u, d, lam = lll_reduce_integral(
-            [[int(row[j] * den) for row in rows] for j in range(3)])
+        columns of the rational n x 3 matrix ``rows`` (``int`` or
+        ``Fraction`` entries), scaled to integers by the least common
+        denominator ``den`` of its entries; each entry x becomes the integer
+        x.numerator * (den // x.denominator), with no ``Fraction`` made."""
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        red, u, d, lam = lll_reduce_integral(list(zip(*(
+            [x.numerator * (den // x.denominator) for x in row] for row in rows))))
         # GSO data relative to |b*_0|^2 = d[1]; every entry is a correctly
         # rounded float of an exact ratio
         mu = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(3)]

@@ -14,7 +14,8 @@ from latflow import cli
 from latflow import diophantine as dio
 from latflow import experiments as exp
 from latflow import lattice
-from latflow.scalars import bigfloat, exact_ratio, named_scalar
+from latflow.errors import InvalidInputError
+from latflow.scalars import RATIONAL, bigfloat, exact_ratio, named_scalar
 
 
 def run_cli(args):
@@ -65,6 +66,49 @@ def test_classify_liouville_builtin(tmp_path):
 def test_classify_parse_error_exit_2():
     assert run_cli(["classify", "nonsense", "0"]) == 2
     assert run_cli(["classify", "sqrt2", "0", "--mode", "rational"]) == 2
+
+
+def test_classify_long_certificate_exit_0(tmp_path, capsys):
+    # q = 3 10^5040, past the interpreter's default limit of 4300 digits for
+    # int -> str; the certificate is printed and written in full
+    limit = sys.get_int_max_str_digits()
+    out = tmp_path / "l7"
+    assert run_cli(["classify", "liouville:7", "1/3", "--mode", "rational",
+                    "--q-max", "10", "--out", str(out)]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    a, b = (named_scalar(x, RATIONAL) for x in ("liouville:7", "1/3"))
+    cert = dio.rational_certificate(a, b).as_tuple()
+    assert cert[2] == 3 * 10 ** 5040
+    text = Path(str(out) + ".json").read_text(encoding="utf-8")
+    sys.set_int_max_str_digits(0)
+    try:
+        doc = json.loads(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert doc["summary"]["rational_certificate"] == list(cert)
+    assert "Q^2 certificate" in capsys.readouterr().out
+
+
+def test_input_past_int_digit_limit_exit_2(capsys):
+    # inputs are parsed under the interpreter's limit, as before
+    assert run_cli(["classify", "1" * 5001, "1/3", "--mode", "rational",
+                    "--q-max", "10"]) == 2
+    assert "cannot parse number" in capsys.readouterr().err
+
+
+def test_cli_restores_int_digit_limit_on_error(monkeypatch):
+    def failing(report, args):
+        raise InvalidInputError("cannot write")
+
+    monkeypatch.setattr(cli, "_write_outputs", failing)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run_cli(["classify", "1/2", "1/3", "--mode", "rational",
+                        "--q-max", "10"]) == 2
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_usage_error_exit_2(capsys):

@@ -27,8 +27,8 @@ from latflow.scalars import F64, RATIONAL, bigfloat, exact_ratio, named_scalar
 
 from util import (brute_force_count, brute_force_lambda1, count_points_f64,
                   count_points_mp, gram_schmidt_full, lll_reduce_full,
-                  random_unimodular_columns, scaled_columns, shortest_vector_f64,
-                  shortest_vector_mp)
+                  lll_reduce_integral_cohen, random_unimodular_columns,
+                  scaled_columns, shortest_vector_f64, shortest_vector_mp)
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
                                 Fraction(0), Fraction(1), RATIONAL)
@@ -338,6 +338,74 @@ def test_lll_reduce_integral_exact_invariants():
                     assert 2 * abs(lam[i][j]) <= d[j + 1]
             for k in range(1, 3):
                 assert 100 * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) >= 99 * d[k] ** 2
+
+
+def _integral_outcome(reduce, cols):
+    """``reduce(cols)`` on a copy of the columns, or the message it raised."""
+    try:
+        return reduce([list(col) for col in cols])
+    except ReductionError as e:
+        return str(e)
+
+
+_entry200 = st.integers(-2 ** 200, 2 ** 200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cols=st.integers(3, 5).flatmap(
+    lambda n: st.lists(st.lists(_entry200, min_size=n, max_size=n), min_size=3, max_size=3)))
+def test_lll_reduce_integral_matches_cohen_on_random_columns(cols):
+    # small draws also reach dependent columns, where both raise
+    assert (_integral_outcome(lll_reduce_integral, cols)
+            == _integral_outcome(lll_reduce_integral_cohen, cols))
+
+
+@st.composite
+def _translate_columns(draw):
+    """(e^3, 0, 0), (s e^2, e, 0), (w, 0, 1): the shape of a translate basis
+    scaled to integers, whose skew gives long swap chains."""
+    e = draw(st.integers(1, 2 ** 120))
+    s = draw(st.integers(-e, e))
+    w = draw(st.integers(-e ** 3, e ** 3))
+    return [[e ** 3, 0, 0], [s * e * e, e, 0], [w, 0, 1]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cols=_translate_columns())
+@example(cols=[[2 ** 360, 0, 0], [2 ** 239 + 1, 2 ** 120, 0], [2 ** 359 - 3, 0, 1]])
+def test_lll_reduce_integral_matches_cohen_on_translates(cols):
+    assert lll_reduce_integral([list(c) for c in cols]) == lll_reduce_integral_cohen(cols)
+
+
+@pytest.mark.parametrize("cols", [
+    [[0, 0, 0], [1, 2, 3], [4, 5, 7]],     # d_1 = 0
+    [[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 1, 5]],  # b_1 = 2 b_0: d_2 = 0
+    [[1, 2, 3], [4, 5, 7], [5, 7, 10]],    # b_2 = b_0 + b_1: d_3 = 0
+])
+def test_lll_reduce_integral_rejects_dependent_columns(cols):
+    for reduce in (lll_reduce_integral, lll_reduce_integral_cohen):
+        with pytest.raises(ReductionError) as info:
+            reduce([list(c) for c in cols])
+        assert str(info.value) == "integral LLL needs independent columns"
+
+
+def test_exact_scales_mixed_int_and_fraction_rows(monkeypatch):
+    rows = [[3, Fraction(-7, 6), Fraction(5, 4)],
+            [Fraction(2, 9), 0, -11],
+            [Fraction(1, 3), Fraction(10, 5), 1],
+            [0, Fraction(-1, 12), Fraction(7, 18)]]
+    seen = []
+
+    def recording(cols):
+        seen.append([list(col) for col in cols])
+        return lll_reduce_integral(cols)
+
+    monkeypatch.setattr(lattice, "lll_reduce_integral", recording)
+    lat = ReducedLattice.exact(rows)
+    den = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    assert lat.den == den == 36
+    assert seen == [[[int(row[j] * den) for row in rows] for j in range(3)]]
+    assert all(type(x) is int for col in seen[0] for x in col)
 
 
 def _box_members(cols, r):

@@ -1,10 +1,10 @@
 """Shared test oracles: the dense matrix path of the flow (g_t and the 3x3
 helpers), brute-force lattice searches, random unimodular bases with
-controlled conditioning, the full-recompute f64 LLL, a 256-bit float
-lattice path and the f64 shortest vector and point count on it, the q-scan
-segment minimum, the q-scan witness and E_q searches, the float p-window
-decision of I_R on a grid, the numpy Dirichlet grid and an exact I_R
-measure."""
+controlled conditioning, the full-recompute f64 LLL, the generic-rank
+integral LLL, a 256-bit float lattice path and the f64 shortest vector and
+point count on it, the q-scan segment minimum, the q-scan witness and E_q
+searches, the float p-window decision of I_R on a grid, the numpy
+Dirichlet grid and an exact I_R measure."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from latflow import diophantine as dio
 from latflow.errors import BudgetError, InvalidInputError, ReductionError
 from latflow.experiments import SegmentMinimum
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
+from latflow.lattice import LLL_DELTA_EXACT
 from latflow.scalars import F64, IntegerVec3, ScalarMode, exact_ratio
 
 SEGMENT_MINIMUM_SCAN_BUDGET = 100_000_000
@@ -155,6 +156,76 @@ def lll_reduce_full(matrix, log_scale: float = 0.0, delta: float = 0.99):
             _, mu, norm2 = gram_schmidt_full(cols)
             k = max(k - 1, 1)
     return cols, u
+
+
+# -- generic-rank integral LLL ----------------------------------------------
+
+def lll_reduce_integral_cohen(cols):
+    """Cohen's Alg. 2.6.7 for any number of independent integer columns,
+    with the rows, size reductions and swaps as generic-rank loops; returns
+    (reduced_columns, transform, d, lam) like
+    ``latflow.lattice.lll_reduce_integral``, which must match it bit for
+    bit on three columns."""
+    b = [list(c) for c in cols]
+    n = len(b)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    dn, dd = LLL_DELTA_EXACT.numerator, LLL_DELTA_EXACT.denominator
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def dot(x, y):
+        return sum(xi * yi for xi, yi in zip(x, y))
+
+    def add_gso_row(k):
+        for j in range(k + 1):
+            acc = dot(b[k], b[j])
+            for i in range(j):
+                acc = (d[i + 1] * acc - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = acc
+            elif acc == 0:
+                raise ReductionError("integral LLL needs independent columns")
+            else:
+                d[k + 1] = acc
+
+    def size_reduce(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            m = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - m * y for x, y in zip(b[k], b[l])]
+            u[k] = [x - m * y for x, y in zip(u[k], u[l])]
+            lam[k][l] -= m * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= m * lam[l][i]
+
+    def swap(k, k_max):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        u[k], u[k - 1] = u[k - 1], u[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lk = lam[k][k - 1]
+        new_d = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, k_max + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (new_d * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = new_d
+
+    add_gso_row(0)
+    k, k_max = 1, 0
+    while k < n:
+        if k > k_max:
+            k_max = k
+            add_gso_row(k)
+        size_reduce(k, k - 1)
+        lk = lam[k][k - 1]
+        if dd * (d[k + 1] * d[k - 1] + lk * lk) < dn * d[k] * d[k]:
+            swap(k, k_max)
+            k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return b, u, d, lam
 
 
 # -- 256-bit float lattice path --------------------------------------------

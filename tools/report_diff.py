@@ -32,8 +32,11 @@ SHOWN = 10  # differing operations named in full
 # Run once, after the workload operations: bigfloat, escalated f64 (t > 9.2)
 # and rational translates, f64 translates at t = 9.1 (just under
 # GSO_RANGE_CAP, where the f64 LLL swap chains are longest), the bigfloat
-# and rational orbit and dirichlet paths, f64 dirichlet past t = 7, and f64
-# orbit minima where an f64 evaluation of the segment supremum would cancel.
+# and rational orbit and dirichlet paths, f64 dirichlet past t = 7, f64
+# orbit minima where an f64 evaluation of the segment supremum would cancel,
+# and three integral-LLL searches: the fullest blocks (every q a witness), a
+# certificate inside the search whose multiples fill the blocks, and the
+# widest integers (a 720-digit denominator).
 EXTRA_OPS = [
     ["equidist", "sqrt2", "sqrt3", "--mode", "bigfloat:256", "--t-list", "5,9.5,11",
      "--N", "20", "--radii", "1.5"],
@@ -50,6 +53,9 @@ EXTRA_OPS = [
     ["dirichlet", "0.3", "0.7", "--t-max", "11"],
     ["orbit", "0.123456789012345", "0.987654321098765", "--t-grid", "8", "--N", "5"],
     ["orbit", "sqrt2", "sqrt3", "--t-grid", "0:12:1", "--N", "10"],
+    ["classify", "0", "0", "--mode", "rational", "--q-max", "2000"],
+    ["density", "1/2", "1/3", "--mode", "rational", "--q-max", "20000", "--T", "8"],
+    ["classify", "liouville:6", "1/3", "--mode", "rational", "--q-max", "1000"],
 ]
 
 # Runs in the child, with cwd the tree's temporary directory:
