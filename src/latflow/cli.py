@@ -6,6 +6,14 @@ adds the fully-resolved config, so every report is self-describing.  JSON is
 the authoritative format, shaped as REPORT_SCHEMA publishes, and CSV carries
 flat plot-ready rows.
 
+The JSON file holds exactly the bytes of ``json.dump(report, f, indent=2,
+sort_keys=True)`` and a newline, and the CSV file those of a ``csv.writer``
+given ``_fmt`` of every cell.  Sample rows that are nonempty dicts of str,
+int, float, bool or None values go through the C JSON encoder, ``_CHUNK``
+rows at a time, re-bracketed to the indent-2 layout; a report with any other
+row (an ``orbit`` row's ``min_vector`` list, say) takes ``json.dump`` whole.
+CSV cells are formatted a column of a chunk at a time.
+
 Exit codes: 0 success, 2 usage, parse or invalid-input errors, 3 budget
 errors, 4 precision or lattice-reduction failures.
 
@@ -77,6 +85,57 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
+
+
+_CHUNK = 64  # sample rows per write
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+# With this item separator the C encoder puts each key of a row on its own
+# line at the depth of a row's keys under indent=2; only the braces of a row
+# need re-indenting.  Strings are escaped, so "},\n      {" can only join two
+# rows of a chunk.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+_ROW_JOIN = ("},\n      {", "\n    },\n    {\n      ")
+
+
+def _write_json(report: dict, f) -> None:
+    """``json.dump(report, f, indent=2, sort_keys=True)``, byte for byte."""
+    rows = report["samples"]
+    if not (rows and set(map(type, rows)) == {dict} and all(rows)
+            and {type(v) for row in rows for v in row.values()} <= _SCALAR_TYPES):
+        json.dump(report, f, indent=2, sort_keys=True)
+        return
+    # a top-level key is the only line that starts with two spaces and a quote
+    head, _, tail = json.dumps(dict(report, samples=[]), indent=2,
+                               sort_keys=True).partition('\n  "samples": []')
+    f.write(head + '\n  "samples": [')
+    sep = "\n"
+    for i in range(0, len(rows), _CHUNK):
+        body = _ROW_ENCODER.encode(rows[i:i + _CHUNK])[2:-2].replace(*_ROW_JOIN)
+        f.write(f"{sep}    {{\n      {body}\n    }}")
+        sep = ",\n"
+    f.write("\n  ]" + tail)
+
+
+def _csv_cells(values):
+    """``_fmt`` of each value of one column, one builtin call per cell."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return map(format, values, [".17g"] * len(values))
+    if kinds == {bool}:
+        return map(("false", "true").__getitem__, values)
+    if kinds <= {int, str}:
+        return map(str, values)
+    return map(_fmt, values)
+
+
+def _write_csv(rows: list, columns: list, f) -> None:
+    """A header and one line of ``_fmt`` cells per row, ``""`` for a missing key."""
+    writer = csv.writer(f, lineterminator="\n")
+    writer.writerow(columns)
+    for i in range(0, len(rows), _CHUNK):
+        chunk = rows[i:i + _CHUNK]
+        cells = [_csv_cells([row.get(c, "") for row in chunk]) for c in columns]
+        writer.writerows(zip(*cells) if cells else [()] * len(chunk))
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -440,7 +499,7 @@ def _write_outputs(report: dict, args):
     fmt = args.format
     if fmt in ("json", "both"):
         with open(args.out + ".json", "w", encoding="utf-8", newline="\n") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
+            _write_json(report, f)
             f.write("\n")
     if fmt in ("csv", "both"):
         columns = _CSV_COLUMNS.get(args.subcommand)
@@ -448,10 +507,7 @@ def _write_outputs(report: dict, args):
         if columns is None:
             columns = sorted({k for row in rows for k in row}) if rows else []
         with open(args.out + ".csv", "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(row.get(c, "")) for c in columns])
+            _write_csv(rows, columns, f)
 
 
 def run(argv=None) -> int:

@@ -69,8 +69,14 @@ class TranslateSample:
         row = {"s": float(self.s), "t": self.t, "lambda1": self.lambda1,
                "certified": True, "escalated": self.escalated}
         for r, c in sorted(self.point_counts.items()):
-            row[f"count_r{r:g}"] = c
+            row[_count_key(r)] = c
         return row
+
+
+@lru_cache(maxsize=64)
+def _count_key(r: float) -> str:
+    """The report key of the point count at radius r, made once per radius."""
+    return f"count_r{r:g}"
 
 
 def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
@@ -91,16 +97,19 @@ def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
         raise InvalidInputError("need N >= 1 samples")
     s1, width = line.s1, line.s2 - line.s1
     radii = tuple(float(r) for r in radii)
+    us = _uniforms(seed, N)
+    if line.mode.kind != "f64":  # in f64, mode.from_fraction(Fraction(u)) is u
+        us = [line.mode.from_fraction(Fraction(u)) for u in us]
 
-    def one(u: float) -> TranslateSample:
-        s = s1 + line.mode.from_fraction(Fraction(u)) * width
+    def one(u) -> TranslateSample:
+        s = s1 + u * width
         lat = translate_basis(line, s, t)
         res = shortest_vector(lat)
         counts = {r: count_points(lat, r) for r in radii}
         return TranslateSample(s=s, t=float(t.t), lambda1=res.lambda1,
                                point_counts=counts, escalated=res.escalated)
 
-    return [one(u) for u in _uniforms(seed, N)]
+    return [one(u) for u in us]
 
 
 def check_delta(delta: float) -> None:

@@ -104,8 +104,7 @@ class FlowTime:
 
 def phi(line: LineSegmentSpec, s) -> Matrix3:
     """The unipotent segment element phi(s); upper triangular, det = 1."""
-    one = line.mode.from_int(1)
-    zero = line.mode.from_int(0)
+    one, zero = line.mode.one, line.mode.zero
     return ((one, s, line.a * s + line.b), (zero, one, zero), (zero, zero, one))
 
 

@@ -14,17 +14,19 @@ log-scale that defers the exponentials of its rows (so translates are
 stored without overflow) and runs one f64 ``lll_reduce`` in place on the
 scaled columns and their Gram-Schmidt data, which go on to the enumeration,
 or, for bigfloat entries or columns too skewed for f64, the exact reduction
-of the unrounded products; ``translate_basis`` gives it the translate
-g_t phi(s) Z^3.  ``ReducedLattice.exact(rows)`` scales the rational rows of
-a rank-3 lattice in Q^n to integers and runs the integral LLL (no rounding
-anywhere).  Its ``points``, ``minimum`` and ``count`` are one Fincke-Pohst
-enumeration, written once, over coefficients in the reduced basis that only
-``points`` and ``minimum`` map back through U; they take radii in the rows'
-own units and compare candidates in the rows' own arithmetic (f64, or
-integers).  ``shortest_vector`` and ``count_points`` read that value, so the
-minimum and the counts at every radius share one reduction;
-``ReducedLattice.exact`` also gives the segment minima, the Dirichlet check
-and the Diophantine search boxes.
+of the unrounded products, whose integer rows it builds from the integer
+ratios of the entries and of the row scales, with no ``Fraction`` made;
+``translate_basis`` gives it the translate g_t phi(s) Z^3.
+``ReducedLattice.exact(rows)`` scales the rational rows of a rank-3 lattice
+in Q^n to integers and runs the integral LLL (no rounding anywhere).  Its
+``points``, ``minimum`` and ``count`` are one Fincke-Pohst enumeration,
+written once, over coefficients in the reduced basis that only ``points``
+and ``minimum`` map back through U; they take radii in the rows' own units
+and compare candidates in the rows' own arithmetic (f64, or integers).
+``shortest_vector`` and ``count_points`` read that value, so the minimum and
+the counts at every radius share one reduction; ``ReducedLattice.exact``
+also gives the segment minima, the Dirichlet check and the Diophantine
+search boxes.
 
 All functions are pure but for one input: the enumeration leaf cap,
 ``ENUMERATION_BUDGET`` unless a ``with enumeration_budget(n):`` block sets
@@ -40,6 +42,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from .errors import BudgetError, InvalidInputError, PrecisionError, ReductionError
@@ -357,6 +360,15 @@ def _clamped_ratio(num: int, den: int) -> float:
 
 # -- one reduced lattice for both reductions -------------------------------
 
+@lru_cache(maxsize=1)
+def _flow_scales(log_scale: float) -> tuple:
+    """The f64 row scales e^{2l}, e^{-l}, e^{-l} of log scale l, made once
+    for the samples of one flow time."""
+    e2 = exp_f64(2 * log_scale)
+    em = exp_f64(-log_scale)
+    return e2, em, em
+
+
 def _holds_bigfloats(matrix) -> bool:
     return any(getattr(x, "_mpf_", None) is not None for row in matrix for x in row)
 
@@ -391,12 +403,17 @@ class ReducedLattice:
         e^{-l}, e^{-l} for l = ``log_scale``: ``lll_reduce`` of the rounded
         products, whose Gram-Schmidt data are handed on, while their f64
         Gram-Schmidt lengths span at most ``GSO_RANGE_CAP``; past that (or
-        where they overflow), and for bigfloat entries, ``exact`` of the
-        unrounded products."""
-        scales = (exp_f64(2 * log_scale), exp_f64(-log_scale), exp_f64(-log_scale))
+        where they overflow), and for bigfloat entries, the integral LLL of
+        the unrounded products, scaled to the integer rows and ``den`` that
+        ``exact`` makes of them.  The row scales of the last log scale are
+        kept, so the samples of one flow time compute them once."""
+        scales = _flow_scales(log_scale)
         if not _holds_bigfloats(matrix):
-            cols = [[float(row[j]) * scale for row, scale in zip(matrix, scales)]
-                    for j in range(3)]
+            (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = matrix
+            e2, em, _ = scales
+            cols = [[float(a0) * e2, float(a1) * em, float(a2) * em],
+                    [float(b0) * e2, float(b1) * em, float(b2) * em],
+                    [float(c0) * e2, float(c1) * em, float(c2) * em]]
             gso = _f64_gram_schmidt(cols)
             if gso is not None:
                 red, u = lll_reduce(cols, gso)
@@ -406,8 +423,15 @@ class ReducedLattice:
         if 0.0 in scales:  # a zero row spans no lattice
             raise PrecisionError(
                 f"the flow scaling underflows f64 at log scale {log_scale:g}")
-        return cls.exact([[Fraction(*exact_ratio(x)) * Fraction(scale) for x in row]
-                          for row, scale in zip(matrix, scales)])
+        # each product x scale as an integer ratio n / d; over their least
+        # common d, divided by the common factor of it and every numerator,
+        # they are the integer rows and den that ``exact`` makes of them
+        pairs = [(n * sn, d * sd) for row, (sn, sd) in zip(matrix, map(exact_ratio, scales))
+                 for n, d in map(exact_ratio, row)]
+        den = math.lcm(*(d for _, d in pairs))
+        ints = [n * (den // d) for n, d in pairs]
+        g = math.gcd(den, *ints)
+        return cls._integral([[x // g for x in ints[i:i + 3]] for i in (0, 3, 6)], den // g)
 
     @classmethod
     def exact(cls, rows) -> "ReducedLattice":
@@ -417,8 +441,14 @@ class ReducedLattice:
         denominator ``den`` of its entries; each entry x becomes the integer
         x.numerator * (den // x.denominator), with no ``Fraction`` made."""
         den = math.lcm(*(x.denominator for row in rows for x in row))
-        red, u, d, lam = lll_reduce_integral(list(zip(*(
-            [x.numerator * (den // x.denominator) for x in row] for row in rows))))
+        return cls._integral([[x.numerator * (den // x.denominator) for x in row]
+                              for row in rows], den)
+
+    @classmethod
+    def _integral(cls, rows, den: int) -> "ReducedLattice":
+        """Integral LLL of the columns of the integer rows ``rows``, the
+        lattice's basis rows times ``den``."""
+        red, u, d, lam = lll_reduce_integral(list(zip(*rows)))
         # GSO data relative to |b*_0|^2 = d[1]; every entry is a correctly
         # rounded float of an exact ratio
         mu = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(3)]

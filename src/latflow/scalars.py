@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 import mpmath
 
@@ -72,6 +72,16 @@ class ScalarMode:
 
     def from_int(self, n: int):
         return self.from_fraction(Fraction(n))
+
+    @cached_property
+    def one(self):
+        """1 as a mode scalar, made once per mode."""
+        return self.from_int(1)
+
+    @cached_property
+    def zero(self):
+        """0 as a mode scalar, made once per mode."""
+        return self.from_int(0)
 
     def sqrt(self, n: int):
         """sqrt(n) in this mode; rejected in rational mode unless n is a square."""

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latflow import cli
 from latflow import diophantine as dio
@@ -16,6 +19,8 @@ from latflow import experiments as exp
 from latflow import lattice
 from latflow.errors import InvalidInputError
 from latflow.scalars import RATIONAL, bigfloat, exact_ratio, named_scalar
+
+from util import csv_per_cell
 
 
 def run_cli(args):
@@ -486,3 +491,119 @@ def test_no_subcommand_in_any_mode_loads_numpy():
     codes, loaded = json.loads(done.stderr.splitlines()[-1])
     assert codes == [0] * len(runs)
     assert loaded == []
+
+
+# -- the report writers -------------------------------------------------------
+
+def _dumped(report):
+    f = io.StringIO()
+    json.dump(report, f, indent=2, sort_keys=True)
+    return f.getvalue()
+
+
+def _written(report):
+    f = io.StringIO()
+    cli._write_json(report, f)
+    return f.getvalue()
+
+
+def _report(samples, summary=None, config=None):
+    return {"schema_version": 1, "config": {"subcommand": "equidist", "seed": 1}
+            if config is None else config, "samples": samples,
+            "summary": {"note": "x"} if summary is None else summary, "flags": ["f"]}
+
+
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70),
+                     st.floats(), st.text(max_size=12))
+_keys = st.text(max_size=8)
+_json_values = st.recursive(_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(_keys, inner, max_size=3)), max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(samples=st.lists(st.dictionaries(_keys, _scalars, min_size=1, max_size=6),
+                        max_size=150),
+       summary=st.dictionaries(_keys, _json_values, max_size=4),
+       config=st.dictionaries(_keys, _scalars, max_size=4))
+def test_report_json_is_json_dump_byte_for_byte(samples, summary, config):
+    report = _report(samples, summary, config)
+    assert _written(report) == _dumped(report)
+
+
+@settings(max_examples=100, deadline=None)
+@given(samples=st.lists(st.dictionaries(_keys, _json_values, max_size=4), max_size=70))
+def test_report_json_is_json_dump_with_any_rows(samples):
+    report = _report(samples)
+    assert _written(report) == _dumped(report)
+
+
+_ROW = {"s": 0.25, "t": 5.0, "lambda1": 0.8125, "certified": True,
+        "escalated": False, "count_r1.5": 14}
+
+
+@pytest.mark.parametrize("samples", [
+    [],
+    [{}],
+    [_ROW, {}],
+    [_ROW] * 64,
+    [_ROW] * 65,
+    [dict(_ROW, s=i / 7) for i in range(129)],
+    [{"min_vector": [1, -2, 3], "t": 1.0}],
+    [_ROW, {"v": (1, 2)}],
+    [_ROW, {"nested": {"b": 1, "a": [2.5]}}],
+    [{"text": "},\n      {", "quote": 'say "hi"\\', "k},\n      {": 1}] * 3,
+    [{"text": "λ₁ ≥ δ, é, \U0001d53c", "λ": 1.0}],
+    [{"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "zero": -0.0}],
+    [{"none": None, "yes": True, "no": False, "big": 2 ** 80, "tiny": 5e-324}],
+    [{"samples": [], "x": 1}],
+])
+def test_report_json_fixed_cases(samples):
+    report = _report(samples)
+    assert _written(report) == _dumped(report)
+
+
+def test_report_json_5000_digit_int():
+    report = _report([{"q": 10 ** 4999 + 7, "p1": -(10 ** 4999)}, _ROW])
+    with cli._unlimited_int_text():
+        assert _written(report) == _dumped(report)
+
+
+def test_scalar_rows_skip_json_dump(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("json.dump ran")
+
+    monkeypatch.setattr(cli.json, "dump", refused)
+    report = _report([_ROW] * 3)
+    with pytest.raises(AssertionError):
+        _dumped(report)
+    assert json.loads(_written(report)) == report
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 3), bigfloat(256).from_int(3)])
+def test_report_json_refuses_non_json_scalars(value):
+    # a runner that leaves a Fraction or bigfloat in a row fails, as json.dump does
+    for samples in ([dict(_ROW, s=value)], [_ROW, {"min_vector": [value]}]):
+        with pytest.raises(TypeError):
+            _written(_report(samples))
+
+
+_csv_values = st.one_of(_scalars, st.lists(st.integers(), max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.one_of(st.lists(st.floats(), min_size=1),
+                        st.lists(st.booleans(), min_size=1),
+                        st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1),
+                        st.lists(st.text(), min_size=1), st.lists(_csv_values, min_size=1)))
+def test_csv_cells_are_fmt_cell_for_cell(values):
+    assert list(cli._csv_cells(values)) == [cli._fmt(v) for v in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.dictionaries(st.sampled_from("abcd"), _csv_values, max_size=4),
+                     max_size=140),
+       columns=st.lists(st.sampled_from("abcde"), max_size=5))
+def test_csv_file_is_per_cell_fmt(rows, columns):
+    f = io.StringIO(newline="")
+    cli._write_csv(rows, columns, f)
+    assert f.getvalue() == csv_per_cell(rows, columns, cli._fmt)

@@ -14,7 +14,7 @@ from latflow.errors import BudgetError, InvalidInputError, PrecisionError
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
 from latflow.scalars import (F64, RATIONAL, IntegerVec3, bigfloat, liouville_partial,
                              named_scalar)
-from util import segment_minimum_scan
+from util import phi_from_int, scaled_columns, segment_minimum_scan, translate_sample_s
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
                                 Fraction(0), Fraction(1), RATIONAL)
@@ -465,3 +465,48 @@ def test_ks_requires_nonempty():
     with pytest.raises(InvalidInputError):
         exp.ks_distance([], [1.0])
 
+
+
+_LINES = {
+    "f64": LineSegmentSpec.from_strings("sqrt2", "0.123456789012345", "-0.3", "0.45", F64),
+    "rational": LineSegmentSpec.from_strings("1/7", "22/9", "-1/3", "5/11", RATIONAL),
+    "bigfloat": LineSegmentSpec.from_strings("sqrt2", "sqrt3", "-0.3", "0.45", bigfloat(256)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(_LINES)), seed=st.integers(0, 2 ** 64 - 1),
+       N=st.integers(1, 6), t=st.floats(0.0, 8.0))
+def test_sample_translate_shortcuts_keep_every_bit(kind, seed, N, t):
+    # s, phi(s) and the row scales by their old route, through Fraction(u),
+    # from_int and three exps per sample, give the same s and f64 columns
+    line = _LINES[kind]
+    seen = []
+    lll_reduce = lattice.lll_reduce
+
+    def recording(cols, gso):
+        seen.append([[x.hex() for x in col] for col in cols])
+        return lll_reduce(cols, gso)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "lll_reduce", recording)
+        samples = exp.sample_translate(line, FlowTime.of(t), N, seed, radii=(1.5,))
+    want_s = [translate_sample_s(line, exp.sample_uniform(seed, i)) for i in range(N)]
+    assert [type(smp.s) for smp in samples] == [type(s) for s in want_s]
+    if kind == "f64":
+        assert [smp.s.hex() for smp in samples] == [s.hex() for s in want_s]
+    else:
+        assert [smp.s for smp in samples] == want_s
+    want_cols = [[[x.hex() for x in col] for col in scaled_columns(phi_from_int(line, s), t)]
+                 for s in want_s]
+    # a bigfloat translate is reduced exactly, never in f64
+    assert seen == ([] if kind == "bigfloat" else want_cols)
+
+
+def test_row_names_each_count_by_its_g_label():
+    smp = exp.TranslateSample(s=0.5, t=5.0, lambda1=0.75,
+                              point_counts={3.0: 6, 1.0: 2, 1.25e-7: 0, 1234567.0: 8})
+    row = smp.as_row()
+    assert [k for k in row if k.startswith("count_")] == [
+        "count_r1.25e-07", "count_r1", "count_r3", "count_r1.23457e+06"]
+    assert row["count_r3"] == 6 and row["count_r1.23457e+06"] == 8

@@ -26,7 +26,7 @@ from latflow.lattice import (
 from latflow.scalars import F64, RATIONAL, bigfloat, exact_ratio, named_scalar
 
 from util import (brute_force_count, brute_force_lambda1, count_points_f64,
-                  count_points_mp, gram_schmidt_full, lll_reduce_full,
+                  count_points_mp, exact_scaled_rows, gram_schmidt_full, lll_reduce_full,
                   lll_reduce_integral_cohen, random_unimodular_columns,
                   scaled_columns, shortest_vector_f64, shortest_vector_mp)
 
@@ -406,6 +406,32 @@ def test_exact_scales_mixed_int_and_fraction_rows(monkeypatch):
     assert lat.den == den == 36
     assert seen == [[[int(row[j] * den) for row in rows] for j in range(3)]]
     assert all(type(x) is int for col in seen[0] for x in col)
+
+
+_EXACT_LINES = [
+    LineSegmentSpec.from_strings("sqrt2", "0.123456789012345", "-0.3", "0.45", F64),
+    LineSegmentSpec.from_strings("1/7", "22/9", "-1/3", "5/11", RATIONAL),
+    LineSegmentSpec.from_strings("liouville:4", "1/3", "0", "1", RATIONAL),
+    LineSegmentSpec.from_strings("sqrt2", "sqrt3", "-0.3", "0.45", bigfloat(256)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(line=st.sampled_from(_EXACT_LINES), seed=st.integers(0, 2 ** 32 - 1),
+       t=st.floats(0.0, 14.0))
+@example(line=_EXACT_LINES[0], seed=1, t=11.0)
+def test_of_exact_arm_matches_fraction_rows(line, seed, t):
+    # the integer rows and den of the escalated arm, made without Fraction,
+    # are those ``exact`` makes of the Fraction products (f64 reductions
+    # forced off by a zero GSO range cap)
+    s = line.s1 + line.mode.from_fraction(Fraction(sample_uniform(seed, 0))) * (
+        line.s2 - line.s1)
+    matrix = phi(line, s)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "GSO_RANGE_CAP", 0.0)
+        lat = ReducedLattice.of(matrix, t)
+    assert lat.escalated
+    assert lat == ReducedLattice.exact(exact_scaled_rows(matrix, t))
 
 
 def _box_members(cols, r):

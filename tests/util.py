@@ -4,10 +4,13 @@ controlled conditioning, the full-recompute f64 LLL, the generic-rank
 integral LLL, a 256-bit float lattice path and the f64 shortest vector and
 point count on it, the q-scan segment minimum, the q-scan witness and E_q
 searches, the float p-window decision of I_R on a grid, the numpy
-Dirichlet grid and an exact I_R measure."""
+Dirichlet grid, an exact I_R measure, the per-sample translate route through
+``Fraction`` and ``from_int``, and the per-cell CSV writer."""
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from fractions import Fraction
 
@@ -130,6 +133,39 @@ def scaled_columns(matrix, log_scale: float = 0.0):
     the columns ``ReducedLattice.of(matrix, log_scale)`` reduces in f64."""
     scale = (math.exp(2 * log_scale), math.exp(-log_scale), math.exp(-log_scale))
     return [[float(matrix[i][j]) * scale[i] for i in range(3)] for j in range(3)]
+
+
+def exact_scaled_rows(matrix, log_scale: float = 0.0):
+    """The rows of ``matrix`` times the f64 flow scales of ``scaled_columns``,
+    as exact ``Fraction`` products: what ``ReducedLattice.of`` hands the
+    integral LLL when it does not reduce in f64."""
+    scale = (math.exp(2 * log_scale), math.exp(-log_scale), math.exp(-log_scale))
+    return [[Fraction(*exact_ratio(x)) * Fraction(scale[i]) for x in matrix[i]]
+            for i in range(3)]
+
+
+def translate_sample_s(line: LineSegmentSpec, u: float):
+    """s = s1 + u (s2 - s1) with u taken into the line's mode through its
+    ``Fraction``, as every mode took it before f64 lines used u itself."""
+    return line.s1 + line.mode.from_fraction(Fraction(u)) * (line.s2 - line.s1)
+
+
+def phi_from_int(line: LineSegmentSpec, s):
+    """phi(s) with its 1 and 0 made by ``from_int`` on every call."""
+    mode = line.mode
+    one, zero = mode.from_int(1), mode.from_int(0)
+    return ((one, s, line.a * s + line.b), (zero, one, zero), (zero, zero, one))
+
+
+def csv_per_cell(rows, columns, fmt) -> str:
+    """A report's CSV text written a row at a time with ``fmt`` of every cell
+    (``""`` for a missing key)."""
+    f = io.StringIO(newline="")
+    writer = csv.writer(f, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([fmt(row.get(c, "")) for c in columns])
+    return f.getvalue()
 
 
 def lll_reduce_full(matrix, log_scale: float = 0.0, delta: float = 0.99):

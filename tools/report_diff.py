@@ -34,9 +34,11 @@ SHOWN = 10  # differing operations named in full
 # GSO_RANGE_CAP, where the f64 LLL swap chains are longest), the bigfloat
 # and rational orbit and dirichlet paths, f64 dirichlet past t = 7, f64
 # orbit minima where an f64 evaluation of the segment supremum would cancel,
-# and three integral-LLL searches: the fullest blocks (every q a witness), a
+# three integral-LLL searches: the fullest blocks (every q a witness), a
 # certificate inside the search whose multiples fill the blocks, and the
-# widest integers (a 720-digit denominator).
+# widest integers (a 720-digit denominator); and the report writers' paths
+# no workload takes: three count columns, JSON alone (rows past one 64-row
+# chunk) and CSV alone.
 EXTRA_OPS = [
     ["equidist", "sqrt2", "sqrt3", "--mode", "bigfloat:256", "--t-list", "5,9.5,11",
      "--N", "20", "--radii", "1.5"],
@@ -56,6 +58,10 @@ EXTRA_OPS = [
     ["classify", "0", "0", "--mode", "rational", "--q-max", "2000"],
     ["density", "1/2", "1/3", "--mode", "rational", "--q-max", "20000", "--T", "8"],
     ["classify", "liouville:6", "1/3", "--mode", "rational", "--q-max", "1000"],
+    ["equidist", "golden", "sqrt2", "--t-list", "2,4.5", "--N", "100",
+     "--radii", "0.75,1.5,3"],
+    ["equidist", "sqrt2", "sqrt3", "--t-list", "3,5", "--N", "70", "--format", "json"],
+    ["orbit", "sqrt2", "sqrt3", "--t-grid", "0:6:1", "--N", "5", "--format", "csv"],
 ]
 
 # Runs in the child, with cwd the tree's temporary directory:
