@@ -273,7 +273,7 @@ def _run_classify(args, mode) -> tuple[list, dict, list]:
     eps = named_scalar(args.eps, mode)
     c_list = [named_scalar(c, mode) for c in args.C_list.split(",")]
 
-    cert = dio.rational_certificate(a, b)
+    cert = dio.rational_certificate(a, b, mode)
     w2 = dio.w2_witness_search(a, b, C, q_max)
     w2e = dio.w2eps_witness_search(a, b, eps, q_max)
     profile = dio.w2inf_profile(a, b, c_list, q_max)

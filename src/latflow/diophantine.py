@@ -10,8 +10,8 @@ The classes, for solutions (p1, p2; q) in Z^2 x Z_+:
             C-list),
 * Q^2:      an exact rational certificate (p1, p2, q) with b = p1/q, a = p2/q.
 
-All searches run over exact integers: every supported scalar (Fraction,
-float, mpf) is a rational number, so residuals are exact Fractions with no
+All searches run over exact integers: every supported scalar (Fraction or
+float) is a rational number, so residuals are exact Fractions with no
 rounding.  Candidates come from Dani's correspondence: the integer vectors
 (p1, p2, q) with q in a dyadic block [Q, 2Q) on which two rational linear
 forms are at most B are the short vectors of a rank-3 lattice in an axis
@@ -31,13 +31,14 @@ membership language for irrational inputs must keep that caveat.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError, PrecisionError
 from .lattice import ReducedLattice
-from .scalars import F64_MAX_DENOM, IntegerVec3, exact_ratio, mp_context
+from .scalars import F64_MAX_DENOM, IntegerVec3, ScalarMode, exact_ratio
 
 
 def _box_points(forms, bound, q_max: int, block_p2: bool = False):
@@ -140,7 +141,8 @@ def _pow_bound_check(r: Fraction, q: int, two_plus_eps: Fraction) -> bool:
     r = u/v and 2 + eps = n/d in lowest terms, the test u^d q^n <= v^d is
     out of reach for an f64 eps (0.1 has d = 2^55).  Equality needs u = 1,
     q = w^d and v = w^n, so d < q.bit_length(); otherwise the sign of
-    d ln(v/u) - n ln q != 0 is taken at doubling precision."""
+    d ln(v/u) - n ln q != 0 is taken from ``decimal``'s correctly rounded ln
+    at doubling precision."""
     if r == 0:
         return True
     u, v = r.numerator, r.denominator
@@ -150,15 +152,15 @@ def _pow_bound_check(r: Fraction, q: int, two_plus_eps: Fraction) -> bool:
     if (u == 1 and d < bq and n * (bq - 1) < d * bv and d * (bv - 1) < n * bq
             and q ** n == v ** d):
         return True
-    bits = 64
+    digits = 20
     while True:
-        ctx = mp_context(bits)
-        terms = (d * ctx.log(v), -d * ctx.log(u), -n * ctx.log(q))
-        diff = ctx.fsum(terms)
-        # each term is within a few units in its last place; 2^8 covers them
-        if abs(diff) > ctx.fsum(map(abs, terms)) * ctx.ldexp(1, 8 - bits):
+        ctx = decimal.Context(prec=digits)
+        terms = [c * Fraction(ctx.ln(x)) for c, x in ((d, v), (-d, u), (-n, q))]
+        diff = sum(terms)
+        # each ln is within a relative 10^(1 - digits), an ulp, of its value
+        if abs(diff) * 10 ** (digits - 1) > sum(map(abs, terms)):
             return diff > 0
-        bits *= 2
+        digits *= 2
 
 
 def w2eps_witness_search(a, b, eps, q_max: int) -> list[DiophantineWitness]:
@@ -213,15 +215,16 @@ def w2inf_profile(a, b, C_list, q_max: int) -> list[W2InfEntry]:
             for i, c in enumerate(cs)]
 
 
-def rational_certificate(a, b) -> IntegerVec3 | None:
+def rational_certificate(a, b, mode: ScalarMode) -> IntegerVec3 | None:
     """Exact-rational certificate (p1, p2, q) with b = p1/q and a = p2/q in
-    lowest common form; None when the inputs are not exact rationals.
+    lowest common form; None unless ``mode`` is rational, since the
+    scalars of the float modes are roundings of the inputs.
 
     The vector v = (-p1, -p2, q) kills the s-dependence: phi(s) v has first
     coordinate (b q - p1) + (a q - p2) s = 0 for every s, so the translate
     norm is q e^{-t} and the segment diverges.
     """
-    if not all(isinstance(x, (int, Fraction)) for x in (a, b)):
+    if mode.kind != "rational":
         return None
     a = Fraction(a)
     b = Fraction(b)

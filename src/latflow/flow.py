@@ -12,13 +12,15 @@ Applying g_t . phi(s) to an integer vector (p1, p2, q) gives coordinates
 
 so every coordinate is affine in s and suprema over the segment are exact
 maxima over the two endpoints.  The actions return plain coordinate tuples
-in the line's scalars.  Flow times can carry an exact value of e^t
+in the line's scalars, exact in bigfloat mode on the B-bit values of the
+line and of e^{kt}.  Flow times can carry an exact value of e^t
 (a Fraction), which keeps the rational-mode segment actions and minima exact
 out to t ~ ln 10^24; a ``translate_basis`` lattice keeps only the float t.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,11 +96,14 @@ class FlowTime:
         return cls(math.log(u), u)
 
     def factor(self, k: int, mode: ScalarMode = F64):
-        """e^{k t} as a mode scalar (exact rational when exp_t is known)."""
+        """e^{k t} as a mode scalar: exact when exp_t is known, else
+        correctly rounded to B bits from the exact k t in bigfloat mode and
+        an f64 in the other modes."""
         if self.exp_t is not None:
             return mode.from_fraction(self.exp_t ** k)
-        if mode.kind == "bigfloat":
-            return mode.ctx.exp(mode.ctx.mpf(self.t) * k)
+        if mode.kind == "bigfloat":  # k t exactly: a float's decimal is finite
+            kt = decimal.Context(prec=decimal.MAX_PREC).multiply(decimal.Decimal(self.t), k)
+            return mode.rounded(lambda ctx: ctx.exp(kt))
         return exp_f64(k * self.t)
 
 

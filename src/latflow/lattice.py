@@ -13,7 +13,8 @@ A lattice is one value, ``ReducedLattice``, made by either reduction.
 log-scale that defers the exponentials of its rows (so translates are
 stored without overflow) and runs one f64 ``lll_reduce`` in place on the
 scaled columns and their Gram-Schmidt data, which go on to the enumeration,
-or, for bigfloat entries or columns too skewed for f64, the exact reduction
+or, when asked (``translate_basis`` asks for every bigfloat line) or for
+columns too skewed for f64, the exact reduction
 of the unrounded products, whose integer rows it builds from the integer
 ratios of the entries and of the row scales, with no ``Fraction`` made;
 ``translate_basis`` gives it the translate g_t phi(s) Z^3.
@@ -369,10 +370,6 @@ def _flow_scales(log_scale: float) -> tuple:
     return e2, em, em
 
 
-def _holds_bigfloats(matrix) -> bool:
-    return any(getattr(x, "_mpf_", None) is not None for row in matrix for x in row)
-
-
 @dataclass(frozen=True)
 class ReducedLattice:
     """A reduced basis of a rank-3 lattice, and the one Fincke-Pohst
@@ -397,18 +394,19 @@ class ReducedLattice:
     escalated: bool = False
 
     @classmethod
-    def of(cls, matrix: Matrix3, log_scale: float = 0.0) -> "ReducedLattice":
+    def of(cls, matrix: Matrix3, log_scale: float = 0.0,
+           exact: bool = False) -> "ReducedLattice":
         """One reduction of the lattice spanned by the columns of ``matrix``
         (rows of mode scalars), its rows times the f64 values of e^{2l},
         e^{-l}, e^{-l} for l = ``log_scale``: ``lll_reduce`` of the rounded
         products, whose Gram-Schmidt data are handed on, while their f64
         Gram-Schmidt lengths span at most ``GSO_RANGE_CAP``; past that (or
-        where they overflow), and for bigfloat entries, the integral LLL of
+        where they overflow), and always with ``exact``, the integral LLL of
         the unrounded products, scaled to the integer rows and ``den`` that
         ``exact`` makes of them.  The row scales of the last log scale are
         kept, so the samples of one flow time compute them once."""
         scales = _flow_scales(log_scale)
-        if not _holds_bigfloats(matrix):
+        if not exact:
             (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = matrix
             e2, em, _ = scales
             cols = [[float(a0) * e2, float(a1) * em, float(a2) * em],
@@ -543,7 +541,7 @@ def shortest_vector(lat: ReducedLattice) -> ShortVectorResult:
     could undercut the shortest reduced column lies in the Euclidean ball of
     radius sqrt(3) times that column's sup norm, and that ball is enumerated
     to exhaustion, so the result is certified.  On an ``escalated`` lattice
-    (bigfloat entries, or f64 GSO lengths spanning more than ~1e12 or past
+    (a bigfloat translate, or f64 GSO lengths spanning more than ~1e12 or past
     the f64 range) lambda1 is the correctly rounded exact minimum.
     """
     norm, coeffs = lat.minimum(math.inf)
@@ -568,5 +566,6 @@ def count_points(lat: ReducedLattice, r) -> int:
 
 def translate_basis(line, s, t) -> ReducedLattice:
     """The reduced lattice g_t phi(s) Z^3: phi(s) in the line's scalars, the
-    diagonal flow as the log-scale float t."""
-    return ReducedLattice.of(phi(line, s), float(t.t))
+    diagonal flow as the log-scale float t; a bigfloat line's is reduced
+    exactly."""
+    return ReducedLattice.of(phi(line, s), float(t.t), line.mode.kind == "bigfloat")

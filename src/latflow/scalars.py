@@ -4,15 +4,20 @@ Three scalar modes are supported and threaded through the whole package:
 
 * ``f64``        -- double precision, adequate for flow times t <= 12 and
                     denominators |q| <= 2**20,
-* ``bigfloat:B`` -- mpmath floats with B mantissa bits (default 256),
+* ``bigfloat:B`` -- ``Fraction`` values rounded to B significant bits
+                    (default 256),
 * ``rational``   -- exact ``fractions.Fraction`` arithmetic; mandatory for
                     rational and truncated-Liouville inputs where residuals
                     reach 10**-24 and below.
 
-A bigfloat scalar carries its precision: the mode makes it in a B-bit
-``mpmath.MPContext`` (``mp_context``), and mpmath rounds each operation on
-it at that context's precision, whatever ``mpmath.mp.prec`` is, so code
-written once for all modes needs no precision block.
+A bigfloat scalar is a dyadic ``Fraction`` with at most B significant bits:
+every input is correctly rounded to B bits on entry (round half to even;
+a relative error of at most 2^-B), and arithmetic on it is exact after
+that, as in rational mode.  A value is rounded again only where the code
+asks for a mode scalar (``from_fraction``) or a report takes a float.  The
+irrational constants and e^{kt} come from one Ziv loop (``rounded``) over
+``decimal``'s correctly rounded functions, so no result depends on a
+global precision.
 
 Vectors and matrices are plain tuples of whatever numbers the mode
 produces.  Everything here is an immutable value, safe to share between
@@ -21,12 +26,11 @@ threads.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
-
-import mpmath
+from functools import cached_property
 
 from .errors import ParseError, PrecisionError
 
@@ -34,14 +38,6 @@ Vec3 = tuple  # 3 scalars
 Matrix3 = tuple  # 3 row tuples of 3 scalars
 
 F64_MAX_DENOM = 1 << 20  # |q| beyond this loses residual bits in f64
-
-
-@cache
-def mp_context(bits: int) -> mpmath.MPContext:
-    """The mpmath context that rounds at ``bits`` bits, made once per size."""
-    ctx = mpmath.MPContext()
-    ctx.prec = bits
-    return ctx
 
 
 @dataclass(frozen=True)
@@ -57,18 +53,36 @@ class ScalarMode:
         if self.kind == "bigfloat" and (self.bits is None or self.bits < 53):
             raise ParseError("bigfloat mode needs a mantissa size of >= 53 bits")
 
-    @property
-    def ctx(self) -> mpmath.MPContext:
-        """The B-bit mpmath context of a bigfloat mode's scalars."""
-        return mp_context(self.bits)
-
     def from_fraction(self, fr: Fraction):
         if self.kind == "rational":
             return fr
         if self.kind == "f64":
             return float(fr)
-        # division is correctly rounded at the mode's precision
-        return self.ctx.mpf(fr.numerator) / self.ctx.mpf(fr.denominator)
+        # n 2^s / d, rounded half to even to an integer of B bits, over 2^s
+        n, d = fr.numerator, fr.denominator
+        s = self.bits - n.bit_length() + d.bit_length()
+        n, d = (n << s, d) if s >= 0 else (n, d << -s)
+        if abs(n) >= d << self.bits:
+            s, d = s - 1, d << 1
+        m, r = divmod(n, d)
+        if 2 * r > d or (2 * r == d and m & 1):
+            m += 1
+        return Fraction(m, 1 << s) if s >= 0 else Fraction(m << -s)
+
+    def rounded(self, value) -> Fraction:
+        """The B-bit scalar of the irrational number that ``value(ctx)``
+        gives correctly rounded in the decimal context ctx: the digits
+        double until the ends of the one-ulp interval about that decimal
+        round alike (Ziv's strategy)."""
+        digits = self.bits // 3 + 10
+        while True:
+            ctx = decimal.Context(prec=digits, traps=[])
+            if not (y := value(ctx)).is_normal():  # 0, subnormal or infinite
+                raise PrecisionError(f"a bigfloat value past the decimal range: {y}")
+            lo = self.from_fraction(Fraction(ctx.next_minus(y)))
+            if lo == self.from_fraction(Fraction(ctx.next_plus(y))):
+                return lo
+            digits *= 2
 
     def from_int(self, n: int):
         return self.from_fraction(Fraction(n))
@@ -92,7 +106,7 @@ class ScalarMode:
             raise ParseError(f"sqrt({n}) is irrational; not representable in rational mode")
         if self.kind == "f64":
             return math.sqrt(n)
-        return self.ctx.sqrt(n)
+        return self.rounded(lambda ctx: ctx.sqrt(n))
 
     def spec(self) -> str:
         """The --mode string that reproduces this mode."""
@@ -178,7 +192,7 @@ def named_scalar(text: str, mode: ScalarMode):
 def exact_ratio(x) -> tuple[int, int]:
     """(numerator, denominator) of the *stored* value of x, exactly.
 
-    Works for int, Fraction, float and an mpmath mpf of any context: binary
+    Works for the scalars of every mode, int, Fraction and float: binary
     floats are themselves rationals, so witness searches can always run over
     exact integers regardless of mode.
     """
@@ -189,10 +203,6 @@ def exact_ratio(x) -> tuple[int, int]:
     if isinstance(x, float):
         n, d = x.as_integer_ratio()
         return n, d
-    mpf = getattr(x, "_mpf_", None)  # a context's mpf is no mpmath.mpf
-    if mpf is not None:
-        n, d = mpmath.libmp.to_rational(mpf)
-        return int(n), int(d)
     raise ParseError(f"unsupported scalar type {type(x).__name__}")
 
 

@@ -45,6 +45,17 @@ def test_classify_rational_certificate(tmp_path):
     assert doc["config"]["q-max"] == 100
 
 
+@pytest.mark.parametrize("mode, cert", [("bigfloat:256", None), ("rational", [2, 3, 6])])
+def test_rational_certificate_follows_the_mode(mode, cert, tmp_path):
+    # a bigfloat scalar is a Fraction too, but one rounded from its input
+    out = tmp_path / "r"
+    assert run_cli(["classify", "1/2", "1/3", "--mode", mode, "--q-max", "100",
+                    "--out", str(out)]) == 0
+    doc = read_json(str(out) + ".json")
+    assert doc["summary"]["rational_certificate"] == cert
+    assert ("rational-certificate" in doc["flags"]) == (cert is not None)
+
+
 def test_classify_origin(tmp_path):
     out = tmp_path / "o"
     code = run_cli(["classify", "0", "0", "--mode", "rational", "--q-max", "10",
@@ -82,7 +93,7 @@ def test_classify_long_certificate_exit_0(tmp_path, capsys):
                     "--q-max", "10", "--out", str(out)]) == 0
     assert sys.get_int_max_str_digits() == limit
     a, b = (named_scalar(x, RATIONAL) for x in ("liouville:7", "1/3"))
-    cert = dio.rational_certificate(a, b).as_tuple()
+    cert = dio.rational_certificate(a, b, RATIONAL).as_tuple()
     assert cert[2] == 3 * 10 ** 5040
     text = Path(str(out) + ".json").read_text(encoding="utf-8")
     sys.set_int_max_str_digits(0)
@@ -472,6 +483,7 @@ def test_cli_import_leaves_jsonschema_out():
 
 
 def test_no_subcommand_in_any_mode_loads_numpy():
+    # nor mpmath: the test oracles' packages stay out of the runtime
     runs = []
     for mode in ("f64", "bigfloat:256", "rational"):
         for args in REPORT_RUNS:
@@ -482,7 +494,8 @@ def test_no_subcommand_in_any_mode_loads_numpy():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import json, sys, latflow.cli\n"
             "codes = [latflow.cli.main(args) for args in json.loads(sys.argv[1])]\n"
-            "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy')\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.partition('.')[0] in ('numpy', 'mpmath'))\n"
             "print(json.dumps([codes, loaded]), file=sys.stderr)\n")
     done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
                           capture_output=True, text=True,

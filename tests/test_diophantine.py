@@ -2,8 +2,9 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latflow import diophantine as dio
@@ -157,6 +158,49 @@ def test_pow_bound_check_f64_eps():
     assert not dio._pow_bound_check(Fraction(1, 1995262), 1000, two_plus_eps)
 
 
+def _iroot(x: int, d: int) -> int:
+    """floor(x^(1/d)), by Newton's method from above."""
+    r = 1 << -(-x.bit_length() // d)
+    while (s := ((d - 1) * r + x // r ** (d - 1)) // d) < r:
+        r = s
+    return r
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=st.integers(1, 30), q=st.integers(1, 300), n=st.integers(5, 14), d=st.integers(1, 4),
+       delta=st.integers(-2, 2))
+@example(u=1, q=4, n=5, d=2, delta=0)  # 4^-(5/2) = 1/32: equality
+def test_pow_bound_check_matches_the_integer_test(u, q, n, d, delta):
+    # r = u/v next to the bound q^-(n/d): r <= q^-(n/d) iff u^d q^n <= v^d
+    two_plus_eps = Fraction(n, d)
+    assume(two_plus_eps > 2)
+    n, d = two_plus_eps.numerator, two_plus_eps.denominator
+    v = _iroot(u ** d * q ** n, d) + delta
+    assume(v > 0 and Fraction(u, v) <= Fraction(1, 2))
+    r = Fraction(u, v)
+    u, v = r.numerator, r.denominator
+    assert dio._pow_bound_check(r, q, two_plus_eps) == (u ** d * q ** n <= v ** d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eps=st.floats(0.01, 3.0), q=st.integers(2, 10 ** 4), u=st.integers(1, 20),
+       delta=st.integers(-1, 1))
+@example(eps=0.1, q=1000, u=1, delta=0)
+def test_pow_bound_check_f64_eps_matches_high_precision_logs(eps, q, u, delta):
+    # an f64 eps has a denominator up to 2^55 or so: the oracle is the sign
+    # of d ln v - d ln u - n ln q from mpmath at 3000 bits
+    two_plus_eps = 2 + Fraction(eps)
+    n, d = two_plus_eps.numerator, two_plus_eps.denominator
+    with mpmath.workprec(3000):
+        v = int(mpmath.floor(u * mpmath.power(q, mpmath.mpf(n) / d))) + delta
+    assume(v > 0 and Fraction(u, v) <= Fraction(1, 2))
+    r = Fraction(u, v)
+    with mpmath.workprec(3000):
+        diff = d * (mpmath.log(r.denominator) - mpmath.log(r.numerator)) - n * mpmath.log(q)
+    assume(abs(diff) > mpmath.mpf(2) ** -2000)
+    assert dio._pow_bound_check(r, q, two_plus_eps) == (diff > 0)
+
+
 def test_w2eps_counts_a_residual_at_the_bound():
     # q = 4 has residual 4/128 = 4^-(5/2)
     hits = dio.w2eps_witness_search(Fraction(1, 128), Fraction(1, 128), Fraction(1, 2), 10)
@@ -217,17 +261,20 @@ def test_bigfloat_sqrt_pair_no_witnesses():
 # -- rational certificate -----------------------------------------------------
 
 def test_rational_certificate_examples():
-    assert dio.rational_certificate(*HALF_THIRD).as_tuple() == (2, 3, 6)
-    assert dio.rational_certificate(Fraction(0), Fraction(0)).as_tuple() == (0, 0, 1)
-    assert dio.rational_certificate(5, 7).as_tuple() == (7, 5, 1)
-    assert dio.rational_certificate(0.5, 0.3) is None  # floats: not applicable
+    assert dio.rational_certificate(*HALF_THIRD, RATIONAL).as_tuple() == (2, 3, 6)
+    assert dio.rational_certificate(Fraction(0), Fraction(0), RATIONAL).as_tuple() == (0, 0, 1)
+    assert dio.rational_certificate(5, 7, RATIONAL).as_tuple() == (7, 5, 1)
+    assert dio.rational_certificate(0.5, 0.3, F64) is None  # floats: not applicable
+    # a bigfloat scalar is a Fraction, but a rounding of its input
+    half, third = (bigfloat(256).from_fraction(x) for x in HALF_THIRD)
+    assert dio.rational_certificate(half, third, bigfloat(256)) is None
 
 
 def test_rational_certificate_soundness():
     import random
     rng = random.Random(9)
     line = LineSegmentSpec(*HALF_THIRD, Fraction(0), Fraction(1), RATIONAL)
-    cert = dio.rational_certificate(*HALF_THIRD)
+    cert = dio.rational_certificate(*HALF_THIRD, RATIONAL)
     v = IntegerVec3(-cert.p1, -cert.p2, cert.q)
     t = FlowTime.from_exp(Fraction(5))
     for _ in range(10):

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from latflow.flow import (
     segment_sup,
     vandermonde_check,
 )
-from latflow.scalars import F64, RATIONAL, IntegerVec3, bigfloat, named_scalar
+from latflow.scalars import F64, RATIONAL, IntegerVec3, bigfloat, exact_ratio, named_scalar
 
 from util import g, mat_det, mat_mul, mat_vec
 
@@ -287,16 +288,18 @@ def _bigfloat_results():
     v = IntegerVec3(3, -2, 5)
     sups = [segment_sup(line, t, v),
             max(abs(x) for s in line.endpoints() for x in flow_ext2(line, s, t, v))]
-    return [x._mpf_ for x in named + matrix + sups]
+    return [exact_ratio(x) for x in named + matrix + sups]
 
 
 @pytest.mark.parametrize("global_bits", [20, 400])
 def test_bigfloat_results_ignore_global_mpmath_precision(global_bits):
-    # a bigfloat scalar rounds at its mode's precision, whatever mpmath.mp.prec is
+    # a bigfloat scalar rounds at its mode's precision, whatever the global
+    # precision of mpmath or of decimal is
     before = mpmath.mp.prec
-    with mpmath.workprec(53):
+    with mpmath.workprec(53), decimal.localcontext(decimal.Context(prec=16)):
         want = _bigfloat_results()
-    with mpmath.workprec(global_bits):
+    with mpmath.workprec(global_bits), decimal.localcontext(
+            decimal.Context(prec=global_bits // 3)):
         got = _bigfloat_results()
     assert mpmath.mp.prec == before
     assert got == want

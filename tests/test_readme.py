@@ -24,8 +24,8 @@ def test_module_table_is_found():
 @pytest.mark.parametrize("name, contents",
                          [pytest.param(*row, id=row[0]) for row in _module_rows()])
 def test_module_table_names_resolve(name, contents):
-    # tokens that are not dotted identifiers, like `mp_context(B)` or a CLI
-    # line, name no attribute
+    # tokens that are not dotted identifiers, like `lll_reduce(cols, gso)` or
+    # a CLI line, name no attribute
     module = importlib.import_module(name)
     for token in re.findall(r"`([^`]+)`", contents):
         if not _DOTTED.fullmatch(token):

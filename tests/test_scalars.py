@@ -1,9 +1,14 @@
+import decimal
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from latflow.errors import ParseError
+from latflow.errors import ParseError, PrecisionError
+from latflow.flow import FlowTime
 from latflow.scalars import (
     F64,
     RATIONAL,
@@ -68,10 +73,10 @@ def test_named_constants():
 
 
 def test_golden_bigfloat_full_precision():
-    import mpmath
     g = named_scalar("golden", bigfloat(256))
     with mpmath.workprec(400):
-        assert abs(g - (1 + mpmath.sqrt(5)) / 2) < mpmath.mpf(2) ** -250
+        assert abs(mpmath.mpf(g.numerator) / g.denominator
+                   - (1 + mpmath.sqrt(5)) / 2) < mpmath.mpf(2) ** -250
 
 
 def test_mode_from_spec():
@@ -96,11 +101,109 @@ def test_rational_round_trips():
 def test_exact_ratio_of_floats_and_mpf():
     n, d = exact_ratio(0.1)
     assert Fraction(n, d) == Fraction(0.1)
-    import mpmath
-    with mpmath.workprec(100):
-        x = mpmath.mpf(1) / 3
+    x = scalar_from_decimal("1/3", bigfloat(100))
     n, d = exact_ratio(x)
     assert abs(Fraction(n, d) - Fraction(1, 3)) < Fraction(1, 2 ** 90)
+    # an mpmath value is no latflow scalar
+    with mpmath.workprec(100):
+        with pytest.raises(ParseError):
+            exact_ratio(mpmath.mpf(1) / 3)
+
+
+# -- correct rounding of bigfloat scalars, against mpmath at >= 2B + 64 bits ---
+
+def _fraction_of(y) -> Fraction:
+    man, exp = y.man_exp  # of |y|
+    return int(mpmath.sign(y)) * Fraction(int(man)) * Fraction(2) ** int(exp)
+
+
+def _mp_rounded(bits: int, value, extra: int = 0) -> Fraction:
+    """``value()`` evaluated by mpmath at 2 ``bits`` + 64 + ``extra`` bits,
+    then rounded half to even at ``bits``."""
+    with mpmath.workprec(2 * bits + 64 + extra):
+        y = value()
+    with mpmath.workprec(bits):
+        return _fraction_of(+y)
+
+
+def _mp_ratio(bits: int, x: Fraction) -> Fraction:
+    # exact at that precision: a B-bit midpoint m differs from p/q by at
+    # least 2^-B |p/q| / q, more than 2^-(2B + 64 + log2 q) |p/q|
+    return _mp_rounded(bits, lambda: mpmath.mpf(x.numerator) / x.denominator,
+                       x.denominator.bit_length())
+
+
+def test_bigfloat_rounds_a_decimal_once():
+    # mpmath's B-bit division rounds numerator and denominator first
+    text = "0.404796669725102734646869589694"
+    x = scalar_from_decimal(text, bigfloat(53))
+    assert float(x).hex() == "0x1.9e8304a7ff01ap-2"
+    assert x == Fraction(scalar_from_decimal(text, F64))
+
+
+def test_bigfloat_liouville_is_correctly_rounded():
+    x = named_scalar("liouville:7", bigfloat(256))
+    assert x == _mp_ratio(256, liouville_partial(7))
+
+
+def test_bigfloat_exp_is_correctly_rounded():
+    t = 4.981943872954935
+    assert FlowTime.of(t).factor(3, bigfloat(256)) == \
+        _mp_rounded(256, lambda: mpmath.exp(mpmath.mpf(t) * 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.integers(53, 512), p=st.integers(-2 ** 600, 2 ** 600),
+       q=st.integers(1, 2 ** 600))
+@example(bits=53, p=2 ** 53 + 1, q=2 ** 53)  # a tie, to the even 1
+@example(bits=53, p=2 ** 53 + 3, q=2 ** 53)  # a tie, to the even 1 + 2^-51
+@example(bits=53, p=-(2 ** 54 - 1), q=2 ** 54)  # up into the next binade
+@example(bits=64, p=0, q=7)
+def test_from_fraction_rounds_half_to_even(bits, p, q):
+    x = Fraction(p, q)
+    got = bigfloat(bits).from_fraction(x)
+    assert got == _mp_ratio(bits, x)
+    # a dyadic of at most B significant bits
+    if got:
+        n = got.numerator >> ((got.numerator & -got.numerator).bit_length() - 1)
+        assert abs(n).bit_length() <= bits
+        assert got.denominator & (got.denominator - 1) == 0
+
+
+@pytest.mark.parametrize("bits", [53, 54, 64, 100, 128, 256, 300, 512])
+def test_bigfloat_sqrt_and_golden_are_correctly_rounded(bits):
+    mode = bigfloat(bits)
+    for n in (2, 3, 5, 6, 7, 10, 1000003):
+        assert mode.sqrt(n) == _mp_rounded(bits, lambda: mpmath.sqrt(n))
+        ctx = mpmath.MPContext()
+        ctx.prec = bits
+        assert mode.sqrt(n) == _fraction_of(ctx.sqrt(n))  # mpmath's own B bits
+    assert mode.sqrt(49) == 7
+    assert named_scalar("golden", mode) == _mp_rounded(bits, lambda: (1 + mpmath.sqrt(5)) / 2)
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_rounded_widens_next_to_a_tie(side):
+    # 1 + 2^-53 +- 10^-40 lies next to a 53-bit midpoint: the first 27
+    # digits cannot tell on which side, so the digits must double
+    exact = decimal.Context(prec=100)
+    x = exact.add(exact.add(1, exact.power(2, -53)), side * decimal.Decimal("1e-40"))
+    want = 1 + Fraction(1, 2 ** 52) if side > 0 else Fraction(1)
+    assert bigfloat(53).rounded(lambda ctx: ctx.plus(x)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(bits=st.integers(53, 300), t=st.floats(-30.0, 30.0), k=st.sampled_from([-2, -1, 1, 2, 3]))
+@example(bits=256, t=0.0, k=2)
+def test_flow_factor_is_correctly_rounded(bits, t, k):
+    assert FlowTime.of(t).factor(k, bigfloat(bits)) == \
+        _mp_rounded(bits, lambda: mpmath.exp(mpmath.mpf(t) * k))
+
+
+def test_flow_factor_past_the_decimal_range_is_a_precision_error():
+    for t in (2e6, -2e6):
+        with pytest.raises(PrecisionError, match="past the decimal range"):
+            FlowTime.of(t).factor(2, bigfloat(64))
 
 
 def test_mat_identity_and_product():

@@ -38,7 +38,8 @@ SHOWN = 10  # differing operations named in full
 # certificate inside the search whose multiples fill the blocks, and the
 # widest integers (a 720-digit denominator); and the report writers' paths
 # no workload takes: three count columns, JSON alone (rows past one 64-row
-# chunk) and CSV alone.
+# chunk) and CSV alone; last, bigfloat inputs wider than B bits, whose
+# B-bit roundings and exact arithmetic after them every report shows.
 EXTRA_OPS = [
     ["equidist", "sqrt2", "sqrt3", "--mode", "bigfloat:256", "--t-list", "5,9.5,11",
      "--N", "20", "--radii", "1.5"],
@@ -62,6 +63,10 @@ EXTRA_OPS = [
      "--radii", "0.75,1.5,3"],
     ["equidist", "sqrt2", "sqrt3", "--t-list", "3,5", "--N", "70", "--format", "json"],
     ["orbit", "sqrt2", "sqrt3", "--t-grid", "0:6:1", "--N", "5", "--format", "csv"],
+    ["classify", "liouville:7", "1/3", "--mode", "bigfloat:256", "--q-max", "1000"],
+    ["equidist", "0.404796669725102734646869589694", "sqrt3", "--mode", "bigfloat:53",
+     "--t-list", "3,6", "--N", "20"],
+    ["orbit", "sqrt2", "sqrt3", "--mode", "bigfloat:64", "--t-grid", "0:10:2.5", "--N", "5"],
 ]
 
 # Runs in the child, with cwd the tree's temporary directory:
