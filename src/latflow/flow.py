@@ -24,6 +24,7 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InvalidInputError
 from .scalars import (
@@ -101,10 +102,20 @@ class FlowTime:
         an f64 in the other modes."""
         if self.exp_t is not None:
             return mode.from_fraction(self.exp_t ** k)
-        if mode.kind == "bigfloat":  # k t exactly: a float's decimal is finite
-            kt = decimal.Context(prec=decimal.MAX_PREC).multiply(decimal.Decimal(self.t), k)
-            return mode.rounded(lambda ctx: ctx.exp(kt))
+        if mode.kind == "bigfloat":
+            return _exp_bigfloat(self.t, k, mode)
         return exp_f64(k * self.t)
+
+
+@lru_cache(maxsize=8)
+def _exp_bigfloat(t: float, k: int, mode: ScalarMode) -> Fraction:
+    """e^{k t} correctly rounded to the B bits of the bigfloat ``mode``, by
+    one Ziv loop per (t, k, B) among the last few asked for: one flow time
+    asks for the same powers again (``segment_minimum``, then
+    ``segment_sup``)."""
+    # k t exactly: a float's decimal is finite
+    kt = decimal.Context(prec=decimal.MAX_PREC).multiply(decimal.Decimal(t), k)
+    return mode.rounded(lambda ctx: ctx.exp(kt))
 
 
 def phi(line: LineSegmentSpec, s) -> Matrix3:

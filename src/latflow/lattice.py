@@ -29,10 +29,18 @@ the counts at every radius share one reduction; ``ReducedLattice.exact``
 also gives the segment minima, the Dirichlet check and the Diophantine
 search boxes.
 
+The enumeration walks lines: ``_enumerate_half_ball`` yields each run
+lo <= x0 <= hi of the innermost coefficient at fixed (x1, x2), and charges
+its hi - lo + 1 leaves against the leaf cap.  ``points`` and ``minimum``
+test every leaf of a line; ``count`` cuts each line by the slab in which
+each row stays within the radius, exactly for integer rows and, for f64
+rows, with a proven margin inside which the f64 leaf test cannot fail and
+outside which it cannot pass, so only the leaves on the margin are tested.
+
 All functions are pure but for one input: the enumeration leaf cap,
 ``ENUMERATION_BUDGET`` unless a ``with enumeration_budget(n):`` block sets
 it.  ``_enumerate_half_ball`` reads it when an enumeration starts, and
-``ReducedLattice.count`` reads it for its expected-count refusal.
+``_refusal`` reads it for the expected-count refusal of ``count``.
 """
 
 from __future__ import annotations
@@ -213,36 +221,45 @@ def lll_reduce(cols, gso):
 
 
 def _enumerate_half_ball(mu, norm2, bound2):
-    """Yield integer coefficient triples x != 0 (one per +-pair) with
-    ||B x||_2^2 <= bound2, by Fincke-Pohst interval nesting over the
-    Gram-Schmidt data (mu, norm2) of the basis B, within the leaf cap in
-    force when the enumeration starts."""
+    """Yield the lines (x1, x2, lo, hi) of the Fincke-Pohst walk of
+    ||B x||_2^2 <= bound2 over the Gram-Schmidt data (mu, norm2) of the
+    basis B: the leaves x = (x0, x1, x2), lo <= x0 <= hi, of all lines are
+    the integer triples x != 0 of the ball, one per +-pair.  A line is
+    yielded only if it holds a leaf, and charges its hi - lo + 1 leaves
+    against the leaf cap in force when the enumeration starts, before it
+    is yielded."""
     budget = _budget.get()
     count = 0
-    for x2 in range(0, math.floor(math.sqrt(bound2 / norm2[2])) + 1):
-        r2 = bound2 - x2 * x2 * norm2[2]
+    n0, n1, n2 = norm2
+    m10, m20, m21 = mu[1][0], mu[2][0], mu[2][1]
+    for x2 in range(0, math.floor(math.sqrt(bound2 / n2)) + 1):
+        r2 = bound2 - x2 * x2 * n2
         if r2 < 0:
             continue
-        c1 = mu[2][1] * x2
-        half1 = math.sqrt(r2 / norm2[1])
+        c1 = m21 * x2
+        half1 = math.sqrt(r2 / n1)
         lo1 = math.ceil(-half1 - c1)
         # one of each +-pair: the last nonzero coefficient is positive, so
         # x2 = 0 starts x1 at 0 and x1 = x2 = 0 starts x0 at 1
         for x1 in range(lo1 if x2 else max(lo1, 0), math.floor(half1 - c1) + 1):
             t1 = x1 + c1
-            r1 = r2 - t1 * t1 * norm2[1]
+            r1 = r2 - t1 * t1 * n1
             if r1 < 0:
                 continue
-            c0 = mu[1][0] * x1 + mu[2][0] * x2
-            half0 = math.sqrt(r1 / norm2[0])
+            c0 = m10 * x1 + m20 * x2
+            half0 = math.sqrt(r1 / n0)
             lo0 = math.ceil(-half0 - c0)
-            for x0 in range(lo0 if x1 or x2 else max(lo0, 1), math.floor(half0 - c0) + 1):
-                count += 1
-                if count > budget:
-                    raise BudgetError(
-                        "lattice enumeration visited more than its budget "
-                        f"of {budget} nodes")
-                yield (x0, x1, x2)
+            if not (x1 or x2) and lo0 < 1:
+                lo0 = 1
+            hi0 = math.floor(half0 - c0)
+            if hi0 < lo0:
+                continue
+            count += hi0 - lo0 + 1
+            if count > budget:
+                raise BudgetError(
+                    "lattice enumeration visited more than its budget "
+                    f"of {budget} nodes")
+            yield x1, x2, lo0, hi0
 
 
 def _transform_apply(u, x):
@@ -359,6 +376,137 @@ def _clamped_ratio(num: int, den: int) -> float:
         return 1e300
 
 
+# -- counting a line of the walk at a time (``ReducedLattice.count``) -------
+
+_NORMAL = 2.0 ** -1022  # the least positive normal f64
+_U = 2.0 ** -53  # the unit roundoff of f64
+_ENTRY_RANGE = (2.0 ** -400, 2.0 ** 400)  # nonzero entries the margin covers
+_X_RANGE = 2 ** 50  # and coefficients
+
+
+def _refusal(limit, gram_det) -> str | None:
+    """Why a count within ``limit`` on a lattice of Gram determinant
+    ``gram_det`` = det(L)^2 is refused, or None: an expected count
+    (2 limit)^3 / det(L) above the leaf cap in force, decided on its square
+    in integers (an f64 Gram determinant past the f64 range refuses
+    nothing).  A float pre-test lets most counts through at once: with
+    u = 2^-53 and 2 limit >= 2^-170, so that no product underflows, the f64
+    values of q = (2 limit)^6 / gram_det and of cap^2 (1 - 2^-40) carry
+    relative errors of at most 14u and 4u, so a normal q at most the latter,
+    when it is finite, is within the cap.  Near the cap, and on overflow,
+    underflow, inf or NaN, the integers decide."""
+    budget = _budget.get()
+    try:
+        x, b = 2 * float(limit), float(budget)
+        q = x * x * x * x * x * x / float(gram_det)
+        if x >= 2.0 ** -170 and _NORMAL <= q <= b * b * (1 - 2.0 ** -40) < math.inf:
+            return None
+    except (OverflowError, ZeroDivisionError):
+        pass
+    ln, ld = exact_ratio(limit)
+    gn, gd = (1, 0) if gram_det == math.inf else exact_ratio(gram_det)
+    # the squared expected count is over / under
+    over, under = (2 * ln) ** 6 * gd, gn * ld ** 6
+    if over <= budget ** 2 * under:
+        return None
+    expected = (Decimal(over) / under).sqrt() if under else Decimal("Infinity")
+    return ("count_points: expected point count exceeds the budget: "
+            f"(2r)^3/det(L) = {expected:.4g} against a cap of {budget} points")
+
+
+def _leaf_hits(rows, limit, x1, x2, x0s) -> int:
+    """How many x0 of ``x0s`` pass the leaf test of ``_points`` on the line
+    (x1, x2)."""
+    n = 0
+    for x0 in x0s:
+        for r0, r1, r2 in rows:
+            if abs(r0 * x0 + r1 * x1 + r2 * x2) > limit:
+                break
+        else:
+            n += 1
+    return n
+
+
+def _count_integral(rows, limit, lines) -> int:
+    """The leaves of ``lines`` within ``limit`` of 0 in every integer row:
+    on the line (x1, x2), with s = r1 x1 + r2 x2, a row with r0 > 0 (a row
+    is negated to make r0 >= 0) keeps -((limit + s) // r0) <= x0 <=
+    (limit - s) // r0, and a row with r0 = 0 keeps the line or none of it."""
+    rows = [row if row[0] >= 0 else [-r for r in row] for row in rows]
+    n = 0
+    for x1, x2, lo, hi in lines:
+        for r0, r1, r2 in rows:
+            s = r1 * x1 + r2 * x2
+            if r0:
+                lo = max(lo, -((limit + s) // r0))
+                hi = min(hi, (limit - s) // r0)
+            elif abs(s) > limit:
+                break
+        else:
+            n += max(0, hi - lo + 1)
+    return n
+
+
+def _count_f64(rows, limit, lines) -> int:
+    """The leaves of ``lines`` that pass the leaf test of ``_points`` on the
+    f64 ``rows``: on each line the x0 within the ends of its slabs moved in
+    by one margin are counted whole, and only those between these ends and
+    the ends moved out take the leaf test (the margin and its proof are in
+    ``ReducedLattice.count``)."""
+    x_max = 0
+    for x1, x2, lo, hi in lines:
+        if -lo > x_max:
+            x_max = -lo
+        if hi > x_max:
+            x_max = hi
+        if abs(x1) > x_max:
+            x_max = abs(x1)
+        if x2 > x_max:
+            x_max = x2
+    small, large = _ENTRY_RANGE
+    sizes = [abs(x) for row in rows for x in row if x]
+    if not (x_max <= _X_RANGE and small <= limit <= large
+            and small <= min(sizes) and max(sizes) <= large):
+        return sum(_leaf_hits(rows, limit, x1, x2, range(lo, hi + 1))
+                   for x1, x2, lo, hi in lines)
+    flat, slabs, margin = [], [], 0.0
+    for r0, r1, r2 in rows:
+        if r0 == 0:
+            flat.append((r1, r2))
+            continue
+        a = abs(r0)
+        margin = max(margin, (x_max * (a + abs(r1) + abs(r2)) + limit) / a)
+        slabs.append((-r1 / r0, -r2 / r0, limit / a))
+    margin *= 16 * _U
+    n = 0
+    for x1, x2, lo, hi in lines:
+        if flat and any(abs(r1 * x1 + r2 * x2) > limit for r1, r2 in flat):
+            continue
+        # the ends of the intersection of the slabs
+        end_lo, end_hi = -math.inf, math.inf
+        for g1, g2, h in slabs:
+            c = g1 * x1 + g2 * x2
+            if c - h > end_lo:
+                end_lo = c - h
+            if c + h < end_hi:
+                end_hi = c + h
+        a = math.ceil(end_lo - margin)
+        if a < lo:
+            a = lo
+        b = math.floor(end_hi + margin)
+        if b > hi:
+            b = hi
+        while a <= b and a < end_lo + margin:
+            n += _leaf_hits(rows, limit, x1, x2, (a,))
+            a += 1
+        while a <= b and b > end_hi - margin:
+            n += _leaf_hits(rows, limit, x1, x2, (b,))
+            b -= 1
+        if a <= b:
+            n += b - a + 1
+    return n
+
+
 # -- one reduced lattice for both reductions -------------------------------
 
 @lru_cache(maxsize=1)
@@ -466,26 +614,32 @@ class ReducedLattice:
         n, d = exact_ratio(radius)
         return n * self.den // d
 
+    def _lines(self, limit):
+        """The lines of the walk of the Euclidean ball of radius sqrt(n)
+        ``limit`` (inflated by 1e-9 against rounding in the float interval
+        bounds), which holds every vector of sup norm <= ``limit``."""
+        bound2 = float(len(self.rows) * limit * limit / self.scale2) * (1 + 1e-9) ** 2
+        return _enumerate_half_ball(self.mu, self.norm2, bound2)
+
     def _points(self, limit):
         """(norm, x) of every vector, one per +-pair, of sup norm <=
         ``limit`` in the units of ``rows``, x its coefficients w.r.t. the
-        reduced basis: the Euclidean ball of radius sqrt(n) limit (inflated
-        by 1e-9 against rounding in the float interval bounds) is enumerated
-        to exhaustion, within the leaf cap.  Norms are exact for integer rows
-        and the f64 evaluation of the reduced columns for f64 rows."""
+        reduced basis: each leaf of ``_lines`` in turn, within the leaf cap,
+        passes the leaf test when every row's value is at most ``limit`` in
+        absolute value.  Norms are exact for integer rows and the f64
+        evaluation of the reduced columns for f64 rows."""
         rows = self.rows
-        bound2 = float(len(rows) * limit * limit / self.scale2) * (1 + 1e-9) ** 2
-        for x in _enumerate_half_ball(self.mu, self.norm2, bound2):
-            x0, x1, x2 = x
-            norm = 0
-            for r0, r1, r2 in rows:
-                c = abs(r0 * x0 + r1 * x1 + r2 * x2)
-                if c > limit:
-                    break
-                if c > norm:
-                    norm = c
-            else:
-                yield norm, x
+        for x1, x2, lo, hi in self._lines(limit):
+            for x0 in range(lo, hi + 1):
+                norm = 0
+                for r0, r1, r2 in rows:
+                    c = abs(r0 * x0 + r1 * x1 + r2 * x2)
+                    if c > limit:
+                        break
+                    if c > norm:
+                        norm = c
+                else:
+                    yield norm, (x0, x1, x2)
 
     def points(self, radius):
         """Yield the coefficients w.r.t. the basis of every lattice vector,
@@ -518,20 +672,54 @@ class ReducedLattice:
     def count(self, radius) -> int:
         """#{v in L \\ 0 : ||v||_inf <= radius} for a finite radius; for a
         lattice in R^3 it refuses an expected count (2 radius)^3 / det(L)
-        above the leaf cap, and names both."""
+        above the leaf cap, and names both.
+
+        It is twice the number of leaves of ``_points`` that pass its leaf
+        test, counted a line of the walk at a time; every line is charged
+        in full against the leaf cap, as ``_points`` charges it.  On the line
+        (x1, x2), a row (r0, r1, r2) has the value r0 x0 + s, s = r1 x1 +
+        r2 x2, within L = limit exactly on the slab |x0 - c| <= h about
+        c = g1 x1 + g2 x2, g_j = -r_j / r0, of half-width h = L / |r0|.  A row
+        with r0 = 0 is tested once per line.  Integer rows cut each line
+        exactly, by floor division.
+
+        For f64 rows the line is cut at the ends A = max_j fl(C_j - H_j)
+        and B = min_j fl(C_j + H_j) of the computed slabs of the rows j with
+        r0 != 0, with one margin W = 16u M, where u = 2^-53,
+        M = max_j (X + (|r1| X + |r2| X + L) / |r0|) and X bounds |x0|,
+        |x1| and |x2| on the walk: the x0 with fl(A + W) <= x0 <= fl(B - W)
+        pass the leaf test and are counted whole, those outside
+        fl(A - W) <= x0 <= fl(B + W) fail it, and only the x0 between take
+        it.  Proof, for one row, where each rounding is a factor 1 + d with
+        |d| <= u, S = |r1| X + |r2| X and K = X + (S + L) / |r0| <= M:
+        - The leaf test evaluates V = fl(fl(fl(r0 x0) + fl(r1 x1)) +
+          fl(r2 x2)) and passes iff |V| <= L.  The dot-product error bound
+          gives |V - r0 (x0 - c)| <= g3 (|r0| X + S), g3 = 3u / (1 - 3u), so
+          the row passes where |x0 - c| <= h - e and fails where
+          |x0 - c| > h + e, e = g3 (X + S / |r0|) <= 3.01u K.
+        - C = fl(fl(G1 x1) + fl(G2 x2)), G_i = fl(-r_i / r0), is within
+          g3 S / |r0| of c, and H = fl(L / |r0|) (L rounded to f64 first if
+          it is not a float) within 2.01u h of h; so fl(C -+ H) is within
+          4.02u K of c -+ h, and at most 1.01 M in absolute value.
+        - An x0 >= fl(A + W) has x0 >= A + W - u (|A| + W) >= fl(C - H) +
+          W - u (1.01 M + W), so x0 - (c - h) >= W (1 - u) - 5.03u M >= e
+          once W (1 - u) >= 8.04u M; likewise (c + h) - x0 >= e for
+          x0 <= fl(B - W).  An x0 < fl(A - W) has x0 < A - W + u (|A| + W),
+          so (c - h) - x0 > e on the row with A = fl(C - H), under the same
+          condition; likewise for x0 > fl(B + W).
+        - The computed W, at least 15.9u M, meets the condition with room.
+        A row with r0 = 0 has V = fl(fl(r1 x1) + fl(r2 x2)) at every x0, as
+        fl(r0 x0) = +-0 adds nothing.  The bound needs no underflow or
+        overflow, which holds when L and every entry of the rows lie in
+        {0} U [2^-400, 2^400] and X <= 2^50; otherwise every leaf of the
+        walk takes the leaf test.
+        """
         limit = self._limit(radius)
-        budget = _budget.get()
-        ln, ld = exact_ratio(limit)
-        # an f64 Gram determinant past the f64 range refuses nothing
-        gn, gd = (1, 0) if self.gram_det == math.inf else exact_ratio(self.gram_det)
-        # the squared expected count (2 limit)^6 / det(L)^2 is over / under
-        over, under = (2 * ln) ** 6 * gd, gn * ld ** 6
-        if over <= budget ** 2 * under:
-            return 2 * sum(1 for _ in self._points(limit))
-        expected = (Decimal(over) / under).sqrt() if under else Decimal("Infinity")
-        raise BudgetError(
-            "count_points: expected point count exceeds the budget: "
-            f"(2r)^3/det(L) = {expected:.4g} against a cap of {budget} points")
+        if (refusal := _refusal(limit, self.gram_det)) is not None:
+            raise BudgetError(refusal)
+        lines = list(self._lines(limit))
+        cut = _count_integral if self.escalated else _count_f64
+        return 2 * cut(self.rows, limit, lines)
 
 
 def shortest_vector(lat: ReducedLattice) -> ShortVectorResult:
@@ -553,10 +741,13 @@ def count_points(lat: ReducedLattice, r) -> int:
     """#{v in L \\ 0 : ||v||_inf <= r}, by complete enumeration of ``lat``,
     which serves every radius from one reduction.
 
-    Counts are exact and even (the ball is symmetric); an expected count
-    (2r)^3 / det(L) or enumeration work beyond the leaf cap raises
-    BudgetError.  An escalated lattice is counted exactly.  A radius that is
-    not positive and finite is invalid input.
+    Counts are exact and even (the ball is symmetric): they are the
+    points that the f64 (or, on an escalated lattice, exact) leaf test of
+    ``points`` accepts, counted a line of the walk at a time.  An expected
+    count (2r)^3 / det(L) beyond the leaf cap raises BudgetError, and so do
+    lines that charge more leaves than the cap, though most leaves of a
+    line are never visited.  A radius that is not positive and finite is
+    invalid input.
     """
     r = float(r)
     if not 0 < r < math.inf:

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from latflow import cli
 from latflow import diophantine as dio
 from latflow import experiments as exp
+from latflow import flow
 from latflow import lattice
 from latflow.errors import InvalidInputError
-from latflow.scalars import RATIONAL, bigfloat, exact_ratio, named_scalar
+from latflow.scalars import RATIONAL, ScalarMode, bigfloat, exact_ratio, named_scalar
 
 from util import csv_per_cell
 
@@ -150,6 +151,24 @@ def test_orbit_rational_minima(tmp_path):
         rows = list(csv.reader(f))
     assert rows[0] == ["t", "min_value", "min_vector", "below_cap", "escape_fraction"]
     assert len(rows) == 1 + 9
+
+
+def test_bigfloat_orbit_runs_one_ziv_loop_per_power(tmp_path, monkeypatch):
+    # sqrt2 and sqrt3 are one Ziv loop each; then segment_minimum and
+    # segment_sup both ask for e^{2t} and e^{-t} of each of the four flow
+    # times, which are two loops per flow time
+    calls = []
+    rounded = ScalarMode.rounded
+    monkeypatch.setattr(ScalarMode, "rounded",
+                        lambda mode, value: calls.append(mode) or rounded(mode, value))
+    flow._exp_bigfloat.cache_clear()
+    out = tmp_path / "orb"
+    assert run_cli(["orbit", "sqrt2", "sqrt3", "--mode", "bigfloat:64",
+                    "--t-grid", "0:3:1", "--N", "3", "--R-cap", "8", "--out", str(out)]) == 0
+    doc = read_json(str(out) + ".json")
+    assert all(row["below_cap"] for row in doc["samples"])
+    assert len(calls) == 2 + 2 * 4
+    assert set(calls) == {bigfloat(64)}
 
 
 def test_orbit_single_point_grid(tmp_path):

@@ -25,10 +25,11 @@ from latflow.lattice import (
 )
 from latflow.scalars import F64, RATIONAL, bigfloat, exact_ratio, named_scalar
 
-from util import (brute_force_count, brute_force_lambda1, count_points_f64,
-                  count_points_mp, exact_scaled_rows, gram_schmidt_full, lll_reduce_full,
-                  lll_reduce_integral_cohen, random_unimodular_columns,
-                  scaled_columns, shortest_vector_f64, shortest_vector_mp)
+from util import (brute_force_count, brute_force_lambda1, count_leaf_by_leaf,
+                  count_points_f64, count_points_mp, count_refused, exact_scaled_rows,
+                  gram_schmidt_full, lll_reduce_full, lll_reduce_integral_cohen,
+                  random_unimodular_columns, scaled_columns, shortest_vector_f64,
+                  shortest_vector_mp)
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
                                 Fraction(0), Fraction(1), RATIONAL)
@@ -611,6 +612,107 @@ def test_count_points_past_f64_gram_determinant():
     lat = ReducedLattice.of(((1e110, 0.0, 0.0), (0.0, 1e110, 0.0), (0.0, 0.0, 1e110)))
     assert count_points(lat, 1.0) == 0
     assert count_points(lat, 1e110) == 26
+
+
+def _assert_counts_leaf_by_leaf(lat, radius):
+    """``count`` is the leaf-by-leaf count, and the leaf cap stops it at
+    exactly the leaves the walk visits, unless the expected count is
+    refused first."""
+    want, leaves = count_leaf_by_leaf(lat, radius)
+    limit = lat._limit(radius)
+    assert lat.count(radius) == want
+    for budget in (leaves, leaves - 1):
+        if budget < 0:
+            continue
+        with enumeration_budget(budget):
+            if count_refused(limit, lat.gram_det, budget):
+                with pytest.raises(BudgetError, match="expected point count"):
+                    lat.count(radius)
+            elif budget < leaves:
+                with pytest.raises(BudgetError, match=f"budget of {budget} nodes"):
+                    lat.count(radius)
+            else:
+                assert lat.count(radius) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), log_cond=st.floats(0, 6),
+       radius=st.floats(0.05, 3))
+def test_count_is_leaf_by_leaf_on_f64_lattices(seed, log_cond, radius):
+    cols = random_unimodular_columns(np.random.default_rng(seed), log_cond)
+    _assert_counts_leaf_by_leaf(ReducedLattice.of(_rows_of(cols)), radius)
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=st.floats(0, 1), t=st.floats(-2, 9), radius=st.floats(0.25, 3))
+def test_count_is_leaf_by_leaf_on_translates(s, t, radius):
+    _assert_counts_leaf_by_leaf(translate_basis(GENERIC_LINE, s, FlowTime.of(t)), radius)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([3, 4]),
+       den=st.sampled_from([1, 12]),
+       radius=st.fractions(Fraction(1, 10), 6, max_denominator=24))
+def test_count_is_leaf_by_leaf_on_exact_lattices(seed, n, den, radius):
+    cols = _random_integer_basis(np.random.default_rng(seed), n, 5)
+    _assert_counts_leaf_by_leaf(ReducedLattice.exact(_rows(cols, den)), radius)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["f64", "exact"])
+@pytest.mark.parametrize("k", [0, 1, 3, 10])
+def test_count_of_dyadic_cubic_lattices_on_the_box_faces(k, exact):
+    # 2^-k Z^3 at radii m 2^-k puts points on every face of the box
+    h = 2.0 ** -k
+    lat = ReducedLattice.of(((h, 0.0, 0.0), (0.0, h, 0.0), (0.0, 0.0, h)), exact=exact)
+    for m in (1, 2, 3, 5):
+        for radius in (m * h, (m + 0.5) * h, (m - 2 ** -20) * h):
+            assert lat.count(radius) == (2 * math.floor(radius / h) + 1) ** 3 - 1
+            _assert_counts_leaf_by_leaf(lat, radius)
+
+
+@pytest.mark.parametrize("tiny", [0.0, 1e-17, 2.0 ** -60, 1e-200, 5e-324])
+def test_count_on_rows_with_zero_or_tiny_first_entry(tiny):
+    # a zero r0 is tested once per line; a tiny one has a slab wider than
+    # the walk; entries under 2^-400 leave every leaf to the leaf test
+    for matrix in (((1.0, 0.0, 0.0), (tiny, 1.0, 0.0), (0.0, 0.0, 1.0)),
+                   ((1.0, 0.5, 0.25), (tiny, 1.0, 0.3), (-tiny, 0.0, 1.0)),
+                   ((1.0, tiny, 0.0), (0.0, 1.0, tiny), (0.0, 0.0, 1.0))):
+        lat = ReducedLattice.of(matrix)
+        assert any(abs(row[0]) in (0.0, tiny) for row in lat.rows)
+        for radius in (0.5, 1.0, 1.5, 2.0, 2.75):
+            _assert_counts_leaf_by_leaf(lat, radius)
+
+
+@st.composite
+def _near_the_cap(draw):
+    """(limit, gram_det, budget) within a few ulps or units of the cap,
+    (2 limit)^6 = budget^2 gram_det at limit = p q / 2, gram_det = q^6 and
+    budget = p^3: f64 values as an f64 lattice has them, or integers as an
+    exact lattice has them (2 limit = p q, gram_det = 64 q^6)."""
+    p, q = draw(st.integers(1, 10 ** 6)), draw(st.integers(1, 400))
+    budget = max(p ** 3 + draw(st.integers(-1, 1)), 0)
+    if draw(st.booleans()):
+        limit, gram_det = p * q / 2, float(q ** 6)
+        for _ in range(draw(st.integers(0, 2))):
+            limit = math.nextafter(limit, draw(st.sampled_from([0, math.inf])))
+        for _ in range(draw(st.integers(0, 2))):
+            gram_det = math.nextafter(gram_det, draw(st.sampled_from([0, math.inf])))
+        return limit, gram_det, budget
+    return (p * q + draw(st.integers(-1, 1)), 64 * q ** 6 + draw(st.integers(-1, 1)),
+            budget)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=st.one_of(_near_the_cap(), st.tuples(
+    st.one_of(st.floats(0, 1e300), st.integers(0, 10 ** 400),
+              st.fractions(0, 10 ** 6, max_denominator=10 ** 30)),
+    st.one_of(st.floats(0, math.inf), st.integers(1, 10 ** 700)),
+    st.one_of(st.integers(0, 10 ** 8), st.integers(0, 10 ** 400)))))
+def test_count_refusal_is_the_exact_rule(case):
+    limit, gram_det, budget = case
+    with enumeration_budget(budget):
+        refusal = lattice._refusal(limit, gram_det)
+    assert (refusal is not None) == count_refused(limit, gram_det, budget)
 
 
 def test_count_points_budget_error():

@@ -5,7 +5,9 @@ integral LLL, a 256-bit float lattice path and the f64 shortest vector and
 point count on it, the q-scan segment minimum, the q-scan witness and E_q
 searches, the float p-window decision of I_R on a grid, the numpy
 Dirichlet grid, an exact I_R measure, the per-sample translate route through
-``Fraction`` and ``from_int``, and the per-cell CSV writer."""
+``Fraction`` and ``from_int``, the per-cell CSV writer, and the leaf-by-leaf
+point count and the exact expected-count refusal of
+``ReducedLattice.count``."""
 
 from __future__ import annotations
 
@@ -343,6 +345,52 @@ def _mp_half_ball(cols, bound2):
             for x0 in range(int(mpmath.ceil(-h0 - c0)), int(mpmath.floor(h0 - c0)) + 1):
                 if x2 != 0 or x1 != 0 or x0 > 0:
                     yield (x0, x1, x2)
+
+
+def half_ball_leaves(mu, norm2, bound2):
+    """The leaves of the walk of ``lattice._enumerate_half_ball``, one at a
+    time and in its order, with no leaf cap: the walk as it was written
+    before it yielded whole lines."""
+    for x2 in range(0, math.floor(math.sqrt(bound2 / norm2[2])) + 1):
+        r2 = bound2 - x2 * x2 * norm2[2]
+        if r2 < 0:
+            continue
+        c1 = mu[2][1] * x2
+        half1 = math.sqrt(r2 / norm2[1])
+        lo1 = math.ceil(-half1 - c1)
+        for x1 in range(lo1 if x2 else max(lo1, 0), math.floor(half1 - c1) + 1):
+            t1 = x1 + c1
+            r1 = r2 - t1 * t1 * norm2[1]
+            if r1 < 0:
+                continue
+            c0 = mu[1][0] * x1 + mu[2][0] * x2
+            half0 = math.sqrt(r1 / norm2[0])
+            lo0 = math.ceil(-half0 - c0)
+            for x0 in range(lo0 if x1 or x2 else max(lo0, 1), math.floor(half0 - c0) + 1):
+                yield (x0, x1, x2)
+
+
+def count_leaf_by_leaf(lat, radius) -> tuple[int, int]:
+    """Oracle for ``ReducedLattice.count`` below its refusal: (twice the
+    leaves of ``half_ball_leaves`` whose every row is within the limit in
+    the rows' own arithmetic, as the leaf test of ``_points`` has it, and
+    the number of leaves walked)."""
+    limit = lat._limit(radius)
+    bound2 = float(len(lat.rows) * limit * limit / lat.scale2) * (1 + 1e-9) ** 2
+    hits = leaves = 0
+    for x0, x1, x2 in half_ball_leaves(lat.mu, lat.norm2, bound2):
+        leaves += 1
+        hits += all(abs(r0 * x0 + r1 * x1 + r2 * x2) <= limit for r0, r1, r2 in lat.rows)
+    return 2 * hits, leaves
+
+
+def count_refused(limit, gram_det, budget: int) -> bool:
+    """Oracle for the expected-count refusal of ``ReducedLattice.count``:
+    (2 limit)^6 / gram_det > budget^2, decided in integers; an f64 Gram
+    determinant past the f64 range refuses nothing."""
+    ln, ld = exact_ratio(limit)
+    gn, gd = (1, 0) if gram_det == math.inf else exact_ratio(gram_det)
+    return (2 * ln) ** 6 * gd > budget ** 2 * gn * ld ** 6
 
 
 def shortest_vector_mp(matrix, log_scale: float = 0.0):

@@ -38,8 +38,11 @@ SHOWN = 10  # differing operations named in full
 # certificate inside the search whose multiples fill the blocks, and the
 # widest integers (a 720-digit denominator); and the report writers' paths
 # no workload takes: three count columns, JSON alone (rows past one 64-row
-# chunk) and CSV alone; last, bigfloat inputs wider than B bits, whose
-# B-bit roundings and exact arithmetic after them every report shows.
+# chunk) and CSV alone; bigfloat inputs wider than B bits, whose B-bit
+# roundings and exact arithmetic after them every report shows; last, the
+# translates of the line (1/2, 1/4) in f64, bigfloat (integer rows) and
+# rational mode: at t = 0 two coordinates of each lattice point are
+# integers, so many points lie exactly on the faces of the count boxes.
 EXTRA_OPS = [
     ["equidist", "sqrt2", "sqrt3", "--mode", "bigfloat:256", "--t-list", "5,9.5,11",
      "--N", "20", "--radii", "1.5"],
@@ -67,6 +70,12 @@ EXTRA_OPS = [
     ["equidist", "0.404796669725102734646869589694", "sqrt3", "--mode", "bigfloat:53",
      "--t-list", "3,6", "--N", "20"],
     ["orbit", "sqrt2", "sqrt3", "--mode", "bigfloat:64", "--t-grid", "0:10:2.5", "--N", "5"],
+    ["equidist", "1/2", "1/4", "--interval=0,1", "--t-list", "0,0.5", "--N", "60",
+     "--radii", "1,2"],
+    ["equidist", "1/2", "1/4", "--mode", "bigfloat:64", "--interval=0,1", "--t-list", "0,1",
+     "--N", "40", "--radii", "1,2"],
+    ["equidist", "1/2", "1/4", "--mode", "rational", "--interval=0,1", "--t-list", "0",
+     "--N", "40", "--radii", "1,2"],
 ]
 
 # Runs in the child, with cwd the tree's temporary directory:
