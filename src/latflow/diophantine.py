@@ -16,15 +16,21 @@ rounding.  Candidates come from Dani's correspondence: the integer vectors
 (p1, p2, q) with q in a dyadic block [Q, 2Q) on which two rational linear
 forms are at most B are the short vectors of a rank-3 lattice in an axis
 box, which the exact sup-norm engine of ``lattice`` enumerates
-(``_box_points``).  The witness searches and E_q take each candidate and its
+(``_box_points``).  Every block's box is the coefficient lattice Z^3 under
+a new diagonal scaling, so each block's integer rows come straight from the
+integer forms and its reduction starts from the reduced basis of the block
+before; a block's points are the same whichever reduced basis enumerates
+them, but come in no fixed order, and each search sorts what it needs
+ordered.  The witness searches and E_q take each candidate and its
 residuals q b + p1 and q a + p2 straight from the box; the return windows
 of ``ir_density`` take the segment coordinates c0 + c1 s_i, whose q = 0
 points are the sheets.  A search therefore costs O(log q_max) lattice
 reductions plus work in proportion to its candidates, not one step per q;
 each candidate then passes the exact per-q test of its class.
 ``dirichlet_direct`` is the same correspondence for the improved Dirichlet
-system.  Each block, and each Dirichlet horizon, is one enumeration under
-the leaf cap of ``lattice.enumeration_budget``.  Searches are bounded by
+system, each horizon reduced from the basis of the one before.  Each block,
+and each Dirichlet horizon, is one enumeration under the leaf cap of
+``lattice.enumeration_budget``.  Searches are bounded by
 q_max and report witnesses / non-witnesses up to that bound only;
 membership language for irrational inputs must keep that caveat.
 """
@@ -41,25 +47,39 @@ from .lattice import ReducedLattice
 from .scalars import F64_MAX_DENOM, IntegerVec3, ScalarMode, exact_ratio
 
 
-def _box_points(forms, bound, q_max: int, block_p2: bool = False):
+def _box_points(forms, den: int, bound, q_max: int, block_p2: bool = False):
     """Yield, for each dyadic block [Q, 2Q) of n(v) in turn (n(v) = q, or
     max(|p2|, q) with ``block_p2``), the list of integer vectors
     v = (p1, p2, q), one per +-pair and with q >= 0, such that n(v) is in
     the block (or 0, in the first block), q <= q_max and |f1(v)|, |f2(v)|
-    <= B = bound(Q).  ``forms`` holds the rational coefficients of f1 and f2
-    on (p1, p2, q), independent in (p1, p2).  ``bound`` is called once per
-    block, in order; None ends the search.  The box is the unit sup-norm
-    cube of a lattice (Dani's correspondence), which
-    ``ReducedLattice.points`` enumerates exactly, within the leaf cap.
+    <= B = bound(Q), in no fixed order.  ``forms`` holds the integer
+    coefficients F of f1 and f2 on (p1, p2, q) times ``den``, independent
+    in (p1, p2).  ``bound`` is called once per block, in order, and returns
+    a rational B > 0; None ends the search.
+
+    The box is the unit sup-norm cube of a lattice (Dani's correspondence),
+    which ``ReducedLattice.points`` enumerates exactly, within the leaf cap:
+    with B = bn / bd and m = min(2Q - 1, q_max), its integer rows over
+    L = lcm(den bn, m[, 2Q - 1]) are F bd L / (den bn), L / m on q and, with
+    ``block_p2``, L / (2Q - 1) on p2, and the cube is the box of radius L.
+    Every block is the lattice Z^3 of coefficients under a new diagonal
+    scaling, so each block's reduction starts from the reduced basis of
+    the block before it.
     """
-    Q = 1
+    Q, start = 1, None
     while (B := bound(Q)) is not None:
         end = 2 * Q - 1
-        rows = [[x / B for x in f] for f in forms] + [[0, 0, Fraction(1, min(end, q_max))]]
+        m = min(end, q_max)
+        bn, bd = B.as_integer_ratio()
+        L = math.lcm(den * bn, m, end if block_p2 else 1)
+        k = bd * (L // (den * bn))
+        rows = [[x * k for x in f] for f in forms] + [[0, 0, L // m]]
         if block_p2:
-            rows.append([0, Fraction(1, end), 0])
+            rows.append([0, L // end, 0])
+        lattice = ReducedLattice.exact(rows, start)
+        start = lattice.transform
         block = []
-        for p1, p2, q in ReducedLattice.exact(rows).points(1):
+        for p1, p2, q in lattice.points(L):
             if q < 0:
                 p1, p2, q = -p1, -p2, -q
             n = max(abs(p2), q) if block_p2 else q
@@ -84,9 +104,10 @@ def _approximations(a, b, bound, q_max: int):
     """
     nb, db = exact_ratio(b)
     na, da = exact_ratio(a)
-    forms = ((1, 0, Fraction(nb, db)), (0, 1, Fraction(na, da)))
+    den = math.lcm(db, da)
+    forms = ((den, 0, nb * (den // db)), (0, den, na * (den // da)))
     for block in _box_points(
-            forms, lambda Q: None if Q > q_max or (B := bound(Q)) is None
+            forms, den, lambda Q: None if Q > q_max or (B := bound(Q)) is None
             else min(B, Fraction(1, 2)), q_max):
         last = None
         for p1, p2, q in sorted(block, key=lambda v: (v[2], v[0] & 1, v[1] & 1)):
@@ -329,7 +350,7 @@ def _return_windows(line, R: Fraction, t_max: float, q_max: int):
     a, b, s1, s2 = (Fraction(*exact_ratio(x)) for x in (line.a, line.b, line.s1, line.s2))
     forms = ((1, s1, b + a * s1), (1, s2, b + a * s2))
     den = math.lcm(*(Fraction(x).denominator for f in forms for x in f))
-    (u1, v1, w1), (u2, v2, w2) = ([int(x * den) for x in f] for f in forms)
+    forms = (u1, v1, w1), (u2, v2, w2) = [[int(x * den) for x in f] for f in forms]
     rn, rd = R.numerator, R.denominator
     log_r = math.log(rn) - math.log(rd)
     log_rden = log_r + math.log(den)
@@ -339,7 +360,7 @@ def _return_windows(line, R: Fraction, t_max: float, q_max: int):
             return None  # every window of the block opens after t_max
         return R * min(1, R * R / (Q * Q))
 
-    for block in _box_points(forms, half_width, q_max, block_p2=True):
+    for block in _box_points(forms, den, half_width, q_max, block_p2=True):
         for p1, p2, q in block:
             md = max(abs(u1 * p1 + v1 * p2 + w1 * q), abs(u2 * p1 + v2 * p2 + w2 * q))
             n = max(abs(p2), q)
@@ -425,7 +446,10 @@ def dirichlet_direct(x1, x2, delta, T_list) -> list[DirichletVerdict]:
     ((T^3 / delta)(x1 q1 + x2 q2 + p), q1, q2) has a nonzero vector of sup
     norm <= T (q = 0 would need |p| T^3 / delta <= T, so p = 0 as well).
     That is one ``ReducedLattice.exact(...).minimum`` per T, which scales
-    the lattice to integers and solves it exactly.
+    the lattice to integers and solves it exactly; each T's reduction starts
+    from the reduced basis of the T before it, since only the first row
+    changes, by a factor (T / T')^3, and the verdict does not depend on the
+    basis.
     """
     x1, x2, d = (Fraction(*exact_ratio(x)) for x in (x1, x2, delta))
     if not 0 < d < 1:
@@ -433,9 +457,10 @@ def dirichlet_direct(x1, x2, delta, T_list) -> list[DirichletVerdict]:
     T_list = [float(T) for T in T_list]
     if any(T < 1 for T in T_list):
         raise InvalidInputError("each T must be >= 1")
-    out = []
+    out, start = [], None
     for T in T_list:
         k = Fraction(T) ** 3 / d
-        lat = ReducedLattice.exact(((k * x1, k * x2, k), (1, 0, 0), (0, 1, 0)))
+        lat = ReducedLattice.exact(((k * x1, k * x2, k), (1, 0, 0), (0, 1, 0)), start)
+        start = lat.transform
         out.append(DirichletVerdict(T=T, solvable=lat.minimum(T) is not None))
     return out

@@ -19,7 +19,8 @@ of the unrounded products, whose integer rows it builds from the integer
 ratios of the entries and of the row scales, with no ``Fraction`` made;
 ``translate_basis`` gives it the translate g_t phi(s) Z^3.
 ``ReducedLattice.exact(rows)`` scales the rational rows of a rank-3 lattice
-in Q^n to integers and runs the integral LLL (no rounding anywhere).  Its
+in Q^n to integers and runs the integral LLL (no rounding anywhere), warm
+started, if asked, from the transform of a lattice reduced before.  Its
 ``points``, ``minimum`` and ``count`` are one Fincke-Pohst enumeration,
 written once, over coefficients in the reduced basis that only ``points``
 and ``minimum`` map back through U; they take radii in the rows' own units
@@ -580,21 +581,35 @@ class ReducedLattice:
         return cls._integral([[x // g for x in ints[i:i + 3]] for i in (0, 3, 6)], den // g)
 
     @classmethod
-    def exact(cls, rows) -> "ReducedLattice":
+    def exact(cls, rows, start=None) -> "ReducedLattice":
         """Integral LLL of the lattice spanned by the three independent
         columns of the rational n x 3 matrix ``rows`` (``int`` or
         ``Fraction`` entries), scaled to integers by the least common
         denominator ``den`` of its entries; each entry x becomes the integer
-        x.numerator * (den // x.denominator), with no ``Fraction`` made."""
+        x.numerator * (den // x.denominator), with no ``Fraction`` made (an
+        integer matrix is its own integer rows, den = 1).  ``start`` is
+        as in ``_integral``."""
         den = math.lcm(*(x.denominator for row in rows for x in row))
         return cls._integral([[x.numerator * (den // x.denominator) for x in row]
-                              for row in rows], den)
+                              for row in rows], den, start)
 
     @classmethod
-    def _integral(cls, rows, den: int) -> "ReducedLattice":
+    def _integral(cls, rows, den: int, start=None) -> "ReducedLattice":
         """Integral LLL of the columns of the integer rows ``rows``, the
-        lattice's basis rows times ``den``."""
-        red, u, d, lam = lll_reduce_integral(list(zip(*rows)))
+        lattice's basis rows times ``den``.
+
+        A ``start`` warm-starts it: given a unimodular U0 in the convention
+        of ``transform`` (a list of its columns), at best the ``transform``
+        of a lattice whose basis differs from this one by a mild scaling of
+        its rows, it reduces the columns of rows . U0 in place of the basis
+        columns and keeps reduced = basis . transform with transform U0 U.
+        That is another reduced basis of the same lattice, so the points,
+        minima and counts of the enumeration are the same; only the order in
+        which ``points`` yields its points may change."""
+        red, u, d, lam = lll_reduce_integral(list(zip(*rows)) if start is None else [
+            [sum(map(mul, row, col)) for row in rows] for col in start])
+        if start is not None:
+            u = [_transform_apply(start, col) for col in u]
         # GSO data relative to |b*_0|^2 = d[1]; every entry is a correctly
         # rounded float of an exact ratio
         mu = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(3)]

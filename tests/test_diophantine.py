@@ -11,12 +11,12 @@ from latflow import diophantine as dio
 from latflow import experiments as exp
 from latflow.errors import BudgetError, InvalidInputError, PrecisionError
 from latflow.flow import FlowTime, LineSegmentSpec, flow_standard
-from latflow.lattice import enumeration_budget
+from latflow.lattice import ReducedLattice, enumeration_budget
 from latflow.scalars import F64, RATIONAL, IntegerVec3, bigfloat, liouville_partial, named_scalar
 
-from util import (ResidualScan, dirichlet_grid, exact_ir_measure, ir_density_scan,
-                  log_fraction, w2_witness_search_scan, w2eps_witness_search_scan,
-                  w2inf_profile_scan)
+from util import (ResidualScan, box_points_cold, dirichlet_grid, exact_ir_measure,
+                  ir_density_scan, is_lll_reduced, log_fraction, mat_det,
+                  w2_witness_search_scan, w2eps_witness_search_scan, w2inf_profile_scan)
 
 LAM4 = liouville_partial(4)
 HALF_THIRD = (Fraction(1, 2), Fraction(1, 3))
@@ -461,6 +461,16 @@ def test_block_searches_budget():
             dio.ir_density(origin, 2, 5, 15)
 
 
+def test_top_block_leaf_charge():
+    # at the origin with q_max = 1000 the top block [512, 1024) is cut at
+    # q <= 1000, and its ball holds floor(sqrt(3) 1000 (1 + 10^-9)) = 1732
+    # leaves: the charge behind the README's classify 0 0 boundary
+    with enumeration_budget(1732):
+        assert len(dio.w2_witness_search(0, 0, 1, 1000)) == 1000
+    with enumeration_budget(1731), pytest.raises(BudgetError):
+        dio.w2_witness_search(0, 0, 1, 1000)
+
+
 def test_dirichlet_large_horizon():
     # T = 10^5 costs one lattice reduction, where the (2T + 1)^2 grid is out
     # of reach.  With x = (2^-20, 2^-40) and |q1| <= T < 2^20 the smallest
@@ -622,3 +632,92 @@ def test_w2inf_reaches_far_past_any_scan():
     (entry,) = dio.w2inf_profile(lam5, lam5, [Fraction(1, 10 ** 6)], 10 ** 25)
     assert entry.witness.q == 10 ** 24
     assert entry.witness.residual1 == Fraction(1, 10 ** 96)
+
+
+# -- the warm-started box search against the cold one -----------------------
+
+def _box_pair_strategy():
+    liouville = st.integers(3, 6).map(liouville_partial)
+    big256 = st.builds(lambda n, sign: sign * bigfloat(256).sqrt(n),
+                       st.integers(2, 99), st.sampled_from([1, -1]))
+    return st.one_of(_pair_strategy(), st.tuples(liouville, liouville),
+                     st.tuples(liouville, st.fractions(-3, 3, max_denominator=100)),
+                     st.tuples(big256, big256))
+
+
+def _integer_forms(forms):
+    den = math.lcm(*(Fraction(x).denominator for f in forms for x in f))
+    return [[int(x * den) for x in f] for f in forms], den
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=_box_pair_strategy(), block_p2=st.booleans(), C=_POSITIVE,
+       s1=_S1, length=_LENGTH, q_stop=st.integers(1, 5000), q_max=_Q_MAX)
+@example(pair=(liouville_partial(6), Fraction(1, 3)), block_p2=False, C=Fraction(1),
+         s1=Fraction(0), length=Fraction(1), q_stop=5000, q_max=3000)
+@example(pair=(liouville_partial(5), liouville_partial(5)), block_p2=True, C=Fraction(3),
+         s1=Fraction(0), length=Fraction(1), q_stop=5000, q_max=3000)
+@example(pair=(Fraction(0), Fraction(0)), block_p2=False, C=Fraction(20),
+         s1=Fraction(0), length=Fraction(1), q_stop=5000, q_max=3000)
+def test_box_points_match_the_cold_search(pair, block_p2, C, s1, length, q_stop, q_max):
+    # each block yields the points of the cold search, in another order;
+    # the bound ends the search at a block of its own, before or after the
+    # blocks pass q_max
+    a, b = (Fraction(x) for x in pair)
+    if block_p2:
+        forms = ((1, s1, b + a * s1), (1, s1 + length, b + a * (s1 + length)))
+    else:
+        forms = ((1, 0, b), (0, 1, a))
+
+    def bound(Q):
+        return None if Q > q_stop else C * min(1, C / (Q * Q))
+
+    warm = dio._box_points(*_integer_forms(forms), bound, q_max, block_p2)
+    cold = box_points_cold(forms, bound, q_max, block_p2)
+    assert list(map(sorted, warm)) == list(map(sorted, cold))
+
+
+def _search_liouville7():
+    dio.w2_witness_search(liouville_partial(7), Fraction(1, 3), 1, 10)
+
+
+def _search_liouville5():
+    lam5 = liouville_partial(5)
+    dio.w2inf_profile(lam5, Fraction(1, 3), [Fraction(1, 10 ** 6)], 10 ** 25)
+
+
+def _density_bigfloat():
+    mode = bigfloat(256)
+    line = LineSegmentSpec(mode.sqrt(2), mode.sqrt(3), 0, 1, mode)
+    dio.ir_density(line, 1, 13.2, 10 ** 6)
+
+
+def _dirichlet_ascending():
+    dio.dirichlet_direct(math.sqrt(2), math.sqrt(3), 0.6, [math.exp(t / 4) for t in range(40)])
+
+
+@pytest.mark.parametrize("search", [_search_liouville7, _search_liouville5,
+                                    _density_bigfloat, _dirichlet_ascending])
+def test_warm_started_lattices_are_exactly_reduced(monkeypatch, search):
+    # every lattice reduced from the basis of the one before is LLL-reduced
+    # in exact integers, with a unimodular transform U and reduced columns
+    # that are the basis columns times U: what the Fincke-Pohst walk needs
+    made = []
+    cold = ReducedLattice.exact
+
+    def recording(rows, start=None):
+        lat = cold(rows, start)
+        made.append((rows, start, lat))
+        return lat
+
+    monkeypatch.setattr(ReducedLattice, "exact", recording)
+    search()
+    warm = [(rows, lat) for rows, start, lat in made if start is not None]
+    assert len(warm) >= 3
+    for rows, lat in warm:
+        basis = [[x * lat.den for x in row] for row in rows]
+        cols = [list(col) for col in zip(*lat.rows)]
+        assert cols == [[sum(x * y for x, y in zip(row, u)) for row in basis]
+                        for u in lat.transform]
+        assert abs(mat_det(lat.transform)) == 1
+        assert is_lll_reduced(cols)

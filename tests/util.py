@@ -3,7 +3,8 @@ helpers), brute-force lattice searches, random unimodular bases with
 controlled conditioning, the full-recompute f64 LLL, the generic-rank
 integral LLL, a 256-bit float lattice path and the f64 shortest vector and
 point count on it, the q-scan segment minimum, the q-scan witness and E_q
-searches, the float p-window decision of I_R on a grid, the numpy
+searches, the cold box search of ``diophantine._box_points`` and an exact
+LLL-reducedness check, the float p-window decision of I_R on a grid, the numpy
 Dirichlet grid, an exact I_R measure, the per-sample translate route through
 ``Fraction`` and ``from_int``, the per-cell CSV writer, and the leaf-by-leaf
 point count and the exact expected-count refusal of
@@ -23,7 +24,7 @@ from latflow import diophantine as dio
 from latflow.errors import BudgetError, InvalidInputError, ReductionError
 from latflow.experiments import SegmentMinimum
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
-from latflow.lattice import LLL_DELTA_EXACT
+from latflow.lattice import LLL_DELTA_EXACT, ReducedLattice
 from latflow.scalars import F64, IntegerVec3, ScalarMode, exact_ratio
 
 SEGMENT_MINIMUM_SCAN_BUDGET = 100_000_000
@@ -530,6 +531,64 @@ def exact_ir_measure(a: Fraction, b: Fraction, s1: Fraction, s2: Fraction,
     if cur_hi is not None:
         total += cur_hi - cur_lo
     return total
+
+
+# -- the cold box search and exact LLL-reducedness ---------------------------
+
+def box_points_cold(forms, bound, q_max: int, block_p2: bool = False):
+    """Oracle for ``diophantine._box_points`` on the rational forms
+    ``forms``: the same blocks, each with its rows built from ``Fraction``s
+    and reduced from the identity, as the search was written before each
+    block started from the basis of the block before."""
+    Q = 1
+    while (B := bound(Q)) is not None:
+        end = 2 * Q - 1
+        rows = [[x / B for x in f] for f in forms] + [[0, 0, Fraction(1, min(end, q_max))]]
+        if block_p2:
+            rows.append([0, Fraction(1, end), 0])
+        block = []
+        for p1, p2, q in ReducedLattice.exact(rows).points(1):
+            if q < 0:
+                p1, p2, q = -p1, -p2, -q
+            n = max(abs(p2), q) if block_p2 else q
+            if n >= Q or (n == 0 and Q == 1):
+                block.append((p1, p2, q))
+        yield block
+        Q *= 2
+
+
+def integral_gso(cols):
+    """(d, lam) of independent integer columns, from their Gram matrix in
+    ``Fraction``s: d[i] is the Gram determinant of the first i columns and
+    lam[i][j] = d[j+1] mu[i][j], both integers."""
+    n = len(cols)
+    gram = [[Fraction(sum(x * y for x, y in zip(u, v))) for v in cols] for u in cols]
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norm2 = []
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (gram[i][j] - sum(mu[j][k] * mu[i][k] * norm2[k]
+                                         for k in range(j))) / norm2[j]
+        norm2.append(gram[i][i] - sum(mu[i][k] ** 2 * norm2[k] for k in range(i)))
+    d = [1]
+    for b2 in norm2:
+        d.append(d[-1] * b2)
+    assert all(x.denominator == 1 for x in d)
+    lam = [[d[j + 1] * mu[i][j] for j in range(i)] for i in range(n)]
+    assert all(x.denominator == 1 for row in lam for x in row)
+    return [int(x) for x in d], [[int(x) for x in row] for row in lam]
+
+
+def is_lll_reduced(cols) -> bool:
+    """Whether the integer columns are LLL-reduced at ``LLL_DELTA_EXACT``,
+    decided in integers from their d and lam: size-reduced,
+    2 |lam_ij| <= d_{j+1}, and the Lovasz condition
+    d_{k+1} d_{k-1} + lam_{k,k-1}^2 >= delta d_k^2."""
+    d, lam = integral_gso(cols)
+    dn, dd = LLL_DELTA_EXACT.numerator, LLL_DELTA_EXACT.denominator
+    return (all(2 * abs(lam[i][j]) <= d[j + 1] for i in range(len(cols)) for j in range(i))
+            and all(dd * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) >= dn * d[k] ** 2
+                    for k in range(1, len(cols))))
 
 
 # -- q-scan witness and E_q searches ---------------------------------------

@@ -42,7 +42,11 @@ SHOWN = 10  # differing operations named in full
 # roundings and exact arithmetic after them every report shows; last, the
 # translates of the line (1/2, 1/4) in f64, bigfloat (integer rows) and
 # rational mode: at t = 0 two coordinates of each lattice point are
-# integers, so many points lie exactly on the faces of the count boxes.
+# integers, so many points lie exactly on the faces of the count boxes;
+# and the box searches whose blocks reduce wide integers, each block from
+# the basis of the block before: the 16,745-bit rows of liouville:7, the
+# W2inf witness q = 10^24 of liouville:5 at q_max = 10^25, and
+# a bigfloat:256 density whose window search passes 20 blocks.
 EXTRA_OPS = [
     ["equidist", "sqrt2", "sqrt3", "--mode", "bigfloat:256", "--t-list", "5,9.5,11",
      "--N", "20", "--radii", "1.5"],
@@ -76,6 +80,10 @@ EXTRA_OPS = [
      "--N", "40", "--radii", "1,2"],
     ["equidist", "1/2", "1/4", "--mode", "rational", "--interval=0,1", "--t-list", "0",
      "--N", "40", "--radii", "1,2"],
+    ["classify", "liouville:7", "1/3", "--mode", "rational", "--q-max", "10"],
+    ["classify", "liouville:5", "1/3", "--mode", "rational", "--q-max", str(10 ** 25)],
+    ["density", "sqrt2", "sqrt3", "--mode", "bigfloat:256", "--R", "1", "--T", "13.2",
+     "--q-max", "1000000"],
 ]
 
 # Runs in the child, with cwd the tree's temporary directory:
