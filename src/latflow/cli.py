@@ -60,11 +60,6 @@ REPORT_SCHEMA = {
 }
 
 
-def report_schema() -> dict:
-    """The published JSON schema that every report conforms to."""
-    return json.loads(json.dumps(REPORT_SCHEMA))
-
-
 @contextmanager
 def _unlimited_int_text():
     """Lift the interpreter's limit on int -> str digits inside the block,

@@ -346,8 +346,14 @@ def _return_windows(line, R: Fraction, t_max: float, q_max: int):
     ``_box_points`` of the forms x_1, x_2 in blocks of n, the q = 0 sheets
     included.  Whether it is nonempty and ends after 0 (m < R and
     n^2 m < R^3) is decided in integers.
+
+    Every box point has |x_1|, |x_2| <= R, so (s2 - s1) |q a + p2| =
+    |x_2 - x_1| <= 2 R and n <= n_cap = max(q_max, 2 R / (s2 - s1) +
+    |a| q_max): the blocks past n_cap are empty, and the search ends there
+    whatever t_max is.
     """
     a, b, s1, s2 = (Fraction(*exact_ratio(x)) for x in (line.a, line.b, line.s1, line.s2))
+    n_cap = max(q_max, 2 * R / (s2 - s1) + abs(a) * q_max)
     forms = ((1, s1, b + a * s1), (1, s2, b + a * s2))
     den = math.lcm(*(Fraction(x).denominator for f in forms for x in f))
     forms = (u1, v1, w1), (u2, v2, w2) = [[int(x * den) for x in f] for f in forms]
@@ -356,8 +362,8 @@ def _return_windows(line, R: Fraction, t_max: float, q_max: int):
     log_rden = log_r + math.log(den)
 
     def half_width(Q):
-        if math.log(Q) - log_r > t_max + 1e-9:
-            return None  # every window of the block opens after t_max
+        if math.log(Q) - log_r > t_max + 1e-9 or Q > n_cap:
+            return None  # every window of the block opens after t_max, or it is empty
         return R * min(1, R * R / (Q * Q))
 
     for block in _box_points(forms, den, half_width, q_max, block_p2=True):

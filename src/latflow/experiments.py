@@ -145,12 +145,12 @@ def segment_minimum(line: LineSegmentSpec, t: FlowTime,
         (E2 (p1 + s1 p2 + (b + a s1) q), E2 (p1 + s2 p2 + (b + a s2) q),
          Em p2, Em q)  in R^4,   E2 = e^{2t}, Em = e^{-t},
 
-    so the minimum is that lattice's first sup-norm minimum.  E2, Em, a, b,
-    s1 and s2 are taken at their exact stored values, and
-    ``ReducedLattice.exact`` solves it exactly; ties go to the
-    sign-normalised vector smallest in (q, p2, p1).  The value is
-    ``segment_sup`` of the minimizer, the exact minimum rounded once into
-    the line's scalars.
+    so the minimum is that lattice's first sup-norm minimum.  E2 and Em are
+    the values that ``t.factor`` gives, and they, a, b, s1 and s2 are taken
+    at their exact stored values, so ``ReducedLattice.exact`` solves it
+    exactly; ties go to the sign-normalised vector smallest in (q, p2, p1).
+    The value is ``segment_sup`` of the minimizer, the exact minimum
+    rounded once into the line's scalars.
     """
     if not 1 <= R_cap < math.inf:
         raise InvalidInputError("R_cap must be finite and >= 1")

@@ -549,24 +549,28 @@ class ReducedLattice:
         (rows of mode scalars), its rows times the f64 values of e^{2l},
         e^{-l}, e^{-l} for l = ``log_scale``: ``lll_reduce`` of the rounded
         products, whose Gram-Schmidt data are handed on, while their f64
-        Gram-Schmidt lengths span at most ``GSO_RANGE_CAP``; past that (or
-        where they overflow), and always with ``exact``, the integral LLL of
-        the unrounded products, scaled to the integer rows and ``den`` that
-        ``exact`` makes of them.  The row scales of the last log scale are
-        kept, so the samples of one flow time compute them once."""
+        Gram-Schmidt lengths span at most ``GSO_RANGE_CAP``; past that,
+        where an entry or a step of the reduction overflows f64, and always
+        with ``exact``, the integral LLL of the unrounded products, scaled
+        to the integer rows and ``den`` that ``exact`` makes of them.  The
+        row scales of the last log scale are kept, so the samples of one
+        flow time compute them once."""
         scales = _flow_scales(log_scale)
         if not exact:
             (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = matrix
             e2, em, _ = scales
-            cols = [[float(a0) * e2, float(a1) * em, float(a2) * em],
-                    [float(b0) * e2, float(b1) * em, float(b2) * em],
-                    [float(c0) * e2, float(c1) * em, float(c2) * em]]
-            gso = _f64_gram_schmidt(cols)
-            if gso is not None:
-                red, u = lll_reduce(cols, gso)
-                _, mu, norm2 = gso
-                return cls(tuple(zip(*red)), u, mu, norm2, 1,
-                           norm2[0] * norm2[1] * norm2[2])
+            try:
+                cols = [[float(a0) * e2, float(a1) * em, float(a2) * em],
+                        [float(b0) * e2, float(b1) * em, float(b2) * em],
+                        [float(c0) * e2, float(c1) * em, float(c2) * em]]
+                gso = _f64_gram_schmidt(cols)
+                if gso is not None:
+                    red, u = lll_reduce(cols, gso)
+                    _, mu, norm2 = gso
+                    return cls(tuple(zip(*red)), u, mu, norm2, 1,
+                               norm2[0] * norm2[1] * norm2[2])
+            except OverflowError:
+                pass  # past the f64 range: reduce exactly
         if 0.0 in scales:  # a zero row spans no lattice
             raise PrecisionError(
                 f"the flow scaling underflows f64 at log scale {log_scale:g}")

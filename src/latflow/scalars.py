@@ -228,6 +228,3 @@ class IntegerVec3:
 
     def is_zero(self) -> bool:
         return self.p1 == 0 and self.p2 == 0 and self.q == 0
-
-    def __iter__(self):
-        return iter(self.as_tuple())

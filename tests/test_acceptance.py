@@ -19,14 +19,13 @@ import pytest
 
 from latflow import diophantine as dio
 from latflow import experiments as exp
-from latflow.flow import (FlowTime, LineSegmentSpec, ext2_constant, flow_ext2, segment_sup,
-                          vandermonde_check)
+from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
 from latflow.lattice import (ReducedLattice, gram_schmidt, lll_reduce, shortest_vector,
                              translate_basis)
 from latflow.scalars import F64, RATIONAL, IntegerVec3, liouville_partial, named_scalar
 
-from util import (brute_force_lambda1, exact_ir_measure, random_unimodular_columns,
-                  scaled_columns)
+from util import (brute_force_lambda1, exact_ir_measure, exact_time, ext2_constant,
+                  flow_ext2, random_unimodular_columns, scaled_columns, vandermonde_check)
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
                                 Fraction(0), Fraction(1), RATIONAL)
@@ -86,7 +85,7 @@ def test_criterion_2_exterior_square_lower_bound():
                 continue
             for t in range(0, 9):
                 ft = FlowTime.of(float(t))
-                sup = max(abs(x) for s in line.endpoints() for x in flow_ext2(line, s, ft, v))
+                sup = max(abs(x) for s in (line.s1, line.s2) for x in flow_ext2(line, s, ft, v))
                 if sup < c_i * math.exp(t):
                     violations += 1
     elapsed = time.time() - start
@@ -120,7 +119,7 @@ def test_criterion_3_w2inf_construction():
     for entry, root in zip(profile, cube_roots):
         w = entry.witness
         assert abs(w.p2) <= w.q  # the construction's hypothesis
-        t = FlowTime.from_exp(w.q / root)
+        t = exact_time(w.q / root)
         sm = exp.segment_minimum(LIOUVILLE_LINE, t, 6.0)
         assert sm is not None
         assert isinstance(sm.value, Fraction)  # exact-arithmetic path

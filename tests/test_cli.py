@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from latflow import experiments as exp
 from latflow import flow
 from latflow import lattice
 from latflow.errors import InvalidInputError
-from latflow.scalars import RATIONAL, ScalarMode, bigfloat, exact_ratio, named_scalar
+from latflow.scalars import F64, RATIONAL, ScalarMode, bigfloat, exact_ratio, named_scalar
 
 from util import csv_per_cell
 
@@ -406,6 +407,53 @@ def test_density_interval_past_f64_range_exit_4(capsys):
     assert "R1" in capsys.readouterr().err
 
 
+def _exact_lambda1(line, s, t):
+    return lattice.shortest_vector(
+        lattice.ReducedLattice.of(flow.phi(line, s), t, exact=True)).lambda1
+
+
+@pytest.mark.parametrize("args", [
+    ["equidist", "1e200", "1", "--t-list", "1", "--N", "3"],
+    ["equidist", "1", "1e200", "--t-list", "1", "--N", "3"],
+    ["equidist", "1e400", "1", "--mode", "rational", "--t-list", "1", "--N", "3"],
+    ["orbit", "1e300", "1", "--t-grid", "1", "--N", "3"],
+    ["dirichlet", "1e200", "1", "--t-max", "1"],
+])
+def test_translates_past_the_f64_range_reduce_exactly(args, tmp_path):
+    # an entry of the f64 basis (float(1e400)) or a step of the f64 LLL
+    # (a squared Gram-Schmidt coefficient) overflows; the translate is
+    # reduced exactly, and every first minimum is the exact one
+    out = tmp_path / "big"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    doc = read_json(str(out) + ".json")
+    mode = RATIONAL if "rational" in args else F64
+    line = flow.LineSegmentSpec.from_strings(args[1], args[2], "0", "1", mode)
+    rows = doc["samples"]
+    assert rows
+    if args[0] == "equidist":
+        for row in rows:
+            assert row["escalated"]
+            s = mode.from_fraction(Fraction(row["s"]))  # s = u, a dyadic
+            assert row["lambda1"] == _exact_lambda1(line, s, row["t"])
+    elif args[0] == "dirichlet":
+        s = named_scalar(doc["config"]["s"], mode)
+        for row in rows:
+            assert row["lambda1"] == _exact_lambda1(line, s, row["t"])
+    else:
+        (row,) = rows
+        lams = [_exact_lambda1(line, exp.sample_uniform(1, i), 1.0) for i in range(3)]
+        assert row["escape_fraction"] == sum(lam < 0.2 for lam in lams) / 3
+
+
+def test_density_window_search_ends_at_the_last_nonempty_block(tmp_path):
+    # every return-window block with n past max(q_max, 2R/(s2 - s1) + |a| q_max)
+    # is empty, so a long horizon walks no more blocks than a short one
+    start = time.perf_counter()
+    assert run_cli(["density", "sqrt2", "sqrt3", "--T", "3000", "--q-max", "100",
+                    "--out", str(tmp_path / "long")]) == 0
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("flag", ["--radii=1.0000001,1.0000002", "--t-list=5,5.0000001"])
 def test_equidist_colliding_labels_exit_2(flag, capsys):
     # both values would write one count_r1 column and one mean_counts key
@@ -449,7 +497,7 @@ def test_json_is_lf_and_utf8(tmp_path):
 
 
 def test_schema_export_is_json_roundtrippable():
-    schema = cli.report_schema()
+    schema = json.loads(json.dumps(cli.REPORT_SCHEMA))
     assert schema == cli.REPORT_SCHEMA
     assert schema is not cli.REPORT_SCHEMA
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 from latflow import diophantine as dio
 from latflow import experiments as exp
 from latflow.errors import BudgetError, InvalidInputError, PrecisionError
-from latflow.flow import FlowTime, LineSegmentSpec, flow_standard
+from latflow.flow import FlowTime, LineSegmentSpec
 from latflow.lattice import ReducedLattice, enumeration_budget
-from latflow.scalars import F64, RATIONAL, IntegerVec3, bigfloat, liouville_partial, named_scalar
+from latflow.scalars import (F64, RATIONAL, IntegerVec3, bigfloat, exact_ratio, liouville_partial,
+                             named_scalar)
 
-from util import (ResidualScan, box_points_cold, dirichlet_grid, exact_ir_measure,
-                  ir_density_scan, is_lll_reduced, log_fraction, mat_det,
+from util import (ResidualScan, box_points_cold, dirichlet_grid, exact_ir_measure, exact_time,
+                  flow_standard, ir_density_scan, is_lll_reduced, log_fraction, mat_det,
                   w2_witness_search_scan, w2eps_witness_search_scan, w2inf_profile_scan)
 
 LAM4 = liouville_partial(4)
@@ -276,7 +278,7 @@ def test_rational_certificate_soundness():
     line = LineSegmentSpec(*HALF_THIRD, Fraction(0), Fraction(1), RATIONAL)
     cert = dio.rational_certificate(*HALF_THIRD, RATIONAL)
     v = IntegerVec3(-cert.p1, -cert.p2, cert.q)
-    t = FlowTime.from_exp(Fraction(5))
+    t = exact_time(Fraction(5))
     for _ in range(10):
         s = Fraction(rng.randint(0, 1000), 1000)
         assert flow_standard(line, s, t, v)[0] == 0
@@ -625,6 +627,55 @@ def test_ir_density_direct_agrees_with_segment_minimum_on_subgrid(pair, R, s1, l
     assert any(lo < t < hi for lo, hi in windows) == (sm is not None and float(sm.value) < R)
 
 
+_BIGFLOAT_PAIR = st.tuples(*[st.builds(lambda n, sign: sign * bigfloat(256).sqrt(n),
+                                       st.integers(2, 99), st.sampled_from([1, -1]))] * 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=st.one_of(_pair_strategy(), _BIGFLOAT_PAIR),
+       R=st.sampled_from([Fraction(1, 10), Fraction(1, 2), 1, Fraction(3, 2), 2, 3]),
+       s1=_S1, length=_LENGTH, T=st.floats(0.1, 40.0), q_max=_Q_MAX)
+@example(pair=(math.sqrt(2), math.sqrt(3)), R=2, s1=Fraction(0),
+         length=Fraction(1, 10 ** 4), T=40.0, q_max=3000)
+# every even q a rational hit, with |p2| = 7 q / 2 up to |a| q_max
+@example(pair=(Fraction(7, 2), Fraction(5, 2)), R=2, s1=Fraction(0), length=Fraction(1),
+         T=40.0, q_max=50)
+# the q = 0 sheet of a short interval: |p2| reaches 8, past q_max and |a| q_max
+@example(pair=(Fraction(0), Fraction(0)), R=3, s1=Fraction(-1, 2), length=Fraction(1, 10),
+         T=40.0, q_max=1)
+def test_return_window_blocks_past_n_cap_are_empty(pair, R, s1, length, T, q_max):
+    # the box search of ``_return_windows``, without its cut at n_cap: no
+    # block yields a point with n = max(|p2|, q) past n_cap, so ending the
+    # search at the first block past n_cap drops nothing; the cut search
+    # yields the same points
+    line = _density_line(pair, s1, length)
+    a, b, s1, s2 = (Fraction(*exact_ratio(x)) for x in (line.a, line.b, line.s1, line.s2))
+    R = Fraction(R)
+    n_cap = max(q_max, 2 * R / (s2 - s1) + abs(a) * q_max)
+    forms = ((1, s1, b + a * s1), (1, s2, b + a * s2))
+
+    def half_width(Q):
+        if math.log(Q) - math.log(R) > T + 1e-9:
+            return None
+        return R * min(1, R * R / (Q * Q))
+
+    uncut = [v for block in dio._box_points(*_integer_forms(forms), half_width, q_max,
+                                            block_p2=True) for v in block]
+    assert all(max(abs(p2), q) <= n_cap for _, p2, q in uncut)
+
+    cut = []
+
+    def recording(*args, **kwargs):
+        for block in box_points(*args, **kwargs):
+            cut.extend(block)
+            yield block
+
+    box_points = dio._box_points
+    with mock.patch.object(dio, "_box_points", recording):
+        list(dio._return_windows(line, R, T, q_max))
+    assert sorted(cut) == sorted(uncut)
+
+
 def test_w2inf_reaches_far_past_any_scan():
     # the last term of liouville:5 is 10^-120, so q = 10^24 leaves the
     # residual 10^-96, far below 10^-6 q^-2; one step per q never gets there
@@ -659,10 +710,14 @@ def _integer_forms(forms):
          s1=Fraction(0), length=Fraction(1), q_stop=5000, q_max=3000)
 @example(pair=(Fraction(0), Fraction(0)), block_p2=False, C=Fraction(20),
          s1=Fraction(0), length=Fraction(1), q_stop=5000, q_max=3000)
+# the ``block_p2`` box of the second block holds the q = 0 pair +-(1, -3, 0)
+@example(pair=(Fraction(2), Fraction(0)), block_p2=True, C=Fraction(4548, 5225),
+         s1=Fraction(8, 27), length=Fraction(1, 10), q_stop=2, q_max=1)
 def test_box_points_match_the_cold_search(pair, block_p2, C, s1, length, q_stop, q_max):
     # each block yields the points of the cold search, in another order;
     # the bound ends the search at a block of its own, before or after the
-    # blocks pass q_max
+    # blocks pass q_max.  A +-pair with q = 0 may come with either sign, so
+    # each is compared as the larger of its two signs
     a, b = (Fraction(x) for x in pair)
     if block_p2:
         forms = ((1, s1, b + a * s1), (1, s1 + length, b + a * (s1 + length)))
@@ -672,9 +727,13 @@ def test_box_points_match_the_cold_search(pair, block_p2, C, s1, length, q_stop,
     def bound(Q):
         return None if Q > q_stop else C * min(1, C / (Q * Q))
 
+    def pairs(blocks):
+        return [sorted(max(v, (-v[0], -v[1], 0)) if v[2] == 0 else v for v in block)
+                for block in blocks]
+
     warm = dio._box_points(*_integer_forms(forms), bound, q_max, block_p2)
     cold = box_points_cold(forms, bound, q_max, block_p2)
-    assert list(map(sorted, warm)) == list(map(sorted, cold))
+    assert pairs(warm) == pairs(cold)
 
 
 def _search_liouville7():

@@ -14,7 +14,8 @@ from latflow.errors import BudgetError, InvalidInputError, PrecisionError
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
 from latflow.scalars import (F64, RATIONAL, IntegerVec3, bigfloat, liouville_partial,
                              named_scalar)
-from util import phi_from_int, scaled_columns, segment_minimum_scan, translate_sample_s
+from util import (exact_time, phi_from_int, scaled_columns, segment_minimum_scan,
+                  translate_sample_s)
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
                                 Fraction(0), Fraction(1), RATIONAL)
@@ -161,7 +162,7 @@ def test_escape_fraction_validates_delta():
 
 def test_segment_minimum_rational_witness():
     for u in (Fraction(4), Fraction(20), Fraction(150)):
-        sm = exp.segment_minimum(RATIONAL_LINE, FlowTime.from_exp(u), 6.0)
+        sm = exp.segment_minimum(RATIONAL_LINE, exact_time(u), 6.0)
         assert sm is not None
         assert sm.value == Fraction(6) / u
         p1, p2, q = sm.vector.as_tuple()
@@ -225,20 +226,20 @@ def test_segment_minimum_generic_line_grows():
 
 def test_segment_minimum_none_below_tight_cap():
     # Liouville line at t = ln 10: the exhaustive minimum is ~1.998 > 1
-    sm = exp.segment_minimum(LIOUVILLE_LINE, FlowTime.from_exp(10), 1.0)
+    sm = exp.segment_minimum(LIOUVILLE_LINE, exact_time(10), 1.0)
     assert sm is None
 
 
 def test_segment_minimum_liouville_exact_values():
     # frozen from the exact exhaustive search (and verified by hand):
     # minima at t = ln 10, ln 100, ln 10^6
-    sm = exp.segment_minimum(LIOUVILLE_LINE, FlowTime.from_exp(10), 6.0)
+    sm = exp.segment_minimum(LIOUVILLE_LINE, exact_time(10), 6.0)
     assert sm.vector.as_tuple() == (-1, -1, 9)
     assert sm.value == Fraction(9990999999999999999991, 5 * 10 ** 21)
-    sm = exp.segment_minimum(LIOUVILLE_LINE, FlowTime.from_exp(100), 6.0)
+    sm = exp.segment_minimum(LIOUVILLE_LINE, exact_time(100), 6.0)
     assert sm.vector.as_tuple() == (-11, -11, 100)
     assert sm.value == Fraction(10 ** 18 + 1, 5 * 10 ** 17)
-    sm = exp.segment_minimum(LIOUVILLE_LINE, FlowTime.from_exp(10 ** 6), 2.0)
+    sm = exp.segment_minimum(LIOUVILLE_LINE, exact_time(10 ** 6), 2.0)
     assert sm.vector.as_tuple() == (-110001, -110001, 10 ** 6)
     assert sm.value == 1
 
@@ -264,7 +265,7 @@ def test_segment_minimum_matches_brute_force_oracle():
                     val = max(u3 * max(abs(c), abs(c + D * p2 + qn)), floor)
                     if best is None or val < best:
                         best = val
-        sm = exp.segment_minimum(line, FlowTime.from_exp(u), 6.0)
+        sm = exp.segment_minimum(line, exact_time(u), 6.0)
         assert sm is not None and sm.value == Fraction(best, u * D), (u, sm.value, best)
 
 
@@ -304,9 +305,9 @@ def test_segment_minimum_window_soundness():
 def test_segment_minimum_budget_error():
     # the budget caps enumeration nodes: 10 at t = 0, 1 at e^t = 10^6
     with lattice.enumeration_budget(5), pytest.raises(BudgetError):
-        exp.segment_minimum(LIOUVILLE_LINE, FlowTime.from_exp(1), 2.0)
+        exp.segment_minimum(LIOUVILLE_LINE, exact_time(1), 2.0)
     with lattice.enumeration_budget(1000):
-        sm = exp.segment_minimum(LIOUVILLE_LINE, FlowTime.from_exp(10 ** 6), 2.0)
+        sm = exp.segment_minimum(LIOUVILLE_LINE, exact_time(10 ** 6), 2.0)
     assert sm.vector.as_tuple() == (-110001, -110001, 10 ** 6)
 
 
@@ -325,8 +326,8 @@ def _assert_same_minimum(line, t, cap):
 
 def test_segment_minimum_equals_scan_oracle():
     for u in (2, 5, 9, 10, 100, 10 ** 3, 10 ** 4, 10 ** 5):
-        _assert_same_minimum(LIOUVILLE_LINE, FlowTime.from_exp(u), 6.0)
-    _assert_same_minimum(LIOUVILLE_LINE, FlowTime.from_exp(10 ** 6), 2.0)
+        _assert_same_minimum(LIOUVILLE_LINE, exact_time(u), 6.0)
+    _assert_same_minimum(LIOUVILLE_LINE, exact_time(10 ** 6), 2.0)
     for t in range(9):
         _assert_same_minimum(RATIONAL_LINE, FlowTime.of(t), 6.0)
     # t = 0 ties (1, 0, 0) with (0, 1, 0) and others; the engine keeps the
@@ -379,7 +380,7 @@ _small_fraction = st.fractions(min_value=-2, max_value=2, max_denominator=50)
          u=Fraction(44), cap=1.0)  # q = 44 at value exactly R_cap
 def test_segment_minimum_matches_scan_rational(a, b, s, u, cap):
     line = LineSegmentSpec(a, b, min(s), max(s), RATIONAL)
-    _assert_same_minimum(line, FlowTime.from_exp(u), cap)
+    _assert_same_minimum(line, exact_time(u), cap)
 
 
 # -- trajectory probe ----------------------------------------------------------

@@ -7,19 +7,11 @@ import mpmath
 import pytest
 
 from latflow.errors import InvalidInputError, PrecisionError
-from latflow.flow import (
-    FlowTime,
-    LineSegmentSpec,
-    ext2_constant,
-    flow_ext2,
-    flow_standard,
-    phi,
-    segment_sup,
-    vandermonde_check,
-)
+from latflow.flow import FlowTime, LineSegmentSpec, phi, segment_sup
 from latflow.scalars import F64, RATIONAL, IntegerVec3, bigfloat, exact_ratio, named_scalar
 
-from util import g, mat_det, mat_mul, mat_vec
+from util import (exact_time, ext2_constant, flow_ext2, flow_standard, g, mat_det, mat_mul,
+                  mat_vec, vandermonde_check)
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
                                 Fraction(0), Fraction(1), RATIONAL)
@@ -66,7 +58,7 @@ def test_g_at_one():
 
 def test_g_exact_determinant():
     # symbolic scale: e^t = 7/5 exactly, det = (7/5)^2 (5/7)(5/7) = 1
-    t = FlowTime.from_exp(Fraction(7, 5))
+    t = exact_time(Fraction(7, 5))
     assert mat_det(g(t, RATIONAL)) == 1
 
 
@@ -79,13 +71,13 @@ def test_flow_standard_closed_form_matches_matrix_path():
     rng = random.Random(5)
     for _ in range(100):
         line = random_rational_line(rng)
-        t = FlowTime.from_exp(Fraction(rng.randint(1, 40), rng.randint(1, 7)))
+        t = exact_time(Fraction(rng.randint(1, 40), rng.randint(1, 7)))
         s = Fraction(rng.randint(0, 10), 10)
         v = IntegerVec3(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
         if v.is_zero():
             continue
         pt = flow_standard(line, s, t, v)
-        direct = mat_vec(mat_mul(g(t, RATIONAL), phi(line, s)), tuple(Fraction(x) for x in v))
+        direct = mat_vec(mat_mul(g(t, RATIONAL), phi(line, s)), tuple(Fraction(x) for x in v.as_tuple()))
         assert pt == direct  # exact in rational mode
 
 
@@ -97,7 +89,7 @@ def test_flow_standard_matches_matrix_path_f64():
         s = rng.uniform(0, 1)
         v = IntegerVec3(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9))
         pt = flow_standard(line, s, t, v)
-        direct = mat_vec(mat_mul(g(t, F64), phi(line, s)), tuple(float(x) for x in v))
+        direct = mat_vec(mat_mul(g(t, F64), phi(line, s)), tuple(float(x) for x in v.as_tuple()))
         for got, want in zip(pt, direct):
             assert got == pytest.approx(want, rel=1e-10, abs=1e-280)
 
@@ -113,7 +105,7 @@ def test_flow_standard_matches_matrix_path_bigfloat():
         s = mode.from_fraction(Fraction(rng.randint(0, 100), 100))
         v = IntegerVec3(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9))
         pt = flow_standard(line, s, t, v)
-        direct = mat_vec(mat_mul(g(t, mode), phi(line, s)), tuple(v))
+        direct = mat_vec(mat_mul(g(t, mode), phi(line, s)), v.as_tuple())
         errs = [abs(float(got - want)) <= 1e-30 * max(1.0, abs(float(want)))
                 for got, want in zip(pt, direct)]
         assert all(errs)
@@ -123,7 +115,7 @@ def test_flow_standard_rational_divergence_vector():
     # v = (-p1, -p2, q) kills s: phi(s) v = (0, -p2, q) for every s, t
     v = IntegerVec3(-2, -3, 6)
     for u in (Fraction(1), Fraction(7, 2), Fraction(100)):
-        t = FlowTime.from_exp(u)
+        t = exact_time(u)
         for s in (Fraction(0), Fraction(1, 2), Fraction(1)):
             pt = flow_standard(RATIONAL_LINE, s, t, v)
             assert pt == (0, -3 / u, 6 / u)
@@ -141,7 +133,7 @@ def test_flow_standard_example_values():
 
 
 def test_flow_identity_vector():
-    pt = flow_standard(RATIONAL_LINE, Fraction(0), FlowTime.from_exp(Fraction(1)),
+    pt = flow_standard(RATIONAL_LINE, Fraction(0), exact_time(Fraction(1)),
                        IntegerVec3(1, 0, 0))
     assert pt == (1, 0, 0)
 
@@ -156,7 +148,7 @@ def test_flow_rejects_zero_vector():
 def test_first_coordinate_is_affine_in_s():
     rng = random.Random(8)
     line = random_rational_line(rng)
-    t = FlowTime.from_exp(Fraction(5, 2))
+    t = exact_time(Fraction(5, 2))
     v = IntegerVec3(3, -4, 7)
     # fit through two points, predict the rest exactly
     p0 = flow_standard(line, Fraction(0), t, v)[0]
@@ -169,11 +161,11 @@ def test_first_coordinate_is_affine_in_s():
 
 def test_ext2_fixed_vectors():
     # e12 is phi-invariant and expands by e^t
-    t = FlowTime.from_exp(Fraction(3))
+    t = exact_time(Fraction(3))
     out = flow_ext2(RATIONAL_LINE, Fraction(1, 2), t, IntegerVec3(1, 0, 0))
     assert out == (3, 0, 0)
     # e13 at t = 0 is unchanged
-    out = flow_ext2(RATIONAL_LINE, Fraction(1, 2), FlowTime.from_exp(Fraction(1)),
+    out = flow_ext2(RATIONAL_LINE, Fraction(1, 2), exact_time(Fraction(1)),
                     IntegerVec3(0, 0, 1))
     assert out == (0, 0, 1)
 
@@ -181,7 +173,7 @@ def test_ext2_fixed_vectors():
 def test_ext2_e23_example():
     # w = e23, (a,b) = (1,0), s = 2, t = 0 -> (-2, 1, 2)
     line = LineSegmentSpec(Fraction(1), Fraction(0), Fraction(0), Fraction(3), RATIONAL)
-    out = flow_ext2(line, Fraction(2), FlowTime.from_exp(Fraction(1)),
+    out = flow_ext2(line, Fraction(2), exact_time(Fraction(1)),
                     IntegerVec3(0, 1, 0))
     assert out == (-2, 1, 2)
 
@@ -201,7 +193,7 @@ def test_f64_flow_underflow_stays_finite_overflow_raises():
 def test_segment_sup_rational_witness_is_s_independent():
     v = IntegerVec3(-2, -3, 6)
     for u in (Fraction(1), Fraction(3), Fraction(20), Fraction(1000)):
-        t = FlowTime.from_exp(u)
+        t = exact_time(u)
         assert segment_sup(RATIONAL_LINE, t, v) == Fraction(6) / u
 
 
@@ -243,14 +235,14 @@ def test_ext2_lower_bound_random_integer_vectors():
                 continue
             for k in (0, 1, 4, 8):
                 u = Fraction(3) ** k  # e^t = 3^k, t = k ln 3 >= 0
-                t = FlowTime.from_exp(u)
+                t = exact_time(u)
                 sup = max(abs(x) for s in (s1, s2) for x in flow_ext2(line, s, t, w))
                 assert sup >= c_i * u
 
 
 def test_vandermonde_examples():
     line = LineSegmentSpec(Fraction(0), Fraction(0), Fraction(0), Fraction(1), RATIONAL)
-    t = FlowTime.from_exp(Fraction(1))
+    t = exact_time(Fraction(1))
     chk = vandermonde_check([1, 0], t, line)
     assert chk.lhs == 1 and chk.rhs == Fraction(1, 2) and chk.passed
     chk = vandermonde_check([0, 1], t, line)
@@ -261,7 +253,7 @@ def test_vandermonde_all_ones_and_random():
     rng = random.Random(29)
     line = LineSegmentSpec(Fraction(0), Fraction(0), Fraction(0), Fraction(1), RATIONAL)
     for m in range(1, 7):
-        t = FlowTime.from_exp(Fraction(rng.randint(1, 12)))
+        t = exact_time(Fraction(rng.randint(1, 12)))
         assert vandermonde_check([1] * (m + 1), t, line).passed
         for _ in range(20):
             w = [rng.randint(-50, 50) for _ in range(m + 1)]
@@ -287,7 +279,7 @@ def _bigfloat_results():
     matrix = [x for row in phi(line, s) for x in row]
     v = IntegerVec3(3, -2, 5)
     sups = [segment_sup(line, t, v),
-            max(abs(x) for s in line.endpoints() for x in flow_ext2(line, s, t, v))]
+            max(abs(x) for s in (line.s1, line.s2) for x in flow_ext2(line, s, t, v))]
     return [exact_ratio(x) for x in named + matrix + sups]
 
 

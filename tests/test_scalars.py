@@ -252,4 +252,3 @@ def test_integer_vec3():
     assert v.as_tuple() == (1, -2, 3)
     assert not v.is_zero()
     assert IntegerVec3(0, 0, 0).is_zero()
-    assert list(v) == [1, -2, 3]

@@ -1,6 +1,8 @@
 """Shared test oracles: the dense matrix path of the flow (g_t and the 3x3
-helpers), brute-force lattice searches, random unimodular bases with
-controlled conditioning, the full-recompute f64 LLL, the generic-rank
+helpers), exact flow times (e^t kept as a ``Fraction``), the standard and
+exterior-square actions, the interval constant and the Vandermonde check
+of the proof lemmas, brute-force lattice searches, random unimodular bases
+with controlled conditioning, the full-recompute f64 LLL, the generic-rank
 integral LLL, a 256-bit float lattice path and the f64 shortest vector and
 point count on it, the q-scan segment minimum, the q-scan witness and E_q
 searches, the cold box search of ``diophantine._box_points`` and an exact
@@ -15,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -62,6 +65,119 @@ def mat_det(A):
         - A[0][1] * (A[1][0] * A[2][2] - A[1][2] * A[2][0])
         + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0])
     )
+
+
+# -- exact flow times and the actions behind the proof lemmas -------------
+
+@dataclass(frozen=True)
+class ExactFlowTime(FlowTime):
+    """A flow time t = ln(u) with u = e^t kept exact: the powers e^{kt} are
+    the rationals u^k, which keeps the segment actions, ``segment_sup`` and
+    ``segment_minimum`` exact in rational mode (``translate_basis`` reads
+    only the float t)."""
+
+    u: Fraction
+
+    def factor(self, k: int, mode: ScalarMode = F64):
+        return mode.from_fraction(self.u ** k)
+
+
+def exact_time(u) -> ExactFlowTime:
+    """The flow time t = ln(u), u > 0, with e^t = u exact."""
+    u = Fraction(u)
+    return ExactFlowTime(math.log(u), u)
+
+
+def _require_nonzero(v: IntegerVec3):
+    if v.is_zero():
+        raise InvalidInputError("the zero vector is not a valid witness or orbit seed")
+
+
+def flow_standard(line: LineSegmentSpec, s, t: FlowTime, v: IntegerVec3):
+    """g_t phi(s) applied to (p1, p2, q) in the standard representation:
+    (e^{2t} ((b q + p1) + (a q + p2) s), e^{-t} p2, e^{-t} q)."""
+    _require_nonzero(v)
+    em = t.factor(-1, line.mode)
+    first = t.factor(2, line.mode) * (line.b * v.q + v.p1 + (line.a * v.q + v.p2) * s)
+    return (first, em * v.p2, em * v.q)
+
+
+def flow_ext2(line: LineSegmentSpec, s, t: FlowTime, w: IntegerVec3):
+    """g_t phi(s) on the exterior square, coordinates (p, q, r) in the basis
+    (e12, e23, e13).
+
+    phi(s) fixes e12 and e13 and sends e23 to s*e13 - (a s + b)*e12 + e23,
+    so the image is (e^t(-(a s + b)q + p), e^{-2t} q, e^t(s q + r)).
+    """
+    _require_nonzero(w)
+    p, q, r = w.p1, w.p2, w.q
+    et = t.factor(1, line.mode)
+    em2 = t.factor(-2, line.mode)
+    first = et * (-(line.a * s + line.b) * q + p)
+    third = et * (s * q + r)
+    return (first, em2 * q, third)
+
+
+def ext2_constant(line: LineSegmentSpec):
+    """The interval constant C_I = min{(s2-s1)/2, (s2-s1)/(|s1|+|s2|), 1}.
+
+    For any nonzero integer w and t >= 0, the sup over s in I of the
+    sup-norm of ``flow_ext2`` is bounded below by C_I * e^t.
+    """
+    s1, s2 = line.s1, line.s2
+    length = s2 - s1
+    terms = [length / line.mode.from_int(2), line.mode.from_int(1)]
+    denom = abs(s1) + abs(s2)
+    if denom > 0:
+        terms.append(length / denom)
+    return min(terms)
+
+
+@dataclass(frozen=True)
+class VandermondeCheck:
+    lhs: object
+    rhs: object
+    passed: bool
+
+
+def vandermonde_check(w, t: FlowTime, line: LineSegmentSpec) -> VandermondeCheck:
+    """Lower bound for the weight-0 coordinate of the SL2 action on degree-m
+    polynomial vectors.
+
+    With coefficients w = (w_0, ..., w_m) and the equispaced grid
+    tau_j = s1 + (j/m)(s2 - s1), the supremum of |sum_k w_k s^k| over I
+    dominates max_j |sum_k w_k tau_j^k|, and the inverse-Vandermonde
+    estimate gives
+
+        sup >= (C_I * m)^{-m} * max_k |w_k|,   C_I = (1 + max(|s1|,|s2|)) / (s2 - s1).
+
+    Both sides carry the weight-space expansion factor e^{mt}.  Returns the
+    grid maximum (lhs), the guaranteed bound (rhs) and the comparison.
+    """
+    m = len(w) - 1
+    if m < 1:
+        raise InvalidInputError("need a coefficient list of length m + 1 with m >= 1")
+    coeffs = [line.mode.from_int(c) if isinstance(c, int) else c for c in w]
+    if all(c == 0 for c in coeffs):
+        raise InvalidInputError("all-zero coefficient vector")
+    s1, s2 = line.s1, line.s2
+    emt = t.factor(m, line.mode)
+    grid_max = None
+    for j in range(m + 1):
+        tau = s1 + line.mode.from_fraction(Fraction(j, m)) * (s2 - s1)
+        acc = coeffs[0]
+        power = line.mode.from_int(1)
+        for k in range(1, m + 1):
+            power = power * tau
+            acc = acc + coeffs[k] * power
+        val = abs(acc)
+        if grid_max is None or val > grid_max:
+            grid_max = val
+    lhs = grid_max * emt
+    c_i = (line.mode.from_int(1) + max(abs(s1), abs(s2))) / (s2 - s1)
+    w_norm = max(abs(c) for c in coeffs)
+    rhs = emt * w_norm / ((c_i * m) ** m)
+    return VandermondeCheck(lhs=lhs, rhs=rhs, passed=lhs >= rhs)
 
 
 def brute_force_lambda1(cols, box: int = 25):
@@ -919,7 +1035,7 @@ def segment_minimum_scan(line: LineSegmentSpec, t: FlowTime, R_cap: float,
 
     best_vec = IntegerVec3(*min((vec for _, vec in [best] + near), key=exact_key))
     best_val = segment_sup(line, t, best_vec)
-    exactable = line.mode.kind == "rational" and t.exp_t is not None
+    exactable = line.mode.kind == "rational" and isinstance(t, ExactFlowTime)
     cap = Fraction(R_cap) if exactable else float(R_cap)
     if best_val > cap:
         return None
