@@ -11,11 +11,11 @@ inflated ball contains every candidate that could beat the incumbent).
 A lattice is one value, ``ReducedLattice``, made by either reduction.
 ``ReducedLattice.of(matrix, log_scale)`` takes a 3x3 matrix with a flow
 log-scale that defers the exponentials of its rows (so translates are
-stored without overflow) and runs one f64 ``lll_reduce`` in place on the
-scaled columns and their Gram-Schmidt data, which go on to the enumeration,
-or, when asked (``translate_basis`` asks for every bigfloat line) or for
-columns too skewed for f64, the exact reduction
-of the unrounded products, whose integer rows it builds from the integer
+stored without overflow) and reduces the scaled columns by one f64
+``lll_reduce``, whose reduced rows and Gram-Schmidt data go on to the
+enumeration, or, when asked (``translate_basis`` asks for every bigfloat
+line) or for columns that ``lll_reduce`` refuses, the exact reduction of
+the unrounded products, whose integer rows it builds from the integer
 ratios of the entries and of the row scales, with no ``Fraction`` made;
 ``translate_basis`` gives it the translate g_t phi(s) Z^3.
 ``ReducedLattice.exact(rows)`` scales the rational rows of a rank-3 lattice
@@ -94,57 +94,47 @@ class ShortVectorResult:
 
 # -- f64 reduction and the Fincke-Pohst enumeration ------------------------
 
-def gram_schmidt(cols):
-    """Euclidean Gram-Schmidt data of three column vectors.
+def lll_reduce(cols):
+    """LLL reduction (delta = ``LLL_DELTA``) of three f64 columns, which
+    stay unchanged; returns (rows, U, mu, norm2), or None where f64 cannot
+    be trusted: a Gram-Schmidt length of the columns not in (0, inf),
+    lengths spanning more than ``GSO_RANGE_CAP``, or a Gram-Schmidt value of
+    the reduced columns that is not finite.  Columns found singular in the
+    loop, and the iteration cap, raise ReductionError.
 
-    Returns (bstar, mu, norm2) with mu[i][j] = <b_i, b*_j>/<b*_j, b*_j> for
-    j < i.  Raises on numerically singular input.  ``lll_reduce`` recomputes
-    its rows with the same expressions, in the same order.
-    """
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = cols
-    n0 = a0 * a0 + a1 * a1 + a2 * a2
-    if n0 <= 0:
-        raise ReductionError(_SINGULAR)
-    m10 = (b0 * a0 + b1 * a1 + b2 * a2) / n0
-    v0, v1, v2 = b0 - m10 * a0, b1 - m10 * a1, b2 - m10 * a2
-    n1 = v0 * v0 + v1 * v1 + v2 * v2
-    if n1 <= 0:
-        raise ReductionError(_SINGULAR)
-    m20 = (c0 * a0 + c1 * a1 + c2 * a2) / n0
-    m21 = (c0 * v0 + c1 * v1 + c2 * v2) / n1
-    w0 = c0 - m20 * a0 - m21 * v0
-    w1 = c1 - m20 * a1 - m21 * v1
-    w2 = c2 - m20 * a2 - m21 * v2
-    n2 = w0 * w0 + w1 * w1 + w2 * w2
-    if n2 <= 0:
-        raise ReductionError(_SINGULAR)
-    return ([[a0, a1, a2], [v0, v1, v2], [w0, w1, w2]],
-            [[0.0, 0.0, 0.0], [m10, 0.0, 0.0], [m20, m21, 0.0]], [n0, n1, n2])
-
-
-def lll_reduce(cols, gso):
-    """LLL-reduce three f64 columns in place (delta = ``LLL_DELTA``), with
-    ``gso`` = ``gram_schmidt(cols)``; returns (cols, U).
-
-    On return ``cols`` and ``gso`` hold the reduced columns and their
-    Gram-Schmidt data.  U is the integer matrix with reduced = basis . U
-    (column convention); only swaps and integer column steps change it from
-    I, so det(U) = +-1.  A size-reduction pass rounds the mu from before the
-    pass.  Only the Gram-Schmidt rows a step changes are recomputed, row 2
-    (read only at k = 2) once k reaches 2, each as ``gram_schmidt`` computes
-    it, so the result is bit for bit that of a full recompute.
+    rows are the coordinate rows of the reduced columns, U the integer
+    matrix with reduced = basis . U (column convention; only swaps and
+    integer column steps change it from I, so det(U) = +-1), and (mu, norm2)
+    the Gram-Schmidt data of the reduced columns, mu[i][j] =
+    <b_i, b*_j>/<b*_j, b*_j> for j < i and norm2[i] = |b*_i|^2.  A
+    size-reduction pass rounds the mu from before the pass.  Only the rows
+    a step changes are recomputed, row 2 (read only at k = 2) once k
+    reaches 2, each with the expressions that made it at entry, so the
+    result is bit for bit that of a full recompute.
 
     The rank-3 loop is straight-line code: the columns a, b, c, the columns
     of U, b*_1 = v, b*_2 = w (b*_0 is a), mu and the norms live in local
     scalars, a swap rebinds names, and each row recompute is written out,
     because a Python call per row would cost more than its arithmetic.
     """
-    delta, cap = LLL_DELTA, LLL_ITERATION_CAP
-    bstar, mu, norm2 = gso
+    delta, cap, inf = LLL_DELTA, LLL_ITERATION_CAP, math.inf
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = cols
-    v0, v1, v2 = bstar[1]
-    m10 = mu[1][0]
-    n0, n1, _ = norm2
+    n0 = a0 * a0 + a1 * a1 + a2 * a2
+    if not 0 < n0 < inf:
+        return None
+    m10 = (b0 * a0 + b1 * a1 + b2 * a2) / n0
+    v0, v1, v2 = b0 - m10 * a0, b1 - m10 * a1, b2 - m10 * a2
+    n1 = v0 * v0 + v1 * v1 + v2 * v2
+    if not 0 < n1 < inf:
+        return None
+    m20 = (c0 * a0 + c1 * a1 + c2 * a2) / n0
+    m21 = (c0 * v0 + c1 * v1 + c2 * v2) / n1
+    w0 = c0 - m20 * a0 - m21 * v0
+    w1 = c1 - m20 * a1 - m21 * v1
+    w2 = c2 - m20 * a2 - m21 * v2
+    n2 = w0 * w0 + w1 * w1 + w2 * w2
+    if not 0 < n2 < inf or (max(n0, n1, n2) / min(n0, n1, n2)) ** 0.5 > GSO_RANGE_CAP:
+        return None
     ua0, ua1, ua2, ub0, ub1, ub2, uc0, uc1, uc2 = 1, 0, 0, 0, 1, 0, 0, 0, 1
     k = 1
     steps = 0
@@ -214,11 +204,11 @@ def lll_reduce(cols, gso):
                     raise ReductionError(_SINGULAR)
                 k = 1
 
-    cols[0], cols[1], cols[2] = [a0, a1, a2], [b0, b1, b2], [c0, c1, c2]
-    bstar[0], bstar[1], bstar[2] = [a0, a1, a2], [v0, v1, v2], [w0, w1, w2]
-    mu[1][0], mu[2][0], mu[2][1] = m10, m20, m21
-    norm2[0], norm2[1], norm2[2] = n0, n1, n2
-    return cols, [[ua0, ua1, ua2], [ub0, ub1, ub2], [uc0, uc1, uc2]]
+    if not all(map(math.isfinite, (n0, n1, n2, m10, m20, m21))):
+        return None
+    return (((a0, b0, c0), (a1, b1, c1), (a2, b2, c2)),
+            [[ua0, ua1, ua2], [ub0, ub1, ub2], [uc0, uc1, uc2]],
+            [[0.0, 0.0, 0.0], [m10, 0.0, 0.0], [m20, m21, 0.0]], [n0, n1, n2])
 
 
 def _enumerate_half_ball(mu, norm2, bound2):
@@ -269,20 +259,6 @@ def _transform_apply(u, x):
     return (a0 * x0 + b0 * x1 + c0 * x2,
             a1 * x0 + b1 * x1 + c1 * x2,
             a2 * x0 + b2 * x1 + c2 * x2)
-
-
-def _f64_gram_schmidt(cols):
-    """``gram_schmidt`` of the columns when f64 can reduce them, else None:
-    the GSO lengths must be positive and span at most ``GSO_RANGE_CAP``."""
-    try:
-        gso = gram_schmidt(cols)
-    except ReductionError:
-        return None
-    norm2 = gso[2]  # positive, or NaN
-    # NaN or inf (entries or lengths past the f64 range) fail this test too
-    if not (max(norm2) / min(norm2)) ** 0.5 <= GSO_RANGE_CAP:
-        return None
-    return gso
 
 
 # -- exact reduction -------------------------------------------------------
@@ -548,27 +524,22 @@ class ReducedLattice:
         """One reduction of the lattice spanned by the columns of ``matrix``
         (rows of mode scalars), its rows times the f64 values of e^{2l},
         e^{-l}, e^{-l} for l = ``log_scale``: ``lll_reduce`` of the rounded
-        products, whose Gram-Schmidt data are handed on, while their f64
-        Gram-Schmidt lengths span at most ``GSO_RANGE_CAP``; past that,
-        where an entry or a step of the reduction overflows f64, and always
-        with ``exact``, the integral LLL of the unrounded products, scaled
-        to the integer rows and ``den`` that ``exact`` makes of them.  The
-        row scales of the last log scale are kept, so the samples of one
-        flow time compute them once."""
+        products; where it refuses them, where an entry or a step of the
+        reduction overflows f64, and always with ``exact``, the integral LLL
+        of the unrounded products, scaled to the integer rows and ``den``
+        that ``exact`` makes of them.  The row scales of the last log scale
+        are kept, so the samples of one flow time compute them once."""
         scales = _flow_scales(log_scale)
         if not exact:
             (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = matrix
             e2, em, _ = scales
             try:
-                cols = [[float(a0) * e2, float(a1) * em, float(a2) * em],
-                        [float(b0) * e2, float(b1) * em, float(b2) * em],
-                        [float(c0) * e2, float(c1) * em, float(c2) * em]]
-                gso = _f64_gram_schmidt(cols)
-                if gso is not None:
-                    red, u = lll_reduce(cols, gso)
-                    _, mu, norm2 = gso
-                    return cls(tuple(zip(*red)), u, mu, norm2, 1,
-                               norm2[0] * norm2[1] * norm2[2])
+                reduced = lll_reduce([[float(a0) * e2, float(a1) * em, float(a2) * em],
+                                      [float(b0) * e2, float(b1) * em, float(b2) * em],
+                                      [float(c0) * e2, float(c1) * em, float(c2) * em]])
+                if reduced is not None:
+                    rows, u, mu, norm2 = reduced
+                    return cls(rows, u, mu, norm2, 1, norm2[0] * norm2[1] * norm2[2])
             except OverflowError:
                 pass  # past the f64 range: reduce exactly
         if 0.0 in scales:  # a zero row spans no lattice
@@ -748,8 +719,8 @@ def shortest_vector(lat: ReducedLattice) -> ShortVectorResult:
     could undercut the shortest reduced column lies in the Euclidean ball of
     radius sqrt(3) times that column's sup norm, and that ball is enumerated
     to exhaustion, so the result is certified.  On an ``escalated`` lattice
-    (a bigfloat translate, or f64 GSO lengths spanning more than ~1e12 or past
-    the f64 range) lambda1 is the correctly rounded exact minimum.
+    (a bigfloat translate, or a basis that ``lll_reduce`` refuses) lambda1 is
+    the correctly rounded exact minimum.
     """
     norm, coeffs = lat.minimum(math.inf)
     return ShortVectorResult(vector=IntegerVec3(*coeffs), lambda1=float(norm),

@@ -418,11 +418,16 @@ def _exact_lambda1(line, s, t):
     ["equidist", "1e400", "1", "--mode", "rational", "--t-list", "1", "--N", "3"],
     ["orbit", "1e300", "1", "--t-grid", "1", "--N", "3"],
     ["dirichlet", "1e200", "1", "--t-max", "1"],
+    ["equidist", "-2e219", "-2e289", "--t-list", "1", "--N", "200"],
+    ["dirichlet", "-2.0511610263684935e+219", "-2.067449117316351e+289",
+     "--s", "0.489610192444466", "--t-max", "1"],
 ])
 def test_translates_past_the_f64_range_reduce_exactly(args, tmp_path):
     # an entry of the f64 basis (float(1e400)) or a step of the f64 LLL
-    # (a squared Gram-Schmidt coefficient) overflows; the translate is
-    # reduced exactly, and every first minimum is the exact one
+    # (a squared Gram-Schmidt coefficient) overflows, or the f64 LLL
+    # size-reduces by a multiplier near 10^289 to an infinite Gram-Schmidt
+    # length; the translate is reduced exactly, and every first minimum is
+    # the exact one
     out = tmp_path / "big"
     assert run_cli(args + ["--out", str(out)]) == 0
     doc = read_json(str(out) + ".json")

@@ -106,23 +106,28 @@ def test_sample_counts_monotone_and_even():
 
 @pytest.mark.parametrize("t", [3.0, 8.0, 9.5])
 def test_sample_translate_reduces_once_per_sample(monkeypatch, t):
-    # the f64 path below t ~ 9.2, the exact (integral LLL) path above it
+    # the f64 path below t ~ 9.2; above it the f64 reduction refuses the
+    # columns before any LLL step and the exact (integral LLL) path takes them
     calls = []
 
     def counting(fn):
         def wrapped(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            calls.append((fn.__name__, result is None))
+            return result
         return wrapped
 
     for name in ("lll_reduce", "lll_reduce_integral"):
         monkeypatch.setattr(lattice, name, counting(getattr(lattice, name)))
+    escalated = t > 9
+    if escalated:  # an LLL step would now raise
+        monkeypatch.setattr(lattice, "LLL_ITERATION_CAP", 0)
     radii = (1.0, 1.5, 2.0)
     samples = exp.sample_translate(GENERIC_LINE, FlowTime.of(t), 8, seed=4, radii=radii)
-    escalated = t > 9
     assert [s.escalated for s in samples] == [escalated] * 8
-    want = "lll_reduce_integral" if escalated else "lll_reduce"
-    assert calls == [want] * 8
+    want = ([("lll_reduce", True), ("lll_reduce_integral", False)] if escalated
+            else [("lll_reduce", False)])
+    assert calls == want * 8
 
     for smp in samples:
         basis = lattice.translate_basis(
@@ -485,9 +490,9 @@ def test_sample_translate_shortcuts_keep_every_bit(kind, seed, N, t):
     seen = []
     lll_reduce = lattice.lll_reduce
 
-    def recording(cols, gso):
+    def recording(cols):
         seen.append([[x.hex() for x in col] for col in cols])
-        return lll_reduce(cols, gso)
+        return lll_reduce(cols)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "lll_reduce", recording)

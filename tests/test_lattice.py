@@ -17,7 +17,6 @@ from latflow.lattice import (
     ReducedLattice,
     count_points,
     enumeration_budget,
-    gram_schmidt,
     lll_reduce,
     lll_reduce_integral,
     shortest_vector,
@@ -43,27 +42,6 @@ def _rows_of(cols):
     return tuple(zip(*cols))
 
 
-def test_gram_schmidt_identity():
-    bstar, mu, norm2 = gram_schmidt([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
-    assert norm2 == [1.0, 1.0, 1.0]
-    assert all(mu[i][j] == 0 for i in range(3) for j in range(i))
-
-
-def test_gram_schmidt_unipotent_columns():
-    # phi(s)-style shear: GSO lengths stay 1
-    s, c = 0.7, 1.9
-    cols = [[1.0, 0, 0], [s, 1.0, 0], [c, 0, 1.0]]
-    _, _, norm2 = gram_schmidt(cols)
-    assert norm2 == pytest.approx([1.0, 1.0, 1.0], rel=1e-12)
-
-
-def test_gram_schmidt_orthogonal_diagonal():
-    e2, em = math.exp(2), math.exp(-1)
-    cols = [[e2, 0, 0], [0, em, 0], [0, 0, em]]
-    _, _, norm2 = gram_schmidt(cols)
-    assert norm2 == pytest.approx([e2 ** 2, em ** 2, em ** 2], rel=1e-12)
-
-
 def _det(u):
     return (u[0][0] * (u[1][1] * u[2][2] - u[1][2] * u[2][1])
             - u[1][0] * (u[0][1] * u[2][2] - u[0][2] * u[2][1])
@@ -71,8 +49,9 @@ def _det(u):
 
 
 def _lll(matrix, log_scale=0.0):
-    cols = scaled_columns(matrix, log_scale)
-    return lll_reduce(cols, gram_schmidt(cols))
+    """The reduced columns and U of the f64 reduction of ``matrix``."""
+    rows, u, _, _ = lll_reduce(scaled_columns(matrix, log_scale))
+    return [list(col) for col in zip(*rows)], u
 
 
 def test_lll_identity_unchanged():
@@ -113,22 +92,73 @@ def test_lll_lambda1_invariance():
         assert lam_after == pytest.approx(lam_before, rel=1e-10)
 
 
-def _assert_same_reduction(matrix, log_scale=0.0):
-    # bit for bit: the row-wise Gram-Schmidt updates evaluate the same
-    # expressions as a full recompute
-    cols = scaled_columns(matrix, log_scale)
-    gso = gram_schmidt(cols)
-    assert gso == gram_schmidt_full(cols)
-    red, u = lll_reduce(cols, gso=gso)
-    assert (red, u) == lll_reduce_full(matrix, log_scale)
+def _f64_refused(cols):
+    """The f64 entry test: a Gram-Schmidt length of ``cols`` (by the full
+    recompute) not in (0, inf), or lengths spanning more than GSO_RANGE_CAP."""
+    try:
+        _, _, norm2 = gram_schmidt_full(cols)
+    except ReductionError:
+        return True
+    return (not all(0 < n < math.inf for n in norm2)
+            or (max(norm2) / min(norm2)) ** 0.5 > lattice.GSO_RANGE_CAP)
+
+
+def _reduction_or_error(reduce, cols):
+    try:
+        return reduce(cols)
+    except (OverflowError, ReductionError) as e:
+        return type(e)
+
+
+def _assert_same_reduction(cols):
+    """``lll_reduce(cols)`` against the full-recompute oracles: None where
+    the entry test refuses the columns or the reduced Gram-Schmidt data are
+    not finite, else bit for bit the oracle's reduced rows, U and
+    Gram-Schmidt data (the row-wise updates evaluate the same expressions
+    as a full recompute); the same error where a step overflows or meets
+    singular columns.  ``cols`` is left as it was."""
+    before = [list(col) for col in cols]
+    got = _reduction_or_error(lll_reduce, cols)
+    assert cols == before
+    if _f64_refused(cols):
+        assert got is None
+        return
+    want = _reduction_or_error(lll_reduce_full, cols)
+    if isinstance(want, type):
+        assert got is want
+        return
+    red, u = want
+    _, mu, norm2 = gram_schmidt_full(red)
+    if not all(map(math.isfinite, norm2 + mu[1] + mu[2])):
+        assert got is None
+        return
+    assert got == (_rows_of(red), u, mu, norm2)
     assert _det(u) in (1, -1)
-    assert gso == gram_schmidt_full(red)  # handed back for the enumeration
+
+
+def test_lll_reduce_gram_schmidt_data():
+    e2, em = math.exp(2), math.exp(-1)
+    for cols, lengths in (
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1.0, 1.0, 1.0]),
+            # phi(s)-style shear: the lengths stay 1
+            ([[1.0, 0.0, 0.0], [0.7, 1.0, 0.0], [1.9, 0.0, 1.0]], [1.0, 1.0, 1.0]),
+            # the diagonal's columns come back shortest first
+            ([[e2, 0.0, 0.0], [0.0, em, 0.0], [0.0, 0.0, em]], [em ** 2, em ** 2, e2 ** 2])):
+        _assert_same_reduction(cols)
+        assert lll_reduce(cols)[3] == pytest.approx(lengths, rel=1e-12)
+    _, _, mu, norm2 = lll_reduce([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert norm2 == [1.0, 1.0, 1.0]
+    assert all(mu[i][j] == 0 for i in range(3) for j in range(i))
 
 
 # |a|, |b|, |s| up to 10^3 and t up to 9.1 make both size-reduction
 # multipliers at k = 2 nonzero in most examples
 _wide = st.floats(-1e3, 1e3, allow_nan=False)
 _SQRT2, _SQRT3 = math.sqrt(2), math.sqrt(3)
+
+
+def _f64_translate_columns(a, b, s, t):
+    return scaled_columns(phi(LineSegmentSpec(a, b, -1.0, 1.0, F64), s), t)
 
 
 @settings(max_examples=150, deadline=None)
@@ -141,22 +171,32 @@ _SQRT2, _SQRT3 = math.sqrt(2), math.sqrt(3)
 @example(a=_SQRT2, b=_SQRT3, s=0.3, t=8.0)
 @example(a=_SQRT2, b=_SQRT3, s=0.3, t=9.1)
 def test_lll_reduce_matches_full_recompute_on_translates(a, b, s, t):
-    line = LineSegmentSpec(a, b, -1.0, 1.0, F64)
-    _assert_same_reduction(phi(line, s), t)
+    _assert_same_reduction(_f64_translate_columns(a, b, s, t))
+
+
+_huge = st.floats(-1e300, 1e300, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_huge, b=_huge, s=_huge, t=st.floats(9.0, 9.4))
+# a GSO range about e^{3t}, near GSO_RANGE_CAP at t = 9.2
+@example(a=_SQRT2, b=_SQRT3, s=0.3, t=9.1)
+@example(a=_SQRT2, b=_SQRT3, s=0.3, t=9.3)
+# a first column of length e^2 whose second and third lengths are NaN
+@example(a=1.0, b=1.0, s=1e308, t=1.0)
+# size reduction by a multiplier near 10^289 makes the reduced n2 infinite
+@example(a=-2e219, b=-2e289, s=0.6386839963153215, t=1.0)
+def test_lll_reduce_refuses_exactly_where_f64_fails(a, b, s, t):
+    _assert_same_reduction(_f64_translate_columns(a, b, s, t))
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), log_cond=st.floats(0.0, math.log(1e8)))
 def test_lll_reduce_matches_full_recompute_on_random_bases(seed, log_cond):
-    cols = random_unimodular_columns(np.random.default_rng(seed), log_cond)
-    _assert_same_reduction(_rows_of(cols))
-
-
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1))
-def test_gram_schmidt_matches_full_recompute_on_random_bases(seed):
-    cols = np.random.default_rng(seed).normal(size=(3, 3)).tolist()
-    assert gram_schmidt(cols) == gram_schmidt_full(cols)
+    rng = np.random.default_rng(seed)
+    _assert_same_reduction(random_unimodular_columns(rng, log_cond))
+    # and on Gaussian columns, not unimodular
+    _assert_same_reduction(rng.normal(size=(3, 3)).tolist())
 
 
 def test_shortest_vector_identity():

@@ -24,7 +24,7 @@ def test_module_table_is_found():
 @pytest.mark.parametrize("name, contents",
                          [pytest.param(*row, id=row[0]) for row in _module_rows()])
 def test_module_table_names_resolve(name, contents):
-    # tokens that are not dotted identifiers, like `lll_reduce(cols, gso)` or
+    # tokens that are not dotted identifiers, like `lll_reduce(cols)` or
     # a CLI line, name no attribute
     module = importlib.import_module(name)
     for token in re.findall(r"`([^`]+)`", contents):

@@ -287,11 +287,11 @@ def csv_per_cell(rows, columns, fmt) -> str:
     return f.getvalue()
 
 
-def lll_reduce_full(matrix, log_scale: float = 0.0, delta: float = 0.99):
-    """f64 LLL of ``scaled_columns(matrix, log_scale)`` that recomputes all
-    Gram-Schmidt rows after every size-reduction pass and every swap;
-    returns (reduced_columns, transform) like ``latflow.lattice.lll_reduce``."""
-    cols = scaled_columns(matrix, log_scale)
+def lll_reduce_full(cols, delta: float = 0.99):
+    """f64 LLL of the three columns ``cols`` that recomputes all Gram-Schmidt
+    rows after every size-reduction pass and every swap; returns
+    (reduced_columns, transform), U as in ``latflow.lattice.lll_reduce``."""
+    cols = [list(col) for col in cols]
     u = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     _, mu, norm2 = gram_schmidt_full(cols)
     k = 1
@@ -548,7 +548,7 @@ def shortest_vector_f64(matrix, log_scale: float = 0.0):
     every vector of the Euclidean ball of radius sqrt(3) incumbent compared
     by its f64 sup norm.  Returns (lambda1, coefficients with respect to the
     basis columns)."""
-    red, u = lll_reduce_full(matrix, log_scale)
+    red, u = lll_reduce_full(scaled_columns(matrix, log_scale))
     best_x = min(((1, 0, 0), (0, 1, 0), (0, 0, 1)), key=lambda x: _sup(_combine(red, x)))
     best = _sup(_combine(red, best_x))
     for x in _f64_half_ball(red, 3 * best * best * (1 + 1e-9)):
@@ -560,7 +560,7 @@ def shortest_vector_f64(matrix, log_scale: float = 0.0):
 def count_points_f64(matrix, log_scale: float, r: float) -> int:
     """Independent oracle for ``count_points`` on the f64 path, as
     ``shortest_vector_f64``."""
-    red, _ = lll_reduce_full(matrix, log_scale)
+    red, _ = lll_reduce_full(scaled_columns(matrix, log_scale))
     return 2 * sum(1 for x in _f64_half_ball(red, 3 * r * r * (1 + 1e-12))
                    if _sup(_combine(red, x)) <= r)
 

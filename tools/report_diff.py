@@ -46,7 +46,11 @@ SHOWN = 10  # differing operations named in full
 # and the box searches whose blocks reduce wide integers, each block from
 # the basis of the block before: the 16,745-bit rows of liouville:7, the
 # W2inf witness q = 10^24 of liouville:5 at q_max = 10^25, and
-# a bigfloat:256 density whose window search passes 20 blocks.
+# a bigfloat:256 density whose window search passes 20 blocks; then the f64
+# translates that leave the f64 reduction: a Gram-Schmidt length past the
+# f64 range (1e200), and a size reduction by a multiplier near 10^289 whose
+# reduced length is infinite; the leaf-by-leaf f64 count of a radius below
+# 2^-400; and a slope of 10^8, whose f64 rows stay on the f64 path.
 EXTRA_OPS = [
     ["equidist", "sqrt2", "sqrt3", "--mode", "bigfloat:256", "--t-list", "5,9.5,11",
      "--N", "20", "--radii", "1.5"],
@@ -84,6 +88,10 @@ EXTRA_OPS = [
     ["classify", "liouville:5", "1/3", "--mode", "rational", "--q-max", str(10 ** 25)],
     ["density", "sqrt2", "sqrt3", "--mode", "bigfloat:256", "--R", "1", "--T", "13.2",
      "--q-max", "1000000"],
+    ["equidist", "1e200", "1", "--t-list", "1", "--N", "3"],
+    ["equidist", "-2e219", "-2e289", "--t-list", "1", "--N", "200"],
+    ["equidist", "sqrt2", "sqrt3", "--t-list", "3", "--N", "5", "--radii", "1e-125,1.5"],
+    ["equidist", "123456789.5", "0.25", "--t-list", "5", "--N", "200", "--radii", "1.5"],
 ]
 
 # Runs in the child, with cwd the tree's temporary directory:
