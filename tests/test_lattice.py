@@ -136,19 +136,30 @@ def _assert_same_reduction(cols):
     assert _det(u) in (1, -1)
 
 
-def test_lll_reduce_gram_schmidt_data():
-    e2, em = math.exp(2), math.exp(-1)
-    for cols, lengths in (
-            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1.0, 1.0, 1.0]),
-            # phi(s)-style shear: the lengths stay 1
-            ([[1.0, 0.0, 0.0], [0.7, 1.0, 0.0], [1.9, 0.0, 1.0]], [1.0, 1.0, 1.0]),
-            # the diagonal's columns come back shortest first
-            ([[e2, 0.0, 0.0], [0.0, em, 0.0], [0.0, 0.0, em]], [em ** 2, em ** 2, e2 ** 2])):
-        _assert_same_reduction(cols)
-        assert lll_reduce(cols)[3] == pytest.approx(lengths, rel=1e-12)
-    _, _, mu, norm2 = lll_reduce([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+def test_gram_schmidt_identity():
+    cols = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    _assert_same_reduction(cols)
+    _, _, mu, norm2 = lll_reduce(cols)
     assert norm2 == [1.0, 1.0, 1.0]
     assert all(mu[i][j] == 0 for i in range(3) for j in range(i))
+
+
+def test_gram_schmidt_unipotent_columns():
+    # phi(s)-style shear: GSO lengths stay 1
+    s, c = 0.7, 1.9
+    cols = [[1.0, 0.0, 0.0], [s, 1.0, 0.0], [c, 0.0, 1.0]]
+    _assert_same_reduction(cols)
+    _, _, _, norm2 = lll_reduce(cols)
+    assert norm2 == pytest.approx([1.0, 1.0, 1.0], rel=1e-12)
+
+
+def test_gram_schmidt_orthogonal_diagonal():
+    e2, em = math.exp(2), math.exp(-1)
+    cols = [[e2, 0.0, 0.0], [0.0, em, 0.0], [0.0, 0.0, em]]
+    _assert_same_reduction(cols)
+    # the reduced columns come back shortest first
+    _, _, _, norm2 = lll_reduce(cols)
+    assert norm2 == pytest.approx([em ** 2, em ** 2, e2 ** 2], rel=1e-12)
 
 
 # |a|, |b|, |s| up to 10^3 and t up to 9.1 make both size-reduction
@@ -193,10 +204,15 @@ def test_lll_reduce_refuses_exactly_where_f64_fails(a, b, s, t):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), log_cond=st.floats(0.0, math.log(1e8)))
 def test_lll_reduce_matches_full_recompute_on_random_bases(seed, log_cond):
-    rng = np.random.default_rng(seed)
-    _assert_same_reduction(random_unimodular_columns(rng, log_cond))
-    # and on Gaussian columns, not unimodular
-    _assert_same_reduction(rng.normal(size=(3, 3)).tolist())
+    cols = random_unimodular_columns(np.random.default_rng(seed), log_cond)
+    _assert_same_reduction(cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_gram_schmidt_matches_full_recompute_on_random_bases(seed):
+    # Gaussian columns, not unimodular
+    _assert_same_reduction(np.random.default_rng(seed).normal(size=(3, 3)).tolist())
 
 
 def test_shortest_vector_identity():
