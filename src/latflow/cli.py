@@ -30,6 +30,7 @@ import math
 import re
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -380,23 +381,22 @@ def _run_equidist(args, mode) -> tuple[list, dict, list]:
     per_t = {}
     samples = []
     for t in ts:
-        batch = exp.sample_translate(line, FlowTime.of(t), args.N, args.seed, radii)
-        per_t[t] = batch
-        samples.extend(s.as_row() for s in batch)
+        per_t[t] = exp.sample_translate(line, FlowTime.of(t), args.N, args.seed, radii)
+        samples.extend(per_t[t])
     ks = {}
     for t1, t2 in zip(ts, ts[1:]):
         ks[f"{t1:g}->{t2:g}"] = exp.ks_distance(
-            [s.lambda1 for s in per_t[t1]], [s.lambda1 for s in per_t[t2]])
+            [row["lambda1"] for row in per_t[t1]], [row["lambda1"] for row in per_t[t2]])
     mean_counts = {}
     flags = []
     for t in ts:
         for r in radii:
-            key = f"t={t:g},r={r:g}"
-            mean_counts[key] = float(sum(s.point_counts[r] for s in per_t[t]) / args.N)
+            key, count = f"t={t:g},r={r:g}", exp.count_key(r)
+            mean_counts[key] = float(sum(row[count] for row in per_t[t]) / args.N)
             target = (2 * r) ** 3
             if abs(mean_counts[key] - target) > 0.15 * target:
                 flags.append(f"siegel-band-miss:{key}")
-    escape = {f"t={t:g}": sum(1 for s in per_t[t] if s.lambda1 < args.delta) / args.N
+    escape = {f"t={t:g}": sum(1 for row in per_t[t] if row["lambda1"] < args.delta) / args.N
               for t in ts}
     summary = {
         "ks_distance": ks,
@@ -423,42 +423,45 @@ def _run_dirichlet(args, mode) -> tuple[list, dict, list]:
     # exact correspondence: the solvability box at T = e^t delta^{1/3}
     # rescales onto the sup-ball of radius delta^{1/3} under g_t
     scale = args.delta ** (1.0 / 3.0)
-    check_ts = [t for t in exp.probe_times(args.delta, args.t_max, args.dt)
+    times = exp.probe_times(args.delta, args.t_max, args.dt)
+    check_ts = [t for t in times
                 if abs(t / args.direct_step - round(t / args.direct_step)) < 1e-9
                 and math.exp(t) * scale >= 1.0]
-    # the direct check runs ahead of the probe, so that a budget error ends
-    # the run before the probe's work
-    verdicts = dio.dirichlet_direct(s, line.a * s + line.b, args.delta,
-                                    [math.exp(t) * scale for t in check_ts])
-    probe = exp.trajectory_probe(line, s, args.delta, args.t_max, args.dt)
-    in_k = dict(zip(probe.times, probe.in_k()))
-    lam = dict(zip(probe.times, probe.lambda1))
+    horizons = [math.exp(t) * scale for t in check_ts]
+    # the direct check decides the stored point (s, a s + b) exactly, and
+    # runs ahead of the probe, so that a budget error ends the run before
+    # the probe's work
+    x2 = Fraction(line.a) * Fraction(s) + Fraction(line.b)
+    solvable = dio.dirichlet_direct(s, x2, args.delta, horizons)
+    lam = dict(zip(times, exp.trajectory_probe(line, s, times)))
+    inside = [t for t in times if lam[t] >= scale]
+    first_entry = inside[0] if inside else None
+    last_exit = inside[-1] if inside else None
     agree = 0
     considered = 0
     samples = []
-    for t, verdict in zip(check_ts, verdicts):
-        dyn_out = not in_k[t]
-        marginal = abs(lam[t] - probe.threshold) <= 0.02
-        ok = dyn_out == verdict.solvable
+    for t, T, direct in zip(check_ts, horizons, solvable):
+        dyn_out = lam[t] < scale
+        marginal = abs(lam[t] - scale) <= 0.02
+        ok = dyn_out == direct
         if not marginal:
             considered += 1
             agree += ok
         samples.append({
-            "t": t, "T": verdict.T, "lambda1": lam[t],
+            "t": t, "T": T, "lambda1": lam[t],
             "dynamical_outside_K": dyn_out,
-            "direct_solvable": verdict.solvable,
+            "direct_solvable": direct,
             "marginal": marginal, "agree": ok,
         })
-    tail_outside = (probe.last_exit is None
-                    or probe.last_exit < probe.times[-1] - 1e-9)
+    tail_outside = last_exit is None or last_exit < times[-1] - 1e-9
     verdict_text = ("candidate improvable at this horizon (tail outside K)"
                     if tail_outside else
                     "not improvable at this horizon (orbit re-enters K)")
     summary = {
         "delta": args.delta,
-        "threshold": probe.threshold,
-        "first_entry": probe.first_entry,
-        "last_exit": probe.last_exit,
+        "threshold": scale,
+        "first_entry": first_entry,
+        "last_exit": last_exit,
         "agreement": (agree / considered) if considered else None,
         "n_checked": considered,
         "verdict": verdict_text,

@@ -436,14 +436,8 @@ def ir_density(line, R, T, q_max: int, dt: float = 0.01) -> DensityProfile:
     )
 
 
-@dataclass(frozen=True)
-class DirichletVerdict:
-    T: float
-    solvable: bool
-
-
-def dirichlet_direct(x1, x2, delta, T_list) -> list[DirichletVerdict]:
-    """Solvability of the improved linear-form system at each T:
+def dirichlet_direct(x1, x2, delta, T_list) -> list[bool]:
+    """Solvability of the improved linear-form system at each T of T_list:
     |x . q + p| <= delta T^-2 for some p in Z and q in Z^2 with
     0 < ||q||_inf <= T, decided exactly from the stored values of x1, x2,
     delta and T.
@@ -468,5 +462,5 @@ def dirichlet_direct(x1, x2, delta, T_list) -> list[DirichletVerdict]:
         k = Fraction(T) ** 3 / d
         lat = ReducedLattice.exact(((k * x1, k * x2, k), (1, 0, 0), (0, 1, 0)), start)
         start = lat.transform
-        out.append(DirichletVerdict(T=T, solvable=lat.minimum(T) is not None))
+        out.append(lat.minimum(T) is not None)
     return out

@@ -2,8 +2,8 @@
 
 The empirical object throughout is the image of N uniform draws s ~ I under
 s -> g_t phi(s) Z^3: certified first minima, point counts and escape
-fractions, plus the two trajectory-level probes (first entry into a Mahler
-compact set, and the exhaustive segment-minimum search that powers the
+fractions, plus the two trajectory-level probes (the first minima along one
+orbit, and the exhaustive segment-minimum search that powers the
 return-time estimates).  Each lattice search is one enumeration under the
 leaf cap of ``lattice.enumeration_budget``.
 
@@ -53,37 +53,19 @@ def _uniforms(seed: int, N: int) -> tuple:
     return tuple(sample_uniform(seed, i) for i in range(N))
 
 
-@dataclass(frozen=True)
-class TranslateSample:
-    """One draw of the translated measure: the point g_t phi(s) Z^3, with s
-    a scalar in the line's mode."""
-
-    s: object
-    t: float
-    lambda1: float
-    point_counts: dict
-    escalated: bool = False
-
-    def as_row(self) -> dict:
-        # shortest_vector certifies every minimum; reports keep the column
-        row = {"s": float(self.s), "t": self.t, "lambda1": self.lambda1,
-               "certified": True, "escalated": self.escalated}
-        for r, c in sorted(self.point_counts.items()):
-            row[_count_key(r)] = c
-        return row
-
-
 @lru_cache(maxsize=64)
-def _count_key(r: float) -> str:
+def count_key(r: float) -> str:
     """The report key of the point count at radius r, made once per radius."""
     return f"count_r{r:g}"
 
 
 def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
-                     radii=()) -> list[TranslateSample]:
-    """N i.i.d. uniform draws of s over I; per sample the certified first
-    minimum and the nonzero-point counts at the requested radii, all from
-    one ``ReducedLattice`` of the sample's basis.
+                     radii=()) -> list[dict]:
+    """N i.i.d. uniform draws of s over I, as the ``equidist`` report rows:
+    per sample s (as f64), t, the certified first minimum ``lambda1``,
+    ``certified``, ``escalated`` and one ``count_key(r)`` per radius, the
+    nonzero-point count at r, all from one ``ReducedLattice`` of the
+    sample's basis.  Radii are counted in the order given.
 
     s = s1 + u (s2 - s1) is taken in the line's arithmetic, with u the
     sample's f64 uniform (an exact dyadic), so s lies in I in every mode.
@@ -91,23 +73,26 @@ def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
     the last (seed, N) keeps its draws, which a grid of flow times shares.
 
     A result computed off the f64 lattice path (every bigfloat sample, and
-    bases too skewed for f64) is marked ``escalated`` on the sample.
+    bases too skewed for f64) is marked ``escalated``; ``shortest_vector``
+    certifies every minimum, so ``certified`` is always true.
     """
     if N < 1:
         raise InvalidInputError("need N >= 1 samples")
     s1, width = line.s1, line.s2 - line.s1
-    radii = tuple(float(r) for r in radii)
+    radii = [float(r) for r in radii]
     us = _uniforms(seed, N)
     if line.mode.kind != "f64":  # in f64, mode.from_fraction(Fraction(u)) is u
         us = [line.mode.from_fraction(Fraction(u)) for u in us]
 
-    def one(u) -> TranslateSample:
+    def one(u) -> dict:
         s = s1 + u * width
         lat = translate_basis(line, s, t)
         res = shortest_vector(lat)
-        counts = {r: count_points(lat, r) for r in radii}
-        return TranslateSample(s=s, t=float(t.t), lambda1=res.lambda1,
-                               point_counts=counts, escalated=res.escalated)
+        row = {"s": float(s), "t": float(t.t), "lambda1": res.lambda1,
+               "certified": True, "escalated": res.escalated}
+        for r in radii:
+            row[count_key(r)] = count_points(lat, r)
+        return row
 
     return [one(u) for u in us]
 
@@ -123,8 +108,8 @@ def escape_mass_fraction(line: LineSegmentSpec, t: FlowTime, delta: float,
     """Fraction of sampled translates outside the compact set K_delta,
     i.e. with lambda_1 < delta."""
     check_delta(delta)
-    samples = sample_translate(line, t, N, seed)
-    return sum(1 for smp in samples if smp.lambda1 < delta) / N
+    rows = sample_translate(line, t, N, seed)
+    return sum(1 for row in rows if row["lambda1"] < delta) / N
 
 
 # -- exhaustive segment-minimum search --------------------------------------
@@ -176,28 +161,9 @@ def segment_minimum(line: LineSegmentSpec, t: FlowTime,
 
 # -- trajectory probes -------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProbeResult:
-    """Grid scan of one orbit against the Mahler set K_{delta^{1/3}}.
-
-    ``first_entry``/``last_exit`` are grid times (resolution +-dt); None
-    means the orbit never met the set on the horizon, the semi-decision
-    signal for a delta-improvable candidate.
-    """
-
-    threshold: float
-    first_entry: float | None
-    last_exit: float | None
-    times: tuple
-    lambda1: tuple
-
-    def in_k(self) -> tuple:
-        return tuple(l >= self.threshold for l in self.lambda1)
-
-
 def probe_times(delta: float, t_max: float, dt: float = 0.05) -> list[float]:
-    """The grid t = 0, dt, 2 dt, ... <= t_max that ``trajectory_probe``
-    scans, after checking its arguments."""
+    """The grid t = 0, dt, 2 dt, ... <= t_max for ``trajectory_probe``,
+    after checking its arguments."""
     check_delta(delta)
     if not 0 < dt <= 0.05 + 1e-12:
         raise InvalidInputError("probe grid step must be in (0, 0.05]")
@@ -206,22 +172,12 @@ def probe_times(delta: float, t_max: float, dt: float = 0.05) -> list[float]:
     return [i * dt for i in range(int(math.floor(t_max / dt + 1e-9)) + 1)]
 
 
-def trajectory_probe(line: LineSegmentSpec, s, delta: float, t_max: float,
-                     dt: float = 0.05) -> ProbeResult:
-    """Scan t in [0, t_max] on a grid of step dt for membership of
-    g_t phi(s) Z^3 in K_{delta^{1/3}}."""
-    times = probe_times(delta, t_max, dt)
-    threshold = delta ** (1.0 / 3.0)
-    lams = [shortest_vector(translate_basis(line, s, FlowTime.of(t))).lambda1
+def trajectory_probe(line: LineSegmentSpec, s, times) -> list[float]:
+    """The first minimum of g_t phi(s) Z^3 at each flow time t of ``times``
+    (a grid from ``probe_times``), against which a caller tests membership
+    of the Mahler set K_{delta^{1/3}}."""
+    return [shortest_vector(translate_basis(line, s, FlowTime.of(t))).lambda1
             for t in times]
-    inside = [i for i, l in enumerate(lams) if l >= threshold]
-    return ProbeResult(
-        threshold=threshold,
-        first_entry=times[inside[0]] if inside else None,
-        last_exit=times[inside[-1]] if inside else None,
-        times=tuple(times),
-        lambda1=tuple(lams),
-    )
 
 
 def ks_distance(sample_a, sample_b) -> float:

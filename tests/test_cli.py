@@ -347,7 +347,52 @@ def test_dirichlet_bigfloat_direct_check_at_full_precision(tmp_path):
     x2 = mode.from_fraction(a * s + b)
     samples = read_json(str(out) + ".json")["samples"]
     want = dio.dirichlet_direct(mode.from_fraction(s), x2, 0.6, [r["T"] for r in samples])
-    assert [r["direct_solvable"] for r in samples] == [v.solvable for v in want]
+    assert [r["direct_solvable"] for r in samples] == want
+
+
+def test_dirichlet_direct_check_decides_the_stored_point(tmp_path):
+    # in f64 the direct check takes x2 = a s + b exactly, not fl(fl(a s) + b);
+    # at this point the two differ in the t = 18 verdict
+    out = tmp_path / "dir"
+    assert run_cli(["dirichlet", "sqrt2", "sqrt3", "--s", "0.45", "--delta", "0.6",
+                    "--t-max", "18", "--out", str(out), "--format", "json"]) == 0
+    rows = read_json(str(out) + ".json")["samples"]
+    a, b, s = (named_scalar(x, F64) for x in ("sqrt2", "sqrt3", "0.45"))
+    horizons = [r["T"] for r in rows]
+    exact = dio.dirichlet_direct(s, Fraction(a) * Fraction(s) + Fraction(b), 0.6, horizons)
+    rounded = dio.dirichlet_direct(s, a * s + b, 0.6, horizons)
+    assert [r["direct_solvable"] for r in rows] == exact
+    assert rows[-1]["t"] == 18 and rows[-1]["marginal"]
+    assert exact[-1] != rounded[-1]
+
+
+@pytest.mark.parametrize("args", [
+    ["sqrt2", "sqrt3", "--s", "0.3", "--delta", "0.9", "--t-max", "6"],  # last exit 0
+    ["sqrt2", "sqrt3", "--s", "0.45", "--delta", "0.6", "--t-max", "8"],  # last exit 3.1
+    # inside K at the horizon
+    ["sqrt2", "sqrt3", "--s", "0.62", "--delta", "0.3", "--t-max", "4", "--dt", "0.04"],
+    ["1/2", "1/3", "--mode", "rational", "--s", "1/3", "--delta", "0.5", "--t-max", "5"],
+])
+def test_dirichlet_entry_and_exit_match_a_probe_loop(args, tmp_path):
+    # first entry and last exit are the first and last grid times whose
+    # lambda1, from an independent loop over probe_times, is >= delta^(1/3)
+    out = tmp_path / "dir"
+    assert run_cli(["dirichlet"] + args + ["--out", str(out), "--format", "json"]) == 0
+    doc = read_json(str(out) + ".json")
+    config = doc["config"]
+    mode = ScalarMode("rational") if config["mode"] == "rational" else F64
+    line = flow.LineSegmentSpec.from_strings(config["a"], config["b"], "0", "1", mode)
+    s = named_scalar(config["s"], mode)
+    times = exp.probe_times(config["delta"], config["t-max"], config["dt"])
+    lams = {t: lattice.shortest_vector(
+        lattice.translate_basis(line, s, flow.FlowTime.of(t))).lambda1 for t in times}
+    threshold = config["delta"] ** (1.0 / 3.0)
+    inside = [t for t in times if lams[t] >= threshold]
+    summary = doc["summary"]
+    assert summary["threshold"] == threshold
+    assert summary["first_entry"] == inside[0]
+    assert summary["last_exit"] == inside[-1]
+    assert [r["lambda1"] for r in doc["samples"]] == [lams[r["t"]] for r in doc["samples"]]
 
 
 def test_dirichlet_budget_refused_before_probe(monkeypatch):

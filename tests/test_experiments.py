@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latflow import cli
 from latflow import experiments as exp
 from latflow import lattice
 from latflow.errors import BudgetError, InvalidInputError, PrecisionError
@@ -35,26 +37,26 @@ def test_sample_translate_deterministic():
     b = exp.sample_translate(GENERIC_LINE, FlowTime.of(3.0), 20, seed=9, radii=(1.0,))
     assert a == b
     c = exp.sample_translate(GENERIC_LINE, FlowTime.of(3.0), 20, seed=10, radii=(1.0,))
-    assert [s.s for s in a] != [s.s for s in c]
+    assert [row["s"] for row in a] != [row["s"] for row in c]
 
 
 def test_sample_translate_t_zero_lambda_is_one():
     # at t = 0 the second and third coordinates of any nonzero vector are
     # integers, so lambda1 = 1 for every s (achieved by e1)
     samples = exp.sample_translate(GENERIC_LINE, FlowTime.of(0.0), 10, seed=3)
-    assert all(s.lambda1 == pytest.approx(1.0, abs=1e-12) for s in samples)
+    assert all(row["lambda1"] == pytest.approx(1.0, abs=1e-12) for row in samples)
 
 
 def test_sample_translate_rational_line_bound():
     samples = exp.sample_translate(RATIONAL_LINE, FlowTime.of(5.0), 25, seed=1)
     bound = 6 * math.exp(-5)
-    assert all(s.lambda1 <= bound + 1e-12 for s in samples)
+    assert all(row["lambda1"] <= bound + 1e-12 for row in samples)
 
 
 def test_sample_translate_draws_each_index_once():
     # sample i takes its s from sample_uniform(seed, i) at every t and N
     def draws(seed, N, t=1.0):
-        return [smp.s for smp in exp.sample_translate(GENERIC_LINE, FlowTime.of(t), N, seed)]
+        return [row["s"] for row in exp.sample_translate(GENERIC_LINE, FlowTime.of(t), N, seed)]
 
     first = draws(1, 5)
     assert first == [exp.sample_uniform(1, i) for i in range(5)]
@@ -80,26 +82,36 @@ def test_sample_uniform_is_numpy_philox():
 def test_sample_translate_f64_draw():
     line = LineSegmentSpec.from_strings("sqrt2", "sqrt3", "-0.3", "0.4", F64)
     samples = exp.sample_translate(line, FlowTime.of(2.0), 5, seed=7)
-    for i, smp in enumerate(samples):
+    for i, row in enumerate(samples):
         u = exp.sample_uniform(7, i)
-        assert smp.s == -0.3 + u * (0.4 - -0.3)
+        assert row["s"] == -0.3 + u * (0.4 - -0.3)
 
 
 @pytest.mark.parametrize("mode, a, b", [(bigfloat(256), "sqrt2", "sqrt3"),
                                         (RATIONAL, "1/2", "1/3")])
-def test_sample_translate_s_inside_sub_ulp_interval(mode, a, b):
-    # I is narrower than an f64 ulp at 0.1, and the f64 0.1 lies above s2
+def test_sample_translate_s_inside_sub_ulp_interval(mode, a, b, monkeypatch):
+    # I is narrower than an f64 ulp at 0.1, and the f64 0.1 lies above s2;
+    # each sample's s in the line's mode is the one its basis is built at,
+    # and its row holds s rounded to f64
+    seen = []
+
+    def recording(line, s, t):
+        seen.append(s)
+        return lattice.translate_basis(line, s, t)
+
+    monkeypatch.setattr(exp, "translate_basis", recording)
     line = LineSegmentSpec.from_strings(a, b, "0.1", "0.10000000000000000001", mode)
     samples = exp.sample_translate(line, FlowTime.of(1.0), 3, seed=1)
-    assert all(line.s1 <= smp.s <= line.s2 for smp in samples)
-    assert len({smp.s for smp in samples}) == 3
+    assert all(line.s1 <= s <= line.s2 for s in seen)
+    assert len(set(seen)) == 3
+    assert [row["s"] for row in samples] == [float(s) for s in seen]
 
 
 def test_sample_counts_monotone_and_even():
     samples = exp.sample_translate(GENERIC_LINE, FlowTime.of(4.0), 10, seed=5,
                                    radii=(0.5, 1.0, 1.5))
-    for s in samples:
-        counts = [s.point_counts[r] for r in (0.5, 1.0, 1.5)]
+    for row in samples:
+        counts = [row[exp.count_key(r)] for r in (0.5, 1.0, 1.5)]
         assert all(c % 2 == 0 for c in counts)
         assert counts == sorted(counts)
 
@@ -124,19 +136,19 @@ def test_sample_translate_reduces_once_per_sample(monkeypatch, t):
         monkeypatch.setattr(lattice, "LLL_ITERATION_CAP", 0)
     radii = (1.0, 1.5, 2.0)
     samples = exp.sample_translate(GENERIC_LINE, FlowTime.of(t), 8, seed=4, radii=radii)
-    assert [s.escalated for s in samples] == [escalated] * 8
+    assert [row["escalated"] for row in samples] == [escalated] * 8
     want = ([("lll_reduce", True), ("lll_reduce_integral", False)] if escalated
             else [("lll_reduce", False)])
     assert calls == want * 8
 
-    for smp in samples:
+    for row in samples:
         basis = lattice.translate_basis(
-            GENERIC_LINE, GENERIC_LINE.mode.from_fraction(Fraction(smp.s)), FlowTime.of(t))
+            GENERIC_LINE, GENERIC_LINE.mode.from_fraction(Fraction(row["s"])), FlowTime.of(t))
         res = lattice.shortest_vector(basis)
-        counts = {r: lattice.count_points(basis, r) for r in radii}
-        alone = exp.TranslateSample(s=smp.s, t=t, lambda1=res.lambda1, point_counts=counts,
-                                    escalated=res.escalated)
-        assert smp.as_row() == alone.as_row()
+        alone = {"s": row["s"], "t": t, "lambda1": res.lambda1, "certified": True,
+                 "escalated": res.escalated}
+        alone.update((exp.count_key(r), lattice.count_points(basis, r)) for r in radii)
+        assert row == alone
 
 
 def test_escape_fraction_rational_line_saturates():
@@ -392,8 +404,9 @@ def test_segment_minimum_matches_scan_rational(a, b, s, u, cap):
 
 def test_trajectory_probe_enters_at_zero():
     # lambda1 = 1 at t = 0 >= delta^(1/3) for any delta < 1
-    probe = exp.trajectory_probe(GENERIC_LINE, 0.3, 0.9, 1.0, 0.05)
-    assert probe.first_entry == 0.0
+    times = exp.probe_times(0.9, 1.0, 0.05)
+    lams = exp.trajectory_probe(GENERIC_LINE, 0.3, times)
+    assert times[0] == 0.0 and lams[0] >= 0.9 ** (1.0 / 3.0)
 
 
 def test_trajectory_probe_rational_tail_outside():
@@ -401,26 +414,44 @@ def test_trajectory_probe_rational_tail_outside():
     delta = 0.3
     thr = delta ** (1 / 3)
     t0 = math.log(6 / thr)
-    probe = exp.trajectory_probe(RATIONAL_LINE, Fraction(1, 3), delta, 6.0, 0.05)
-    assert probe.last_exit is not None and probe.last_exit <= t0 + 0.05
-    tail = [l for t, l in zip(probe.times, probe.lambda1) if t > t0]
+    times = exp.probe_times(delta, 6.0, 0.05)
+    lams = exp.trajectory_probe(RATIONAL_LINE, Fraction(1, 3), times)
+    inside = [t for t, l in zip(times, lams) if l >= thr]
+    assert inside and inside[-1] <= t0 + 0.05
+    tail = [l for t, l in zip(times, lams) if t > t0]
     assert all(l < thr for l in tail)
 
 
 def test_trajectory_probe_grid_spacing_enforced():
+    # the probe's grid refuses a step past 0.05 and a delta outside (0, 1)
     with pytest.raises(InvalidInputError):
-        exp.trajectory_probe(GENERIC_LINE, 0.3, 0.5, 1.0, dt=0.2)
+        exp.probe_times(0.5, 1.0, dt=0.2)
     for dt in (0.0, -0.05):
         with pytest.raises(InvalidInputError):
-            exp.trajectory_probe(GENERIC_LINE, 0.3, 0.5, 1.0, dt=dt)
+            exp.probe_times(0.5, 1.0, dt=dt)
     with pytest.raises(InvalidInputError):
-        exp.trajectory_probe(GENERIC_LINE, 0.3, 1.7, 1.0)
+        exp.probe_times(1.7, 1.0)
 
 
-def test_probe_in_k_consistent_with_threshold():
-    probe = exp.trajectory_probe(GENERIC_LINE, 0.62, 0.6, 3.0, 0.05)
-    for flag, lam in zip(probe.in_k(), probe.lambda1):
-        assert flag == (lam >= probe.threshold)
+def test_probe_in_k_consistent_with_threshold(tmp_path):
+    # each dirichlet row is outside K_{delta^(1/3)} exactly when its probed
+    # lambda1 is below the threshold; rows start where e^t delta^(1/3) >= 1
+    outside = set()
+    for delta, n_rows in ((0.6, 61 - 4), (0.3, 61 - 9)):
+        out = tmp_path / f"dir{delta}"
+        assert cli.main(["dirichlet", "sqrt2", "sqrt3", "--s", "0.62", "--delta", str(delta),
+                         "--t-max", "3", "--direct-step", "0.05", "--out", str(out),
+                         "--format", "json"]) == 0
+        with open(f"{out}.json", encoding="utf-8") as f:
+            doc = json.load(f)
+        threshold = doc["summary"]["threshold"]
+        assert threshold == delta ** (1.0 / 3.0)
+        rows = doc["samples"]
+        assert len(rows) == n_rows
+        for row in rows:
+            assert row["dynamical_outside_K"] == (row["lambda1"] < threshold)
+            outside.add(row["dynamical_outside_K"])
+    assert outside == {False, True}
 
 
 # -- KS distance ---------------------------------------------------------------
@@ -494,15 +525,23 @@ def test_sample_translate_shortcuts_keep_every_bit(kind, seed, N, t):
         seen.append([[x.hex() for x in col] for col in cols])
         return lll_reduce(cols)
 
+    seen_s = []
+
+    def recording_s(line, s, t):
+        seen_s.append(s)
+        return lattice.translate_basis(line, s, t)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "lll_reduce", recording)
+        mp.setattr(exp, "translate_basis", recording_s)
         samples = exp.sample_translate(line, FlowTime.of(t), N, seed, radii=(1.5,))
     want_s = [translate_sample_s(line, exp.sample_uniform(seed, i)) for i in range(N)]
-    assert [type(smp.s) for smp in samples] == [type(s) for s in want_s]
+    assert [type(s) for s in seen_s] == [type(s) for s in want_s]
     if kind == "f64":
-        assert [smp.s.hex() for smp in samples] == [s.hex() for s in want_s]
+        assert [s.hex() for s in seen_s] == [s.hex() for s in want_s]
     else:
-        assert [smp.s for smp in samples] == want_s
+        assert seen_s == want_s
+    assert [row["s"] for row in samples] == [float(s) for s in want_s]
     want_cols = [[[x.hex() for x in col] for col in scaled_columns(phi_from_int(line, s), t)]
                  for s in want_s]
     # a bigfloat translate is reduced exactly, never in f64
@@ -510,9 +549,12 @@ def test_sample_translate_shortcuts_keep_every_bit(kind, seed, N, t):
 
 
 def test_row_names_each_count_by_its_g_label():
-    smp = exp.TranslateSample(s=0.5, t=5.0, lambda1=0.75,
-                              point_counts={3.0: 6, 1.0: 2, 1.25e-7: 0, 1234567.0: 8})
-    row = smp.as_row()
-    assert [k for k in row if k.startswith("count_")] == [
-        "count_r1.25e-07", "count_r1", "count_r3", "count_r1.23457e+06"]
-    assert row["count_r3"] == 6 and row["count_r1.23457e+06"] == 8
+    assert [exp.count_key(r) for r in (3.0, 1.0, 1.25e-7, 1234567.0)] == [
+        "count_r3", "count_r1", "count_r1.25e-07", "count_r1.23457e+06"]
+    radii = (3.0, 1.0, 1.25e-7)
+    (row,) = exp.sample_translate(GENERIC_LINE, FlowTime.of(5.0), 1, seed=1, radii=radii)
+    # the counts follow the row's other keys, one per radius in the order given
+    assert list(row)[5:] == [exp.count_key(r) for r in radii]
+    basis = lattice.translate_basis(GENERIC_LINE, row["s"], FlowTime.of(5.0))
+    for r in radii:
+        assert row[exp.count_key(r)] == lattice.count_points(basis, r)

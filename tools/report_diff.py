@@ -50,7 +50,9 @@ SHOWN = 10  # differing operations named in full
 # translates that leave the f64 reduction: a Gram-Schmidt length past the
 # f64 range (1e200), and a size reduction by a multiplier near 10^289 whose
 # reduced length is infinite; the leaf-by-leaf f64 count of a radius below
-# 2^-400; and a slope of 10^8, whose f64 rows stay on the f64 path.
+# 2^-400; a slope of 10^8, whose f64 rows stay on the f64 path; an f64
+# dirichlet whose t = 18 verdict at the exact a s + b differs from the one
+# at fl(fl(a s) + b); and the bare bigfloat mode with a --budget.
 EXTRA_OPS = [
     ["equidist", "sqrt2", "sqrt3", "--mode", "bigfloat:256", "--t-list", "5,9.5,11",
      "--N", "20", "--radii", "1.5"],
@@ -92,6 +94,9 @@ EXTRA_OPS = [
     ["equidist", "-2e219", "-2e289", "--t-list", "1", "--N", "200"],
     ["equidist", "sqrt2", "sqrt3", "--t-list", "3", "--N", "5", "--radii", "1e-125,1.5"],
     ["equidist", "123456789.5", "0.25", "--t-list", "5", "--N", "200", "--radii", "1.5"],
+    ["dirichlet", "sqrt2", "sqrt3", "--s", "0.45", "--delta", "0.6", "--t-max", "18"],
+    ["classify", "sqrt2", "sqrt3", "--mode", "bigfloat", "--q-max", "1000",
+     "--budget", "1000000"],
 ]
 
 # Runs in the child, with cwd the tree's temporary directory:
