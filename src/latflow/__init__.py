@@ -14,7 +14,7 @@ from .errors import (
     ReductionError,
 )
 from .flow import FlowTime, LineSegmentSpec
-from .scalars import F64, RATIONAL, IntegerVec3, ScalarMode, bigfloat
+from .scalars import F64, RATIONAL, ScalarMode, bigfloat
 
 __all__ = [
     "BudgetError",
@@ -27,7 +27,6 @@ __all__ = [
     "LineSegmentSpec",
     "F64",
     "RATIONAL",
-    "IntegerVec3",
     "ScalarMode",
     "bigfloat",
 ]

@@ -247,17 +247,20 @@ def _line_from(args, mode) -> LineSegmentSpec:
     return LineSegmentSpec.from_strings(args.a, args.b, *ends, mode)
 
 
-def _witness_row(w: dio.DiophantineWitness) -> dict:
+def _witness_row(tag: str, w: tuple) -> dict:
+    """The ``classify`` row of a witness (p1, p2, q, residual1, residual2,
+    bound) of the class ``tag``."""
+    p1, p2, q, r1, r2, bound = w
     return {
-        "class": w.class_tag,
-        "q": w.q,
-        "p1": w.p1,
-        "p2": w.p2,
-        "residual1": str(w.residual1),
-        "residual2": str(w.residual2),
-        "residual1_float": float(w.residual1),
-        "residual2_float": float(w.residual2),
-        "bound": float(w.bound_used),
+        "class": tag,
+        "q": q,
+        "p1": p1,
+        "p2": p2,
+        "residual1": str(r1),
+        "residual2": str(r2),
+        "residual1_float": float(r1),
+        "residual2_float": float(r2),
+        "bound": float(bound),
     }
 
 
@@ -277,18 +280,21 @@ def _run_classify(args, mode) -> tuple[list, dict, list]:
     # results become text from here on
     with _unlimited_int_text():
         # the rows are only written, so a run without --out builds none
-        samples = [] if args.out is None else [
-            _witness_row(w) for w in w2 + w2e + [e.witness for e in profile if e.witness]]
+        samples = [] if args.out is None else (
+            [_witness_row(f"W2(C={float(C)!r})", w) for w in w2]
+            + [_witness_row(f"W2o(eps={float(eps)!r})", w) for w in w2e]
+            + [_witness_row(f"W2inf(C={float(e.C)!r})", e.witness)
+               for e in profile if e.witness])
         profile_rows = [{
             "C": float(entry.C),
-            "min_witness_q": entry.witness.q if entry.witness else None,
+            "min_witness_q": entry.witness[2] if entry.witness else None,
             "found": entry.witness is not None,
         } for entry in profile]
 
         caveat = (f"bounded search up to q_max = {q_max}; witness presence is "
                   "evidence, absence is not an asymptotic non-membership claim")
         summary = {
-            "rational_certificate": list(cert.as_tuple()) if cert else None,
+            "rational_certificate": list(cert) if cert else None,
             "w2_witnesses": len(w2),
             "w2eps_witnesses": len(w2e),
             "w2inf_profile": profile_rows,
@@ -299,7 +305,7 @@ def _run_classify(args, mode) -> tuple[list, dict, list]:
             flags.append("rational-certificate")
         print(f"classify a={args.a} b={args.b} mode={mode.spec()} q_max={q_max}")
         if cert:
-            print(f"  Q^2 certificate (p1, p2, q) = {cert.as_tuple()}")
+            print(f"  Q^2 certificate (p1, p2, q) = {cert}")
         else:
             print("  no exact rational certificate (inputs not exact rationals)")
         print(f"  W2(C={args.C}): {len(w2)} witnesses")
@@ -318,15 +324,16 @@ def _run_orbit(args, mode) -> tuple[list, dict, list]:
     for t in ts:
         ft = FlowTime.of(t)
         sm = exp.segment_minimum(line, ft, args.R_cap)
+        vector, value = sm or (None, None)
         frac = exp.escape_mass_fraction(line, ft, args.delta, args.N, args.seed)
         samples.append({
             "t": t,
-            "min_value": float(sm.value) if sm else None,
-            "min_vector": list(sm.vector.as_tuple()) if sm else None,
+            "min_value": float(value) if sm else None,
+            "min_vector": list(vector) if sm else None,
             "below_cap": sm is not None,
             "escape_fraction": frac,
         })
-        val = f"{float(sm.value):.6g}" if sm else f"none <= {args.R_cap:g}"
+        val = f"{float(value):.6g}" if sm else f"none <= {args.R_cap:g}"
         print(f"  t={t:6.3f}  min={val:>14}  escape(delta={args.delta:g})={frac:.3f}")
     summary = {
         "R_cap": args.R_cap,
@@ -342,27 +349,22 @@ def _run_density(args, mode) -> tuple[list, dict, list]:
     R = named_scalar(args.R, mode)
     T = float(named_scalar(args.T, mode))
     profile = dio.ir_density(line, R, T, args.q_max, dt=args.dt)
-    samples = [{
-        "q": iv.q,
-        "lo": iv.lo,
-        "hi": iv.hi,
-        "rational_hit": iv.rational_hit,
-    } for iv in profile.intervals]
+    samples = profile.intervals
     summary = {
-        "R": profile.R, "R1": profile.R1, "T": profile.T, "q_max": profile.q_max,
+        "R": float(R), "R1": profile.R1, "T": T, "q_max": args.q_max,
         "union_measure": profile.union_measure,
-        "union_density": profile.union_density,
+        "union_density": profile.union_measure / T,
         "direct_measure": profile.direct_measure,
-        "direct_density": profile.direct_density,
-        "n_nonempty_Eq": len(profile.intervals),
+        "direct_density": profile.direct_measure / T,
+        "n_nonempty_Eq": len(samples),
     }
     flags = []
     if profile.coverage_warning:
         flags.append("coverage-warning")
-    if profile.rational_hit:
+    if any(row["rational_hit"] for row in samples):
         flags.append("rational-hit")
-    print(f"density R={profile.R:g} T={profile.T:.4f} q_max={profile.q_max}: "
-          f"union={profile.union_density:.4f} direct={profile.direct_density:.4f} "
+    print(f"density R={summary['R']:g} T={T:.4f} q_max={args.q_max}: "
+          f"union={summary['union_density']:.4f} direct={summary['direct_density']:.4f} "
           f"flags={flags}")
     return samples, summary, flags
 

@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .errors import InvalidInputError, PrecisionError
 from .lattice import ReducedLattice
-from .scalars import F64_MAX_DENOM, IntegerVec3, ScalarMode, exact_ratio
+from .scalars import F64_MAX_DENOM, ScalarMode, exact_ratio
 
 
 def _box_points(forms, den: int, bound, q_max: int, block_p2: bool = False):
@@ -117,19 +117,6 @@ def _approximations(a, b, bound, q_max: int):
                        Fraction(abs(q * na + p2 * da), da))
 
 
-@dataclass(frozen=True)
-class DiophantineWitness:
-    """A solution record for one of the approximation classes."""
-
-    p1: int
-    p2: int
-    q: int
-    residual1: Fraction
-    residual2: Fraction
-    bound_used: Fraction
-    class_tag: str
-
-
 def _check_q_max(a, b, q_max: int):
     if q_max < 1:
         raise InvalidInputError("q_max must be >= 1")
@@ -140,21 +127,18 @@ def _check_q_max(a, b, q_max: int):
             f"rerun in bigfloat or rational mode for q_max = {q_max}")
 
 
-def w2_witness_search(a, b, C, q_max: int) -> list[DiophantineWitness]:
+def w2_witness_search(a, b, C, q_max: int) -> list[tuple]:
     """All q in [1, q_max] whose nearest residuals satisfy both inequalities
-    with the fixed bound C q^-2.  Exhaustive in q; an empty list is a valid
-    outcome (bounded search, not a proof of non-membership)."""
+    with the fixed bound C q^-2, as witnesses (p1, p2, q, |q b + p1|,
+    |q a + p2|, C q^-2).  Exhaustive in q; an empty list is a valid outcome
+    (bounded search, not a proof of non-membership)."""
     c = Fraction(*exact_ratio(C))
     if c <= 0:
         raise InvalidInputError("C must be positive")
     _check_q_max(a, b, q_max)
-    tag = f"W2(C={float(C)!r})"
-    hits = []
-    for p1, p2, q, r1, r2 in _approximations(a, b, lambda Q: c / (Q * Q), q_max):
-        bound = c / (q * q)
-        if max(r1, r2) <= bound:
-            hits.append(DiophantineWitness(p1, p2, q, r1, r2, bound, tag))
-    return hits
+    return [(p1, p2, q, r1, r2, bound)
+            for p1, p2, q, r1, r2 in _approximations(a, b, lambda Q: c / (Q * Q), q_max)
+            if max(r1, r2) <= (bound := c / (q * q))]
 
 
 def _pow_bound_check(r: Fraction, q: int, two_plus_eps: Fraction) -> bool:
@@ -184,27 +168,26 @@ def _pow_bound_check(r: Fraction, q: int, two_plus_eps: Fraction) -> bool:
         digits *= 2
 
 
-def w2eps_witness_search(a, b, eps, q_max: int) -> list[DiophantineWitness]:
-    """Witnesses at quality q^-(2+eps) for q in [1, q_max]."""
+def w2eps_witness_search(a, b, eps, q_max: int) -> list[tuple]:
+    """Witnesses at quality q^-(2+eps) for q in [1, q_max], shaped as those
+    of ``w2_witness_search``; the bound is the f64 value of q^-(2+eps), the
+    test exact."""
     en, ed = exact_ratio(eps)
     if en <= 0:
         raise InvalidInputError("eps must be positive")
     _check_q_max(a, b, q_max)
     two_plus_eps = 2 + Fraction(en, ed)
     exponent = float(two_plus_eps)
-    tag = f"W2o(eps={float(eps)!r})"
-    hits = []
     # q^-(2+eps) <= Q^-2 on the block of Q
-    for p1, p2, q, r1, r2 in _approximations(a, b, lambda Q: Fraction(1, Q * Q), q_max):
-        if _pow_bound_check(max(r1, r2), q, two_plus_eps):
-            hits.append(DiophantineWitness(p1, p2, q, r1, r2, Fraction(q ** -exponent), tag))
-    return hits
+    return [(p1, p2, q, r1, r2, Fraction(q ** -exponent))
+            for p1, p2, q, r1, r2 in _approximations(a, b, lambda Q: Fraction(1, Q * Q), q_max)
+            if _pow_bound_check(max(r1, r2), q, two_plus_eps)]
 
 
 @dataclass(frozen=True)
 class W2InfEntry:
     C: Fraction
-    witness: DiophantineWitness | None
+    witness: tuple | None  # as those of ``w2_witness_search``
 
 
 def w2inf_profile(a, b, C_list, q_max: int) -> list[W2InfEntry]:
@@ -222,21 +205,19 @@ def w2inf_profile(a, b, C_list, q_max: int) -> list[W2InfEntry]:
     _check_q_max(a, b, q_max)
     # a witness for C is one for every larger C, so the constants found so
     # far are always cs[:len(found)], and cs[len(found)] bounds the search
-    found: list[DiophantineWitness] = []
+    found = []
 
     def bound(Q):
         return cs[len(found)] / (Q * Q) if len(found) < len(cs) else None
 
     for p1, p2, q, r1, r2 in _approximations(a, b, bound, q_max):
         while len(found) < len(cs) and max(r1, r2) <= cs[len(found)] / (q * q):
-            c = cs[len(found)]
-            found.append(DiophantineWitness(p1, p2, q, r1, r2, c / (q * q),
-                                            f"W2inf(C={float(c)!r})"))
+            found.append((p1, p2, q, r1, r2, cs[len(found)] / (q * q)))
     return [W2InfEntry(C=c, witness=found[i] if i < len(found) else None)
             for i, c in enumerate(cs)]
 
 
-def rational_certificate(a, b, mode: ScalarMode) -> IntegerVec3 | None:
+def rational_certificate(a, b, mode: ScalarMode) -> tuple[int, int, int] | None:
     """Exact-rational certificate (p1, p2, q) with b = p1/q and a = p2/q in
     lowest common form; None unless ``mode`` is rational, since the
     scalars of the float modes are roundings of the inputs.
@@ -250,29 +231,21 @@ def rational_certificate(a, b, mode: ScalarMode) -> IntegerVec3 | None:
     a = Fraction(a)
     b = Fraction(b)
     q = math.lcm(a.denominator, b.denominator)
-    return IntegerVec3(p1=int(b * q), p2=int(a * q), q=q)
+    return int(b * q), int(a * q), q
 
 
 # -- the E_q interval family and I_R density ---------------------------------
 
-@dataclass(frozen=True)
-class EqInterval:
-    """Open window of flow times that contains every time at which a vector
-    (p1, p2, q) with this q stays below the norm threshold R over the
-    segment: (log q - log R, -1/2 log<q(b,a)> + 1/2 log R1), clipped to
-    [0, inf).  hi is None for an exact rational hit.
-
-    E_q is wider than the vector's true window
-    (log(max(|p2|, q) / R), 1/2 log(R / max_i |c0 + c1 s_i|)), with
-    c0 = q b + p1 and c1 = q a + p2: its right end comes from the residual
-    bound R1 e^{-2t} on max(|c0|, |c1|).  On I = [0, 1] with a = b it runs
-    1/2 log 4 past the true window, so the union of the E_q over-covers I_R.
-    """
-
-    q: int
-    lo: float
-    hi: float | None
-    rational_hit: bool = False
+# E_q is the open window of flow times that contains every time at which a
+# vector (p1, p2, q) with this q stays below the norm threshold R over the
+# segment: (log q - log R, -1/2 log<q(b,a)> + 1/2 log R1), clipped to
+# [0, inf); hi is None for an exact rational hit.
+#
+# E_q is wider than the vector's true window
+# (log(max(|p2|, q) / R), 1/2 log(R / max_i |c0 + c1 s_i|)), with
+# c0 = q b + p1 and c1 = q a + p2: its right end comes from the residual
+# bound R1 e^{-2t} on max(|c0|, |c1|).  On I = [0, 1] with a = b it runs
+# 1/2 log 4 past the true window, so the union of the E_q over-covers I_R.
 
 
 def sup_operator_norm_R1(line, R) -> Fraction:
@@ -283,38 +256,34 @@ def sup_operator_norm_R1(line, R) -> Fraction:
     return max(abs(s1) + abs(s2), 2) / (s2 - s1) * r
 
 
-def _eq_at(q: int, dist: Fraction, r_fr: Fraction, r1_fr: Fraction) -> EqInterval | None:
-    """E_q from the exact sup-norm distance dist = <q(b,a)>, or None when
+def _eq_at(q: int, dist: Fraction, r_fr: Fraction, r1_fr: Fraction) -> dict | None:
+    """E_q from the exact sup-norm distance dist = <q(b,a)>, as the
+    ``density`` report row {"q", "lo", "hi", "rational_hit"}, or None when
     empty.  With q >= 1, R1 >= R and dist <= 1/2 (``_approximations``),
     R1 / dist > 1 / R1^2 and >= 2 R1, so a nonempty E_q ends past ln(2)/3."""
     lo = max(math.log(q) - math.log(float(r_fr)), 0.0)
     if dist == 0:
-        return EqInterval(q=q, lo=lo, hi=None, rational_hit=True)
+        return {"q": q, "lo": lo, "hi": None, "rational_hit": True}
     if dist * q * q >= r1_fr * r_fr * r_fr:
         return None
     hi = 0.5 * math.log(float(r1_fr)) - 0.5 * (math.log(dist.numerator) - math.log(dist.denominator))
-    return EqInterval(q=q, lo=lo, hi=hi)
+    return {"q": q, "lo": lo, "hi": hi, "rational_hit": False}
 
 
 @dataclass(frozen=True)
 class DensityProfile:
-    """Both estimates of |I_R intersect [0, T]| / T: the union of stored E_q
-    (an upper estimate) and the fraction of the grid t = i dt, i dt <= T,
-    that lies in I_R, decided from the return windows of the vectors with
-    q <= q_max."""
+    """Both estimates of |I_R intersect [0, T]|: the measure of the union of
+    the nonempty E_q (an upper estimate), and that of the grid t = i dt,
+    i dt <= T, that lies in I_R, decided from the return windows of the
+    vectors with q <= q_max.  ``intervals`` are the E_q rows of ``_eq_at``,
+    q ascending; ``coverage_warning`` is set unless ln q_max - ln R >= T, so
+    that windows opening before T can be missed."""
 
-    R: float
     R1: float
-    T: float
-    q_max: int
-    grid_dt: float
-    intervals: tuple
+    intervals: list
     union_measure: float
-    union_density: float
     direct_measure: float
-    direct_density: float
     coverage_warning: bool
-    rational_hit: bool
 
 
 def _union_length(spans):
@@ -380,10 +349,11 @@ def ir_density(line, R, T, q_max: int, dt: float = 0.01) -> DensityProfile:
     """Estimate the density of return times I_R = {t : some nonzero integer
     vector stays below R along the whole translated segment}.
 
-    Two estimators are recorded: the measure of the union of nonempty E_q
-    for q <= q_max (upper estimate, by the containment of I_R in that
-    union), and the share of the grid t = i dt, 0 <= i <= T / dt, that lies
-    in I_R restricted to q <= q_max: grid point i lies in the window
+    Two measures of I_R on [0, T] are recorded: that of the union of
+    nonempty E_q for q <= q_max (upper estimate, by the containment of I_R
+    in that union), and dt times the number of grid points t = i dt,
+    0 <= i <= T / dt, that lie in I_R restricted to q <= q_max; the caller
+    divides by T for densities.  Grid point i lies in the window
     (lo, hi) of ``_return_windows`` iff floor(lo / dt) < i < ceil(hi / dt),
     and the count is that of the union of these index ranges.
     """
@@ -413,27 +383,17 @@ def ir_density(line, R, T, q_max: int, dt: float = 0.01) -> DensityProfile:
         if iv is not None:
             intervals.append(iv)
     union_measure = float(_union_length(
-        (iv.lo, T if iv.hi is None else min(iv.hi, T)) for iv in intervals))
+        (iv["lo"], T if iv["hi"] is None else min(iv["hi"], T)) for iv in intervals))
 
     n_grid = int(math.floor(T / dt + 1e-9)) + 1
     inside = _union_length(
         (math.floor(lo / dt) + 1 if lo >= 0 else 0,
          min(math.ceil(hi / dt), n_grid) if hi < math.inf else n_grid)
         for lo, hi in _return_windows(line, r, (n_grid - 1) * dt, q_max))
-    direct_measure = inside * dt
 
-    R_f = float(R)
-    coverage = math.log(q_max) - math.log(R_f) >= T
-    return DensityProfile(
-        R=R_f, R1=R1_f, T=T, q_max=q_max, grid_dt=dt,
-        intervals=tuple(intervals),
-        union_measure=union_measure,
-        union_density=union_measure / T,
-        direct_measure=direct_measure,
-        direct_density=direct_measure / T,
-        coverage_warning=not coverage,
-        rational_hit=any(iv.rational_hit for iv in intervals),
-    )
+    return DensityProfile(R1=R1_f, intervals=intervals, union_measure=union_measure,
+                          direct_measure=inside * dt,
+                          coverage_warning=math.log(q_max) - math.log(float(R)) < T)
 
 
 def dirichlet_direct(x1, x2, delta, T_list) -> list[bool]:

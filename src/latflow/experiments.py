@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 
 from .errors import InvalidInputError, PrecisionError
 from .flow import FlowTime, LineSegmentSpec, segment_sup
 from .lattice import ReducedLattice, count_points, shortest_vector, translate_basis
-from .scalars import IntegerVec3, exact_ratio
+from .scalars import exact_ratio
 
 
 _MASK64 = (1 << 64) - 1
@@ -114,16 +113,10 @@ def escape_mass_fraction(line: LineSegmentSpec, t: FlowTime, delta: float,
 
 # -- exhaustive segment-minimum search --------------------------------------
 
-@dataclass(frozen=True)
-class SegmentMinimum:
-    vector: IntegerVec3
-    value: object  # scalar in the line's mode (exact when possible)
-
-
-def segment_minimum(line: LineSegmentSpec, t: FlowTime,
-                    R_cap: float) -> SegmentMinimum | None:
+def segment_minimum(line: LineSegmentSpec, t: FlowTime, R_cap: float) -> tuple | None:
     """Minimize sup_{s in I} ||g_t phi(s) v||_inf over nonzero integer v,
-    reporting the minimizer when its value is <= R_cap (else None).
+    reporting (v, value) for the minimizer v = (p1, p2, q) when its value
+    is <= R_cap (else None).
 
     The sup over I is the sup norm of the rank-3 lattice vector
 
@@ -135,7 +128,7 @@ def segment_minimum(line: LineSegmentSpec, t: FlowTime,
     at their exact stored values, so ``ReducedLattice.exact`` solves it
     exactly; ties go to the sign-normalised vector smallest in (q, p2, p1).
     The value is ``segment_sup`` of the minimizer, the exact minimum
-    rounded once into the line's scalars.
+    rounded once into the line's scalars (exact in rational mode).
     """
     if not 1 <= R_cap < math.inf:
         raise InvalidInputError("R_cap must be finite and >= 1")
@@ -153,10 +146,9 @@ def segment_minimum(line: LineSegmentSpec, t: FlowTime,
     found = ReducedLattice.exact(rows).minimum(R_cap)
     if found is None:
         return None
-    vector = IntegerVec3(*found[1])
     # segment_sup rounds the lattice norm, at most R_cap, from the same exact
     # values; rounding is monotone, so the value is at most R_cap too
-    return SegmentMinimum(vector=vector, value=segment_sup(line, t, vector))
+    return found[1], segment_sup(line, t, found[1])
 
 
 # -- trajectory probes -------------------------------------------------------

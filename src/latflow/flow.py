@@ -24,15 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvalidInputError
-from .scalars import (
-    F64,
-    IntegerVec3,
-    Matrix3,
-    ScalarMode,
-    exact_ratio,
-    exp_f64,
-    named_scalar,
-)
+from .scalars import F64, ScalarMode, exact_ratio, exp_f64, named_scalar
 
 
 @dataclass(frozen=True)
@@ -99,14 +91,15 @@ def _exp_bigfloat(t: float, k: int, mode: ScalarMode) -> Fraction:
     return mode.rounded(lambda ctx: ctx.exp(kt))
 
 
-def phi(line: LineSegmentSpec, s) -> Matrix3:
+def phi(line: LineSegmentSpec, s) -> tuple:
     """The unipotent segment element phi(s); upper triangular, det = 1."""
     one, zero = line.mode.one, line.mode.zero
     return ((one, s, line.a * s + line.b), (zero, one, zero), (zero, zero, one))
 
 
-def segment_sup(line: LineSegmentSpec, t: FlowTime, v: IntegerVec3):
-    """sup_{s in I} of the sup-norm of g_t phi(s) v (standard action).
+def segment_sup(line: LineSegmentSpec, t: FlowTime, v: tuple[int, int, int]):
+    """sup_{s in I} of the sup-norm of g_t phi(s) v (standard action), for
+    a nonzero integer vector v = (p1, p2, q).
 
     Every coordinate is affine in s, so |coord| is convex and the supremum
     is attained at an endpoint: max(e^{2t} max_i |(q b + p1) + (q a + p2) s_i|,
@@ -114,11 +107,11 @@ def segment_sup(line: LineSegmentSpec, t: FlowTime, v: IntegerVec3):
     of ``t.factor``, a, b, s1 and s2 and rounded once into the line's mode
     (in rational mode, the exact value itself).
     """
-    if v.is_zero():
+    if not any(v):
         raise InvalidInputError("the zero vector is not a valid witness or orbit seed")
     e2, em, a, b = (Fraction(*exact_ratio(x)) for x in (
         t.factor(2, line.mode), t.factor(-1, line.mode), line.a, line.b))
-    p1, p2, q = v.as_tuple()
+    p1, p2, q = v
     x = max(abs((q * b + p1) + (q * a + p2) * Fraction(*exact_ratio(s)))
             for s in (line.s1, line.s2))
     return line.mode.from_fraction(max(e2 * x, em * abs(p2), em * abs(q)))

@@ -57,12 +57,12 @@ from operator import mul
 
 from .errors import BudgetError, InvalidInputError, PrecisionError, ReductionError
 from .flow import phi
-from .scalars import IntegerVec3, Matrix3, exact_ratio, exp_f64
+from .scalars import exact_ratio, exp_f64
 
 LLL_DELTA = 0.99
 LLL_DELTA_EXACT = Fraction(str(LLL_DELTA))  # 99/100 for the integral LLL
 LLL_ITERATION_CAP = 100_000
-GSO_RANGE_CAP = 1e12  # dynamic range of GSO lengths tolerated in f64
+GSO_RANGE_CAP = 1e12  # largest column over least GSO length tolerated in f64
 ENUMERATION_BUDGET = 10_000_000  # Fincke-Pohst leaves per search
 _SINGULAR = "numerically singular basis in Gram-Schmidt"
 _DEPENDENT = "integral LLL needs independent columns"
@@ -87,7 +87,7 @@ class ShortVectorResult:
     with respect to the basis columns, ``lambda1`` the sup-norm length;
     ``escalated`` marks a result computed off the f64 path."""
 
-    vector: IntegerVec3
+    vector: tuple[int, int, int]
     lambda1: float
     escalated: bool = False
 
@@ -97,9 +97,11 @@ class ShortVectorResult:
 def lll_reduce(cols):
     """LLL reduction (delta = ``LLL_DELTA``) of three f64 columns, which
     stay unchanged; returns (rows, U, mu, norm2), or None where f64 cannot
-    be trusted: a Gram-Schmidt length of the columns not in (0, inf),
-    lengths spanning more than ``GSO_RANGE_CAP``, or a Gram-Schmidt value of
-    the reduced columns that is not finite.  Columns found singular in the
+    be trusted: a Gram-Schmidt length of the columns not in (0, inf), a
+    column longer than ``GSO_RANGE_CAP`` times the least Gram-Schmidt length
+    (the rounding of every step scales with the entries, and the
+    enumeration must resolve that least length), or a Gram-Schmidt value
+    of the reduced columns that is not finite.  Columns found singular in the
     loop, and the iteration cap, raise ReductionError.
 
     rows are the coordinate rows of the reduced columns, U the integer
@@ -133,7 +135,8 @@ def lll_reduce(cols):
     w1 = c1 - m20 * a1 - m21 * v1
     w2 = c2 - m20 * a2 - m21 * v2
     n2 = w0 * w0 + w1 * w1 + w2 * w2
-    if not 0 < n2 < inf or (max(n0, n1, n2) / min(n0, n1, n2)) ** 0.5 > GSO_RANGE_CAP:
+    longest = max(n0, b0 * b0 + b1 * b1 + b2 * b2, c0 * c0 + c1 * c1 + c2 * c2)
+    if not 0 < n2 < inf or (longest / min(n0, n1, n2)) ** 0.5 > GSO_RANGE_CAP:
         return None
     ua0, ua1, ua2, ub0, ub1, ub2, uc0, uc1, uc2 = 1, 0, 0, 0, 1, 0, 0, 0, 1
     k = 1
@@ -519,7 +522,7 @@ class ReducedLattice:
     escalated: bool = False
 
     @classmethod
-    def of(cls, matrix: Matrix3, log_scale: float = 0.0,
+    def of(cls, matrix, log_scale: float = 0.0,
            exact: bool = False) -> "ReducedLattice":
         """One reduction of the lattice spanned by the columns of ``matrix``
         (rows of mode scalars), its rows times the f64 values of e^{2l},
@@ -723,8 +726,7 @@ def shortest_vector(lat: ReducedLattice) -> ShortVectorResult:
     the correctly rounded exact minimum.
     """
     norm, coeffs = lat.minimum(math.inf)
-    return ShortVectorResult(vector=IntegerVec3(*coeffs), lambda1=float(norm),
-                             escalated=lat.escalated)
+    return ShortVectorResult(vector=coeffs, lambda1=float(norm), escalated=lat.escalated)
 
 
 def count_points(lat: ReducedLattice, r) -> int:

@@ -1,4 +1,4 @@
-"""Scalar arithmetic policy, number parsing and the integer vector type.
+"""Scalar arithmetic policy and number parsing.
 
 Three scalar modes are supported and threaded through the whole package:
 
@@ -19,9 +19,9 @@ irrational constants and e^{kt} come from one Ziv loop (``rounded``) over
 ``decimal``'s correctly rounded functions, so no result depends on a
 global precision.
 
-Vectors and matrices are plain tuples of whatever numbers the mode
-produces.  Everything here is an immutable value, safe to share between
-threads.
+Vectors and matrices are plain tuples: integer vectors (p1, p2, q) hold
+ints, and matrices rows of whatever numbers the mode produces.  Everything
+here is an immutable value, safe to share between threads.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ParseError, PrecisionError
-
-Vec3 = tuple  # 3 scalars
-Matrix3 = tuple  # 3 row tuples of 3 scalars
 
 F64_MAX_DENOM = 1 << 20  # |q| beyond this loses residual bits in f64
 
@@ -57,7 +54,12 @@ class ScalarMode:
         if self.kind == "rational":
             return fr
         if self.kind == "f64":
-            return float(fr)
+            try:
+                return float(fr)
+            except OverflowError:
+                value = decimal.Context(prec=6).divide(fr.numerator, fr.denominator)
+                raise PrecisionError(f"{value.normalize():g} is past the f64 range; "
+                                     "bigfloat and rational mode hold it") from None
         # n 2^s / d, rounded half to even to an integer of B bits, over 2^s
         n, d = fr.numerator, fr.denominator
         s = self.bits - n.bit_length() + d.bit_length()
@@ -213,18 +215,3 @@ def exp_f64(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         raise PrecisionError(f"e^({x:g}) overflows f64") from None
-
-
-@dataclass(frozen=True)
-class IntegerVec3:
-    """An integer vector (p1, p2, q); the shape of every Diophantine witness."""
-
-    p1: int
-    p2: int
-    q: int
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.p1, self.p2, self.q)
-
-    def is_zero(self) -> bool:
-        return self.p1 == 0 and self.p2 == 0 and self.q == 0

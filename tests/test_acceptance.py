@@ -22,7 +22,7 @@ from latflow import experiments as exp
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
 from latflow.lattice import (ReducedLattice, lll_reduce, shortest_vector,
                              translate_basis)
-from latflow.scalars import F64, RATIONAL, IntegerVec3, liouville_partial, named_scalar
+from latflow.scalars import F64, RATIONAL, liouville_partial, named_scalar
 
 from util import (brute_force_lambda1, exact_ir_measure, exact_time, ext2_constant,
                   flow_ext2, random_unimodular_columns, scaled_columns, vandermonde_check)
@@ -80,8 +80,8 @@ def test_criterion_2_exterior_square_lower_bound():
         c_i = float(ext2_constant(line))
         ws = rng.integers(-100, 101, size=(1000, 3))
         for w in ws:
-            v = IntegerVec3(int(w[0]), int(w[1]), int(w[2]))
-            if v.is_zero():
+            v = (int(w[0]), int(w[1]), int(w[2]))
+            if not any(v):
                 continue
             for t in range(0, 9):
                 ft = FlowTime.of(float(t))
@@ -117,14 +117,15 @@ def test_criterion_3_w2inf_construction():
 
     values, bounds = [], []
     for entry, root in zip(profile, cube_roots):
-        w = entry.witness
-        assert abs(w.p2) <= w.q  # the construction's hypothesis
-        t = exact_time(w.q / root)
+        _, p2, q, _, _, _ = entry.witness
+        assert abs(p2) <= q  # the construction's hypothesis
+        t = exact_time(q / root)
         sm = exp.segment_minimum(LIOUVILLE_LINE, t, 6.0)
         assert sm is not None
-        assert isinstance(sm.value, Fraction)  # exact-arithmetic path
-        assert sm.value == segment_sup(LIOUVILLE_LINE, t, sm.vector)
-        values.append(sm.value)
+        vector, value = sm
+        assert isinstance(value, Fraction)  # exact-arithmetic path
+        assert value == segment_sup(LIOUVILLE_LINE, t, vector)
+        values.append(value)
         bounds.append(2 * root)
     below = all(v <= bd for v, bd in zip(values, bounds))
     elapsed = time.time() - start
@@ -173,11 +174,12 @@ def test_criterion_5_ir_density_dual_oracle():
     gives 0.238138 and the union 0.367386, because each E_q extends
     (1/2) ln 4 past its vector's true window."""
     T_exp = 10 ** 6
-    profile = dio.ir_density(LIOUVILLE_LINE, 2, math.log(T_exp), 10 ** 6)
-    union = profile.union_density
-    direct = profile.direct_density
+    T = math.log(T_exp)
+    profile = dio.ir_density(LIOUVILLE_LINE, 2, T, 10 ** 6)
+    union = profile.union_measure / T
+    direct = profile.direct_measure / T
     exact = exact_ir_measure(LAM4, LAM4, Fraction(0), Fraction(1), Fraction(2),
-                             Fraction(T_exp)) / profile.T
+                             Fraction(T_exp)) / T
     lower = (0.4 - 0.1) * 1 / (1 + 0.4 * 1)
     positive = union > 0 and direct > 0
     meets_lower = union >= lower - 0.05 and direct >= lower - 0.05

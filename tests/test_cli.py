@@ -95,7 +95,7 @@ def test_classify_long_certificate_exit_0(tmp_path, capsys):
                     "--q-max", "10", "--out", str(out)]) == 0
     assert sys.get_int_max_str_digits() == limit
     a, b = (named_scalar(x, RATIONAL) for x in ("liouville:7", "1/3"))
-    cert = dio.rational_certificate(a, b, RATIONAL).as_tuple()
+    cert = dio.rational_certificate(a, b, RATIONAL)
     assert cert[2] == 3 * 10 ** 5040
     text = Path(str(out) + ".json").read_text(encoding="utf-8")
     sys.set_int_max_str_digits(0)
@@ -112,6 +112,20 @@ def test_input_past_int_digit_limit_exit_2(capsys):
     assert run_cli(["classify", "1" * 5001, "1/3", "--mode", "rational",
                     "--q-max", "10"]) == 2
     assert "cannot parse number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["dirichlet", "sqrt2", "sqrt3", "--s", "1e400", "--t-max", "1"],
+    ["classify", "1e400", "1", "--q-max", "10"],
+    ["density", "1e400", "1", "--q-max", "10"],
+    ["orbit", "sqrt2", "sqrt3", "--interval", "0,1e400", "--t-grid", "1", "--N", "1"],
+    ["equidist", "1", "1", "--interval", "0,1e400", "--t-list", "1", "--N", "1"],
+])
+def test_f64_input_past_the_f64_range_exit_4(args, capsys):
+    # 1e400 has no f64; the error names it and the modes that hold it
+    assert run_cli(args) == 4
+    assert capsys.readouterr().err == ("latflow: precision failure: 1e+400 is past the "
+                                       "f64 range; bigfloat and rational mode hold it\n")
 
 
 def test_cli_restores_int_digit_limit_on_error(monkeypatch):
@@ -469,10 +483,10 @@ def _exact_lambda1(line, s, t):
 ])
 def test_translates_past_the_f64_range_reduce_exactly(args, tmp_path):
     # an entry of the f64 basis (float(1e400)) or a step of the f64 LLL
-    # (a squared Gram-Schmidt coefficient) overflows, or the f64 LLL
-    # size-reduces by a multiplier near 10^289 to an infinite Gram-Schmidt
-    # length; the translate is reduced exactly, and every first minimum is
-    # the exact one
+    # (a squared Gram-Schmidt coefficient) overflows, or a column's squared
+    # length does (a slope near 10^289, which the f64 LLL would size-reduce
+    # to an infinite Gram-Schmidt length); the translate is reduced exactly,
+    # and every first minimum is the exact one
     out = tmp_path / "big"
     assert run_cli(args + ["--out", str(out)]) == 0
     doc = read_json(str(out) + ".json")

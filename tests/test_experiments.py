@@ -14,7 +14,7 @@ from latflow import experiments as exp
 from latflow import lattice
 from latflow.errors import BudgetError, InvalidInputError, PrecisionError
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
-from latflow.scalars import (F64, RATIONAL, IntegerVec3, bigfloat, liouville_partial,
+from latflow.scalars import (F64, RATIONAL, bigfloat, liouville_partial,
                              named_scalar)
 from util import (exact_time, phi_from_int, scaled_columns, segment_minimum_scan,
                   translate_sample_s)
@@ -181,8 +181,8 @@ def test_segment_minimum_rational_witness():
     for u in (Fraction(4), Fraction(20), Fraction(150)):
         sm = exp.segment_minimum(RATIONAL_LINE, exact_time(u), 6.0)
         assert sm is not None
-        assert sm.value == Fraction(6) / u
-        p1, p2, q = sm.vector.as_tuple()
+        assert sm[1] == Fraction(6) / u
+        p1, p2, q = sm[0]
         # minimizer is the certificate direction (up to sign)
         assert (p1, p2, q) in [(-2, -3, 6), (2, 3, -6)]
 
@@ -190,13 +190,13 @@ def test_segment_minimum_rational_witness():
 def test_segment_minimum_t_zero_value_one():
     sm = exp.segment_minimum(GENERIC_LINE, FlowTime.of(0.0), 1.0)
     assert sm is not None
-    assert float(sm.value) == pytest.approx(1.0, abs=1e-12)
+    assert float(sm[1]) == pytest.approx(1.0, abs=1e-12)
     # at t = 0, (1, 0, 0) has value exactly R_cap = 1, and is kept in bigfloat
     mode = bigfloat(256)
     line = LineSegmentSpec(named_scalar("sqrt2", mode), named_scalar("sqrt3", mode),
                            mode.from_int(0), mode.from_int(1), mode)
     sm = exp.segment_minimum(line, FlowTime.of(0.0), 1.0)
-    assert sm.vector.as_tuple() == (1, 0, 0) and sm.value == 1
+    assert sm[0] == (1, 0, 0) and sm[1] == 1
 
 
 def test_segment_minimum_value_matches_segment_sup():
@@ -205,8 +205,8 @@ def test_segment_minimum_value_matches_segment_sup():
     for t, cap in ((0.0, 2.0), (1.0, 2.0), (2.5, 8.0), (6.0, 500.0)):
         sm = exp.segment_minimum(GENERIC_LINE, FlowTime.of(t), cap)
         assert sm is not None
-        direct = segment_sup(GENERIC_LINE, FlowTime.of(t), sm.vector)
-        assert float(sm.value) == pytest.approx(float(direct), rel=1e-12)
+        direct = segment_sup(GENERIC_LINE, FlowTime.of(t), sm[0])
+        assert float(sm[1]) == pytest.approx(float(direct), rel=1e-12)
 
 
 def _exact_segment_sup(line, t, v):
@@ -214,7 +214,7 @@ def _exact_segment_sup(line, t, v):
     # at the exact values of the f64 inputs
     e2, em = Fraction(math.exp(2 * t)), Fraction(math.exp(-t))
     a, b, s1, s2 = map(Fraction, (line.a, line.b, line.s1, line.s2))
-    p1, p2, q = v.as_tuple()
+    p1, p2, q = v
     x = max(abs((q * b + p1) + (q * a + p2) * s) for s in (s1, s2))
     return max(e2 * x, em * abs(p2), em * abs(q))
 
@@ -228,13 +228,13 @@ def test_f64_segment_minimum_value_is_rounded_once(a, b, t, value):
     # endpoint maximum cancels (0.7197756588966153 and 5.681532206622787)
     line = LineSegmentSpec.from_strings(a, b, "0", "1", F64)
     sm = exp.segment_minimum(line, FlowTime.of(t), 6.0)
-    assert sm.value == float(_exact_segment_sup(line, t, sm.vector)) == value
+    assert sm[1] == float(_exact_segment_sup(line, t, sm[0])) == value
 
 
 def test_segment_minimum_generic_line_grows():
     # frozen from the exhaustive search: the uniform-over-segment minimum
     # increases along t for (sqrt2, sqrt3), unlike the rational line
-    values = [float(exp.segment_minimum(GENERIC_LINE, FlowTime.of(t), 500.0).value)
+    values = [float(exp.segment_minimum(GENERIC_LINE, FlowTime.of(t), 500.0)[1])
               for t in (0.0, 1.0, 2.5, 6.0)]
     assert values[0] == pytest.approx(1.0, abs=1e-12)
     assert values == sorted(values)
@@ -251,14 +251,14 @@ def test_segment_minimum_liouville_exact_values():
     # frozen from the exact exhaustive search (and verified by hand):
     # minima at t = ln 10, ln 100, ln 10^6
     sm = exp.segment_minimum(LIOUVILLE_LINE, exact_time(10), 6.0)
-    assert sm.vector.as_tuple() == (-1, -1, 9)
-    assert sm.value == Fraction(9990999999999999999991, 5 * 10 ** 21)
+    assert sm[0] == (-1, -1, 9)
+    assert sm[1] == Fraction(9990999999999999999991, 5 * 10 ** 21)
     sm = exp.segment_minimum(LIOUVILLE_LINE, exact_time(100), 6.0)
-    assert sm.vector.as_tuple() == (-11, -11, 100)
-    assert sm.value == Fraction(10 ** 18 + 1, 5 * 10 ** 17)
+    assert sm[0] == (-11, -11, 100)
+    assert sm[1] == Fraction(10 ** 18 + 1, 5 * 10 ** 17)
     sm = exp.segment_minimum(LIOUVILLE_LINE, exact_time(10 ** 6), 2.0)
-    assert sm.vector.as_tuple() == (-110001, -110001, 10 ** 6)
-    assert sm.value == 1
+    assert sm[0] == (-110001, -110001, 10 ** 6)
+    assert sm[1] == 1
 
 
 def test_segment_minimum_matches_brute_force_oracle():
@@ -283,7 +283,7 @@ def test_segment_minimum_matches_brute_force_oracle():
                     if best is None or val < best:
                         best = val
         sm = exp.segment_minimum(line, exact_time(u), 6.0)
-        assert sm is not None and sm.value == Fraction(best, u * D), (u, sm.value, best)
+        assert sm is not None and sm[1] == Fraction(best, u * D), (u, sm[1], best)
 
 
 def test_segment_minimum_window_soundness():
@@ -301,8 +301,8 @@ def test_segment_minimum_window_soundness():
         q = rng.randint(-10 ** 4, 10 ** 4)
         p2 = rng.randint(-10 ** 4, 10 ** 4)
         p1 = rng.randint(-10 ** 4, 10 ** 4)
-        v = IntegerVec3(p1, p2, q)
-        if v.is_zero():
+        v = (p1, p2, q)
+        if not any(v):
             continue
         checked += 1
         in_window = abs(q) <= r_cap / emt
@@ -325,7 +325,7 @@ def test_segment_minimum_budget_error():
         exp.segment_minimum(LIOUVILLE_LINE, exact_time(1), 2.0)
     with lattice.enumeration_budget(1000):
         sm = exp.segment_minimum(LIOUVILLE_LINE, exact_time(10 ** 6), 2.0)
-    assert sm.vector.as_tuple() == (-110001, -110001, 10 ** 6)
+    assert sm[0] == (-110001, -110001, 10 ** 6)
 
 
 def _assert_same_minimum(line, t, cap):
@@ -334,11 +334,11 @@ def _assert_same_minimum(line, t, cap):
     assert (got is None) == (want is None), (got, want)
     if got is None:
         return
-    assert got.vector == want.vector
-    if isinstance(want.value, Fraction):
-        assert got.value == want.value
+    assert got[0] == want[0]
+    if isinstance(want[1], Fraction):
+        assert got[1] == want[1]
     else:
-        assert float(got.value) == pytest.approx(float(want.value), rel=1e-12)
+        assert float(got[1]) == pytest.approx(float(want[1]), rel=1e-12)
 
 
 def test_segment_minimum_equals_scan_oracle():
@@ -349,7 +349,7 @@ def test_segment_minimum_equals_scan_oracle():
         _assert_same_minimum(RATIONAL_LINE, FlowTime.of(t), 6.0)
     # t = 0 ties (1, 0, 0) with (0, 1, 0) and others; the engine keeps the
     # scan's choice, the smallest in (q, p2, p1)
-    assert exp.segment_minimum(RATIONAL_LINE, FlowTime.of(0), 6.0).vector.as_tuple() == (1, 0, 0)
+    assert exp.segment_minimum(RATIONAL_LINE, FlowTime.of(0), 6.0)[0] == (1, 0, 0)
 
 
 def test_segment_minimum_f64_large_t_is_cheap():
@@ -362,8 +362,8 @@ def test_segment_minimum_f64_large_t_is_cheap():
     sm = exp.segment_minimum(GENERIC_LINE, FlowTime.of(150.0), 6.0)
     q = 2 ** 52
     p2 = -int(GENERIC_LINE.a * q)
-    assert sm.vector.as_tuple() == (-int(GENERIC_LINE.b * q), p2, q)
-    assert sm.value == math.exp(-150.0) * abs(p2)
+    assert sm[0] == (-int(GENERIC_LINE.b * q), p2, q)
+    assert sm[1] == math.exp(-150.0) * abs(p2)
 
 
 def test_segment_minimum_f64_underflow_raises():

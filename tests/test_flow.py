@@ -8,7 +8,7 @@ import pytest
 
 from latflow.errors import InvalidInputError, PrecisionError
 from latflow.flow import FlowTime, LineSegmentSpec, phi, segment_sup
-from latflow.scalars import F64, RATIONAL, IntegerVec3, bigfloat, exact_ratio, named_scalar
+from latflow.scalars import F64, RATIONAL, bigfloat, exact_ratio, named_scalar
 
 from util import (exact_time, ext2_constant, flow_ext2, flow_standard, g, mat_det, mat_mul,
                   mat_vec, vandermonde_check)
@@ -73,11 +73,11 @@ def test_flow_standard_closed_form_matches_matrix_path():
         line = random_rational_line(rng)
         t = exact_time(Fraction(rng.randint(1, 40), rng.randint(1, 7)))
         s = Fraction(rng.randint(0, 10), 10)
-        v = IntegerVec3(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
-        if v.is_zero():
+        v = (rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
+        if not any(v):
             continue
         pt = flow_standard(line, s, t, v)
-        direct = mat_vec(mat_mul(g(t, RATIONAL), phi(line, s)), tuple(Fraction(x) for x in v.as_tuple()))
+        direct = mat_vec(mat_mul(g(t, RATIONAL), phi(line, s)), tuple(Fraction(x) for x in v))
         assert pt == direct  # exact in rational mode
 
 
@@ -87,9 +87,9 @@ def test_flow_standard_matches_matrix_path_f64():
     for _ in range(100):
         t = FlowTime.of(rng.uniform(0, 12))
         s = rng.uniform(0, 1)
-        v = IntegerVec3(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9))
+        v = (rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9))
         pt = flow_standard(line, s, t, v)
-        direct = mat_vec(mat_mul(g(t, F64), phi(line, s)), tuple(float(x) for x in v.as_tuple()))
+        direct = mat_vec(mat_mul(g(t, F64), phi(line, s)), tuple(float(x) for x in v))
         for got, want in zip(pt, direct):
             assert got == pytest.approx(want, rel=1e-10, abs=1e-280)
 
@@ -103,9 +103,9 @@ def test_flow_standard_matches_matrix_path_bigfloat():
     for _ in range(20):
         t = FlowTime.of(rng.uniform(0, 12))
         s = mode.from_fraction(Fraction(rng.randint(0, 100), 100))
-        v = IntegerVec3(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9))
+        v = (rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9))
         pt = flow_standard(line, s, t, v)
-        direct = mat_vec(mat_mul(g(t, mode), phi(line, s)), v.as_tuple())
+        direct = mat_vec(mat_mul(g(t, mode), phi(line, s)), v)
         errs = [abs(float(got - want)) <= 1e-30 * max(1.0, abs(float(want)))
                 for got, want in zip(pt, direct)]
         assert all(errs)
@@ -113,7 +113,7 @@ def test_flow_standard_matches_matrix_path_bigfloat():
 
 def test_flow_standard_rational_divergence_vector():
     # v = (-p1, -p2, q) kills s: phi(s) v = (0, -p2, q) for every s, t
-    v = IntegerVec3(-2, -3, 6)
+    v = (-2, -3, 6)
     for u in (Fraction(1), Fraction(7, 2), Fraction(100)):
         t = exact_time(u)
         for s in (Fraction(0), Fraction(1, 2), Fraction(1)):
@@ -124,7 +124,7 @@ def test_flow_standard_rational_divergence_vector():
 def test_flow_standard_example_values():
     # t = 2: coordinates (0, -3 e^-2, 6 e^-2), sup-norm 6 e^-2 ~ 0.8120
     line = LineSegmentSpec(0.5, float(Fraction(1, 3)), 0.0, 1.0, F64)
-    pt = flow_standard(line, 0.25, FlowTime.of(2.0), IntegerVec3(-2, -3, 6))
+    pt = flow_standard(line, 0.25, FlowTime.of(2.0), (-2, -3, 6))
     x, y, z = pt
     assert x == pytest.approx(0.0, abs=1e-15)
     assert y == pytest.approx(-3 * math.exp(-2), rel=1e-14)
@@ -133,23 +133,22 @@ def test_flow_standard_example_values():
 
 
 def test_flow_identity_vector():
-    pt = flow_standard(RATIONAL_LINE, Fraction(0), exact_time(Fraction(1)),
-                       IntegerVec3(1, 0, 0))
+    pt = flow_standard(RATIONAL_LINE, Fraction(0), exact_time(Fraction(1)), (1, 0, 0))
     assert pt == (1, 0, 0)
 
 
 def test_flow_rejects_zero_vector():
     with pytest.raises(InvalidInputError):
-        flow_standard(RATIONAL_LINE, Fraction(0), FlowTime.of(0.0), IntegerVec3(0, 0, 0))
+        flow_standard(RATIONAL_LINE, Fraction(0), FlowTime.of(0.0), (0, 0, 0))
     with pytest.raises(InvalidInputError):
-        flow_ext2(RATIONAL_LINE, Fraction(0), FlowTime.of(0.0), IntegerVec3(0, 0, 0))
+        flow_ext2(RATIONAL_LINE, Fraction(0), FlowTime.of(0.0), (0, 0, 0))
 
 
 def test_first_coordinate_is_affine_in_s():
     rng = random.Random(8)
     line = random_rational_line(rng)
     t = exact_time(Fraction(5, 2))
-    v = IntegerVec3(3, -4, 7)
+    v = (3, -4, 7)
     # fit through two points, predict the rest exactly
     p0 = flow_standard(line, Fraction(0), t, v)[0]
     p1 = flow_standard(line, Fraction(1), t, v)[0]
@@ -162,19 +161,17 @@ def test_first_coordinate_is_affine_in_s():
 def test_ext2_fixed_vectors():
     # e12 is phi-invariant and expands by e^t
     t = exact_time(Fraction(3))
-    out = flow_ext2(RATIONAL_LINE, Fraction(1, 2), t, IntegerVec3(1, 0, 0))
+    out = flow_ext2(RATIONAL_LINE, Fraction(1, 2), t, (1, 0, 0))
     assert out == (3, 0, 0)
     # e13 at t = 0 is unchanged
-    out = flow_ext2(RATIONAL_LINE, Fraction(1, 2), exact_time(Fraction(1)),
-                    IntegerVec3(0, 0, 1))
+    out = flow_ext2(RATIONAL_LINE, Fraction(1, 2), exact_time(Fraction(1)), (0, 0, 1))
     assert out == (0, 0, 1)
 
 
 def test_ext2_e23_example():
     # w = e23, (a,b) = (1,0), s = 2, t = 0 -> (-2, 1, 2)
     line = LineSegmentSpec(Fraction(1), Fraction(0), Fraction(0), Fraction(3), RATIONAL)
-    out = flow_ext2(line, Fraction(2), exact_time(Fraction(1)),
-                    IntegerVec3(0, 1, 0))
+    out = flow_ext2(line, Fraction(2), exact_time(Fraction(1)), (0, 1, 0))
     assert out == (-2, 1, 2)
 
 
@@ -182,16 +179,16 @@ def test_f64_flow_underflow_stays_finite_overflow_raises():
     # an exponential that underflows to 0 is still the correctly rounded
     # value; only overflow leaves the f64 range
     line = LineSegmentSpec(2 ** 0.5, 3 ** 0.5, 0.0, 1.0, F64)
-    v = IntegerVec3(1, 2, 3)
+    v = (1, 2, 3)
     assert segment_sup(line, FlowTime.of(-400.0), v) == math.exp(400.0) * 3
-    assert flow_ext2(line, 0.5, FlowTime.of(400.0), IntegerVec3(0, 0, 1)) == (
+    assert flow_ext2(line, 0.5, FlowTime.of(400.0), (0, 0, 1)) == (
         0.0, 0.0, math.exp(400.0))
     with pytest.raises(PrecisionError):
         segment_sup(line, FlowTime.of(400.0), v)
 
 
 def test_segment_sup_rational_witness_is_s_independent():
-    v = IntegerVec3(-2, -3, 6)
+    v = (-2, -3, 6)
     for u in (Fraction(1), Fraction(3), Fraction(20), Fraction(1000)):
         t = exact_time(u)
         assert segment_sup(RATIONAL_LINE, t, v) == Fraction(6) / u
@@ -200,7 +197,7 @@ def test_segment_sup_rational_witness_is_s_independent():
 def test_segment_sup_degenerate_interval_matches_pointwise():
     line = LineSegmentSpec(0.3, 0.7, 0.0, 1e-9, F64)
     t = FlowTime.of(0.0)
-    v = IntegerVec3(2, -1, 4)
+    v = (2, -1, 4)
     sup = segment_sup(line, t, v)
     pt = max(abs(c) for c in flow_standard(line, 0.0, t, v))
     assert sup == pytest.approx(pt, rel=1e-8)
@@ -208,7 +205,7 @@ def test_segment_sup_degenerate_interval_matches_pointwise():
 
 def test_segment_sup_rejects_zero():
     with pytest.raises(InvalidInputError):
-        segment_sup(RATIONAL_LINE, FlowTime.of(0.0), IntegerVec3(0, 0, 0))
+        segment_sup(RATIONAL_LINE, FlowTime.of(0.0), (0, 0, 0))
 
 
 def test_ext2_constant_values():
@@ -229,9 +226,8 @@ def test_ext2_lower_bound_random_integer_vectors():
         line = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3), s1, s2, RATIONAL)
         c_i = ext2_constant(line)
         for _ in range(200):
-            w = IntegerVec3(rng.randint(-100, 100), rng.randint(-100, 100),
-                            rng.randint(-100, 100))
-            if w.is_zero():
+            w = (rng.randint(-100, 100), rng.randint(-100, 100), rng.randint(-100, 100))
+            if not any(w):
                 continue
             for k in (0, 1, 4, 8):
                 u = Fraction(3) ** k  # e^t = 3^k, t = k ln 3 >= 0
@@ -277,7 +273,7 @@ def _bigfloat_results():
     t = FlowTime.of(9.5)
     named = [named_scalar(x, mode) for x in ("sqrt2", "sqrt3", "golden", "liouville:4", "0.3")]
     matrix = [x for row in phi(line, s) for x in row]
-    v = IntegerVec3(3, -2, 5)
+    v = (3, -2, 5)
     sups = [segment_sup(line, t, v),
             max(abs(x) for s in (line.s1, line.s2) for x in flow_ext2(line, s, t, v))]
     return [exact_ratio(x) for x in named + matrix + sups]

@@ -94,13 +94,15 @@ def test_lll_lambda1_invariance():
 
 def _f64_refused(cols):
     """The f64 entry test: a Gram-Schmidt length of ``cols`` (by the full
-    recompute) not in (0, inf), or lengths spanning more than GSO_RANGE_CAP."""
+    recompute) not in (0, inf), or a column longer than GSO_RANGE_CAP times
+    the least Gram-Schmidt length."""
     try:
         _, _, norm2 = gram_schmidt_full(cols)
     except ReductionError:
         return True
+    longest = max(sum(x * x for x in col) for col in cols)
     return (not all(0 < n < math.inf for n in norm2)
-            or (max(norm2) / min(norm2)) ** 0.5 > lattice.GSO_RANGE_CAP)
+            or (longest / min(norm2)) ** 0.5 > lattice.GSO_RANGE_CAP)
 
 
 def _reduction_or_error(reduce, cols):
@@ -163,7 +165,8 @@ def test_gram_schmidt_orthogonal_diagonal():
 
 
 # |a|, |b|, |s| up to 10^3 and t up to 9.1 make both size-reduction
-# multipliers at k = 2 nonzero in most examples
+# multipliers at k = 2 nonzero in most examples (and the longest columns
+# refused past t = 9.21 - ln max(1, |s|, |a s + b|) / 3)
 _wide = st.floats(-1e3, 1e3, allow_nan=False)
 _SQRT2, _SQRT3 = math.sqrt(2), math.sqrt(3)
 
@@ -174,13 +177,14 @@ def _f64_translate_columns(a, b, s, t):
 
 @settings(max_examples=150, deadline=None)
 @given(a=_wide, b=_wide, s=_wide, t=st.floats(0.0, 9.1))
-# the flow times the equidist benchmark samples, and t = 9.1, where the f64
-# Gram-Schmidt lengths of the README pair still span less than GSO_RANGE_CAP
+# the flow times the equidist benchmark samples, and t = 8.9, where the f64
+# columns of the README pair at s = 0.3 are still short enough (|a s + b| =
+# 2.16 moves the cap from t = 9.21 to 8.95)
 @example(a=_SQRT2, b=_SQRT3, s=0.3, t=3.0)
 @example(a=_SQRT2, b=_SQRT3, s=0.3, t=5.0)
 @example(a=_SQRT2, b=_SQRT3, s=0.3, t=6.5)
 @example(a=_SQRT2, b=_SQRT3, s=0.3, t=8.0)
-@example(a=_SQRT2, b=_SQRT3, s=0.3, t=9.1)
+@example(a=_SQRT2, b=_SQRT3, s=0.3, t=8.9)
 def test_lll_reduce_matches_full_recompute_on_translates(a, b, s, t):
     _assert_same_reduction(_f64_translate_columns(a, b, s, t))
 
@@ -190,12 +194,15 @@ _huge = st.floats(-1e300, 1e300, allow_nan=False)
 
 @settings(max_examples=300, deadline=None)
 @given(a=_huge, b=_huge, s=_huge, t=st.floats(9.0, 9.4))
-# a GSO range about e^{3t}, near GSO_RANGE_CAP at t = 9.2
+# columns over the least GSO length about e^{3t} max(1, |s|, |a s + b|),
+# near GSO_RANGE_CAP at t = 9.2 where that maximum is 1
 @example(a=_SQRT2, b=_SQRT3, s=0.3, t=9.1)
 @example(a=_SQRT2, b=_SQRT3, s=0.3, t=9.3)
+@example(a=0.3, b=0.2, s=0.5, t=9.2)
 # a first column of length e^2 whose second and third lengths are NaN
 @example(a=1.0, b=1.0, s=1e308, t=1.0)
-# size reduction by a multiplier near 10^289 makes the reduced n2 infinite
+# columns whose squared length overflows, which a size reduction by a
+# multiplier near 10^289 would leave with an infinite reduced n2
 @example(a=-2e219, b=-2e289, s=0.6386839963153215, t=1.0)
 def test_lll_reduce_refuses_exactly_where_f64_fails(a, b, s, t):
     _assert_same_reduction(_f64_translate_columns(a, b, s, t))
@@ -218,7 +225,7 @@ def test_gram_schmidt_matches_full_recompute_on_random_bases(seed):
 def test_shortest_vector_identity():
     res = shortest_vector(ReducedLattice.of(IDENTITY))
     assert res.lambda1 == 1.0
-    assert sorted(abs(c) for c in res.vector.as_tuple()) == [0, 0, 1]
+    assert sorted(abs(c) for c in res.vector) == [0, 0, 1]
 
 
 def test_shortest_vector_skewed_diagonal():
@@ -229,7 +236,7 @@ def test_shortest_vector_skewed_diagonal():
     assert res.lambda1 == pytest.approx(1e-2, rel=1e-12)
     lam_bf, vec_bf = brute_force_lambda1(scaled_columns(matrix), box=2)
     assert res.lambda1 == pytest.approx(lam_bf, rel=1e-12)
-    assert sorted(abs(c) for c in res.vector.as_tuple()) == [0, 0, 1]
+    assert sorted(abs(c) for c in res.vector) == [0, 0, 1]
 
 
 def test_shortest_vector_rational_translate_bound():
@@ -256,7 +263,7 @@ def test_shortest_vector_coefficients_reproduce_lambda1():
         cols = random_unimodular_columns(rng, math.log(1e5))
         res = shortest_vector(ReducedLattice.of(_rows_of(cols)))
         b = np.array(cols, dtype=float)  # row i is basis vector i
-        v = np.array(res.vector.as_tuple(), dtype=float) @ b
+        v = np.array(res.vector, dtype=float) @ b
         assert np.max(np.abs(v)) == pytest.approx(res.lambda1, rel=1e-12)
 
 
@@ -266,7 +273,7 @@ def test_shortest_vector_escalates_at_extreme_skew():
     assert res.lambda1 <= 6 * math.exp(-12) * (1 + 1e-9)
     # the expanding coordinate of the minimizer must vanish exactly at s = 1/3
     # for the norm to reach the e^-12 scale
-    p1, p2, q = res.vector.as_tuple()
+    p1, p2, q = res.vector
     # first coordinate residual must vanish to reach ~e^-12 scale
     first = Fraction(1, 3) * q + p1 + (Fraction(1, 2) * q + p2) * Fraction(1, 3)
     assert first == 0
@@ -282,7 +289,7 @@ def test_exact_fallback_matches_256bit_oracle(t):
             lam, x = shortest_vector_mp(phi(line, s), t)
             assert res.escalated
             assert res.lambda1 == pytest.approx(lam, rel=1e-12)
-            assert res.vector.as_tuple() in (x, tuple(-c for c in x))
+            assert res.vector in (x, tuple(-c for c in x))
             # radii off the norms e^-t k of the vectors on the rational line
             for r in (1.37 * lam, 2.71 * lam):
                 assert count_points(lat, r) == count_points_mp(phi(line, s), t, r)
@@ -293,7 +300,7 @@ def test_exact_fallback_past_f64_gram_schmidt_range():
     lat = translate_basis(GENERIC_LINE, 0.71, FlowTime.of(200.0))
     res = shortest_vector(lat)
     assert res.escalated
-    x = res.vector.as_tuple()
+    x = res.vector
     # the entries of phi(0.71) times the f64 row scales, both exact
     scales = (math.exp(400.0), math.exp(-200.0), math.exp(-200.0))
     rows = [[Fraction(*exact_ratio(e)) * Fraction(scale) for e in row]
@@ -319,14 +326,41 @@ _radii = st.lists(st.floats(0.5, 2.0), min_size=1, max_size=3)
 
 @settings(max_examples=150, deadline=None)
 @given(pair=_pairs, seed=st.integers(0, 2 ** 32 - 1), t=st.floats(0.0, 9.0), radii=_radii)
+# at t = 9 the golden pair is refused from s = 0.29 on (its columns reach
+# e^{2t} (golden s + sqrt2) > 1.88 e^{2t}) and kept below
+@example(pair=("golden", "sqrt2"), seed=2, t=9.0, radii=[1.5])
+@example(pair=("golden", "sqrt2"), seed=4, t=9.0, radii=[1.5])
 def test_f64_translates_match_f64_oracle(pair, seed, t, radii):
-    # below a GSO range of 1e12 (e^{3t}, t < 9.2) the reduction is f64, and the
-    # shared enumeration evaluates candidates exactly as the oracle does
+    # the reduction is f64 exactly where the entry test keeps the columns
+    # (t <= 9.21 - ln max(1, |s|, |a s + b|) / 3), and the shared
+    # enumeration then evaluates candidates exactly as the oracle does; a
+    # refused draw is the exact reduction of the same rounded columns
     lat, basis = _sampled_translate(pair, seed, t)
-    assert not lat.escalated
+    assert lat.escalated == _f64_refused(scaled_columns(*basis))
+    if lat.escalated:
+        exact = ReducedLattice.of(*basis, exact=True)
+        assert shortest_vector(lat) == shortest_vector(exact)
+        for r in radii:
+            assert count_points(lat, r) == count_points(exact, r)
+        return
     assert shortest_vector(lat).lambda1 == shortest_vector_f64(*basis)[0]
     for r in radii:
         assert count_points(lat, r) == count_points_f64(*basis, r)
+
+
+def test_large_slope_translates_equal_the_exact_reduction():
+    # a = 123456789.5 makes the columns e^{2t} |a s + b| long, which the
+    # Gram-Schmidt lengths e^{2t}, e^{-t}, e^{-t} do not show: at t = 5 every
+    # sample is refused by the entry test, and each row's lambda1 and count
+    # are those of the exact reduction of its rounded columns (in f64, up to
+    # 3.6% off in lambda1, with 15 counts wrong)
+    line = LineSegmentSpec.from_strings("123456789.5", "0.25", "0", "1", F64)
+    rows = experiments.sample_translate(line, FlowTime.of(5.0), 200, 1, (1.5,))
+    for row in rows:
+        exact = ReducedLattice.of(phi(line, row["s"]), 5.0, exact=True)
+        assert row["escalated"]
+        assert row["lambda1"] == shortest_vector(exact).lambda1
+        assert row[experiments.count_key(1.5)] == count_points(exact, 1.5)
 
 
 @settings(max_examples=25, deadline=None)

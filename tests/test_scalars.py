@@ -12,7 +12,6 @@ from latflow.flow import FlowTime
 from latflow.scalars import (
     F64,
     RATIONAL,
-    IntegerVec3,
     bigfloat,
     liouville_partial,
     mode_from_spec,
@@ -246,9 +245,3 @@ def test_mat_associativity_rational_exact():
 def test_det_of_identity():
     assert mat_det(mat_identity(RATIONAL)) == 1
 
-
-def test_integer_vec3():
-    v = IntegerVec3(1, -2, 3)
-    assert v.as_tuple() == (1, -2, 3)
-    assert not v.is_zero()
-    assert IntegerVec3(0, 0, 0).is_zero()

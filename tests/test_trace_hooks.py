@@ -4,7 +4,10 @@ would silently drop its spans from ``perfbench --trace 1``."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 from latflow.flow import FlowTime, LineSegmentSpec
 from latflow.scalars import F64, named_scalar
@@ -12,23 +15,25 @@ from latflow.scalars import F64, named_scalar
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _tracing():
+@pytest.fixture
+def tracing(monkeypatch):
+    # no bytecode cache in perfbench/; the caller's setting returns after the
+    # test
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def test_every_wrap_point_exists():
-    tracing = _tracing()
+def test_every_wrap_point_exists(tracing):
     assert tracing.WRAP_POINTS
     for mod_name, attr, _ in tracing.WRAP_POINTS:
         fn = getattr(importlib.import_module(mod_name), attr, None)
         assert callable(fn), f"{mod_name}.{attr} is gone"
 
 
-def test_traced_translates_reduce_once_per_sample():
-    tracing = _tracing()
+def test_traced_translates_reduce_once_per_sample(tracing):
     names = {mod_name for mod_name, _, _ in tracing.WRAP_POINTS}
     modules = {name: importlib.import_module(name) for name in names}
     exp = modules["latflow.experiments"]
@@ -46,10 +51,9 @@ def test_traced_translates_reduce_once_per_sample():
     assert summary["lattice.count_points.calls"] == 12
 
 
-def test_traced_cli_runs_count_every_search(capsys):
+def test_traced_cli_runs_count_every_search(tracing, capsys):
     # the counters bind q_max, T_list and results by signature, as
     # ``perfbench --trace 1`` does around the child's cli.main calls
-    tracing = _tracing()
     modules = {name: importlib.import_module(name)
                for name in {mod_name for mod_name, _, _ in tracing.WRAP_POINTS}}
     tracer = tracing.Tracer()

@@ -25,10 +25,9 @@ import numpy as np
 
 from latflow import diophantine as dio
 from latflow.errors import BudgetError, InvalidInputError, ReductionError
-from latflow.experiments import SegmentMinimum
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
 from latflow.lattice import LLL_DELTA_EXACT, ReducedLattice
-from latflow.scalars import F64, IntegerVec3, ScalarMode, exact_ratio
+from latflow.scalars import F64, ScalarMode, exact_ratio
 
 SEGMENT_MINIMUM_SCAN_BUDGET = 100_000_000
 
@@ -88,21 +87,22 @@ def exact_time(u) -> ExactFlowTime:
     return ExactFlowTime(math.log(u), u)
 
 
-def _require_nonzero(v: IntegerVec3):
-    if v.is_zero():
+def _require_nonzero(v: tuple):
+    if not any(v):
         raise InvalidInputError("the zero vector is not a valid witness or orbit seed")
 
 
-def flow_standard(line: LineSegmentSpec, s, t: FlowTime, v: IntegerVec3):
+def flow_standard(line: LineSegmentSpec, s, t: FlowTime, v: tuple):
     """g_t phi(s) applied to (p1, p2, q) in the standard representation:
     (e^{2t} ((b q + p1) + (a q + p2) s), e^{-t} p2, e^{-t} q)."""
     _require_nonzero(v)
     em = t.factor(-1, line.mode)
-    first = t.factor(2, line.mode) * (line.b * v.q + v.p1 + (line.a * v.q + v.p2) * s)
-    return (first, em * v.p2, em * v.q)
+    p1, p2, q = v
+    first = t.factor(2, line.mode) * (line.b * q + p1 + (line.a * q + p2) * s)
+    return (first, em * p2, em * q)
 
 
-def flow_ext2(line: LineSegmentSpec, s, t: FlowTime, w: IntegerVec3):
+def flow_ext2(line: LineSegmentSpec, s, t: FlowTime, w: tuple):
     """g_t phi(s) on the exterior square, coordinates (p, q, r) in the basis
     (e12, e23, e13).
 
@@ -110,7 +110,7 @@ def flow_ext2(line: LineSegmentSpec, s, t: FlowTime, w: IntegerVec3):
     so the image is (e^t(-(a s + b)q + p), e^{-2t} q, e^t(s q + r)).
     """
     _require_nonzero(w)
-    p, q, r = w.p1, w.p2, w.q
+    p, q, r = w
     et = t.factor(1, line.mode)
     em2 = t.factor(-2, line.mode)
     first = et * (-(line.a * s + line.b) * q + p)
@@ -762,12 +762,11 @@ class ResidualScan:
     def nearest_a(self, q: int, ra: int) -> tuple[int, Fraction]:
         return _nearest_signed(q, self.na, self.da, ra)
 
-    def witness(self, q: int, rb: int, ra: int, bound_used, class_tag: str):
+    def witness(self, q: int, rb: int, ra: int, bound):
+        """The witness (p1, p2, q, |q b + p1|, |q a + p2|, bound) of q."""
         p1, res_b = self.nearest_b(q, rb)
         p2, res_a = self.nearest_a(q, ra)
-        return dio.DiophantineWitness(
-            p1=p1, p2=p2, q=q, residual1=abs(res_b), residual2=abs(res_a),
-            bound_used=bound_used, class_tag=class_tag)
+        return (p1, p2, q, abs(res_b), abs(res_a), bound)
 
     def both_within(self, rb: int, ra: int, bound: Fraction) -> bool:
         """Both nearest residuals at most ``bound``, compared in integers."""
@@ -789,7 +788,7 @@ def w2_witness_search_scan(a, b, C, q_max: int):
             continue
         bound = Fraction(cn, cd) / (q * q)
         if scan.both_within(rb, ra, bound):
-            hits.append(scan.witness(q, rb, ra, bound, f"W2(C={float(C)!r})"))
+            hits.append(scan.witness(q, rb, ra, bound))
     return hits
 
 
@@ -805,8 +804,7 @@ def w2eps_witness_search_scan(a, b, eps, q_max: int):
     for q, rb, ra in scan.iterate(q_max):
         if all(min(r, den - r) ** d * q ** n <= den ** d
                for r, den in ((rb, scan.db), (ra, scan.da))):
-            hits.append(scan.witness(q, rb, ra, Fraction(q ** -exponent),
-                                     f"W2o(eps={float(eps)!r})"))
+            hits.append(scan.witness(q, rb, ra, Fraction(q ** -exponent)))
     return hits
 
 
@@ -820,8 +818,7 @@ def w2inf_profile_scan(a, b, C_list, q_max: int):
             break
         for i, c in enumerate(cs):
             if i not in found and scan.both_within(rb, ra, c / (q * q)):
-                found[i] = scan.witness(q, rb, ra, c / (q * q),
-                                        f"W2inf(C={float(c)!r})")
+                found[i] = scan.witness(q, rb, ra, c / (q * q))
     return [dio.W2InfEntry(C=c, witness=found.get(i)) for i, c in enumerate(cs)]
 
 
@@ -845,14 +842,14 @@ def ir_density_scan(line, R, T, q_max: int, dt: float = 0.01):
                    Fraction(min(ra, scan.da - ra), scan.da))
         lo = max(math.log(q) - math.log(R_f), 0.0)
         if dist == 0:
-            iv = dio.EqInterval(q=q, lo=lo, hi=None, rational_hit=True)
+            iv = {"q": q, "lo": lo, "hi": None, "rational_hit": True}
         elif dist * q * q >= r1_fr * r_fr * r_fr:
             continue
         else:
             hi = 0.5 * math.log(R1_f) - 0.5 * log_fraction(dist)
             if hi <= 0.0:
                 continue
-            iv = dio.EqInterval(q=q, lo=lo, hi=hi)
+            iv = {"q": q, "lo": lo, "hi": hi, "rational_hit": False}
         p1, res_b = scan.nearest_b(q, rb)
         p2, res_a = scan.nearest_a(q, ra)
         intervals.append(iv)
@@ -861,9 +858,9 @@ def ir_density_scan(line, R, T, q_max: int, dt: float = 0.01):
     n_grid = int(math.floor(T / dt + 1e-9)) + 1
     inside = sum(in_ir_at(i * dt, R_f, R1_f, candidates, s1, s2, math.log(R_f))
                  for i in range(n_grid))
-    union = dio._union_length((iv.lo, T if iv.hi is None else min(iv.hi, T))
+    union = dio._union_length((iv["lo"], T if iv["hi"] is None else min(iv["hi"], T))
                               for iv in intervals)
-    return tuple(intervals), float(union), inside * dt
+    return intervals, float(union), inside * dt
 
 
 def in_ir_at(t, R, R1, candidates, s1, s2, log_r) -> bool:
@@ -929,9 +926,10 @@ def dirichlet_grid(x1: float, x2: float, delta: float, T: float) -> bool:
 # -- q-scan segment minimum ------------------------------------------------
 
 def segment_minimum_scan(line: LineSegmentSpec, t: FlowTime, R_cap: float,
-                         budget: int = SEGMENT_MINIMUM_SCAN_BUDGET) -> SegmentMinimum | None:
+                         budget: int = SEGMENT_MINIMUM_SCAN_BUDGET) -> tuple | None:
     """Minimize sup_{s in I} ||g_t phi(s) v||_inf over nonzero integer v,
-    reporting the minimizer when its value is <= R_cap (else None).
+    reporting (v, value) for the minimizer when its value is <= R_cap (else
+    None).
 
     The search window is the one a norm bound forces: q in [0, R_cap e^t],
     p1 and p2 within ceil(R1 e^{-2t} + 1) of the nearest integers to -q b,
@@ -1033,10 +1031,10 @@ def segment_minimum_scan(line: LineSegmentSpec, t: FlowTime, R_cap: float,
         return (max(fe2 * abs(c0 + c1 * fs1), fe2 * abs(c0 + c1 * fs2),
                     fem * abs(p2), fem * abs(q)), vec[::-1])
 
-    best_vec = IntegerVec3(*min((vec for _, vec in [best] + near), key=exact_key))
+    best_vec = min((vec for _, vec in [best] + near), key=exact_key)
     best_val = segment_sup(line, t, best_vec)
     exactable = line.mode.kind == "rational" and isinstance(t, ExactFlowTime)
     cap = Fraction(R_cap) if exactable else float(R_cap)
     if best_val > cap:
         return None
-    return SegmentMinimum(vector=best_vec, value=best_val)
+    return best_vec, best_val

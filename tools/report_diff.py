@@ -30,8 +30,8 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 SHOWN = 10  # differing operations named in full
 
 # Run once, after the workload operations: bigfloat, escalated f64 (t > 9.2)
-# and rational translates, f64 translates at t = 9.1 (just under
-# GSO_RANGE_CAP, where the f64 LLL swap chains are longest), the bigfloat
+# and rational translates, f64 translates on I = [-50, 50], whose columns at
+# t = 9 and 9.1 are too long for the f64 entry test, the bigfloat
 # and rational orbit and dirichlet paths, f64 dirichlet past t = 7, f64
 # orbit minima where an f64 evaluation of the segment supremum would cancel,
 # three integral-LLL searches: the fullest blocks (every q a witness), a
@@ -48,11 +48,15 @@ SHOWN = 10  # differing operations named in full
 # W2inf witness q = 10^24 of liouville:5 at q_max = 10^25, and
 # a bigfloat:256 density whose window search passes 20 blocks; then the f64
 # translates that leave the f64 reduction: a Gram-Schmidt length past the
-# f64 range (1e200), and a size reduction by a multiplier near 10^289 whose
-# reduced length is infinite; the leaf-by-leaf f64 count of a radius below
-# 2^-400; a slope of 10^8, whose f64 rows stay on the f64 path; an f64
+# f64 range (1e200), and columns whose length overflows f64 (a slope near
+# 10^289); the leaf-by-leaf f64 count of a radius below 2^-400; a slope of
+# 10^8, whose columns are too long for the f64 entry test at t = 5; an f64
 # dirichlet whose t = 18 verdict at the exact a s + b differs from the one
-# at fl(fl(a s) + b); and the bare bigfloat mode with a --budget.
+# at fl(fl(a s) + b); the bare bigfloat mode with a --budget; an f64 input
+# past the f64 range (exit 4); f64 translates at t = 9.2 whose columns are
+# no longer than e^{2t} (|s|, |a s + b| <= 1), just under GSO_RANGE_CAP,
+# where the f64 LLL swap chains are longest; and rational translates whose
+# entries are past the f64 range, which reduce exactly.
 EXTRA_OPS = [
     ["equidist", "sqrt2", "sqrt3", "--mode", "bigfloat:256", "--t-list", "5,9.5,11",
      "--N", "20", "--radii", "1.5"],
@@ -97,6 +101,10 @@ EXTRA_OPS = [
     ["dirichlet", "sqrt2", "sqrt3", "--s", "0.45", "--delta", "0.6", "--t-max", "18"],
     ["classify", "sqrt2", "sqrt3", "--mode", "bigfloat", "--q-max", "1000",
      "--budget", "1000000"],
+    ["classify", "1e400", "1", "--q-max", "10"],
+    ["equidist", "sqrt2", "0.123456789012345", "--interval=-1/2,1/2", "--t-list", "9.2",
+     "--N", "50", "--radii", "1.5"],
+    ["equidist", "1e400", "1", "--mode", "rational", "--t-list", "1", "--N", "3"],
 ]
 
 # Runs in the child, with cwd the tree's temporary directory:
