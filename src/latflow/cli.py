@@ -27,12 +27,12 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
-from pathlib import Path
 
 from . import diophantine as dio
 from . import experiments as exp
@@ -517,8 +517,11 @@ def run(argv=None) -> int:
     config = {k.replace("_", "-"): v for k, v in sorted(vars(args).items())}
     if args.out is not None:
         # before the run, so that a bad --out costs no computation
+        directory, stem = os.path.split(args.out)
+        if not stem:
+            raise InvalidInputError(f"--out {args.out!r} names a directory, not a file stem")
         try:
-            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+            os.makedirs(directory or ".", exist_ok=True)
         except OSError as e:
             raise InvalidInputError(f"cannot create the directory of --out: {e}") from e
     with enumeration_budget(args.budget or ENUMERATION_BUDGET):

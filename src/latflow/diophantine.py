@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InvalidInputError, PrecisionError
@@ -184,10 +184,9 @@ def w2eps_witness_search(a, b, eps, q_max: int) -> list[tuple]:
             if _pow_bound_check(max(r1, r2), q, two_plus_eps)]
 
 
-@dataclass(frozen=True)
-class W2InfEntry:
-    C: Fraction
-    witness: tuple | None  # as those of ``w2_witness_search``
+# the constant C of a profile and its minimal witness, shaped as those of
+# ``w2_witness_search``, or None
+W2InfEntry = namedtuple("W2InfEntry", "C witness")
 
 
 def w2inf_profile(a, b, C_list, q_max: int) -> list[W2InfEntry]:
@@ -270,8 +269,8 @@ def _eq_at(q: int, dist: Fraction, r_fr: Fraction, r1_fr: Fraction) -> dict | No
     return {"q": q, "lo": lo, "hi": hi, "rational_hit": False}
 
 
-@dataclass(frozen=True)
-class DensityProfile:
+class DensityProfile(namedtuple("DensityProfile",
+                                "R1 intervals union_measure direct_measure coverage_warning")):
     """Both estimates of |I_R intersect [0, T]|: the measure of the union of
     the nonempty E_q (an upper estimate), and that of the grid t = i dt,
     i dt <= T, that lies in I_R, decided from the return windows of the
@@ -279,11 +278,7 @@ class DensityProfile:
     q ascending; ``coverage_warning`` is set unless ln q_max - ln R >= T, so
     that windows opening before T can be missed."""
 
-    R1: float
-    intervals: list
-    union_measure: float
-    direct_measure: float
-    coverage_warning: bool
+    __slots__ = ()
 
 
 def _union_length(spans):

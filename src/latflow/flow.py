@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,19 +27,15 @@ from .errors import InvalidInputError
 from .scalars import F64, ScalarMode, exact_ratio, exp_f64, named_scalar
 
 
-@dataclass(frozen=True)
-class LineSegmentSpec:
+class LineSegmentSpec(namedtuple("LineSegmentSpec", "a b s1 s2 mode")):
     """Parameters (a, b) and the interval I = [s1, s2] of the segment."""
 
-    a: object
-    b: object
-    s1: object
-    s2: object
-    mode: ScalarMode = F64
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.s1 < self.s2:
+    def __new__(cls, a, b, s1, s2, mode: ScalarMode = F64):
+        if not s1 < s2:
             raise InvalidInputError("segment needs s1 < s2 strictly")
+        return super().__new__(cls, a, b, s1, s2, mode)
 
     @classmethod
     def from_strings(cls, a_text: str, b_text: str, s1_text: str, s2_text: str,
@@ -53,8 +49,7 @@ class LineSegmentSpec:
         )
 
 
-@dataclass(frozen=True)
-class FlowTime:
+class FlowTime(namedtuple("FlowTime", "t")):
     """A finite flow time t.
 
     ``factor`` gives the powers e^{kt} in a line's scalars; ``segment_sup``
@@ -62,11 +57,12 @@ class FlowTime:
     ``translate_basis`` reads only the float t.
     """
 
-    t: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.t):
+    def __new__(cls, t: float):
+        if not math.isfinite(t):
             raise InvalidInputError("flow time must be finite")
+        return super().__new__(cls, t)
 
     @classmethod
     def of(cls, t: float) -> "FlowTime":

@@ -47,9 +47,9 @@ it.  ``_enumerate_half_ball`` reads it when an enumeration starts, and
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -81,15 +81,12 @@ def enumeration_budget(n: int):
         _budget.reset(token)
 
 
-@dataclass(frozen=True)
-class ShortVectorResult:
+class ShortVectorResult(namedtuple("ShortVectorResult", "vector lambda1 escalated")):
     """A certified first minimum: ``vector`` holds the integer coefficients
     with respect to the basis columns, ``lambda1`` the sup-norm length;
     ``escalated`` marks a result computed off the f64 path."""
 
-    vector: tuple[int, int, int]
-    lambda1: float
-    escalated: bool = False
+    __slots__ = ()
 
 
 # -- f64 reduction and the Fincke-Pohst enumeration ------------------------
@@ -498,8 +495,9 @@ def _flow_scales(log_scale: float) -> tuple:
     return e2, em, em
 
 
-@dataclass(frozen=True)
-class ReducedLattice:
+class ReducedLattice(namedtuple("ReducedLattice",
+                                "rows transform mu norm2 scale2 gram_det den escalated",
+                                defaults=(1, False))):
     """A reduced basis of a rank-3 lattice, and the one Fincke-Pohst
     enumeration that answers its sup-norm questions: ``points`` within a
     radius, the first ``minimum`` and the ``count`` of nonzero points.
@@ -512,14 +510,7 @@ class ReducedLattice:
     ``den``; sup norms are then compared in integers.
     """
 
-    rows: tuple
-    transform: list
-    mu: list
-    norm2: list
-    scale2: int
-    gram_det: float | int
-    den: int = 1
-    escalated: bool = False
+    __slots__ = ()
 
     @classmethod
     def of(cls, matrix, log_scale: float = 0.0,
@@ -665,7 +656,9 @@ class ReducedLattice:
     def count(self, radius) -> int:
         """#{v in L \\ 0 : ||v||_inf <= radius} for a finite radius; for a
         lattice in R^3 it refuses an expected count (2 radius)^3 / det(L)
-        above the leaf cap, and names both.
+        above the leaf cap, and names both.  It overrides ``tuple.count`` on
+        purpose: a lattice is a tuple of its fields only to be an immutable
+        value, and no caller counts its fields.
 
         It is twice the number of leaves of ``_points`` that pass its leaf
         test, counted a line of the walk at a time; every line is charged

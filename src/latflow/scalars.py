@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -37,18 +37,19 @@ from .errors import ParseError, PrecisionError
 F64_MAX_DENOM = 1 << 20  # |q| beyond this loses residual bits in f64
 
 
-@dataclass(frozen=True)
-class ScalarMode:
-    """Arithmetic policy: which number type realises the spec's Scalar."""
+class ScalarMode(namedtuple("ScalarMode", "kind bits")):
+    """Arithmetic policy: which number type realises the spec's Scalar.
 
-    kind: str  # "f64" | "bigfloat" | "rational"
-    bits: int | None = None
+    ``kind`` is "f64", "bigfloat" or "rational", ``bits`` the bigfloat
+    mantissa size.  The class has no ``__slots__``: ``one`` and ``zero``
+    are cached in the instance dict, which equality and hashing ignore."""
 
-    def __post_init__(self):
-        if self.kind not in ("f64", "bigfloat", "rational"):
-            raise ParseError(f"unknown scalar mode {self.kind!r}")
-        if self.kind == "bigfloat" and (self.bits is None or self.bits < 53):
+    def __new__(cls, kind: str, bits: int | None = None):
+        if kind not in ("f64", "bigfloat", "rational"):
+            raise ParseError(f"unknown scalar mode {kind!r}")
+        if kind == "bigfloat" and (bits is None or bits < 53):
             raise ParseError("bigfloat mode needs a mantissa size of >= 53 bits")
+        return super().__new__(cls, kind, bits)
 
     def from_fraction(self, fr: Fraction):
         if self.kind == "rational":

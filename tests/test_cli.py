@@ -344,6 +344,14 @@ def test_out_directory_not_creatable_exit_2(tmp_path, monkeypatch, capsys):
     assert "--out" in capsys.readouterr().err
 
 
+def test_out_directory_without_stem_exit_2(tmp_path, capsys):
+    out = tmp_path / "reports"
+    assert run_cli(["orbit", "1/2", "1/3", "--t-grid", "0", "--N", "1",
+                    "--out", f"{out}{os.sep}"]) == 2
+    assert "file stem" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dirichlet_no_horizon_cap():
     # the direct check at t = 12 reaches T = e^12 0.9^(1/3) ~ 1.6e5
     assert run_cli(["dirichlet", "sqrt2", "sqrt3", "--t-max", "12"]) == 0

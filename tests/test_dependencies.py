@@ -1,9 +1,13 @@
 """The runtime imports exactly the third-party packages that pyproject.toml
 declares: an undeclared import fails here, and so does a declared dependency
-that no module of ``src/latflow`` imports."""
+that no module of ``src/latflow`` imports.  Nor does ``import latflow.cli``
+load the standard-library modules that each CLI process would pay for before
+any lattice work without using them."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +35,15 @@ def test_runtime_imports_are_the_declared_dependencies():
     declared = {re.match(r"[\w.-]+", d).group(0).lower().replace("-", "_")
                 for d in dependencies}
     assert _third_party_imports() == declared
+
+
+def test_cli_import_leaves_out_the_unused_standard_library():
+    # -S: no ``site``, whose hooks may load these modules first
+    code = ("import sys; before = set(sys.modules); import latflow.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    added = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert "latflow.cli" in added
+    unused = {"dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib", "typing"}
+    assert unused.isdisjoint(added), sorted(unused.intersection(added))

@@ -234,6 +234,15 @@ def test_w2inf_profile_rational_every_c():
     assert [e.witness[2] for e in profile] == [1, 6, 6]
 
 
+def test_profile_entries_and_density_profiles_are_immutable():
+    entry = dio.w2inf_profile(*HALF_THIRD, [1], 10)[0]
+    line = LineSegmentSpec(*HALF_THIRD, Fraction(0), Fraction(1), RATIONAL)
+    profile = dio.ir_density(line, 2, 1.0, 50)
+    for value, field in ((entry, "witness"), (profile, "intervals")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+
+
 def test_w2inf_requires_descending():
     with pytest.raises(InvalidInputError):
         dio.w2inf_profile(LAM4, LAM4, [Fraction(1), Fraction(2)], 100)

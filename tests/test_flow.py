@@ -28,6 +28,19 @@ def test_interval_must_be_increasing():
         LineSegmentSpec(0.0, 0.0, 1.0, 1.0, F64)
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_flow_time_must_be_finite(t):
+    with pytest.raises(InvalidInputError, match="flow time must be finite"):
+        FlowTime.of(t)
+
+
+def test_line_and_flow_time_are_immutable():
+    with pytest.raises(AttributeError):
+        RATIONAL_LINE.a = Fraction(0)
+    with pytest.raises(AttributeError):
+        FlowTime.of(1.0).t = 2.0
+
+
 def test_phi_matrix_shape():
     line = LineSegmentSpec(Fraction(1), Fraction(2), Fraction(0), Fraction(4), RATIONAL)
     m = phi(line, Fraction(3))

@@ -228,6 +228,16 @@ def test_shortest_vector_identity():
     assert sorted(abs(c) for c in res.vector) == [0, 0, 1]
 
 
+def test_results_and_lattices_are_immutable_values():
+    lat = ReducedLattice.of(IDENTITY)
+    res = shortest_vector(lat)
+    for value, field in ((lat, "rows"), (lat, "escalated"), (res, "lambda1")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    # ``count`` is the lattice count: {-1, 0, 1}^3 without the origin
+    assert lat.count(1.5) == count_points(lat, 1.5) == 26
+
+
 def test_shortest_vector_skewed_diagonal():
     # diag(M^-2, M, M), M = 10: lambda1 = 1e-2 via e1 (brute force confirms)
     m = 10.0

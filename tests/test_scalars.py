@@ -12,6 +12,7 @@ from latflow.flow import FlowTime
 from latflow.scalars import (
     F64,
     RATIONAL,
+    ScalarMode,
     bigfloat,
     liouville_partial,
     mode_from_spec,
@@ -84,6 +85,20 @@ def test_mode_from_spec():
     assert mode_from_spec("rational") is RATIONAL
     with pytest.raises(ParseError):
         mode_from_spec("quad")
+
+
+def test_scalar_mode_is_an_immutable_value():
+    mode = bigfloat(64)
+    with pytest.raises(AttributeError):
+        mode.bits = 128
+    assert mode.one == 1  # cached on the instance, outside equality and hash
+    assert mode == bigfloat(64) and hash(mode) == hash(bigfloat(64))
+    assert len({mode, bigfloat(64)}) == 1
+    assert mode != bigfloat(65) and F64 != RATIONAL
+    with pytest.raises(ParseError, match=">= 53 bits"):
+        ScalarMode("bigfloat", 52)
+    with pytest.raises(ParseError, match="unknown scalar mode"):
+        ScalarMode("f32")
 
 
 def test_rational_round_trips():

@@ -68,14 +68,16 @@ def mat_det(A):
 
 # -- exact flow times and the actions behind the proof lemmas -------------
 
-@dataclass(frozen=True)
 class ExactFlowTime(FlowTime):
     """A flow time t = ln(u) with u = e^t kept exact: the powers e^{kt} are
     the rationals u^k, which keeps the segment actions, ``segment_sup`` and
     ``segment_minimum`` exact in rational mode (``translate_basis`` reads
     only the float t)."""
 
-    u: Fraction
+    def __new__(cls, t: float, u: Fraction):
+        self = super().__new__(cls, t)
+        self.u = u
+        return self
 
     def factor(self, k: int, mode: ScalarMode = F64):
         return mode.from_fraction(self.u ** k)
