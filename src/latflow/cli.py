@@ -12,7 +12,9 @@ given ``_fmt`` of every cell.  Sample rows that are nonempty dicts of str,
 int, float, bool or None values go through the C JSON encoder, ``_CHUNK``
 rows at a time, re-bracketed to the indent-2 layout; a report with any other
 row (an ``orbit`` row's ``min_vector`` list, say) takes ``json.dump`` whole.
-CSV cells are formatted a column of a chunk at a time.
+CSV cells are formatted a column of a chunk at a time, and a chunk whose
+columns are each all float, all int or all bool, none of whose cells a
+``csv.writer`` quotes, is written with one ``%``-template per row.
 
 Exit codes: 0 success, 2 usage, parse or invalid-input errors, 3 budget
 errors, 4 precision or lattice-reduction failures.
@@ -124,14 +126,35 @@ def _csv_cells(values):
     return map(_fmt, values)
 
 
+# the %-conversion giving a column's ``_fmt`` cells, by the column's one type;
+# a bool column's cells are mapped first
+_TEMPLATE_SPECS = {float: "%.17g", int: "%d", bool: "%s"}
+
+
 def _write_csv(rows: list, columns: list, f) -> None:
-    """A header and one line of ``_fmt`` cells per row, ``""`` for a missing key."""
+    """A header and one line of ``_fmt`` cells per row, ``""`` for a missing
+    key.  A chunk whose every column holds values of one type, float, int
+    or bool, is written with one ``%``-template per row; any other chunk
+    goes through the csv.writer."""
     writer = csv.writer(f, lineterminator="\n")
     writer.writerow(columns)
     for i in range(0, len(rows), _CHUNK):
         chunk = rows[i:i + _CHUNK]
-        cells = [_csv_cells([row.get(c, "") for row in chunk]) for c in columns]
-        writer.writerows(zip(*cells) if cells else [()] * len(chunk))
+        values = [[row.get(c, "") for row in chunk] for c in columns]
+        specs = []
+        for column in values:
+            kinds = set(map(type, column))
+            spec = _TEMPLATE_SPECS.get(kinds.pop()) if len(kinds) == 1 else None
+            if spec is None:
+                break
+            specs.append(spec)
+        if values and len(specs) == len(values):
+            template = ",".join(specs) + "\n"
+            cells = [_csv_cells(v) if spec == "%s" else v for v, spec in zip(values, specs)]
+            f.write("".join(map(template.__mod__, zip(*cells))))
+        else:
+            cells = [_csv_cells(column) for column in values]
+            writer.writerows(zip(*cells) if cells else [()] * len(chunk))
 
 
 def _parse_grid(text: str) -> list[float]:

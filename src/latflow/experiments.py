@@ -30,19 +30,32 @@ from .scalars import exact_ratio
 
 
 _MASK64 = (1 << 64) - 1
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157  # the round multipliers
+_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B  # the Weyl key increments
+
+
+@lru_cache(maxsize=1)
+def _round_keys(seed: int) -> tuple:
+    """The k0 of rounds 2 to 10 of Philox4x64-10 keyed by ``seed``, which
+    depend on the seed alone: made once for all of a seed's draws."""
+    k0 = seed & _MASK64
+    return tuple((k0 + r * _W0) & _MASK64 for r in range(1, 10))
 
 
 def sample_uniform(seed: int, index: int) -> float:
     """The f64 uniform of sample ``index``: Philox4x64-10 with key (k0, k1) =
     (seed, index) mod 2^64 on counter (c0, c1, c2, c3) = (1, 0, 0, 0).  Each
-    round multiplies c0 and c2 by the constants below into 128-bit products
-    (hi0, lo0), (hi1, lo1), sets c = (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0),
-    then adds the Weyl constants to the key; u = (c0 >> 11) 2^-53."""
-    k0, k1, c0, c1, c2, c3 = seed & _MASK64, index & _MASK64, 1, 0, 0, 0
-    for _ in range(10):
-        p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
+    round multiplies c0 and c2 by ``_M0`` and ``_M1`` into 128-bit products
+    (hi0, lo0), (hi1, lo1), sets c = (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1,
+    lo0), then adds ``_W0`` and ``_W1`` to the key; u = (c0 >> 11) 2^-53.
+    The first round, on c = (1, 0, 0, 0), gives c = (k0, 0, k1, _M0); the
+    k0 of the others come from ``_round_keys``."""
+    k1 = index & _MASK64
+    c0, c1, c2, c3 = seed & _MASK64, 0, k1, _M0
+    for k0 in _round_keys(seed):
+        k1 = (k1 + _W1) & _MASK64
+        p0, p1 = _M0 * c0, _M1 * c2
         c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK64, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64
-        k0, k1 = (k0 + 0x9E3779B97F4A7C15) & _MASK64, (k1 + 0xBB67AE8584CAA73B) & _MASK64
     return (c0 >> 11) * 2.0 ** -53
 
 
@@ -77,23 +90,22 @@ def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
     """
     if N < 1:
         raise InvalidInputError("need N >= 1 samples")
-    s1, width = line.s1, line.s2 - line.s1
-    radii = [float(r) for r in radii]
+    s1, width, tf = line.s1, line.s2 - line.s1, float(t.t)
+    counts = [(count_key(r), r) for r in map(float, radii)]
     us = _uniforms(seed, N)
     if line.mode.kind != "f64":  # in f64, mode.from_fraction(Fraction(u)) is u
         us = [line.mode.from_fraction(Fraction(u)) for u in us]
-
-    def one(u) -> dict:
+    rows = []
+    for u in us:
         s = s1 + u * width
         lat = translate_basis(line, s, t)
         res = shortest_vector(lat)
-        row = {"s": float(s), "t": float(t.t), "lambda1": res.lambda1,
+        row = {"s": float(s), "t": tf, "lambda1": res.lambda1,
                "certified": True, "escalated": res.escalated}
-        for r in radii:
-            row[count_key(r)] = count_points(lat, r)
-        return row
-
-    return [one(u) for u in us]
+        for key, r in counts:
+            row[key] = count_points(lat, r)
+        rows.append(row)
+    return rows
 
 
 def check_delta(delta: float) -> None:

@@ -9,39 +9,44 @@ enumeration vehicle (in dimension n, ||v||_2 <= sqrt(n) ||v||_inf, so the
 inflated ball contains every candidate that could beat the incumbent).
 
 A lattice is one value, ``ReducedLattice``, made by either reduction.
-``ReducedLattice.of(matrix, log_scale)`` takes a 3x3 matrix with a flow
-log-scale that defers the exponentials of its rows (so translates are
-stored without overflow) and reduces the scaled columns by one f64
+``ReducedLattice.f64(cols)`` reduces three f64 columns by one
 ``lll_reduce``, whose reduced rows and Gram-Schmidt data go on to the
-enumeration, or, when asked (``translate_basis`` asks for every bigfloat
-line) or for columns that ``lll_reduce`` refuses, the exact reduction of
-the unrounded products, whose integer rows it builds from the integer
-ratios of the entries and of the row scales, with no ``Fraction`` made;
-``translate_basis`` gives it the translate g_t phi(s) Z^3.
-``ReducedLattice.exact(rows)`` scales the rational rows of a rank-3 lattice
-in Q^n to integers and runs the integral LLL (no rounding anywhere), warm
-started, if asked, from the transform of a lattice reduced before.  Its
-``points``, ``minimum`` and ``count`` are one Fincke-Pohst enumeration,
-written once, over coefficients in the reduced basis that only ``points``
-and ``minimum`` map back through U; they take radii in the rows' own units
-and compare candidates in the rows' own arithmetic (f64, or integers).
+enumeration; ``translate_basis`` gives it the columns of the translate
+g_t phi(s) Z^3 of an f64 or rational line, built directly from s and
+a s + b.  ``ReducedLattice.of(matrix, log_scale)`` takes a 3x3 matrix with
+a flow log-scale that defers the exponentials of its rows (so translates
+are stored without overflow) and runs the exact reduction of the
+unrounded products, whose integer rows it builds from the integer ratios
+of the entries and of the row scales, with no ``Fraction`` made;
+``translate_basis`` hands it phi(s) for every bigfloat line and where
+``lll_reduce`` refuses the columns.  ``ReducedLattice.exact(rows)``
+scales the rational rows of a rank-3 lattice in Q^n to integers and runs
+the integral LLL (no rounding anywhere), warm started, if asked, from the
+transform of a lattice reduced before.  Its ``points``, ``minimum`` and
+``count`` are one Fincke-Pohst enumeration, over coefficients in the
+reduced basis that only ``points`` and ``minimum`` map back through U;
+they take radii in the rows' own units and compare candidates in the
+rows' own arithmetic (f64, or integers).
 ``shortest_vector`` and ``count_points`` read that value, so the minimum and
 the counts at every radius share one reduction; ``ReducedLattice.exact``
 also gives the segment minima, the Dirichlet check and the Diophantine
 search boxes.
 
-The enumeration walks lines: ``_enumerate_half_ball`` yields each run
+The enumeration walks lines: ``_enumerate_half_ball`` lists each run
 lo <= x0 <= hi of the innermost coefficient at fixed (x1, x2), and charges
 its hi - lo + 1 leaves against the leaf cap.  ``points`` and ``minimum``
-test every leaf of a line; ``count`` cuts each line by the slab in which
-each row stays within the radius, exactly for integer rows and, for f64
-rows, with a proven margin inside which the f64 leaf test cannot fail and
-outside which it cannot pass, so only the leaves on the margin are tested.
+test every leaf of a line; ``minimum`` stops a leaf's test at the first
+row past the least norm found so far.  ``count`` cuts each line by the
+slab in which each row stays within the radius: exactly for integer rows,
+and for f64 rows, in one loop that walks the lines itself, with a margin
+of each row's own on each line, proven such that the f64 leaf test cannot
+fail inside it and cannot pass outside it, so only the leaves on a margin
+are tested.
 
 All functions are pure but for one input: the enumeration leaf cap,
 ``ENUMERATION_BUDGET`` unless a ``with enumeration_budget(n):`` block sets
-it.  ``_enumerate_half_ball`` reads it when an enumeration starts, and
-``_refusal`` reads it for the expected-count refusal of ``count``.
+it.  The walks read it when an enumeration starts, and ``_refusal`` reads
+it for the expected-count refusal of ``count``.
 """
 
 from __future__ import annotations
@@ -211,46 +216,59 @@ def lll_reduce(cols):
             [[0.0, 0.0, 0.0], [m10, 0.0, 0.0], [m20, m21, 0.0]], [n0, n1, n2])
 
 
-def _enumerate_half_ball(mu, norm2, bound2):
-    """Yield the lines (x1, x2, lo, hi) of the Fincke-Pohst walk of
+def _enumerate_half_ball(mu, norm2, bound2) -> list:
+    """The lines (x1, x2, lo, hi) of the Fincke-Pohst walk of
     ||B x||_2^2 <= bound2 over the Gram-Schmidt data (mu, norm2) of the
-    basis B: the leaves x = (x0, x1, x2), lo <= x0 <= hi, of all lines are
-    the integer triples x != 0 of the ball, one per +-pair.  A line is
-    yielded only if it holds a leaf, and charges its hi - lo + 1 leaves
-    against the leaf cap in force when the enumeration starts, before it
-    is yielded."""
+    basis B, in walk order: the leaves x = (x0, x1, x2), lo <= x0 <= hi,
+    of all lines are the integer triples x != 0 of the ball, one per
+    +-pair.  A line is listed only if it holds a leaf, and charges its
+    hi - lo + 1 leaves against the leaf cap in force, which the whole walk
+    charges before it returns."""
     budget = _budget.get()
-    count = 0
+    charged = 0
+    lines = []
     n0, n1, n2 = norm2
     m10, m20, m21 = mu[1][0], mu[2][0], mu[2][1]
-    for x2 in range(0, math.floor(math.sqrt(bound2 / n2)) + 1):
+    sqrt, ceil, floor = math.sqrt, math.ceil, math.floor
+    for x2 in range(0, floor(sqrt(bound2 / n2)) + 1):
         r2 = bound2 - x2 * x2 * n2
         if r2 < 0:
             continue
         c1 = m21 * x2
-        half1 = math.sqrt(r2 / n1)
-        lo1 = math.ceil(-half1 - c1)
+        d0 = m20 * x2
+        half1 = sqrt(r2 / n1)
+        lo1 = ceil(-half1 - c1)
         # one of each +-pair: the last nonzero coefficient is positive, so
         # x2 = 0 starts x1 at 0 and x1 = x2 = 0 starts x0 at 1
-        for x1 in range(lo1 if x2 else max(lo1, 0), math.floor(half1 - c1) + 1):
+        for x1 in range(lo1 if x2 else max(lo1, 0), floor(half1 - c1) + 1):
             t1 = x1 + c1
             r1 = r2 - t1 * t1 * n1
             if r1 < 0:
                 continue
-            c0 = m10 * x1 + m20 * x2
-            half0 = math.sqrt(r1 / n0)
-            lo0 = math.ceil(-half0 - c0)
-            if not (x1 or x2) and lo0 < 1:
-                lo0 = 1
-            hi0 = math.floor(half0 - c0)
-            if hi0 < lo0:
+            c0 = m10 * x1 + d0
+            half0 = sqrt(r1 / n0)
+            lo = ceil(-half0 - c0)
+            if not (x1 or x2) and lo < 1:
+                lo = 1
+            hi = floor(half0 - c0)
+            if hi < lo:
                 continue
-            count += hi0 - lo0 + 1
-            if count > budget:
+            charged += hi - lo + 1
+            if charged > budget:
                 raise BudgetError(
                     "lattice enumeration visited more than its budget "
-                    f"of {budget} nodes")
-            yield x1, x2, lo0, hi0
+                    f"of {budget} nodes ({charged} leaves charged)")
+            lines.append((x1, x2, lo, hi))
+    return lines
+
+
+def _key(u, x) -> tuple:
+    """The coefficients w.r.t. the basis of the vector with coefficients x
+    in the reduced basis of transform u, sign-normalised (last nonzero one
+    positive) and read from the last: ``minimum``'s order among equal
+    norms."""
+    key = _transform_apply(u, x)[::-1]
+    return key if key >= (0, 0, 0) else (-key[0], -key[1], -key[2])
 
 
 def _transform_apply(u, x):
@@ -359,6 +377,7 @@ _NORMAL = 2.0 ** -1022  # the least positive normal f64
 _U = 2.0 ** -53  # the unit roundoff of f64
 _ENTRY_RANGE = (2.0 ** -400, 2.0 ** 400)  # nonzero entries the margin covers
 _X_RANGE = 2 ** 50  # and coefficients
+_FREE = (0.0, 0.0, math.inf, 0.0, 0.0)  # a slab of no row, as wide as the line
 
 
 def _refusal(limit, gram_det) -> str | None:
@@ -392,7 +411,7 @@ def _refusal(limit, gram_det) -> str | None:
 
 
 def _leaf_hits(rows, limit, x1, x2, x0s) -> int:
-    """How many x0 of ``x0s`` pass the leaf test of ``_points`` on the line
+    """How many x0 of ``x0s`` pass the leaf test of ``points`` on the line
     (x1, x2)."""
     n = 0
     for x0 in x0s:
@@ -424,63 +443,109 @@ def _count_integral(rows, limit, lines) -> int:
     return n
 
 
-def _count_f64(rows, limit, lines) -> int:
-    """The leaves of ``lines`` that pass the leaf test of ``_points`` on the
-    f64 ``rows``: on each line the x0 within the ends of its slabs moved in
-    by one margin are counted whole, and only those between these ends and
-    the ends moved out take the leaf test (the margin and its proof are in
-    ``ReducedLattice.count``)."""
-    x_max = 0
-    for x1, x2, lo, hi in lines:
-        if -lo > x_max:
-            x_max = -lo
-        if hi > x_max:
-            x_max = hi
-        if abs(x1) > x_max:
-            x_max = abs(x1)
-        if x2 > x_max:
-            x_max = x2
+def _count_f64(lat, limit) -> int:
+    """The leaves of the walk of ``lat._lines(limit)`` that pass the leaf
+    test of ``points`` on the f64 rows of ``lat``, in one loop that walks
+    the lines as ``_enumerate_half_ball`` does, charging each, and cuts each
+    line as it is reached: the x0 inside every row's slab moved in by that
+    row's margin on the line are counted whole, those outside the slab of
+    the row that sets an inner end moved out by its margin are passed over,
+    and only those between take the leaf test (the margins and their proof
+    are in ``ReducedLattice.count``).
+
+    The three slabs are cut in straight-line code, as ``lll_reduce`` is
+    written, a row with r0 = 0 holding the slab ``_FREE`` that every x0
+    passes; X above ``x_cap`` sends the line to the leaf test."""
+    rows = lat.rows
     small, large = _ENTRY_RANGE
-    sizes = [abs(x) for row in rows for x in row if x]
-    if not (x_max <= _X_RANGE and small <= limit <= large
-            and small <= min(sizes) and max(sizes) <= large):
-        return sum(_leaf_hits(rows, limit, x1, x2, range(lo, hi + 1))
-                   for x1, x2, lo, hi in lines)
-    flat, slabs, margin = [], [], 0.0
+    x_cap = _X_RANGE if small <= limit <= large else -1
+    flat, slabs = [], []
     for r0, r1, r2 in rows:
-        if r0 == 0:
+        a, a1, a2 = abs(r0), abs(r1), abs(r2)
+        if not ((small <= a1 <= large or not a1) and (small <= a2 <= large or not a2)):
+            x_cap = -1
+        if not a:
             flat.append((r1, r2))
             continue
-        a = abs(r0)
-        margin = max(margin, (x_max * (a + abs(r1) + abs(r2)) + limit) / a)
-        slabs.append((-r1 / r0, -r2 / r0, limit / a))
-    margin *= 16 * _U
-    n = 0
-    for x1, x2, lo, hi in lines:
-        if flat and any(abs(r1 * x1 + r2 * x2) > limit for r1, r2 in flat):
+        if not small <= a <= large:
+            x_cap = -1
+        # the row's margin on a line with bound X is X p + q, 16u M
+        w = 16 * _U / a
+        slabs.append((-r1 / r0, -r2 / r0, limit / a, (a + a1 + a2) * w, limit * w))
+    (g1a, g2a, ha, pa, qa), (g1b, g2b, hb, pb, qb), (g1c, g2c, hc, pc, qc) = (
+        slabs + [_FREE] * len(flat))
+    bound2 = lat._bound2(limit)
+    budget = _budget.get()
+    charged = n = 0
+    n0, n1, n2 = lat.norm2
+    m10, m20, m21 = lat.mu[1][0], lat.mu[2][0], lat.mu[2][1]
+    sqrt, ceil, floor = math.sqrt, math.ceil, math.floor
+    for x2 in range(0, floor(sqrt(bound2 / n2)) + 1):
+        r2 = bound2 - x2 * x2 * n2
+        if r2 < 0:
             continue
-        # the ends of the intersection of the slabs
-        end_lo, end_hi = -math.inf, math.inf
-        for g1, g2, h in slabs:
-            c = g1 * x1 + g2 * x2
-            if c - h > end_lo:
-                end_lo = c - h
-            if c + h < end_hi:
-                end_hi = c + h
-        a = math.ceil(end_lo - margin)
-        if a < lo:
-            a = lo
-        b = math.floor(end_hi + margin)
-        if b > hi:
-            b = hi
-        while a <= b and a < end_lo + margin:
-            n += _leaf_hits(rows, limit, x1, x2, (a,))
-            a += 1
-        while a <= b and b > end_hi - margin:
-            n += _leaf_hits(rows, limit, x1, x2, (b,))
-            b -= 1
-        if a <= b:
-            n += b - a + 1
+        c1 = m21 * x2
+        d0 = m20 * x2
+        half1 = sqrt(r2 / n1)
+        lo1 = ceil(-half1 - c1)
+        for x1 in range(lo1 if x2 else max(lo1, 0), floor(half1 - c1) + 1):
+            t1 = x1 + c1
+            r1 = r2 - t1 * t1 * n1
+            if r1 < 0:
+                continue
+            c0 = m10 * x1 + d0
+            half0 = sqrt(r1 / n0)
+            lo = ceil(-half0 - c0)
+            if not (x1 or x2) and lo < 1:
+                lo = 1
+            hi = floor(half0 - c0)
+            if hi < lo:
+                continue
+            charged += hi - lo + 1
+            if charged > budget:
+                raise BudgetError(
+                    "lattice enumeration visited more than its budget "
+                    f"of {budget} nodes ({charged} leaves charged)")
+            if flat and any(abs(r1 * x1 + r2 * x2) > limit for r1, r2 in flat):
+                continue
+            # X, a bound on |x0|, |x1| and |x2| on the line
+            x = (hi if hi > -lo else -lo) + (x1 if x1 > 0 else -x1) + x2
+            if x > x_cap:
+                n += _leaf_hits(rows, limit, x1, x2, range(lo, hi + 1))
+                continue
+            # the x0 from pass_lo to pass_hi pass; those below keep_lo fail
+            # the row that sets pass_lo, and those above keep_hi the row
+            # that sets pass_hi
+            c = g1a * x1 + g2a * x2
+            w = x * pa + qa
+            pass_lo, keep_lo = c - ha + w, c - ha - w
+            pass_hi, keep_hi = c + ha - w, c + ha + w
+            c = g1b * x1 + g2b * x2
+            w = x * pb + qb
+            if c - hb + w > pass_lo:
+                pass_lo, keep_lo = c - hb + w, c - hb - w
+            if c + hb - w < pass_hi:
+                pass_hi, keep_hi = c + hb - w, c + hb + w
+            c = g1c * x1 + g2c * x2
+            w = x * pc + qc
+            if c - hc + w > pass_lo:
+                pass_lo, keep_lo = c - hc + w, c - hc - w
+            if c + hc - w < pass_hi:
+                pass_hi, keep_hi = c + hc - w, c + hc + w
+            a = ceil(keep_lo)
+            if a < lo:
+                a = lo
+            b = floor(keep_hi)
+            if b > hi:
+                b = hi
+            while a < pass_lo and a <= b:
+                n += _leaf_hits(rows, limit, x1, x2, (a,))
+                a += 1
+            while b > pass_hi and a <= b:
+                n += _leaf_hits(rows, limit, x1, x2, (b,))
+                b -= 1
+            if a <= b:
+                n += b - a + 1
     return n
 
 
@@ -513,29 +578,25 @@ class ReducedLattice(namedtuple("ReducedLattice",
     __slots__ = ()
 
     @classmethod
-    def of(cls, matrix, log_scale: float = 0.0,
-           exact: bool = False) -> "ReducedLattice":
-        """One reduction of the lattice spanned by the columns of ``matrix``
-        (rows of mode scalars), its rows times the f64 values of e^{2l},
-        e^{-l}, e^{-l} for l = ``log_scale``: ``lll_reduce`` of the rounded
-        products; where it refuses them, where an entry or a step of the
-        reduction overflows f64, and always with ``exact``, the integral LLL
-        of the unrounded products, scaled to the integer rows and ``den``
-        that ``exact`` makes of them.  The row scales of the last log scale
-        are kept, so the samples of one flow time compute them once."""
+    def f64(cls, cols) -> "ReducedLattice | None":
+        """The lattice of three f64 columns, reduced by ``lll_reduce``, or
+        None where ``lll_reduce`` refuses them; a step that overflows f64
+        raises OverflowError."""
+        reduced = lll_reduce(cols)
+        if reduced is None:
+            return None
+        rows, u, mu, norm2 = reduced
+        return cls(rows, u, mu, norm2, 1, norm2[0] * norm2[1] * norm2[2])
+
+    @classmethod
+    def of(cls, matrix, log_scale: float = 0.0) -> "ReducedLattice":
+        """The exact reduction of the lattice spanned by the columns of
+        ``matrix`` (rows of mode scalars), its rows times the f64 values of
+        e^{2l}, e^{-l}, e^{-l} for l = ``log_scale``: the integral LLL of the
+        unrounded products, scaled to the integer rows and ``den`` that
+        ``exact`` makes of them.  The row scales of the last log scale are
+        kept, so the samples of one flow time compute them once."""
         scales = _flow_scales(log_scale)
-        if not exact:
-            (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = matrix
-            e2, em, _ = scales
-            try:
-                reduced = lll_reduce([[float(a0) * e2, float(a1) * em, float(a2) * em],
-                                      [float(b0) * e2, float(b1) * em, float(b2) * em],
-                                      [float(c0) * e2, float(c1) * em, float(c2) * em]])
-                if reduced is not None:
-                    rows, u, mu, norm2 = reduced
-                    return cls(rows, u, mu, norm2, 1, norm2[0] * norm2[1] * norm2[2])
-            except OverflowError:
-                pass  # past the f64 range: reduce exactly
         if 0.0 in scales:  # a zero row spans no lattice
             raise PrecisionError(
                 f"the flow scaling underflows f64 at log scale {log_scale:g}")
@@ -588,7 +649,7 @@ class ReducedLattice(namedtuple("ReducedLattice",
     @property
     def shortest(self):
         """The least sup norm of a reduced column, in the units of ``rows``."""
-        return min(max(map(abs, col)) for col in zip(*self.rows))
+        return min(map(max, *[map(abs, row) for row in self.rows]))
 
     def _limit(self, radius):
         # ``radius`` in the units of the scaled ``rows``: an integer norm is
@@ -598,40 +659,33 @@ class ReducedLattice(namedtuple("ReducedLattice",
         n, d = exact_ratio(radius)
         return n * self.den // d
 
-    def _lines(self, limit):
-        """The lines of the walk of the Euclidean ball of radius sqrt(n)
+    def _bound2(self, limit) -> float:
+        """The squared radius of the walk's Euclidean ball of radius sqrt(n)
         ``limit`` (inflated by 1e-9 against rounding in the float interval
         bounds), which holds every vector of sup norm <= ``limit``."""
-        bound2 = float(len(self.rows) * limit * limit / self.scale2) * (1 + 1e-9) ** 2
-        return _enumerate_half_ball(self.mu, self.norm2, bound2)
+        return float(len(self.rows) * limit * limit / self.scale2) * (1 + 1e-9) ** 2
 
-    def _points(self, limit):
-        """(norm, x) of every vector, one per +-pair, of sup norm <=
-        ``limit`` in the units of ``rows``, x its coefficients w.r.t. the
-        reduced basis: each leaf of ``_lines`` in turn, within the leaf cap,
-        passes the leaf test when every row's value is at most ``limit`` in
-        absolute value.  Norms are exact for integer rows and the f64
-        evaluation of the reduced columns for f64 rows."""
-        rows = self.rows
-        for x1, x2, lo, hi in self._lines(limit):
-            for x0 in range(lo, hi + 1):
-                norm = 0
-                for r0, r1, r2 in rows:
-                    c = abs(r0 * x0 + r1 * x1 + r2 * x2)
-                    if c > limit:
-                        break
-                    if c > norm:
-                        norm = c
-                else:
-                    yield norm, (x0, x1, x2)
+    def _lines(self, limit) -> list:
+        """The lines of the walk for sup norm <= ``limit``."""
+        return _enumerate_half_ball(self.mu, self.norm2, self._bound2(limit))
 
     def points(self, radius):
         """Yield the coefficients w.r.t. the basis of every lattice vector,
-        one per +-pair, of sup norm <= ``radius``.  Here and in ``minimum``
+        one per +-pair, of sup norm <= ``radius``: the walk is charged
+        against the leaf cap in force when the first point is asked for,
+        and each of its leaves x in turn passes the leaf test when every
+        row's value at x is at most the limit in absolute value, in the rows'
+        own arithmetic (exact for integer rows).  Here and in ``minimum``
         and ``count``, radii and norms are in the units of the basis rows
         the lattice was made from."""
-        for _, x in self._points(self._limit(radius)):
-            yield _transform_apply(self.transform, x)
+        limit, rows, u = self._limit(radius), self.rows, self.transform
+        for x1, x2, lo, hi in self._lines(limit):
+            for x0 in range(lo, hi + 1):
+                for r0, r1, r2 in rows:
+                    if abs(r0 * x0 + r1 * x1 + r2 * x2) > limit:
+                        break
+                else:
+                    yield _transform_apply(u, (x0, x1, x2))
 
     def minimum(self, limit):
         """The first sup-norm minimum when it is at most ``limit`` (else
@@ -639,19 +693,32 @@ class ReducedLattice(namedtuple("ReducedLattice",
         for integer rows.  Among vectors of equal norm it is the
         sign-normalised one (last nonzero coefficient positive) that is
         smallest in lexicographic order read from the last coefficient.
-        Certified: every vector within min(``shortest``, ``limit``) of the
-        origin is compared."""
+        Certified: the walk within min(``shortest``, ``limit``) of the
+        origin, charged as ``points`` charges it, passes every vector of
+        that sup norm to the leaf test.  The test stops a leaf at the first
+        row whose value is past the least norm found so far, as no such leaf
+        can win; norms are the rows' values at the leaf, f64 or exact."""
+        rows, u = self.rows, self.transform
+        bound = limit = min(self.shortest, self._limit(limit))
         best = None
-        for norm, x in self._points(min(self.shortest, self._limit(limit))):
-            key = _transform_apply(self.transform, x)[::-1]
-            if key < (0, 0, 0):
-                key = tuple(-c for c in key)
-            if best is None or (norm, key) < best:
-                best = (norm, key)
+        for x1, x2, lo, hi in self._lines(limit):
+            for x0 in range(lo, hi + 1):
+                norm = 0
+                for r0, r1, r2 in rows:
+                    c = abs(r0 * x0 + r1 * x1 + r2 * x2)
+                    if c > bound:
+                        break
+                    if c > norm:
+                        norm = c
+                else:
+                    # a leaf past the test has norm <= bound, the least so far
+                    if (best is None or norm < bound
+                            or _key(u, (x0, x1, x2)) < _key(u, best)):
+                        best, bound = (x0, x1, x2), norm
         if best is None:
             return None
-        norm = Fraction(best[0], self.den) if self.escalated else best[0]
-        return norm, best[1][::-1]
+        norm = Fraction(bound, self.den) if self.escalated else bound
+        return norm, _key(u, best)[::-1]
 
     def count(self, radius) -> int:
         """#{v in L \\ 0 : ||v||_inf <= radius} for a finite radius; for a
@@ -660,52 +727,56 @@ class ReducedLattice(namedtuple("ReducedLattice",
         purpose: a lattice is a tuple of its fields only to be an immutable
         value, and no caller counts its fields.
 
-        It is twice the number of leaves of ``_points`` that pass its leaf
-        test, counted a line of the walk at a time; every line is charged
-        in full against the leaf cap, as ``_points`` charges it.  On the line
-        (x1, x2), a row (r0, r1, r2) has the value r0 x0 + s, s = r1 x1 +
-        r2 x2, within L = limit exactly on the slab |x0 - c| <= h about
-        c = g1 x1 + g2 x2, g_j = -r_j / r0, of half-width h = L / |r0|.  A row
-        with r0 = 0 is tested once per line.  Integer rows cut each line
-        exactly, by floor division.
+        It is twice the number of leaves of the walk that pass the leaf test
+        of ``points``, counted a line at a time as the walk reaches it;
+        every line is charged in full against the leaf cap, as ``points``
+        charges it.  On the line (x1, x2), a row (r0, r1, r2) has the value
+        r0 x0 + s, s = r1 x1 + r2 x2, within L = limit exactly on the slab
+        |x0 - c| <= h about c = g1 x1 + g2 x2, g_j = -r_j / r0, of
+        half-width h = L / |r0|.  A row with r0 = 0 is tested once per
+        line.  Integer rows cut each line exactly, by floor division.
 
-        For f64 rows the line is cut at the ends A = max_j fl(C_j - H_j)
-        and B = min_j fl(C_j + H_j) of the computed slabs of the rows j with
-        r0 != 0, with one margin W = 16u M, where u = 2^-53,
-        M = max_j (X + (|r1| X + |r2| X + L) / |r0|) and X bounds |x0|,
-        |x1| and |x2| on the walk: the x0 with fl(A + W) <= x0 <= fl(B - W)
-        pass the leaf test and are counted whole, those outside
-        fl(A - W) <= x0 <= fl(B + W) fail it, and only the x0 between take
-        it.  Proof, for one row, where each rounding is a factor 1 + d with
-        |d| <= u, S = |r1| X + |r2| X and K = X + (S + L) / |r0| <= M:
+        For f64 rows each line is cut by every row j with r0 != 0 at the
+        ends A_j = fl(C_j - H_j) and B_j = fl(C_j + H_j) of its computed
+        slab, with a margin W_j = 16u M_j of its own on that line, where
+        u = 2^-53, M_j = X + (|r1| X + |r2| X + L) / |r0| and
+        X = max(|lo|, |hi|) + |x1| + x2 bounds |x0|, |x1| and |x2| on the
+        line.  The x0 with max_j fl(A_j + W_j) <= x0 <= min_j fl(B_j - W_j)
+        pass the leaf test and are counted whole; with i a row that gives
+        the first of these ends and k one that gives the second, the x0
+        below fl(A_i - W_i) fail row i and those above fl(B_k + W_k) fail
+        row k; only the x0 between take the leaf test.  Proof, for one row
+        on one line, writing A, B, W and M for its A_j, B_j, W_j and M_j,
+        each rounding a factor 1 + d with |d| <= u, and S = |r1| X + |r2| X:
         - The leaf test evaluates V = fl(fl(fl(r0 x0) + fl(r1 x1)) +
           fl(r2 x2)) and passes iff |V| <= L.  The dot-product error bound
           gives |V - r0 (x0 - c)| <= g3 (|r0| X + S), g3 = 3u / (1 - 3u), so
           the row passes where |x0 - c| <= h - e and fails where
-          |x0 - c| > h + e, e = g3 (X + S / |r0|) <= 3.01u K.
+          |x0 - c| > h + e, e = g3 (X + S / |r0|) <= 3.01u M.
         - C = fl(fl(G1 x1) + fl(G2 x2)), G_i = fl(-r_i / r0), is within
           g3 S / |r0| of c, and H = fl(L / |r0|) (L rounded to f64 first if
-          it is not a float) within 2.01u h of h; so fl(C -+ H) is within
-          4.02u K of c -+ h, and at most 1.01 M in absolute value.
-        - An x0 >= fl(A + W) has x0 >= A + W - u (|A| + W) >= fl(C - H) +
-          W - u (1.01 M + W), so x0 - (c - h) >= W (1 - u) - 5.03u M >= e
-          once W (1 - u) >= 8.04u M; likewise (c + h) - x0 >= e for
+          it is not a float) within 2.01u h of h; so A and B are within
+          4.02u M of c - h and c + h, and at most 1.01 M in absolute value.
+        - An x0 >= fl(A + W) has x0 >= A + W - u (|A| + W), so
+          x0 - (c - h) >= W (1 - u) - 5.03u M >= e once
+          W (1 - u) >= 8.04u M; likewise (c + h) - x0 >= e for
           x0 <= fl(B - W).  An x0 < fl(A - W) has x0 < A - W + u (|A| + W),
-          so (c - h) - x0 > e on the row with A = fl(C - H), under the same
-          condition; likewise for x0 > fl(B + W).
+          so (c - h) - x0 > e under the same condition, and the row fails;
+          likewise for x0 > fl(B + W).
         - The computed W, at least 15.9u M, meets the condition with room.
         A row with r0 = 0 has V = fl(fl(r1 x1) + fl(r2 x2)) at every x0, as
         fl(r0 x0) = +-0 adds nothing.  The bound needs no underflow or
         overflow, which holds when L and every entry of the rows lie in
         {0} U [2^-400, 2^400] and X <= 2^50; otherwise every leaf of the
-        walk takes the leaf test.
+        line, or of every line when L or an entry is out of that range,
+        takes the leaf test.
         """
         limit = self._limit(radius)
         if (refusal := _refusal(limit, self.gram_det)) is not None:
             raise BudgetError(refusal)
-        lines = list(self._lines(limit))
-        cut = _count_integral if self.escalated else _count_f64
-        return 2 * cut(self.rows, limit, lines)
+        if self.escalated:
+            return 2 * _count_integral(self.rows, limit, self._lines(limit))
+        return 2 * _count_f64(self, limit)
 
 
 def shortest_vector(lat: ReducedLattice) -> ShortVectorResult:
@@ -719,7 +790,7 @@ def shortest_vector(lat: ReducedLattice) -> ShortVectorResult:
     the correctly rounded exact minimum.
     """
     norm, coeffs = lat.minimum(math.inf)
-    return ShortVectorResult(vector=coeffs, lambda1=float(norm), escalated=lat.escalated)
+    return ShortVectorResult(coeffs, float(norm), lat.escalated)
 
 
 def count_points(lat: ReducedLattice, r) -> int:
@@ -741,7 +812,23 @@ def count_points(lat: ReducedLattice, r) -> int:
 
 
 def translate_basis(line, s, t) -> ReducedLattice:
-    """The reduced lattice g_t phi(s) Z^3: phi(s) in the line's scalars, the
-    diagonal flow as the log-scale float t; a bigfloat line's is reduced
-    exactly."""
-    return ReducedLattice.of(phi(line, s), float(t.t), line.mode.kind == "bigfloat")
+    """The reduced lattice g_t phi(s) Z^3, the diagonal flow as the
+    log-scale float t.  An f64 or rational line's is ``ReducedLattice.f64``
+    of the columns (e^{2t}, 0, 0), (s e^{2t}, e^{-t}, 0) and
+    ((a s + b) e^{2t}, 0, e^{-t}): s and a s + b taken in the line's
+    scalars and rounded to f64, each times the f64 row scale of
+    ``_flow_scales``, with no phi(s) made.  Where ``lll_reduce`` refuses
+    them, where an entry or a step of the reduction overflows f64, and for
+    a bigfloat line, it is ``ReducedLattice.of`` phi(s), the exact
+    reduction in the line's scalars."""
+    t = float(t.t)
+    if line.mode.kind != "bigfloat":
+        e2, em, _ = _flow_scales(t)
+        try:
+            lat = ReducedLattice.f64([[e2, 0.0, 0.0], [float(s) * e2, em, 0.0],
+                                      [float(line.a * s + line.b) * e2, 0.0, em]])
+        except OverflowError:  # past the f64 range: reduce exactly
+            lat = None
+        if lat is not None:
+            return lat
+    return ReducedLattice.of(phi(line, s), t)

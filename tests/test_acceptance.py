@@ -25,7 +25,7 @@ from latflow.lattice import (ReducedLattice, lll_reduce, shortest_vector,
 from latflow.scalars import F64, RATIONAL, liouville_partial, named_scalar
 
 from util import (brute_force_lambda1, exact_ir_measure, exact_time, ext2_constant,
-                  flow_ext2, random_unimodular_columns, scaled_columns, vandermonde_check)
+                  f64_lattice, flow_ext2, random_unimodular_columns, scaled_columns, vandermonde_check)
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
                                 Fraction(0), Fraction(1), RATIONAL)
@@ -286,7 +286,7 @@ def test_criterion_9_enumeration_correctness():
     for _ in range(200):
         cols = random_unimodular_columns(rng, math.log(1e6))
         matrix = tuple(zip(*cols))
-        res = shortest_vector(ReducedLattice.of(matrix))
+        res = shortest_vector(f64_lattice(matrix))
         rows, _, _, _ = lll_reduce(scaled_columns(matrix))
         lam_bf, _ = brute_force_lambda1(list(zip(*rows)), box=25)
         rel = abs(res.lambda1 - lam_bf) / lam_bf

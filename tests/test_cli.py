@@ -11,7 +11,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latflow import cli
@@ -476,7 +476,7 @@ def test_density_interval_past_f64_range_exit_4(capsys):
 
 def _exact_lambda1(line, s, t):
     return lattice.shortest_vector(
-        lattice.ReducedLattice.of(flow.phi(line, s), t, exact=True)).lambda1
+        lattice.ReducedLattice.of(flow.phi(line, s), t)).lambda1
 
 
 @pytest.mark.parametrize("args", [
@@ -751,11 +751,23 @@ def test_csv_cells_are_fmt_cell_for_cell(values):
     assert list(cli._csv_cells(values)) == [cli._fmt(v) for v in values]
 
 
+# rows of one type per key ("a" floats, "b" ints, "c" bools), whose chunks
+# take the %-template unless a column is "d" or "e" (missing keys)
+_typed_rows = st.lists(st.fixed_dictionaries({
+    "a": st.one_of(st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0]), st.floats()),
+    "b": st.one_of(st.sampled_from([2 ** 53 + 1, -2 ** 53 - 1, 2 ** 64, -2 ** 70]),
+                   st.integers(-2 ** 70, 2 ** 70)),
+    "c": st.booleans()}), max_size=140)
+
+
 @settings(max_examples=100, deadline=None)
-@given(rows=st.lists(st.dictionaries(st.sampled_from("abcd"), _csv_values, max_size=4),
-                     max_size=140),
+@given(typed=_typed_rows,
+       rows=st.one_of(st.just([]), st.lists(st.dictionaries(
+           st.sampled_from("abcd"), _csv_values, max_size=4), max_size=140)),
        columns=st.lists(st.sampled_from("abcde"), max_size=5))
-def test_csv_file_is_per_cell_fmt(rows, columns):
+@example(typed=[{"a": -0.0, "b": 2 ** 53 + 1, "c": True}], rows=[], columns=["c", "a", "b"])
+def test_csv_file_is_per_cell_fmt(typed, rows, columns):
+    rows = typed + rows
     f = io.StringIO(newline="")
     cli._write_csv(rows, columns, f)
     assert f.getvalue() == csv_per_cell(rows, columns, cli._fmt)

@@ -26,7 +26,7 @@ from latflow.scalars import F64, RATIONAL, bigfloat, exact_ratio, named_scalar
 
 from util import (brute_force_count, brute_force_lambda1, count_leaf_by_leaf,
                   count_points_f64, count_points_mp, count_refused, exact_scaled_rows,
-                  gram_schmidt_full, lll_reduce_full, lll_reduce_integral_cohen,
+                  f64_lattice, gram_schmidt_full, lll_reduce_full, lll_reduce_integral_cohen,
                   random_unimodular_columns, scaled_columns, shortest_vector_f64,
                   shortest_vector_mp)
 
@@ -86,9 +86,9 @@ def test_lll_lambda1_invariance():
     rng = np.random.default_rng(7)
     for _ in range(25):
         cols = random_unimodular_columns(rng, math.log(1e4))
-        lam_before = shortest_vector(ReducedLattice.of(_rows_of(cols))).lambda1
+        lam_before = shortest_vector(f64_lattice(_rows_of(cols))).lambda1
         red, _ = _lll(_rows_of(cols))
-        lam_after = shortest_vector(ReducedLattice.of(_rows_of(red))).lambda1
+        lam_after = shortest_vector(f64_lattice(_rows_of(red))).lambda1
         assert lam_after == pytest.approx(lam_before, rel=1e-10)
 
 
@@ -223,13 +223,13 @@ def test_gram_schmidt_matches_full_recompute_on_random_bases(seed):
 
 
 def test_shortest_vector_identity():
-    res = shortest_vector(ReducedLattice.of(IDENTITY))
+    res = shortest_vector(f64_lattice(IDENTITY))
     assert res.lambda1 == 1.0
     assert sorted(abs(c) for c in res.vector) == [0, 0, 1]
 
 
 def test_results_and_lattices_are_immutable_values():
-    lat = ReducedLattice.of(IDENTITY)
+    lat = f64_lattice(IDENTITY)
     res = shortest_vector(lat)
     for value, field in ((lat, "rows"), (lat, "escalated"), (res, "lambda1")):
         with pytest.raises(AttributeError):
@@ -242,7 +242,7 @@ def test_shortest_vector_skewed_diagonal():
     # diag(M^-2, M, M), M = 10: lambda1 = 1e-2 via e1 (brute force confirms)
     m = 10.0
     matrix = ((m ** -2, 0.0, 0.0), (0.0, m, 0.0), (0.0, 0.0, m))
-    res = shortest_vector(ReducedLattice.of(matrix))
+    res = shortest_vector(f64_lattice(matrix))
     assert res.lambda1 == pytest.approx(1e-2, rel=1e-12)
     lam_bf, vec_bf = brute_force_lambda1(scaled_columns(matrix), box=2)
     assert res.lambda1 == pytest.approx(lam_bf, rel=1e-12)
@@ -261,7 +261,7 @@ def test_shortest_vector_agrees_with_brute_force():
     rng = np.random.default_rng(2024)
     for _ in range(60):
         cols = random_unimodular_columns(rng, math.log(1e6))
-        res = shortest_vector(ReducedLattice.of(_rows_of(cols)))
+        res = shortest_vector(f64_lattice(_rows_of(cols)))
         red, _ = _lll(_rows_of(cols))
         lam_bf, _ = brute_force_lambda1(red, box=25)
         assert res.lambda1 == pytest.approx(lam_bf, rel=1e-10)
@@ -271,7 +271,7 @@ def test_shortest_vector_coefficients_reproduce_lambda1():
     rng = np.random.default_rng(11)
     for _ in range(25):
         cols = random_unimodular_columns(rng, math.log(1e5))
-        res = shortest_vector(ReducedLattice.of(_rows_of(cols)))
+        res = shortest_vector(f64_lattice(_rows_of(cols)))
         b = np.array(cols, dtype=float)  # row i is basis vector i
         v = np.array(res.vector, dtype=float) @ b
         assert np.max(np.abs(v)) == pytest.approx(res.lambda1, rel=1e-12)
@@ -321,40 +321,54 @@ def test_exact_fallback_past_f64_gram_schmidt_range():
     assert count_points(lat, res.lambda1 * 1.001) >= 2
 
 
-def _sampled_translate(pair, seed, t):
-    # s is drawn as equidist draws it, uniform on [0, 1]; the lattice, and
-    # the (matrix, log-scale) the oracles take
-    a, b = (named_scalar(x, F64) for x in pair)
-    s = sample_uniform(seed, 0)
-    line = LineSegmentSpec(a, b, 0.0, 1.0, F64)
+def _sampled_translate(pair, seed, t, interval=(0, 1), mode=F64):
+    # s is drawn as equidist draws it, uniform on the interval in the line's
+    # arithmetic; the lattice, and the (matrix, log-scale) the oracles take
+    a, b = pair
+    line = LineSegmentSpec(named_scalar(a, mode), named_scalar(b, mode),
+                           mode.from_int(interval[0]), mode.from_int(interval[1]), mode)
+    s = line.s1 + mode.from_fraction(Fraction(sample_uniform(seed, 0))) * (line.s2 - line.s1)
     return translate_basis(line, s, FlowTime.of(t)), (phi(line, s), t)
 
 
 _pairs = st.sampled_from([("sqrt2", "sqrt3"), ("golden", "sqrt2"), ("liouville:3", "golden")])
+# and the rational line 1/7, 22/9, in f64 and in rational mode, whose
+# entries translate_basis rounds to f64 itself
+_lines = st.one_of(st.tuples(_pairs, st.just(F64)),
+                   st.tuples(st.just(("1/7", "22/9")), st.sampled_from([F64, RATIONAL])))
+_intervals = st.integers(-50, 49).flatmap(
+    lambda s1: st.tuples(st.just(s1), st.integers(s1 + 1, 50)))
 _radii = st.lists(st.floats(0.5, 2.0), min_size=1, max_size=3)
 
 
 @settings(max_examples=150, deadline=None)
-@given(pair=_pairs, seed=st.integers(0, 2 ** 32 - 1), t=st.floats(0.0, 9.0), radii=_radii)
+@given(line=_lines, interval=_intervals, seed=st.integers(0, 2 ** 32 - 1),
+       t=st.floats(0.0, 9.0), radii=_radii, below=st.floats(0.05, 0.999))
 # at t = 9 the golden pair is refused from s = 0.29 on (its columns reach
 # e^{2t} (golden s + sqrt2) > 1.88 e^{2t}) and kept below
-@example(pair=("golden", "sqrt2"), seed=2, t=9.0, radii=[1.5])
-@example(pair=("golden", "sqrt2"), seed=4, t=9.0, radii=[1.5])
-def test_f64_translates_match_f64_oracle(pair, seed, t, radii):
+@example(line=(("golden", "sqrt2"), F64), interval=(0, 1), seed=2, t=9.0, radii=[1.5],
+         below=0.5)
+@example(line=(("golden", "sqrt2"), F64), interval=(0, 1), seed=4, t=9.0, radii=[1.5],
+         below=0.5)
+def test_f64_translates_match_f64_oracle(line, interval, seed, t, radii, below):
     # the reduction is f64 exactly where the entry test keeps the columns
     # (t <= 9.21 - ln max(1, |s|, |a s + b|) / 3), and the shared
     # enumeration then evaluates candidates exactly as the oracle does; a
-    # refused draw is the exact reduction of the same rounded columns
-    lat, basis = _sampled_translate(pair, seed, t)
+    # refused draw is the exact reduction of the same rounded columns.  One
+    # radius is below lambda1, where the count is 0.
+    lat, basis = _sampled_translate(line[0], seed, t, interval, line[1])
     assert lat.escalated == _f64_refused(scaled_columns(*basis))
     if lat.escalated:
-        exact = ReducedLattice.of(*basis, exact=True)
+        exact = ReducedLattice.of(*basis)
         assert shortest_vector(lat) == shortest_vector(exact)
+        radii = radii + [below * shortest_vector(exact).lambda1]
         for r in radii:
             assert count_points(lat, r) == count_points(exact, r)
         return
-    assert shortest_vector(lat).lambda1 == shortest_vector_f64(*basis)[0]
-    for r in radii:
+    lam = shortest_vector(lat).lambda1
+    assert lam == shortest_vector_f64(*basis)[0]
+    assert count_points(lat, below * lam) == 0
+    for r in radii + [below * lam]:
         assert count_points(lat, r) == count_points_f64(*basis, r)
 
 
@@ -367,7 +381,7 @@ def test_large_slope_translates_equal_the_exact_reduction():
     line = LineSegmentSpec.from_strings("123456789.5", "0.25", "0", "1", F64)
     rows = experiments.sample_translate(line, FlowTime.of(5.0), 200, 1, (1.5,))
     for row in rows:
-        exact = ReducedLattice.of(phi(line, row["s"]), 5.0, exact=True)
+        exact = ReducedLattice.of(phi(line, row["s"]), 5.0)
         assert row["escalated"]
         assert row["lambda1"] == shortest_vector(exact).lambda1
         assert row[experiments.count_key(1.5)] == count_points(exact, 1.5)
@@ -530,7 +544,7 @@ def test_of_exact_arm_matches_fraction_rows(line, seed, t):
     matrix = phi(line, s)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "GSO_RANGE_CAP", 0.0)
-        lat = ReducedLattice.of(matrix, t)
+        lat = f64_lattice(matrix, t)
     assert lat.escalated
     assert lat == ReducedLattice.exact(exact_scaled_rows(matrix, t))
 
@@ -612,7 +626,7 @@ def test_sup_norm_count_budget_guard():
 
 
 def test_count_points_z3():
-    ident = ReducedLattice.of(IDENTITY)
+    ident = f64_lattice(IDENTITY)
     assert count_points(ident, 1.0) == 26  # 3^3 - 1, brute force below agrees
     assert brute_force_count([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1.0, box=2) == 26
     assert count_points(ident, 0.5) == 0
@@ -624,7 +638,7 @@ def test_count_points_below_lambda1_is_zero():
     rng = np.random.default_rng(3)
     for _ in range(10):
         cols = random_unimodular_columns(rng, math.log(100))
-        lat = ReducedLattice.of(_rows_of(cols))
+        lat = f64_lattice(_rows_of(cols))
         lam = shortest_vector(lat).lambda1
         assert count_points(lat, lam * 0.999) == 0
 
@@ -633,7 +647,7 @@ def test_count_points_even_and_monotone():
     rng = np.random.default_rng(5)
     for _ in range(10):
         cols = random_unimodular_columns(rng, math.log(100))
-        lat = ReducedLattice.of(_rows_of(cols))
+        lat = f64_lattice(_rows_of(cols))
         prev = 0
         for r in (0.5, 1.0, 1.5, 2.0):
             n = count_points(lat, r)
@@ -647,13 +661,13 @@ def test_count_points_matches_brute_force():
     for _ in range(20):
         cols = random_unimodular_columns(rng, math.log(50))
         red, _ = _lll(_rows_of(cols))
-        assert count_points(ReducedLattice.of(_rows_of(cols)), 1.3) == \
+        assert count_points(f64_lattice(_rows_of(cols)), 1.3) == \
             brute_force_count(red, 1.3, box=12)
 
 
 @pytest.mark.parametrize("make", [
     lambda: ReducedLattice.exact([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
-    lambda: ReducedLattice.of(IDENTITY),
+    lambda: f64_lattice(IDENTITY),
 ], ids=["exact", "f64"])
 def test_count_refusal_at_its_exact_boundary(make):
     # at r = 5, (2r)^6 = 10^6 = budget^2 det(L)^2 for budget 1000: the count
@@ -673,12 +687,12 @@ def test_count_refusal_at_its_exact_boundary(make):
 @pytest.mark.parametrize("lat, r, want", [
     # (2 r)^3 / det(L) = 11^3 at r = 5.5; an integer norm within 5.5 is
     # within 5, so the exact lattice expects 10^3
-    (ReducedLattice.of(IDENTITY), 5.5, "1331"),
+    (f64_lattice(IDENTITY), 5.5, "1331"),
     (ReducedLattice.exact([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 5.5, "1000"),
     # det(L) = 1/8: 10648 in either unit
     (ReducedLattice.exact([[Fraction(1, 2), 0, 0], [0, Fraction(1, 2), 0],
                            [0, 0, Fraction(1, 2)]]), 5.5, "1.065e+4"),
-    (ReducedLattice.of(IDENTITY), 1e200, "8.000e+600"),
+    (f64_lattice(IDENTITY), 1e200, "8.000e+600"),
 ], ids=["f64", "exact", "exact-scaled", "past-f64"])
 def test_count_refusal_names_expected_count_and_cap(lat, r, want):
     with enumeration_budget(999), pytest.raises(BudgetError) as err:
@@ -709,7 +723,7 @@ def test_lll_iteration_cap_raises(monkeypatch):
 
 def test_count_points_past_f64_gram_determinant():
     # det(L)^2 = 1e660 overflows f64; the expected count refuses nothing
-    lat = ReducedLattice.of(((1e110, 0.0, 0.0), (0.0, 1e110, 0.0), (0.0, 0.0, 1e110)))
+    lat = f64_lattice(((1e110, 0.0, 0.0), (0.0, 1e110, 0.0), (0.0, 0.0, 1e110)))
     assert count_points(lat, 1.0) == 0
     assert count_points(lat, 1e110) == 26
 
@@ -740,7 +754,7 @@ def _assert_counts_leaf_by_leaf(lat, radius):
        radius=st.floats(0.05, 3))
 def test_count_is_leaf_by_leaf_on_f64_lattices(seed, log_cond, radius):
     cols = random_unimodular_columns(np.random.default_rng(seed), log_cond)
-    _assert_counts_leaf_by_leaf(ReducedLattice.of(_rows_of(cols)), radius)
+    _assert_counts_leaf_by_leaf(f64_lattice(_rows_of(cols)), radius)
 
 
 @settings(max_examples=150, deadline=None)
@@ -763,21 +777,36 @@ def test_count_is_leaf_by_leaf_on_exact_lattices(seed, n, den, radius):
 def test_count_of_dyadic_cubic_lattices_on_the_box_faces(k, exact):
     # 2^-k Z^3 at radii m 2^-k puts points on every face of the box
     h = 2.0 ** -k
-    lat = ReducedLattice.of(((h, 0.0, 0.0), (0.0, h, 0.0), (0.0, 0.0, h)), exact=exact)
+    lat = (ReducedLattice.of if exact else f64_lattice)(
+        ((h, 0.0, 0.0), (0.0, h, 0.0), (0.0, 0.0, h)))
     for m in (1, 2, 3, 5):
         for radius in (m * h, (m + 0.5) * h, (m - 2 ** -20) * h):
             assert lat.count(radius) == (2 * math.floor(radius / h) + 1) ** 3 - 1
             _assert_counts_leaf_by_leaf(lat, radius)
 
 
-@pytest.mark.parametrize("tiny", [0.0, 1e-17, 2.0 ** -60, 1e-200, 5e-324])
+@pytest.mark.parametrize("r0, limit, want", [(1.3, 9.1, 14), (1.1, 7.7, 12)])
+def test_count_where_a_slab_end_rounds_across_the_leaf_test(r0, limit, want):
+    # fl(9.1 / 1.3) = 6.999999999999999, yet 1.3 * 7 is 9.1 and passes;
+    # fl(7.7 / 1.1) = 7.0, yet 1.1 * 7 = 7.700000000000001 fails: only the
+    # margin sends x0 = 7 to the leaf test
+    lat = f64_lattice(((r0, 0.0, 0.0), (0.0, 10.0, 0.0), (0.0, 0.0, 10.0)))
+    assert lat.count(limit) == want
+    _assert_counts_leaf_by_leaf(lat, limit)
+
+
+@pytest.mark.parametrize("tiny", [0.0, 1e-17, 2.0 ** -60, 1e-200, 5e-324, 4.45e-13])
 def test_count_on_rows_with_zero_or_tiny_first_entry(tiny):
     # a zero r0 is tested once per line; a tiny one has a slab wider than
-    # the walk; entries under 2^-400 leave every leaf to the leaf test
+    # the walk, and a margin too wide for any other row's; entries under
+    # 2^-400 leave every leaf to the leaf test.  The last basis is reduced
+    # as given, with the row (4.45e-13, -0.996, -0.946) of an f64 translate
+    # whose exact r0 is 0
     for matrix in (((1.0, 0.0, 0.0), (tiny, 1.0, 0.0), (0.0, 0.0, 1.0)),
                    ((1.0, 0.5, 0.25), (tiny, 1.0, 0.3), (-tiny, 0.0, 1.0)),
-                   ((1.0, tiny, 0.0), (0.0, 1.0, tiny), (0.0, 0.0, 1.0))):
-        lat = ReducedLattice.of(matrix)
+                   ((1.0, tiny, 0.0), (0.0, 1.0, tiny), (0.0, 0.0, 1.0)),
+                   ((1.0, 0.2, 0.3), (tiny, -0.996, -0.946), (0.0, -0.6, 0.9))):
+        lat = f64_lattice(matrix)
         assert any(abs(row[0]) in (0.0, tiny) for row in lat.rows)
         for radius in (0.5, 1.0, 1.5, 2.0, 2.75):
             _assert_counts_leaf_by_leaf(lat, radius)
@@ -817,7 +846,7 @@ def test_count_refusal_is_the_exact_rule(case):
 
 def test_count_points_budget_error():
     with enumeration_budget(10_000), pytest.raises(BudgetError):
-        count_points(ReducedLattice.of(IDENTITY), 500.0)
+        count_points(f64_lattice(IDENTITY), 500.0)
 
 
 def test_enumeration_budget_nests_and_restores():
@@ -871,14 +900,14 @@ def test_count_points_rejects_infinite_radius(t):
 
 def test_count_points_rejects_nonpositive_radius():
     with pytest.raises(InvalidInputError):
-        count_points(ReducedLattice.of(IDENTITY), 0.0)
+        count_points(f64_lattice(IDENTITY), 0.0)
     with pytest.raises(InvalidInputError):
-        count_points(ReducedLattice.of(IDENTITY), math.nan)
+        count_points(f64_lattice(IDENTITY), math.nan)
 
 
 def test_in_k_delta():
     # K_delta membership is lambda1 >= delta
-    assert shortest_vector(ReducedLattice.of(IDENTITY)).lambda1 >= 0.9
+    assert shortest_vector(f64_lattice(IDENTITY)).lambda1 >= 0.9
     # rational-line lattice at t = 3: lambda1 <= 6 e^-3 ~ 0.2987 < 0.5
     lat = translate_basis(RATIONAL_LINE, Fraction(1, 2), FlowTime.of(3.0))
     assert shortest_vector(lat).lambda1 < 0.5
@@ -886,7 +915,7 @@ def test_in_k_delta():
 
 def test_in_k_delta_boundary_inclusive():
     # diag(M^-2, M, M) with M = 10 has lambda1 exactly 1e-2
-    lat = ReducedLattice.of(((10.0 ** -2, 0.0, 0.0), (0.0, 10.0, 0.0), (0.0, 0.0, 10.0)))
+    lat = f64_lattice(((10.0 ** -2, 0.0, 0.0), (0.0, 10.0, 0.0), (0.0, 0.0, 10.0)))
     assert shortest_vector(lat).lambda1 == 10.0 ** -2
 
 

@@ -251,15 +251,29 @@ def gram_schmidt_full(cols):
 def scaled_columns(matrix, log_scale: float = 0.0):
     """Columns of the 3x3 row ``matrix``, row i times the f64 flow scale
     e^{2l}, e^{-l}, e^{-l} (l = ``log_scale``), each product rounded to f64:
-    the columns ``ReducedLattice.of(matrix, log_scale)`` reduces in f64."""
+    the columns ``f64_lattice(matrix, log_scale)`` reduces in f64, and
+    those ``translate_basis`` makes of phi(s)."""
     scale = (math.exp(2 * log_scale), math.exp(-log_scale), math.exp(-log_scale))
     return [[float(matrix[i][j]) * scale[i] for i in range(3)] for j in range(3)]
+
+
+def f64_lattice(matrix, log_scale: float = 0.0):
+    """The lattice of the columns of ``matrix`` times the f64 flow scales,
+    made as ``translate_basis`` makes a translate's: ``ReducedLattice.f64``
+    of ``scaled_columns``, or, where ``lll_reduce`` refuses them or an entry
+    or a step overflows f64, the exact ``ReducedLattice.of(matrix,
+    log_scale)``."""
+    try:
+        lat = ReducedLattice.f64(scaled_columns(matrix, log_scale))
+    except OverflowError:
+        lat = None
+    return ReducedLattice.of(matrix, log_scale) if lat is None else lat
 
 
 def exact_scaled_rows(matrix, log_scale: float = 0.0):
     """The rows of ``matrix`` times the f64 flow scales of ``scaled_columns``,
     as exact ``Fraction`` products: what ``ReducedLattice.of`` hands the
-    integral LLL when it does not reduce in f64."""
+    integral LLL."""
     scale = (math.exp(2 * log_scale), math.exp(-log_scale), math.exp(-log_scale))
     return [[Fraction(*exact_ratio(x)) * Fraction(scale[i]) for x in matrix[i]]
             for i in range(3)]
@@ -514,7 +528,7 @@ def count_refused(limit, gram_det, budget: int) -> bool:
 
 def shortest_vector_mp(matrix, log_scale: float = 0.0):
     """Independent oracle for ``shortest_vector`` of
-    ``ReducedLattice.of(matrix, log_scale)``: LLL and Fincke-Pohst
+    ``f64_lattice(matrix, log_scale)``: LLL and Fincke-Pohst
     enumeration in ``MP_BITS``-bit floats.  Returns (lambda1,
     coefficients with respect to the basis columns)."""
     with mpmath.workprec(MP_BITS):

@@ -55,8 +55,13 @@ SHOWN = 10  # differing operations named in full
 # at fl(fl(a s) + b); the bare bigfloat mode with a --budget; an f64 input
 # past the f64 range (exit 4); f64 translates at t = 9.2 whose columns are
 # no longer than e^{2t} (|s|, |a s + b| <= 1), just under GSO_RANGE_CAP,
-# where the f64 LLL swap chains are longest; and rational translates whose
-# entries are past the f64 range, which reduce exactly.
+# where the f64 LLL swap chains are longest; rational translates whose
+# entries are past the f64 range, which reduce exactly; f64 translates of
+# the line (0, 1e-130), whose reduced rows hold an entry below 2^-400 at
+# t = 0 (in r2) and at t = 3 (in r0), so every leaf of their counts takes
+# the leaf test; and f64 translates of (0, 0) on [0, 1e-100] at t = 0,
+# nearly Z^3, whose count boxes end within a rounding margin of integer
+# x0 on both sides of a line.
 EXTRA_OPS = [
     ["equidist", "sqrt2", "sqrt3", "--mode", "bigfloat:256", "--t-list", "5,9.5,11",
      "--N", "20", "--radii", "1.5"],
@@ -105,6 +110,8 @@ EXTRA_OPS = [
     ["equidist", "sqrt2", "0.123456789012345", "--interval=-1/2,1/2", "--t-list", "9.2",
      "--N", "50", "--radii", "1.5"],
     ["equidist", "1e400", "1", "--mode", "rational", "--t-list", "1", "--N", "3"],
+    ["equidist", "0", "1e-130", "--t-list", "0,3", "--N", "5", "--radii", "1.5"],
+    ["equidist", "0", "0", "--interval=0,1e-100", "--t-list", "0", "--N", "3", "--radii", "1"],
 ]
 
 # Runs in the child, with cwd the tree's temporary directory:
