@@ -32,21 +32,20 @@ the counts at every radius share one reduction; ``ReducedLattice.exact``
 also gives the segment minima, the Dirichlet check and the Diophantine
 search boxes.
 
-The enumeration walks lines: ``_enumerate_half_ball`` lists each run
+The enumeration walks lines: ``_enumerate_half_ball`` yields each run
 lo <= x0 <= hi of the innermost coefficient at fixed (x1, x2), and charges
 its hi - lo + 1 leaves against the leaf cap.  ``points`` and ``minimum``
 test every leaf of a line; ``minimum`` stops a leaf's test at the first
 row past the least norm found so far.  ``count`` cuts each line by the
-slab in which each row stays within the radius: exactly for integer rows,
-and for f64 rows, in one loop that walks the lines itself, with a margin
-of each row's own on each line, proven such that the f64 leaf test cannot
-fail inside it and cannot pass outside it, so only the leaves on a margin
-are tested.
+slab in which each row stays within the radius, as the walk yields it:
+exactly for integer rows, and for f64 rows with a margin of each row's
+own on each line, proven such that the f64 leaf test cannot fail inside
+it and cannot pass outside it, so only the leaves on a margin are tested.
 
 All functions are pure but for one input: the enumeration leaf cap,
 ``ENUMERATION_BUDGET`` unless a ``with enumeration_budget(n):`` block sets
-it.  The walks read it when an enumeration starts, and ``_refusal`` reads
-it for the expected-count refusal of ``count``.
+it.  ``_enumerate_half_ball`` reads it when an enumeration starts, and
+``_refusal`` reads it for the expected-count refusal of ``count``.
 """
 
 from __future__ import annotations
@@ -216,17 +215,16 @@ def lll_reduce(cols):
             [[0.0, 0.0, 0.0], [m10, 0.0, 0.0], [m20, m21, 0.0]], [n0, n1, n2])
 
 
-def _enumerate_half_ball(mu, norm2, bound2) -> list:
-    """The lines (x1, x2, lo, hi) of the Fincke-Pohst walk of
+def _enumerate_half_ball(mu, norm2, bound2):
+    """Yield the lines (x1, x2, lo, hi) of the Fincke-Pohst walk of
     ||B x||_2^2 <= bound2 over the Gram-Schmidt data (mu, norm2) of the
-    basis B, in walk order: the leaves x = (x0, x1, x2), lo <= x0 <= hi,
-    of all lines are the integer triples x != 0 of the ball, one per
-    +-pair.  A line is listed only if it holds a leaf, and charges its
-    hi - lo + 1 leaves against the leaf cap in force, which the whole walk
-    charges before it returns."""
+    basis B: the leaves x = (x0, x1, x2), lo <= x0 <= hi, of all lines are
+    the integer triples x != 0 of the ball, one per +-pair.  A line is
+    yielded only if it holds a leaf, and charges its hi - lo + 1 leaves
+    against the leaf cap in force when the enumeration starts, before it
+    is yielded; a walk past the cap states the leaves charged."""
     budget = _budget.get()
     charged = 0
-    lines = []
     n0, n1, n2 = norm2
     m10, m20, m21 = mu[1][0], mu[2][0], mu[2][1]
     sqrt, ceil, floor = math.sqrt, math.ceil, math.floor
@@ -258,8 +256,7 @@ def _enumerate_half_ball(mu, norm2, bound2) -> list:
                 raise BudgetError(
                     "lattice enumeration visited more than its budget "
                     f"of {budget} nodes ({charged} leaves charged)")
-            lines.append((x1, x2, lo, hi))
-    return lines
+            yield x1, x2, lo, hi
 
 
 def _key(u, x) -> tuple:
@@ -443,20 +440,17 @@ def _count_integral(rows, limit, lines) -> int:
     return n
 
 
-def _count_f64(lat, limit) -> int:
-    """The leaves of the walk of ``lat._lines(limit)`` that pass the leaf
-    test of ``points`` on the f64 rows of ``lat``, in one loop that walks
-    the lines as ``_enumerate_half_ball`` does, charging each, and cuts each
-    line as it is reached: the x0 inside every row's slab moved in by that
-    row's margin on the line are counted whole, those outside the slab of
-    the row that sets an inner end moved out by its margin are passed over,
-    and only those between take the leaf test (the margins and their proof
-    are in ``ReducedLattice.count``).
+def _count_f64(rows, limit, lines) -> int:
+    """The leaves of ``lines`` that pass the leaf test of ``points`` on the
+    f64 ``rows``, cut a line at a time: the x0 inside every row's slab
+    moved in by that row's margin on the line are counted whole, those
+    outside the slab of the row that sets an inner end moved out by its
+    margin are passed over, and only those between take the leaf test (the
+    margins and their proof are in ``ReducedLattice.count``).
 
     The three slabs are cut in straight-line code, as ``lll_reduce`` is
     written, a row with r0 = 0 holding the slab ``_FREE`` that every x0
     passes; X above ``x_cap`` sends the line to the leaf test."""
-    rows = lat.rows
     small, large = _ENTRY_RANGE
     x_cap = _X_RANGE if small <= limit <= large else -1
     flat, slabs = [], []
@@ -474,78 +468,49 @@ def _count_f64(lat, limit) -> int:
         slabs.append((-r1 / r0, -r2 / r0, limit / a, (a + a1 + a2) * w, limit * w))
     (g1a, g2a, ha, pa, qa), (g1b, g2b, hb, pb, qb), (g1c, g2c, hc, pc, qc) = (
         slabs + [_FREE] * len(flat))
-    bound2 = lat._bound2(limit)
-    budget = _budget.get()
-    charged = n = 0
-    n0, n1, n2 = lat.norm2
-    m10, m20, m21 = lat.mu[1][0], lat.mu[2][0], lat.mu[2][1]
-    sqrt, ceil, floor = math.sqrt, math.ceil, math.floor
-    for x2 in range(0, floor(sqrt(bound2 / n2)) + 1):
-        r2 = bound2 - x2 * x2 * n2
-        if r2 < 0:
+    ceil, floor = math.ceil, math.floor
+    n = 0
+    for x1, x2, lo, hi in lines:
+        if flat and any(abs(r1 * x1 + r2 * x2) > limit for r1, r2 in flat):
             continue
-        c1 = m21 * x2
-        d0 = m20 * x2
-        half1 = sqrt(r2 / n1)
-        lo1 = ceil(-half1 - c1)
-        for x1 in range(lo1 if x2 else max(lo1, 0), floor(half1 - c1) + 1):
-            t1 = x1 + c1
-            r1 = r2 - t1 * t1 * n1
-            if r1 < 0:
-                continue
-            c0 = m10 * x1 + d0
-            half0 = sqrt(r1 / n0)
-            lo = ceil(-half0 - c0)
-            if not (x1 or x2) and lo < 1:
-                lo = 1
-            hi = floor(half0 - c0)
-            if hi < lo:
-                continue
-            charged += hi - lo + 1
-            if charged > budget:
-                raise BudgetError(
-                    "lattice enumeration visited more than its budget "
-                    f"of {budget} nodes ({charged} leaves charged)")
-            if flat and any(abs(r1 * x1 + r2 * x2) > limit for r1, r2 in flat):
-                continue
-            # X, a bound on |x0|, |x1| and |x2| on the line
-            x = (hi if hi > -lo else -lo) + (x1 if x1 > 0 else -x1) + x2
-            if x > x_cap:
-                n += _leaf_hits(rows, limit, x1, x2, range(lo, hi + 1))
-                continue
-            # the x0 from pass_lo to pass_hi pass; those below keep_lo fail
-            # the row that sets pass_lo, and those above keep_hi the row
-            # that sets pass_hi
-            c = g1a * x1 + g2a * x2
-            w = x * pa + qa
-            pass_lo, keep_lo = c - ha + w, c - ha - w
-            pass_hi, keep_hi = c + ha - w, c + ha + w
-            c = g1b * x1 + g2b * x2
-            w = x * pb + qb
-            if c - hb + w > pass_lo:
-                pass_lo, keep_lo = c - hb + w, c - hb - w
-            if c + hb - w < pass_hi:
-                pass_hi, keep_hi = c + hb - w, c + hb + w
-            c = g1c * x1 + g2c * x2
-            w = x * pc + qc
-            if c - hc + w > pass_lo:
-                pass_lo, keep_lo = c - hc + w, c - hc - w
-            if c + hc - w < pass_hi:
-                pass_hi, keep_hi = c + hc - w, c + hc + w
-            a = ceil(keep_lo)
-            if a < lo:
-                a = lo
-            b = floor(keep_hi)
-            if b > hi:
-                b = hi
-            while a < pass_lo and a <= b:
-                n += _leaf_hits(rows, limit, x1, x2, (a,))
-                a += 1
-            while b > pass_hi and a <= b:
-                n += _leaf_hits(rows, limit, x1, x2, (b,))
-                b -= 1
-            if a <= b:
-                n += b - a + 1
+        # X, a bound on |x0|, |x1| and |x2| on the line
+        x = (hi if hi > -lo else -lo) + (x1 if x1 > 0 else -x1) + x2
+        if x > x_cap:
+            n += _leaf_hits(rows, limit, x1, x2, range(lo, hi + 1))
+            continue
+        # the x0 from pass_lo to pass_hi pass; those below keep_lo fail the
+        # row that sets pass_lo, and those above keep_hi the row that sets
+        # pass_hi
+        c = g1a * x1 + g2a * x2
+        w = x * pa + qa
+        pass_lo, keep_lo = c - ha + w, c - ha - w
+        pass_hi, keep_hi = c + ha - w, c + ha + w
+        c = g1b * x1 + g2b * x2
+        w = x * pb + qb
+        if c - hb + w > pass_lo:
+            pass_lo, keep_lo = c - hb + w, c - hb - w
+        if c + hb - w < pass_hi:
+            pass_hi, keep_hi = c + hb - w, c + hb + w
+        c = g1c * x1 + g2c * x2
+        w = x * pc + qc
+        if c - hc + w > pass_lo:
+            pass_lo, keep_lo = c - hc + w, c - hc - w
+        if c + hc - w < pass_hi:
+            pass_hi, keep_hi = c + hc - w, c + hc + w
+        a = ceil(keep_lo)
+        if a < lo:
+            a = lo
+        b = floor(keep_hi)
+        if b > hi:
+            b = hi
+        while a < pass_lo and a <= b:
+            n += _leaf_hits(rows, limit, x1, x2, (a,))
+            a += 1
+        while b > pass_hi and a <= b:
+            n += _leaf_hits(rows, limit, x1, x2, (b,))
+            b -= 1
+        if a <= b:
+            n += b - a + 1
     return n
 
 
@@ -568,11 +533,12 @@ class ReducedLattice(namedtuple("ReducedLattice",
     radius, the first ``minimum`` and the ``count`` of nonzero points.
 
     ``rows`` are the coordinate rows of the reduced basis columns, f64
-    (``of``) or integers (``exact``); ``transform`` is the unimodular U with
-    reduced = basis . U; (mu, norm2) are their Gram-Schmidt data, norm2
-    relative to ``scale2``; ``gram_det`` is the Gram determinant det(L)^2.
-    An ``escalated`` lattice holds integer rows, the basis rows scaled by
-    ``den``; sup norms are then compared in integers.
+    (``f64``) or integers (``of``, ``exact``); ``transform`` is the
+    unimodular U with reduced = basis . U; (mu, norm2) are their
+    Gram-Schmidt data, norm2 relative to ``scale2``; ``gram_det`` is the
+    Gram determinant det(L)^2.  An ``escalated`` lattice holds integer
+    rows, the basis rows scaled by ``den``; sup norms are then compared in
+    integers.
     """
 
     __slots__ = ()
@@ -649,7 +615,7 @@ class ReducedLattice(namedtuple("ReducedLattice",
     @property
     def shortest(self):
         """The least sup norm of a reduced column, in the units of ``rows``."""
-        return min(map(max, *[map(abs, row) for row in self.rows]))
+        return min(max(map(abs, col)) for col in zip(*self.rows))
 
     def _limit(self, radius):
         # ``radius`` in the units of the scaled ``rows``: an integer norm is
@@ -659,21 +625,17 @@ class ReducedLattice(namedtuple("ReducedLattice",
         n, d = exact_ratio(radius)
         return n * self.den // d
 
-    def _bound2(self, limit) -> float:
-        """The squared radius of the walk's Euclidean ball of radius sqrt(n)
+    def _lines(self, limit) -> list:
+        """The lines of the walk of the Euclidean ball of radius sqrt(n)
         ``limit`` (inflated by 1e-9 against rounding in the float interval
         bounds), which holds every vector of sup norm <= ``limit``."""
-        return float(len(self.rows) * limit * limit / self.scale2) * (1 + 1e-9) ** 2
-
-    def _lines(self, limit) -> list:
-        """The lines of the walk for sup norm <= ``limit``."""
-        return _enumerate_half_ball(self.mu, self.norm2, self._bound2(limit))
+        bound2 = float(len(self.rows) * limit * limit / self.scale2) * (1 + 1e-9) ** 2
+        return _enumerate_half_ball(self.mu, self.norm2, bound2)
 
     def points(self, radius):
         """Yield the coefficients w.r.t. the basis of every lattice vector,
-        one per +-pair, of sup norm <= ``radius``: the walk is charged
-        against the leaf cap in force when the first point is asked for,
-        and each of its leaves x in turn passes the leaf test when every
+        one per +-pair, of sup norm <= ``radius``: each leaf x of the walk
+        in turn, within the leaf cap, passes the leaf test when every
         row's value at x is at most the limit in absolute value, in the rows'
         own arithmetic (exact for integer rows).  Here and in ``minimum``
         and ``count``, radii and norms are in the units of the basis rows
@@ -694,10 +656,10 @@ class ReducedLattice(namedtuple("ReducedLattice",
         sign-normalised one (last nonzero coefficient positive) that is
         smallest in lexicographic order read from the last coefficient.
         Certified: the walk within min(``shortest``, ``limit``) of the
-        origin, charged as ``points`` charges it, passes every vector of
-        that sup norm to the leaf test.  The test stops a leaf at the first
-        row whose value is past the least norm found so far, as no such leaf
-        can win; norms are the rows' values at the leaf, f64 or exact."""
+        origin passes every vector of that sup norm to the leaf test.  The
+        test stops a leaf at the first row whose value is past the least norm
+        found so far, as no such leaf can win; norms are the rows' values at
+        the leaf, f64 or exact."""
         rows, u = self.rows, self.transform
         bound = limit = min(self.shortest, self._limit(limit))
         best = None
@@ -728,13 +690,13 @@ class ReducedLattice(namedtuple("ReducedLattice",
         value, and no caller counts its fields.
 
         It is twice the number of leaves of the walk that pass the leaf test
-        of ``points``, counted a line at a time as the walk reaches it;
-        every line is charged in full against the leaf cap, as ``points``
-        charges it.  On the line (x1, x2), a row (r0, r1, r2) has the value
-        r0 x0 + s, s = r1 x1 + r2 x2, within L = limit exactly on the slab
-        |x0 - c| <= h about c = g1 x1 + g2 x2, g_j = -r_j / r0, of
-        half-width h = L / |r0|.  A row with r0 = 0 is tested once per
-        line.  Integer rows cut each line exactly, by floor division.
+        of ``points``, counted a line of the walk at a time; every line is
+        charged in full against the leaf cap, as ``points`` charges it.  On
+        the line (x1, x2), a row (r0, r1, r2) has the value r0 x0 + s,
+        s = r1 x1 + r2 x2, within L = limit exactly on the slab |x0 - c| <= h
+        about c = g1 x1 + g2 x2, g_j = -r_j / r0, of half-width
+        h = L / |r0|.  A row with r0 = 0 is tested once per line.  Integer
+        rows cut each line exactly, by floor division.
 
         For f64 rows each line is cut by every row j with r0 != 0 at the
         ends A_j = fl(C_j - H_j) and B_j = fl(C_j + H_j) of its computed
@@ -774,9 +736,8 @@ class ReducedLattice(namedtuple("ReducedLattice",
         limit = self._limit(radius)
         if (refusal := _refusal(limit, self.gram_det)) is not None:
             raise BudgetError(refusal)
-        if self.escalated:
-            return 2 * _count_integral(self.rows, limit, self._lines(limit))
-        return 2 * _count_f64(self, limit)
+        cut = _count_integral if self.escalated else _count_f64
+        return 2 * cut(self.rows, limit, self._lines(limit))
 
 
 def shortest_vector(lat: ReducedLattice) -> ShortVectorResult:
@@ -790,7 +751,7 @@ def shortest_vector(lat: ReducedLattice) -> ShortVectorResult:
     the correctly rounded exact minimum.
     """
     norm, coeffs = lat.minimum(math.inf)
-    return ShortVectorResult(coeffs, float(norm), lat.escalated)
+    return ShortVectorResult(vector=coeffs, lambda1=float(norm), escalated=lat.escalated)
 
 
 def count_points(lat: ReducedLattice, r) -> int:

@@ -538,15 +538,15 @@ _EXACT_LINES = [
 def test_of_exact_arm_matches_fraction_rows(line, seed, t):
     # the integer rows and den of the escalated arm, made without Fraction,
     # are those ``exact`` makes of the Fraction products (f64 reductions
-    # forced off by a zero GSO range cap)
+    # forced off by a zero GSO range cap, so that ``translate_basis`` falls
+    # back to ``ReducedLattice.of`` phi(s) on every line)
     s = line.s1 + line.mode.from_fraction(Fraction(sample_uniform(seed, 0))) * (
         line.s2 - line.s1)
-    matrix = phi(line, s)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "GSO_RANGE_CAP", 0.0)
-        lat = f64_lattice(matrix, t)
+        lat = translate_basis(line, s, FlowTime.of(t))
     assert lat.escalated
-    assert lat == ReducedLattice.exact(exact_scaled_rows(matrix, t))
+    assert lat == ReducedLattice.exact(exact_scaled_rows(phi(line, s), t))
 
 
 def _box_members(cols, r):
@@ -773,9 +773,11 @@ def test_count_is_leaf_by_leaf_on_exact_lattices(seed, n, den, radius):
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["f64", "exact"])
-@pytest.mark.parametrize("k", [0, 1, 3, 10])
+@pytest.mark.parametrize("k", [0, 1, 3, 10, -400])
 def test_count_of_dyadic_cubic_lattices_on_the_box_faces(k, exact):
-    # 2^-k Z^3 at radii m 2^-k puts points on every face of the box
+    # 2^-k Z^3 at radii m 2^-k puts points on every face of the box; at
+    # k = -400 the entries are in the range of the f64 count's margin and
+    # the radii above it, and the f64 Gram determinant overflows
     h = 2.0 ** -k
     lat = (ReducedLattice.of if exact else f64_lattice)(
         ((h, 0.0, 0.0), (0.0, h, 0.0), (0.0, 0.0, h)))
@@ -785,12 +787,29 @@ def test_count_of_dyadic_cubic_lattices_on_the_box_faces(k, exact):
             _assert_counts_leaf_by_leaf(lat, radius)
 
 
-@pytest.mark.parametrize("r0, limit, want", [(1.3, 9.1, 14), (1.1, 7.7, 12)])
-def test_count_where_a_slab_end_rounds_across_the_leaf_test(r0, limit, want):
+def _unreduced(rows):
+    # the f64 lattice of ``rows`` as given, with the Gram-Schmidt data of
+    # their columns: its walk meets the large coefficients that a reduction
+    # would take away
+    _, mu, norm2 = gram_schmidt_full([list(col) for col in zip(*rows)])
+    return ReducedLattice(rows, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), mu, norm2, 1.0,
+                          norm2[0] * norm2[1] * norm2[2])
+
+
+@pytest.mark.parametrize("lat, limit, want", [
+    (f64_lattice(((1.3, 0.0, 0.0), (0.0, 10.0, 0.0), (0.0, 0.0, 10.0))), 9.1, 14),
+    (f64_lattice(((1.1, 0.0, 0.0), (0.0, 10.0, 0.0), (0.0, 0.0, 10.0))), 7.7, 12),
+    (_unreduced(((0.79, 790.225, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 10.0))),
+     1.0149999999999861, 6),
+], ids=["1.3", "1.1", "unreduced"])
+def test_count_where_a_slab_end_rounds_across_the_leaf_test(lat, limit, want):
     # fl(9.1 / 1.3) = 6.999999999999999, yet 1.3 * 7 is 9.1 and passes;
     # fl(7.7 / 1.1) = 7.0, yet 1.1 * 7 = 7.700000000000001 fails: only the
-    # margin sends x0 = 7 to the leaf test
-    lat = f64_lattice(((r0, 0.0, 0.0), (0.0, 10.0, 0.0), (0.0, 0.0, 10.0)))
+    # margin sends x0 = 7 to the leaf test.  On the unreduced basis the
+    # line x1 = 1 has its slab's end near x0 = -999, whose value
+    # 1.0149999999999864 is one ulp past the limit; the end's rounding
+    # error grows with the coefficients (its centre is -1000.28), and only
+    # the X term of the margin sends x0 = -999 to the leaf test
     assert lat.count(limit) == want
     _assert_counts_leaf_by_leaf(lat, limit)
 

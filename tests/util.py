@@ -258,16 +258,12 @@ def scaled_columns(matrix, log_scale: float = 0.0):
 
 
 def f64_lattice(matrix, log_scale: float = 0.0):
-    """The lattice of the columns of ``matrix`` times the f64 flow scales,
-    made as ``translate_basis`` makes a translate's: ``ReducedLattice.f64``
-    of ``scaled_columns``, or, where ``lll_reduce`` refuses them or an entry
-    or a step overflows f64, the exact ``ReducedLattice.of(matrix,
-    log_scale)``."""
-    try:
-        lat = ReducedLattice.f64(scaled_columns(matrix, log_scale))
-    except OverflowError:
-        lat = None
-    return ReducedLattice.of(matrix, log_scale) if lat is None else lat
+    """``ReducedLattice.f64`` of ``scaled_columns(matrix, log_scale)``: the
+    f64 reduction ``translate_basis`` makes of a translate's columns, of a
+    basis that ``lll_reduce`` keeps."""
+    lat = ReducedLattice.f64(scaled_columns(matrix, log_scale))
+    assert lat is not None, "lll_reduce refuses these columns"
+    return lat
 
 
 def exact_scaled_rows(matrix, log_scale: float = 0.0):
@@ -506,7 +502,7 @@ def half_ball_leaves(mu, norm2, bound2):
 def count_leaf_by_leaf(lat, radius) -> tuple[int, int]:
     """Oracle for ``ReducedLattice.count`` below its refusal: (twice the
     leaves of ``half_ball_leaves`` whose every row is within the limit in
-    the rows' own arithmetic, as the leaf test of ``_points`` has it, and
+    the rows' own arithmetic, as the leaf test of ``points`` has it, and
     the number of leaves walked)."""
     limit = lat._limit(radius)
     bound2 = float(len(lat.rows) * limit * limit / lat.scale2) * (1 + 1e-9) ** 2
