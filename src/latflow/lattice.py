@@ -625,7 +625,7 @@ class ReducedLattice(namedtuple("ReducedLattice",
         n, d = exact_ratio(radius)
         return n * self.den // d
 
-    def _lines(self, limit) -> list:
+    def _lines(self, limit):
         """The lines of the walk of the Euclidean ball of radius sqrt(n)
         ``limit`` (inflated by 1e-9 against rounding in the float interval
         bounds), which holds every vector of sup norm <= ``limit``."""
