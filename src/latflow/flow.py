@@ -87,12 +87,6 @@ def _exp_bigfloat(t: float, k: int, mode: ScalarMode) -> Fraction:
     return mode.rounded(lambda ctx: ctx.exp(kt))
 
 
-def phi(line: LineSegmentSpec, s) -> tuple:
-    """The unipotent segment element phi(s); upper triangular, det = 1."""
-    one, zero = line.mode.one, line.mode.zero
-    return ((one, s, line.a * s + line.b), (zero, one, zero), (zero, zero, one))
-
-
 def segment_sup(line: LineSegmentSpec, t: FlowTime, v: tuple[int, int, int]):
     """sup_{s in I} of the sup-norm of g_t phi(s) v (standard action), for
     a nonzero integer vector v = (p1, p2, q).

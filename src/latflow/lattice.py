@@ -11,18 +11,13 @@ inflated ball contains every candidate that could beat the incumbent).
 A lattice is one value, ``ReducedLattice``, made by either reduction.
 ``ReducedLattice.f64(cols)`` reduces three f64 columns by one
 ``lll_reduce``, whose reduced rows and Gram-Schmidt data go on to the
-enumeration; ``translate_basis`` gives it the columns of the translate
-g_t phi(s) Z^3 of an f64 or rational line, built directly from s and
-a s + b.  ``ReducedLattice.of(matrix, log_scale)`` takes a 3x3 matrix with
-a flow log-scale that defers the exponentials of its rows (so translates
-are stored without overflow) and runs the exact reduction of the
-unrounded products, whose integer rows it builds from the integer ratios
-of the entries and of the row scales, with no ``Fraction`` made;
-``translate_basis`` hands it phi(s) for every bigfloat line and where
-``lll_reduce`` refuses the columns.  ``ReducedLattice.exact(rows)``
-scales the rational rows of a rank-3 lattice in Q^n to integers and runs
-the integral LLL (no rounding anywhere), warm started, if asked, from the
-transform of a lattice reduced before.  Its ``points``, ``minimum`` and
+enumeration.  ``ReducedLattice.exact(rows)`` scales the rational rows of a
+rank-3 lattice in Q^n to integers and runs the integral LLL (no rounding
+anywhere), warm started, if asked, from the transform of a lattice reduced
+before.  ``translate_basis`` writes the basis of the translate
+g_t phi(s) Z^3 once, from s, a s + b and the f64 flow scales, and hands it
+rounded to ``f64`` or, for a bigfloat line and where ``lll_reduce`` refuses
+the columns, unrounded to ``exact``.  Its ``points``, ``minimum`` and
 ``count`` are one Fincke-Pohst enumeration, over coefficients in the
 reduced basis that only ``points`` and ``minimum`` map back through U;
 they take radii in the rows' own units and compare candidates in the
@@ -60,7 +55,6 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import BudgetError, InvalidInputError, PrecisionError, ReductionError
-from .flow import phi
 from .scalars import exact_ratio, exp_f64
 
 LLL_DELTA = 0.99
@@ -516,15 +510,6 @@ def _count_f64(rows, limit, lines) -> int:
 
 # -- one reduced lattice for both reductions -------------------------------
 
-@lru_cache(maxsize=1)
-def _flow_scales(log_scale: float) -> tuple:
-    """The f64 row scales e^{2l}, e^{-l}, e^{-l} of log scale l, made once
-    for the samples of one flow time."""
-    e2 = exp_f64(2 * log_scale)
-    em = exp_f64(-log_scale)
-    return e2, em, em
-
-
 class ReducedLattice(namedtuple("ReducedLattice",
                                 "rows transform mu norm2 scale2 gram_det den escalated",
                                 defaults=(1, False))):
@@ -533,7 +518,7 @@ class ReducedLattice(namedtuple("ReducedLattice",
     radius, the first ``minimum`` and the ``count`` of nonzero points.
 
     ``rows`` are the coordinate rows of the reduced basis columns, f64
-    (``f64``) or integers (``of``, ``exact``); ``transform`` is the
+    (``f64``) or integers (``exact``); ``transform`` is the
     unimodular U with reduced = basis . U; (mu, norm2) are their
     Gram-Schmidt data, norm2 relative to ``scale2``; ``gram_det`` is the
     Gram determinant det(L)^2.  An ``escalated`` lattice holds integer
@@ -555,44 +540,13 @@ class ReducedLattice(namedtuple("ReducedLattice",
         return cls(rows, u, mu, norm2, 1, norm2[0] * norm2[1] * norm2[2])
 
     @classmethod
-    def of(cls, matrix, log_scale: float = 0.0) -> "ReducedLattice":
-        """The exact reduction of the lattice spanned by the columns of
-        ``matrix`` (rows of mode scalars), its rows times the f64 values of
-        e^{2l}, e^{-l}, e^{-l} for l = ``log_scale``: the integral LLL of the
-        unrounded products, scaled to the integer rows and ``den`` that
-        ``exact`` makes of them.  The row scales of the last log scale are
-        kept, so the samples of one flow time compute them once."""
-        scales = _flow_scales(log_scale)
-        if 0.0 in scales:  # a zero row spans no lattice
-            raise PrecisionError(
-                f"the flow scaling underflows f64 at log scale {log_scale:g}")
-        # each product x scale as an integer ratio n / d; over their least
-        # common d, divided by the common factor of it and every numerator,
-        # they are the integer rows and den that ``exact`` makes of them
-        pairs = [(n * sn, d * sd) for row, (sn, sd) in zip(matrix, map(exact_ratio, scales))
-                 for n, d in map(exact_ratio, row)]
-        den = math.lcm(*(d for _, d in pairs))
-        ints = [n * (den // d) for n, d in pairs]
-        g = math.gcd(den, *ints)
-        return cls._integral([[x // g for x in ints[i:i + 3]] for i in (0, 3, 6)], den // g)
-
-    @classmethod
     def exact(cls, rows, start=None) -> "ReducedLattice":
         """Integral LLL of the lattice spanned by the three independent
         columns of the rational n x 3 matrix ``rows`` (``int`` or
         ``Fraction`` entries), scaled to integers by the least common
         denominator ``den`` of its entries; each entry x becomes the integer
         x.numerator * (den // x.denominator), with no ``Fraction`` made (an
-        integer matrix is its own integer rows, den = 1).  ``start`` is
-        as in ``_integral``."""
-        den = math.lcm(*(x.denominator for row in rows for x in row))
-        return cls._integral([[x.numerator * (den // x.denominator) for x in row]
-                              for row in rows], den, start)
-
-    @classmethod
-    def _integral(cls, rows, den: int, start=None) -> "ReducedLattice":
-        """Integral LLL of the columns of the integer rows ``rows``, the
-        lattice's basis rows times ``den``.
+        integer matrix is its own integer rows, den = 1).
 
         A ``start`` warm-starts it: given a unimodular U0 in the convention
         of ``transform`` (a list of its columns), at best the ``transform``
@@ -602,6 +556,8 @@ class ReducedLattice(namedtuple("ReducedLattice",
         That is another reduced basis of the same lattice, so the points,
         minima and counts of the enumeration are the same; only the order in
         which ``points`` yields its points may change."""
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        rows = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
         red, u, d, lam = lll_reduce_integral(list(zip(*rows)) if start is None else [
             [sum(map(mul, row, col)) for row in rows] for col in start])
         if start is not None:
@@ -628,8 +584,21 @@ class ReducedLattice(namedtuple("ReducedLattice",
     def _lines(self, limit):
         """The lines of the walk of the Euclidean ball of radius sqrt(n)
         ``limit`` (inflated by 1e-9 against rounding in the float interval
-        bounds), which holds every vector of sup norm <= ``limit``."""
-        bound2 = float(len(self.rows) * limit * limit / self.scale2) * (1 + 1e-9) ** 2
+        bounds), which holds every vector of sup norm <= ``limit``.  A
+        squared radius past the f64 range cannot be walked and raises
+        PrecisionError; on integer rows, where |b*_0| is the unit of
+        ``scale2``, the line x1 = x2 = 0 alone then holds more than 10^154
+        leaves, so a leaf cap below that raises BudgetError instead."""
+        try:
+            bound2 = float(len(self.rows) * limit * limit / self.scale2) * (1 + 1e-9) ** 2
+        except OverflowError:  # an integer ratio past the f64 range
+            bound2 = math.inf
+        if bound2 == math.inf:
+            budget = _budget.get()
+            if self.escalated and budget < 10 ** 154:
+                raise BudgetError("lattice enumeration visited more than its budget "
+                                  f"of {budget} nodes (over 10^154 leaves charged)")
+            raise PrecisionError("the enumeration radius is past the f64 range")
         return _enumerate_half_ball(self.mu, self.norm2, bound2)
 
     def points(self, radius):
@@ -772,24 +741,35 @@ def count_points(lat: ReducedLattice, r) -> int:
     return lat.count(r)
 
 
+@lru_cache(maxsize=1)
+def _flow_scales(t: float) -> tuple:
+    """The f64 row scales e^{2t} and e^{-t} of the flow time t, made once
+    for the samples of one flow time."""
+    return exp_f64(2 * t), exp_f64(-t)
+
+
 def translate_basis(line, s, t) -> ReducedLattice:
     """The reduced lattice g_t phi(s) Z^3, the diagonal flow as the
-    log-scale float t.  An f64 or rational line's is ``ReducedLattice.f64``
-    of the columns (e^{2t}, 0, 0), (s e^{2t}, e^{-t}, 0) and
-    ((a s + b) e^{2t}, 0, e^{-t}): s and a s + b taken in the line's
-    scalars and rounded to f64, each times the f64 row scale of
-    ``_flow_scales``, with no phi(s) made.  Where ``lll_reduce`` refuses
-    them, where an entry or a step of the reduction overflows f64, and for
-    a bigfloat line, it is ``ReducedLattice.of`` phi(s), the exact
-    reduction in the line's scalars."""
+    log-scale float t: the lattice of the columns (e2, 0, 0), (e2 s, em, 0)
+    and (e2 x, 0, em), with x = a s + b in the line's scalars and e2, em the
+    f64 row scales e^{2t}, e^{-t} of ``_flow_scales``.  An f64 or rational
+    line's is ``ReducedLattice.f64`` of those columns, each entry rounded
+    to f64.  Where ``lll_reduce`` refuses them, where an entry or a step of
+    the reduction overflows f64, and for a bigfloat line, it is
+    ``ReducedLattice.exact`` of the unrounded rows, the exact reduction in
+    the line's scalars."""
     t = float(t.t)
+    x = line.a * s + line.b
+    e2, em = _flow_scales(t)
     if line.mode.kind != "bigfloat":
-        e2, em, _ = _flow_scales(t)
         try:
             lat = ReducedLattice.f64([[e2, 0.0, 0.0], [float(s) * e2, em, 0.0],
-                                      [float(line.a * s + line.b) * e2, 0.0, em]])
+                                      [float(x) * e2, 0.0, em]])
         except OverflowError:  # past the f64 range: reduce exactly
             lat = None
         if lat is not None:
             return lat
-    return ReducedLattice.of(phi(line, s), t)
+    if 0.0 in (e2, em):  # a zero row spans no lattice
+        raise PrecisionError(f"the flow scaling underflows f64 at log scale {t:g}")
+    e2, em, s, x = (Fraction(*exact_ratio(v)) for v in (e2, em, s, x))
+    return ReducedLattice.exact([[e2, e2 * s, e2 * x], [0, em, 0], [0, 0, em]])

@@ -30,7 +30,6 @@ import decimal
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import ParseError, PrecisionError
 
@@ -41,8 +40,9 @@ class ScalarMode(namedtuple("ScalarMode", "kind bits")):
     """Arithmetic policy: which number type realises the spec's Scalar.
 
     ``kind`` is "f64", "bigfloat" or "rational", ``bits`` the bigfloat
-    mantissa size.  The class has no ``__slots__``: ``one`` and ``zero``
-    are cached in the instance dict, which equality and hashing ignore."""
+    mantissa size."""
+
+    __slots__ = ()
 
     def __new__(cls, kind: str, bits: int | None = None):
         if kind not in ("f64", "bigfloat", "rational"):
@@ -89,16 +89,6 @@ class ScalarMode(namedtuple("ScalarMode", "kind bits")):
 
     def from_int(self, n: int):
         return self.from_fraction(Fraction(n))
-
-    @cached_property
-    def one(self):
-        """1 as a mode scalar, made once per mode."""
-        return self.from_int(1)
-
-    @cached_property
-    def zero(self):
-        """0 as a mode scalar, made once per mode."""
-        return self.from_int(0)
 
     def sqrt(self, n: int):
         """sqrt(n) in this mode; rejected in rational mode unless n is a square."""

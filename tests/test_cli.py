@@ -22,7 +22,7 @@ from latflow import lattice
 from latflow.errors import InvalidInputError
 from latflow.scalars import F64, RATIONAL, ScalarMode, bigfloat, exact_ratio, named_scalar
 
-from util import csv_per_cell
+from util import csv_per_cell, exact_scaled_rows, phi
 
 
 def run_cli(args):
@@ -287,6 +287,16 @@ def test_budget_reaches_every_subcommand(args, capsys):
     assert "budget exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t", ["-176", "-190"])
+def test_counts_of_far_negative_times_exit_3(t, capsys):
+    # e^{2t} shrinks the first basis row so far that the line x1 = x2 = 0
+    # of the count holds more leaves than the budget: at t = -176 the walk
+    # charges them, and at t = -190 its squared radius is past the f64 range
+    assert run_cli(["equidist", "sqrt2", "sqrt3", "--t-list", t, "--N", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "budget exceeded" in err
+
+
 def test_budget_does_not_leak_between_runs(capsys):
     # runs in one interpreter, as the benchmark's child process makes them
     args = ["orbit", "sqrt2", "sqrt3", "--t-grid", "3", "--N", "5"]
@@ -476,7 +486,7 @@ def test_density_interval_past_f64_range_exit_4(capsys):
 
 def _exact_lambda1(line, s, t):
     return lattice.shortest_vector(
-        lattice.ReducedLattice.of(flow.phi(line, s), t)).lambda1
+        lattice.ReducedLattice.exact(exact_scaled_rows(phi(line, s), t))).lambda1
 
 
 @pytest.mark.parametrize("args", [

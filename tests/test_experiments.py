@@ -16,7 +16,7 @@ from latflow.errors import BudgetError, InvalidInputError, PrecisionError
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
 from latflow.scalars import (F64, RATIONAL, bigfloat, liouville_partial,
                              named_scalar)
-from util import (exact_time, phi_from_int, scaled_columns, segment_minimum_scan,
+from util import (exact_time, phi, scaled_columns, segment_minimum_scan,
                   translate_sample_s)
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
@@ -542,7 +542,7 @@ def test_sample_translate_shortcuts_keep_every_bit(kind, seed, N, t):
     else:
         assert seen_s == want_s
     assert [row["s"] for row in samples] == [float(s) for s in want_s]
-    want_cols = [[[x.hex() for x in col] for col in scaled_columns(phi_from_int(line, s), t)]
+    want_cols = [[[x.hex() for x in col] for col in scaled_columns(phi(line, s), t)]
                  for s in want_s]
     # a bigfloat translate is reduced exactly, never in f64
     assert seen == ([] if kind == "bigfloat" else want_cols)

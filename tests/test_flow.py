@@ -7,11 +7,11 @@ import mpmath
 import pytest
 
 from latflow.errors import InvalidInputError, PrecisionError
-from latflow.flow import FlowTime, LineSegmentSpec, phi, segment_sup
+from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
 from latflow.scalars import F64, RATIONAL, bigfloat, exact_ratio, named_scalar
 
 from util import (exact_time, ext2_constant, flow_ext2, flow_standard, g, mat_det, mat_mul,
-                  mat_vec, vandermonde_check)
+                  mat_vec, phi, vandermonde_check)
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
                                 Fraction(0), Fraction(1), RATIONAL)

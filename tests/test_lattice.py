@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latflow import diophantine, experiments, lattice
-from latflow.errors import BudgetError, InvalidInputError, ReductionError
+from latflow.errors import BudgetError, InvalidInputError, PrecisionError, ReductionError
 from latflow.experiments import sample_uniform
-from latflow.flow import FlowTime, LineSegmentSpec, phi
+from latflow.flow import FlowTime, LineSegmentSpec
 from latflow.lattice import (
     ENUMERATION_BUDGET,
     ReducedLattice,
@@ -27,7 +27,7 @@ from latflow.scalars import F64, RATIONAL, bigfloat, exact_ratio, named_scalar
 from util import (brute_force_count, brute_force_lambda1, count_leaf_by_leaf,
                   count_points_f64, count_points_mp, count_refused, exact_scaled_rows,
                   f64_lattice, gram_schmidt_full, lll_reduce_full, lll_reduce_integral_cohen,
-                  random_unimodular_columns, scaled_columns, shortest_vector_f64,
+                  phi, random_unimodular_columns, scaled_columns, shortest_vector_f64,
                   shortest_vector_mp)
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
@@ -359,7 +359,7 @@ def test_f64_translates_match_f64_oracle(line, interval, seed, t, radii, below):
     lat, basis = _sampled_translate(line[0], seed, t, interval, line[1])
     assert lat.escalated == _f64_refused(scaled_columns(*basis))
     if lat.escalated:
-        exact = ReducedLattice.of(*basis)
+        exact = ReducedLattice.exact(exact_scaled_rows(*basis))
         assert shortest_vector(lat) == shortest_vector(exact)
         radii = radii + [below * shortest_vector(exact).lambda1]
         for r in radii:
@@ -381,7 +381,7 @@ def test_large_slope_translates_equal_the_exact_reduction():
     line = LineSegmentSpec.from_strings("123456789.5", "0.25", "0", "1", F64)
     rows = experiments.sample_translate(line, FlowTime.of(5.0), 200, 1, (1.5,))
     for row in rows:
-        exact = ReducedLattice.of(phi(line, row["s"]), 5.0)
+        exact = ReducedLattice.exact(exact_scaled_rows(phi(line, row["s"]), 5.0))
         assert row["escalated"]
         assert row["lambda1"] == shortest_vector(exact).lambda1
         assert row[experiments.count_key(1.5)] == count_points(exact, 1.5)
@@ -523,23 +523,45 @@ def test_exact_scales_mixed_int_and_fraction_rows(monkeypatch):
     assert all(type(x) is int for col in seen[0] for x in col)
 
 
+# entries in lowest terms whose denominators share powers of 2, 3 and 5
+_shared_fractions = st.builds(Fraction, st.integers(-60, 60),
+                              st.sampled_from([1, 2, 4, 8, 3, 9, 6, 12, 36, 5, 10, 50, 600]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(3, 5).flatmap(lambda n: st.lists(
+    st.lists(_shared_fractions, min_size=3, max_size=3), min_size=n, max_size=n)))
+def test_exact_integer_rows_are_primitive(rows):
+    # for each prime p of den, the entry whose denominator holds the most
+    # p's scales to an integer prime to p, so no gcd of den and the scaled
+    # rows is left to divide out (and the reduction keeps that gcd)
+    try:
+        lat = ReducedLattice.exact(rows)
+    except ReductionError:  # dependent columns
+        assume(False)
+    assert lat.den == math.lcm(*(x.denominator for row in rows for x in row))
+    assert math.gcd(lat.den, *(x for row in lat.rows for x in row)) == 1
+
+
 _EXACT_LINES = [
     LineSegmentSpec.from_strings("sqrt2", "0.123456789012345", "-0.3", "0.45", F64),
     LineSegmentSpec.from_strings("1/7", "22/9", "-1/3", "5/11", RATIONAL),
     LineSegmentSpec.from_strings("liouville:4", "1/3", "0", "1", RATIONAL),
     LineSegmentSpec.from_strings("sqrt2", "sqrt3", "-0.3", "0.45", bigfloat(256)),
+    LineSegmentSpec.from_strings("golden", "sqrt2", "-2", "3", bigfloat(53)),
 ]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(line=st.sampled_from(_EXACT_LINES), seed=st.integers(0, 2 ** 32 - 1),
-       t=st.floats(0.0, 14.0))
+       t=st.floats(-20.0, 14.0))
 @example(line=_EXACT_LINES[0], seed=1, t=11.0)
+@example(line=_EXACT_LINES[4], seed=1, t=-20.0)
 def test_of_exact_arm_matches_fraction_rows(line, seed, t):
-    # the integer rows and den of the escalated arm, made without Fraction,
-    # are those ``exact`` makes of the Fraction products (f64 reductions
-    # forced off by a zero GSO range cap, so that ``translate_basis`` falls
-    # back to ``ReducedLattice.of`` phi(s) on every line)
+    # the exact arm of ``translate_basis`` reduces the Fraction products of
+    # phi(s) and the f64 row scales, in every mode (f64 reductions forced
+    # off by a zero GSO range cap, so that it takes the exact arm on every
+    # line)
     s = line.s1 + line.mode.from_fraction(Fraction(sample_uniform(seed, 0))) * (
         line.s2 - line.s1)
     with pytest.MonkeyPatch.context() as mp:
@@ -779,12 +801,29 @@ def test_count_of_dyadic_cubic_lattices_on_the_box_faces(k, exact):
     # k = -400 the entries are in the range of the f64 count's margin and
     # the radii above it, and the f64 Gram determinant overflows
     h = 2.0 ** -k
-    lat = (ReducedLattice.of if exact else f64_lattice)(
-        ((h, 0.0, 0.0), (0.0, h, 0.0), (0.0, 0.0, h)))
+    rows = ((h, 0.0, 0.0), (0.0, h, 0.0), (0.0, 0.0, h))
+    lat = ReducedLattice.exact(exact_scaled_rows(rows)) if exact else f64_lattice(rows)
     for m in (1, 2, 3, 5):
         for radius in (m * h, (m + 0.5) * h, (m - 2 ** -20) * h):
             assert lat.count(radius) == (2 * math.floor(radius / h) + 1) ** 3 - 1
             _assert_counts_leaf_by_leaf(lat, radius)
+
+
+def test_a_walk_radius_past_the_f64_range_is_refused():
+    # the first row is 10^-400 of the others, det = 1: a count at radius 1
+    # expects 8 points, but its squared walk radius 3 (10^200)^2 is past the
+    # f64 range, and the line x1 = x2 = 0 holds 10^200 leaves
+    lat = ReducedLattice.exact([[Fraction(1, 10 ** 200), 0, 0], [0, 10 ** 100, 0],
+                                [0, 0, 10 ** 100]])
+    with pytest.raises(BudgetError, match="over 10\\^154 leaves"):
+        lat.count(1.0)
+    with enumeration_budget(10 ** 154), pytest.raises(PrecisionError):
+        lat.count(1.0)
+    # an f64 Gram determinant past the f64 range refuses no count, and the
+    # squared radius 3 (10^160)^2 is inf in f64
+    lat = f64_lattice(((1e110, 0.0, 0.0), (0.0, 1e110, 0.0), (0.0, 0.0, 1e110)))
+    with pytest.raises(PrecisionError, match="past the f64 range"):
+        lat.count(1e160)
 
 
 def _unreduced(rows):

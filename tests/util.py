@@ -7,10 +7,11 @@ integral LLL, a 256-bit float lattice path and the f64 shortest vector and
 point count on it, the q-scan segment minimum, the q-scan witness and E_q
 searches, the cold box search of ``diophantine._box_points`` and an exact
 LLL-reducedness check, the float p-window decision of I_R on a grid, the numpy
-Dirichlet grid, an exact I_R measure, the per-sample translate route through
-``Fraction`` and ``from_int``, the per-cell CSV writer, and the leaf-by-leaf
-point count and the exact expected-count refusal of
-``ReducedLattice.count``."""
+Dirichlet grid, an exact I_R measure, the segment element phi(s) and the
+exact translate rows that ``translate_basis`` hands ``ReducedLattice.exact``,
+the per-sample translate route through ``Fraction``, the per-cell CSV
+writer, and the leaf-by-leaf point count and the exact expected-count
+refusal of ``ReducedLattice.count``."""
 
 from __future__ import annotations
 
@@ -268,8 +269,8 @@ def f64_lattice(matrix, log_scale: float = 0.0):
 
 def exact_scaled_rows(matrix, log_scale: float = 0.0):
     """The rows of ``matrix`` times the f64 flow scales of ``scaled_columns``,
-    as exact ``Fraction`` products: what ``ReducedLattice.of`` hands the
-    integral LLL."""
+    as exact ``Fraction`` products: for phi(s), the rows that
+    ``translate_basis`` hands ``ReducedLattice.exact``."""
     scale = (math.exp(2 * log_scale), math.exp(-log_scale), math.exp(-log_scale))
     return [[Fraction(*exact_ratio(x)) * Fraction(scale[i]) for x in matrix[i]]
             for i in range(3)]
@@ -281,8 +282,9 @@ def translate_sample_s(line: LineSegmentSpec, u: float):
     return line.s1 + line.mode.from_fraction(Fraction(u)) * (line.s2 - line.s1)
 
 
-def phi_from_int(line: LineSegmentSpec, s):
-    """phi(s) with its 1 and 0 made by ``from_int`` on every call."""
+def phi(line: LineSegmentSpec, s) -> tuple:
+    """The unipotent segment element phi(s), in the line's scalars; upper
+    triangular, det = 1."""
     mode = line.mode
     one, zero = mode.from_int(1), mode.from_int(0)
     return ((one, s, line.a * s + line.b), (zero, one, zero), (zero, zero, one))

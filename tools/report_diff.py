@@ -61,7 +61,11 @@ SHOWN = 10  # differing operations named in full
 # t = 0 (in r2) and at t = 3 (in r0), so every leaf of their counts takes
 # the leaf test; and f64 translates of (0, 0) on [0, 1e-100] at t = 0,
 # nearly Z^3, whose count boxes end within a rounding margin of integer
-# x0 on both sides of a line.
+# x0 on both sides of a line; last, f64 translates at t = -190, whose
+# squared Gram-Schmidt length n0 underflows (``lll_reduce`` refuses it),
+# whose exact Gram-Schmidt ratios overflow f64 (``_clamped_ratio``) and
+# whose count's squared walk radius is past the f64 range (exit 3), and at
+# t = -400, where e^{2t} is 0 in f64 (exit 4).
 EXTRA_OPS = [
     ["equidist", "sqrt2", "sqrt3", "--mode", "bigfloat:256", "--t-list", "5,9.5,11",
      "--N", "20", "--radii", "1.5"],
@@ -112,6 +116,8 @@ EXTRA_OPS = [
     ["equidist", "1e400", "1", "--mode", "rational", "--t-list", "1", "--N", "3"],
     ["equidist", "0", "1e-130", "--t-list", "0,3", "--N", "5", "--radii", "1.5"],
     ["equidist", "0", "0", "--interval=0,1e-100", "--t-list", "0", "--N", "3", "--radii", "1"],
+    ["equidist", "sqrt2", "sqrt3", "--t-list", "-190", "--N", "3"],
+    ["equidist", "sqrt2", "sqrt3", "--t-list", "-400", "--N", "3"],
 ]
 
 # Runs in the child, with cwd the tree's temporary directory:
