@@ -19,13 +19,13 @@ echo.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from functools import lru_cache
 from fractions import Fraction
 
 from .errors import InvalidInputError, PrecisionError
 from .flow import FlowTime, LineSegmentSpec, segment_sup
-from .lattice import ReducedLattice, count_points, shortest_vector, translate_basis
+from .lattice import (ReducedLattice, count_points, shortest_vector, translate_basis,
+                      translate_reduction)
 from .scalars import exact_ratio
 
 
@@ -139,6 +139,10 @@ def segment_minimum(line: LineSegmentSpec, t: FlowTime, R_cap: float) -> tuple |
     the values that ``t.factor`` gives, and they, a, b, s1 and s2 are taken
     at their exact stored values, so ``ReducedLattice.exact`` solves it
     exactly; ties go to the sign-normalised vector smallest in (q, p2, p1).
+    Its first, third and fourth rows are the rows of the translate at
+    s = s1, so the exact reduction starts from the U of that translate's
+    f64 ``translate_reduction`` where it gives one, and cold where it does
+    not; the minimum does not depend on the start.
     The value is ``segment_sup`` of the minimizer, the exact minimum
     rounded once into the line's scalars (exact in rational mode).
     """
@@ -155,7 +159,8 @@ def segment_minimum(line: LineSegmentSpec, t: FlowTime, R_cap: float) -> tuple |
             (e2, e2 * s2, e2 * (b + a * s2)),
             (0, em, 0),
             (0, 0, em))
-    found = ReducedLattice.exact(rows).minimum(R_cap)
+    reduced = translate_reduction(line.s1, line.a * line.s1 + line.b, float(t.t))
+    found = ReducedLattice.exact(rows, None if reduced is None else reduced[1]).minimum(R_cap)
     if found is None:
         return None
     # segment_sup rounds the lattice norm, at most R_cap, from the same exact
@@ -187,12 +192,25 @@ def trajectory_probe(line: LineSegmentSpec, s, times) -> list[float]:
 def ks_distance(sample_a, sample_b) -> float:
     """Two-sample Kolmogorov-Smirnov statistic of empirical lambda_1 laws.
 
-    The ECDF gap at each pooled point is an integer h = |i n2 - j n1| over
-    n1 n2; the result is max h / (n1 n2), correctly rounded, the exact
-    statistic.
+    The ECDF gap at each pooled point x is an integer h = |i n2 - j n1|
+    over n1 n2, with i and j the counts of each sample at most x; the
+    result is max h / (n1 n2), correctly rounded, the exact statistic.  One
+    merge of the two sorted samples visits the distinct pooled points in
+    order, moving i and j past each; once a sample is used up the gap only
+    shrinks, so the merge stops there.
     """
     a, b = sorted(map(float, sample_a)), sorted(map(float, sample_b))
-    if not a or not b:
+    n1, n2 = len(a), len(b)
+    if not n1 or not n2:
         raise InvalidInputError("KS distance needs nonempty samples")
-    h = max(abs(bisect_right(a, x) * len(b) - bisect_right(b, x) * len(a)) for x in a + b)
-    return h / (len(a) * len(b))
+    i = j = h = 0
+    while i < n1 and j < n2:
+        x = a[i] if a[i] <= b[j] else b[j]
+        while i < n1 and a[i] <= x:
+            i += 1
+        while j < n2 and b[j] <= x:
+            j += 1
+        gap = abs(i * n2 - j * n1)
+        if gap > h:
+            h = gap
+    return h / (n1 * n2)

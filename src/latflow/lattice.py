@@ -9,23 +9,28 @@ enumeration vehicle (in dimension n, ||v||_2 <= sqrt(n) ||v||_inf, so the
 inflated ball contains every candidate that could beat the incumbent).
 
 A lattice is one value, ``ReducedLattice``, made by either reduction.
-``ReducedLattice.f64(cols)`` reduces three f64 columns by one
-``lll_reduce``, whose reduced rows and Gram-Schmidt data go on to the
+``ReducedLattice.f64`` takes three f64 columns that one ``lll_reduce``
+reduced and resolved, whose reduced rows and Gram-Schmidt data go on to the
 enumeration.  ``ReducedLattice.exact(rows)`` scales the rational rows of a
 rank-3 lattice in Q^n to integers and runs the integral LLL (no rounding
 anywhere), warm started, if asked, from the transform of a lattice reduced
 before.  ``translate_basis`` writes the basis of the translate
-g_t phi(s) Z^3 once, from s, a s + b and the f64 flow scales, and hands it
-rounded to ``f64`` or, for a bigfloat line and where ``lll_reduce`` refuses
-the columns, unrounded to ``exact``.  Its ``points``, ``minimum`` and
-``count`` are one Fincke-Pohst enumeration, over coefficients in the
-reduced basis that only ``points`` and ``minimum`` map back through U;
-they take radii in the rows' own units and compare candidates in the
-rows' own arithmetic (f64, or integers).
+g_t phi(s) Z^3 once, from s, a s + b and the f64 flow scales, and reduces
+it rounded to f64 once, by ``translate_reduction``.  Where f64 resolves the
+lattice (its spread, the longest column over the least Gram-Schmidt
+length, at most ``GSO_RANGE_CAP``) an f64 or rational line keeps that
+reduction; otherwise, and for every bigfloat line, the unrounded basis goes
+to ``exact``, started from the f64 transform wherever f64 still reduced it
+(a spread up to ``SPREAD_CAP`` = 1/u): reducing in floating point and then
+finishing exactly (Nguyen and Stehle, SIAM J. Comput. 2009).  A lattice's
+``points``, ``minimum`` and ``count`` are one Fincke-Pohst enumeration,
+over coefficients in the reduced basis that only ``points`` and
+``minimum`` map back through U; they take radii in the rows' own units
+and compare candidates in the rows' own arithmetic (f64, or integers).
 ``shortest_vector`` and ``count_points`` read that value, so the minimum and
 the counts at every radius share one reduction; ``ReducedLattice.exact``
-also gives the segment minima, the Dirichlet check and the Diophantine
-search boxes.
+also gives the segment minima (started from the f64 reduction of the
+translate at s1), the Dirichlet check and the Diophantine search boxes.
 
 The enumeration walks lines: ``_enumerate_half_ball`` yields each run
 lo <= x0 <= hi of the innermost coefficient at fixed (x1, x2), and charges
@@ -61,6 +66,10 @@ LLL_DELTA = 0.99
 LLL_DELTA_EXACT = Fraction(str(LLL_DELTA))  # 99/100 for the integral LLL
 LLL_ITERATION_CAP = 100_000
 GSO_RANGE_CAP = 1e12  # largest column over least GSO length tolerated in f64
+_U = 2.0 ** -53  # the unit roundoff of f64
+# the spread (the same ratio) past which the rounding of the entries exceeds
+# the least GSO length, so that an f64 reduction says nothing of the lattice
+SPREAD_CAP = 1 / _U
 ENUMERATION_BUDGET = 10_000_000  # Fincke-Pohst leaves per search
 _SINGULAR = "numerically singular basis in Gram-Schmidt"
 _DEPENDENT = "integral LLL needs independent columns"
@@ -91,19 +100,24 @@ class ShortVectorResult(namedtuple("ShortVectorResult", "vector lambda1 escalate
 
 def lll_reduce(cols):
     """LLL reduction (delta = ``LLL_DELTA``) of three f64 columns, which
-    stay unchanged; returns (rows, U, mu, norm2), or None where f64 cannot
-    be trusted: a Gram-Schmidt length of the columns not in (0, inf), a
-    column longer than ``GSO_RANGE_CAP`` times the least Gram-Schmidt length
-    (the rounding of every step scales with the entries, and the
-    enumeration must resolve that least length), or a Gram-Schmidt value
-    of the reduced columns that is not finite.  Columns found singular in the
+    stay unchanged; returns (rows, U, mu, norm2, resolved), or None where
+    f64 says nothing of the lattice: a Gram-Schmidt length of the columns
+    not in (0, inf), a spread (the longest column over the least
+    Gram-Schmidt length) above ``SPREAD_CAP`` = 1/u, past which the rounding
+    of the entries exceeds that least length, or a Gram-Schmidt value of
+    the reduced columns that is not finite.  Columns found singular in the
     loop, and the iteration cap, raise ReductionError.
 
     rows are the coordinate rows of the reduced columns, U the integer
     matrix with reduced = basis . U (column convention; only swaps and
     integer column steps change it from I, so det(U) = +-1), and (mu, norm2)
     the Gram-Schmidt data of the reduced columns, mu[i][j] =
-    <b_i, b*_j>/<b*_j, b*_j> for j < i and norm2[i] = |b*_i|^2.  A
+    <b_i, b*_j>/<b*_j, b*_j> for j < i and norm2[i] = |b*_i|^2.
+    ``resolved`` is whether the spread is at most ``GSO_RANGE_CAP``: the
+    rounding of every step scales with the entries, and an enumeration of
+    the f64 rows must resolve the least length.  Past that cap the rows are
+    not trusted, but U is still a unimodular transform that makes the
+    lattice nearly reduced, the start of an exact reduction.  A
     size-reduction pass rounds the mu from before the pass.  Only the rows
     a step changes are recomputed, row 2 (read only at k = 2) once k
     reaches 2, each with the expressions that made it at entry, so the
@@ -131,7 +145,10 @@ def lll_reduce(cols):
     w2 = c2 - m20 * a2 - m21 * v2
     n2 = w0 * w0 + w1 * w1 + w2 * w2
     longest = max(n0, b0 * b0 + b1 * b1 + b2 * b2, c0 * c0 + c1 * c1 + c2 * c2)
-    if not 0 < n2 < inf or (longest / min(n0, n1, n2)) ** 0.5 > GSO_RANGE_CAP:
+    if not 0 < n2 < inf:
+        return None
+    spread = (longest / min(n0, n1, n2)) ** 0.5
+    if spread > SPREAD_CAP:
         return None
     ua0, ua1, ua2, ub0, ub1, ub2, uc0, uc1, uc2 = 1, 0, 0, 0, 1, 0, 0, 0, 1
     k = 1
@@ -206,7 +223,8 @@ def lll_reduce(cols):
         return None
     return (((a0, b0, c0), (a1, b1, c1), (a2, b2, c2)),
             [[ua0, ua1, ua2], [ub0, ub1, ub2], [uc0, uc1, uc2]],
-            [[0.0, 0.0, 0.0], [m10, 0.0, 0.0], [m20, m21, 0.0]], [n0, n1, n2])
+            [[0.0, 0.0, 0.0], [m10, 0.0, 0.0], [m20, m21, 0.0]], [n0, n1, n2],
+            spread <= GSO_RANGE_CAP)
 
 
 def _enumerate_half_ball(mu, norm2, bound2):
@@ -365,7 +383,6 @@ def _clamped_ratio(num: int, den: int) -> float:
 # -- counting a line of the walk at a time (``ReducedLattice.count``) -------
 
 _NORMAL = 2.0 ** -1022  # the least positive normal f64
-_U = 2.0 ** -53  # the unit roundoff of f64
 _ENTRY_RANGE = (2.0 ** -400, 2.0 ** 400)  # nonzero entries the margin covers
 _X_RANGE = 2 ** 50  # and coefficients
 _FREE = (0.0, 0.0, math.inf, 0.0, 0.0)  # a slab of no row, as wide as the line
@@ -529,14 +546,10 @@ class ReducedLattice(namedtuple("ReducedLattice",
     __slots__ = ()
 
     @classmethod
-    def f64(cls, cols) -> "ReducedLattice | None":
-        """The lattice of three f64 columns, reduced by ``lll_reduce``, or
-        None where ``lll_reduce`` refuses them; a step that overflows f64
-        raises OverflowError."""
-        reduced = lll_reduce(cols)
-        if reduced is None:
-            return None
-        rows, u, mu, norm2 = reduced
+    def f64(cls, reduced) -> "ReducedLattice":
+        """The lattice of three f64 columns that ``lll_reduce`` reduced to
+        ``reduced`` and resolved: its rows, U and Gram-Schmidt data."""
+        rows, u, mu, norm2, _ = reduced
         return cls(rows, u, mu, norm2, 1, norm2[0] * norm2[1] * norm2[2])
 
     @classmethod
@@ -550,8 +563,9 @@ class ReducedLattice(namedtuple("ReducedLattice",
 
         A ``start`` warm-starts it: given a unimodular U0 in the convention
         of ``transform`` (a list of its columns), at best the ``transform``
-        of a lattice whose basis differs from this one by a mild scaling of
-        its rows, it reduces the columns of rows . U0 in place of the basis
+        of an f64 reduction of this basis rounded, or of a lattice whose
+        basis differs from this one by a mild scaling of its rows, it
+        reduces the columns of rows . U0 in place of the basis
         columns and keeps reduced = basis . transform with transform U0 U.
         That is another reduced basis of the same lattice, so the points,
         minima and counts of the enumeration are the same; only the order in
@@ -716,7 +730,7 @@ def shortest_vector(lat: ReducedLattice) -> ShortVectorResult:
     could undercut the shortest reduced column lies in the Euclidean ball of
     radius sqrt(3) times that column's sup norm, and that ball is enumerated
     to exhaustion, so the result is certified.  On an ``escalated`` lattice
-    (a bigfloat translate, or a basis that ``lll_reduce`` refuses) lambda1 is
+    (a bigfloat translate, or a basis that f64 does not resolve) lambda1 is
     the correctly rounded exact minimum.
     """
     norm, coeffs = lat.minimum(math.inf)
@@ -748,28 +762,40 @@ def _flow_scales(t: float) -> tuple:
     return exp_f64(2 * t), exp_f64(-t)
 
 
+def translate_reduction(s, x, t: float):
+    """``lll_reduce`` of the f64 columns (e2, 0, 0), (e2 s, em, 0) and
+    (e2 x, 0, em) of g_t phi(s) Z^3, x = a s + b, with s and x rounded to
+    f64 and e2, em the f64 row scales e^{2t}, e^{-t} of ``_flow_scales``;
+    None where it refuses them, where e2, s, x or a step of the reduction
+    overflows f64, and where the reduction raises ReductionError."""
+    try:
+        e2, em = _flow_scales(t)
+        return lll_reduce([[e2, 0.0, 0.0], [float(s) * e2, em, 0.0],
+                           [float(x) * e2, 0.0, em]])
+    except (OverflowError, PrecisionError, ReductionError):
+        return None
+
+
 def translate_basis(line, s, t) -> ReducedLattice:
     """The reduced lattice g_t phi(s) Z^3, the diagonal flow as the
     log-scale float t: the lattice of the columns (e2, 0, 0), (e2 s, em, 0)
     and (e2 x, 0, em), with x = a s + b in the line's scalars and e2, em the
-    f64 row scales e^{2t}, e^{-t} of ``_flow_scales``.  An f64 or rational
-    line's is ``ReducedLattice.f64`` of those columns, each entry rounded
-    to f64.  Where ``lll_reduce`` refuses them, where an entry or a step of
-    the reduction overflows f64, and for a bigfloat line, it is
+    f64 row scales e^{2t}, e^{-t} of ``_flow_scales``.  Every line's
+    columns, rounded to f64, take one ``translate_reduction``.  Where it
+    resolves them, an f64 or rational line's lattice is ``ReducedLattice.f64``
+    of that reduction.  Otherwise, and for every bigfloat line, it is
     ``ReducedLattice.exact`` of the unrounded rows, the exact reduction in
-    the line's scalars."""
+    the line's scalars, started from the f64 U where the f64 pass gave one
+    and cold where it did not: the same lattice, and so the same minimum
+    and counts, either way."""
     t = float(t.t)
     x = line.a * s + line.b
+    reduced = translate_reduction(s, x, t)
+    if reduced is not None and reduced[4] and line.mode.kind != "bigfloat":
+        return ReducedLattice.f64(reduced)
     e2, em = _flow_scales(t)
-    if line.mode.kind != "bigfloat":
-        try:
-            lat = ReducedLattice.f64([[e2, 0.0, 0.0], [float(s) * e2, em, 0.0],
-                                      [float(x) * e2, 0.0, em]])
-        except OverflowError:  # past the f64 range: reduce exactly
-            lat = None
-        if lat is not None:
-            return lat
     if 0.0 in (e2, em):  # a zero row spans no lattice
         raise PrecisionError(f"the flow scaling underflows f64 at log scale {t:g}")
     e2, em, s, x = (Fraction(*exact_ratio(v)) for v in (e2, em, s, x))
-    return ReducedLattice.exact([[e2, e2 * s, e2 * x], [0, em, 0], [0, 0, em]])
+    return ReducedLattice.exact([[e2, e2 * s, e2 * x], [0, em, 0], [0, 0, em]],
+                                None if reduced is None else reduced[1])

@@ -287,7 +287,7 @@ def test_criterion_9_enumeration_correctness():
         cols = random_unimodular_columns(rng, math.log(1e6))
         matrix = tuple(zip(*cols))
         res = shortest_vector(f64_lattice(matrix))
-        rows, _, _, _ = lll_reduce(scaled_columns(matrix))
+        rows, _, _, _, _ = lll_reduce(scaled_columns(matrix))
         lam_bf, _ = brute_force_lambda1(list(zip(*rows)), box=25)
         rel = abs(res.lambda1 - lam_bf) / lam_bf
         worst = max(worst, rel)

@@ -19,7 +19,7 @@ from latflow import diophantine as dio
 from latflow import experiments as exp
 from latflow import flow
 from latflow import lattice
-from latflow.errors import InvalidInputError
+from latflow.errors import InvalidInputError, ReductionError
 from latflow.scalars import F64, RATIONAL, ScalarMode, bigfloat, exact_ratio, named_scalar
 
 from util import csv_per_cell, exact_scaled_rows, phi
@@ -454,14 +454,25 @@ def test_f64_flow_overflow_exit_4(args):
     assert run_cli(args) == 4
 
 
-def test_reduction_error_exit_4(monkeypatch, capsys):
-    # every translate needs more than one LLL step
+def test_reduction_error_exit_4(monkeypatch, capsys, tmp_path):
+    # every translate needs more than one f64 LLL step: past the cap the
+    # f64 pass gives no start, and the cold exact reduction gives the same
+    # report as the warm one; a failing exact reduction exits 4
+    argv = ["equidist", "sqrt2", "sqrt3", "--t-list", "10,11", "--N", "3", "--format", "json"]
+    assert run_cli(argv + ["--out", str(tmp_path / "warm")]) == 0
     monkeypatch.setattr(lattice, "LLL_ITERATION_CAP", 1)
-    code = run_cli(["equidist", "sqrt2", "sqrt3", "--t-list", "5", "--N", "3"])
-    assert code == 4
-    err = capsys.readouterr().err
-    assert err == ("latflow: reduction failure: LLL did not converge within the "
-                   "iteration cap; the basis is pathologically conditioned\n")
+    assert run_cli(argv + ["--out", str(tmp_path / "cold")]) == 0
+    warm, cold = (read_json(tmp_path / f"{x}.json") for x in ("warm", "cold"))
+    assert (warm["samples"], warm["summary"]) == (cold["samples"], cold["summary"])
+
+    def failing(cols):
+        raise ReductionError("integral LLL needs independent columns")
+
+    monkeypatch.setattr(lattice, "lll_reduce_integral", failing)
+    capsys.readouterr()
+    assert run_cli(argv) == 4
+    assert capsys.readouterr().err == (
+        "latflow: reduction failure: integral LLL needs independent columns\n")
 
 
 @pytest.mark.parametrize("radii", ["inf", "1.5,inf", "-inf", "nan"])

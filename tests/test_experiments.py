@@ -16,7 +16,7 @@ from latflow.errors import BudgetError, InvalidInputError, PrecisionError
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
 from latflow.scalars import (F64, RATIONAL, bigfloat, liouville_partial,
                              named_scalar)
-from util import (exact_time, phi, scaled_columns, segment_minimum_scan,
+from util import (exact_time, ks_distance_bisect, phi, scaled_columns, segment_minimum_scan,
                   translate_sample_s)
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
@@ -118,27 +118,29 @@ def test_sample_counts_monotone_and_even():
 
 @pytest.mark.parametrize("t", [3.0, 8.0, 9.5])
 def test_sample_translate_reduces_once_per_sample(monkeypatch, t):
-    # the f64 path below t ~ 9.2; above it the f64 reduction refuses the
-    # columns before any LLL step and the exact (integral LLL) path takes them
+    # one f64 reduction per sample: it resolves the columns below t ~ 9.2;
+    # above it the exact (integral LLL) path takes them once, started from
+    # the f64 U
     calls = []
+    lll_reduce, lll_reduce_integral = lattice.lll_reduce, lattice.lll_reduce_integral
 
-    def counting(fn):
-        def wrapped(*args, **kwargs):
-            result = fn(*args, **kwargs)
-            calls.append((fn.__name__, result is None))
-            return result
-        return wrapped
+    def f64_pass(cols):
+        result = lll_reduce(cols)
+        calls.append(("lll_reduce", result[4]))
+        return result
 
-    for name in ("lll_reduce", "lll_reduce_integral"):
-        monkeypatch.setattr(lattice, name, counting(getattr(lattice, name)))
+    def exact_pass(cols):
+        calls.append(("lll_reduce_integral", None))
+        return lll_reduce_integral(cols)
+
+    monkeypatch.setattr(lattice, "lll_reduce", f64_pass)
+    monkeypatch.setattr(lattice, "lll_reduce_integral", exact_pass)
     escalated = t > 9
-    if escalated:  # an LLL step would now raise
-        monkeypatch.setattr(lattice, "LLL_ITERATION_CAP", 0)
     radii = (1.0, 1.5, 2.0)
     samples = exp.sample_translate(GENERIC_LINE, FlowTime.of(t), 8, seed=4, radii=radii)
     assert [row["escalated"] for row in samples] == [escalated] * 8
-    want = ([("lll_reduce", True), ("lll_reduce_integral", False)] if escalated
-            else [("lll_reduce", False)])
+    want = ([("lll_reduce", False), ("lll_reduce_integral", None)] if escalated
+            else [("lll_reduce", True)])
     assert calls == want * 8
 
     for row in samples:
@@ -498,6 +500,20 @@ def test_ks_matches_numpy_formula():
         assert exp.ks_distance(xa, xb) == _ks_numpy(xa, xb), (xa, xb)
 
 
+# a coarse grid of values makes ties within and across the samples
+_ks_values = st.lists(st.sampled_from([-1.5, -0.25, 0.0, 0.5, 1.0, 2.0, 3.75, math.inf]),
+                      min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xa=_ks_values, xb=_ks_values | st.lists(st.floats(-5, 5), min_size=1, max_size=90))
+@example(xa=[1.0], xb=[1.0, 1.0, 2.0])
+@example(xa=[0.5, 0.5], xb=[0.5, 1.0, 1.0])
+def test_ks_merge_matches_bisection(xa, xb):
+    assert exp.ks_distance(xa, xb) == ks_distance_bisect(xa, xb)
+    assert exp.ks_distance(xb, xa) == ks_distance_bisect(xb, xa)
+
+
 def test_ks_requires_nonempty():
     with pytest.raises(InvalidInputError):
         exp.ks_distance([], [1.0])
@@ -544,8 +560,33 @@ def test_sample_translate_shortcuts_keep_every_bit(kind, seed, N, t):
     assert [row["s"] for row in samples] == [float(s) for s in want_s]
     want_cols = [[[x.hex() for x in col] for col in scaled_columns(phi(line, s), t)]
                  for s in want_s]
-    # a bigfloat translate is reduced exactly, never in f64
-    assert seen == ([] if kind == "bigfloat" else want_cols)
+    # every line's columns take one f64 reduction, which a bigfloat
+    # translate takes only as the start of its exact one
+    assert seen == want_cols
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(_LINES)), t=st.floats(0.0, 13.0))
+@example(kind="f64", t=9.5)
+@example(kind="bigfloat", t=12.0)
+def test_segment_minimum_warm_start_keeps_the_minimum(kind, t):
+    # the exact reduction of the segment lattice starts from the U of the
+    # f64 reduction of the translate at s1, whose rows are three of its four;
+    # the minimum and its value are those of the cold reduction
+    line = _LINES[kind]
+    seen = []
+
+    def recording(s, x, t):
+        seen.append((s, x, t))
+        return lattice.translate_reduction(s, x, t)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exp, "translate_reduction", recording)
+        warm = exp.segment_minimum(line, FlowTime.of(t), 6.0)
+        mp.setattr(exp, "translate_reduction", lambda s, x, t: None)
+        cold = exp.segment_minimum(line, FlowTime.of(t), 6.0)
+    assert seen == [(line.s1, line.a * line.s1 + line.b, t)]
+    assert warm == cold
 
 
 def test_row_names_each_count_by_its_g_label():

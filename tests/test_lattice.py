@@ -50,7 +50,7 @@ def _det(u):
 
 def _lll(matrix, log_scale=0.0):
     """The reduced columns and U of the f64 reduction of ``matrix``."""
-    rows, u, _, _ = lll_reduce(scaled_columns(matrix, log_scale))
+    rows, u, _, _, _ = lll_reduce(scaled_columns(matrix, log_scale))
     return [list(col) for col in zip(*rows)], u
 
 
@@ -92,17 +92,23 @@ def test_lll_lambda1_invariance():
         assert lam_after == pytest.approx(lam_before, rel=1e-10)
 
 
-def _f64_refused(cols):
-    """The f64 entry test: a Gram-Schmidt length of ``cols`` (by the full
-    recompute) not in (0, inf), or a column longer than GSO_RANGE_CAP times
-    the least Gram-Schmidt length."""
+def _f64_spread(cols):
+    """The spread of ``cols`` that the f64 entry test weighs: the longest
+    column over the least Gram-Schmidt length (by the full recompute), or
+    inf where a Gram-Schmidt length is not in (0, inf)."""
     try:
         _, _, norm2 = gram_schmidt_full(cols)
     except ReductionError:
-        return True
+        return math.inf
+    if not all(0 < n < math.inf for n in norm2):
+        return math.inf
     longest = max(sum(x * x for x in col) for col in cols)
-    return (not all(0 < n < math.inf for n in norm2)
-            or (longest / min(norm2)) ** 0.5 > lattice.GSO_RANGE_CAP)
+    return (longest / min(norm2)) ** 0.5
+
+
+def _f64_refused(cols):
+    """Whether f64 leaves ``cols`` unresolved: a spread above GSO_RANGE_CAP."""
+    return _f64_spread(cols) > lattice.GSO_RANGE_CAP
 
 
 def _reduction_or_error(reduce, cols):
@@ -114,15 +120,17 @@ def _reduction_or_error(reduce, cols):
 
 def _assert_same_reduction(cols):
     """``lll_reduce(cols)`` against the full-recompute oracles: None where
-    the entry test refuses the columns or the reduced Gram-Schmidt data are
-    not finite, else bit for bit the oracle's reduced rows, U and
-    Gram-Schmidt data (the row-wise updates evaluate the same expressions
-    as a full recompute); the same error where a step overflows or meets
-    singular columns.  ``cols`` is left as it was."""
+    the spread of the columns is past SPREAD_CAP = 2^53 or the reduced
+    Gram-Schmidt data are not finite, else bit for bit the oracle's reduced
+    rows, U and Gram-Schmidt data (the row-wise updates evaluate the same
+    expressions as a full recompute), with ``resolved`` true exactly when
+    the spread is at most GSO_RANGE_CAP; the same error where a step
+    overflows or meets singular columns.  ``cols`` is left as it was."""
     before = [list(col) for col in cols]
     got = _reduction_or_error(lll_reduce, cols)
     assert cols == before
-    if _f64_refused(cols):
+    spread = _f64_spread(cols)
+    if spread > 2.0 ** 53:
         assert got is None
         return
     want = _reduction_or_error(lll_reduce_full, cols)
@@ -134,14 +142,14 @@ def _assert_same_reduction(cols):
     if not all(map(math.isfinite, norm2 + mu[1] + mu[2])):
         assert got is None
         return
-    assert got == (_rows_of(red), u, mu, norm2)
+    assert got == (_rows_of(red), u, mu, norm2, spread <= lattice.GSO_RANGE_CAP)
     assert _det(u) in (1, -1)
 
 
 def test_gram_schmidt_identity():
     cols = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     _assert_same_reduction(cols)
-    _, _, mu, norm2 = lll_reduce(cols)
+    _, _, mu, norm2, _ = lll_reduce(cols)
     assert norm2 == [1.0, 1.0, 1.0]
     assert all(mu[i][j] == 0 for i in range(3) for j in range(i))
 
@@ -151,7 +159,7 @@ def test_gram_schmidt_unipotent_columns():
     s, c = 0.7, 1.9
     cols = [[1.0, 0.0, 0.0], [s, 1.0, 0.0], [c, 0.0, 1.0]]
     _assert_same_reduction(cols)
-    _, _, _, norm2 = lll_reduce(cols)
+    _, _, _, norm2, _ = lll_reduce(cols)
     assert norm2 == pytest.approx([1.0, 1.0, 1.0], rel=1e-12)
 
 
@@ -160,7 +168,7 @@ def test_gram_schmidt_orthogonal_diagonal():
     cols = [[e2, 0.0, 0.0], [0.0, em, 0.0], [0.0, 0.0, em]]
     _assert_same_reduction(cols)
     # the reduced columns come back shortest first
-    _, _, _, norm2 = lll_reduce(cols)
+    _, _, _, norm2, _ = lll_reduce(cols)
     assert norm2 == pytest.approx([em ** 2, em ** 2, e2 ** 2], rel=1e-12)
 
 
@@ -193,12 +201,16 @@ _huge = st.floats(-1e300, 1e300, allow_nan=False)
 
 
 @settings(max_examples=300, deadline=None)
-@given(a=_huge, b=_huge, s=_huge, t=st.floats(9.0, 9.4))
+@given(a=_huge, b=_huge, s=_huge, t=st.floats(9.0, 12.5))
 # columns over the least GSO length about e^{3t} max(1, |s|, |a s + b|),
-# near GSO_RANGE_CAP at t = 9.2 where that maximum is 1
+# near GSO_RANGE_CAP at t = 9.2 and near SPREAD_CAP = 2^53 at t = 12.25
+# where that maximum is 1
 @example(a=_SQRT2, b=_SQRT3, s=0.3, t=9.1)
 @example(a=_SQRT2, b=_SQRT3, s=0.3, t=9.3)
 @example(a=0.3, b=0.2, s=0.5, t=9.2)
+@example(a=_SQRT2, b=_SQRT3, s=0.3, t=11.5)
+@example(a=0.3, b=0.2, s=0.5, t=12.24)
+@example(a=0.3, b=0.2, s=0.5, t=12.25)
 # a first column of length e^2 whose second and third lengths are NaN
 @example(a=1.0, b=1.0, s=1e308, t=1.0)
 # columns whose squared length overflows, which a size reduction by a
@@ -552,23 +564,127 @@ _EXACT_LINES = [
 ]
 
 
+def _integer_rows(rows):
+    """The rows of a rational matrix scaled by the least common denominator
+    of its entries, and that denominator."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x * den) for x in row] for row in rows], den
+
+
 @settings(max_examples=80, deadline=None)
 @given(line=st.sampled_from(_EXACT_LINES), seed=st.integers(0, 2 ** 32 - 1),
        t=st.floats(-20.0, 14.0))
 @example(line=_EXACT_LINES[0], seed=1, t=11.0)
 @example(line=_EXACT_LINES[4], seed=1, t=-20.0)
+@example(line=_EXACT_LINES[0], seed=1, t=13.0)
 def test_of_exact_arm_matches_fraction_rows(line, seed, t):
     # the exact arm of ``translate_basis`` reduces the Fraction products of
-    # phi(s) and the f64 row scales, in every mode (f64 reductions forced
-    # off by a zero GSO range cap, so that it takes the exact arm on every
-    # line)
+    # phi(s) and the f64 row scales, in every mode (f64 lattices forced off
+    # by a zero GSO range cap, so that it takes the exact arm on every
+    # line): the lattice of those rows, in a reduced basis reached from
+    # them by a unimodular transform, which is the cold reduction's where
+    # the f64 pass gives no start
     s = line.s1 + line.mode.from_fraction(Fraction(sample_uniform(seed, 0))) * (
         line.s2 - line.s1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "GSO_RANGE_CAP", 0.0)
         lat = translate_basis(line, s, FlowTime.of(t))
+        warm = lattice.translate_reduction(s, line.a * s + line.b, t) is not None
+    cold = ReducedLattice.exact(exact_scaled_rows(phi(line, s), t))
+    basis, den = _integer_rows(exact_scaled_rows(phi(line, s), t))
     assert lat.escalated
+    assert (lat.den, lat.gram_det) == (den, cold.gram_det)
+    assert _det(lat.transform) in (1, -1)
+    assert [list(row) for row in lat.rows] == [
+        [sum(x * u for x, u in zip(row, col)) for col in lat.transform] for row in basis]
+    if not warm:
+        assert lat == cold
+
+
+_WARM_LINES = {
+    "f64": LineSegmentSpec.from_strings("sqrt2", "sqrt3", "-0.3", "0.45", F64),
+    "rational": LineSegmentSpec.from_strings("1/7", "22/9", "-1/3", "5/11", RATIONAL),
+    "bigfloat": LineSegmentSpec.from_strings("sqrt2", "sqrt3", "-0.3", "0.45", bigfloat(256)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(_WARM_LINES)), seed=st.integers(0, 2 ** 32 - 1),
+       t=st.floats(9.0, 12.5), low=st.floats(0.0, 9.0), radii=_radii)
+# spreads past GSO_RANGE_CAP (t >= 9.2) and past SPREAD_CAP (t >= 12.25)
+@example(kind="f64", seed=1, t=9.5, low=0.0, radii=[1.5])
+@example(kind="rational", seed=1, t=10.0, low=0.0, radii=[1.5])
+@example(kind="bigfloat", seed=1, t=12.4, low=0.0, radii=[1.5])
+def test_warm_started_translates_equal_the_cold_reduction(kind, seed, t, low, radii):
+    # an escalated translate starts its exact reduction from the f64 U where
+    # the f64 pass gives one, and cold otherwise; its minimum, minimizer
+    # and counts are those of the cold reduction of the same rows and of the
+    # 256-bit oracle (a bigfloat line also below t = 9, where every
+    # translate is warm started)
+    line = _WARM_LINES[kind]
+    if kind == "bigfloat" and low < 4.5:
+        t = 2 * low
+    s = line.s1 + line.mode.from_fraction(Fraction(sample_uniform(seed, 0))) * (
+        line.s2 - line.s1)
+    lat = translate_basis(line, s, FlowTime.of(t))
+    cold = ReducedLattice.exact(exact_scaled_rows(phi(line, s), t))
+    if not lat.escalated:  # the f64 lattice below the GSO range cap
+        assume(False)
+    got = shortest_vector(lat)
+    # the minimizer, ties broken alike, and lambda1 (the oracle may break a
+    # tie otherwise)
+    assert got == shortest_vector(cold)
+    assert got.lambda1 == pytest.approx(shortest_vector_mp(phi(line, s), t)[0], rel=1e-12)
+    for r in radii + [0.999 * got.lambda1, got.lambda1]:
+        assert count_points(lat, r) == count_points(cold, r)
+
+
+def _cold_arm_seen(monkeypatch, line, s, t):
+    """The lattice ``translate_basis`` makes, asserting that its exact
+    reduction was the cold one: one integral LLL of the integer basis
+    columns themselves, no start applied."""
+    seen = []
+
+    def recording(cols):
+        seen.append([list(col) for col in cols])
+        return lll_reduce_integral(cols)
+
+    monkeypatch.setattr(lattice, "lll_reduce_integral", recording)
+    lat = translate_basis(line, s, FlowTime.of(t))
+    basis, _ = _integer_rows(exact_scaled_rows(phi(line, s), t))
+    assert seen == [[list(col) for col in zip(*basis)]]
     assert lat == ReducedLattice.exact(exact_scaled_rows(phi(line, s), t))
+    return lat
+
+
+@pytest.mark.parametrize("error", [ReductionError, OverflowError])
+@pytest.mark.parametrize("kind", ["f64", "bigfloat"])
+def test_failed_f64_pass_takes_the_cold_arm(monkeypatch, error, kind):
+    # an f64 pass that raises gives no start, at t = 5 (an f64 lattice
+    # otherwise) and at t = 10 (a warm start otherwise)
+    def failing(cols):
+        raise error("the f64 pass fails")
+
+    monkeypatch.setattr(lattice, "lll_reduce", failing)
+    line = _WARM_LINES[kind]
+    for t in (5.0, 10.0):
+        assert _cold_arm_seen(monkeypatch, line, 0.3, t).escalated
+
+
+@pytest.mark.parametrize("kind", sorted(_WARM_LINES))
+def test_translate_past_the_spread_cap_takes_the_cold_arm(monkeypatch, kind):
+    # SPREAD_CAP = 1/u = 2^53 ~ 9.0e15: the longest column of the translate
+    # at s = 0.3, (a s + b) e^{2t} with a s + b ~ 2.16, over its least
+    # Gram-Schmidt length e^{-t}, is 1.9e17 at t = 13 and 9.3e15 at t = 12,
+    # past the cap, and lll_reduce refuses them; at t = 11.5 (2.1e15) it
+    # reduces them, without resolving them
+    assert lattice.SPREAD_CAP == 2.0 ** 53 == 1 / lattice._U
+    line = _WARM_LINES[kind]
+    x = line.a * 0.3 + line.b
+    assert lattice.translate_reduction(0.3, x, 13.0) is None
+    assert lattice.translate_reduction(0.3, x, 12.0) is None
+    assert lattice.translate_reduction(0.3, x, 11.5)[4] is False
+    _cold_arm_seen(monkeypatch, line, line.mode.from_fraction(Fraction(3, 10)), 13.0)
 
 
 def _box_members(cols, r):
@@ -737,10 +853,13 @@ def test_enumeration_walks_only_the_half_ball_it_yields():
 
 def test_lll_iteration_cap_raises(monkeypatch):
     # the cap is read when lll_reduce is called; a translate needs more than
-    # one step (it swaps at t = 5)
+    # one step (it swaps at t = 5), and translate_basis then reduces its rows
+    # exactly, cold
     monkeypatch.setattr(lattice, "LLL_ITERATION_CAP", 1)
     with pytest.raises(ReductionError, match="iteration cap"):
-        translate_basis(GENERIC_LINE, 0.71, FlowTime.of(5.0))
+        lll_reduce(scaled_columns(phi(GENERIC_LINE, 0.71), 5.0))
+    lat = translate_basis(GENERIC_LINE, 0.71, FlowTime.of(5.0))
+    assert lat == ReducedLattice.exact(exact_scaled_rows(phi(GENERIC_LINE, 0.71), 5.0))
 
 
 def test_count_points_past_f64_gram_determinant():

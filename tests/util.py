@@ -10,13 +10,15 @@ LLL-reducedness check, the float p-window decision of I_R on a grid, the numpy
 Dirichlet grid, an exact I_R measure, the segment element phi(s) and the
 exact translate rows that ``translate_basis`` hands ``ReducedLattice.exact``,
 the per-sample translate route through ``Fraction``, the per-cell CSV
-writer, and the leaf-by-leaf point count and the exact expected-count
-refusal of ``ReducedLattice.count``."""
+writer, the leaf-by-leaf point count and the exact expected-count
+refusal of ``ReducedLattice.count``, and the two-sample KS statistic by
+bisection."""
 
 from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_right
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +29,7 @@ import numpy as np
 from latflow import diophantine as dio
 from latflow.errors import BudgetError, InvalidInputError, ReductionError
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
-from latflow.lattice import LLL_DELTA_EXACT, ReducedLattice
+from latflow.lattice import LLL_DELTA_EXACT, ReducedLattice, lll_reduce
 from latflow.scalars import F64, ScalarMode, exact_ratio
 
 SEGMENT_MINIMUM_SCAN_BUDGET = 100_000_000
@@ -259,12 +261,13 @@ def scaled_columns(matrix, log_scale: float = 0.0):
 
 
 def f64_lattice(matrix, log_scale: float = 0.0):
-    """``ReducedLattice.f64`` of ``scaled_columns(matrix, log_scale)``: the
-    f64 reduction ``translate_basis`` makes of a translate's columns, of a
-    basis that ``lll_reduce`` keeps."""
-    lat = ReducedLattice.f64(scaled_columns(matrix, log_scale))
-    assert lat is not None, "lll_reduce refuses these columns"
-    return lat
+    """``ReducedLattice.f64`` of the ``lll_reduce`` of
+    ``scaled_columns(matrix, log_scale)``: the f64 reduction
+    ``translate_basis`` makes of a translate's columns, of a basis that
+    ``lll_reduce`` resolves."""
+    reduced = lll_reduce(scaled_columns(matrix, log_scale))
+    assert reduced is not None and reduced[4], "lll_reduce does not resolve these columns"
+    return ReducedLattice.f64(reduced)
 
 
 def exact_scaled_rows(matrix, log_scale: float = 0.0):
@@ -1052,3 +1055,14 @@ def segment_minimum_scan(line: LineSegmentSpec, t: FlowTime, R_cap: float,
     if best_val > cap:
         return None
     return best_vec, best_val
+
+
+# -- the two-sample KS statistic by bisection --------------------------------
+
+def ks_distance_bisect(sample_a, sample_b) -> float:
+    """Independent oracle for ``experiments.ks_distance``: the ECDF gap
+    |i n2 - j n1| at each pooled point, i and j found by bisecting each
+    sorted sample, its maximum over n1 n2."""
+    a, b = sorted(map(float, sample_a)), sorted(map(float, sample_b))
+    h = max(abs(bisect_right(a, x) * len(b) - bisect_right(b, x) * len(a)) for x in a + b)
+    return h / (len(a) * len(b))

@@ -65,7 +65,12 @@ SHOWN = 10  # differing operations named in full
 # squared Gram-Schmidt length n0 underflows (``lll_reduce`` refuses it),
 # whose exact Gram-Schmidt ratios overflow f64 (``_clamped_ratio``) and
 # whose count's squared walk radius is past the f64 range (exit 3), and at
-# t = -400, where e^{2t} is 0 in f64 (exit 4).
+# t = -400, where e^{2t} is 0 in f64 (exit 4); last, the translates whose
+# exact reduction starts from an f64 one or not: bigfloat translates at
+# t <= 8, whose f64 pass resolves the columns but only starts the exact
+# reduction, f64 translates at t = 12.5 and 13, whose spread is past
+# 2^53 = 1/u, so that they reduce exactly and cold, and a rational line
+# at t = 10, whose f64 pass leaves the columns unresolved.
 EXTRA_OPS = [
     ["equidist", "sqrt2", "sqrt3", "--mode", "bigfloat:256", "--t-list", "5,9.5,11",
      "--N", "20", "--radii", "1.5"],
@@ -118,6 +123,11 @@ EXTRA_OPS = [
     ["equidist", "0", "0", "--interval=0,1e-100", "--t-list", "0", "--N", "3", "--radii", "1"],
     ["equidist", "sqrt2", "sqrt3", "--t-list", "-190", "--N", "3"],
     ["equidist", "sqrt2", "sqrt3", "--t-list", "-400", "--N", "3"],
+    ["equidist", "sqrt2", "sqrt3", "--mode", "bigfloat:256", "--t-list", "2,8", "--N", "20",
+     "--radii", "1.5"],
+    ["equidist", "sqrt2", "sqrt3", "--t-list", "12.5,13", "--N", "20"],
+    ["equidist", "1/2", "1/3", "--mode", "rational", "--t-list", "10", "--N", "20",
+     "--radii", "1.5"],
 ]
 
 # Runs in the child, with cwd the tree's temporary directory:
