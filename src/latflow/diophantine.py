@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .errors import InvalidInputError, PrecisionError
 from .lattice import ReducedLattice
-from .scalars import F64_MAX_DENOM, ScalarMode, exact_ratio
+from .scalars import F64_MAX_DENOM, ScalarMode
 
 
 def _box_points(forms, den: int, bound, q_max: int, block_p2: bool = False):
@@ -102,8 +102,8 @@ def _approximations(a, b, bound, q_max: int):
     exactly 1/2 and both neighbours are in the box; the even one is kept
     (round half to even).
     """
-    nb, db = exact_ratio(b)
-    na, da = exact_ratio(a)
+    nb, db = b.as_integer_ratio()
+    na, da = a.as_integer_ratio()
     den = math.lcm(db, da)
     forms = ((den, 0, nb * (den // db)), (0, den, na * (den // da)))
     for block in _box_points(
@@ -132,7 +132,7 @@ def w2_witness_search(a, b, C, q_max: int) -> list[tuple]:
     with the fixed bound C q^-2, as witnesses (p1, p2, q, |q b + p1|,
     |q a + p2|, C q^-2).  Exhaustive in q; an empty list is a valid outcome
     (bounded search, not a proof of non-membership)."""
-    c = Fraction(*exact_ratio(C))
+    c = Fraction(C)
     if c <= 0:
         raise InvalidInputError("C must be positive")
     _check_q_max(a, b, q_max)
@@ -172,11 +172,10 @@ def w2eps_witness_search(a, b, eps, q_max: int) -> list[tuple]:
     """Witnesses at quality q^-(2+eps) for q in [1, q_max], shaped as those
     of ``w2_witness_search``; the bound is the f64 value of q^-(2+eps), the
     test exact."""
-    en, ed = exact_ratio(eps)
-    if en <= 0:
+    if (eps := Fraction(eps)) <= 0:
         raise InvalidInputError("eps must be positive")
     _check_q_max(a, b, q_max)
-    two_plus_eps = 2 + Fraction(en, ed)
+    two_plus_eps = 2 + eps
     exponent = float(two_plus_eps)
     # q^-(2+eps) <= Q^-2 on the block of Q
     return [(p1, p2, q, r1, r2, Fraction(q ** -exponent))
@@ -196,7 +195,7 @@ def w2inf_profile(a, b, C_list, q_max: int) -> list[W2InfEntry]:
     every-C class up to q_max: a witness for each listed C is evidence, a
     gap is only a bounded-search non-result.
     """
-    cs = [Fraction(*exact_ratio(C)) for C in C_list]
+    cs = [Fraction(C) for C in C_list]
     if any(c <= 0 for c in cs):
         raise InvalidInputError("C values must be positive")
     if any(cs[i] <= cs[i + 1] for i in range(len(cs) - 1)):
@@ -251,7 +250,7 @@ def sup_operator_norm_R1(line, R) -> Fraction:
     """R1 = ||inv([[1, s1], [1, s2]])||_sup * R, the residual threshold that a
     norm bound R over the segment forces on both coordinates; exact, from
     the stored values of s1, s2 and R."""
-    s1, s2, r = (Fraction(*exact_ratio(x)) for x in (line.s1, line.s2, R))
+    s1, s2, r = (Fraction(x) for x in (line.s1, line.s2, R))
     return max(abs(s1) + abs(s2), 2) / (s2 - s1) * r
 
 
@@ -316,7 +315,7 @@ def _return_windows(line, R: Fraction, t_max: float, q_max: int):
     |a| q_max): the blocks past n_cap are empty, and the search ends there
     whatever t_max is.
     """
-    a, b, s1, s2 = (Fraction(*exact_ratio(x)) for x in (line.a, line.b, line.s1, line.s2))
+    a, b, s1, s2 = (Fraction(x) for x in (line.a, line.b, line.s1, line.s2))
     n_cap = max(q_max, 2 * R / (s2 - s1) + abs(a) * q_max)
     forms = ((1, s1, b + a * s1), (1, s2, b + a * s2))
     den = math.lcm(*(Fraction(x).denominator for f in forms for x in f))
@@ -359,7 +358,7 @@ def ir_density(line, R, T, q_max: int, dt: float = 0.01) -> DensityProfile:
         raise InvalidInputError("direct sampling requires a grid step in (0, 0.01]")
     if q_max < 1:
         raise InvalidInputError("q_max must be >= 1")
-    r = Fraction(*exact_ratio(R))
+    r = Fraction(R)
     if r <= 0:
         raise InvalidInputError("R must be positive")
     R1 = sup_operator_norm_R1(line, r)
@@ -406,7 +405,7 @@ def dirichlet_direct(x1, x2, delta, T_list) -> list[bool]:
     changes, by a factor (T / T')^3, and the verdict does not depend on the
     basis.
     """
-    x1, x2, d = (Fraction(*exact_ratio(x)) for x in (x1, x2, delta))
+    x1, x2, d = (Fraction(x) for x in (x1, x2, delta))
     if not 0 < d < 1:
         raise InvalidInputError("delta must satisfy 0 < delta < 1")
     T_list = [float(T) for T in T_list]

@@ -32,5 +32,5 @@ class PrecisionError(LatflowError, RuntimeError):
 
 
 class ReductionError(LatflowError, RuntimeError):
-    """Lattice reduction failed to converge (pathological conditioning)."""
+    """The exact integral LLL met linearly dependent columns."""
     exit_code, label = 4, "reduction failure"

@@ -26,7 +26,6 @@ from .errors import InvalidInputError, PrecisionError
 from .flow import FlowTime, LineSegmentSpec, segment_sup
 from .lattice import (ReducedLattice, count_points, shortest_vector, translate_basis,
                       translate_reduction)
-from .scalars import exact_ratio
 
 
 _MASK64 = (1 << 64) - 1
@@ -149,7 +148,7 @@ def segment_minimum(line: LineSegmentSpec, t: FlowTime, R_cap: float) -> tuple |
     if not 1 <= R_cap < math.inf:
         raise InvalidInputError("R_cap must be finite and >= 1")
     e2, em, a, b, s1, s2 = (
-        Fraction(*exact_ratio(x))
+        Fraction(x)
         for x in (t.factor(2, line.mode), t.factor(-1, line.mode),
                   line.a, line.b, line.s1, line.s2))
     if e2 == 0 or em == 0:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvalidInputError
-from .scalars import F64, ScalarMode, exact_ratio, exp_f64, named_scalar
+from .scalars import F64, ScalarMode, exp_f64, named_scalar
 
 
 class LineSegmentSpec(namedtuple("LineSegmentSpec", "a b s1 s2 mode")):
@@ -99,9 +99,9 @@ def segment_sup(line: LineSegmentSpec, t: FlowTime, v: tuple[int, int, int]):
     """
     if not any(v):
         raise InvalidInputError("the zero vector is not a valid witness or orbit seed")
-    e2, em, a, b = (Fraction(*exact_ratio(x)) for x in (
+    e2, em, a, b = (Fraction(x) for x in (
         t.factor(2, line.mode), t.factor(-1, line.mode), line.a, line.b))
     p1, p2, q = v
-    x = max(abs((q * b + p1) + (q * a + p2) * Fraction(*exact_ratio(s)))
+    x = max(abs((q * b + p1) + (q * a + p2) * Fraction(s))
             for s in (line.s1, line.s2))
     return line.mode.from_fraction(max(e2 * x, em * abs(p2), em * abs(q)))

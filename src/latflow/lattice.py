@@ -34,13 +34,15 @@ translate at s1), the Dirichlet check and the Diophantine search boxes.
 
 The enumeration walks lines: ``_enumerate_half_ball`` yields each run
 lo <= x0 <= hi of the innermost coefficient at fixed (x1, x2), and charges
-its hi - lo + 1 leaves against the leaf cap.  ``points`` and ``minimum``
-test every leaf of a line; ``minimum`` stops a leaf's test at the first
-row past the least norm found so far.  ``count`` cuts each line by the
-slab in which each row stays within the radius, as the walk yields it:
-exactly for integer rows, and for f64 rows with a margin of each row's
-own on each line, proven such that the f64 leaf test cannot fail inside
-it and cannot pass outside it, so only the leaves on a margin are tested.
+its hi - lo + 1 leaves against the leaf cap.  ``minimum`` tests every leaf
+of a line, stopping a leaf's test at the first row past the least norm
+found so far.  ``points`` and ``count`` cut each line by the slab in
+which each row stays within the radius, as the walk yields it: on integer
+rows both read one exact cut, by floor division (``_cut_integral``), and
+``points`` takes integer rows only; on f64 rows ``count`` cuts with a
+margin of each row's own on each line, proven such that the f64 leaf test
+cannot fail inside it and cannot pass outside it, so only the leaves on a
+margin are tested.
 
 All functions are pure but for one input: the enumeration leaf cap,
 ``ENUMERATION_BUDGET`` unless a ``with enumeration_budget(n):`` block sets
@@ -60,7 +62,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import BudgetError, InvalidInputError, PrecisionError, ReductionError
-from .scalars import exact_ratio, exp_f64
+from .scalars import exp_f64
 
 LLL_DELTA = 0.99
 LLL_DELTA_EXACT = Fraction(str(LLL_DELTA))  # 99/100 for the integral LLL
@@ -71,7 +73,6 @@ _U = 2.0 ** -53  # the unit roundoff of f64
 # the least GSO length, so that an f64 reduction says nothing of the lattice
 SPREAD_CAP = 1 / _U
 ENUMERATION_BUDGET = 10_000_000  # Fincke-Pohst leaves per search
-_SINGULAR = "numerically singular basis in Gram-Schmidt"
 _DEPENDENT = "integral LLL needs independent columns"
 
 _budget = ContextVar("enumeration_budget", default=ENUMERATION_BUDGET)
@@ -104,9 +105,10 @@ def lll_reduce(cols):
     f64 says nothing of the lattice: a Gram-Schmidt length of the columns
     not in (0, inf), a spread (the longest column over the least
     Gram-Schmidt length) above ``SPREAD_CAP`` = 1/u, past which the rounding
-    of the entries exceeds that least length, or a Gram-Schmidt value of
-    the reduced columns that is not finite.  Columns found singular in the
-    loop, and the iteration cap, raise ReductionError.
+    of the entries exceeds that least length, a Gram-Schmidt length that a
+    step of the loop makes non-positive, more than ``LLL_ITERATION_CAP``
+    steps, or a Gram-Schmidt value of the reduced columns that is not
+    finite.  None is its one refusal; it raises nothing of its own.
 
     rows are the coordinate rows of the reduced columns, U the integer
     matrix with reduced = basis . U (column convention; only swaps and
@@ -156,9 +158,7 @@ def lll_reduce(cols):
     while k < 3:
         steps += 1
         if steps > cap:
-            raise ReductionError(
-                "LLL did not converge within the iteration cap; "
-                "the basis is pathologically conditioned")
+            return None
         if k == 1:
             m = round(m10)
             if m != 0:
@@ -168,7 +168,7 @@ def lll_reduce(cols):
                 v0, v1, v2 = b0 - m10 * a0, b1 - m10 * a1, b2 - m10 * a2
                 n1 = v0 * v0 + v1 * v1 + v2 * v2
                 if n1 <= 0:
-                    raise ReductionError(_SINGULAR)
+                    return None
             if n1 >= (delta - m10 ** 2) * n0:
                 k = 2  # row 2, which the steps at k = 1 left stale
                 m20 = (c0 * a0 + c1 * a1 + c2 * a2) / n0
@@ -178,18 +178,18 @@ def lll_reduce(cols):
                 w2 = c2 - m20 * a2 - m21 * v2
                 n2 = w0 * w0 + w1 * w1 + w2 * w2
                 if n2 <= 0:
-                    raise ReductionError(_SINGULAR)
+                    return None
             else:  # swap a and b; rows 0 and 1 change, row 2 waits
                 a0, a1, a2, b0, b1, b2 = b0, b1, b2, a0, a1, a2
                 ua0, ua1, ua2, ub0, ub1, ub2 = ub0, ub1, ub2, ua0, ua1, ua2
                 n0 = a0 * a0 + a1 * a1 + a2 * a2
                 if n0 <= 0:
-                    raise ReductionError(_SINGULAR)
+                    return None
                 m10 = (b0 * a0 + b1 * a1 + b2 * a2) / n0
                 v0, v1, v2 = b0 - m10 * a0, b1 - m10 * a1, b2 - m10 * a2
                 n1 = v0 * v0 + v1 * v1 + v2 * v2
                 if n1 <= 0:
-                    raise ReductionError(_SINGULAR)
+                    return None
         else:
             m1, m0 = round(m21), round(m20)  # both from the unreduced c
             if m1 != 0:
@@ -206,7 +206,7 @@ def lll_reduce(cols):
                 w2 = c2 - m20 * a2 - m21 * v2
                 n2 = w0 * w0 + w1 * w1 + w2 * w2
                 if n2 <= 0:
-                    raise ReductionError(_SINGULAR)
+                    return None
             if n2 >= (delta - m21 ** 2) * n1:
                 k = 3
             else:  # swap b and c; row 1 changes, row 2 waits
@@ -216,7 +216,7 @@ def lll_reduce(cols):
                 v0, v1, v2 = b0 - m10 * a0, b1 - m10 * a1, b2 - m10 * a2
                 n1 = v0 * v0 + v1 * v1 + v2 * v2
                 if n1 <= 0:
-                    raise ReductionError(_SINGULAR)
+                    return None
                 k = 1
 
     if not all(map(math.isfinite, (n0, n1, n2, m10, m20, m21))):
@@ -407,8 +407,8 @@ def _refusal(limit, gram_det) -> str | None:
             return None
     except (OverflowError, ZeroDivisionError):
         pass
-    ln, ld = exact_ratio(limit)
-    gn, gd = (1, 0) if gram_det == math.inf else exact_ratio(gram_det)
+    ln, ld = limit.as_integer_ratio()
+    gn, gd = (1, 0) if gram_det == math.inf else gram_det.as_integer_ratio()
     # the squared expected count is over / under
     over, under = (2 * ln) ** 6 * gd, gn * ld ** 6
     if over <= budget ** 2 * under:
@@ -419,8 +419,9 @@ def _refusal(limit, gram_det) -> str | None:
 
 
 def _leaf_hits(rows, limit, x1, x2, x0s) -> int:
-    """How many x0 of ``x0s`` pass the leaf test of ``points`` on the line
-    (x1, x2)."""
+    """How many x0 of ``x0s`` pass the leaf test on the line (x1, x2): the
+    value of every f64 row at the leaf (x0, x1, x2), computed in f64, is at
+    most ``limit`` in absolute value."""
     n = 0
     for x0 in x0s:
         for r0, r1, r2 in rows:
@@ -431,29 +432,31 @@ def _leaf_hits(rows, limit, x1, x2, x0s) -> int:
     return n
 
 
-def _count_integral(rows, limit, lines) -> int:
-    """The leaves of ``lines`` within ``limit`` of 0 in every integer row:
-    on the line (x1, x2), with s = r1 x1 + r2 x2, a row with r0 > 0 (a row
-    is negated to make r0 >= 0) keeps -((limit + s) // r0) <= x0 <=
-    (limit - s) // r0, and a row with r0 = 0 keeps the line or none of it."""
+def _cut_integral(rows, limit, lines):
+    """Yield each line (x1, x2, lo, hi) of ``lines`` cut to the leaves within
+    the integer ``limit`` of 0 in every integer row, and no line with no
+    leaf left: on the line (x1, x2), with s = r1 x1 + r2 x2, a row with
+    r0 > 0 (a row is negated to make r0 >= 0) keeps -((limit + s) // r0)
+    <= x0 <= (limit - s) // r0, and a row with r0 = 0 keeps the line or
+    none of it; the rows after one that leaves no leaf are not read."""
     rows = [row if row[0] >= 0 else [-r for r in row] for row in rows]
-    n = 0
     for x1, x2, lo, hi in lines:
         for r0, r1, r2 in rows:
             s = r1 * x1 + r2 * x2
             if r0:
                 lo = max(lo, -((limit + s) // r0))
                 hi = min(hi, (limit - s) // r0)
+                if hi < lo:
+                    break
             elif abs(s) > limit:
                 break
         else:
-            n += max(0, hi - lo + 1)
-    return n
+            yield x1, x2, lo, hi
 
 
 def _count_f64(rows, limit, lines) -> int:
-    """The leaves of ``lines`` that pass the leaf test of ``points`` on the
-    f64 ``rows``, cut a line at a time: the x0 inside every row's slab
+    """The leaves of ``lines`` that pass the leaf test (``_leaf_hits``) on
+    the f64 ``rows``, cut a line at a time: the x0 inside every row's slab
     moved in by that row's margin on the line are counted whole, those
     outside the slab of the row that sets an inner end moved out by its
     margin are passed over, and only those between take the leaf test (the
@@ -592,7 +595,7 @@ class ReducedLattice(namedtuple("ReducedLattice",
         # at most radius den exactly when it is at most floor(radius den)
         if not self.escalated or radius == math.inf:
             return radius
-        n, d = exact_ratio(radius)
+        n, d = radius.as_integer_ratio()
         return n * self.den // d
 
     def _lines(self, limit):
@@ -616,21 +619,17 @@ class ReducedLattice(namedtuple("ReducedLattice",
         return _enumerate_half_ball(self.mu, self.norm2, bound2)
 
     def points(self, radius):
-        """Yield the coefficients w.r.t. the basis of every lattice vector,
-        one per +-pair, of sup norm <= ``radius``: each leaf x of the walk
-        in turn, within the leaf cap, passes the leaf test when every
-        row's value at x is at most the limit in absolute value, in the rows'
-        own arithmetic (exact for integer rows).  Here and in ``minimum``
-        and ``count``, radii and norms are in the units of the basis rows
-        the lattice was made from."""
-        limit, rows, u = self._limit(radius), self.rows, self.transform
-        for x1, x2, lo, hi in self._lines(limit):
+        """Yield the coefficients w.r.t. the basis of every vector of an
+        exact lattice (integer rows), one per +-pair, of sup norm <=
+        ``radius``: each line of the walk, within the leaf cap, cut exactly
+        to the slab of every row by ``count``'s integer cut, leaf by leaf
+        in the walk's order.  Here and in ``minimum`` and ``count``, radii
+        and norms are in the units of the basis rows the lattice was made
+        from."""
+        limit, u = self._limit(radius), self.transform
+        for x1, x2, lo, hi in _cut_integral(self.rows, limit, self._lines(limit)):
             for x0 in range(lo, hi + 1):
-                for r0, r1, r2 in rows:
-                    if abs(r0 * x0 + r1 * x1 + r2 * x2) > limit:
-                        break
-                else:
-                    yield _transform_apply(u, (x0, x1, x2))
+                yield _transform_apply(u, (x0, x1, x2))
 
     def minimum(self, limit):
         """The first sup-norm minimum when it is at most ``limit`` (else
@@ -672,14 +671,16 @@ class ReducedLattice(namedtuple("ReducedLattice",
         purpose: a lattice is a tuple of its fields only to be an immutable
         value, and no caller counts its fields.
 
-        It is twice the number of leaves of the walk that pass the leaf test
-        of ``points``, counted a line of the walk at a time; every line is
-        charged in full against the leaf cap, as ``points`` charges it.  On
-        the line (x1, x2), a row (r0, r1, r2) has the value r0 x0 + s,
-        s = r1 x1 + r2 x2, within L = limit exactly on the slab |x0 - c| <= h
-        about c = g1 x1 + g2 x2, g_j = -r_j / r0, of half-width
-        h = L / |r0|.  A row with r0 = 0 is tested once per line.  Integer
-        rows cut each line exactly, by floor division.
+        It is twice the number of leaves of the walk whose every row is
+        within the limit, counted a line of the walk at a time; every line
+        is charged in full against the leaf cap, as ``points`` charges it.
+        On the line (x1, x2), a row (r0, r1, r2) has the value r0 x0 + s,
+        s = r1 x1 + r2 x2, within L = limit exactly on the slab
+        |x0 - c| <= h about c = g1 x1 + g2 x2, g_j = -r_j / r0, of
+        half-width h = L / |r0|.  A row with r0 = 0 is tested once per
+        line.  Integer rows cut each line exactly, by floor division, in
+        the cut that ``points`` reads (``_cut_integral``); f64 rows count
+        the leaves that pass the f64 leaf test (``_leaf_hits``).
 
         For f64 rows each line is cut by every row j with r0 != 0 at the
         ends A_j = fl(C_j - H_j) and B_j = fl(C_j + H_j) of its computed
@@ -719,8 +720,10 @@ class ReducedLattice(namedtuple("ReducedLattice",
         limit = self._limit(radius)
         if (refusal := _refusal(limit, self.gram_det)) is not None:
             raise BudgetError(refusal)
-        cut = _count_integral if self.escalated else _count_f64
-        return 2 * cut(self.rows, limit, self._lines(limit))
+        lines = self._lines(limit)
+        if self.escalated:
+            return 2 * sum(hi - lo + 1 for _, _, lo, hi in _cut_integral(self.rows, limit, lines))
+        return 2 * _count_f64(self.rows, limit, lines)
 
 
 def shortest_vector(lat: ReducedLattice) -> ShortVectorResult:
@@ -742,8 +745,8 @@ def count_points(lat: ReducedLattice, r) -> int:
     which serves every radius from one reduction.
 
     Counts are exact and even (the ball is symmetric): they are the
-    points that the f64 (or, on an escalated lattice, exact) leaf test of
-    ``points`` accepts, counted a line of the walk at a time.  An expected
+    points that the f64 leaf test accepts, or, on an escalated lattice,
+    the points of ``points``, counted a line of the walk at a time.  An expected
     count (2r)^3 / det(L) beyond the leaf cap raises BudgetError, and so do
     lines that charge more leaves than the cap, though most leaves of a
     line are never visited.  A radius that is not positive and finite is
@@ -766,13 +769,13 @@ def translate_reduction(s, x, t: float):
     """``lll_reduce`` of the f64 columns (e2, 0, 0), (e2 s, em, 0) and
     (e2 x, 0, em) of g_t phi(s) Z^3, x = a s + b, with s and x rounded to
     f64 and e2, em the f64 row scales e^{2t}, e^{-t} of ``_flow_scales``;
-    None where it refuses them, where e2, s, x or a step of the reduction
-    overflows f64, and where the reduction raises ReductionError."""
+    None where it refuses them and where e2, s, x or a step of the
+    reduction overflows f64."""
     try:
         e2, em = _flow_scales(t)
         return lll_reduce([[e2, 0.0, 0.0], [float(s) * e2, em, 0.0],
                            [float(x) * e2, 0.0, em]])
-    except (OverflowError, PrecisionError, ReductionError):
+    except (OverflowError, PrecisionError):
         return None
 
 
@@ -796,6 +799,6 @@ def translate_basis(line, s, t) -> ReducedLattice:
     e2, em = _flow_scales(t)
     if 0.0 in (e2, em):  # a zero row spans no lattice
         raise PrecisionError(f"the flow scaling underflows f64 at log scale {t:g}")
-    e2, em, s, x = (Fraction(*exact_ratio(v)) for v in (e2, em, s, x))
+    e2, em, s, x = (Fraction(v) for v in (e2, em, s, x))
     return ReducedLattice.exact([[e2, e2 * s, e2 * x], [0, em, 0], [0, 0, em]],
                                 None if reduced is None else reduced[1])

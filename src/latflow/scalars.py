@@ -91,10 +91,8 @@ class ScalarMode(namedtuple("ScalarMode", "kind bits")):
         return self.from_fraction(Fraction(n))
 
     def sqrt(self, n: int):
-        """sqrt(n) in this mode; rejected in rational mode unless n is a square."""
-        r = math.isqrt(n)
-        if r * r == n:
-            return self.from_int(r)
+        """sqrt(n) in this mode, correctly rounded; rejected in rational mode,
+        of which ``named_scalar`` asks only the irrational sqrt of 2, 3 and 5."""
         if self.kind == "rational":
             raise ParseError(f"sqrt({n}) is irrational; not representable in rational mode")
         if self.kind == "f64":
@@ -132,20 +130,16 @@ def mode_from_spec(text: str) -> ScalarMode:
     raise ParseError(f"unknown scalar mode {text!r}")
 
 
-def parse_fraction(text: str) -> Fraction:
-    """Exact value of a decimal or 'p/q' string."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as e:
-        raise ParseError(f"cannot parse number {text!r}") from e
-
-
 def scalar_from_decimal(text: str, mode: ScalarMode):
-    """Parse decimal or rational text into a mode scalar.
+    """Parse decimal or rational text ('p/q') into a mode scalar.
 
     Exact in rational mode, correctly rounded in the float modes.
     """
-    return mode.from_fraction(parse_fraction(text))
+    try:
+        fr = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as e:
+        raise ParseError(f"cannot parse number {text!r}") from e
+    return mode.from_fraction(fr)
 
 
 def liouville_partial(k: int) -> Fraction:
@@ -180,23 +174,6 @@ def named_scalar(text: str, mode: ScalarMode):
             raise ParseError(f"bad liouville constant {text!r}") from e
         return mode.from_fraction(liouville_partial(k))
     return scalar_from_decimal(text, mode)
-
-
-def exact_ratio(x) -> tuple[int, int]:
-    """(numerator, denominator) of the *stored* value of x, exactly.
-
-    Works for the scalars of every mode, int, Fraction and float: binary
-    floats are themselves rationals, so witness searches can always run over
-    exact integers regardless of mode.
-    """
-    if isinstance(x, int):
-        return x, 1
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    if isinstance(x, float):
-        n, d = x.as_integer_ratio()
-        return n, d
-    raise ParseError(f"unsupported scalar type {type(x).__name__}")
 
 
 def exp_f64(x: float) -> float:

@@ -20,7 +20,7 @@ from latflow import experiments as exp
 from latflow import flow
 from latflow import lattice
 from latflow.errors import InvalidInputError, ReductionError
-from latflow.scalars import F64, RATIONAL, ScalarMode, bigfloat, exact_ratio, named_scalar
+from latflow.scalars import F64, RATIONAL, ScalarMode, bigfloat, named_scalar
 
 from util import csv_per_cell, exact_scaled_rows, phi
 
@@ -375,7 +375,7 @@ def test_dirichlet_bigfloat_direct_check_at_full_precision(tmp_path):
                     "--out", str(out), "--format", "json"]) == 0
     mode = bigfloat(256)
     a, b, s = (named_scalar(x, mode) for x in ("sqrt2", "sqrt3", "0.555259"))
-    a, b, s = (Fraction(*exact_ratio(x)) for x in (a, b, s))
+    a, b, s = (Fraction(x) for x in (a, b, s))
     x2 = mode.from_fraction(a * s + b)
     samples = read_json(str(out) + ".json")["samples"]
     want = dio.dirichlet_direct(mode.from_fraction(s), x2, 0.6, [r["T"] for r in samples])

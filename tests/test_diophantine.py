@@ -13,7 +13,7 @@ from latflow import experiments as exp
 from latflow.errors import BudgetError, InvalidInputError, PrecisionError
 from latflow.flow import FlowTime, LineSegmentSpec
 from latflow.lattice import ReducedLattice, enumeration_budget
-from latflow.scalars import (F64, RATIONAL, bigfloat, exact_ratio, liouville_partial,
+from latflow.scalars import (F64, RATIONAL, bigfloat, liouville_partial,
                              named_scalar)
 
 from util import (ResidualScan, box_points_cold, dirichlet_grid, exact_ir_measure, exact_time,
@@ -661,7 +661,7 @@ def test_return_window_blocks_past_n_cap_are_empty(pair, R, s1, length, T, q_max
     # search at the first block past n_cap drops nothing; the cut search
     # yields the same points
     line = _density_line(pair, s1, length)
-    a, b, s1, s2 = (Fraction(*exact_ratio(x)) for x in (line.a, line.b, line.s1, line.s2))
+    a, b, s1, s2 = (Fraction(x) for x in (line.a, line.b, line.s1, line.s2))
     R = Fraction(R)
     n_cap = max(q_max, 2 * R / (s2 - s1) + abs(a) * q_max)
     forms = ((1, s1, b + a * s1), (1, s2, b + a * s2))

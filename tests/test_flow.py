@@ -8,7 +8,7 @@ import pytest
 
 from latflow.errors import InvalidInputError, PrecisionError
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
-from latflow.scalars import F64, RATIONAL, bigfloat, exact_ratio, named_scalar
+from latflow.scalars import F64, RATIONAL, bigfloat, named_scalar
 
 from util import (exact_time, ext2_constant, flow_ext2, flow_standard, g, mat_det, mat_mul,
                   mat_vec, phi, vandermonde_check)
@@ -108,7 +108,6 @@ def test_flow_standard_matches_matrix_path_f64():
 
 
 def test_flow_standard_matches_matrix_path_bigfloat():
-    from latflow.scalars import bigfloat, exact_ratio
     mode = bigfloat(192)
     rng = random.Random(44)
     line = LineSegmentSpec(mode.sqrt(2), mode.sqrt(3), mode.from_int(0),
@@ -289,7 +288,7 @@ def _bigfloat_results():
     v = (3, -2, 5)
     sups = [segment_sup(line, t, v),
             max(abs(x) for s in (line.s1, line.s2) for x in flow_ext2(line, s, t, v))]
-    return [exact_ratio(x) for x in named + matrix + sups]
+    return [x.as_integer_ratio() for x in named + matrix + sups]
 
 
 @pytest.mark.parametrize("global_bits", [20, 400])

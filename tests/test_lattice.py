@@ -22,12 +22,12 @@ from latflow.lattice import (
     shortest_vector,
     translate_basis,
 )
-from latflow.scalars import F64, RATIONAL, bigfloat, exact_ratio, named_scalar
+from latflow.scalars import F64, RATIONAL, bigfloat, named_scalar
 
 from util import (brute_force_count, brute_force_lambda1, count_leaf_by_leaf,
                   count_points_f64, count_points_mp, count_refused, exact_scaled_rows,
                   f64_lattice, gram_schmidt_full, lll_reduce_full, lll_reduce_integral_cohen,
-                  phi, random_unimodular_columns, scaled_columns, shortest_vector_f64,
+                  phi, points_leaf_by_leaf, random_unimodular_columns, scaled_columns, shortest_vector_f64,
                   shortest_vector_mp)
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
@@ -112,10 +112,15 @@ def _f64_refused(cols):
 
 
 def _reduction_or_error(reduce, cols):
+    """``reduce(cols)``, OverflowError where it raises that, and None where
+    it meets singular columns (the full-recompute oracle raises
+    ReductionError there, and ``lll_reduce`` returns None)."""
     try:
         return reduce(cols)
-    except (OverflowError, ReductionError) as e:
-        return type(e)
+    except OverflowError:
+        return OverflowError
+    except ReductionError:
+        return None
 
 
 def _assert_same_reduction(cols):
@@ -124,8 +129,9 @@ def _assert_same_reduction(cols):
     Gram-Schmidt data are not finite, else bit for bit the oracle's reduced
     rows, U and Gram-Schmidt data (the row-wise updates evaluate the same
     expressions as a full recompute), with ``resolved`` true exactly when
-    the spread is at most GSO_RANGE_CAP; the same error where a step
-    overflows or meets singular columns.  ``cols`` is left as it was."""
+    the spread is at most GSO_RANGE_CAP; OverflowError where a step
+    overflows, and None where a step meets singular columns.  ``cols`` is
+    left as it was."""
     before = [list(col) for col in cols]
     got = _reduction_or_error(lll_reduce, cols)
     assert cols == before
@@ -134,7 +140,7 @@ def _assert_same_reduction(cols):
         assert got is None
         return
     want = _reduction_or_error(lll_reduce_full, cols)
-    if isinstance(want, type):
+    if want is None or want is OverflowError:
         assert got is want
         return
     red, u = want
@@ -218,6 +224,25 @@ _huge = st.floats(-1e300, 1e300, allow_nan=False)
 @example(a=-2e219, b=-2e289, s=0.6386839963153215, t=1.0)
 def test_lll_reduce_refuses_exactly_where_f64_fails(a, b, s, t):
     _assert_same_reduction(_f64_translate_columns(a, b, s, t))
+
+
+@pytest.mark.parametrize("cols", [
+    # nearly dependent columns of spread 7.0e15, 4.0e15 and 8.3e15 (under
+    # 2^53), whose second Gram-Schmidt length a size reduction takes to 0,
+    # whose third is 0 once k reaches 2, and whose second is 0 after a swap
+    [[-0.9982861958282183, 0.4965188032671597, 0.7162941326194954],
+     [2.5431752790656574, -1.2649021406258052, -1.8247888613809335],
+     [2.8699307529800415, -1.427420902827424, -2.059243699827333]],
+    [[0.29638169760048894, 0.7150493034615606, -0.43092316057618696],
+     [1.11239676018734, 2.683763994148678, -1.617365483751275],
+     [0.6610242209877064, 1.5947844034067646, -0.9610939164988576]],
+    [[-0.1377711018051988, 0.7837720210359582, 0.810267987993377],
+     [-0.12895372900908075, 0.7336104849366647, 0.7584107057238342],
+     [-0.16124364433883245, 0.9173059904924199, 0.9483161676378153]],
+])
+def test_lll_reduce_refuses_columns_singular_in_its_loop(cols):
+    assert lll_reduce(cols) is None
+    _assert_same_reduction(cols)
 
 
 @settings(max_examples=60, deadline=None)
@@ -325,7 +350,7 @@ def test_exact_fallback_past_f64_gram_schmidt_range():
     x = res.vector
     # the entries of phi(0.71) times the f64 row scales, both exact
     scales = (math.exp(400.0), math.exp(-200.0), math.exp(-200.0))
-    rows = [[Fraction(*exact_ratio(e)) * Fraction(scale) for e in row]
+    rows = [[Fraction(e) * Fraction(scale) for e in row]
             for row, scale in zip(phi(GENERIC_LINE, 0.71), scales)]
     norm = max(abs(sum(row[j] * x[j] for j in range(3))) for row in rows)
     assert res.lambda1 == float(norm)
@@ -657,11 +682,12 @@ def _cold_arm_seen(monkeypatch, line, s, t):
     return lat
 
 
-@pytest.mark.parametrize("error", [ReductionError, OverflowError])
+@pytest.mark.parametrize("error", [OverflowError, PrecisionError])
 @pytest.mark.parametrize("kind", ["f64", "bigfloat"])
 def test_failed_f64_pass_takes_the_cold_arm(monkeypatch, error, kind):
-    # an f64 pass that raises gives no start, at t = 5 (an f64 lattice
-    # otherwise) and at t = 10 (a warm start otherwise)
+    # an f64 pass that raises one of the two errors translate_reduction
+    # catches gives no start, at t = 5 (an f64 lattice otherwise) and at
+    # t = 10 (a warm start otherwise)
     def failing(cols):
         raise error("the f64 pass fails")
 
@@ -851,13 +877,14 @@ def test_enumeration_walks_only_the_half_ball_it_yields():
     assert time.perf_counter() - start < 5.0
 
 
-def test_lll_iteration_cap_raises(monkeypatch):
+def test_lll_iteration_cap_refuses(monkeypatch):
     # the cap is read when lll_reduce is called; a translate needs more than
-    # one step (it swaps at t = 5), and translate_basis then reduces its rows
-    # exactly, cold
+    # one step (it swaps at t = 5), so lll_reduce refuses it, and
+    # translate_basis then reduces its rows exactly, cold
+    cols = scaled_columns(phi(GENERIC_LINE, 0.71), 5.0)
+    assert lll_reduce(cols) is not None
     monkeypatch.setattr(lattice, "LLL_ITERATION_CAP", 1)
-    with pytest.raises(ReductionError, match="iteration cap"):
-        lll_reduce(scaled_columns(phi(GENERIC_LINE, 0.71), 5.0))
+    assert lll_reduce(cols) is None
     lat = translate_basis(GENERIC_LINE, 0.71, FlowTime.of(5.0))
     assert lat == ReducedLattice.exact(exact_scaled_rows(phi(GENERIC_LINE, 0.71), 5.0))
 
@@ -1024,6 +1051,32 @@ def test_count_refusal_is_the_exact_rule(case):
 def test_count_points_budget_error():
     with enumeration_budget(10_000), pytest.raises(BudgetError):
         count_points(f64_lattice(IDENTITY), 500.0)
+
+
+_small_rows = st.integers(3, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_small_rows, radius=st.fractions(0, 8, max_denominator=3))
+# reduced rows (1, 0, 0), (0, 3, 0), (0, 0, 5): two rows with r0 = 0 that
+# cut lines off; (-2, 1, 1), (1, 3, 3), (0, -1, 6), (0, 0, 0): r0 < 0, r0 = 0
+# and a zero row; 2 I at radius 4: limits on slab ends; and a radius 3/2
+# below lambda1 = 2
+@example(rows=[[1, 0, 0], [0, 3, 0], [0, 0, 5]], radius=Fraction(6))
+@example(rows=[[-2, 1, 0], [1, 3, 0], [0, -1, 7], [0, 0, 0]], radius=Fraction(7))
+@example(rows=[[2, 0, 0], [0, 2, 0], [0, 0, 2]], radius=Fraction(4))
+@example(rows=[[2, 0, 0], [0, 3, 0], [0, 0, 5]], radius=Fraction(3, 2))
+def test_points_cut_equals_the_leaf_by_leaf_points(rows, radius):
+    # the integer line cut yields the points of the full leaf test, in the
+    # same order, and ``count`` counts them
+    try:
+        lat = ReducedLattice.exact(rows)
+    except ReductionError:  # dependent columns
+        assume(False)
+    want = points_leaf_by_leaf(lat, radius)
+    assert list(lat.points(radius)) == want
+    assert lat.count(radius) == 2 * len(want)
 
 
 def test_enumeration_budget_nests_and_restores():

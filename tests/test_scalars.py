@@ -18,7 +18,6 @@ from latflow.scalars import (
     mode_from_spec,
     named_scalar,
     scalar_from_decimal,
-    exact_ratio,
 )
 
 from util import mat_det, mat_identity, mat_mul, mat_vec
@@ -41,7 +40,7 @@ def test_parse_f64_correctly_rounded():
 def test_parse_bigfloat_precision():
     x = scalar_from_decimal("1/3", bigfloat(256))
     # 256-bit third: residual of 3x - 1 far below double precision
-    n, d = exact_ratio(x)
+    n, d = x.as_integer_ratio()
     assert abs(Fraction(n, d) * 3 - 1) < Fraction(1, 10 ** 70)
 
 
@@ -111,18 +110,6 @@ def test_rational_round_trips():
         assert (a + b) - b == a
         if b != 0:
             assert (a * b) / b == a
-
-
-def test_exact_ratio_of_floats_and_mpf():
-    n, d = exact_ratio(0.1)
-    assert Fraction(n, d) == Fraction(0.1)
-    x = scalar_from_decimal("1/3", bigfloat(100))
-    n, d = exact_ratio(x)
-    assert abs(Fraction(n, d) - Fraction(1, 3)) < Fraction(1, 2 ** 90)
-    # an mpmath value is no latflow scalar
-    with mpmath.workprec(100):
-        with pytest.raises(ParseError):
-            exact_ratio(mpmath.mpf(1) / 3)
 
 
 # -- correct rounding of bigfloat scalars, against mpmath at >= 2B + 64 bits ---

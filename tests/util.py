@@ -10,9 +10,9 @@ LLL-reducedness check, the float p-window decision of I_R on a grid, the numpy
 Dirichlet grid, an exact I_R measure, the segment element phi(s) and the
 exact translate rows that ``translate_basis`` hands ``ReducedLattice.exact``,
 the per-sample translate route through ``Fraction``, the per-cell CSV
-writer, the leaf-by-leaf point count and the exact expected-count
-refusal of ``ReducedLattice.count``, and the two-sample KS statistic by
-bisection."""
+writer, the leaf-by-leaf points and point count of a lattice, the exact
+expected-count refusal of ``ReducedLattice.count``, and the two-sample KS
+statistic by bisection."""
 
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from latflow import diophantine as dio
 from latflow.errors import BudgetError, InvalidInputError, ReductionError
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
 from latflow.lattice import LLL_DELTA_EXACT, ReducedLattice, lll_reduce
-from latflow.scalars import F64, ScalarMode, exact_ratio
+from latflow.scalars import F64, ScalarMode
 
 SEGMENT_MINIMUM_SCAN_BUDGET = 100_000_000
 
@@ -275,7 +275,7 @@ def exact_scaled_rows(matrix, log_scale: float = 0.0):
     as exact ``Fraction`` products: for phi(s), the rows that
     ``translate_basis`` hands ``ReducedLattice.exact``."""
     scale = (math.exp(2 * log_scale), math.exp(-log_scale), math.exp(-log_scale))
-    return [[Fraction(*exact_ratio(x)) * Fraction(scale[i]) for x in matrix[i]]
+    return [[Fraction(x) * Fraction(scale[i]) for x in matrix[i]]
             for i in range(3)]
 
 
@@ -413,7 +413,7 @@ def _mp_columns(matrix, log_scale):
     cols = [[None] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(3):
-            n, d = exact_ratio(matrix[i][j])
+            n, d = matrix[i][j].as_integer_ratio()
             cols[j][i] = mpmath.mpf(n) / mpmath.mpf(d) * scale[i]
     return cols
 
@@ -504,26 +504,43 @@ def half_ball_leaves(mu, norm2, bound2):
                 yield (x0, x1, x2)
 
 
-def count_leaf_by_leaf(lat, radius) -> tuple[int, int]:
-    """Oracle for ``ReducedLattice.count`` below its refusal: (twice the
-    leaves of ``half_ball_leaves`` whose every row is within the limit in
-    the rows' own arithmetic, as the leaf test of ``points`` has it, and
-    the number of leaves walked)."""
+def _tested_leaves(lat, radius):
+    """Each leaf x of ``half_ball_leaves`` of the walk of ``lat`` within
+    ``radius``, in order, with whether every row is within the limit at x
+    in the rows' own arithmetic: the leaf test, made leaf by leaf."""
     limit = lat._limit(radius)
     bound2 = float(len(lat.rows) * limit * limit / lat.scale2) * (1 + 1e-9) ** 2
+    for x in half_ball_leaves(lat.mu, lat.norm2, bound2):
+        yield x, all(abs(r0 * x[0] + r1 * x[1] + r2 * x[2]) <= limit
+                     for r0, r1, r2 in lat.rows)
+
+
+def count_leaf_by_leaf(lat, radius) -> tuple[int, int]:
+    """Oracle for ``ReducedLattice.count`` below its refusal: (twice the
+    leaves that pass the leaf test, and the number of leaves walked)."""
     hits = leaves = 0
-    for x0, x1, x2 in half_ball_leaves(lat.mu, lat.norm2, bound2):
+    for _, hit in _tested_leaves(lat, radius):
         leaves += 1
-        hits += all(abs(r0 * x0 + r1 * x1 + r2 * x2) <= limit for r0, r1, r2 in lat.rows)
+        hits += hit
     return 2 * hits, leaves
+
+
+def points_leaf_by_leaf(lat, radius) -> list[tuple]:
+    """Oracle for ``ReducedLattice.points`` of an exact lattice: the
+    coefficients w.r.t. the basis of each leaf that passes the leaf test,
+    in the walk's order, each leaf tested in full rather than cut a line
+    at a time."""
+    u = lat.transform
+    return [tuple(sum(col[i] * c for col, c in zip(u, x)) for i in range(3))
+            for x, hit in _tested_leaves(lat, radius) if hit]
 
 
 def count_refused(limit, gram_det, budget: int) -> bool:
     """Oracle for the expected-count refusal of ``ReducedLattice.count``:
     (2 limit)^6 / gram_det > budget^2, decided in integers; an f64 Gram
     determinant past the f64 range refuses nothing."""
-    ln, ld = exact_ratio(limit)
-    gn, gd = (1, 0) if gram_det == math.inf else exact_ratio(gram_det)
+    ln, ld = limit.as_integer_ratio()
+    gn, gd = (1, 0) if gram_det == math.inf else gram_det.as_integer_ratio()
     return (2 * ln) ** 6 * gd > budget ** 2 * gn * ld ** 6
 
 
@@ -672,7 +689,8 @@ def box_points_cold(forms, bound, q_max: int, block_p2: bool = False):
     """Oracle for ``diophantine._box_points`` on the rational forms
     ``forms``: the same blocks, each with its rows built from ``Fraction``s
     and reduced from the identity, as the search was written before each
-    block started from the basis of the block before."""
+    block started from the basis of the block before, and its points taken
+    leaf by leaf (``points_leaf_by_leaf``)."""
     Q = 1
     while (B := bound(Q)) is not None:
         end = 2 * Q - 1
@@ -680,7 +698,7 @@ def box_points_cold(forms, bound, q_max: int, block_p2: bool = False):
         if block_p2:
             rows.append([0, Fraction(1, end), 0])
         block = []
-        for p1, p2, q in ReducedLattice.exact(rows).points(1):
+        for p1, p2, q in points_leaf_by_leaf(ReducedLattice.exact(rows), 1):
             if q < 0:
                 p1, p2, q = -p1, -p2, -q
             n = max(abs(p2), q) if block_p2 else q
@@ -752,8 +770,8 @@ class ResidualScan:
     """
 
     def __init__(self, a, b):
-        self.na, self.da = exact_ratio(a)
-        self.nb, self.db = exact_ratio(b)
+        self.na, self.da = a.as_integer_ratio()
+        self.nb, self.db = b.as_integer_ratio()
 
     def iterate(self, q_max: int):
         ra = rb = 0
@@ -795,7 +813,7 @@ class ResidualScan:
 def w2_witness_search_scan(a, b, C, q_max: int):
     """Oracle for ``w2_witness_search``: one step per q, a float filter and
     the exact integer test."""
-    cn, cd = exact_ratio(C)
+    cn, cd = C.as_integer_ratio()
     scan = ResidualScan(a, b)
     c_f = _ratio_float(cn, cd)
     hits = []
@@ -813,7 +831,7 @@ def w2eps_witness_search_scan(a, b, eps, q_max: int):
     """Oracle for ``w2eps_witness_search``: one step per q and the exact test
     r^d q^n <= 1 of each residual r, with 2 + eps = n/d; only for eps of
     small denominator d."""
-    two_plus_eps = 2 + Fraction(*exact_ratio(eps))
+    two_plus_eps = 2 + Fraction(eps)
     n, d = two_plus_eps.numerator, two_plus_eps.denominator
     exponent = float(two_plus_eps)
     scan = ResidualScan(a, b)
@@ -827,7 +845,7 @@ def w2eps_witness_search_scan(a, b, eps, q_max: int):
 
 def w2inf_profile_scan(a, b, C_list, q_max: int):
     """Oracle for ``w2inf_profile``: the first q of the scan that meets each C."""
-    cs = [Fraction(*exact_ratio(C)) for C in C_list]
+    cs = [Fraction(C) for C in C_list]
     scan = ResidualScan(a, b)
     found = {}
     for q, rb, ra in scan.iterate(q_max):
@@ -845,7 +863,7 @@ def ir_density_scan(line, R, T, q_max: int, dt: float = 0.01):
     the same E_q candidates."""
     T = float(T)
     R_f = float(R)
-    r_fr = Fraction(*exact_ratio(R))
+    r_fr = Fraction(R)
     r1_fr = dio.sup_operator_norm_R1(line, R)
     R1_f = float(r1_fr)
     scan = ResidualScan(line.a, line.b)
@@ -1038,7 +1056,7 @@ def segment_minimum_scan(line: LineSegmentSpec, t: FlowTime, R_cap: float,
     # rank the near ties exactly, on the stored values of e^{2t}, e^{-t}, a,
     # b, s1 and s2 (float rounding can tie or swap them); equal values go to
     # the smallest (q, p2, p1)
-    fe2, fem, fa, fb, fs1, fs2 = (Fraction(*exact_ratio(x)) for x in (
+    fe2, fem, fa, fb, fs1, fs2 = (Fraction(x) for x in (
         t.factor(2, line.mode), t.factor(-1, line.mode),
         line.a, line.b, line.s1, line.s2))
 

@@ -70,7 +70,36 @@ SHOWN = 10  # differing operations named in full
 # t <= 8, whose f64 pass resolves the columns but only starts the exact
 # reduction, f64 translates at t = 12.5 and 13, whose spread is past
 # 2^53 = 1/u, so that they reduce exactly and cold, and a rational line
-# at t = 10, whose f64 pass leaves the columns unresolved.
+# at t = 10, whose f64 pass leaves the columns unresolved; last, f64
+# translates of (0, 0) at t = 0 (Gram-Schmidt lengths 1) at a radius r whose
+# walk bound fl(3 r^2) (1 + 1e-9)^2 falls just below 25 while its square
+# root rounds to 5, so that both ``continue`` guards of the walk skip a
+# line; f64 translates with s near 10^300 at t = 8, where s e^{4t}
+# overflows and ``lll_reduce`` refuses the columns at their second
+# Gram-Schmidt length; and a rational W2eps test whose 2 + eps is log2(50)
+# to 36 digits, so that at q = 2, r = 1/50 ``_pow_bound_check`` doubles
+# its digits.
+#
+# No operation reaches these lines, error paths aside, for these reasons:
+# - ``cli._fmt`` of a bool: every bool column of a report is all bool, which
+#   ``_csv_cells`` maps without ``_fmt``; ``_fmt`` is the tests' reference;
+# - ``cli._write_outputs`` without --out: these tools give every operation
+#   an --out, to compare its files;
+# - the doubling of ``ScalarMode.rounded``: it needs a square root or an
+#   e^{kt} within about 2^-(33 + B/10) ulp of a B-bit rounding boundary
+#   (a test builds one);
+# - ``ScalarMode.from_int``: only the tests' oracles call it;
+# - the iteration cap of ``lll_reduce``: at a spread of at most 2^53 the
+#   loop ends within about 44,000 steps in exact arithmetic (each swap
+#   cuts d1 d2 by 0.99, and it can fall by a factor of at most
+#   (4/3) spread^6), under the cap of 100,000;
+# - the in-loop refusals of ``lll_reduce``: a zero Gram-Schmidt length
+#   after a step needs columns dependent to within rounding, a spread
+#   within a small factor of 2^53, which no translate of the operations
+#   meets (tests build such columns);
+# - the non-finite refusal of ``lll_reduce`` after its loop: past the entry
+#   tests every squared column length is finite and the spread at most
+#   2^53, so no step leaves the f64 range.
 EXTRA_OPS = [
     ["equidist", "sqrt2", "sqrt3", "--mode", "bigfloat:256", "--t-list", "5,9.5,11",
      "--N", "20", "--radii", "1.5"],
@@ -128,6 +157,12 @@ EXTRA_OPS = [
     ["equidist", "sqrt2", "sqrt3", "--t-list", "12.5,13", "--N", "20"],
     ["equidist", "1/2", "1/3", "--mode", "rational", "--t-list", "10", "--N", "20",
      "--radii", "1.5"],
+    ["equidist", "0", "0", "--interval=0,1e-100", "--t-list", "0", "--N", "3",
+     "--radii", "2.886751343061377"],
+    ["equidist", "sqrt2", "sqrt3", "--interval=0,1e300", "--t-list", "8", "--N", "3",
+     "--radii", "0.001"],
+    ["classify", "0", "1/100", "--mode", "rational", "--q-max", "10",
+     "--eps", "3.643856189774724695740638858978780352"],
 ]
 
 # Runs in the child, with cwd the tree's temporary directory:
