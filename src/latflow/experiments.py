@@ -23,9 +23,10 @@ from functools import lru_cache
 from fractions import Fraction
 
 from .errors import InvalidInputError, PrecisionError
-from .flow import FlowTime, LineSegmentSpec, segment_sup
+# segment_sup is not called here; perfbench's trace hooks wrap it in this module
+from .flow import FlowTime, LineSegmentSpec, segment_sup  # noqa: F401
 from .lattice import (ReducedLattice, count_points, shortest_vector, translate_basis,
-                      translate_reduction)
+                      translate_reduction, translate_rows)
 
 
 _MASK64 = (1 << 64) - 1
@@ -70,33 +71,35 @@ def count_key(r: float) -> str:
     return f"count_r{r:g}"
 
 
+def _draws(line: LineSegmentSpec, N: int, seed: int) -> list:
+    """The draws s = s1 + u (s2 - s1) of samples 0..N-1 in the line's
+    arithmetic, u the f64 uniform of ``_uniforms`` (an exact dyadic), so s
+    lies in I in every mode and sample i has the same s at every t and N."""
+    if N < 1:
+        raise InvalidInputError("need N >= 1 samples")
+    s1, width = line.s1, line.s2 - line.s1
+    us = _uniforms(seed, N)
+    if line.mode.kind != "f64":  # in f64, mode.from_fraction(Fraction(u)) is u
+        us = [line.mode.from_fraction(Fraction(u)) for u in us]
+    return [s1 + u * width for u in us]
+
+
 def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
                      radii=()) -> list[dict]:
-    """N i.i.d. uniform draws of s over I, as the ``equidist`` report rows:
-    per sample s (as f64), t, the certified first minimum ``lambda1``,
+    """The N i.i.d. uniform draws of ``_draws`` as the ``equidist`` report
+    rows: per sample s (as f64), t, the certified first minimum ``lambda1``,
     ``certified``, ``escalated`` and one ``count_key(r)`` per radius, the
     nonzero-point count at r, all from one ``ReducedLattice`` of the
     sample's basis.  Radii are counted in the order given.
-
-    s = s1 + u (s2 - s1) is taken in the line's arithmetic, with u the
-    sample's f64 uniform (an exact dyadic), so s lies in I in every mode.
-    Sample i takes its u from ``sample_uniform(seed, i)`` at every t and N;
-    the last (seed, N) keeps its draws, which a grid of flow times shares.
 
     A result computed off the f64 lattice path (every bigfloat sample, and
     bases too skewed for f64) is marked ``escalated``; ``shortest_vector``
     certifies every minimum, so ``certified`` is always true.
     """
-    if N < 1:
-        raise InvalidInputError("need N >= 1 samples")
-    s1, width, tf = line.s1, line.s2 - line.s1, float(t.t)
+    tf = float(t.t)
     counts = [(count_key(r), r) for r in map(float, radii)]
-    us = _uniforms(seed, N)
-    if line.mode.kind != "f64":  # in f64, mode.from_fraction(Fraction(u)) is u
-        us = [line.mode.from_fraction(Fraction(u)) for u in us]
     rows = []
-    for u in us:
-        s = s1 + u * width
+    for s in _draws(line, N, seed):
         lat = translate_basis(line, s, t)
         res = shortest_vector(lat)
         row = {"s": float(s), "t": tf, "lambda1": res.lambda1,
@@ -115,11 +118,17 @@ def check_delta(delta: float) -> None:
 
 def escape_mass_fraction(line: LineSegmentSpec, t: FlowTime, delta: float,
                          N: int, seed: int) -> float:
-    """Fraction of sampled translates outside the compact set K_delta,
-    i.e. with lambda_1 < delta."""
+    """Fraction of the translates of ``sample_translate``'s draws outside
+    the compact set K_delta, i.e. with the f64 lambda_1 below delta, asked
+    without a lambda_1: ``minimum`` within delta finds the first minimum
+    where it is at most delta, and that norm rounded once to f64, as
+    lambda_1 is (ties to even), decides the strict test."""
     check_delta(delta)
-    rows = sample_translate(line, t, N, seed)
-    return sum(1 for row in rows if row["lambda1"] < delta) / N
+    hits = 0
+    for s in _draws(line, N, seed):
+        found = translate_basis(line, s, t).minimum(delta)
+        hits += found is not None and float(found[0]) < delta
+    return hits / N
 
 
 # -- exhaustive segment-minimum search --------------------------------------
@@ -136,35 +145,28 @@ def segment_minimum(line: LineSegmentSpec, t: FlowTime, R_cap: float) -> tuple |
 
     so the minimum is that lattice's first sup-norm minimum.  E2 and Em are
     the values that ``t.factor`` gives, and they, a, b, s1 and s2 are taken
-    at their exact stored values, so ``ReducedLattice.exact`` solves it
-    exactly; ties go to the sign-normalised vector smallest in (q, p2, p1).
-    Its first, third and fourth rows are the rows of the translate at
-    s = s1, so the exact reduction starts from the U of that translate's
-    f64 ``translate_reduction`` where it gives one, and cold where it does
-    not; the minimum does not depend on the start.
-    The value is ``segment_sup`` of the minimizer, the exact minimum
-    rounded once into the line's scalars (exact in rational mode).
+    at their exact stored values, in integers (``translate_rows``), so
+    ``ReducedLattice.of_ratios`` solves it exactly; ties go to the
+    sign-normalised vector smallest in (q, p2, p1).
+    Rows 1, 3 and 4 are those of the translate at s1, so the reduction
+    starts from the U of its f64 ``translate_reduction`` where it gives one;
+    the minimum does not depend on the start.  The value is that exact
+    minimum, ``segment_sup`` of the minimizer, rounded once into the line's
+    scalars (exact in rational mode), so at most R_cap too.
     """
     if not 1 <= R_cap < math.inf:
         raise InvalidInputError("R_cap must be finite and >= 1")
-    e2, em, a, b, s1, s2 = (
-        Fraction(x)
-        for x in (t.factor(2, line.mode), t.factor(-1, line.mode),
-                  line.a, line.b, line.s1, line.s2))
+    e2, em = t.factor(2, line.mode), t.factor(-1, line.mode)
     if e2 == 0 or em == 0:
         # an f64 e^{2t} (or e^{-t}) that underflows leaves a singular lattice
         raise PrecisionError(f"e^(kt) underflows f64 at t = {t.t:g}")
-    rows = ((e2, e2 * s1, e2 * (b + a * s1)),
-            (e2, e2 * s2, e2 * (b + a * s2)),
-            (0, em, 0),
-            (0, 0, em))
+    (an, ad), (bn, bd) = line.a.as_integer_ratio(), line.b.as_integer_ratio()
+    ends = [((n, d), (bn * ad * d + an * n * bd, bd * ad * d))  # s and b + a s
+            for n, d in (line.s1.as_integer_ratio(), line.s2.as_integer_ratio())]
     reduced = translate_reduction(line.s1, line.a * line.s1 + line.b, float(t.t))
-    found = ReducedLattice.exact(rows, None if reduced is None else reduced[1]).minimum(R_cap)
-    if found is None:
-        return None
-    # segment_sup rounds the lattice norm, at most R_cap, from the same exact
-    # values; rounding is monotone, so the value is at most R_cap too
-    return found[1], segment_sup(line, t, found[1])
+    found = ReducedLattice.of_ratios(translate_rows(e2, em, ends),
+                                     None if reduced is None else reduced[1]).minimum(R_cap)
+    return None if found is None else (found[1], line.mode.from_fraction(found[0]))
 
 
 # -- trajectory probes -------------------------------------------------------

@@ -79,9 +79,9 @@ class FlowTime(namedtuple("FlowTime", "t")):
 @lru_cache(maxsize=8)
 def _exp_bigfloat(t: float, k: int, mode: ScalarMode) -> Fraction:
     """e^{k t} correctly rounded to the B bits of the bigfloat ``mode``, by
-    one Ziv loop per (t, k, B) among the last few asked for: one flow time
-    asks for the same powers again (``segment_minimum``, then
-    ``segment_sup``)."""
+    one Ziv loop per (t, k, B) among the last few asked for: the
+    ``segment_sup`` of several vectors at one flow time asks for the same
+    powers again."""
     # k t exactly: a float's decimal is finite
     kt = decimal.Context(prec=decimal.MAX_PREC).multiply(decimal.Decimal(t), k)
     return mode.rounded(lambda ctx: ctx.exp(kt))

@@ -10,27 +10,25 @@ inflated ball contains every candidate that could beat the incumbent).
 
 A lattice is one value, ``ReducedLattice``, made by either reduction.
 ``ReducedLattice.f64`` takes three f64 columns that one ``lll_reduce``
-reduced and resolved, whose reduced rows and Gram-Schmidt data go on to the
-enumeration.  ``ReducedLattice.exact(rows)`` scales the rational rows of a
-rank-3 lattice in Q^n to integers and runs the integral LLL (no rounding
-anywhere), warm started, if asked, from the transform of a lattice reduced
-before.  ``translate_basis`` writes the basis of the translate
-g_t phi(s) Z^3 once, from s, a s + b and the f64 flow scales, and reduces
-it rounded to f64 once, by ``translate_reduction``.  Where f64 resolves the
-lattice (its spread, the longest column over the least Gram-Schmidt
-length, at most ``GSO_RANGE_CAP``) an f64 or rational line keeps that
-reduction; otherwise, and for every bigfloat line, the unrounded basis goes
-to ``exact``, started from the f64 transform wherever f64 still reduced it
-(a spread up to ``SPREAD_CAP`` = 1/u): reducing in floating point and then
-finishing exactly (Nguyen and Stehle, SIAM J. Comput. 2009).  A lattice's
-``points``, ``minimum`` and ``count`` are one Fincke-Pohst enumeration,
-over coefficients in the reduced basis that only ``points`` and
-``minimum`` map back through U; they take radii in the rows' own units
-and compare candidates in the rows' own arithmetic (f64, or integers).
-``shortest_vector`` and ``count_points`` read that value, so the minimum and
-the counts at every radius share one reduction; ``ReducedLattice.exact``
-also gives the segment minima (started from the f64 reduction of the
-translate at s1), the Dirichlet check and the Diophantine search boxes.
+reduced and resolved.  ``ReducedLattice.of_ratios`` scales the rows of a
+rank-3 lattice in Q^n, given as integer ratios, to integers and runs the
+integral LLL (no rounding anywhere), warm started, if asked, from the
+transform of a lattice reduced before; ``exact`` takes the rows as numbers.
+``translate_basis`` reduces the basis of g_t phi(s) Z^3 rounded to f64
+once (``translate_reduction``).  Where f64 resolves it (a spread, the
+longest column over the least Gram-Schmidt length, at most
+``GSO_RANGE_CAP``) an f64 or rational line keeps that reduction;
+otherwise, and for every bigfloat line, the unrounded rows, built in
+integers by ``translate_rows``, go to ``of_ratios``, started from the f64
+transform wherever f64 still reduced them (a spread up to ``SPREAD_CAP`` =
+1/u): reducing in floating point and then finishing exactly (Nguyen and
+Stehle, SIAM J. Comput. 2009).  A lattice's ``points``, ``minimum`` and
+``count`` are one Fincke-Pohst enumeration, over coefficients in the
+reduced basis that only ``points`` and ``minimum`` map back through U; they
+take radii in the rows' own units and compare candidates in the rows' own
+arithmetic (f64, or integers).  ``shortest_vector`` and ``count_points``
+read that value; the exact reduction also gives the segment minima, the
+Dirichlet check and the Diophantine search boxes.
 
 The enumeration walks lines: ``_enumerate_half_ball`` yields each run
 lo <= x0 <= hi of the innermost coefficient at fixed (x1, x2), and charges
@@ -557,12 +555,17 @@ class ReducedLattice(namedtuple("ReducedLattice",
 
     @classmethod
     def exact(cls, rows, start=None) -> "ReducedLattice":
+        """``of_ratios`` of the ``as_integer_ratio()`` of each entry of the
+        rational n x 3 matrix ``rows`` (``int`` or ``Fraction`` entries)."""
+        return cls.of_ratios([[x.as_integer_ratio() for x in row] for row in rows], start)
+
+    @classmethod
+    def of_ratios(cls, rows, start=None) -> "ReducedLattice":
         """Integral LLL of the lattice spanned by the three independent
-        columns of the rational n x 3 matrix ``rows`` (``int`` or
-        ``Fraction`` entries), scaled to integers by the least common
-        denominator ``den`` of its entries; each entry x becomes the integer
-        x.numerator * (den // x.denominator), with no ``Fraction`` made (an
-        integer matrix is its own integer rows, den = 1).
+        columns of the n x 3 matrix of the ratios (n, d) of ``rows``, each in
+        lowest terms with d > 0, scaled to integers by the least common
+        denominator ``den`` of its entries: (n, d) becomes the integer
+        n (den // d), with no ``Fraction`` made.
 
         A ``start`` warm-starts it: given a unimodular U0 in the convention
         of ``transform`` (a list of its columns), at best the ``transform``
@@ -573,17 +576,19 @@ class ReducedLattice(namedtuple("ReducedLattice",
         That is another reduced basis of the same lattice, so the points,
         minima and counts of the enumeration are the same; only the order in
         which ``points`` yields its points may change."""
-        den = math.lcm(*(x.denominator for row in rows for x in row))
-        rows = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+        den = math.lcm(*(d for row in rows for _, d in row))
+        rows = [[n * (den // d) for n, d in row] for row in rows]
         red, u, d, lam = lll_reduce_integral(list(zip(*rows)) if start is None else [
-            [sum(map(mul, row, col)) for row in rows] for col in start])
+            [r0 * c0 + r1 * c1 + r2 * c2 for r0, r1, r2 in rows] for c0, c1, c2 in start])
         if start is not None:
             u = [_transform_apply(start, col) for col in u]
-        # GSO data relative to |b*_0|^2 = d[1]; every entry is a correctly
-        # rounded float of an exact ratio
-        mu = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(3)]
-        norm2 = [_clamped_ratio(d[i + 1], d[i] * d[1]) for i in range(3)]
-        return cls(tuple(zip(*red)), u, mu, norm2, d[1], d[3], den, escalated=True)
+        # GSO data relative to |b*_0|^2 = d1, mu_ij = lam_ij / d_{j+1} and
+        # |b*_i|^2 = d_{i+1} / d_i: each a correctly rounded float of an exact ratio
+        _, d1, d2, d3 = d
+        (l10, _, _), (l20, l21, _) = lam[1], lam[2]
+        mu = [[], [l10 / d1], [l20 / d1, l21 / d2]]
+        norm2 = [1.0, _clamped_ratio(d2, d1 * d1), _clamped_ratio(d3, d2 * d1)]
+        return cls(tuple(zip(*red)), u, mu, norm2, d1, d3, den, escalated=True)
 
     @property
     def shortest(self):
@@ -779,18 +784,31 @@ def translate_reduction(s, x, t: float):
         return None
 
 
+def translate_rows(e2, em, points) -> list:
+    """The rows (e2, e2 s, e2 x), one for each (s, x) of ``points``, then
+    (0, em, 0) and (0, 0, em), as ``ReducedLattice.of_ratios`` takes them:
+    e2 and em are numbers, s and x ratios (n, d), d > 0, in any terms, and
+    each product takes one gcd.  One point gives the basis rows of
+    g_t phi(s) Z^3; ``segment_minimum`` gives the ends of its segment."""
+    (en, ed), em = e2.as_integer_ratio(), em.as_integer_ratio()
+    rows = []
+    for (sn, sd), (xn, xd) in points:
+        sn, sd, xn, xd = en * sn, ed * sd, en * xn, ed * xd
+        g, h = math.gcd(sn, sd), math.gcd(xn, xd)
+        rows.append([(en, ed), (sn // g, sd // g), (xn // h, xd // h)])
+    return rows + [[(0, 1), em, (0, 1)], [(0, 1), (0, 1), em]]
+
+
 def translate_basis(line, s, t) -> ReducedLattice:
     """The reduced lattice g_t phi(s) Z^3, the diagonal flow as the
     log-scale float t: the lattice of the columns (e2, 0, 0), (e2 s, em, 0)
     and (e2 x, 0, em), with x = a s + b in the line's scalars and e2, em the
     f64 row scales e^{2t}, e^{-t} of ``_flow_scales``.  Every line's
-    columns, rounded to f64, take one ``translate_reduction``.  Where it
-    resolves them, an f64 or rational line's lattice is ``ReducedLattice.f64``
-    of that reduction.  Otherwise, and for every bigfloat line, it is
-    ``ReducedLattice.exact`` of the unrounded rows, the exact reduction in
-    the line's scalars, started from the f64 U where the f64 pass gave one
-    and cold where it did not: the same lattice, and so the same minimum
-    and counts, either way."""
+    columns, rounded to f64, take one ``translate_reduction``; an f64 or
+    rational line whose columns it resolves gets ``ReducedLattice.f64`` of
+    it.  Every other translate gets ``ReducedLattice.of_ratios`` of the
+    unrounded rows, built in integers by ``translate_rows`` and started from
+    the f64 U where there is one: the same lattice, minimum and counts."""
     t = float(t.t)
     x = line.a * s + line.b
     reduced = translate_reduction(s, x, t)
@@ -799,6 +817,6 @@ def translate_basis(line, s, t) -> ReducedLattice:
     e2, em = _flow_scales(t)
     if 0.0 in (e2, em):  # a zero row spans no lattice
         raise PrecisionError(f"the flow scaling underflows f64 at log scale {t:g}")
-    e2, em, s, x = (Fraction(v) for v in (e2, em, s, x))
-    return ReducedLattice.exact([[e2, e2 * s, e2 * x], [0, em, 0], [0, 0, em]],
-                                None if reduced is None else reduced[1])
+    return ReducedLattice.of_ratios(
+        translate_rows(e2, em, [(s.as_integer_ratio(), x.as_integer_ratio())]),
+        None if reduced is None else reduced[1])

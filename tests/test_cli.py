@@ -274,15 +274,16 @@ def test_budget_error_exit_3():
 
 @pytest.mark.parametrize("args", [
     ["equidist", "sqrt2", "sqrt3", "--t-list", "5", "--N", "3"],
-    ["orbit", "sqrt2", "sqrt3", "--t-grid", "3", "--N", "5"],
+    ["orbit", "sqrt2", "sqrt3", "--t-grid", "3", "--N", "5", "--delta", "0.9"],
     ["classify", "sqrt2", "sqrt3", "--q-max", "100000"],
     ["density", "sqrt2", "sqrt3", "--q-max", "10000"],
     ["dirichlet", "sqrt2", "sqrt3", "--t-max", "1"],
 ])
 def test_budget_reaches_every_subcommand(args, capsys):
-    # each translate's shortest-vector search, each dyadic block of a witness
-    # or return-window search and each direct Dirichlet horizon visits more
-    # than one node
+    # each translate's shortest-vector search, each escape search within
+    # delta = 0.9 (at delta = 0.2 the t = 3 translates charge no leaf), each
+    # dyadic block of a witness or return-window search and each direct
+    # Dirichlet horizon visits more than one node
     assert run_cli(args + ["--budget", "1"]) == 3
     assert "budget exceeded" in capsys.readouterr().err
 
@@ -299,7 +300,7 @@ def test_counts_of_far_negative_times_exit_3(t, capsys):
 
 def test_budget_does_not_leak_between_runs(capsys):
     # runs in one interpreter, as the benchmark's child process makes them
-    args = ["orbit", "sqrt2", "sqrt3", "--t-grid", "3", "--N", "5"]
+    args = ["orbit", "sqrt2", "sqrt3", "--t-grid", "3", "--N", "5", "--delta", "0.9"]
     assert run_cli(args + ["--budget", "1"]) == 3
     assert run_cli(args) == 0
 

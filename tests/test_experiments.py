@@ -16,8 +16,8 @@ from latflow.errors import BudgetError, InvalidInputError, PrecisionError
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
 from latflow.scalars import (F64, RATIONAL, bigfloat, liouville_partial,
                              named_scalar)
-from util import (exact_time, ks_distance_bisect, phi, scaled_columns, segment_minimum_scan,
-                  translate_sample_s)
+from util import (escape_fraction_by_lambda1, exact_time, ks_distance_bisect, phi,
+                  scaled_columns, segment_minimum_scan, translate_sample_s)
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
                                 Fraction(0), Fraction(1), RATIONAL)
@@ -175,6 +175,57 @@ def test_escape_fraction_monotone_in_delta():
 def test_escape_fraction_validates_delta():
     with pytest.raises(InvalidInputError):
         exp.escape_mass_fraction(GENERIC_LINE, FlowTime.of(1.0), 1.2, 5, seed=1)
+
+
+_ESCAPE_LINES = [
+    GENERIC_LINE,
+    LineSegmentSpec.from_strings("1/7", "2/9", "-1/3", "5/11", RATIONAL),
+    LineSegmentSpec.from_strings("sqrt2", "sqrt3", "-0.3", "0.45", bigfloat(64)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(line=st.sampled_from(_ESCAPE_LINES), t=st.floats(0.0, 13.0),
+       delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       at=st.sampled_from([None, "at", "above"]), k=st.integers(0, 7),
+       seed=st.integers(0, 2 ** 32 - 1))
+# f64 rows; integer rows on an f64 line (t > 9.2), a rational line and a
+# bigfloat one; delta at a sample's lambda_1 and just above it
+@example(line=_ESCAPE_LINES[0], t=5.0, delta=0.5, at="at", k=0, seed=1)
+@example(line=_ESCAPE_LINES[0], t=9.5, delta=0.5, at="above", k=3, seed=1)
+@example(line=_ESCAPE_LINES[1], t=10.0, delta=0.5, at="above", k=1, seed=1)
+@example(line=_ESCAPE_LINES[2], t=12.0, delta=0.5, at="at", k=2, seed=1)
+def test_escape_fraction_equals_the_lambda1_count(line, t, delta, at, k, seed):
+    # the escape fraction asks only whether lambda_1 < delta, and so equals
+    # the count of the samples' full first minima below delta
+    ft, N = FlowTime.of(t), 8
+    if at is not None:
+        lam = exp.sample_translate(line, ft, N, seed)[k]["lambda1"]
+        if 0 < lam < math.nextafter(1.0, 0):
+            delta = lam if at == "at" else math.nextafter(lam, 1)
+    assert (exp.escape_mass_fraction(line, ft, delta, N, seed)
+            == escape_fraction_by_lambda1(line, ft, delta, N, seed))
+
+
+@pytest.mark.parametrize("delta, escapes", [
+    # the float below 0.5 has an odd mantissa, so a tie rounds up to delta
+    (0.5, False),
+    # the float below 0.5 - 2^-54 has an even one, so a tie rounds down
+    (0.49999999999999994, True),
+])
+@pytest.mark.parametrize("skew", [Fraction(0), Fraction(1, 3)])
+def test_escape_at_a_planted_tie(delta, escapes, skew, monkeypatch):
+    # integer rows whose exact lambda_1 is the midpoint of delta and the
+    # float below it: lambda_1 < delta exactly where that tie rounds down
+    below = math.nextafter(delta, 0)
+    mid = (Fraction(below) + Fraction(delta)) / 2
+    assert int(math.frexp(below)[0] * 2 ** 53) % 2 == (0 if escapes else 1)
+    lat = lattice.ReducedLattice.exact([[mid, skew, 0], [0, 1, 0], [0, 0, 1]])
+    assert lat.escalated and lat.minimum(math.inf)[0] == mid
+    assert (float(mid) < delta) is escapes
+    monkeypatch.setattr(exp, "translate_basis", lambda line, s, t: lat)
+    args = (GENERIC_LINE, FlowTime.of(0.0), delta, 3, 1)
+    assert exp.escape_mass_fraction(*args) == escape_fraction_by_lambda1(*args) == escapes
 
 
 # -- segment minimum -----------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from latflow import diophantine, experiments, lattice
 from latflow.errors import BudgetError, InvalidInputError, PrecisionError, ReductionError
 from latflow.experiments import sample_uniform
-from latflow.flow import FlowTime, LineSegmentSpec
+from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
 from latflow.lattice import (
     ENUMERATION_BUDGET,
     ReducedLattice,
@@ -614,7 +614,7 @@ def test_of_exact_arm_matches_fraction_rows(line, seed, t):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "GSO_RANGE_CAP", 0.0)
         lat = translate_basis(line, s, FlowTime.of(t))
-        warm = lattice.translate_reduction(s, line.a * s + line.b, t) is not None
+    reduced = lattice.translate_reduction(s, line.a * s + line.b, t)
     cold = ReducedLattice.exact(exact_scaled_rows(phi(line, s), t))
     basis, den = _integer_rows(exact_scaled_rows(phi(line, s), t))
     assert lat.escalated
@@ -622,8 +622,34 @@ def test_of_exact_arm_matches_fraction_rows(line, seed, t):
     assert _det(lat.transform) in (1, -1)
     assert [list(row) for row in lat.rows] == [
         [sum(x * u for x, u in zip(row, col)) for col in lat.transform] for row in basis]
-    if not warm:
+    # the rows built in integers are the Fraction rows' field for field
+    assert lat == ReducedLattice.exact(exact_scaled_rows(phi(line, s), t),
+                                       None if reduced is None else reduced[1])
+    if reduced is None:
         assert lat == cold
+
+
+@settings(max_examples=60, deadline=None)
+@given(line=st.sampled_from(_EXACT_LINES), t=st.floats(-20.0, 14.0))
+@example(line=_EXACT_LINES[1], t=10.0)
+@example(line=_EXACT_LINES[4], t=-20.0)
+def test_segment_rows_match_fraction_rows(line, t):
+    # segment_minimum's lattice is ``exact`` of the Fraction rows of the
+    # segment, from the same start, and its value is ``segment_sup`` of
+    # its minimizer
+    ft, seen, minimum = FlowTime.of(t), [], ReducedLattice.minimum
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ReducedLattice, "minimum",
+                   lambda lat, limit: seen.append(lat) or minimum(lat, limit))
+        found = experiments.segment_minimum(line, ft, 6.0)
+    e2, em, a, b = (Fraction(x) for x in (
+        ft.factor(2, line.mode), ft.factor(-1, line.mode), line.a, line.b))
+    rows = [[e2, e2 * Fraction(s), e2 * (b + a * Fraction(s))] for s in (line.s1, line.s2)]
+    reduced = lattice.translate_reduction(line.s1, line.a * line.s1 + line.b, t)
+    assert seen == [ReducedLattice.exact(rows + [[0, em, 0], [0, 0, em]],
+                                         None if reduced is None else reduced[1])]
+    if found is not None:
+        assert found[1] == segment_sup(line, ft, found[0])
 
 
 _WARM_LINES = {

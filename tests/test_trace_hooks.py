@@ -69,12 +69,23 @@ def test_traced_cli_runs_count_every_search(tracing, capsys):
         tracer.uninstall()
     summary = tracer.summary()
     for mod_name, _, span in tracing.WRAP_POINTS:
-        if mod_name in ("latflow.diophantine", "latflow.experiments"):
+        # segment_minimum takes its value from the exact minimum, so no
+        # subcommand calls segment_sup through experiments any more
+        if mod_name in ("latflow.diophantine", "latflow.experiments") \
+                and span != "flow.segment_sup":
             assert summary[f"{span}.calls"] > 0, span
+    assert summary["flow.segment_sup.calls"] == 0
     assert summary["cli.main.calls"] == 5
     assert summary["diophantine.q_scanned"] == 4 * 1000
     assert summary["diophantine.witnesses"] > 0
     assert summary["diophantine.ir_density.intervals"] > 0
     assert summary["diophantine.dirichlet_direct.pairs"] > 0
     assert summary["experiments.segment_minimum.found"] > 0
-    assert summary["experiments.sample_translate.samples"] == 2 * 3 + 2 * 3
+    # equidist samples through sample_translate; orbit's escape fractions
+    # reduce their 2 x 3 translates under their own span
+    assert summary["experiments.sample_translate.samples"] == 2 * 3
+    assert summary["experiments.escape_mass_fraction.calls"] == 2
+    names = [span[0] for span in tracer.spans]
+    assert sum(parent >= 0 and names[parent] == "experiments.escape_mass_fraction"
+               for name, parent, _, _ in tracer.spans
+               if name == "lattice.translate_basis") == 2 * 3

@@ -9,7 +9,8 @@ searches, the cold box search of ``diophantine._box_points`` and an exact
 LLL-reducedness check, the float p-window decision of I_R on a grid, the numpy
 Dirichlet grid, an exact I_R measure, the segment element phi(s) and the
 exact translate rows that ``translate_basis`` hands ``ReducedLattice.exact``,
-the per-sample translate route through ``Fraction``, the per-cell CSV
+the per-sample translate route through ``Fraction``, the escape fraction
+counted from each sample's lambda_1, the per-cell CSV
 writer, the leaf-by-leaf points and point count of a lattice, the exact
 expected-count refusal of ``ReducedLattice.count``, and the two-sample KS
 statistic by bisection."""
@@ -28,6 +29,7 @@ import numpy as np
 
 from latflow import diophantine as dio
 from latflow.errors import BudgetError, InvalidInputError, ReductionError
+from latflow.experiments import sample_translate
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
 from latflow.lattice import LLL_DELTA_EXACT, ReducedLattice, lll_reduce
 from latflow.scalars import F64, ScalarMode
@@ -291,6 +293,13 @@ def phi(line: LineSegmentSpec, s) -> tuple:
     mode = line.mode
     one, zero = mode.from_int(1), mode.from_int(0)
     return ((one, s, line.a * s + line.b), (zero, one, zero), (zero, zero, one))
+
+
+def escape_fraction_by_lambda1(line: LineSegmentSpec, t: FlowTime, delta, N: int,
+                               seed: int) -> float:
+    """The share of ``sample_translate``'s N rows with lambda1 < delta: the
+    escape fraction as counted from each sample's full first minimum."""
+    return sum(row["lambda1"] < delta for row in sample_translate(line, t, N, seed)) / N
 
 
 def csv_per_cell(rows, columns, fmt) -> str:

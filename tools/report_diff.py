@@ -78,7 +78,9 @@ SHOWN = 10  # differing operations named in full
 # overflows and ``lll_reduce`` refuses the columns at their second
 # Gram-Schmidt length; and a rational W2eps test whose 2 + eps is log2(50)
 # to 36 digits, so that at q = 2, r = 1/50 ``_pow_bound_check`` doubles
-# its digits.
+# its digits; last, escape fractions within delta = 0.5 on integer rows:
+# f64 translates at t = 9.5 and 12, and rational ones at t = 10 whose
+# integer rows have denominators that are not powers of 2.
 #
 # No operation reaches these lines, error paths aside, for these reasons:
 # - ``cli._fmt`` of a bool: every bool column of a report is all bool, which
@@ -100,6 +102,13 @@ SHOWN = 10  # differing operations named in full
 # - the non-finite refusal of ``lll_reduce`` after its loop: past the entry
 #   tests every squared column length is finite and the spread at most
 #   2^53, so no step leaves the f64 range.
+# - the tie of ``escape_mass_fraction``'s test, a first minimum at the
+#   midpoint of delta and the float below it: it needs a translate whose
+#   exact lambda_1 is that midpoint, which the tests plant.
+# - ``flow.segment_sup``: ``segment_minimum`` takes its value from the exact
+#   minimum, so no subcommand calls it; it stays as a library function, the
+#   tests' check of every segment minimum, and a name that perfbench's trace
+#   hooks wrap in ``latflow.experiments``.
 EXTRA_OPS = [
     ["equidist", "sqrt2", "sqrt3", "--mode", "bigfloat:256", "--t-list", "5,9.5,11",
      "--N", "20", "--radii", "1.5"],
@@ -163,6 +172,9 @@ EXTRA_OPS = [
      "--radii", "0.001"],
     ["classify", "0", "1/100", "--mode", "rational", "--q-max", "10",
      "--eps", "3.643856189774724695740638858978780352"],
+    ["orbit", "sqrt2", "sqrt3", "--t-grid", "9.5,12", "--N", "40", "--delta", "0.5"],
+    ["orbit", "1/7", "2/9", "--mode", "rational", "--t-grid", "10", "--N", "20",
+     "--delta", "0.5"],
 ]
 
 # Runs in the child, with cwd the tree's temporary directory:
