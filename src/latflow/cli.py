@@ -460,22 +460,25 @@ def _run_dirichlet(args, mode) -> tuple[list, dict, list]:
     # the probe's work
     x2 = Fraction(line.a) * Fraction(s) + Fraction(line.b)
     solvable = dio.dirichlet_direct(s, x2, args.delta, horizons)
-    lam = dict(zip(times, exp.trajectory_probe(line, s, times)))
-    inside = [t for t in times if lam[t] >= scale]
-    first_entry = inside[0] if inside else None
-    last_exit = inside[-1] if inside else None
+    # lambda1 only where the report reads it, each time at most once: forward
+    # to the first time inside K, back from t_max to the last, and the checks
+    probe = cache(lambda t: exp.trajectory_probe(line, s, t))
+    first_entry = next((t for t in times if probe(t) >= scale), None)
+    last_exit = None if first_entry is None else next(
+        t for t in reversed(times) if probe(t) >= scale)
     agree = 0
     considered = 0
     samples = []
     for t, T, direct in zip(check_ts, horizons, solvable):
-        dyn_out = lam[t] < scale
-        marginal = abs(lam[t] - scale) <= 0.02
+        lam = probe(t)
+        dyn_out = lam < scale
+        marginal = abs(lam - scale) <= 0.02
         ok = dyn_out == direct
         if not marginal:
             considered += 1
             agree += ok
         samples.append({
-            "t": t, "T": T, "lambda1": lam[t],
+            "t": t, "T": T, "lambda1": lam,
             "dynamical_outside_K": dyn_out,
             "direct_solvable": direct,
             "marginal": marginal, "agree": ok,

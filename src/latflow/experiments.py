@@ -59,29 +59,28 @@ def sample_uniform(seed: int, index: int) -> float:
     return (c0 >> 11) * 2.0 ** -53
 
 
-@lru_cache(maxsize=1)
-def _uniforms(seed: int, N: int) -> tuple:
-    """The f64 uniforms of samples 0..N-1, drawn once for all flow times."""
-    return tuple(sample_uniform(seed, i) for i in range(N))
-
-
 @lru_cache(maxsize=64)
 def count_key(r: float) -> str:
     """The report key of the point count at radius r, made once per radius."""
     return f"count_r{r:g}"
 
 
-def _draws(line: LineSegmentSpec, N: int, seed: int) -> list:
+@lru_cache(maxsize=1)
+def _draws(line: LineSegmentSpec, N: int, seed: int) -> tuple:
     """The draws s = s1 + u (s2 - s1) of samples 0..N-1 in the line's
-    arithmetic, u the f64 uniform of ``_uniforms`` (an exact dyadic), so s
-    lies in I in every mode and sample i has the same s at every t and N."""
+    arithmetic, u = ``sample_uniform(seed, i)`` (an exact dyadic), so s
+    lies in I in every mode and sample i has the same s at every t and N.
+    The last (line, N, seed) is kept, compared by value, so an operation
+    that samples at several flow times draws once, exact-mode s included;
+    a line holds its mode's scalars, as ``LineSegmentSpec.from_strings``
+    makes them."""
     if N < 1:
         raise InvalidInputError("need N >= 1 samples")
     s1, width = line.s1, line.s2 - line.s1
-    us = _uniforms(seed, N)
+    us = [sample_uniform(seed, i) for i in range(N)]
     if line.mode.kind != "f64":  # in f64, mode.from_fraction(Fraction(u)) is u
         us = [line.mode.from_fraction(Fraction(u)) for u in us]
-    return [s1 + u * width for u in us]
+    return tuple(s1 + u * width for u in us)
 
 
 def sample_translate(line: LineSegmentSpec, t: FlowTime, N: int, seed: int,
@@ -182,12 +181,12 @@ def probe_times(delta: float, t_max: float, dt: float = 0.05) -> list[float]:
     return [i * dt for i in range(int(math.floor(t_max / dt + 1e-9)) + 1)]
 
 
-def trajectory_probe(line: LineSegmentSpec, s, times) -> list[float]:
-    """The first minimum of g_t phi(s) Z^3 at each flow time t of ``times``
-    (a grid from ``probe_times``), against which a caller tests membership
-    of the Mahler set K_{delta^{1/3}}."""
-    return [shortest_vector(translate_basis(line, s, FlowTime.of(t))).lambda1
-            for t in times]
+def trajectory_probe(line: LineSegmentSpec, s, t: float) -> float:
+    """The first minimum of g_t phi(s) Z^3 at one flow time t (of a grid
+    from ``probe_times``), against which a caller tests membership of the
+    Mahler set K_{delta^{1/3}}; ``dirichlet`` asks it only at the times its
+    report reads."""
+    return shortest_vector(translate_basis(line, s, FlowTime.of(t))).lambda1
 
 
 def ks_distance(sample_a, sample_b) -> float:

@@ -87,9 +87,6 @@ class ScalarMode(namedtuple("ScalarMode", "kind bits")):
                 return lo
             digits *= 2
 
-    def from_int(self, n: int):
-        return self.from_fraction(Fraction(n))
-
     def sqrt(self, n: int):
         """sqrt(n) in this mode, correctly rounded; rejected in rational mode,
         of which ``named_scalar`` asks only the irrational sqrt of 2, 3 and 5."""

@@ -19,10 +19,11 @@ from latflow import diophantine as dio
 from latflow import experiments as exp
 from latflow import flow
 from latflow import lattice
-from latflow.errors import InvalidInputError, ReductionError
-from latflow.scalars import F64, RATIONAL, ScalarMode, bigfloat, named_scalar
+from latflow.errors import BudgetError, InvalidInputError, ReductionError
+from latflow.scalars import (F64, RATIONAL, ScalarMode, bigfloat, mode_from_spec,
+                             named_scalar)
 
-from util import csv_per_cell, exact_scaled_rows, phi
+from util import csv_per_cell, exact_scaled_rows, from_int, phi
 
 
 def run_cli(args):
@@ -399,21 +400,14 @@ def test_dirichlet_direct_check_decides_the_stored_point(tmp_path):
     assert exact[-1] != rounded[-1]
 
 
-@pytest.mark.parametrize("args", [
-    ["sqrt2", "sqrt3", "--s", "0.3", "--delta", "0.9", "--t-max", "6"],  # last exit 0
-    ["sqrt2", "sqrt3", "--s", "0.45", "--delta", "0.6", "--t-max", "8"],  # last exit 3.1
-    # inside K at the horizon
-    ["sqrt2", "sqrt3", "--s", "0.62", "--delta", "0.3", "--t-max", "4", "--dt", "0.04"],
-    ["1/2", "1/3", "--mode", "rational", "--s", "1/3", "--delta", "0.5", "--t-max", "5"],
-])
-def test_dirichlet_entry_and_exit_match_a_probe_loop(args, tmp_path):
+def _assert_scans_match_a_probe_loop(args, out):
     # first entry and last exit are the first and last grid times whose
-    # lambda1, from an independent loop over probe_times, is >= delta^(1/3)
-    out = tmp_path / "dir"
+    # lambda1, from an independent loop over probe_times, is >= delta^(1/3),
+    # and each row's lambda1 is that loop's
     assert run_cli(["dirichlet"] + args + ["--out", str(out), "--format", "json"]) == 0
     doc = read_json(str(out) + ".json")
     config = doc["config"]
-    mode = ScalarMode("rational") if config["mode"] == "rational" else F64
+    mode = mode_from_spec(config["mode"])
     line = flow.LineSegmentSpec.from_strings(config["a"], config["b"], "0", "1", mode)
     s = named_scalar(config["s"], mode)
     times = exp.probe_times(config["delta"], config["t-max"], config["dt"])
@@ -423,9 +417,93 @@ def test_dirichlet_entry_and_exit_match_a_probe_loop(args, tmp_path):
     inside = [t for t in times if lams[t] >= threshold]
     summary = doc["summary"]
     assert summary["threshold"] == threshold
-    assert summary["first_entry"] == inside[0]
-    assert summary["last_exit"] == inside[-1]
+    assert summary["first_entry"] == (inside[0] if inside else None)
+    assert summary["last_exit"] == (inside[-1] if inside else None)
     assert [r["lambda1"] for r in doc["samples"]] == [lams[r["t"]] for r in doc["samples"]]
+
+
+@pytest.mark.parametrize("args", [
+    ["sqrt2", "sqrt3", "--s", "0.3", "--delta", "0.9", "--t-max", "6"],  # last exit 0
+    ["sqrt2", "sqrt3", "--s", "0.45", "--delta", "0.6", "--t-max", "8"],  # last exit 3.1
+    # inside K at the horizon
+    ["sqrt2", "sqrt3", "--s", "0.62", "--delta", "0.3", "--t-max", "4", "--dt", "0.04"],
+    ["1/2", "1/3", "--mode", "rational", "--s", "1/3", "--delta", "0.5", "--t-max", "5"],
+])
+def test_dirichlet_entry_and_exit_match_a_probe_loop(args, tmp_path):
+    _assert_scans_match_a_probe_loop(args, tmp_path / "dir")
+
+
+_FRACTION_TEXT = st.fractions(-2, 2, max_denominator=60).map(str)
+
+
+@st.composite
+def _dirichlet_args(draw):
+    mode = draw(st.sampled_from(["f64", "rational", "bigfloat:64", "bigfloat:256"]))
+    scalars = _FRACTION_TEXT if mode == "rational" else st.one_of(
+        _FRACTION_TEXT, st.sampled_from(["sqrt2", "sqrt3", "golden"]))
+    return [draw(scalars), draw(scalars), "--mode", mode,
+            "--s", str(draw(st.fractions(0, 1, max_denominator=1000))),
+            "--delta", repr(draw(st.floats(0.001, 0.999))),
+            "--t-max", repr(draw(st.floats(0, 8))),
+            "--dt", draw(st.sampled_from(["0.01", "0.04", "0.05"]))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(args=_dirichlet_args())
+def test_dirichlet_entry_and_exit_match_a_probe_loop_on_random_lines(args, tmp_path_factory):
+    _assert_scans_match_a_probe_loop(args, tmp_path_factory.mktemp("dir") / "dir")
+
+
+# the dirichlet operations of perfbench's seed-1 orbit workload
+@pytest.mark.parametrize("args", [
+    ["sqrt2", "sqrt3", "--s", "0.3", "--delta", "0.6", "--t-max", "6"],
+    ["0.891761610835673", "0.408088505520943", "--s", "0.7540", "--delta", "0.6",
+     "--t-max", "7"],
+    ["0.673426782930141", "0.769146647157637", "--s", "0.3426", "--delta", "0.306",
+     "--t-max", "7"],
+    ["0.193773563119533", "0.057135727936953", "--s", "0.9493", "--delta", "0.479",
+     "--t-max", "7"],
+])
+def test_dirichlet_probes_only_the_times_it_reads(args, monkeypatch, tmp_path):
+    # each grid time is probed at most once, and only the check times and the
+    # two scans (forward to the first entry, back from t_max to the last exit)
+    probed = []
+    probe = exp.trajectory_probe
+
+    def counting(line, s, t):
+        probed.append(t)
+        return probe(line, s, t)
+
+    monkeypatch.setattr(exp, "trajectory_probe", counting)
+    out = tmp_path / "dir"
+    assert run_cli(["dirichlet"] + args + ["--out", str(out), "--format", "json"]) == 0
+    doc = read_json(str(out) + ".json")
+    config, summary = doc["config"], doc["summary"]
+    times = exp.probe_times(config["delta"], config["t-max"], config["dt"])
+    forward = times[:times.index(summary["first_entry"]) + 1]
+    backward = times[times.index(summary["last_exit"]):]
+    checks = [row["t"] for row in doc["samples"]]
+    assert len(set(probed)) == len(probed)
+    assert set(probed) <= set(forward + backward + checks)
+
+
+@pytest.mark.parametrize("index, code", [(-1, 3), (61, 0)])
+def test_dirichlet_probe_budget_error_only_where_read(index, code, monkeypatch):
+    # this orbit is inside K at t_max = 7 and the checks are at multiples of
+    # 0.5: a budget error at t_max ends the run as before, and one at
+    # t = 3.05 is never met, since no scan or row reads that time
+    argv = ["0.193773563119533", "0.057135727936953", "--s", "0.9493", "--delta", "0.479",
+            "--t-max", "7"]
+    times = exp.probe_times(0.479, 7.0, 0.05)
+    probe = exp.trajectory_probe
+
+    def failing(line, s, t):
+        if t == times[index]:
+            raise BudgetError(f"probe at t = {t:g}")
+        return probe(line, s, t)
+
+    monkeypatch.setattr(exp, "trajectory_probe", failing)
+    assert run_cli(["dirichlet"] + argv) == code
 
 
 def test_dirichlet_budget_refused_before_probe(monkeypatch):
@@ -753,7 +831,7 @@ def test_scalar_rows_skip_json_dump(monkeypatch):
     assert json.loads(_written(report)) == report
 
 
-@pytest.mark.parametrize("value", [Fraction(1, 3), bigfloat(256).from_int(3)])
+@pytest.mark.parametrize("value", [Fraction(1, 3), from_int(bigfloat(256), 3)])
 def test_report_json_refuses_non_json_scalars(value):
     # a runner that leaves a Fraction or bigfloat in a row fails, as json.dump does
     for samples in ([dict(_ROW, s=value)], [_ROW, {"min_vector": [value]}]):

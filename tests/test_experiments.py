@@ -16,8 +16,8 @@ from latflow.errors import BudgetError, InvalidInputError, PrecisionError
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
 from latflow.scalars import (F64, RATIONAL, bigfloat, liouville_partial,
                              named_scalar)
-from util import (escape_fraction_by_lambda1, exact_time, ks_distance_bisect, phi,
-                  scaled_columns, segment_minimum_scan, translate_sample_s)
+from util import (escape_fraction_by_lambda1, exact_time, from_int, ks_distance_bisect,
+                  phi, scaled_columns, segment_minimum_scan, translate_sample_s)
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
                                 Fraction(0), Fraction(1), RATIONAL)
@@ -66,6 +66,17 @@ def test_sample_translate_draws_each_index_once():
     longer = draws(1, 6)
     assert longer[:5] == first
     assert longer[5] == exp.sample_uniform(1, 5)
+
+
+def test_draws_are_made_once_for_an_operation():
+    # the last (line, N, seed) keeps its draws for the next flow time; a line
+    # equal in every value but its mode draws in its own arithmetic
+    draws = exp._draws(RATIONAL_LINE, 5, 1)
+    assert exp._draws(RATIONAL_LINE, 5, 1) is draws
+    assert all(type(s) is Fraction for s in draws)
+    f64_draws = exp._draws(RATIONAL_LINE._replace(s1=0.0, s2=1.0, mode=F64), 5, 1)
+    assert f64_draws == draws and all(type(s) is float for s in f64_draws)
+    assert exp._draws(RATIONAL_LINE, 5, 2) != draws
 
 
 def test_sample_uniform_is_numpy_philox():
@@ -247,7 +258,7 @@ def test_segment_minimum_t_zero_value_one():
     # at t = 0, (1, 0, 0) has value exactly R_cap = 1, and is kept in bigfloat
     mode = bigfloat(256)
     line = LineSegmentSpec(named_scalar("sqrt2", mode), named_scalar("sqrt3", mode),
-                           mode.from_int(0), mode.from_int(1), mode)
+                           from_int(mode, 0), from_int(mode, 1), mode)
     sm = exp.segment_minimum(line, FlowTime.of(0.0), 1.0)
     assert sm[0] == (1, 0, 0) and sm[1] == 1
 
@@ -458,8 +469,8 @@ def test_segment_minimum_matches_scan_rational(a, b, s, u, cap):
 def test_trajectory_probe_enters_at_zero():
     # lambda1 = 1 at t = 0 >= delta^(1/3) for any delta < 1
     times = exp.probe_times(0.9, 1.0, 0.05)
-    lams = exp.trajectory_probe(GENERIC_LINE, 0.3, times)
-    assert times[0] == 0.0 and lams[0] >= 0.9 ** (1.0 / 3.0)
+    assert times[0] == 0.0
+    assert exp.trajectory_probe(GENERIC_LINE, 0.3, times[0]) >= 0.9 ** (1.0 / 3.0)
 
 
 def test_trajectory_probe_rational_tail_outside():
@@ -468,7 +479,7 @@ def test_trajectory_probe_rational_tail_outside():
     thr = delta ** (1 / 3)
     t0 = math.log(6 / thr)
     times = exp.probe_times(delta, 6.0, 0.05)
-    lams = exp.trajectory_probe(RATIONAL_LINE, Fraction(1, 3), times)
+    lams = [exp.trajectory_probe(RATIONAL_LINE, Fraction(1, 3), t) for t in times]
     inside = [t for t, l in zip(times, lams) if l >= thr]
     assert inside and inside[-1] <= t0 + 0.05
     tail = [l for t, l in zip(times, lams) if t > t0]

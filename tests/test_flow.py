@@ -10,8 +10,8 @@ from latflow.errors import InvalidInputError, PrecisionError
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
 from latflow.scalars import F64, RATIONAL, bigfloat, named_scalar
 
-from util import (exact_time, ext2_constant, flow_ext2, flow_standard, g, mat_det, mat_mul,
-                  mat_vec, phi, vandermonde_check)
+from util import (exact_time, ext2_constant, flow_ext2, flow_standard, from_int, g, mat_det,
+                  mat_mul, mat_vec, phi, vandermonde_check)
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
                                 Fraction(0), Fraction(1), RATIONAL)
@@ -110,8 +110,8 @@ def test_flow_standard_matches_matrix_path_f64():
 def test_flow_standard_matches_matrix_path_bigfloat():
     mode = bigfloat(192)
     rng = random.Random(44)
-    line = LineSegmentSpec(mode.sqrt(2), mode.sqrt(3), mode.from_int(0),
-                           mode.from_int(1), mode)
+    line = LineSegmentSpec(mode.sqrt(2), mode.sqrt(3), from_int(mode, 0),
+                           from_int(mode, 1), mode)
     for _ in range(20):
         t = FlowTime.of(rng.uniform(0, 12))
         s = mode.from_fraction(Fraction(rng.randint(0, 100), 100))

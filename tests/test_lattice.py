@@ -26,8 +26,9 @@ from latflow.scalars import F64, RATIONAL, bigfloat, named_scalar
 
 from util import (brute_force_count, brute_force_lambda1, count_leaf_by_leaf,
                   count_points_f64, count_points_mp, count_refused, exact_scaled_rows,
-                  f64_lattice, gram_schmidt_full, lll_reduce_full, lll_reduce_integral_cohen,
-                  phi, points_leaf_by_leaf, random_unimodular_columns, scaled_columns, shortest_vector_f64,
+                  f64_lattice, from_int, gram_schmidt_full, lll_reduce_full,
+                  lll_reduce_integral_cohen, phi, points_leaf_by_leaf,
+                  random_unimodular_columns, scaled_columns, shortest_vector_f64,
                   shortest_vector_mp)
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
@@ -363,7 +364,7 @@ def _sampled_translate(pair, seed, t, interval=(0, 1), mode=F64):
     # arithmetic; the lattice, and the (matrix, log-scale) the oracles take
     a, b = pair
     line = LineSegmentSpec(named_scalar(a, mode), named_scalar(b, mode),
-                           mode.from_int(interval[0]), mode.from_int(interval[1]), mode)
+                           from_int(mode, interval[0]), from_int(mode, interval[1]), mode)
     s = line.s1 + mode.from_fraction(Fraction(sample_uniform(seed, 0))) * (line.s2 - line.s1)
     return translate_basis(line, s, FlowTime.of(t)), (phi(line, s), t)
 

@@ -37,18 +37,23 @@ from latflow.scalars import F64, ScalarMode
 SEGMENT_MINIMUM_SCAN_BUDGET = 100_000_000
 
 
+def from_int(mode: ScalarMode, n: int):
+    """The integer n as a scalar of ``mode``."""
+    return mode.from_fraction(Fraction(n))
+
+
 # -- the dense matrix path of the flow ---------------------------------------
 
 def g(t: FlowTime, mode: ScalarMode = F64):
     """The diagonal flow element diag(e^{2t}, e^{-t}, e^{-t}) as a dense matrix."""
-    zero = mode.from_int(0)
+    zero = from_int(mode, 0)
     e2 = t.factor(2, mode)
     em = t.factor(-1, mode)
     return ((e2, zero, zero), (zero, em, zero), (zero, zero, em))
 
 
 def mat_identity(mode: ScalarMode = F64):
-    one, zero = mode.from_int(1), mode.from_int(0)
+    one, zero = from_int(mode, 1), from_int(mode, 0)
     return ((one, zero, zero), (zero, one, zero), (zero, zero, one))
 
 
@@ -133,7 +138,7 @@ def ext2_constant(line: LineSegmentSpec):
     """
     s1, s2 = line.s1, line.s2
     length = s2 - s1
-    terms = [length / line.mode.from_int(2), line.mode.from_int(1)]
+    terms = [length / from_int(line.mode, 2), from_int(line.mode, 1)]
     denom = abs(s1) + abs(s2)
     if denom > 0:
         terms.append(length / denom)
@@ -164,7 +169,7 @@ def vandermonde_check(w, t: FlowTime, line: LineSegmentSpec) -> VandermondeCheck
     m = len(w) - 1
     if m < 1:
         raise InvalidInputError("need a coefficient list of length m + 1 with m >= 1")
-    coeffs = [line.mode.from_int(c) if isinstance(c, int) else c for c in w]
+    coeffs = [from_int(line.mode, c) if isinstance(c, int) else c for c in w]
     if all(c == 0 for c in coeffs):
         raise InvalidInputError("all-zero coefficient vector")
     s1, s2 = line.s1, line.s2
@@ -173,7 +178,7 @@ def vandermonde_check(w, t: FlowTime, line: LineSegmentSpec) -> VandermondeCheck
     for j in range(m + 1):
         tau = s1 + line.mode.from_fraction(Fraction(j, m)) * (s2 - s1)
         acc = coeffs[0]
-        power = line.mode.from_int(1)
+        power = from_int(line.mode, 1)
         for k in range(1, m + 1):
             power = power * tau
             acc = acc + coeffs[k] * power
@@ -181,7 +186,7 @@ def vandermonde_check(w, t: FlowTime, line: LineSegmentSpec) -> VandermondeCheck
         if grid_max is None or val > grid_max:
             grid_max = val
     lhs = grid_max * emt
-    c_i = (line.mode.from_int(1) + max(abs(s1), abs(s2))) / (s2 - s1)
+    c_i = (from_int(line.mode, 1) + max(abs(s1), abs(s2))) / (s2 - s1)
     w_norm = max(abs(c) for c in coeffs)
     rhs = emt * w_norm / ((c_i * m) ** m)
     return VandermondeCheck(lhs=lhs, rhs=rhs, passed=lhs >= rhs)
@@ -291,7 +296,7 @@ def phi(line: LineSegmentSpec, s) -> tuple:
     """The unipotent segment element phi(s), in the line's scalars; upper
     triangular, det = 1."""
     mode = line.mode
-    one, zero = mode.from_int(1), mode.from_int(0)
+    one, zero = from_int(mode, 1), from_int(mode, 0)
     return ((one, s, line.a * s + line.b), (zero, one, zero), (zero, zero, one))
 
 

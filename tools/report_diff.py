@@ -80,7 +80,11 @@ SHOWN = 10  # differing operations named in full
 # to 36 digits, so that at q = 2, r = 1/50 ``_pow_bound_check`` doubles
 # its digits; last, escape fractions within delta = 0.5 on integer rows:
 # f64 translates at t = 9.5 and 12, and rational ones at t = 10 whose
-# integer rows have denominators that are not powers of 2.
+# integer rows have denominators that are not powers of 2; last, the two
+# scans of ``dirichlet``'s probe: a rational orbit whose tail is outside K
+# from t = 0.92 to t_max = 8 on a grid of 0.01, so that the backward scan
+# probes 709 times, and a --direct-step of 0.3 on a grid of 0.04, which is
+# no multiple of it, so that the check times are the multiples of 0.6.
 #
 # No operation reaches these lines, error paths aside, for these reasons:
 # - ``cli._fmt`` of a bool: every bool column of a report is all bool, which
@@ -90,7 +94,6 @@ SHOWN = 10  # differing operations named in full
 # - the doubling of ``ScalarMode.rounded``: it needs a square root or an
 #   e^{kt} within about 2^-(33 + B/10) ulp of a B-bit rounding boundary
 #   (a test builds one);
-# - ``ScalarMode.from_int``: only the tests' oracles call it;
 # - the iteration cap of ``lll_reduce``: at a spread of at most 2^53 the
 #   loop ends within about 44,000 steps in exact arithmetic (each swap
 #   cuts d1 d2 by 0.99, and it can fall by a factor of at most
@@ -175,6 +178,10 @@ EXTRA_OPS = [
     ["orbit", "sqrt2", "sqrt3", "--t-grid", "9.5,12", "--N", "40", "--delta", "0.5"],
     ["orbit", "1/7", "2/9", "--mode", "rational", "--t-grid", "10", "--N", "20",
      "--delta", "0.5"],
+    ["dirichlet", "1/2", "1/3", "--mode", "rational", "--s", "1/3", "--delta", "0.5",
+     "--t-max", "8", "--dt", "0.01"],
+    ["dirichlet", "sqrt2", "sqrt3", "--s", "0.45", "--delta", "0.6", "--t-max", "7",
+     "--dt", "0.04", "--direct-step", "0.3"],
 ]
 
 # Runs in the child, with cwd the tree's temporary directory:
