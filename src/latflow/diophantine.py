@@ -18,21 +18,26 @@ forms are at most B are the short vectors of a rank-3 lattice in an axis
 box, which the exact sup-norm engine of ``lattice`` enumerates
 (``_box_points``).  Every block's box is the coefficient lattice Z^3 under
 a new diagonal scaling, so each block's integer rows come straight from the
-integer forms and its reduction starts from the reduced basis of the block
-before; a block's points are the same whichever reduced basis enumerates
+integer forms, and the last basis reduced starts it: ``box_has_point``
+decides in integers from that start whether the box can hold a point, a
+block it shows empty yields none, and any other block is reduced from that
+start; a block's points are the same whichever reduced basis enumerates
 them, but come in no fixed order, and each search sorts what it needs
 ordered.  The witness searches and E_q take each candidate and its
 residuals q b + p1 and q a + p2 straight from the box; the return windows
 of ``ir_density`` take the segment coordinates c0 + c1 s_i, whose q = 0
-points are the sheets.  A search therefore costs O(log q_max) lattice
-reductions plus work in proportion to its candidates, not one step per q;
-each candidate then passes the exact per-q test of its class.
+points are the sheets.  A search therefore costs one exact test per block,
+O(log q_max) of them, a lattice reduction per block the test leaves open
+and work in proportion to its candidates, not one step per q; each
+candidate then passes the exact per-q test of its class.
 ``dirichlet_direct`` is the same correspondence for the improved Dirichlet
-system, each horizon reduced from the basis of the one before.  Each block,
-and each Dirichlet horizon, is one enumeration under the leaf cap of
-``lattice.enumeration_budget``.  Searches are bounded by
-q_max and report witnesses / non-witnesses up to that bound only;
-membership language for irrational inputs must keep that caveat.
+system: each horizon is tested from the last basis reduced, and reduced
+from it only where the test leaves it open.  Each block and each Dirichlet
+horizon that is reduced is one enumeration under the leaf cap of
+``lattice.enumeration_budget``; one the test decides charges no leaf.
+Searches are bounded by q_max and report witnesses / non-witnesses up to
+that bound only; membership language for irrational inputs must keep that
+caveat.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InvalidInputError, PrecisionError
-from .lattice import ReducedLattice
+from .lattice import ReducedLattice, box_has_point, integer_rows
 from .scalars import F64_MAX_DENOM, ScalarMode
 
 
@@ -63,8 +68,10 @@ def _box_points(forms, den: int, bound, q_max: int, block_p2: bool = False):
     L = lcm(den bn, m[, 2Q - 1]) are F bd L / (den bn), L / m on q and, with
     ``block_p2``, L / (2Q - 1) on p2, and the cube is the box of radius L.
     Every block is the lattice Z^3 of coefficients under a new diagonal
-    scaling, so each block's reduction starts from the reduced basis of
-    the block before it.
+    scaling, so the last basis reduced starts each block after the first:
+    a block whose start shows the cube empty (``box_has_point`` is False)
+    yields [] with no reduction, and keeps that start for the next block;
+    any other block is reduced from it.
     """
     Q, start = 1, None
     while (B := bound(Q)) is not None:
@@ -76,15 +83,16 @@ def _box_points(forms, den: int, bound, q_max: int, block_p2: bool = False):
         rows = [[x * k for x in f] for f in forms] + [[0, 0, L // m]]
         if block_p2:
             rows.append([0, L // end, 0])
-        lattice = ReducedLattice.exact(rows, start)
-        start = lattice.transform
         block = []
-        for p1, p2, q in lattice.points(L):
-            if q < 0:
-                p1, p2, q = -p1, -p2, -q
-            n = max(abs(p2), q) if block_p2 else q
-            if n >= Q or (n == 0 and Q == 1):
-                block.append((p1, p2, q))
+        if start is None or box_has_point(rows, start, L) is not False:
+            lattice = ReducedLattice.exact(rows, start)
+            start = lattice.transform
+            for p1, p2, q in lattice.points(L):
+                if q < 0:
+                    p1, p2, q = -p1, -p2, -q
+                n = max(abs(p2), q) if block_p2 else q
+                if n >= Q or (n == 0 and Q == 1):
+                    block.append((p1, p2, q))
         yield block
         Q *= 2
 
@@ -254,17 +262,20 @@ def sup_operator_norm_R1(line, R) -> Fraction:
     return max(abs(s1) + abs(s2), 2) / (s2 - s1) * r
 
 
-def _eq_at(q: int, dist: Fraction, r_fr: Fraction, r1_fr: Fraction) -> dict | None:
+def _eq_at(q: int, dist: Fraction, log_r: float, half_log_r1: float,
+           reach: Fraction) -> dict | None:
     """E_q from the exact sup-norm distance dist = <q(b,a)>, as the
     ``density`` report row {"q", "lo", "hi", "rational_hit"}, or None when
-    empty.  With q >= 1, R1 >= R and dist <= 1/2 (``_approximations``),
-    R1 / dist > 1 / R1^2 and >= 2 R1, so a nonempty E_q ends past ln(2)/3."""
-    lo = max(math.log(q) - math.log(float(r_fr)), 0.0)
+    empty; the caller makes log_r = ln(float(R)), half_log_r1 =
+    ln(float(R1)) / 2 and reach = R1 R^2 once for all q.  With q >= 1,
+    R1 >= R and dist <= 1/2 (``_approximations``), R1 / dist > 1 / R1^2
+    and >= 2 R1, so a nonempty E_q ends past ln(2)/3."""
+    lo = max(math.log(q) - log_r, 0.0)
     if dist == 0:
         return {"q": q, "lo": lo, "hi": None, "rational_hit": True}
-    if dist * q * q >= r1_fr * r_fr * r_fr:
+    if dist * q * q >= reach:
         return None
-    hi = 0.5 * math.log(float(r1_fr)) - 0.5 * (math.log(dist.numerator) - math.log(dist.denominator))
+    hi = half_log_r1 - 0.5 * (math.log(dist.numerator) - math.log(dist.denominator))
     return {"q": q, "lo": lo, "hi": hi, "rational_hit": False}
 
 
@@ -372,8 +383,9 @@ def ir_density(line, R, T, q_max: int, dt: float = 0.01) -> DensityProfile:
     intervals = []
     # E_q is empty unless <q(b,a)> < R1 R^2 q^-2
     reach = R1 * r * r
+    log_r, half_log_r1 = math.log(float(r)), 0.5 * math.log(R1_f)
     for _, _, q, r1, r2 in _approximations(line.a, line.b, lambda Q: reach / (Q * Q), q_max):
-        iv = _eq_at(q, max(r1, r2), r, R1)
+        iv = _eq_at(q, max(r1, r2), log_r, half_log_r1, reach)
         if iv is not None:
             intervals.append(iv)
     union_measure = float(_union_length(
@@ -399,11 +411,13 @@ def dirichlet_direct(x1, x2, delta, T_list) -> list[bool]:
     Dani's correspondence: the system is solvable iff the lattice of vectors
     ((T^3 / delta)(x1 q1 + x2 q2 + p), q1, q2) has a nonzero vector of sup
     norm <= T (q = 0 would need |p| T^3 / delta <= T, so p = 0 as well).
-    That is one ``ReducedLattice.exact(...).minimum`` per T, which scales
-    the lattice to integers and solves it exactly; each T's reduction starts
-    from the reduced basis of the T before it, since only the first row
-    changes, by a factor (T / T')^3, and the verdict does not depend on the
-    basis.
+    Only the first row changes from one T to the next, by a factor
+    (T / T')^3, so the last basis reduced starts each T after the first:
+    ``box_has_point`` of the rows scaled to integers (``integer_rows``)
+    says solvable where a start column lies within T and not where its dual
+    rule holds, and any other T is one ``ReducedLattice.exact(...).minimum``
+    started from it, which solves the lattice exactly.  The verdict does
+    not depend on the basis.
     """
     x1, x2, d = (Fraction(x) for x in (x1, x2, delta))
     if not 0 < d < 1:
@@ -414,7 +428,14 @@ def dirichlet_direct(x1, x2, delta, T_list) -> list[bool]:
     out, start = [], None
     for T in T_list:
         k = Fraction(T) ** 3 / d
-        lat = ReducedLattice.exact(((k * x1, k * x2, k), (1, 0, 0), (0, 1, 0)), start)
+        rows = ((k * x1, k * x2, k), (1, 0, 0), (0, 1, 0))
+        if start is not None:
+            ints, den = integer_rows([[x.as_integer_ratio() for x in row] for row in rows])
+            n, m = T.as_integer_ratio()
+            if (found := box_has_point(ints, start, n * den // m)) is not None:
+                out.append(found)
+                continue
+        lat = ReducedLattice.exact(rows, start)
         start = lat.transform
         out.append(lat.minimum(T) is not None)
     return out

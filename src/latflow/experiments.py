@@ -121,11 +121,15 @@ def escape_mass_fraction(line: LineSegmentSpec, t: FlowTime, delta: float,
     the compact set K_delta, i.e. with the f64 lambda_1 below delta, asked
     without a lambda_1: ``minimum`` within delta finds the first minimum
     where it is at most delta, and that norm rounded once to f64, as
-    lambda_1 is (ties to even), decides the strict test."""
+    lambda_1 is (ties to even), decides the strict test.  An escalated
+    translate whose f64 transform shows that it has no point within delta
+    (``translate_basis`` within delta gives None) is no hit, and is not
+    reduced exactly."""
     check_delta(delta)
     hits = 0
     for s in _draws(line, N, seed):
-        found = translate_basis(line, s, t).minimum(delta)
+        lat = translate_basis(line, s, t, delta)
+        found = None if lat is None else lat.minimum(delta)
         hits += found is not None and float(found[0]) < delta
     return hits / N
 

@@ -28,7 +28,9 @@ reduced basis that only ``points`` and ``minimum`` map back through U; they
 take radii in the rows' own units and compare candidates in the rows' own
 arithmetic (f64, or integers).  ``shortest_vector`` and ``count_points``
 read that value; the exact reduction also gives the segment minima, the
-Dirichlet check and the Diophantine search boxes.
+Dirichlet check and the Diophantine search boxes.  A caller that asks only
+whether a box holds a point asks ``box_has_point`` of its start first, and
+reduces only where that leaves the box undecided.
 
 The enumeration walks lines: ``_enumerate_half_ball`` yields each run
 lo <= x0 <= hi of the innermost coefficient at fixed (x1, x2), and charges
@@ -369,6 +371,39 @@ def lll_reduce_integral(cols):
             [1, d1, d2, d3], [[0, 0, 0], [l10, 0, 0], [l20, l21, 0]])
 
 
+def integer_rows(rows) -> tuple[list, int]:
+    """(integer rows, den): the rows of integer ratios (n, d), d > 0, in
+    lowest terms, times their least common denominator ``den``, with no
+    ``Fraction`` made."""
+    den = math.lcm(*(d for row in rows for _, d in row))
+    return [[n * (den // d) for n, d in row] for row in rows], den
+
+
+def box_has_point(rows, start, limit: int) -> bool | None:
+    """Whether the lattice of the integer n x 3 ``rows`` (n >= 3) has a
+    nonzero point with every row within the integer ``limit``, decided in
+    integers from a unimodular ``start`` (its columns), else None.  True
+    when a column of rows . start is one.  False when, M being the first
+    three rows of rows . start with columns a, b, c, every row of
+    adj(M) = (b x c, c x a, a x b) has limit ||row||_1 < |det M|: a point
+    M y in the box then has |y_i| <= limit ||row_i||_1 / |det M| < 1, so
+    y = 0."""
+    cols = [[r0 * c0 + r1 * c1 + r2 * c2 for r0, r1, r2 in rows] for c0, c1, c2 in start]
+    if any(max(map(abs, col)) <= limit for col in cols):
+        return True
+    a, b, c = cols
+    adj = (_cross(b, c), _cross(c, a), _cross(a, b))
+    det = abs(sum(map(mul, a, adj[0])))
+    if all(limit * sum(map(abs, row)) < det for row in adj):
+        return False
+    return None
+
+
+def _cross(u, v):
+    # u x v, read from the first three entries of each
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
 def _clamped_ratio(num: int, den: int) -> float:
     # a GSO length ratio past the f64 range only shrinks that level's
     # range to its centre, so clamping keeps the enumeration complete
@@ -563,9 +598,7 @@ class ReducedLattice(namedtuple("ReducedLattice",
     def of_ratios(cls, rows, start=None) -> "ReducedLattice":
         """Integral LLL of the lattice spanned by the three independent
         columns of the n x 3 matrix of the ratios (n, d) of ``rows``, each in
-        lowest terms with d > 0, scaled to integers by the least common
-        denominator ``den`` of its entries: (n, d) becomes the integer
-        n (den // d), with no ``Fraction`` made.
+        lowest terms with d > 0, scaled to integers by ``integer_rows``.
 
         A ``start`` warm-starts it: given a unimodular U0 in the convention
         of ``transform`` (a list of its columns), at best the ``transform``
@@ -576,8 +609,7 @@ class ReducedLattice(namedtuple("ReducedLattice",
         That is another reduced basis of the same lattice, so the points,
         minima and counts of the enumeration are the same; only the order in
         which ``points`` yields its points may change."""
-        den = math.lcm(*(d for row in rows for _, d in row))
-        rows = [[n * (den // d) for n, d in row] for row in rows]
+        rows, den = integer_rows(rows)
         red, u, d, lam = lll_reduce_integral(list(zip(*rows)) if start is None else [
             [r0 * c0 + r1 * c1 + r2 * c2 for r0, r1, r2 in rows] for c0, c1, c2 in start])
         if start is not None:
@@ -799,7 +831,7 @@ def translate_rows(e2, em, points) -> list:
     return rows + [[(0, 1), em, (0, 1)], [(0, 1), (0, 1), em]]
 
 
-def translate_basis(line, s, t) -> ReducedLattice:
+def translate_basis(line, s, t, within=None) -> ReducedLattice | None:
     """The reduced lattice g_t phi(s) Z^3, the diagonal flow as the
     log-scale float t: the lattice of the columns (e2, 0, 0), (e2 s, em, 0)
     and (e2 x, 0, em), with x = a s + b in the line's scalars and e2, em the
@@ -808,7 +840,10 @@ def translate_basis(line, s, t) -> ReducedLattice:
     rational line whose columns it resolves gets ``ReducedLattice.f64`` of
     it.  Every other translate gets ``ReducedLattice.of_ratios`` of the
     unrounded rows, built in integers by ``translate_rows`` and started from
-    the f64 U where there is one: the same lattice, minimum and counts."""
+    the f64 U where there is one: the same lattice, minimum and counts.
+
+    Given a radius ``within``, it is None where ``box_has_point`` of the
+    f64 U shows no nonzero point within it, and no exact reduction runs."""
     t = float(t.t)
     x = line.a * s + line.b
     reduced = translate_reduction(s, x, t)
@@ -817,6 +852,12 @@ def translate_basis(line, s, t) -> ReducedLattice:
     e2, em = _flow_scales(t)
     if 0.0 in (e2, em):  # a zero row spans no lattice
         raise PrecisionError(f"the flow scaling underflows f64 at log scale {t:g}")
-    return ReducedLattice.of_ratios(
-        translate_rows(e2, em, [(s.as_integer_ratio(), x.as_integer_ratio())]),
-        None if reduced is None else reduced[1])
+    rows = translate_rows(e2, em, [(s.as_integer_ratio(), x.as_integer_ratio())])
+    if reduced is None:
+        return ReducedLattice.of_ratios(rows)
+    if within is not None:
+        ints, den = integer_rows(rows)
+        n, d = within.as_integer_ratio()
+        if box_has_point(ints, reduced[1], n * den // d) is False:
+            return None
+    return ReducedLattice.of_ratios(rows, reduced[1])

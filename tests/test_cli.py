@@ -284,7 +284,11 @@ def test_budget_reaches_every_subcommand(args, capsys):
     # each translate's shortest-vector search, each escape search within
     # delta = 0.9 (at delta = 0.2 the t = 3 translates charge no leaf), each
     # dyadic block of a witness or return-window search and each direct
-    # Dirichlet horizon visits more than one node
+    # Dirichlet horizon that is reduced visits more than one node.  A block,
+    # horizon or escalated escape translate that ``box_has_point`` decides
+    # from its start charges no leaf, so a run that exited 3 may now finish;
+    # the first block and the first horizon are reduced cold, and here they
+    # still exceed the budget
     assert run_cli(args + ["--budget", "1"]) == 3
     assert "budget exceeded" in capsys.readouterr().err
 

@@ -530,6 +530,48 @@ def test_dirichlet_matches_grid_oracle(x1, x2, delta, T):
     assert v == dirichlet_grid(x1, x2, delta, T)
 
 
+@settings(max_examples=40, deadline=None)
+@given(x1=_dyadic, x2=_dyadic, delta=st.floats(1e-3, 0.999),
+       T_list=st.lists(st.floats(1.0, 40.0), min_size=2, max_size=6))
+def test_dirichlet_horizons_after_the_first_match_grid_oracle(x1, x2, delta, T_list):
+    # each horizon after the first starts from the basis of the one before,
+    # and that start decides many of them without a reduction
+    assert dio.dirichlet_direct(x1, x2, delta, T_list) == [
+        dirichlet_grid(x1, x2, delta, T) for T in T_list]
+
+
+def _recording_box_test(monkeypatch):
+    """The answers of ``box_has_point`` in ``diophantine`` and the start
+    of each ``ReducedLattice.exact`` reduction, recorded in order."""
+    answers, reduced = [], []
+    box, exact = dio.box_has_point, ReducedLattice.exact
+
+    def recording_box(rows, start, limit):
+        answers.append(box(rows, start, limit))
+        return answers[-1]
+
+    def recording_exact(rows, start=None):
+        reduced.append(start)
+        return exact(rows, start)
+
+    monkeypatch.setattr(dio, "box_has_point", recording_box)
+    monkeypatch.setattr(ReducedLattice, "exact", recording_exact)
+    return answers, reduced
+
+
+def test_decided_horizons_charge_no_leaf(monkeypatch):
+    # reduced, one of these horizons charged 4 leaves, so a cap of 1 leaf
+    # stopped the check; now a start column witnesses every horizon after
+    # the first but T = e^2, and the two reduced ones charge 1 leaf each
+    answers, reduced = _recording_box_test(monkeypatch)
+    T_list = [math.exp(k) for k in range(9)]
+    want = [True, True, False] + [True] * 6
+    with enumeration_budget(1):
+        assert dio.dirichlet_direct(0.318, 0.32, 0.05, T_list) == want
+    assert want == [dirichlet_grid(0.318, 0.32, 0.05, T) for T in T_list[:5]] + want[5:]
+    assert answers == [True, None] + [True] * 6 and len(reduced) == 2
+
+
 # -- the block searches against the one-step-per-q scans -----------------------
 
 def _pair_strategy():
@@ -749,8 +791,36 @@ def test_box_points_match_the_cold_search(pair, block_p2, C, s1, length, q_stop,
     assert pairs(warm) == pairs(cold)
 
 
+@pytest.mark.parametrize("block_p2", [False, True])
+def test_box_points_reduce_only_blocks_that_can_hold_a_point(monkeypatch, block_p2):
+    # the witness blocks of (sqrt2, sqrt3) to q_max = 10^6 at B = Q^-2 and
+    # the window blocks at R = 1: a block whose warm start shows an empty
+    # box yields no point and no reduction, and the cold search finds none
+    # there either
+    mode = bigfloat(256)
+    a, b = mode.sqrt(2), mode.sqrt(3)
+    if block_p2:
+        forms = ((1, 0, b), (1, 1, b + a))
+        bound = lambda Q: None if Q > 2 ** 16 else min(Fraction(1), Fraction(1, Q * Q))
+    else:
+        forms = ((1, 0, b), (0, 1, a))
+        bound = lambda Q: None if Q > 10 ** 6 else Fraction(1, Q * Q)
+    answers, reduced = _recording_box_test(monkeypatch)
+    warm = list(dio._box_points(*_integer_forms(forms), bound, 10 ** 6, block_p2))
+    monkeypatch.undo()
+    cold = list(box_points_cold(forms, bound, 10 ** 6, block_p2))
+    assert len(warm) == len(cold) == len(answers) + 1
+    assert answers.count(False) >= 10
+    assert len(reduced) == len(warm) - answers.count(False)
+    for got, block, want in zip(answers, warm[1:], cold[1:]):
+        if got is False:
+            assert block == want == []
+
+
 def _search_liouville7():
-    dio.w2_witness_search(liouville_partial(7), Fraction(1, 3), 1, 10)
+    # five blocks: the first reduced cold, one decided empty from its start
+    # and three reduced warm
+    dio.w2_witness_search(liouville_partial(7), Fraction(1, 3), 1, 16)
 
 
 def _search_liouville5():

@@ -234,7 +234,7 @@ def test_escape_at_a_planted_tie(delta, escapes, skew, monkeypatch):
     lat = lattice.ReducedLattice.exact([[mid, skew, 0], [0, 1, 0], [0, 0, 1]])
     assert lat.escalated and lat.minimum(math.inf)[0] == mid
     assert (float(mid) < delta) is escapes
-    monkeypatch.setattr(exp, "translate_basis", lambda line, s, t: lat)
+    monkeypatch.setattr(exp, "translate_basis", lambda line, s, t, within=None: lat)
     args = (GENERIC_LINE, FlowTime.of(0.0), delta, 3, 1)
     assert exp.escape_mass_fraction(*args) == escape_fraction_by_lambda1(*args) == escapes
 

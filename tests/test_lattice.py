@@ -27,7 +27,7 @@ from latflow.scalars import F64, RATIONAL, bigfloat, named_scalar
 from util import (brute_force_count, brute_force_lambda1, count_leaf_by_leaf,
                   count_points_f64, count_points_mp, count_refused, exact_scaled_rows,
                   f64_lattice, from_int, gram_schmidt_full, lll_reduce_full,
-                  lll_reduce_integral_cohen, phi, points_leaf_by_leaf,
+                  lll_reduce_integral_cohen, mat_det, phi, points_leaf_by_leaf,
                   random_unimodular_columns, scaled_columns, shortest_vector_f64,
                   shortest_vector_mp)
 
@@ -691,6 +691,27 @@ def test_warm_started_translates_equal_the_cold_reduction(kind, seed, t, low, ra
         assert count_points(lat, r) == count_points(cold, r)
 
 
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(_WARM_LINES)), seed=st.integers(0, 2 ** 32 - 1),
+       t=st.floats(0.0, 12.5), radius=st.floats(0.05, 1.5))
+@example(kind="f64", seed=1, t=9.5, radius=0.5)
+@example(kind="bigfloat", seed=1, t=3.0, radius=0.5)
+def test_translate_within_a_radius_is_none_only_where_no_point_is(kind, seed, t, radius):
+    # asked within a radius, translate_basis gives the same lattice, or None
+    # where its f64 start shows that no nonzero point lies within it; at
+    # lambda_1 itself a point does
+    line = _WARM_LINES[kind]
+    s = line.s1 + line.mode.from_fraction(Fraction(sample_uniform(seed, 0))) * (
+        line.s2 - line.s1)
+    ft = FlowTime.of(t)
+    lat = translate_basis(line, s, ft)
+    lam = shortest_vector(lat).lambda1
+    for r in (radius, lam, math.nextafter(lam, 0)):
+        within = translate_basis(line, s, ft, r)
+        assert within == lat or (within is None and lat.minimum(r) is None)
+    assert translate_basis(line, s, ft, lam) == lat
+
+
 def _cold_arm_seen(monkeypatch, line, s, t):
     """The lattice ``translate_basis`` makes, asserting that its exact
     reduction was the cold one: one integral LLL of the integer basis
@@ -1104,6 +1125,92 @@ def test_points_cut_equals_the_leaf_by_leaf_points(rows, radius):
     want = points_leaf_by_leaf(lat, radius)
     assert list(lat.points(radius)) == want
     assert lat.count(radius) == 2 * len(want)
+
+
+def _unimodular(steps):
+    """The columns of the product of the elementary column steps (i, j, k),
+    each adding k times column i to column j (i != j), or negating column i
+    where i = j."""
+    cols = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for i, j, k in steps:
+        cols[j] = [-x for x in cols[j]] if i == j else [
+            x + k * y for x, y in zip(cols[j], cols[i])]
+    return cols
+
+
+# integer bases of 3 and 4 rows: free ones, and the shape of the diophantine
+# box blocks, two forms and L / m on q (and L / (2Q - 1) on p2)
+_box_rows = st.one_of(
+    _small_rows,
+    st.builds(lambda forms, m, p2: forms + [[0, 0, m]] + ([[0, p2, 0]] if p2 else []),
+              st.lists(st.lists(st.integers(-40, 40), min_size=3, max_size=3),
+                       min_size=2, max_size=2),
+              st.integers(1, 40), st.integers(0, 40)))
+_steps = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3)),
+                  max_size=6)
+
+
+def _box_has_point_by_rule(rows, start, limit):
+    # the rule, independently: a start column with every row within limit,
+    # else Cramer's coefficients |y_i| <= limit sum_j |det M_i(e_j)| / |det M|
+    # all below 1
+    cols = [[sum(r * c for r, c in zip(row, col)) for row in rows] for col in start]
+    if any(all(abs(x) <= limit for x in col) for col in cols):
+        return True
+    m = [[col[i] for col in cols] for i in range(3)]
+    det = abs(mat_det(m))
+
+    def replaced(i, j):
+        return [[int(k == j) if c == i else m[k][c] for c in range(3)] for k in range(3)]
+
+    if det and all(limit * sum(abs(mat_det(replaced(i, j))) for j in range(3)) < det
+                   for i in range(3)):
+        return False
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_box_rows, start_kind=st.sampled_from(["cold", "warm", "random"]),
+       steps=_steps, scale=st.lists(st.integers(1, 4), min_size=4, max_size=4),
+       limit_kind=st.sampled_from(["free", "column"]), free=st.integers(0, 60),
+       column=st.integers(0, 2))
+# a start column at exactly the limit; and dual bounds of exactly 1 on all
+# three coefficients, which the point (-1, -1, 1), at exactly the limit,
+# reaches
+@example(rows=[[3, 0, 0], [0, 5, 0], [0, 0, 7], [1, 2, 9]], start_kind="cold", steps=[],
+         scale=[1, 1, 1, 1], limit_kind="column", free=0, column=0)
+@example(rows=[[-1, 2, 3], [-2, 3, -1], [-4, -1, -3]], start_kind="cold", steps=[],
+         scale=[1, 1, 1, 1], limit_kind="free", free=2, column=0)
+# a dual rule that holds on the first two rows of adj(M) alone
+@example(rows=[[5, 0, 0], [0, 5, 0], [0, 4, 4]], start_kind="cold", steps=[],
+         scale=[1, 1, 1, 1], limit_kind="free", free=3, column=0)
+# block_p2 rows whose p2 row alone puts a column past the limit
+@example(rows=[[5, 0, 1], [0, 2, 1], [0, 0, 4], [0, 9, 0]], start_kind="cold", steps=[],
+         scale=[1, 1, 1, 1], limit_kind="free", free=3, column=0)
+def test_box_has_point_against_the_leaf_by_leaf_points(rows, start_kind, steps, scale,
+                                                       limit_kind, free, column):
+    # True only where a start column is a point within the limit, False only
+    # where the dual rule holds; and each answer is that of the points of
+    # the cold reduction, leaf by leaf.  A warm start is the transform of
+    # the rows with scaled rows, as a block before gives it
+    try:
+        cold = ReducedLattice.exact(rows)
+    except ReductionError:  # dependent columns
+        assume(False)
+    if start_kind == "cold":
+        start = _unimodular([])
+    elif start_kind == "random":
+        start = _unimodular(steps)
+    else:
+        start = ReducedLattice.exact([[x * k for x in row]
+                                      for row, k in zip(rows, scale)]).transform
+    limit = free if limit_kind == "free" else max(
+        abs(sum(r * c for r, c in zip(row, start[column]))) for row in rows)
+    got = lattice.box_has_point(rows, start, limit)
+    assert got is _box_has_point_by_rule(rows, start, limit)
+    points = points_leaf_by_leaf(cold, limit)
+    if got is not None:
+        assert bool(points) is got
 
 
 def test_enumeration_budget_nests_and_restores():

@@ -84,7 +84,10 @@ SHOWN = 10  # differing operations named in full
 # scans of ``dirichlet``'s probe: a rational orbit whose tail is outside K
 # from t = 0.92 to t_max = 8 on a grid of 0.01, so that the backward scan
 # probes 709 times, and a --direct-step of 0.3 on a grid of 0.04, which is
-# no multiple of it, so that the check times are the multiples of 0.6.
+# no multiple of it, so that the check times are the multiples of 0.6;
+# last, a direct Dirichlet check at delta = 0.05 every 0.25 in t, where the
+# start from the horizon before shows five horizons unsolvable without a
+# reduction (no workload operation has such a horizon).
 #
 # No operation reaches these lines, error paths aside, for these reasons:
 # - ``cli._fmt`` of a bool: every bool column of a report is all bool, which
@@ -182,6 +185,8 @@ EXTRA_OPS = [
      "--t-max", "8", "--dt", "0.01"],
     ["dirichlet", "sqrt2", "sqrt3", "--s", "0.45", "--delta", "0.6", "--t-max", "7",
      "--dt", "0.04", "--direct-step", "0.3"],
+    ["dirichlet", "sqrt2", "sqrt3", "--s", "0.3", "--delta", "0.05", "--t-max", "6",
+     "--direct-step", "0.25"],
 ]
 
 # Runs in the child, with cwd the tree's temporary directory:
