@@ -11,7 +11,6 @@ from .errors import (
     LatflowError,
     ParseError,
     PrecisionError,
-    ReductionError,
 )
 from .flow import FlowTime, LineSegmentSpec
 from .scalars import F64, RATIONAL, ScalarMode, bigfloat
@@ -22,7 +21,6 @@ __all__ = [
     "LatflowError",
     "ParseError",
     "PrecisionError",
-    "ReductionError",
     "FlowTime",
     "LineSegmentSpec",
     "F64",

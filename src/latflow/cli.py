@@ -17,9 +17,7 @@ columns are each all float, all int or all bool, none of whose cells a
 ``csv.writer`` quotes, is written with one ``%``-template per row.
 
 Exit codes: 0 success, 2 usage, parse or invalid-input errors, 3 budget
-errors, 4 precision or lattice-reduction failures.  A lattice-reduction
-failure comes only from the integral LLL on dependent columns, which no
-subcommand builds.
+errors, 4 precision failures.
 
 Built-in named constants accepted wherever a number is expected:
 sqrt2, sqrt3, golden, liouville:k (the partial sum of 10^-j! up to j = k).

@@ -48,7 +48,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InvalidInputError, PrecisionError
-from .lattice import ReducedLattice, box_has_point, integer_rows
+from .lattice import ReducedLattice, box_has_point, floor_limit, integer_rows
 from .scalars import F64_MAX_DENOM, ScalarMode
 
 
@@ -85,7 +85,7 @@ def _box_points(forms, den: int, bound, q_max: int, block_p2: bool = False):
             rows.append([0, L // end, 0])
         block = []
         if start is None or box_has_point(rows, start, L) is not False:
-            lattice = ReducedLattice.exact(rows, start)
+            lattice = ReducedLattice.exact(rows, start=start)
             start = lattice.transform
             for p1, p2, q in lattice.points(L):
                 if q < 0:
@@ -379,6 +379,9 @@ def ir_density(line, R, T, q_max: int, dt: float = 0.01) -> DensityProfile:
         raise PrecisionError(
             "R1 = R max(|s1| + |s2|, 2) / (s2 - s1) is past the f64 range; "
             "the interval is too short") from None
+    # R <= R1, so float(r) cannot overflow here
+    if float(r) == 0:
+        raise PrecisionError("R underflows f64 to 0; the E_q windows take its f64 logarithm")
 
     intervals = []
     # E_q is empty unless <q(b,a)> < R1 R^2 q^-2
@@ -412,12 +415,12 @@ def dirichlet_direct(x1, x2, delta, T_list) -> list[bool]:
     ((T^3 / delta)(x1 q1 + x2 q2 + p), q1, q2) has a nonzero vector of sup
     norm <= T (q = 0 would need |p| T^3 / delta <= T, so p = 0 as well).
     Only the first row changes from one T to the next, by a factor
-    (T / T')^3, so the last basis reduced starts each T after the first:
-    ``box_has_point`` of the rows scaled to integers (``integer_rows``)
-    says solvable where a start column lies within T and not where its dual
-    rule holds, and any other T is one ``ReducedLattice.exact(...).minimum``
-    started from it, which solves the lattice exactly.  The verdict does
-    not depend on the basis.
+    (T / T')^3, so the last basis reduced starts each T after the first.
+    The rows of each T are scaled to integers once (``integer_rows``):
+    ``box_has_point`` of them says solvable where a start column lies
+    within T and not where its dual rule holds, and any other T is one
+    ``ReducedLattice.exact(...).minimum`` of them started from it, which
+    solves the lattice exactly.  The verdict does not depend on the basis.
     """
     x1, x2, d = (Fraction(x) for x in (x1, x2, delta))
     if not 0 < d < 1:
@@ -428,14 +431,13 @@ def dirichlet_direct(x1, x2, delta, T_list) -> list[bool]:
     out, start = [], None
     for T in T_list:
         k = Fraction(T) ** 3 / d
-        rows = ((k * x1, k * x2, k), (1, 0, 0), (0, 1, 0))
-        if start is not None:
-            ints, den = integer_rows([[x.as_integer_ratio() for x in row] for row in rows])
-            n, m = T.as_integer_ratio()
-            if (found := box_has_point(ints, start, n * den // m)) is not None:
-                out.append(found)
-                continue
-        lat = ReducedLattice.exact(rows, start)
+        rows, den = integer_rows([[x.as_integer_ratio() for x in row] for row in (
+            (k * x1, k * x2, k), (1, 0, 0), (0, 1, 0))])
+        if start is not None and (
+                found := box_has_point(rows, start, floor_limit(T, den))) is not None:
+            out.append(found)
+            continue
+        lat = ReducedLattice.exact(rows, den, start)
         start = lat.transform
         out.append(lat.minimum(T) is not None)
     return out

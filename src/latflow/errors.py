@@ -2,7 +2,7 @@
 
 Each class carries the CLI's exit code and the label of its ``latflow:
 <label>: <message>`` line: parse and invalid-input errors exit 2, budget
-errors 3, precision and reduction failures 4.
+errors 3, precision failures 4.
 """
 
 
@@ -29,8 +29,3 @@ class BudgetError(LatflowError, RuntimeError):
 class PrecisionError(LatflowError, RuntimeError):
     """The requested computation cannot be trusted in the current scalar mode."""
     exit_code, label = 4, "precision failure"
-
-
-class ReductionError(LatflowError, RuntimeError):
-    """The exact integral LLL met linearly dependent columns."""
-    exit_code, label = 4, "reduction failure"

@@ -25,8 +25,8 @@ from fractions import Fraction
 from .errors import InvalidInputError, PrecisionError
 # segment_sup is not called here; perfbench's trace hooks wrap it in this module
 from .flow import FlowTime, LineSegmentSpec, segment_sup  # noqa: F401
-from .lattice import (ReducedLattice, count_points, shortest_vector, translate_basis,
-                      translate_reduction, translate_rows)
+from .lattice import (ReducedLattice, count_points, integer_rows, shortest_vector,
+                      translate_basis, translate_reduction, translate_rows)
 
 
 _MASK64 = (1 << 64) - 1
@@ -59,9 +59,8 @@ def sample_uniform(seed: int, index: int) -> float:
     return (c0 >> 11) * 2.0 ** -53
 
 
-@lru_cache(maxsize=64)
 def count_key(r: float) -> str:
-    """The report key of the point count at radius r, made once per radius."""
+    """The report key of the point count at radius r."""
     return f"count_r{r:g}"
 
 
@@ -149,7 +148,7 @@ def segment_minimum(line: LineSegmentSpec, t: FlowTime, R_cap: float) -> tuple |
     so the minimum is that lattice's first sup-norm minimum.  E2 and Em are
     the values that ``t.factor`` gives, and they, a, b, s1 and s2 are taken
     at their exact stored values, in integers (``translate_rows``), so
-    ``ReducedLattice.of_ratios`` solves it exactly; ties go to the
+    ``ReducedLattice.exact`` solves it exactly; ties go to the
     sign-normalised vector smallest in (q, p2, p1).
     Rows 1, 3 and 4 are those of the translate at s1, so the reduction
     starts from the U of its f64 ``translate_reduction`` where it gives one;
@@ -167,8 +166,8 @@ def segment_minimum(line: LineSegmentSpec, t: FlowTime, R_cap: float) -> tuple |
     ends = [((n, d), (bn * ad * d + an * n * bd, bd * ad * d))  # s and b + a s
             for n, d in (line.s1.as_integer_ratio(), line.s2.as_integer_ratio())]
     reduced = translate_reduction(line.s1, line.a * line.s1 + line.b, float(t.t))
-    found = ReducedLattice.of_ratios(translate_rows(e2, em, ends),
-                                     None if reduced is None else reduced[1]).minimum(R_cap)
+    found = ReducedLattice.exact(*integer_rows(translate_rows(e2, em, ends)),
+                                 None if reduced is None else reduced[1]).minimum(R_cap)
     return None if found is None else (found[1], line.mode.from_fraction(found[0]))
 
 

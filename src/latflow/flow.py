@@ -21,7 +21,6 @@ import decimal
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InvalidInputError
 from .scalars import F64, ScalarMode, exp_f64, named_scalar
@@ -70,21 +69,13 @@ class FlowTime(namedtuple("FlowTime", "t")):
 
     def factor(self, k: int, mode: ScalarMode = F64):
         """e^{k t} as a mode scalar: correctly rounded to B bits from the
-        exact k t in bigfloat mode, an f64 in the other modes."""
+        exact k t in bigfloat mode, by one Ziv loop per call, an f64 in the
+        other modes."""
         if mode.kind == "bigfloat":
-            return _exp_bigfloat(self.t, k, mode)
+            # k t exactly: a float's decimal is finite
+            kt = decimal.Context(prec=decimal.MAX_PREC).multiply(decimal.Decimal(self.t), k)
+            return mode.rounded(lambda ctx: ctx.exp(kt))
         return exp_f64(k * self.t)
-
-
-@lru_cache(maxsize=8)
-def _exp_bigfloat(t: float, k: int, mode: ScalarMode) -> Fraction:
-    """e^{k t} correctly rounded to the B bits of the bigfloat ``mode``, by
-    one Ziv loop per (t, k, B) among the last few asked for: the
-    ``segment_sup`` of several vectors at one flow time asks for the same
-    powers again."""
-    # k t exactly: a float's decimal is finite
-    kt = decimal.Context(prec=decimal.MAX_PREC).multiply(decimal.Decimal(t), k)
-    return mode.rounded(lambda ctx: ctx.exp(kt))
 
 
 def segment_sup(line: LineSegmentSpec, t: FlowTime, v: tuple[int, int, int]):

@@ -10,27 +10,29 @@ inflated ball contains every candidate that could beat the incumbent).
 
 A lattice is one value, ``ReducedLattice``, made by either reduction.
 ``ReducedLattice.f64`` takes three f64 columns that one ``lll_reduce``
-reduced and resolved.  ``ReducedLattice.of_ratios`` scales the rows of a
-rank-3 lattice in Q^n, given as integer ratios, to integers and runs the
-integral LLL (no rounding anywhere), warm started, if asked, from the
-transform of a lattice reduced before; ``exact`` takes the rows as numbers.
-``translate_basis`` reduces the basis of g_t phi(s) Z^3 rounded to f64
-once (``translate_reduction``).  Where f64 resolves it (a spread, the
-longest column over the least Gram-Schmidt length, at most
-``GSO_RANGE_CAP``) an f64 or rational line keeps that reduction;
-otherwise, and for every bigfloat line, the unrounded rows, built in
-integers by ``translate_rows``, go to ``of_ratios``, started from the f64
-transform wherever f64 still reduced them (a spread up to ``SPREAD_CAP`` =
-1/u): reducing in floating point and then finishing exactly (Nguyen and
-Stehle, SIAM J. Comput. 2009).  A lattice's ``points``, ``minimum`` and
-``count`` are one Fincke-Pohst enumeration, over coefficients in the
-reduced basis that only ``points`` and ``minimum`` map back through U; they
-take radii in the rows' own units and compare candidates in the rows' own
-arithmetic (f64, or integers).  ``shortest_vector`` and ``count_points``
-read that value; the exact reduction also gives the segment minima, the
-Dirichlet check and the Diophantine search boxes.  A caller that asks only
-whether a box holds a point asks ``box_has_point`` of its start first, and
-reduces only where that leaves the box undecided.
+reduced and resolved.  ``ReducedLattice.exact`` takes the rows of a rank-3
+lattice in Q^n as integer rows and their denominator, the form
+``integer_rows`` makes of ratio rows, and runs the integral LLL (no
+rounding anywhere), warm started, if asked, from the transform of a
+lattice reduced before.  ``translate_basis`` reduces the basis of
+g_t phi(s) Z^3 rounded to f64 once (``translate_reduction``).  Where f64
+resolves it (a spread, the longest column over the least Gram-Schmidt
+length, at most ``GSO_RANGE_CAP``) an f64 or rational line keeps that
+reduction; otherwise, and for every bigfloat line, the unrounded rows,
+built in integers by ``translate_rows``, go to ``exact``, started from the
+f64 transform wherever f64 still reduced them (a spread up to
+``SPREAD_CAP`` = 1/u): reducing in floating point and then finishing
+exactly (Nguyen and Stehle, SIAM J. Comput. 2009).  A lattice's
+``points``, ``minimum`` and ``count`` are one Fincke-Pohst enumeration,
+over coefficients in the reduced basis that only ``points`` and
+``minimum`` map back through U; they take radii in the rows' own units and
+compare candidates in the rows' own arithmetic (f64, or integers).
+``shortest_vector`` and ``count_points`` read that value; the exact
+reduction also gives the segment minima, the Dirichlet check and the
+Diophantine search boxes.  A caller that asks only whether a box holds a
+point asks ``box_has_point`` of its start first, of the same integer rows,
+and reduces only where that leaves the box undecided; ``floor_limit`` puts
+a rational radius into the integer units of both.
 
 The enumeration walks lines: ``_enumerate_half_ball`` yields each run
 lo <= x0 <= hi of the innermost coefficient at fixed (x1, x2), and charges
@@ -61,7 +63,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .errors import BudgetError, InvalidInputError, PrecisionError, ReductionError
+from .errors import BudgetError, InvalidInputError, PrecisionError
 from .scalars import exp_f64
 
 LLL_DELTA = 0.99
@@ -305,18 +307,19 @@ def lll_reduce_integral(cols):
     locals and a swap rebinds names.  Row 1 is computed at entry, row 2 the
     first time k reaches 2; at k = 2, c is size-reduced against b before the
     Lovasz test and against a once it passes.  A zero d_i means dependent
-    columns and raises ``ReductionError`` when that row is computed.
+    columns, which no subcommand builds, and raises ``InvalidInputError``
+    when that row is computed.
     """
     dn, dd = LLL_DELTA_EXACT.numerator, LLL_DELTA_EXACT.denominator
     a, b, c = cols
     ua0, ua1, ua2, ub0, ub1, ub2, uc0, uc1, uc2 = 1, 0, 0, 0, 1, 0, 0, 0, 1
     d1 = sum(map(mul, a, a))
     if d1 == 0:
-        raise ReductionError(_DEPENDENT)
+        raise InvalidInputError(_DEPENDENT)
     l10 = sum(map(mul, b, a))
     d2 = d1 * sum(map(mul, b, b)) - l10 * l10
     if d2 == 0:
-        raise ReductionError(_DEPENDENT)
+        raise InvalidInputError(_DEPENDENT)
     row2 = False
     k = 1
     while k < 3:
@@ -345,7 +348,7 @@ def lll_reduce_integral(cols):
                 l21 = d1 * sum(map(mul, c, b)) - l20 * l10
                 d3 = (d2 * (d1 * sum(map(mul, c, c)) - l20 * l20) - l21 * l21) // d1
                 if d3 == 0:
-                    raise ReductionError(_DEPENDENT)
+                    raise InvalidInputError(_DEPENDENT)
             if 2 * abs(l21) > d2:
                 m = (2 * l21 + d2) // (2 * d2)
                 c = [x - m * y for x, y in zip(c, b)]
@@ -374,9 +377,18 @@ def lll_reduce_integral(cols):
 def integer_rows(rows) -> tuple[list, int]:
     """(integer rows, den): the rows of integer ratios (n, d), d > 0, in
     lowest terms, times their least common denominator ``den``, with no
-    ``Fraction`` made."""
+    ``Fraction`` made; the form that ``ReducedLattice.exact`` and
+    ``box_has_point`` take."""
     den = math.lcm(*(d for row in rows for _, d in row))
     return [[n * (den // d) for n, d in row] for row in rows], den
+
+
+def floor_limit(radius, den: int) -> int:
+    """floor(radius den), for a finite rational ``radius`` in the units of
+    rows scaled to integers by ``den``: an integer norm is at most
+    radius den exactly when it is at most this."""
+    n, d = radius.as_integer_ratio()
+    return n * den // d
 
 
 def box_has_point(rows, start, limit: int) -> bool | None:
@@ -589,16 +601,11 @@ class ReducedLattice(namedtuple("ReducedLattice",
         return cls(rows, u, mu, norm2, 1, norm2[0] * norm2[1] * norm2[2])
 
     @classmethod
-    def exact(cls, rows, start=None) -> "ReducedLattice":
-        """``of_ratios`` of the ``as_integer_ratio()`` of each entry of the
-        rational n x 3 matrix ``rows`` (``int`` or ``Fraction`` entries)."""
-        return cls.of_ratios([[x.as_integer_ratio() for x in row] for row in rows], start)
-
-    @classmethod
-    def of_ratios(cls, rows, start=None) -> "ReducedLattice":
+    def exact(cls, rows, den: int = 1, start=None) -> "ReducedLattice":
         """Integral LLL of the lattice spanned by the three independent
-        columns of the n x 3 matrix of the ratios (n, d) of ``rows``, each in
-        lowest terms with d > 0, scaled to integers by ``integer_rows``.
+        columns of the integer n x 3 matrix ``rows``, the basis rows scaled
+        by ``den`` (``integer_rows`` makes both of ratio rows); radii and
+        norms stay in the units of the basis rows.
 
         A ``start`` warm-starts it: given a unimodular U0 in the convention
         of ``transform`` (a list of its columns), at best the ``transform``
@@ -609,7 +616,6 @@ class ReducedLattice(namedtuple("ReducedLattice",
         That is another reduced basis of the same lattice, so the points,
         minima and counts of the enumeration are the same; only the order in
         which ``points`` yields its points may change."""
-        rows, den = integer_rows(rows)
         red, u, d, lam = lll_reduce_integral(list(zip(*rows)) if start is None else [
             [r0 * c0 + r1 * c1 + r2 * c2 for r0, r1, r2 in rows] for c0, c1, c2 in start])
         if start is not None:
@@ -628,12 +634,10 @@ class ReducedLattice(namedtuple("ReducedLattice",
         return min(max(map(abs, col)) for col in zip(*self.rows))
 
     def _limit(self, radius):
-        # ``radius`` in the units of the scaled ``rows``: an integer norm is
-        # at most radius den exactly when it is at most floor(radius den)
+        # ``radius``, in the units of the basis rows, as a limit on ``rows``
         if not self.escalated or radius == math.inf:
             return radius
-        n, d = radius.as_integer_ratio()
-        return n * self.den // d
+        return floor_limit(radius, self.den)
 
     def _lines(self, limit):
         """The lines of the walk of the Euclidean ball of radius sqrt(n)
@@ -818,10 +822,11 @@ def translate_reduction(s, x, t: float):
 
 def translate_rows(e2, em, points) -> list:
     """The rows (e2, e2 s, e2 x), one for each (s, x) of ``points``, then
-    (0, em, 0) and (0, 0, em), as ``ReducedLattice.of_ratios`` takes them:
-    e2 and em are numbers, s and x ratios (n, d), d > 0, in any terms, and
-    each product takes one gcd.  One point gives the basis rows of
-    g_t phi(s) Z^3; ``segment_minimum`` gives the ends of its segment."""
+    (0, em, 0) and (0, 0, em), as ratios in lowest terms for
+    ``integer_rows``: e2 and em are numbers, s and x ratios (n, d), d > 0,
+    in any terms, and each product takes one gcd.  One point gives the
+    basis rows of g_t phi(s) Z^3; ``segment_minimum`` gives the ends of its
+    segment."""
     (en, ed), em = e2.as_integer_ratio(), em.as_integer_ratio()
     rows = []
     for (sn, sd), (xn, xd) in points:
@@ -838,9 +843,10 @@ def translate_basis(line, s, t, within=None) -> ReducedLattice | None:
     f64 row scales e^{2t}, e^{-t} of ``_flow_scales``.  Every line's
     columns, rounded to f64, take one ``translate_reduction``; an f64 or
     rational line whose columns it resolves gets ``ReducedLattice.f64`` of
-    it.  Every other translate gets ``ReducedLattice.of_ratios`` of the
-    unrounded rows, built in integers by ``translate_rows`` and started from
-    the f64 U where there is one: the same lattice, minimum and counts.
+    it.  Every other translate gets ``ReducedLattice.exact`` of the
+    unrounded rows, built in integers by ``translate_rows`` and scaled once
+    by ``integer_rows``, started from the f64 U where there is one: the same
+    lattice, minimum and counts.
 
     Given a radius ``within``, it is None where ``box_has_point`` of the
     f64 U shows no nonzero point within it, and no exact reduction runs."""
@@ -852,12 +858,10 @@ def translate_basis(line, s, t, within=None) -> ReducedLattice | None:
     e2, em = _flow_scales(t)
     if 0.0 in (e2, em):  # a zero row spans no lattice
         raise PrecisionError(f"the flow scaling underflows f64 at log scale {t:g}")
-    rows = translate_rows(e2, em, [(s.as_integer_ratio(), x.as_integer_ratio())])
+    rows, den = integer_rows(
+        translate_rows(e2, em, [(s.as_integer_ratio(), x.as_integer_ratio())]))
     if reduced is None:
-        return ReducedLattice.of_ratios(rows)
-    if within is not None:
-        ints, den = integer_rows(rows)
-        n, d = within.as_integer_ratio()
-        if box_has_point(ints, reduced[1], n * den // d) is False:
-            return None
-    return ReducedLattice.of_ratios(rows, reduced[1])
+        return ReducedLattice.exact(rows, den)
+    if within is not None and box_has_point(rows, reduced[1], floor_limit(within, den)) is False:
+        return None
+    return ReducedLattice.exact(rows, den, reduced[1])

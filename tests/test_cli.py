@@ -19,11 +19,11 @@ from latflow import diophantine as dio
 from latflow import experiments as exp
 from latflow import flow
 from latflow import lattice
-from latflow.errors import BudgetError, InvalidInputError, ReductionError
+from latflow.errors import BudgetError, InvalidInputError
 from latflow.scalars import (F64, RATIONAL, ScalarMode, bigfloat, mode_from_spec,
                              named_scalar)
 
-from util import csv_per_cell, exact_scaled_rows, from_int, phi
+from util import csv_per_cell, exact_scaled_rows, from_int, integer_scaled, phi
 
 
 def run_cli(args):
@@ -170,14 +170,13 @@ def test_orbit_rational_minima(tmp_path):
 
 
 def test_bigfloat_orbit_runs_one_ziv_loop_per_power(tmp_path, monkeypatch):
-    # sqrt2 and sqrt3 are one Ziv loop each; then segment_minimum and
-    # segment_sup both ask for e^{2t} and e^{-t} of each of the four flow
-    # times, which are two loops per flow time
+    # sqrt2 and sqrt3 are one Ziv loop each; then segment_minimum asks
+    # once for e^{2t} and e^{-t} of each of the four flow times, which are
+    # two loops per flow time
     calls = []
     rounded = ScalarMode.rounded
     monkeypatch.setattr(ScalarMode, "rounded",
                         lambda mode, value: calls.append(mode) or rounded(mode, value))
-    flow._exp_bigfloat.cache_clear()
     out = tmp_path / "orb"
     assert run_cli(["orbit", "sqrt2", "sqrt3", "--mode", "bigfloat:64",
                     "--t-grid", "0:3:1", "--N", "3", "--R-cap", "8", "--out", str(out)]) == 0
@@ -537,25 +536,16 @@ def test_f64_flow_overflow_exit_4(args):
     assert run_cli(args) == 4
 
 
-def test_reduction_error_exit_4(monkeypatch, capsys, tmp_path):
+def test_cold_exact_reduction_gives_the_warm_report(monkeypatch, tmp_path):
     # every translate needs more than one f64 LLL step: past the cap the
     # f64 pass gives no start, and the cold exact reduction gives the same
-    # report as the warm one; a failing exact reduction exits 4
+    # report as the warm one
     argv = ["equidist", "sqrt2", "sqrt3", "--t-list", "10,11", "--N", "3", "--format", "json"]
     assert run_cli(argv + ["--out", str(tmp_path / "warm")]) == 0
     monkeypatch.setattr(lattice, "LLL_ITERATION_CAP", 1)
     assert run_cli(argv + ["--out", str(tmp_path / "cold")]) == 0
     warm, cold = (read_json(tmp_path / f"{x}.json") for x in ("warm", "cold"))
     assert (warm["samples"], warm["summary"]) == (cold["samples"], cold["summary"])
-
-    def failing(cols):
-        raise ReductionError("integral LLL needs independent columns")
-
-    monkeypatch.setattr(lattice, "lll_reduce_integral", failing)
-    capsys.readouterr()
-    assert run_cli(argv) == 4
-    assert capsys.readouterr().err == (
-        "latflow: reduction failure: integral LLL needs independent columns\n")
 
 
 @pytest.mark.parametrize("radii", ["inf", "1.5,inf", "-inf", "nan"])
@@ -578,9 +568,29 @@ def test_density_interval_past_f64_range_exit_4(capsys):
     assert "R1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["rational", "bigfloat"])
+def test_density_R_below_the_f64_range_exit_4(mode, capsys, tmp_path):
+    # an R that rounds to f64 0 has no f64 logarithm for the E_q windows; a
+    # subnormal R still runs
+    argv = ["density", "1/2", "1/3", "--mode", mode, "--q-max", "100"]
+    assert run_cli(argv + ["--R", "1e-400"]) == 4
+    assert capsys.readouterr().err == (
+        "latflow: precision failure: R underflows f64 to 0; "
+        "the E_q windows take its f64 logarithm\n")
+    assert run_cli(argv + ["--R", "1e-320", "--out", str(tmp_path / "sub")]) == 0
+
+
+@pytest.mark.parametrize("mode", ["rational", "bigfloat"])
+def test_density_R_past_the_f64_range_exit_4(mode, capsys):
+    # R1 >= R, so an R past the largest f64 is refused by the R1 check
+    argv = ["density", "1/2", "1/3", "--mode", mode, "--q-max", "100", "--R", "1e400"]
+    assert run_cli(argv) == 4
+    assert "R1" in capsys.readouterr().err
+
+
 def _exact_lambda1(line, s, t):
     return lattice.shortest_vector(
-        lattice.ReducedLattice.exact(exact_scaled_rows(phi(line, s), t))).lambda1
+        lattice.ReducedLattice.exact(*integer_scaled(exact_scaled_rows(phi(line, s), t)))).lambda1
 
 
 @pytest.mark.parametrize("args", [

@@ -550,9 +550,9 @@ def _recording_box_test(monkeypatch):
         answers.append(box(rows, start, limit))
         return answers[-1]
 
-    def recording_exact(rows, start=None):
+    def recording_exact(rows, den=1, start=None):
         reduced.append(start)
-        return exact(rows, start)
+        return exact(rows, den, start)
 
     monkeypatch.setattr(dio, "box_has_point", recording_box)
     monkeypatch.setattr(ReducedLattice, "exact", recording_exact)
@@ -843,21 +843,22 @@ def _dirichlet_ascending():
 def test_warm_started_lattices_are_exactly_reduced(monkeypatch, search):
     # every lattice reduced from the basis of the one before is LLL-reduced
     # in exact integers, with a unimodular transform U and reduced columns
-    # that are the basis columns times U: what the Fincke-Pohst walk needs
+    # that are the basis columns times U: what the Fincke-Pohst walk needs;
+    # the basis it was given is integer rows, as ``exact`` takes them
     made = []
     cold = ReducedLattice.exact
 
-    def recording(rows, start=None):
-        lat = cold(rows, start)
+    def recording(rows, den=1, start=None):
+        lat = cold(rows, den, start)
         made.append((rows, start, lat))
         return lat
 
     monkeypatch.setattr(ReducedLattice, "exact", recording)
     search()
-    warm = [(rows, lat) for rows, start, lat in made if start is not None]
+    warm = [(basis, lat) for basis, start, lat in made if start is not None]
     assert len(warm) >= 3
-    for rows, lat in warm:
-        basis = [[x * lat.den for x in row] for row in rows]
+    for basis, lat in warm:
+        assert all(type(x) is int for row in basis for x in row)
         cols = [list(col) for col in zip(*lat.rows)]
         assert cols == [[sum(x * y for x, y in zip(row, u)) for row in basis]
                         for u in lat.transform]

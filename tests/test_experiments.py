@@ -16,8 +16,9 @@ from latflow.errors import BudgetError, InvalidInputError, PrecisionError
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
 from latflow.scalars import (F64, RATIONAL, bigfloat, liouville_partial,
                              named_scalar)
-from util import (escape_fraction_by_lambda1, exact_time, from_int, ks_distance_bisect,
-                  phi, scaled_columns, segment_minimum_scan, translate_sample_s)
+from util import (escape_fraction_by_lambda1, exact_time, from_int, integer_scaled,
+                  ks_distance_bisect, phi, scaled_columns, segment_minimum_scan,
+                  translate_sample_s)
 
 RATIONAL_LINE = LineSegmentSpec(Fraction(1, 2), Fraction(1, 3),
                                 Fraction(0), Fraction(1), RATIONAL)
@@ -231,7 +232,7 @@ def test_escape_at_a_planted_tie(delta, escapes, skew, monkeypatch):
     below = math.nextafter(delta, 0)
     mid = (Fraction(below) + Fraction(delta)) / 2
     assert int(math.frexp(below)[0] * 2 ** 53) % 2 == (0 if escapes else 1)
-    lat = lattice.ReducedLattice.exact([[mid, skew, 0], [0, 1, 0], [0, 0, 1]])
+    lat = lattice.ReducedLattice.exact(*integer_scaled([[mid, skew, 0], [0, 1, 0], [0, 0, 1]]))
     assert lat.escalated and lat.minimum(math.inf)[0] == mid
     assert (float(mid) < delta) is escapes
     monkeypatch.setattr(exp, "translate_basis", lambda line, s, t, within=None: lat)

@@ -1,6 +1,8 @@
 import inspect
+import linecache
 import math
 import time
+import traceback
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latflow import diophantine, experiments, lattice
-from latflow.errors import BudgetError, InvalidInputError, PrecisionError, ReductionError
+from latflow.errors import BudgetError, InvalidInputError, PrecisionError
 from latflow.experiments import sample_uniform
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
 from latflow.lattice import (
@@ -26,7 +28,7 @@ from latflow.scalars import F64, RATIONAL, bigfloat, named_scalar
 
 from util import (brute_force_count, brute_force_lambda1, count_leaf_by_leaf,
                   count_points_f64, count_points_mp, count_refused, exact_scaled_rows,
-                  f64_lattice, from_int, gram_schmidt_full, lll_reduce_full,
+                  f64_lattice, from_int, gram_schmidt_full, integer_scaled, lll_reduce_full,
                   lll_reduce_integral_cohen, mat_det, phi, points_leaf_by_leaf,
                   random_unimodular_columns, scaled_columns, shortest_vector_f64,
                   shortest_vector_mp)
@@ -99,7 +101,7 @@ def _f64_spread(cols):
     inf where a Gram-Schmidt length is not in (0, inf)."""
     try:
         _, _, norm2 = gram_schmidt_full(cols)
-    except ReductionError:
+    except InvalidInputError:
         return math.inf
     if not all(0 < n < math.inf for n in norm2):
         return math.inf
@@ -115,12 +117,12 @@ def _f64_refused(cols):
 def _reduction_or_error(reduce, cols):
     """``reduce(cols)``, OverflowError where it raises that, and None where
     it meets singular columns (the full-recompute oracle raises
-    ReductionError there, and ``lll_reduce`` returns None)."""
+    InvalidInputError there, and ``lll_reduce`` returns None)."""
     try:
         return reduce(cols)
     except OverflowError:
         return OverflowError
-    except ReductionError:
+    except InvalidInputError:
         return None
 
 
@@ -397,7 +399,7 @@ def test_f64_translates_match_f64_oracle(line, interval, seed, t, radii, below):
     lat, basis = _sampled_translate(line[0], seed, t, interval, line[1])
     assert lat.escalated == _f64_refused(scaled_columns(*basis))
     if lat.escalated:
-        exact = ReducedLattice.exact(exact_scaled_rows(*basis))
+        exact = ReducedLattice.exact(*integer_scaled(exact_scaled_rows(*basis)))
         assert shortest_vector(lat) == shortest_vector(exact)
         radii = radii + [below * shortest_vector(exact).lambda1]
         for r in radii:
@@ -419,7 +421,7 @@ def test_large_slope_translates_equal_the_exact_reduction():
     line = LineSegmentSpec.from_strings("123456789.5", "0.25", "0", "1", F64)
     rows = experiments.sample_translate(line, FlowTime.of(5.0), 200, 1, (1.5,))
     for row in rows:
-        exact = ReducedLattice.exact(exact_scaled_rows(phi(line, row["s"]), 5.0))
+        exact = ReducedLattice.exact(*integer_scaled(exact_scaled_rows(phi(line, row["s"]), 5.0)))
         assert row["escalated"]
         assert row["lambda1"] == shortest_vector(exact).lambda1
         assert row[experiments.count_key(1.5)] == count_points(exact, 1.5)
@@ -497,7 +499,7 @@ def _integral_outcome(reduce, cols):
     """``reduce(cols)`` on a copy of the columns, or the message it raised."""
     try:
         return reduce([list(col) for col in cols])
-    except ReductionError as e:
+    except InvalidInputError as e:
         return str(e)
 
 
@@ -536,13 +538,26 @@ def test_lll_reduce_integral_matches_cohen_on_translates(cols):
     [[1, 2, 3], [4, 5, 7], [5, 7, 10]],    # b_2 = b_0 + b_1: d_3 = 0
 ])
 def test_lll_reduce_integral_rejects_dependent_columns(cols):
-    for reduce in (lll_reduce_integral, lll_reduce_integral_cohen):
-        with pytest.raises(ReductionError) as info:
+    # a library caller's mistake, invalid input, raised by the check of the
+    # first Gram determinant d_k of the columns that is 0 (the steps before
+    # d_3 is computed change the first two columns unimodularly), and so by
+    # the exact engine's one entry
+    k = next(i for i in (1, 2, 3) if _gram_det(cols[:i]) == 0)
+    for reduce in (lll_reduce_integral, lll_reduce_integral_cohen,
+                   lambda cols: ReducedLattice.exact([list(row) for row in zip(*cols)])):
+        with pytest.raises(InvalidInputError) as info:
             reduce([list(c) for c in cols])
         assert str(info.value) == "integral LLL needs independent columns"
+        if reduce is not lll_reduce_integral_cohen:
+            raised = traceback.extract_tb(info.tb)[-1]
+            assert raised.name == "lll_reduce_integral"
+            assert linecache.getline(raised.filename, raised.lineno - 1).strip() == (
+                f"if d{k} == 0:")
 
 
 def test_exact_scales_mixed_int_and_fraction_rows(monkeypatch):
+    # ``integer_rows`` scales the ratios of mixed int and Fraction rows as
+    # Fractions do, and ``exact`` reduces the integer columns it is given
     rows = [[3, Fraction(-7, 6), Fraction(5, 4)],
             [Fraction(2, 9), 0, -11],
             [Fraction(1, 3), Fraction(10, 5), 1],
@@ -554,7 +569,9 @@ def test_exact_scales_mixed_int_and_fraction_rows(monkeypatch):
         return lll_reduce_integral(cols)
 
     monkeypatch.setattr(lattice, "lll_reduce_integral", recording)
-    lat = ReducedLattice.exact(rows)
+    ints, den = lattice.integer_rows([[x.as_integer_ratio() for x in row] for row in rows])
+    assert (ints, den) == integer_scaled(rows)
+    lat = ReducedLattice.exact(ints, den)
     den = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
     assert lat.den == den == 36
     assert seen == [[[int(row[j] * den) for row in rows] for j in range(3)]]
@@ -574,8 +591,9 @@ def test_exact_integer_rows_are_primitive(rows):
     # p's scales to an integer prime to p, so no gcd of den and the scaled
     # rows is left to divide out (and the reduction keeps that gcd)
     try:
-        lat = ReducedLattice.exact(rows)
-    except ReductionError:  # dependent columns
+        lat = ReducedLattice.exact(*lattice.integer_rows(
+            [[x.as_integer_ratio() for x in row] for row in rows]))
+    except InvalidInputError:  # dependent columns
         assume(False)
     assert lat.den == math.lcm(*(x.denominator for row in rows for x in row))
     assert math.gcd(lat.den, *(x for row in lat.rows for x in row)) == 1
@@ -588,13 +606,6 @@ _EXACT_LINES = [
     LineSegmentSpec.from_strings("sqrt2", "sqrt3", "-0.3", "0.45", bigfloat(256)),
     LineSegmentSpec.from_strings("golden", "sqrt2", "-2", "3", bigfloat(53)),
 ]
-
-
-def _integer_rows(rows):
-    """The rows of a rational matrix scaled by the least common denominator
-    of its entries, and that denominator."""
-    den = math.lcm(*(x.denominator for row in rows for x in row))
-    return [[int(x * den) for x in row] for row in rows], den
 
 
 @settings(max_examples=80, deadline=None)
@@ -616,16 +627,15 @@ def test_of_exact_arm_matches_fraction_rows(line, seed, t):
         mp.setattr(lattice, "GSO_RANGE_CAP", 0.0)
         lat = translate_basis(line, s, FlowTime.of(t))
     reduced = lattice.translate_reduction(s, line.a * s + line.b, t)
-    cold = ReducedLattice.exact(exact_scaled_rows(phi(line, s), t))
-    basis, den = _integer_rows(exact_scaled_rows(phi(line, s), t))
+    basis, den = integer_scaled(exact_scaled_rows(phi(line, s), t))
+    cold = ReducedLattice.exact(basis, den)
     assert lat.escalated
     assert (lat.den, lat.gram_det) == (den, cold.gram_det)
     assert _det(lat.transform) in (1, -1)
     assert [list(row) for row in lat.rows] == [
         [sum(x * u for x, u in zip(row, col)) for col in lat.transform] for row in basis]
     # the rows built in integers are the Fraction rows' field for field
-    assert lat == ReducedLattice.exact(exact_scaled_rows(phi(line, s), t),
-                                       None if reduced is None else reduced[1])
+    assert lat == ReducedLattice.exact(basis, den, None if reduced is None else reduced[1])
     if reduced is None:
         assert lat == cold
 
@@ -647,7 +657,7 @@ def test_segment_rows_match_fraction_rows(line, t):
         ft.factor(2, line.mode), ft.factor(-1, line.mode), line.a, line.b))
     rows = [[e2, e2 * Fraction(s), e2 * (b + a * Fraction(s))] for s in (line.s1, line.s2)]
     reduced = lattice.translate_reduction(line.s1, line.a * line.s1 + line.b, t)
-    assert seen == [ReducedLattice.exact(rows + [[0, em, 0], [0, 0, em]],
+    assert seen == [ReducedLattice.exact(*integer_scaled(rows + [[0, em, 0], [0, 0, em]]),
                                          None if reduced is None else reduced[1])]
     if found is not None:
         assert found[1] == segment_sup(line, ft, found[0])
@@ -679,7 +689,7 @@ def test_warm_started_translates_equal_the_cold_reduction(kind, seed, t, low, ra
     s = line.s1 + line.mode.from_fraction(Fraction(sample_uniform(seed, 0))) * (
         line.s2 - line.s1)
     lat = translate_basis(line, s, FlowTime.of(t))
-    cold = ReducedLattice.exact(exact_scaled_rows(phi(line, s), t))
+    cold = ReducedLattice.exact(*integer_scaled(exact_scaled_rows(phi(line, s), t)))
     if not lat.escalated:  # the f64 lattice below the GSO range cap
         assume(False)
     got = shortest_vector(lat)
@@ -724,9 +734,9 @@ def _cold_arm_seen(monkeypatch, line, s, t):
 
     monkeypatch.setattr(lattice, "lll_reduce_integral", recording)
     lat = translate_basis(line, s, FlowTime.of(t))
-    basis, _ = _integer_rows(exact_scaled_rows(phi(line, s), t))
+    basis, den = integer_scaled(exact_scaled_rows(phi(line, s), t))
     assert seen == [[list(col) for col in zip(*basis)]]
-    assert lat == ReducedLattice.exact(exact_scaled_rows(phi(line, s), t))
+    assert lat == ReducedLattice.exact(basis, den)
     return lat
 
 
@@ -810,7 +820,7 @@ def test_sup_norm_minimum_matches_box_oracle():
             r = min(max(abs(x) for x in col) for col in cols)
             norm, coeffs = _box_minimum(cols, r)
             for den in (1, 12):
-                lat = ReducedLattice.exact(_rows(cols, den))
+                lat = ReducedLattice.exact(*integer_scaled(_rows(cols, den)))
                 want = (Fraction(norm, den), coeffs)
                 assert lat.minimum(10 ** 6) == want
                 assert lat.minimum(math.inf) == want
@@ -824,8 +834,9 @@ def test_sup_norm_count_matches_box_oracle():
         cols = _random_integer_basis(rng, 3, 5)
         for r in (1, 3, 6):
             want = len(_box_members(cols, r))
-            assert ReducedLattice.exact(_rows(cols)).count(r) == want
-            assert ReducedLattice.exact(_rows(cols, 12)).count(Fraction(r, 12)) == want
+            assert ReducedLattice.exact(*integer_scaled(_rows(cols))).count(r) == want
+            assert ReducedLattice.exact(*integer_scaled(_rows(cols, 12))).count(
+                Fraction(r, 12)) == want
 
 
 def test_sup_norm_count_budget_guard():
@@ -902,8 +913,8 @@ def test_count_refusal_at_its_exact_boundary(make):
     (f64_lattice(IDENTITY), 5.5, "1331"),
     (ReducedLattice.exact([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 5.5, "1000"),
     # det(L) = 1/8: 10648 in either unit
-    (ReducedLattice.exact([[Fraction(1, 2), 0, 0], [0, Fraction(1, 2), 0],
-                           [0, 0, Fraction(1, 2)]]), 5.5, "1.065e+4"),
+    (ReducedLattice.exact(*integer_scaled([[Fraction(1, 2), 0, 0], [0, Fraction(1, 2), 0],
+                                           [0, 0, Fraction(1, 2)]])), 5.5, "1.065e+4"),
     (f64_lattice(IDENTITY), 1e200, "8.000e+600"),
 ], ids=["f64", "exact", "exact-scaled", "past-f64"])
 def test_count_refusal_names_expected_count_and_cap(lat, r, want):
@@ -934,7 +945,8 @@ def test_lll_iteration_cap_refuses(monkeypatch):
     monkeypatch.setattr(lattice, "LLL_ITERATION_CAP", 1)
     assert lll_reduce(cols) is None
     lat = translate_basis(GENERIC_LINE, 0.71, FlowTime.of(5.0))
-    assert lat == ReducedLattice.exact(exact_scaled_rows(phi(GENERIC_LINE, 0.71), 5.0))
+    assert lat == ReducedLattice.exact(
+        *integer_scaled(exact_scaled_rows(phi(GENERIC_LINE, 0.71), 5.0)))
 
 
 def test_count_points_past_f64_gram_determinant():
@@ -985,7 +997,7 @@ def test_count_is_leaf_by_leaf_on_translates(s, t, radius):
        radius=st.fractions(Fraction(1, 10), 6, max_denominator=24))
 def test_count_is_leaf_by_leaf_on_exact_lattices(seed, n, den, radius):
     cols = _random_integer_basis(np.random.default_rng(seed), n, 5)
-    _assert_counts_leaf_by_leaf(ReducedLattice.exact(_rows(cols, den)), radius)
+    _assert_counts_leaf_by_leaf(ReducedLattice.exact(*integer_scaled(_rows(cols, den))), radius)
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["f64", "exact"])
@@ -996,7 +1008,8 @@ def test_count_of_dyadic_cubic_lattices_on_the_box_faces(k, exact):
     # the radii above it, and the f64 Gram determinant overflows
     h = 2.0 ** -k
     rows = ((h, 0.0, 0.0), (0.0, h, 0.0), (0.0, 0.0, h))
-    lat = ReducedLattice.exact(exact_scaled_rows(rows)) if exact else f64_lattice(rows)
+    lat = (ReducedLattice.exact(*integer_scaled(exact_scaled_rows(rows))) if exact
+           else f64_lattice(rows))
     for m in (1, 2, 3, 5):
         for radius in (m * h, (m + 0.5) * h, (m - 2 ** -20) * h):
             assert lat.count(radius) == (2 * math.floor(radius / h) + 1) ** 3 - 1
@@ -1007,8 +1020,8 @@ def test_a_walk_radius_past_the_f64_range_is_refused():
     # the first row is 10^-400 of the others, det = 1: a count at radius 1
     # expects 8 points, but its squared walk radius 3 (10^200)^2 is past the
     # f64 range, and the line x1 = x2 = 0 holds 10^200 leaves
-    lat = ReducedLattice.exact([[Fraction(1, 10 ** 200), 0, 0], [0, 10 ** 100, 0],
-                                [0, 0, 10 ** 100]])
+    lat = ReducedLattice.exact(*integer_scaled([[Fraction(1, 10 ** 200), 0, 0],
+                                                [0, 10 ** 100, 0], [0, 0, 10 ** 100]]))
     with pytest.raises(BudgetError, match="over 10\\^154 leaves"):
         lat.count(1.0)
     with enumeration_budget(10 ** 154), pytest.raises(PrecisionError):
@@ -1120,7 +1133,7 @@ def test_points_cut_equals_the_leaf_by_leaf_points(rows, radius):
     # same order, and ``count`` counts them
     try:
         lat = ReducedLattice.exact(rows)
-    except ReductionError:  # dependent columns
+    except InvalidInputError:  # dependent columns
         assume(False)
     want = points_leaf_by_leaf(lat, radius)
     assert list(lat.points(radius)) == want
@@ -1195,7 +1208,7 @@ def test_box_has_point_against_the_leaf_by_leaf_points(rows, start_kind, steps, 
     # the rows with scaled rows, as a block before gives it
     try:
         cold = ReducedLattice.exact(rows)
-    except ReductionError:  # dependent columns
+    except InvalidInputError:  # dependent columns
         assume(False)
     if start_kind == "cold":
         start = _unimodular([])

@@ -8,12 +8,12 @@ point count on it, the q-scan segment minimum, the q-scan witness and E_q
 searches, the cold box search of ``diophantine._box_points`` and an exact
 LLL-reducedness check, the float p-window decision of I_R on a grid, the numpy
 Dirichlet grid, an exact I_R measure, the segment element phi(s) and the
-exact translate rows that ``translate_basis`` hands ``ReducedLattice.exact``,
-the per-sample translate route through ``Fraction``, the escape fraction
-counted from each sample's lambda_1, the per-cell CSV
-writer, the leaf-by-leaf points and point count of a lattice, the exact
-expected-count refusal of ``ReducedLattice.count``, and the two-sample KS
-statistic by bisection."""
+exact translate rows that ``translate_basis`` reduces exactly, number rows
+scaled to the integer rows of ``ReducedLattice.exact``, the per-sample
+translate route through ``Fraction``, the escape fraction counted from each
+sample's lambda_1, the per-cell CSV writer, the leaf-by-leaf points and
+point count of a lattice, the exact expected-count refusal of
+``ReducedLattice.count``, and the two-sample KS statistic by bisection."""
 
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ import mpmath
 import numpy as np
 
 from latflow import diophantine as dio
-from latflow.errors import BudgetError, InvalidInputError, ReductionError
+from latflow.errors import BudgetError, InvalidInputError
 from latflow.experiments import sample_translate
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
 from latflow.lattice import LLL_DELTA_EXACT, ReducedLattice, lll_reduce
@@ -246,7 +246,7 @@ def gram_schmidt_full(cols):
         v = list(cols[i])
         for j in range(i):
             if norm2[j] <= 0:
-                raise ReductionError("numerically singular basis in Gram-Schmidt")
+                raise InvalidInputError("numerically singular basis in Gram-Schmidt")
             mu[i][j] = (cols[i][0] * bstar[j][0] + cols[i][1] * bstar[j][1]
                         + cols[i][2] * bstar[j][2]) / norm2[j]
             for k in range(3):
@@ -254,7 +254,7 @@ def gram_schmidt_full(cols):
         bstar.append(v)
         norm2.append(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
     if norm2[2] <= 0:
-        raise ReductionError("numerically singular basis in Gram-Schmidt")
+        raise InvalidInputError("numerically singular basis in Gram-Schmidt")
     return bstar, mu, norm2
 
 
@@ -280,10 +280,21 @@ def f64_lattice(matrix, log_scale: float = 0.0):
 def exact_scaled_rows(matrix, log_scale: float = 0.0):
     """The rows of ``matrix`` times the f64 flow scales of ``scaled_columns``,
     as exact ``Fraction`` products: for phi(s), the rows that
-    ``translate_basis`` hands ``ReducedLattice.exact``."""
+    ``translate_basis`` reduces exactly."""
     scale = (math.exp(2 * log_scale), math.exp(-log_scale), math.exp(-log_scale))
     return [[Fraction(x) * Fraction(scale[i]) for x in matrix[i]]
             for i in range(3)]
+
+
+def integer_scaled(rows) -> tuple[list, int]:
+    """(integer rows, den): the rational matrix ``rows`` (int, float or
+    ``Fraction`` entries) times the least common denominator ``den`` of its
+    entries, computed in ``Fraction``s, so that
+    ``ReducedLattice.exact(*integer_scaled(rows))`` is the exact lattice of
+    number rows."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x * den) for x in row] for row in rows], den
 
 
 def translate_sample_s(line: LineSegmentSpec, u: float):
@@ -370,7 +381,7 @@ def lll_reduce_integral_cohen(cols):
             if j < k:
                 lam[k][j] = acc
             elif acc == 0:
-                raise ReductionError("integral LLL needs independent columns")
+                raise InvalidInputError("integral LLL needs independent columns")
             else:
                 d[k + 1] = acc
 
@@ -712,7 +723,7 @@ def box_points_cold(forms, bound, q_max: int, block_p2: bool = False):
         if block_p2:
             rows.append([0, Fraction(1, end), 0])
         block = []
-        for p1, p2, q in points_leaf_by_leaf(ReducedLattice.exact(rows), 1):
+        for p1, p2, q in points_leaf_by_leaf(ReducedLattice.exact(*integer_scaled(rows)), 1):
             if q < 0:
                 p1, p2, q = -p1, -p2, -q
             n = max(abs(p2), q) if block_p2 else q
