@@ -456,8 +456,7 @@ def _run_dirichlet(args, mode) -> tuple[list, dict, list]:
     # the direct check decides the stored point (s, a s + b) exactly, and
     # runs ahead of the probe, so that a budget error ends the run before
     # the probe's work
-    x2 = Fraction(line.a) * Fraction(s) + Fraction(line.b)
-    solvable = dio.dirichlet_direct(s, x2, args.delta, horizons)
+    solvable = dio.dirichlet_direct(s, Fraction(*line.point(s)[1]), args.delta, horizons)
     # lambda1 only where the report reads it, each time at most once: forward
     # to the first time inside K, back from t_max to the last, and the checks
     probe = cache(lambda t: exp.trajectory_probe(line, s, t))

@@ -110,10 +110,8 @@ def _approximations(a, b, bound, q_max: int):
     exactly 1/2 and both neighbours are in the box; the even one is kept
     (round half to even).
     """
-    nb, db = b.as_integer_ratio()
-    na, da = a.as_integer_ratio()
-    den = math.lcm(db, da)
-    forms = ((den, 0, nb * (den // db)), (0, den, na * (den // da)))
+    (nb, db), (na, da) = b.as_integer_ratio(), a.as_integer_ratio()
+    forms, den = integer_rows([[(1, 1), (0, 1), (nb, db)], [(0, 1), (1, 1), (na, da)]])
     for block in _box_points(
             forms, den, lambda Q: None if Q > q_max or (B := bound(Q)) is None
             else min(B, Fraction(1, 2)), q_max):
@@ -325,12 +323,14 @@ def _return_windows(line, R: Fraction, t_max: float, q_max: int):
     |x_2 - x_1| <= 2 R and n <= n_cap = max(q_max, 2 R / (s2 - s1) +
     |a| q_max): the blocks past n_cap are empty, and the search ends there
     whatever t_max is.
+
+    Its forms are ``integer_rows`` of ``line.point`` at s1 and s2, in lowest
+    terms: the window ends take the logarithm of their ``den``.
     """
-    a, b, s1, s2 = (Fraction(x) for x in (line.a, line.b, line.s1, line.s2))
+    a, s1, s2 = (Fraction(x) for x in (line.a, line.s1, line.s2))
     n_cap = max(q_max, 2 * R / (s2 - s1) + abs(a) * q_max)
-    forms = ((1, s1, b + a * s1), (1, s2, b + a * s2))
-    den = math.lcm(*(Fraction(x).denominator for f in forms for x in f))
-    forms = (u1, v1, w1), (u2, v2, w2) = [[int(x * den) for x in f] for f in forms]
+    forms, den = integer_rows([[(1, 1), *line.point(s)] for s in (line.s1, line.s2)])
+    (u1, v1, w1), (u2, v2, w2) = forms
     rn, rd = R.numerator, R.denominator
     log_r = math.log(rn) - math.log(rd)
     log_rden = log_r + math.log(den)

@@ -146,10 +146,10 @@ def segment_minimum(line: LineSegmentSpec, t: FlowTime, R_cap: float) -> tuple |
          Em p2, Em q)  in R^4,   E2 = e^{2t}, Em = e^{-t},
 
     so the minimum is that lattice's first sup-norm minimum.  E2 and Em are
-    the values that ``t.factor`` gives, and they, a, b, s1 and s2 are taken
-    at their exact stored values, in integers (``translate_rows``), so
-    ``ReducedLattice.exact`` solves it exactly; ties go to the
-    sign-normalised vector smallest in (q, p2, p1).
+    the values that ``t.factor`` gives, and the ends (s_i, b + a s_i) the
+    exact ratios of ``line.point``; all are taken in integers
+    (``translate_rows``), so ``ReducedLattice.exact`` solves it exactly;
+    ties go to the sign-normalised vector smallest in (q, p2, p1).
     Rows 1, 3 and 4 are those of the translate at s1, so the reduction
     starts from the U of its f64 ``translate_reduction`` where it gives one;
     the minimum does not depend on the start.  The value is that exact
@@ -162,10 +162,8 @@ def segment_minimum(line: LineSegmentSpec, t: FlowTime, R_cap: float) -> tuple |
     if e2 == 0 or em == 0:
         # an f64 e^{2t} (or e^{-t}) that underflows leaves a singular lattice
         raise PrecisionError(f"e^(kt) underflows f64 at t = {t.t:g}")
-    (an, ad), (bn, bd) = line.a.as_integer_ratio(), line.b.as_integer_ratio()
-    ends = [((n, d), (bn * ad * d + an * n * bd, bd * ad * d))  # s and b + a s
-            for n, d in (line.s1.as_integer_ratio(), line.s2.as_integer_ratio())]
-    reduced = translate_reduction(line.s1, line.a * line.s1 + line.b, float(t.t))
+    ends = [line.point(s) for s in (line.s1, line.s2)]
+    reduced = translate_reduction(line.s1, line.a * line.s1 + line.b, t)
     found = ReducedLattice.exact(*integer_rows(translate_rows(e2, em, ends)),
                                  None if reduced is None else reduced[1]).minimum(R_cap)
     return None if found is None else (found[1], line.mode.from_fraction(found[0]))

@@ -47,13 +47,21 @@ class LineSegmentSpec(namedtuple("LineSegmentSpec", "a b s1 s2 mode")):
             mode=mode,
         )
 
+    def point(self, s) -> tuple:
+        """((sn, sd), (xn, xd)): s and the exact b + a s of phi(s), from the
+        stored a, b and s, as integer ratios in lowest terms with d > 0."""
+        (sn, sd), (an, ad), (bn, bd) = (v.as_integer_ratio() for v in (s, self.a, self.b))
+        xn, xd = bn * ad * sd + an * sn * bd, bd * ad * sd
+        g = math.gcd(xn, xd)
+        return (sn, sd), (xn // g, xd // g)
+
 
 class FlowTime(namedtuple("FlowTime", "t")):
     """A finite flow time t.
 
-    ``factor`` gives the powers e^{kt} in a line's scalars; ``segment_sup``
-    and ``segment_minimum`` take them from it and from nowhere else, and
-    ``translate_basis`` reads only the float t.
+    ``factor`` gives the powers e^{kt}, and nothing else makes them:
+    ``segment_sup`` and ``segment_minimum`` take them in a line's scalars,
+    ``translate_basis`` its f64 row scales e^{2t} and e^{-t}.
     """
 
     __slots__ = ()

@@ -15,14 +15,15 @@ lattice in Q^n as integer rows and their denominator, the form
 ``integer_rows`` makes of ratio rows, and runs the integral LLL (no
 rounding anywhere), warm started, if asked, from the transform of a
 lattice reduced before.  ``translate_basis`` reduces the basis of
-g_t phi(s) Z^3 rounded to f64 once (``translate_reduction``).  Where f64
-resolves it (a spread, the longest column over the least Gram-Schmidt
-length, at most ``GSO_RANGE_CAP``) an f64 or rational line keeps that
-reduction; otherwise, and for every bigfloat line, the unrounded rows,
-built in integers by ``translate_rows``, go to ``exact``, started from the
-f64 transform wherever f64 still reduced them (a spread up to
-``SPREAD_CAP`` = 1/u): reducing in floating point and then finishing
-exactly (Nguyen and Stehle, SIAM J. Comput. 2009).  A lattice's
+g_t phi(s) Z^3, its rows scaled by the f64 e^{2t} and e^{-t} of
+``FlowTime.factor``, rounded to f64 once (``translate_reduction``).
+Where f64 resolves it (a spread, the longest column over the least
+Gram-Schmidt length, at most ``GSO_RANGE_CAP``) an f64 or rational line
+keeps that reduction; otherwise, and for every bigfloat line, the
+unrounded rows, built in integers by ``translate_rows``, go to ``exact``,
+started from the f64 transform wherever f64 still reduced them (a spread
+up to ``SPREAD_CAP`` = 1/u): reducing in floating point and then
+finishing exactly (Nguyen and Stehle, SIAM J. Comput. 2009).  A lattice's
 ``points``, ``minimum`` and ``count`` are one Fincke-Pohst enumeration,
 over coefficients in the reduced basis that only ``points`` and
 ``minimum`` map back through U; they take radii in the rows' own units and
@@ -60,11 +61,9 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 
 from .errors import BudgetError, InvalidInputError, PrecisionError
-from .scalars import exp_f64
 
 LLL_DELTA = 0.99
 LLL_DELTA_EXACT = Fraction(str(LLL_DELTA))  # 99/100 for the integral LLL
@@ -799,21 +798,14 @@ def count_points(lat: ReducedLattice, r) -> int:
     return lat.count(r)
 
 
-@lru_cache(maxsize=1)
-def _flow_scales(t: float) -> tuple:
-    """The f64 row scales e^{2t} and e^{-t} of the flow time t, made once
-    for the samples of one flow time."""
-    return exp_f64(2 * t), exp_f64(-t)
-
-
-def translate_reduction(s, x, t: float):
+def translate_reduction(s, x, t):
     """``lll_reduce`` of the f64 columns (e2, 0, 0), (e2 s, em, 0) and
     (e2 x, 0, em) of g_t phi(s) Z^3, x = a s + b, with s and x rounded to
-    f64 and e2, em the f64 row scales e^{2t}, e^{-t} of ``_flow_scales``;
-    None where it refuses them and where e2, s, x or a step of the
-    reduction overflows f64."""
+    f64 and e2, em the f64 row scales ``t.factor(2)``, ``t.factor(-1)`` of
+    the ``FlowTime`` t; None where it refuses them and where e2, s, x or a
+    step of the reduction overflows f64."""
     try:
-        e2, em = _flow_scales(t)
+        e2, em = t.factor(2), t.factor(-1)
         return lll_reduce([[e2, 0.0, 0.0], [float(s) * e2, em, 0.0],
                            [float(x) * e2, 0.0, em]])
     except (OverflowError, PrecisionError):
@@ -837,31 +829,30 @@ def translate_rows(e2, em, points) -> list:
 
 
 def translate_basis(line, s, t, within=None) -> ReducedLattice | None:
-    """The reduced lattice g_t phi(s) Z^3, the diagonal flow as the
-    log-scale float t: the lattice of the columns (e2, 0, 0), (e2 s, em, 0)
-    and (e2 x, 0, em), with x = a s + b in the line's scalars and e2, em the
-    f64 row scales e^{2t}, e^{-t} of ``_flow_scales``.  Every line's
-    columns, rounded to f64, take one ``translate_reduction``; an f64 or
-    rational line whose columns it resolves gets ``ReducedLattice.f64`` of
-    it.  Every other translate gets ``ReducedLattice.exact`` of the
-    unrounded rows, built in integers by ``translate_rows`` and scaled once
-    by ``integer_rows``, started from the f64 U where there is one: the same
-    lattice, minimum and counts.
+    """The reduced lattice g_t phi(s) Z^3 at the ``FlowTime`` t: the lattice
+    of the columns (e2, 0, 0), (e2 s, em, 0) and (e2 x, 0, em), with
+    x = a s + b in the line's scalars and e2, em the f64 row scales
+    ``t.factor(2)``, ``t.factor(-1)``.  Every line's columns, rounded to
+    f64, take one ``translate_reduction``; an f64 or rational line whose
+    columns it resolves gets ``ReducedLattice.f64`` of it.  Every other
+    translate gets ``ReducedLattice.exact`` of the unrounded rows, built in
+    integers by ``translate_rows`` and scaled once by ``integer_rows``,
+    started from the f64 U where there is one: the same lattice, minimum
+    and counts.
 
     Given a radius ``within``, it is None where ``box_has_point`` of the
     f64 U shows no nonzero point within it, and no exact reduction runs."""
-    t = float(t.t)
     x = line.a * s + line.b
     reduced = translate_reduction(s, x, t)
     if reduced is not None and reduced[4] and line.mode.kind != "bigfloat":
         return ReducedLattice.f64(reduced)
-    e2, em = _flow_scales(t)
+    e2, em = t.factor(2), t.factor(-1)
     if 0.0 in (e2, em):  # a zero row spans no lattice
-        raise PrecisionError(f"the flow scaling underflows f64 at log scale {t:g}")
+        raise PrecisionError(f"the flow scaling underflows f64 at log scale {t.t:g}")
     rows, den = integer_rows(
         translate_rows(e2, em, [(s.as_integer_ratio(), x.as_integer_ratio())]))
-    if reduced is None:
-        return ReducedLattice.exact(rows, den)
-    if within is not None and box_has_point(rows, reduced[1], floor_limit(within, den)) is False:
+    start = None if reduced is None else reduced[1]
+    if (start is not None and within is not None
+            and box_has_point(rows, start, floor_limit(within, den)) is False):
         return None
-    return ReducedLattice.exact(rows, den, reduced[1])
+    return ReducedLattice.exact(rows, den, start)

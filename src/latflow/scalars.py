@@ -56,11 +56,13 @@ class ScalarMode(namedtuple("ScalarMode", "kind bits")):
             return fr
         if self.kind == "f64":
             try:
-                return float(fr)
+                if (x := float(fr)) or not fr:
+                    return x
+                past = "underflows f64 to 0"
             except OverflowError:
-                value = decimal.Context(prec=6).divide(fr.numerator, fr.denominator)
-                raise PrecisionError(f"{value.normalize():g} is past the f64 range; "
-                                     "bigfloat and rational mode hold it") from None
+                past = "is past the f64 range"
+            value = decimal.Context(prec=6).divide(fr.numerator, fr.denominator)
+            raise PrecisionError(f"{value.normalize():g} {past}; bigfloat and rational mode hold it")
         # n 2^s / d, rounded half to even to an integer of B bits, over 2^s
         n, d = fr.numerator, fr.denominator
         s = self.bits - n.bit_length() + d.bit_length()

@@ -568,16 +568,31 @@ def test_density_interval_past_f64_range_exit_4(capsys):
     assert "R1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode", ["rational", "bigfloat"])
+@pytest.mark.parametrize("mode", ["f64", "rational", "bigfloat"])
 def test_density_R_below_the_f64_range_exit_4(mode, capsys, tmp_path):
-    # an R that rounds to f64 0 has no f64 logarithm for the E_q windows; a
-    # subnormal R still runs
+    # an R that rounds to f64 0 has no f64 logarithm for the E_q windows, and
+    # an f64 one is refused where it is parsed; a subnormal R still runs
     argv = ["density", "1/2", "1/3", "--mode", mode, "--q-max", "100"]
     assert run_cli(argv + ["--R", "1e-400"]) == 4
-    assert capsys.readouterr().err == (
-        "latflow: precision failure: R underflows f64 to 0; "
-        "the E_q windows take its f64 logarithm\n")
+    assert capsys.readouterr().err == "latflow: precision failure: " + (
+        "1e-400 underflows f64 to 0; bigfloat and rational mode hold it\n" if mode == "f64"
+        else "R underflows f64 to 0; the E_q windows take its f64 logarithm\n")
     assert run_cli(argv + ["--R", "1e-320", "--out", str(tmp_path / "sub")]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "1/2", "1/3", "--R", "1e-400", "--q-max", "100"],
+    ["classify", "0.5", "0.25", "--C", "1e-400", "--q-max", "10"],
+    ["orbit", "sqrt2", "sqrt3", "--interval", "0,1e-400", "--t-grid", "1", "--N", "2"],
+    ["dirichlet", "sqrt2", "sqrt3", "--s", "1e-400", "--t-max", "1"],
+], ids=["density", "classify", "orbit", "dirichlet"])
+def test_f64_input_that_rounds_to_0_exit_4(argv, capsys):
+    # a positive input that f64 rounds to 0 is refused where it is parsed,
+    # not run as 0 nor refused as if it were 0
+    assert run_cli(argv) == 4
+    assert capsys.readouterr().err == (
+        "latflow: precision failure: 1e-400 underflows f64 to 0; "
+        "bigfloat and rational mode hold it\n")
 
 
 @pytest.mark.parametrize("mode", ["rational", "bigfloat"])

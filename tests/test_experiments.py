@@ -648,7 +648,7 @@ def test_segment_minimum_warm_start_keeps_the_minimum(kind, t):
         warm = exp.segment_minimum(line, FlowTime.of(t), 6.0)
         mp.setattr(exp, "translate_reduction", lambda s, x, t: None)
         cold = exp.segment_minimum(line, FlowTime.of(t), 6.0)
-    assert seen == [(line.s1, line.a * line.s1 + line.b, t)]
+    assert seen == [(line.s1, line.a * line.s1 + line.b, FlowTime.of(t))]
     assert warm == cold
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latflow.errors import InvalidInputError, PrecisionError
 from latflow.flow import FlowTime, LineSegmentSpec, segment_sup
@@ -39,6 +41,36 @@ def test_line_and_flow_time_are_immutable():
         RATIONAL_LINE.a = Fraction(0)
     with pytest.raises(AttributeError):
         FlowTime.of(1.0).t = 2.0
+
+
+_POINT_MODES = [F64, RATIONAL, bigfloat(256)]
+# mode scalars: exact rationals and f64 values, subnormal and past 2^64 included
+_point_values = st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 40) | st.floats(
+    -1e150, 1e150, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mode=st.sampled_from(_POINT_MODES), a=_point_values, b=_point_values, s=_point_values)
+@example(mode=F64, a=2 ** 0.5, b=3 ** 0.5, s=0.3)
+@example(mode=bigfloat(256), a=Fraction(1, 3), b=Fraction(-5, 7), s=Fraction(2, 11))
+@example(mode=RATIONAL, a=Fraction(0), b=Fraction(0), s=Fraction(0))
+def test_point_is_s_and_the_exact_b_plus_a_s(mode, a, b, s):
+    a, b, s = (mode.from_fraction(Fraction(x)) for x in (a, b, s))
+    line = LineSegmentSpec(a, b, mode.from_fraction(Fraction(-1)), mode.from_fraction(Fraction(1)),
+                           mode)
+    x = Fraction(a) * Fraction(s) + Fraction(b)
+    # lowest terms with a positive denominator: the ratios of the Fractions
+    assert line.point(s) == (Fraction(s).as_integer_ratio(), x.as_integer_ratio())
+    if mode.kind != "f64":
+        # the line's own arithmetic is exact in these modes, so a translate
+        # built from its scalar a s + b holds the same point
+        assert line.point(s)[1] == (line.a * s + line.b).as_integer_ratio()
+
+
+def test_point_of_an_f64_line_is_not_its_rounded_scalar():
+    # in f64 the line's scalar a s + b is fl(fl(a s) + b); point keeps b + a s
+    line = LineSegmentSpec.from_strings("sqrt2", "sqrt3", "0", "1", F64)
+    assert Fraction(*line.point(0.3)[1]) != Fraction(line.a * 0.3 + line.b)
 
 
 def test_phi_matrix_shape():

@@ -626,7 +626,7 @@ def test_of_exact_arm_matches_fraction_rows(line, seed, t):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "GSO_RANGE_CAP", 0.0)
         lat = translate_basis(line, s, FlowTime.of(t))
-    reduced = lattice.translate_reduction(s, line.a * s + line.b, t)
+    reduced = lattice.translate_reduction(s, line.a * s + line.b, FlowTime.of(t))
     basis, den = integer_scaled(exact_scaled_rows(phi(line, s), t))
     cold = ReducedLattice.exact(basis, den)
     assert lat.escalated
@@ -656,7 +656,7 @@ def test_segment_rows_match_fraction_rows(line, t):
     e2, em, a, b = (Fraction(x) for x in (
         ft.factor(2, line.mode), ft.factor(-1, line.mode), line.a, line.b))
     rows = [[e2, e2 * Fraction(s), e2 * (b + a * Fraction(s))] for s in (line.s1, line.s2)]
-    reduced = lattice.translate_reduction(line.s1, line.a * line.s1 + line.b, t)
+    reduced = lattice.translate_reduction(line.s1, line.a * line.s1 + line.b, ft)
     assert seen == [ReducedLattice.exact(*integer_scaled(rows + [[0, em, 0], [0, 0, em]]),
                                          None if reduced is None else reduced[1])]
     if found is not None:
@@ -765,9 +765,9 @@ def test_translate_past_the_spread_cap_takes_the_cold_arm(monkeypatch, kind):
     assert lattice.SPREAD_CAP == 2.0 ** 53 == 1 / lattice._U
     line = _WARM_LINES[kind]
     x = line.a * 0.3 + line.b
-    assert lattice.translate_reduction(0.3, x, 13.0) is None
-    assert lattice.translate_reduction(0.3, x, 12.0) is None
-    assert lattice.translate_reduction(0.3, x, 11.5)[4] is False
+    assert lattice.translate_reduction(0.3, x, FlowTime.of(13.0)) is None
+    assert lattice.translate_reduction(0.3, x, FlowTime.of(12.0)) is None
+    assert lattice.translate_reduction(0.3, x, FlowTime.of(11.5))[4] is False
     _cold_arm_seen(monkeypatch, line, line.mode.from_fraction(Fraction(3, 10)), 13.0)
 
 

@@ -37,6 +37,21 @@ def test_parse_f64_correctly_rounded():
     assert scalar_from_decimal("1/3", F64) == 1 / 3
 
 
+@pytest.mark.parametrize("text", ["1e-400", "-1e-400"])
+def test_f64_underflow_to_0_is_a_precision_error(text):
+    with pytest.raises(PrecisionError) as info:
+        scalar_from_decimal(text, F64)
+    assert str(info.value) == f"{text} underflows f64 to 0; bigfloat and rational mode hold it"
+
+
+def test_f64_subnormal_and_zero_are_kept():
+    assert scalar_from_decimal("5e-324", F64) == 5e-324 == math.ulp(0.0)
+    assert F64.from_fraction(Fraction(-5, 10 ** 324)) == -5e-324
+    for zero in ("0", "-0", "0/7"):
+        value = scalar_from_decimal(zero, F64)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def test_parse_bigfloat_precision():
     x = scalar_from_decimal("1/3", bigfloat(256))
     # 256-bit third: residual of 3x - 1 far below double precision

@@ -81,8 +81,8 @@ def mat_det(A):
 class ExactFlowTime(FlowTime):
     """A flow time t = ln(u) with u = e^t kept exact: the powers e^{kt} are
     the rationals u^k, which keeps the segment actions, ``segment_sup`` and
-    ``segment_minimum`` exact in rational mode (``translate_basis`` reads
-    only the float t)."""
+    ``segment_minimum`` exact in rational mode (``translate_reduction`` and
+    ``translate_basis`` take the f64 powers, u^k rounded once)."""
 
     def __new__(cls, t: float, u: Fraction):
         self = super().__new__(cls, t)

@@ -87,7 +87,11 @@ SHOWN = 10  # differing operations named in full
 # no multiple of it, so that the check times are the multiples of 0.6;
 # last, a direct Dirichlet check at delta = 0.05 every 0.25 in t, where the
 # start from the horizon before shows five horizons unsolvable without a
-# reduction (no workload operation has such a horizon).
+# reduction (no workload operation has such a horizon); last, segment
+# minima and return windows off I = [0, 1], in rational, bigfloat:256 and
+# f64 lines, so that the exact point (s, b + a s) of ``LineSegmentSpec.point``
+# is taken at ends other than 0 and 1 (every workload operation and every
+# extra above that reaches it runs on [0, 1]).
 #
 # No operation reaches these lines, error paths aside, for these reasons:
 # - ``cli._fmt`` of a bool: every bool column of a report is all bool, which
@@ -187,6 +191,16 @@ EXTRA_OPS = [
      "--dt", "0.04", "--direct-step", "0.3"],
     ["dirichlet", "sqrt2", "sqrt3", "--s", "0.3", "--delta", "0.05", "--t-max", "6",
      "--direct-step", "0.25"],
+    ["orbit", "1/7", "2/9", "--mode", "rational", "--interval=-1/3,5/11",
+     "--t-grid", "0:10:2.5", "--N", "5"],
+    ["density", "1/7", "2/9", "--mode", "rational", "--interval=-1/3,5/11",
+     "--q-max", "20000", "--T", "8"],
+    ["orbit", "sqrt2", "sqrt3", "--mode", "bigfloat:256", "--interval=-0.37,0.61",
+     "--t-grid", "0:12:4", "--N", "5"],
+    ["density", "golden", "0.123456789", "--mode", "bigfloat:256", "--interval=-0.37,0.61",
+     "--q-max", "100000", "--T", "10"],
+    ["orbit", "0.123456789012345", "0.987654321098765", "--interval=-0.37,0.61",
+     "--t-grid", "3,9.5", "--N", "5"],
 ]
 
 # Runs in the child, with cwd the tree's temporary directory:
